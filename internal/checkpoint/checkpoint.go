@@ -12,11 +12,10 @@
 // from the journal without launching samplers, and execution goes live
 // exactly at the recorded boundary.
 //
-// The wire format mirrors the internal/remote frame conventions: a magic
-// prefix, a uvarint codec version, a 4-byte big-endian body length, the
-// body, and a trailing 64-bit FNV-1a hash of the body. Decoders refuse
-// unknown versions with ErrCheckpointVersion and corrupt input with
-// wrapped ErrCorrupt errors; they never panic on malformed data.
+// The encoding is internal/wire's sealed envelope ("WBCK" magic, codec
+// Version, length, body, FNV-1a trailer). DecodeBytes refuses unknown
+// versions with ErrCheckpointVersion and corrupt input with wrapped
+// ErrCorrupt errors; it never panics on malformed data.
 package checkpoint
 
 import (

@@ -87,21 +87,6 @@ func TestCodecRoundtrip(t *testing.T) {
 		t.Fatalf("roundtrip mismatch:\ngot  %+v\nwant %+v", got, st)
 	}
 
-	// The streaming decoder must agree with the in-memory one.
-	var buf bytes.Buffer
-	if err := Encode(&buf, st); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatal("Encode and EncodeBytes produced different frames")
-	}
-	got2, err := Decode(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !reflect.DeepEqual(got2, st) {
-		t.Fatal("streaming decode mismatch")
-	}
 }
 
 // TestCodecDeterministic pins that encoding is canonical: the frontier map
@@ -122,7 +107,7 @@ func TestCodecDeterministic(t *testing.T) {
 
 // TestVersionRefusal proves the cross-version contract: a checkpoint whose
 // codec version this binary does not know is refused with the typed
-// ErrCheckpointVersion, by both decoders, before any body parsing.
+// ErrCheckpointVersion before any body parsing.
 func TestVersionRefusal(t *testing.T) {
 	data, err := EncodeBytes(sampleState())
 	if err != nil {
@@ -135,9 +120,6 @@ func TestVersionRefusal(t *testing.T) {
 	skew[len(magic)] = Version + 1
 	if _, err := DecodeBytes(skew); !errors.Is(err, ErrCheckpointVersion) {
 		t.Fatalf("DecodeBytes of bumped version: %v, want ErrCheckpointVersion", err)
-	}
-	if _, err := Decode(bytes.NewReader(skew)); !errors.Is(err, ErrCheckpointVersion) {
-		t.Fatalf("Decode of bumped version: %v, want ErrCheckpointVersion", err)
 	}
 	// A version refusal must not be conflated with corruption.
 	if _, err := DecodeBytes(skew); errors.Is(err, ErrCorrupt) {

@@ -2,58 +2,35 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
-	"math"
 	"sort"
+
+	"repro/internal/wire"
 )
 
-// Frame layout: magic | uvarint version | u32be body length | body | u64be
-// FNV-1a(body). The length is capped well above any realistic checkpoint
-// so a corrupt header cannot drive a huge allocation.
+// The frame is internal/wire's sealed envelope under this magic and Version;
+// the body layout and the value tag table below are this package's own.
 const (
 	magic         = "WBCK"
-	maxBody       = 256 << 20
 	maxValueDepth = 16
 )
 
-// fnv1a is the 64-bit FNV-1a hash of b (same function the remote snapshot
-// path uses for content addressing).
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+// wireErr is the one mapping from internal/wire decode failures onto this
+// package's sentinels.
+func wireErr(err error) error {
+	if errors.Is(err, wire.ErrVersion) {
+		return fmt.Errorf("%w: %v", ErrCheckpointVersion, err)
 	}
-	return h
+	return corruptf("%v", err)
 }
 
 // encoder appends to a pooled buffer; the first value-codec failure
 // sticks.
 type encoder struct {
-	b   []byte
+	wire.Writer
 	err error
-}
-
-func (e *encoder) u8(v uint8)  { e.b = append(e.b, v) }
-func (e *encoder) uv(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *encoder) iv(v int64)  { e.b = binary.AppendVarint(e.b, v) }
-func (e *encoder) u64(v uint64) {
-	e.b = binary.BigEndian.AppendUint64(e.b, v)
-}
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *encoder) str(s string) {
-	e.uv(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *encoder) flag(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
 }
 
 // value appends one dynamically typed value. Types outside the native tag
@@ -66,44 +43,43 @@ func (e *encoder) value(v any, depth int) {
 	}
 	switch x := v.(type) {
 	case nil:
-		e.u8(0)
+		e.U8(0)
 	case float64:
-		e.u8(1)
-		e.f64(x)
+		e.U8(1)
+		e.F64(x)
 	case int:
-		e.u8(2)
-		e.iv(int64(x))
+		e.U8(2)
+		e.Iv(int64(x))
 	case string:
-		e.u8(3)
-		e.str(x)
+		e.U8(3)
+		e.Str(x)
 	case bool:
-		e.u8(4)
-		e.flag(x)
+		e.U8(4)
+		e.Flag(x)
 	case []float64:
-		e.u8(5)
-		e.uv(uint64(len(x)))
+		e.U8(5)
+		e.Uv(uint64(len(x)))
 		for _, f := range x {
-			e.f64(f)
+			e.F64(f)
 		}
 	case []byte:
-		e.u8(6)
-		e.uv(uint64(len(x)))
-		e.b = append(e.b, x...)
+		e.U8(6)
+		e.Bytes(x)
 	case int64:
-		e.u8(7)
-		e.iv(x)
+		e.U8(7)
+		e.Iv(x)
 	case [][]float64:
-		e.u8(8)
-		e.uv(uint64(len(x)))
+		e.U8(8)
+		e.Uv(uint64(len(x)))
 		for _, row := range x {
-			e.uv(uint64(len(row)))
+			e.Uv(uint64(len(row)))
 			for _, f := range row {
-				e.f64(f)
+				e.F64(f)
 			}
 		}
 	case []any:
-		e.u8(9)
-		e.uv(uint64(len(x)))
+		e.U8(9)
+		e.Uv(uint64(len(x)))
 		for _, el := range x {
 			e.value(el, depth+1)
 		}
@@ -113,9 +89,8 @@ func (e *encoder) value(v any, depth int) {
 			e.fail(fmt.Errorf("checkpoint: encode %T: %w", v, err))
 			return
 		}
-		e.u8(10)
-		e.uv(uint64(gb.Len()))
-		e.b = append(e.b, gb.Bytes()...)
+		e.U8(10)
+		e.Bytes(gb.Bytes())
 	}
 }
 
@@ -126,27 +101,19 @@ func (e *encoder) fail(err error) {
 }
 
 func (e *encoder) kvs(kvs []KV) {
-	e.uv(uint64(len(kvs)))
+	e.Uv(uint64(len(kvs)))
 	for _, kv := range kvs {
-		e.str(kv.Name)
+		e.Str(kv.Name)
 		e.value(kv.V, 0)
 	}
 }
 
-// marshal encodes st into a full framed message backed by a pooled buffer.
-// The caller owns the result and must freeBuf it.
-func marshal(st *State) ([]byte, error) {
-	e := &encoder{b: allocBuf(4 << 10)}
-	e.b = append(e.b, magic...)
-	e.uv(Version)
-	lenAt := len(e.b)
-	e.b = append(e.b, 0, 0, 0, 0) // body length, patched below
-	bodyAt := len(e.b)
-
-	e.b = append(e.b, st.ID[:]...)
-	e.iv(st.Seed)
-	e.uv(uint64(st.MinSlots))
-	e.flag(st.Complete)
+// state appends st's body layout.
+func (e *encoder) state(st *State) {
+	e.Raw(st.ID[:])
+	e.Iv(st.Seed)
+	e.Uv(uint64(st.MinSlots))
+	e.Flag(st.Complete)
 	c := &st.Counters
 	for _, v := range []int64{
 		c.Regions, c.Rounds, c.Samples, c.Pruned,
@@ -154,7 +121,7 @@ func marshal(st *State) ([]byte, error) {
 		c.Splits, c.PeakRetained,
 		c.WorkMilli, c.WorkSerialMilli, c.WorkParaMilli,
 	} {
-		e.iv(v)
+		e.Iv(v)
 	}
 
 	paths := make([]string, 0, len(st.Frontier))
@@ -162,46 +129,46 @@ func marshal(st *State) ([]byte, error) {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	e.uv(uint64(len(paths)))
+	e.Uv(uint64(len(paths)))
 	for _, p := range paths {
-		e.str(p)
-		e.uv(st.Frontier[p])
+		e.Str(p)
+		e.Uv(st.Frontier[p])
 	}
 
-	e.uv(uint64(len(st.Events)))
+	e.Uv(uint64(len(st.Events)))
 	for _, ev := range st.Events {
-		e.str(ev.Path)
-		e.uv(ev.Seq)
-		e.u8(ev.Kind)
-		e.uv(ev.Arg)
-		e.str(ev.Name)
+		e.Str(ev.Path)
+		e.Uv(ev.Seq)
+		e.U8(ev.Kind)
+		e.Uv(ev.Arg)
+		e.Str(ev.Name)
 	}
 
-	e.uv(uint64(len(st.Rounds)))
+	e.Uv(uint64(len(st.Rounds)))
 	for i := range st.Rounds {
 		r := &st.Rounds[i]
-		e.str(r.Path)
-		e.uv(r.Seq)
-		e.str(r.Region)
-		e.iv(int64(r.Round))
-		e.iv(int64(r.N))
-		e.iv(int64(r.K))
-		e.u64(r.FBHash)
+		e.Str(r.Path)
+		e.Uv(r.Seq)
+		e.Str(r.Region)
+		e.Iv(int64(r.Round))
+		e.Iv(int64(r.N))
+		e.Iv(int64(r.K))
+		e.U64(r.FBHash)
 		e.kvs(r.Aggregated)
-		e.uv(uint64(len(r.Groups)))
+		e.Uv(uint64(len(r.Groups)))
 		for gi := range r.Groups {
 			g := &r.Groups[gi]
-			e.uv(uint64(len(g.Params)))
+			e.Uv(uint64(len(g.Params)))
 			for _, p := range g.Params {
-				e.str(p.Name)
-				e.f64(p.V)
+				e.Str(p.Name)
+				e.F64(p.V)
 			}
-			e.flag(g.HaveParams)
-			e.f64(g.ScoreSum)
-			e.iv(int64(g.ScoreCnt))
-			e.flag(g.Pruned)
-			e.u8(g.ErrKind)
-			e.str(g.ErrMsg)
+			e.Flag(g.HaveParams)
+			e.F64(g.ScoreSum)
+			e.Iv(int64(g.ScoreCnt))
+			e.Flag(g.Pruned)
+			e.U8(g.ErrKind)
+			e.Str(g.ErrMsg)
 			e.kvs(g.Commits)
 		}
 	}
@@ -211,239 +178,116 @@ func marshal(st *State) ([]byte, error) {
 	// its Expose calls during replay anyway, so the snapshot is a warm
 	// start, not the source of truth. Journal values above, by contrast,
 	// fail the write — replay cannot reconstruct a round without them.
-	countAt := len(e.b)
-	e.uv(uint64(len(st.Exposed))) // worst case; re-encoded below if entries drop
+	countAt := len(e.B)
+	e.Uv(uint64(len(st.Exposed))) // worst case; re-encoded below if entries drop
 	kept := 0
-	entriesAt := len(e.b)
+	entriesAt := len(e.B)
 	for _, en := range st.Exposed {
-		mark := len(e.b)
-		probe := &encoder{b: e.b}
-		probe.str(en.Scope)
-		probe.str(en.Name)
+		mark := len(e.B)
+		probe := &encoder{Writer: wire.Writer{B: e.B}}
+		probe.Str(en.Scope)
+		probe.Str(en.Name)
 		probe.value(en.V, 0)
 		if probe.err != nil {
-			e.b = e.b[:mark]
+			e.B = e.B[:mark]
 			continue
 		}
-		e.b = probe.b
+		e.B = probe.B
 		kept++
 	}
 	if kept != len(st.Exposed) {
 		// Rewrite the count in place. Uvarint lengths can differ, so
 		// re-append the kept entries after the corrected count.
-		entries := append([]byte(nil), e.b[entriesAt:]...)
-		e.b = e.b[:countAt]
-		e.uv(uint64(kept))
-		e.b = append(e.b, entries...)
+		entries := append([]byte(nil), e.B[entriesAt:]...)
+		e.B = e.B[:countAt]
+		e.Uv(uint64(kept))
+		e.Raw(entries)
 	}
-
-	if e.err != nil {
-		freeBuf(e.b)
-		return nil, e.err
-	}
-	body := e.b[bodyAt:]
-	if len(body) > maxBody {
-		freeBuf(e.b)
-		return nil, fmt.Errorf("checkpoint: body %d bytes exceeds cap %d", len(body), maxBody)
-	}
-	binary.BigEndian.PutUint32(e.b[lenAt:], uint32(len(body)))
-	e.u64(fnv1a(body))
-	return e.b, nil
 }
 
-// EncodeBytes encodes st into a freshly allocated byte slice.
+// EncodeBytes encodes st into a freshly allocated byte slice. The body is
+// staged in a pooled buffer and sealed into its envelope in one copy.
 func EncodeBytes(st *State) ([]byte, error) {
-	b, err := marshal(st)
-	if err != nil {
-		return nil, err
+	e := &encoder{Writer: wire.Writer{B: wire.Alloc(4 << 10)[:0]}}
+	e.state(st)
+	var out []byte
+	err := e.err
+	if err == nil {
+		out, err = wire.Seal(magic, Version, e.B)
 	}
-	out := append([]byte(nil), b...)
-	freeBuf(b)
-	return out, nil
+	wire.Free(e.B)
+	return out, err
 }
 
-// Encode writes st's framed encoding to w.
-func Encode(w io.Writer, st *State) error {
-	b, err := marshal(st)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	freeBuf(b)
-	return err
-}
-
-// decoder consumes a byte slice with bounds-checked reads; the first
-// failure sticks and subsequent reads return zero values.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *decoder) remaining() int { return len(d.b) - d.off }
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.remaining() < n {
-		d.fail(corruptf("truncated at offset %d (need %d bytes)", d.off, n))
-		return nil
-	}
-	b := d.b[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) uv() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail(corruptf("bad uvarint at offset %d", d.off))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) iv() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail(corruptf("bad varint at offset %d", d.off))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *decoder) str() string {
-	n := d.count(1)
-	return string(d.take(n))
-}
-
-func (d *decoder) flag() bool { return d.u8() != 0 }
-
-// count reads a uvarint element count and bounds it against the remaining
-// input, assuming each element occupies at least elemMin bytes — a corrupt
-// count can then never drive a larger allocation than the input itself.
-func (d *decoder) count(elemMin int) int {
-	v := d.uv()
-	if d.err != nil {
-		return 0
-	}
-	if v > uint64(d.remaining()/elemMin) {
-		d.fail(corruptf("count %d exceeds remaining input at offset %d", v, d.off))
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) value(depth int) any {
-	if d.err != nil {
-		return nil
-	}
+// readValue decodes one dynamically typed value; malformed input fails r.
+func readValue(r *wire.Reader, depth int) any {
 	if depth > maxValueDepth {
-		d.fail(corruptf("value nesting exceeds %d", maxValueDepth))
+		r.Corruptf("value nesting exceeds %d", maxValueDepth)
 		return nil
 	}
-	switch tag := d.u8(); tag {
+	switch tag := r.U8(); tag {
 	case 0:
 		return nil
 	case 1:
-		return d.f64()
+		return r.F64()
 	case 2:
-		return int(d.iv())
+		return int(r.Iv())
 	case 3:
-		return d.str()
+		return r.Str()
 	case 4:
-		return d.flag()
+		return r.Flag()
 	case 5:
-		n := d.count(8)
-		vs := make([]float64, n)
-		for i := range vs {
-			vs[i] = d.f64()
-		}
-		return vs
+		return readFloats(r)
 	case 6:
-		n := d.count(1)
-		return append([]byte(nil), d.take(n)...)
+		return append([]byte(nil), r.Bytes()...)
 	case 7:
-		return d.iv()
+		return r.Iv()
 	case 8:
-		n := d.count(1)
-		rows := make([][]float64, n)
+		rows := make([][]float64, r.Count(1))
 		for i := range rows {
-			m := d.count(8)
-			rows[i] = make([]float64, m)
-			for j := range rows[i] {
-				rows[i][j] = d.f64()
-			}
+			rows[i] = readFloats(r)
 		}
 		return rows
 	case 9:
-		n := d.count(1)
-		vs := make([]any, n)
+		vs := make([]any, r.Count(1))
 		for i := range vs {
-			vs[i] = d.value(depth + 1)
+			vs[i] = readValue(r, depth+1)
 		}
 		return vs
 	case 10:
-		n := d.count(1)
-		gb := d.take(n)
-		if d.err != nil {
+		gb := r.Bytes()
+		if r.Err() != nil {
 			return nil
 		}
 		var v any
 		if err := gob.NewDecoder(bytes.NewReader(gb)).Decode(&v); err != nil {
-			d.fail(corruptf("gob value: %v", err))
+			r.Corruptf("gob value: %v", err)
 			return nil
 		}
 		return v
 	default:
-		d.fail(corruptf("unknown value tag %d at offset %d", tag, d.off-1))
+		r.Corruptf("unknown value tag %d", tag)
 		return nil
 	}
 }
 
-func (d *decoder) kvs() []KV {
-	n := d.count(2)
+func readFloats(r *wire.Reader) []float64 {
+	vs := make([]float64, r.Count(8))
+	for i := range vs {
+		vs[i] = r.F64()
+	}
+	return vs
+}
+
+func readKVs(r *wire.Reader) []KV {
+	n := r.Count(2)
 	if n == 0 {
 		return nil
 	}
 	kvs := make([]KV, n)
 	for i := range kvs {
-		kvs[i].Name = d.str()
-		kvs[i].V = d.value(0)
+		kvs[i].Name = r.Str()
+		kvs[i].V = readValue(r, 0)
 	}
 	return kvs
 }
@@ -453,43 +297,16 @@ func (d *decoder) kvs() []KV {
 // ErrCorrupt (wrapped) for structurally invalid input; it never panics on
 // malformed data.
 func DecodeBytes(data []byte) (*State, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, corruptf("bad magic")
+	body, err := wire.Open(data, magic, Version)
+	if err != nil {
+		return nil, wireErr(err)
 	}
-	ver, n := binary.Uvarint(data[len(magic):])
-	if n <= 0 {
-		return nil, corruptf("bad version varint")
-	}
-	if ver != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrCheckpointVersion, ver, Version)
-	}
-	off := len(magic) + n
-	if len(data) < off+4 {
-		return nil, corruptf("truncated header")
-	}
-	blen := int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	if blen > maxBody {
-		return nil, corruptf("body length %d exceeds cap %d", blen, maxBody)
-	}
-	if len(data) != off+blen+8 {
-		return nil, corruptf("frame length mismatch: %d body bytes declared, %d present", blen, len(data)-off-8)
-	}
-	body := data[off : off+blen]
-	sum := binary.BigEndian.Uint64(data[off+blen:])
-	if fnv1a(body) != sum {
-		return nil, corruptf("body hash mismatch")
-	}
-	return decodeBody(body)
-}
-
-func decodeBody(body []byte) (*State, error) {
-	d := &decoder{b: body}
+	r := wire.NewReader(body)
 	st := &State{}
-	copy(st.ID[:], d.take(16))
-	st.Seed = d.iv()
-	st.MinSlots = int(d.uv())
-	st.Complete = d.flag()
+	copy(st.ID[:], r.Take(16))
+	st.Seed = r.Iv()
+	st.MinSlots = int(r.Uv())
+	st.Complete = r.Flag()
 	c := &st.Counters
 	for _, p := range []*int64{
 		&c.Regions, &c.Rounds, &c.Samples, &c.Pruned,
@@ -497,141 +314,82 @@ func decodeBody(body []byte) (*State, error) {
 		&c.Splits, &c.PeakRetained,
 		&c.WorkMilli, &c.WorkSerialMilli, &c.WorkParaMilli,
 	} {
-		*p = d.iv()
+		*p = r.Iv()
 	}
 
-	nf := d.count(2)
+	nf := r.Count(2)
 	if nf > 0 {
 		st.Frontier = make(map[string]uint64, nf)
 	}
-	for i := 0; i < nf; i++ {
-		p := d.str()
-		v := d.uv()
-		if d.err != nil {
-			break
-		}
-		st.Frontier[p] = v
+	for i := 0; i < nf && r.Err() == nil; i++ {
+		p := r.Str()
+		st.Frontier[p] = r.Uv()
 	}
 
-	ne := d.count(4)
+	ne := r.Count(4)
 	if ne > 0 {
 		st.Events = make([]Event, ne)
 	}
 	for i := range st.Events {
 		ev := &st.Events[i]
-		ev.Path = d.str()
-		ev.Seq = d.uv()
-		ev.Kind = d.u8()
-		ev.Arg = d.uv()
-		ev.Name = d.str()
+		ev.Path = r.Str()
+		ev.Seq = r.Uv()
+		ev.Kind = r.U8()
+		ev.Arg = r.Uv()
+		ev.Name = r.Str()
 	}
 
-	nr := d.count(8)
+	nr := r.Count(8)
 	if nr > 0 {
 		st.Rounds = make([]Round, nr)
 	}
 	for i := range st.Rounds {
-		r := &st.Rounds[i]
-		r.Path = d.str()
-		r.Seq = d.uv()
-		r.Region = d.str()
-		r.Round = int(d.iv())
-		r.N = int(d.iv())
-		r.K = int(d.iv())
-		r.FBHash = d.u64()
-		r.Aggregated = d.kvs()
-		ng := d.count(8)
-		if d.err != nil {
-			break
-		}
+		rd := &st.Rounds[i]
+		rd.Path = r.Str()
+		rd.Seq = r.Uv()
+		rd.Region = r.Str()
+		rd.Round = int(r.Iv())
+		rd.N = int(r.Iv())
+		rd.K = int(r.Iv())
+		rd.FBHash = r.U64()
+		rd.Aggregated = readKVs(r)
+		ng := r.Count(8)
 		if ng > 0 {
-			r.Groups = make([]Group, ng)
+			rd.Groups = make([]Group, ng)
 		}
-		for gi := range r.Groups {
-			g := &r.Groups[gi]
-			np := d.count(9)
-			if d.err != nil {
-				break
-			}
+		for gi := range rd.Groups {
+			g := &rd.Groups[gi]
+			np := r.Count(9)
 			if np > 0 {
 				g.Params = make([]Param, np)
 			}
 			for pi := range g.Params {
-				g.Params[pi].Name = d.str()
-				g.Params[pi].V = d.f64()
+				g.Params[pi].Name = r.Str()
+				g.Params[pi].V = r.F64()
 			}
-			g.HaveParams = d.flag()
-			g.ScoreSum = d.f64()
-			g.ScoreCnt = int(d.iv())
-			g.Pruned = d.flag()
-			g.ErrKind = d.u8()
-			g.ErrMsg = d.str()
-			g.Commits = d.kvs()
+			g.HaveParams = r.Flag()
+			g.ScoreSum = r.F64()
+			g.ScoreCnt = int(r.Iv())
+			g.Pruned = r.Flag()
+			g.ErrKind = r.U8()
+			g.ErrMsg = r.Str()
+			g.Commits = readKVs(r)
 		}
 	}
 
-	nx := d.count(3)
+	nx := r.Count(3)
 	if nx > 0 {
 		st.Exposed = make([]Entry, nx)
 	}
 	for i := range st.Exposed {
 		en := &st.Exposed[i]
-		en.Scope = d.str()
-		en.Name = d.str()
-		en.V = d.value(0)
+		en.Scope = r.Str()
+		en.Name = r.Str()
+		en.V = readValue(r, 0)
 	}
 
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, corruptf("%d trailing body bytes", len(d.b)-d.off)
+	if err := r.Done(); err != nil {
+		return nil, wireErr(err)
 	}
 	return st, nil
-}
-
-// Decode reads one framed checkpoint from r. The body is staged through a
-// pooled buffer that is returned to the pool on every path.
-func Decode(r io.Reader) (*State, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: read magic: %w", err)
-	}
-	if string(hdr[:]) != magic {
-		return nil, corruptf("bad magic")
-	}
-	ver, err := binary.ReadUvarint(oneByteReader{r})
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read version: %w", err)
-	}
-	if ver != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrCheckpointVersion, ver, Version)
-	}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: read length: %w", err)
-	}
-	blen := int(binary.BigEndian.Uint32(hdr[:]))
-	if blen > maxBody {
-		return nil, corruptf("body length %d exceeds cap %d", blen, maxBody)
-	}
-	buf := allocBuf(blen + 8)[:blen+8]
-	defer freeBuf(buf)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("checkpoint: read body: %w", err)
-	}
-	body := buf[:blen]
-	if fnv1a(body) != binary.BigEndian.Uint64(buf[blen:]) {
-		return nil, corruptf("body hash mismatch")
-	}
-	return decodeBody(body)
-}
-
-// oneByteReader adapts an io.Reader to io.ByteReader without buffering
-// ahead (the frame after the varint must stay in r).
-type oneByteReader struct{ r io.Reader }
-
-func (o oneByteReader) ReadByte() (byte, error) {
-	var b [1]byte
-	_, err := io.ReadFull(o.r, b[:])
-	return b[0], err
 }

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
+	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -360,17 +361,7 @@ func (t *Tuner) notePeakRetained(v int64) {
 func (t *Tuner) regionSeed(name string, round int) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return int64(mix(uint64(t.opts.Seed), h.Sum64()+uint64(round)))
-}
-
-// mix is the SplitMix64 finalizer (same as dist.Mix, duplicated to avoid a
-// dependency cycle risk in future refactors is NOT a concern here; we call
-// through a tiny local copy simply because the hash feeds rand seeds).
-func mix(a, b uint64) uint64 {
-	z := a + 0x9e3779b97f4a7c15*(b+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return int64(dist.Mix(uint64(t.opts.Seed), h.Sum64()+uint64(round)))
 }
 
 // P is a tuning process: the manager of a pool of sampling processes

@@ -1,15 +1,15 @@
 package core
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // This file defines JobSpec: the declarative, serializable description of
@@ -271,8 +271,17 @@ func (rt *Runtime) NoteQueuedJobs(high bool, delta int) {
 	rt.sched.NoteQueuedJobs(high, delta)
 }
 
-// --- versioned binary codec (checkpoint-codec conventions: magic, uvarint
-// version, u32 body length, body, FNV-1a trailer) ---
+// --- versioned binary codec: internal/wire's sealed envelope under the
+// "WBJS" magic and SpecVersion ---
+
+// specErr is the one mapping from internal/wire decode failures onto this
+// package's sentinels.
+func specErr(err error) error {
+	if errors.Is(err, wire.ErrVersion) {
+		return fmt.Errorf("%w: %v", ErrSpecVersion, err)
+	}
+	return fmt.Errorf("%w: %v", ErrSpecCorrupt, err)
+}
 
 // EncodeSpec encodes the spec canonically: args are written sorted by key,
 // so equal specs produce equal bytes.
@@ -280,228 +289,89 @@ func EncodeSpec(s *JobSpec) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	var body []byte
-	put := func(b ...byte) { body = append(body, b...) }
-	uv := func(v uint64) { body = binary.AppendUvarint(body, v) }
-	iv := func(v int64) { body = binary.AppendVarint(body, v) }
-	str := func(v string) { uv(uint64(len(v))); put([]byte(v)...) }
-	f64 := func(v float64) {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-		put(b[:]...)
-	}
-	flag := func(v bool) {
-		if v {
-			put(1)
-		} else {
-			put(0)
-		}
-	}
-
-	uv(SpecVersion)
-	str(s.Name)
-	str(s.Tenant)
-	iv(int64(s.Class))
-	str(s.Program)
+	var w wire.Writer
+	w.Uv(SpecVersion)
+	w.Str(s.Name)
+	w.Str(s.Tenant)
+	w.Iv(int64(s.Class))
+	w.Str(s.Program)
 	keys := make([]string, 0, len(s.Args))
 	for k := range s.Args {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	uv(uint64(len(keys)))
+	w.Uv(uint64(len(keys)))
 	for _, k := range keys {
-		str(k)
-		str(s.Args[k])
+		w.Str(k)
+		w.Str(s.Args[k])
 	}
-	iv(s.Seed)
-	f64(s.Budget)
-	flag(s.Incremental)
-	uv(uint64(s.Share))
-	uv(uint64(s.MaxParallel))
-	flag(s.Fault != nil)
+	w.Iv(s.Seed)
+	w.F64(s.Budget)
+	w.Flag(s.Incremental)
+	w.Uv(uint64(s.Share))
+	w.Uv(uint64(s.MaxParallel))
+	w.Flag(s.Fault != nil)
 	if f := s.Fault; f != nil {
-		iv(int64(f.SampleTimeout))
-		iv(int64(f.RegionBudget))
-		uv(uint64(f.MaxAttempts))
-		iv(int64(f.Backoff))
-		f64(f.BackoffFactor)
-		iv(int64(f.MaxBackoff))
-		flag(f.DegradeEmpty)
+		w.Iv(int64(f.SampleTimeout))
+		w.Iv(int64(f.RegionBudget))
+		w.Uv(uint64(f.MaxAttempts))
+		w.Iv(int64(f.Backoff))
+		w.F64(f.BackoffFactor)
+		w.Iv(int64(f.MaxBackoff))
+		w.Flag(f.DegradeEmpty)
 	}
-	flag(s.Checkpoint != nil)
+	w.Flag(s.Checkpoint != nil)
 	if c := s.Checkpoint; c != nil {
-		uv(uint64(c.Every))
-		uv(uint64(c.MinSlots))
+		w.Uv(uint64(c.Every))
+		w.Uv(uint64(c.MinSlots))
 	}
-
-	h := fnv.New64a()
-	h.Write(body)
-	out := make([]byte, 0, len(specMagic)+binary.MaxVarintLen64+4+len(body)+8)
-	out = append(out, specMagic...)
-	out = binary.AppendUvarint(out, SpecVersion)
-	var lb [4]byte
-	binary.BigEndian.PutUint32(lb[:], uint32(len(body)))
-	out = append(out, lb[:]...)
-	out = append(out, body...)
-	var tb [8]byte
-	binary.BigEndian.PutUint64(tb[:], h.Sum64())
-	out = append(out, tb[:]...)
-	return out, nil
+	return wire.Seal(specMagic, SpecVersion, w.B)
 }
-
-// specDecoder walks an encoded spec body without ever panicking on
-// malformed input: the first structural failure latches and every later
-// read returns zero values.
-type specDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *specDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{ErrSpecCorrupt}, args...)...)
-	}
-}
-
-func (d *specDecoder) take(n int) []byte {
-	if d.err != nil || n < 0 || n > len(d.b)-d.off {
-		d.fail("truncated body")
-		return nil
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
-func (d *specDecoder) u8() uint8 {
-	v := d.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (d *specDecoder) uv() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *specDecoder) iv() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *specDecoder) f64() float64 {
-	v := d.take(8)
-	if v == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(v))
-}
-
-func (d *specDecoder) str() string {
-	n := d.uv()
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("string length %d exceeds body", n)
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-func (d *specDecoder) flag() bool { return d.u8() != 0 }
 
 // DecodeSpec decodes an encoded job spec, refusing unknown versions with
 // ErrSpecVersion and malformed data with errors wrapping ErrSpecCorrupt.
 func DecodeSpec(data []byte) (*JobSpec, error) {
-	if len(data) < len(specMagic)+1 || string(data[:len(specMagic)]) != specMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrSpecCorrupt)
+	body, err := wire.Open(data, specMagic, SpecVersion)
+	if err != nil {
+		return nil, specErr(err)
 	}
-	rest := data[len(specMagic):]
-	ver, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad version varint", ErrSpecCorrupt)
-	}
-	if ver != SpecVersion {
-		return nil, fmt.Errorf("%w: version %d (this binary speaks %d)", ErrSpecVersion, ver, SpecVersion)
-	}
-	rest = rest[n:]
-	if len(rest) < 4 {
-		return nil, fmt.Errorf("%w: truncated length", ErrSpecCorrupt)
-	}
-	bodyLen := int(binary.BigEndian.Uint32(rest[:4]))
-	rest = rest[4:]
-	if len(rest) != bodyLen+8 {
-		return nil, fmt.Errorf("%w: body length %d does not match %d remaining bytes",
-			ErrSpecCorrupt, bodyLen, len(rest)-8)
-	}
-	body, trailer := rest[:bodyLen], rest[bodyLen:]
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != binary.BigEndian.Uint64(trailer) {
-		return nil, fmt.Errorf("%w: hash mismatch", ErrSpecCorrupt)
-	}
-
-	d := &specDecoder{b: body}
+	r := wire.NewReader(body)
 	s := &JobSpec{}
-	if v := d.uv(); d.err == nil && v != SpecVersion {
+	if v := r.Uv(); r.Err() == nil && v != SpecVersion {
 		return nil, fmt.Errorf("%w: body version %d", ErrSpecVersion, v)
 	}
-	s.Name = d.str()
-	s.Tenant = d.str()
-	s.Class = PriorityClass(d.iv())
-	s.Program = d.str()
-	if n := d.uv(); n > 0 {
-		if n > uint64(len(body)) {
-			d.fail("arg count %d exceeds body", n)
-		} else {
-			s.Args = make(map[string]string, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				k := d.str()
-				s.Args[k] = d.str()
-			}
+	s.Name = r.Str()
+	s.Tenant = r.Str()
+	s.Class = PriorityClass(r.Iv())
+	s.Program = r.Str()
+	if n := r.Count(2); n > 0 {
+		s.Args = make(map[string]string, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			k := r.Str()
+			s.Args[k] = r.Str()
 		}
 	}
-	s.Seed = d.iv()
-	s.Budget = d.f64()
-	s.Incremental = d.flag()
-	s.Share = int(d.uv())
-	s.MaxParallel = int(d.uv())
-	if d.flag() {
+	s.Seed = r.Iv()
+	s.Budget = r.F64()
+	s.Incremental = r.Flag()
+	s.Share = int(r.Uv())
+	s.MaxParallel = int(r.Uv())
+	if r.Flag() {
 		s.Fault = &FaultSpec{
-			SampleTimeout: time.Duration(d.iv()),
-			RegionBudget:  time.Duration(d.iv()),
-			MaxAttempts:   int(d.uv()),
-			Backoff:       time.Duration(d.iv()),
-			BackoffFactor: d.f64(),
-			MaxBackoff:    time.Duration(d.iv()),
-			DegradeEmpty:  d.flag(),
+			SampleTimeout: time.Duration(r.Iv()),
+			RegionBudget:  time.Duration(r.Iv()),
+			MaxAttempts:   int(r.Uv()),
+			Backoff:       time.Duration(r.Iv()),
+			BackoffFactor: r.F64(),
+			MaxBackoff:    time.Duration(r.Iv()),
+			DegradeEmpty:  r.Flag(),
 		}
 	}
-	if d.flag() {
-		s.Checkpoint = &CheckpointSpec{Every: int(d.uv()), MinSlots: int(d.uv())}
+	if r.Flag() {
+		s.Checkpoint = &CheckpointSpec{Every: int(r.Uv()), MinSlots: int(r.Uv())}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing body bytes", ErrSpecCorrupt, len(body)-d.off)
+	if err := r.Done(); err != nil {
+		return nil, specErr(err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSpecCorrupt, err)

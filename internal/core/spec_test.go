@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -117,6 +118,42 @@ func TestSpecDecodeRefusals(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		if _, err := DecodeSpec(nil); !errors.Is(err, ErrSpecCorrupt) {
 			t.Fatalf("got %v, want ErrSpecCorrupt", err)
+		}
+	})
+}
+
+// FuzzSpecDecode throws arbitrary bytes at the WBJS decoder — the bytes a
+// restarted wbtuned reads back from its store. Malformed input fails with
+// ErrSpecCorrupt or ErrSpecVersion, never a panic; input that decodes is a
+// valid spec, so it re-encodes, and decoding that gives the same spec and
+// the same canonical bytes again.
+func FuzzSpecDecode(f *testing.F) {
+	for _, s := range []*JobSpec{sampleSpec(), {Name: "j", Program: "p", Seed: 7}} {
+		data, err := EncodeSpec(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSpec(data)
+		if err != nil {
+			if !errors.Is(err, ErrSpecCorrupt) && !errors.Is(err, ErrSpecVersion) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		enc, err := EncodeSpec(s)
+		if err != nil {
+			t.Fatalf("re-encode of decoded spec: %v", err)
+		}
+		s2, err := DecodeSpec(enc)
+		if err != nil || !reflect.DeepEqual(s2, s) {
+			t.Fatalf("decode of re-encoded spec: %+v, %v; want %+v", s2, err, s)
+		}
+		if enc2, err := EncodeSpec(s2); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("canonical encoding is not a fixed point: %v", err)
 		}
 	})
 }

@@ -13,7 +13,7 @@ import (
 // so those allocations are the payload's, not the codec's; the pin keeps
 // them from quietly growing.
 func TestSteadyStateAllocs(t *testing.T) {
-	w := newWire(io.Discard)
+	w := newMuxWriter(io.Discard)
 	batch := perfBatch(16)
 	taskPayload := encodeTask(perfTask)
 	resultsPayload, err := encodeResults(batch, nil)
@@ -58,7 +58,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	var buf bytes.Buffer
 	var rd bytes.Reader
 	var fb []byte
-	bw := newWire(&buf)
+	bw := newMuxWriter(&buf)
 	check("frame_roundtrip", 0, func() {
 		buf.Reset()
 		wb := getFrameBuf()

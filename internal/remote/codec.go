@@ -1,14 +1,13 @@
 package remote
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/strategy"
+	"repro/internal/wire"
 )
 
 // protocolVersion is negotiated in the hello frame; a version outside
@@ -47,118 +46,23 @@ type snapKey struct{ job, hash uint64 }
 
 var errCodec = errors.New("remote: malformed message")
 
-// wbuf is an append-only encode buffer.
-type wbuf struct{ b []byte }
-
-func (w *wbuf) byte(v byte)  { w.b = append(w.b, v) }
-func (w *wbuf) uv(v uint64)  { w.b = binary.AppendUvarint(w.b, v) }
-func (w *wbuf) iv(v int64)   { w.b = binary.AppendVarint(w.b, v) }
-func (w *wbuf) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *wbuf) f64(v float64) {
-	w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(v))
-}
-func (w *wbuf) str(s string) {
-	w.uv(uint64(len(s)))
-	w.b = append(w.b, s...)
-}
-
-// rbuf is a bounds-checked decode cursor with a sticky error, so decoders
-// read fields unconditionally and check once at the end. Every length read
-// from the wire is validated against the remaining bytes before use, which
-// keeps a hostile length from turning into a huge allocation.
-type rbuf struct {
-	b   []byte
-	err error
-}
-
-func (r *rbuf) fail() {
-	if r.err == nil {
-		r.err = errCodec
+// codecErr is the one mapping from internal/wire decode failures onto this
+// package's sentinel; a format-level refusal a decoder recorded itself
+// (errNoValueTable) passes through unchanged.
+func codecErr(err error) error {
+	if _, ok := err.(*wire.Error); ok {
+		return fmt.Errorf("%w: %v", errCodec, err)
 	}
-}
-
-func (r *rbuf) byte() byte {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *rbuf) uv() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *rbuf) iv() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *rbuf) u64() uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// skip advances the cursor n bytes without reading them, bounds-checked like
-// every other accessor. Used by skipValue to walk encoded values by length.
-func (r *rbuf) skip(n uint64) {
-	if r.err != nil || uint64(len(r.b)) < n {
-		r.fail()
-		return
-	}
-	r.b = r.b[n:]
-}
-
-func (r *rbuf) str() string {
-	n := r.uv()
-	if r.err != nil || uint64(len(r.b)) < n {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
+	return err
 }
 
 // strIn reads a string through d's intern table when d is non-nil: repeated
 // names (parameter and commit keys recur every sample) resolve to one shared
 // string with no allocation on the hit path — the map lookup on string(b)
 // bytes compiles to an allocation-free probe.
-func (r *rbuf) strIn(d *decoder) string {
-	n := r.uv()
-	if r.err != nil || uint64(len(r.b)) < n {
-		r.fail()
-		return ""
-	}
-	b := r.b[:n]
-	r.b = r.b[n:]
-	if n == 0 {
+func strIn(r *wire.Reader, d *decoder) string {
+	b := r.Bytes()
+	if len(b) == 0 {
 		return ""
 	}
 	if d != nil {
@@ -194,27 +98,6 @@ func (d *decoder) init() {
 	}
 }
 
-// count reads a collection length and validates it against a per-element
-// minimum encoded size, rejecting lengths the payload cannot possibly hold.
-func (r *rbuf) count(minElem int) int {
-	n := r.uv()
-	if r.err != nil || n > uint64(len(r.b)/minElem)+1 {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (r *rbuf) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", errCodec, len(r.b))
-	}
-	return nil
-}
-
 // --- value codec -----------------------------------------------------------
 //
 // Commit and @expose values cross the wire with a one-byte type tag. The
@@ -239,161 +122,157 @@ const (
 
 var errNoValueTable = errors.New("remote: opaque value requires a shared value table (same-process workers only)")
 
-func appendValue(w *wbuf, v any, vt *ValueTable) error {
+func appendValue(w *wire.Writer, v any, vt *ValueTable) error {
 	switch x := v.(type) {
 	case nil:
-		w.byte(vNil)
+		w.U8(vNil)
 	case bool:
-		w.byte(vBool)
-		if x {
-			w.byte(1)
-		} else {
-			w.byte(0)
-		}
+		w.U8(vBool)
+		w.Flag(x)
 	case int:
-		w.byte(vInt)
-		w.iv(int64(x))
+		w.U8(vInt)
+		w.Iv(int64(x))
 	case float64:
-		w.byte(vFloat64)
-		w.f64(x)
+		w.U8(vFloat64)
+		w.F64(x)
 	case string:
-		w.byte(vString)
-		w.str(x)
+		w.U8(vString)
+		w.Str(x)
 	case []byte:
-		w.byte(vBytes)
-		w.uv(uint64(len(x)))
-		w.b = append(w.b, x...)
+		w.U8(vBytes)
+		w.Bytes(x)
 	case []int:
-		w.byte(vInts)
-		w.uv(uint64(len(x)))
+		w.U8(vInts)
+		w.Uv(uint64(len(x)))
 		for _, e := range x {
-			w.iv(int64(e))
+			w.Iv(int64(e))
 		}
 	case []float64:
-		w.byte(vFloats)
-		w.uv(uint64(len(x)))
+		w.U8(vFloats)
+		w.Uv(uint64(len(x)))
 		for _, e := range x {
-			w.f64(e)
+			w.F64(e)
 		}
 	case [][]float64:
-		w.byte(vFloatss)
-		w.uv(uint64(len(x)))
+		w.U8(vFloatss)
+		w.Uv(uint64(len(x)))
 		for _, row := range x {
-			w.uv(uint64(len(row)))
+			w.Uv(uint64(len(row)))
 			for _, e := range row {
-				w.f64(e)
+				w.F64(e)
 			}
 		}
 	default:
 		if vt == nil {
 			return fmt.Errorf("%w (value type %T)", errNoValueTable, v)
 		}
-		w.byte(vHandle)
-		w.uv(vt.put(v))
+		w.U8(vHandle)
+		w.Uv(vt.put(v))
 	}
 	return nil
 }
 
-func readValue(r *rbuf, vt *ValueTable) (any, error) {
-	switch tag := r.byte(); tag {
+// readValue decodes one value; on malformed input, an unknown handle or a
+// handle with no table it returns nil with r failed.
+func readValue(r *wire.Reader, vt *ValueTable) any {
+	switch tag := r.U8(); tag {
 	case vNil:
-		return nil, r.err
+		return nil
 	case vBool:
-		return r.byte() != 0, r.err
+		return r.Flag()
 	case vInt:
-		return int(r.iv()), r.err
+		return int(r.Iv())
 	case vFloat64:
-		return r.f64(), r.err
+		return r.F64()
 	case vString:
-		return r.str(), r.err
+		return r.Str()
 	case vBytes:
-		n := r.count(1)
-		if r.err != nil {
-			return nil, r.err
+		b := r.Bytes()
+		if r.Err() != nil {
+			return nil
 		}
-		out := make([]byte, n)
-		copy(out, r.b[:n])
-		r.b = r.b[n:]
-		return out, nil
+		out := make([]byte, len(b))
+		copy(out, b)
+		return out
 	case vInts:
-		n := r.count(1)
+		n := r.Count(1)
 		out := make([]int, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			out = append(out, int(r.iv()))
+		for i := 0; i < n && r.Err() == nil; i++ {
+			out = append(out, int(r.Iv()))
 		}
-		return out, r.err
+		return out
 	case vFloats:
-		n := r.count(8)
-		out := make([]float64, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			out = append(out, r.f64())
-		}
-		return out, r.err
+		return readFloats(r)
 	case vFloatss:
-		n := r.count(1)
+		n := r.Count(1)
 		out := make([][]float64, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			m := r.count(8)
-			row := make([]float64, 0, m)
-			for j := 0; j < m && r.err == nil; j++ {
-				row = append(row, r.f64())
-			}
-			out = append(out, row)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			out = append(out, readFloats(r))
 		}
-		return out, r.err
+		return out
 	case vHandle:
-		id := r.uv()
-		if r.err != nil {
-			return nil, r.err
+		id := r.Uv()
+		if r.Err() != nil {
+			return nil
 		}
 		if vt == nil {
-			return nil, errNoValueTable
+			r.Fail(errNoValueTable)
+			return nil
 		}
 		v, ok := vt.get(id)
 		if !ok {
-			return nil, fmt.Errorf("%w: unknown value handle %d", errCodec, id)
+			r.Corruptf("unknown value handle %d", id)
 		}
-		return v, nil
+		return v
 	default:
-		r.fail()
-		return nil, r.err
+		r.Corruptf("unknown value tag %d", tag)
+		return nil
 	}
+}
+
+func readFloats(r *wire.Reader) []float64 {
+	n := r.Count(8)
+	out := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, r.F64())
+	}
+	return out
 }
 
 // --- feedback codec --------------------------------------------------------
 
 // appendFeedback encodes the feedback history with each map's keys sorted,
 // so equal feedback always serializes to equal bytes.
-func appendFeedback(w *wbuf, fb []strategy.Feedback) {
-	w.uv(uint64(len(fb)))
+func appendFeedback(w *wire.Writer, fb []strategy.Feedback) {
+	w.Uv(uint64(len(fb)))
 	for _, f := range fb {
-		w.f64(f.Score)
+		w.F64(f.Score)
 		names := make([]string, 0, len(f.Params))
 		for k := range f.Params {
 			names = append(names, k)
 		}
 		sort.Strings(names)
-		w.uv(uint64(len(names)))
+		w.Uv(uint64(len(names)))
 		for _, k := range names {
-			w.str(k)
-			w.f64(f.Params[k])
+			w.Str(k)
+			w.F64(f.Params[k])
 		}
 	}
 }
 
-func readFeedback(r *rbuf) []strategy.Feedback {
-	n := r.count(9)
+func readFeedback(r *wire.Reader) []strategy.Feedback {
+	n := r.Count(9)
 	if n == 0 {
 		return nil
 	}
 	out := make([]strategy.Feedback, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		f := strategy.Feedback{Score: r.f64()}
-		m := r.count(9)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		f := strategy.Feedback{Score: r.F64()}
+		m := r.Count(9)
 		f.Params = make(map[string]float64, m)
-		for j := 0; j < m && r.err == nil; j++ {
-			k := r.str()
-			f.Params[k] = r.f64()
+		for j := 0; j < m && r.Err() == nil; j++ {
+			k := r.Str()
+			f.Params[k] = r.F64()
 		}
 		out = append(out, f)
 	}
@@ -409,18 +288,18 @@ type helloMsg struct {
 }
 
 func encodeHello(h helloMsg) []byte {
-	w := &wbuf{}
-	w.byte(mHello)
-	w.uv(h.Version)
-	w.str(h.Name)
-	w.uv(uint64(h.Slots))
-	return w.b
+	w := &wire.Writer{}
+	w.U8(mHello)
+	w.Uv(h.Version)
+	w.Str(h.Name)
+	w.Uv(uint64(h.Slots))
+	return w.B
 }
 
 func decodeHello(b []byte) (helloMsg, error) {
-	r := &rbuf{b: b}
-	h := helloMsg{Version: r.uv(), Name: r.str(), Slots: int(r.uv())}
-	return h, r.done()
+	r := wire.NewReader(b)
+	h := helloMsg{Version: r.Uv(), Name: r.Str(), Slots: int(r.Uv())}
+	return h, codecErr(r.Done())
 }
 
 type roundMsg struct {
@@ -436,34 +315,34 @@ type roundMsg struct {
 }
 
 func encodeRound(m roundMsg) []byte {
-	w := &wbuf{}
-	w.byte(mRound)
-	w.uv(m.ID)
-	w.uv(m.Job)
-	w.str(m.Region)
-	w.uv(m.Dyn)
-	w.iv(m.Seed)
-	w.uv(uint64(m.Round))
-	w.uv(uint64(m.N))
-	w.u64(m.SnapHash)
+	w := &wire.Writer{}
+	w.U8(mRound)
+	w.Uv(m.ID)
+	w.Uv(m.Job)
+	w.Str(m.Region)
+	w.Uv(m.Dyn)
+	w.Iv(m.Seed)
+	w.Uv(uint64(m.Round))
+	w.Uv(uint64(m.N))
+	w.U64(m.SnapHash)
 	appendFeedback(w, m.Feedback)
-	return w.b
+	return w.B
 }
 
 func decodeRound(b []byte) (roundMsg, error) {
-	r := &rbuf{b: b}
+	r := wire.NewReader(b)
 	m := roundMsg{
-		ID:     r.uv(),
-		Job:    r.uv(),
-		Region: r.str(),
-		Dyn:    r.uv(),
-		Seed:   r.iv(),
-		Round:  int(r.uv()),
-		N:      int(r.uv()),
+		ID:     r.Uv(),
+		Job:    r.Uv(),
+		Region: r.Str(),
+		Dyn:    r.Uv(),
+		Seed:   r.Iv(),
+		Round:  int(r.Uv()),
+		N:      int(r.Uv()),
 	}
-	m.SnapHash = r.u64()
+	m.SnapHash = r.U64()
 	m.Feedback = readFeedback(r)
-	return m, r.done()
+	return m, codecErr(r.Done())
 }
 
 type taskMsg struct {
@@ -475,24 +354,24 @@ type taskMsg struct {
 
 // appendTask encodes a task message into w (the steady-state dispatch path
 // encodes straight into a pooled frame buffer).
-func appendTask(w *wbuf, m taskMsg) {
-	w.byte(mTask)
-	w.uv(m.ID)
-	w.uv(m.Round)
-	w.uv(uint64(m.Group))
-	w.uv(uint64(m.Attempt))
+func appendTask(w *wire.Writer, m taskMsg) {
+	w.U8(mTask)
+	w.Uv(m.ID)
+	w.Uv(m.Round)
+	w.Uv(uint64(m.Group))
+	w.Uv(uint64(m.Attempt))
 }
 
 func encodeTask(m taskMsg) []byte {
-	w := &wbuf{}
+	w := &wire.Writer{}
 	appendTask(w, m)
-	return w.b
+	return w.B
 }
 
 func decodeTask(b []byte) (taskMsg, error) {
-	r := &rbuf{b: b}
-	m := taskMsg{ID: r.uv(), Round: r.uv(), Group: int(r.uv()), Attempt: int(r.uv())}
-	return m, r.done()
+	r := wire.NewReader(b)
+	m := taskMsg{ID: r.Uv(), Round: r.Uv(), Group: int(r.Uv()), Attempt: int(r.Uv())}
+	return m, codecErr(r.Done())
 }
 
 type resultMsg struct {
@@ -508,7 +387,7 @@ const (
 	frRetryable
 )
 
-func appendExecResult(w *wbuf, res core.ExecResult, vt *ValueTable) error {
+func appendExecResult(w *wire.Writer, res core.ExecResult, vt *ValueTable) error {
 	var flags byte
 	if res.Pruned {
 		flags |= frPruned
@@ -525,18 +404,18 @@ func appendExecResult(w *wbuf, res core.ExecResult, vt *ValueTable) error {
 	if res.Retryable {
 		flags |= frRetryable
 	}
-	w.byte(flags)
-	w.f64(res.Score)
-	w.iv(res.WorkMilli)
-	w.str(res.Err)
-	w.uv(uint64(len(res.Params)))
+	w.U8(flags)
+	w.F64(res.Score)
+	w.Iv(res.WorkMilli)
+	w.Str(res.Err)
+	w.Uv(uint64(len(res.Params)))
 	for _, p := range res.Params {
-		w.str(p.Name)
-		w.f64(p.Value)
+		w.Str(p.Name)
+		w.F64(p.Value)
 	}
-	w.uv(uint64(len(res.Commits)))
+	w.Uv(uint64(len(res.Commits)))
 	for _, c := range res.Commits {
-		w.str(c.Name)
+		w.Str(c.Name)
 		if err := appendValue(w, c.Value, vt); err != nil {
 			return err
 		}
@@ -544,48 +423,43 @@ func appendExecResult(w *wbuf, res core.ExecResult, vt *ValueTable) error {
 	return nil
 }
 
-func readExecResult(r *rbuf, vt *ValueTable, d *decoder) (core.ExecResult, error) {
-	flags := r.byte()
+func readExecResult(r *wire.Reader, vt *ValueTable, d *decoder) core.ExecResult {
+	flags := r.U8()
 	res := core.ExecResult{
 		Pruned:      flags&frPruned != 0,
 		Panicked:    flags&frPanicked != 0,
 		Scored:      flags&frScored != 0,
 		Unsupported: flags&frUnsupported != 0,
 		Retryable:   flags&frRetryable != 0,
-		Score:       r.f64(),
-		WorkMilli:   r.iv(),
-		Err:         r.str(),
+		Score:       r.F64(),
+		WorkMilli:   r.Iv(),
+		Err:         r.Str(),
 	}
-	np := r.count(9)
+	np := r.Count(9)
 	if np > 0 {
 		res.Params = make([]core.ParamKV, 0, np)
 	}
-	for i := 0; i < np && r.err == nil; i++ {
-		res.Params = append(res.Params, core.ParamKV{Name: r.strIn(d), Value: r.f64()})
+	for i := 0; i < np && r.Err() == nil; i++ {
+		res.Params = append(res.Params, core.ParamKV{Name: strIn(r, d), Value: r.F64()})
 	}
-	nc := r.count(2)
+	nc := r.Count(2)
 	if nc > 0 {
 		res.Commits = make([]core.CommitKV, 0, nc)
 	}
-	for i := 0; i < nc && r.err == nil; i++ {
-		name := r.strIn(d)
-		v, err := readValue(r, vt)
-		if err != nil {
-			return res, err
-		}
-		res.Commits = append(res.Commits, core.CommitKV{Name: name, Value: v})
+	for i := 0; i < nc && r.Err() == nil; i++ {
+		res.Commits = append(res.Commits, core.CommitKV{Name: strIn(r, d), Value: readValue(r, vt)})
 	}
-	return res, r.err
+	return res
 }
 
 // appendResults encodes a result batch into w. On an unserializable value it
 // returns the encode error with w in an undefined state; callers degrade per
 // sample (see wconn.flush).
-func appendResults(w *wbuf, batch []resultMsg, vt *ValueTable) error {
-	w.byte(mResults)
-	w.uv(uint64(len(batch)))
+func appendResults(w *wire.Writer, batch []resultMsg, vt *ValueTable) error {
+	w.U8(mResults)
+	w.Uv(uint64(len(batch)))
 	for _, m := range batch {
-		w.uv(m.ID)
+		w.Uv(m.ID)
 		if err := appendExecResult(w, m.Res, vt); err != nil {
 			return err
 		}
@@ -594,11 +468,11 @@ func appendResults(w *wbuf, batch []resultMsg, vt *ValueTable) error {
 }
 
 func encodeResults(batch []resultMsg, vt *ValueTable) ([]byte, error) {
-	w := &wbuf{}
+	w := &wire.Writer{}
 	if err := appendResults(w, batch, vt); err != nil {
 		return nil, err
 	}
-	return w.b, nil
+	return w.B, nil
 }
 
 // decodeResults decodes a result batch, reusing d's batch slice and intern
@@ -606,8 +480,8 @@ func encodeResults(batch []resultMsg, vt *ValueTable) ([]byte, error) {
 // next decodeResults call on the same decoder; the resultMsg values it holds
 // may be copied out freely.
 func decodeResults(b []byte, vt *ValueTable, d *decoder) ([]resultMsg, error) {
-	r := &rbuf{b: b}
-	n := r.count(2)
+	r := wire.NewReader(b)
+	n := r.Count(2)
 	var out []resultMsg
 	if d != nil {
 		d.init()
@@ -615,42 +489,40 @@ func decodeResults(b []byte, vt *ValueTable, d *decoder) ([]resultMsg, error) {
 	} else {
 		out = make([]resultMsg, 0, n)
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		id := r.uv()
-		res, err := readExecResult(r, vt, d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, resultMsg{ID: id, Res: res})
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, resultMsg{ID: r.Uv(), Res: readExecResult(r, vt, d)})
 	}
 	if d != nil {
 		d.batch = out
 	}
-	return out, r.done()
+	if err := codecErr(r.Done()); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func encodeEndRound(id uint64) []byte {
-	w := &wbuf{}
-	w.byte(mEndRound)
-	w.uv(id)
-	return w.b
+	w := &wire.Writer{}
+	w.U8(mEndRound)
+	w.Uv(id)
+	return w.B
 }
 
 func decodeEndRound(b []byte) (uint64, error) {
-	r := &rbuf{b: b}
-	id := r.uv()
-	return id, r.done()
+	r := wire.NewReader(b)
+	id := r.Uv()
+	return id, codecErr(r.Done())
 }
 
 func encodeEndJob(job uint64) []byte {
-	w := &wbuf{}
-	w.byte(mEndJob)
-	w.uv(job)
-	return w.b
+	w := &wire.Writer{}
+	w.U8(mEndJob)
+	w.Uv(job)
+	return w.B
 }
 
 func decodeEndJob(b []byte) (uint64, error) {
-	r := &rbuf{b: b}
-	job := r.uv()
-	return job, r.done()
+	r := wire.NewReader(b)
+	job := r.Uv()
+	return job, codecErr(r.Done())
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/remote/transport"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // helloTimeout bounds how long AddConn waits for a worker's hello frame.
@@ -219,7 +220,7 @@ func (ex *NetExecutor) uncountLocked(w *dworker) {
 type dworker struct {
 	ex         *NetExecutor
 	c          net.Conn
-	wire       *wire
+	wire       *muxWriter
 	name       string
 	slots      int
 	proto      uint64 // negotiated protocol version; < 4 never receives deltas
@@ -337,7 +338,7 @@ func (ex *NetExecutor) AddConn(conn net.Conn) error {
 func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport.Tuning) (string, error) {
 	conn.SetDeadline(time.Now().Add(helloTimeout))
 	payload, err := readFrame(conn, nil)
-	defer freeBuf(payload)
+	defer wire.Free(payload)
 	if err != nil {
 		return "", fmt.Errorf("remote: worker hello: %w", err)
 	}
@@ -381,7 +382,7 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 	w := &dworker{
 		ex:         ex,
 		c:          cc,
-		wire:       newWire(cc),
+		wire:       newMuxWriter(cc),
 		name:       name,
 		slots:      hello.Slots,
 		proto:      hello.Version,
@@ -678,17 +679,17 @@ func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSna
 
 	// Encode each value changed since the previous version exactly once;
 	// these bytes become part of the new canonical encoding.
-	vw := &wbuf{}
+	vw := &wire.Writer{}
 	var chPrev []encEntry
 	for _, c := range changed {
 		if c.Ver <= prev.ver {
 			continue
 		}
-		start := len(vw.b)
+		start := len(vw.B)
 		if err := appendValue(vw, c.V, ex.opts.Values); err != nil {
 			return nil, 0, err
 		}
-		chPrev = append(chPrev, encEntry{scope: c.Scope, name: c.Name, val: vw.b[start:]})
+		chPrev = append(chPrev, encEntry{scope: c.Scope, name: c.Name, val: vw.B[start:]})
 	}
 	var delPrev []delKey
 	for _, d := range deleted {
@@ -701,20 +702,20 @@ func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSna
 	if err != nil {
 		return nil, 0, err // unreachable on our own encodings
 	}
-	newHash := fnv1a64(newData)
+	newHash := wire.FNV1a(newData)
 	if newHash == prev.hash {
 		// Content-identical rewrite (same values re-Set, or scratch keys
 		// Set and Deleted within one round): nothing to ship, but tombstones
 		// behind the retention horizon still fall off — without this a
 		// service job churning per-round scratch keys back to identical
 		// content would grow the deleted-key map forever.
-		freeBuf(newData)
+		wire.Free(newData)
 		prev.ver = ver
 		e.CompactDeletions(s.byHash[s.lru[0]].ver)
 		return prev.data, prev.hash, nil
 	}
 	if err := checkSnapshotSize(len(newData)); err != nil {
-		freeBuf(newData)
+		wire.Free(newData)
 		return nil, 0, err
 	}
 	d.NewHash = newHash
@@ -1168,7 +1169,7 @@ var errWorkerStopped = errors.New("remote: worker connection stopped")
 // and results of other jobs interleave into the gaps instead of waiting out
 // the transfer.
 func (w *dworker) bulkLoop() {
-	var hdr wbuf
+	var hdr wire.Writer
 	for {
 		select {
 		case it := <-w.bulkq:
@@ -1176,11 +1177,11 @@ func (w *dworker) bulkLoop() {
 			if it.delta != nil {
 				err = w.wire.writeMsg(it.delta)
 			} else {
-				hdr.b = hdr.b[:0]
-				hdr.byte(mSnapshot)
-				hdr.uv(it.job)
-				hdr.u64(it.hash)
-				err = w.wire.writeMsg(hdr.b, it.data)
+				hdr.B = hdr.B[:0]
+				hdr.U8(mSnapshot)
+				hdr.Uv(it.job)
+				hdr.U64(it.hash)
+				err = w.wire.writeMsg(hdr.B, it.data)
 			}
 			if err != nil {
 				w.ex.fail(w, err)
@@ -1203,7 +1204,7 @@ func (w *dworker) readLoop() {
 	defer dmx.close()
 	var dec decoder
 	var buf []byte
-	defer func() { freeBuf(buf) }()
+	defer func() { wire.Free(buf) }()
 	// Buffer the conn so header and payload of a small frame cost one Read
 	// (one wakeup on synchronous pipes) instead of two.
 	br := bufio.NewReaderSize(w.c, readBufSize)
@@ -1257,7 +1258,7 @@ func (w *dworker) readLoop() {
 			return
 		}
 		if pooled {
-			freeBuf(msg)
+			wire.Free(msg)
 		}
 	}
 }

@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/wire"
 )
 
 // frameHeader is the 4-byte big-endian payload length prefixed to every
@@ -64,23 +66,23 @@ func writeFrame(w io.Writer, payload []byte) error {
 	if len(payload) > maxFrame {
 		return errFrameTooBig
 	}
-	buf := allocBuf(frameHeader + len(payload))
+	buf := wire.Alloc(frameHeader + len(payload))
 	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
 	copy(buf[frameHeader:], payload)
 	_, err := w.Write(buf)
-	freeBuf(buf)
+	wire.Free(buf)
 	return err
 }
 
 // readFrame reads one frame payload into a pooled buffer, reusing buf when
 // it is large enough (recycling it otherwise). It returns io.EOF only on a
 // clean frame boundary. The returned slice is valid payload only when err is
-// nil, but it is returned on every path — growBuf may already have recycled
+// nil, but it is returned on every path — wire.Grow may already have recycled
 // buf's array, so the caller must adopt the return value unconditionally to
 // keep its recycling single-owner. The header lands in the same pooled
 // buffer, keeping the steady read path allocation-free.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	buf = growBuf(buf, frameHeader)
+	buf = wire.Grow(buf, frameHeader)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return buf, err
 	}
@@ -88,7 +90,7 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if n > maxFrame {
 		return buf, errFrameTooBig
 	}
-	buf = growBuf(buf, int(n))
+	buf = wire.Grow(buf, int(n))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/store"
 	"repro/internal/strategy"
+	"repro/internal/wire"
 )
 
 // FuzzFrameDecode feeds arbitrary bytes through the wire stack exactly as a
@@ -38,18 +39,25 @@ func FuzzFrameDecode(f *testing.F) {
 	}}}, nil); err == nil {
 		f.Add(frame(b))
 	}
+	// A batch whose commits start the fuzzer inside the []byte and
+	// [][]float64 arms of the value decoder.
+	if b, err := encodeResults([]resultMsg{{ID: 10, Res: core.ExecResult{
+		Commits: []core.CommitKV{{Name: "raw", Value: []byte{0xaa, 0xbb}}, {Name: "m", Value: [][]float64{{1}, {2, 3}}}},
+	}}}, nil); err == nil {
+		f.Add(frame(b))
+	}
 	f.Add(frame(encodeEndRound(17)))
 	{
 		e := store.NewExposed()
 		e.Set("global", "k", 1.25)
 		if sb, hash, err := encodeSnapshot(e, nil); err == nil {
-			w := &wbuf{}
-			w.byte(mSnapshot)
-			w.u64(hash)
-			w.b = append(w.b, sb...)
-			f.Add(frame(w.b))
+			w := &wire.Writer{}
+			w.U8(mSnapshot)
+			w.U64(hash)
+			w.B = append(w.B, sb...)
+			f.Add(frame(w.B))
 			// Truncated snapshot: frame claims more than it carries.
-			f.Add(frame(w.b)[:len(w.b)/2])
+			f.Add(frame(w.B)[:len(w.B)/2])
 		}
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}) // hostile length prefix
@@ -103,12 +111,12 @@ func FuzzFrameDecode(f *testing.F) {
 					t.Fatalf("results round trip diverged: %v", err)
 				}
 			case mSnapshot:
-				rb := &rbuf{b: body}
-				rb.u64() // content hash
-				if rb.err != nil {
+				rb := wire.NewReader(body)
+				rb.U64() // content hash
+				if rb.Err() != nil {
 					continue
 				}
-				e, err := decodeSnapshot(rb.b, nil)
+				e, err := decodeSnapshot(rb.Rest(), nil)
 				if err != nil {
 					continue
 				}
@@ -186,7 +194,7 @@ func FuzzMuxDecode(f *testing.F) {
 				t.Fatalf("reassembled message of %d bytes exceeds the wire cap", len(msg))
 			}
 			if pooled {
-				freeBuf(msg)
+				wire.Free(msg)
 			}
 		}
 	})
@@ -224,16 +232,16 @@ func FuzzSnapDeltaDecode(f *testing.F) {
 	// true post-patch hash, the shape a healthy v4 stream carries.
 	valid := &snapDelta{BaseHash: baseHash, Changed: []encEntry{
 		{scope: "global", name: "knob", val: func() []byte {
-			w := &wbuf{}
-			w.byte(vFloat64)
-			w.f64(2.5)
-			return w.b
+			w := &wire.Writer{}
+			w.U8(vFloat64)
+			w.F64(2.5)
+			return w.B
 		}()},
 		{scope: "global", name: "new", val: []byte{vNil}},
 	}, Deleted: []delKey{{scope: "global", name: "tag"}}}
 	if patched, err := applySnapDelta(base, valid); err == nil {
-		valid.NewHash = fnv1a64(patched)
-		freeBuf(patched)
+		valid.NewHash = wire.FNV1a(patched)
+		wire.Free(patched)
 	}
 	vb := encodeSnapDelta(valid)
 	f.Add(vb[1:])
@@ -249,18 +257,18 @@ func FuzzSnapDeltaDecode(f *testing.F) {
 	f.Add([]byte{})                                                           // empty payload
 	f.Add([]byte{0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff}) // hostile symbol count
 	{
-		w := &wbuf{} // symbol id past the table
-		w.uv(9)
-		w.u64(baseHash)
-		w.u64(0)
-		w.uv(1)
-		w.str("global")
-		w.uv(1)
-		w.uv(7)
-		w.uv(0)
-		w.byte(vNil)
-		w.uv(0)
-		f.Add(w.b)
+		w := &wire.Writer{} // symbol id past the table
+		w.Uv(9)
+		w.U64(baseHash)
+		w.U64(0)
+		w.Uv(1)
+		w.Str("global")
+		w.Uv(1)
+		w.Uv(7)
+		w.Uv(0)
+		w.U8(vNil)
+		w.Uv(0)
+		f.Add(w.B)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -285,12 +293,12 @@ func FuzzSnapDeltaDecode(f *testing.F) {
 		}
 		// When the hash verifies (as the worker requires before install),
 		// decoding may still reject unresolvable values, but never panic.
-		if fnv1a64(patched) == d.NewHash {
+		if wire.FNV1a(patched) == d.NewHash {
 			if e, err := decodeSnapshot(patched, nil); err == nil {
 				_ = e.Entries()
 			}
 		}
-		freeBuf(patched)
+		wire.Free(patched)
 	})
 }
 

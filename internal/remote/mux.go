@@ -6,6 +6,8 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // Mux framing: one connection multiplexes many jobs, and a multi-megabyte
@@ -40,60 +42,60 @@ const maxStreams = 16
 const maxPooledFrameBuf = 1 << 20
 
 var framePool = sync.Pool{New: func() any {
-	return &wbuf{b: make([]byte, frameHeader, 4<<10)}
+	return &wire.Writer{B: make([]byte, frameHeader, 4<<10)}
 }}
 
 // getFrameBuf returns a pooled encode buffer with frameHeader bytes reserved
 // for the length prefix; append the message after them and hand the buffer
-// to wire.writeBuf, then return it with putFrameBuf.
-func getFrameBuf() *wbuf {
-	wb := framePool.Get().(*wbuf)
-	wb.b = wb.b[:frameHeader]
+// to muxWriter.writeBuf, then return it with putFrameBuf.
+func getFrameBuf() *wire.Writer {
+	wb := framePool.Get().(*wire.Writer)
+	resetFrame(wb)
 	return wb
 }
 
-func putFrameBuf(wb *wbuf) {
-	if cap(wb.b) > maxPooledFrameBuf {
+func putFrameBuf(wb *wire.Writer) {
+	if cap(wb.B) > maxPooledFrameBuf {
 		return
 	}
 	framePool.Put(wb)
 }
 
 // resetFrame rewinds a frame buffer to just the reserved header.
-func (w *wbuf) resetFrame() { w.b = w.b[:frameHeader] }
+func resetFrame(wb *wire.Writer) { wb.B = wb.B[:frameHeader] }
 
-// wire is one connection's write half. Whole frames are serialized by mu;
+// muxWriter is one connection's write half. Whole frames are serialized by mu;
 // messages beyond chunkThreshold go out as interleavable chunk frames. Every
 // frame is a single Write call, so a fault-injected dropped write still
 // loses exactly one frame and the stream stays parseable.
-type wire struct {
+type muxWriter struct {
 	mu      sync.Mutex
 	w       io.Writer
 	streams atomic.Uint64
 }
 
-func newWire(w io.Writer) *wire { return &wire{w: w} }
+func newMuxWriter(w io.Writer) *muxWriter { return &muxWriter{w: w} }
 
 // writeBuf frames and writes the message encoded in wb (after its reserved
 // header). The caller keeps ownership of wb.
-func (wr *wire) writeBuf(wb *wbuf) error {
-	payload := len(wb.b) - frameHeader
+func (wr *muxWriter) writeBuf(wb *wire.Writer) error {
+	payload := len(wb.B) - frameHeader
 	if payload > maxMessage {
 		return fmt.Errorf("%w (%d bytes)", ErrMessageTooBig, payload)
 	}
 	if payload > chunkThreshold {
-		return wr.writeChunks(payload, [][]byte{wb.b[frameHeader:]})
+		return wr.writeChunks(payload, [][]byte{wb.B[frameHeader:]})
 	}
-	binary.BigEndian.PutUint32(wb.b[:frameHeader], uint32(payload))
+	binary.BigEndian.PutUint32(wb.B[:frameHeader], uint32(payload))
 	wr.mu.Lock()
-	_, err := wr.w.Write(wb.b)
+	_, err := wr.w.Write(wb.B)
 	wr.mu.Unlock()
 	return err
 }
 
 // writeMsg frames and writes the concatenation of segs as one message,
 // without materializing the concatenation when it must be chunked anyway.
-func (wr *wire) writeMsg(segs ...[]byte) error {
+func (wr *muxWriter) writeMsg(segs ...[]byte) error {
 	total := 0
 	for _, s := range segs {
 		total += len(s)
@@ -106,7 +108,7 @@ func (wr *wire) writeMsg(segs ...[]byte) error {
 	}
 	wb := getFrameBuf()
 	for _, s := range segs {
-		wb.b = append(wb.b, s...)
+		wb.Raw(s)
 	}
 	err := wr.writeBuf(wb)
 	putFrameBuf(wb)
@@ -116,7 +118,7 @@ func (wr *wire) writeMsg(segs ...[]byte) error {
 // writeChunks cuts the logical message (the concatenation of segs, total
 // bytes) into chunk frames on a fresh stream id. The connection lock is
 // released between chunks so concurrent small frames interleave.
-func (wr *wire) writeChunks(total int, segs [][]byte) error {
+func (wr *muxWriter) writeChunks(total int, segs [][]byte) error {
 	sid := wr.streams.Add(1)
 	wb := getFrameBuf()
 	defer putFrameBuf(wb)
@@ -126,9 +128,9 @@ func (wr *wire) writeChunks(total int, segs [][]byte) error {
 		if n > chunkThreshold {
 			n = chunkThreshold
 		}
-		wb.resetFrame()
-		wb.byte(mChunk)
-		wb.uv(sid)
+		resetFrame(wb)
+		wb.U8(mChunk)
+		wb.Uv(sid)
 		var flags byte
 		if first {
 			flags |= chunkFirst
@@ -136,9 +138,9 @@ func (wr *wire) writeChunks(total int, segs [][]byte) error {
 		if sent+n == total {
 			flags |= chunkLast
 		}
-		wb.byte(flags)
+		wb.U8(flags)
 		if first {
-			wb.uv(uint64(total))
+			wb.Uv(uint64(total))
 		}
 		for rem := n; rem > 0; {
 			seg := segs[si][so:]
@@ -146,7 +148,7 @@ func (wr *wire) writeChunks(total int, segs [][]byte) error {
 			if take > len(seg) {
 				take = len(seg)
 			}
-			wb.b = append(wb.b, seg[:take]...)
+			wb.Raw(seg[:take])
 			so += take
 			rem -= take
 			if so == len(segs[si]) {
@@ -155,9 +157,9 @@ func (wr *wire) writeChunks(total int, segs [][]byte) error {
 			}
 		}
 		sent += n
-		binary.BigEndian.PutUint32(wb.b[:frameHeader], uint32(len(wb.b)-frameHeader))
+		binary.BigEndian.PutUint32(wb.B[:frameHeader], uint32(len(wb.B)-frameHeader))
 		wr.mu.Lock()
-		_, err := wr.w.Write(wb.b)
+		_, err := wr.w.Write(wb.B)
 		wr.mu.Unlock()
 		if err != nil {
 			return err
@@ -194,21 +196,21 @@ func newDemuxBound(n int) *demux {
 // feed hands one frame payload to the demux. Non-chunk frames pass through
 // unchanged. For chunk frames it returns (nil, false, nil) while the stream
 // is incomplete and the reassembled message once the last chunk lands;
-// pooled reports that msg is pool-owned and the caller must freeBuf it after
+// pooled reports that msg is pool-owned and the caller must wire.Free it after
 // decoding. Any error is a protocol violation: the caller must drop the
 // connection, since stream state may be inconsistent.
 func (d *demux) feed(payload []byte) (msg []byte, pooled bool, err error) {
 	if len(payload) == 0 || payload[0] != mChunk {
 		return payload, false, nil
 	}
-	r := &rbuf{b: payload[1:]}
-	sid := r.uv()
-	flags := r.byte()
+	r := wire.NewReader(payload[1:])
+	sid := r.Uv()
+	flags := r.U8()
 	s := d.streams[sid]
 	if flags&chunkFirst != 0 {
-		total := r.uv()
-		if r.err != nil {
-			return nil, false, r.err
+		total := r.Uv()
+		if r.Err() != nil {
+			return nil, false, codecErr(r.Err())
 		}
 		if s != nil {
 			return nil, false, fmt.Errorf("%w: chunk stream %d reopened", errCodec, sid)
@@ -219,25 +221,26 @@ func (d *demux) feed(payload []byte) (msg []byte, pooled bool, err error) {
 		if len(d.streams) >= d.bound {
 			return nil, false, fmt.Errorf("%w: more than %d concurrent chunk streams", errCodec, d.bound)
 		}
-		s = &muxStream{buf: allocBuf(int(total))[:0], total: int(total)}
+		s = &muxStream{buf: wire.Alloc(int(total))[:0], total: int(total)}
 		d.streams[sid] = s
 	}
-	if r.err != nil {
-		return nil, false, r.err
+	if r.Err() != nil {
+		return nil, false, codecErr(r.Err())
 	}
 	if s == nil {
 		return nil, false, fmt.Errorf("%w: chunk for unknown stream %d", errCodec, sid)
 	}
-	if len(s.buf)+len(r.b) > s.total {
+	data := r.Rest()
+	if len(s.buf)+len(data) > s.total {
 		return nil, false, fmt.Errorf("%w: chunk stream %d overflows announced length", errCodec, sid)
 	}
-	s.buf = append(s.buf, r.b...)
+	s.buf = append(s.buf, data...)
 	if flags&chunkLast == 0 {
 		return nil, false, nil
 	}
 	delete(d.streams, sid)
 	if len(s.buf) != s.total {
-		freeBuf(s.buf)
+		wire.Free(s.buf)
 		return nil, false, fmt.Errorf("%w: chunk stream %d short of announced length", errCodec, sid)
 	}
 	return s.buf, true, nil
@@ -247,7 +250,7 @@ func (d *demux) feed(payload []byte) (msg []byte, pooled bool, err error) {
 // dies.
 func (d *demux) close() {
 	for sid, s := range d.streams {
-		freeBuf(s.buf)
+		wire.Free(s.buf)
 		delete(d.streams, sid)
 	}
 }

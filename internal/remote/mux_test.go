@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // frameRecorder captures each Write as one frame, preserving the one-frame-
@@ -58,7 +60,7 @@ func TestWireChunkRoundTrip(t *testing.T) {
 	withChunkThreshold(t, 64)
 	for _, size := range []int{0, 1, 63, 64, 65, 127, 128, 129, 1000} {
 		rec := &frameRecorder{}
-		w := newWire(rec)
+		w := newMuxWriter(rec)
 		msg := patternMsg(size)
 		// Split the message across segments to exercise the multi-segment
 		// copy cursor in writeChunks.
@@ -80,7 +82,7 @@ func TestWireChunkRoundTrip(t *testing.T) {
 				got = append([]byte(nil), m...)
 				done = true
 				if pooled {
-					freeBuf(m)
+					wire.Free(m)
 				}
 			}
 		}
@@ -100,11 +102,11 @@ func TestWireChunkRoundTrip(t *testing.T) {
 func TestWriteBufChunksLargePayload(t *testing.T) {
 	withChunkThreshold(t, 32)
 	rec := &frameRecorder{}
-	w := newWire(rec)
+	w := newMuxWriter(rec)
 	wb := getFrameBuf()
 	defer putFrameBuf(wb)
 	msg := patternMsg(100)
-	wb.b = append(wb.b, msg...)
+	wb.B = append(wb.B, msg...)
 	if err := w.writeBuf(wb); err != nil {
 		t.Fatalf("writeBuf: %v", err)
 	}
@@ -125,7 +127,7 @@ func TestWriteBufChunksLargePayload(t *testing.T) {
 				t.Fatal("reassembled message diverged")
 			}
 			if pooled {
-				freeBuf(m)
+				wire.Free(m)
 			}
 		}
 	}
@@ -140,7 +142,7 @@ func TestDemuxInterleavedStreams(t *testing.T) {
 	// Two writers sharing one wire would serialize whole frames; recording
 	// them separately and zipping simulates the interleaving the lock
 	// release between chunks allows.
-	shared := newWire(nil)
+	shared := newMuxWriter(nil)
 	shared.w = recA
 	if err := shared.writeMsg(msgA); err != nil {
 		t.Fatal(err)
@@ -169,7 +171,7 @@ func TestDemuxInterleavedStreams(t *testing.T) {
 		if m != nil {
 			got = append(got, append([]byte(nil), m...))
 			if pooled {
-				freeBuf(m)
+				wire.Free(m)
 			}
 		}
 	}
@@ -188,7 +190,7 @@ func TestWireConcurrentWriters(t *testing.T) {
 	withChunkThreshold(t, 256)
 	var buf bytes.Buffer
 	var mu sync.Mutex
-	w := newWire(writerFunc(func(p []byte) (int, error) {
+	w := newMuxWriter(writerFunc(func(p []byte) (int, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		return buf.Write(p)
@@ -247,7 +249,7 @@ func TestWireConcurrentWriters(t *testing.T) {
 		}
 		wantMu.Unlock()
 		if pooled {
-			freeBuf(m)
+			wire.Free(m)
 		}
 		n++
 	}
@@ -262,15 +264,15 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // chunkFrame hand-builds a chunk frame payload for demux error cases.
 func chunkFrame(sid uint64, flags byte, total int, data []byte) []byte {
-	w := &wbuf{}
-	w.byte(mChunk)
-	w.uv(sid)
-	w.byte(flags)
+	w := &wire.Writer{}
+	w.U8(mChunk)
+	w.Uv(sid)
+	w.U8(flags)
 	if flags&chunkFirst != 0 {
-		w.uv(uint64(total))
+		w.Uv(uint64(total))
 	}
-	w.b = append(w.b, data...)
-	return w.b
+	w.B = append(w.B, data...)
+	return w.B
 }
 
 func TestDemuxErrors(t *testing.T) {
@@ -281,7 +283,7 @@ func TestDemuxErrors(t *testing.T) {
 			if m, pooled, err := dmx.feed(f); err != nil {
 				return err
 			} else if m != nil && pooled {
-				freeBuf(m)
+				wire.Free(m)
 			}
 		}
 		return nil
@@ -321,7 +323,7 @@ func TestDemuxErrors(t *testing.T) {
 		t.Fatalf("single-chunk stream: %v %q", err, m)
 	}
 	if pooled {
-		freeBuf(m)
+		wire.Free(m)
 	}
 }
 
@@ -339,7 +341,7 @@ func TestDemuxStreamLimit(t *testing.T) {
 }
 
 func TestWireRejectsOversizeMessages(t *testing.T) {
-	w := newWire(&frameRecorder{})
+	w := newMuxWriter(&frameRecorder{})
 	big := make([]byte, maxMessage+1)
 	if err := w.writeMsg(big); !errors.Is(err, ErrMessageTooBig) {
 		t.Errorf("writeMsg oversize: %v, want ErrMessageTooBig", err)
@@ -348,8 +350,8 @@ func TestWireRejectsOversizeMessages(t *testing.T) {
 	if err := w.writeMsg(big[:maxMessage], big[:1]); !errors.Is(err, ErrMessageTooBig) {
 		t.Errorf("writeMsg oversize segments: %v, want ErrMessageTooBig", err)
 	}
-	wb := &wbuf{b: make([]byte, frameHeader)}
-	wb.b = append(wb.b, big...)
+	wb := &wire.Writer{B: make([]byte, frameHeader)}
+	wb.B = append(wb.B, big...)
 	if err := w.writeBuf(wb); !errors.Is(err, ErrMessageTooBig) {
 		t.Errorf("writeBuf oversize: %v, want ErrMessageTooBig", err)
 	}
@@ -361,14 +363,14 @@ func TestWireRejectsOversizeMessages(t *testing.T) {
 
 func TestFrameBufPoolRetention(t *testing.T) {
 	wb := getFrameBuf()
-	if len(wb.b) != frameHeader {
-		t.Fatalf("fresh frame buf len %d, want %d", len(wb.b), frameHeader)
+	if len(wb.B) != frameHeader {
+		t.Fatalf("fresh frame buf len %d, want %d", len(wb.B), frameHeader)
 	}
-	wb.b = append(wb.b, make([]byte, 2*maxPooledFrameBuf)...)
+	wb.B = append(wb.B, make([]byte, 2*maxPooledFrameBuf)...)
 	putFrameBuf(wb) // must drop, not retain a snapshot-size array
 	wb2 := getFrameBuf()
-	if cap(wb2.b) > maxPooledFrameBuf {
-		t.Errorf("pool retained a %d-byte frame buffer", cap(wb2.b))
+	if cap(wb2.B) > maxPooledFrameBuf {
+		t.Errorf("pool retained a %d-byte frame buffer", cap(wb2.B))
 	}
 	putFrameBuf(wb2)
 }
@@ -377,7 +379,7 @@ func TestWriteChunksError(t *testing.T) {
 	withChunkThreshold(t, 8)
 	failAt := 2
 	n := 0
-	w := newWire(writerFunc(func(p []byte) (int, error) {
+	w := newMuxWriter(writerFunc(func(p []byte) (int, error) {
 		n++
 		if n > failAt {
 			return 0, fmt.Errorf("boom")

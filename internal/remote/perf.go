@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Wire-layer performance measurement, shared between the Benchmark*
@@ -58,7 +59,7 @@ func perfBatch(n int) []resultMsg {
 var perfTask = taskMsg{ID: 7, Round: 3, Group: 11, Attempt: 1}
 
 func runTaskEncode(b *testing.B) {
-	w := newWire(io.Discard)
+	w := newMuxWriter(io.Discard)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,7 +85,7 @@ func runTaskDecode(b *testing.B) {
 
 func runResultsEncode(b *testing.B) {
 	batch := perfBatch(16)
-	w := newWire(io.Discard)
+	w := newMuxWriter(io.Discard)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,7 +120,7 @@ func runResultsDecode(b *testing.B) {
 // layer, the full per-sample wire cost minus the network itself.
 func runFrameRoundTrip(b *testing.B) {
 	var buf bytes.Buffer
-	w := newWire(&buf)
+	w := newMuxWriter(&buf)
 	var rd bytes.Reader
 	var fb []byte
 	b.ReportAllocs()
@@ -151,7 +152,7 @@ func runMuxRoundTrip(b *testing.B) {
 		msg[i] = byte(i)
 	}
 	var buf bytes.Buffer
-	w := newWire(&buf)
+	w := newMuxWriter(&buf)
 	var rd bytes.Reader
 	var fb []byte
 	b.SetBytes(int64(len(msg)))
@@ -179,7 +180,7 @@ func runMuxRoundTrip(b *testing.B) {
 					b.Fatalf("reassembled %d bytes", len(m))
 				}
 				if pooled {
-					freeBuf(m)
+					wire.Free(m)
 				}
 				break
 			}

@@ -484,6 +484,36 @@ func TestCodecOpaqueValueNeedsTable(t *testing.T) {
 	}
 }
 
+// TestCodecBytesLengthPastPayload: a []byte value whose length is one past
+// the bytes the payload carries is a malformed message, not a slice out of
+// range on the dispatcher's (results) or a worker's (snapshot) read loop.
+func TestCodecBytesLengthPastPayload(t *testing.T) {
+	rb, err := encodeResults([]resultMsg{{ID: 1, Res: core.ExecResult{
+		Commits: []core.CommitKV{{Name: "b", Value: []byte{0xaa, 0xbb}}},
+	}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb[len(rb)-3]++ // the value is last: tag, length 2 -> 3, 0xaa, 0xbb
+	if _, err := decodeResults(rb[1:], nil, nil); !errors.Is(err, errCodec) {
+		t.Fatalf("results with overlong []byte: %v, want errCodec", err)
+	}
+
+	e := store.NewExposed()
+	e.Set("global", "b", []byte{0xaa, 0xbb})
+	sb, _, err := encodeSnapshot(e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb[len(sb)-3]++
+	if _, err := decodeSnapshot(sb, nil); !errors.Is(err, errCodec) {
+		t.Fatalf("snapshot with overlong []byte: %v, want errCodec", err)
+	}
+	if _, err := parseSnapEntries(sb); !errors.Is(err, errCodec) {
+		t.Fatalf("snapshot entries with overlong []byte: %v, want errCodec", err)
+	}
+}
+
 func TestSnapshotRoundTripAndHash(t *testing.T) {
 	e := store.NewExposed()
 	e.Set("global", "a", 1.5)

@@ -1,5 +1,7 @@
 package remote
 
+import "repro/internal/wire"
+
 // Protocol v4 delta snapshot shipping. A snapshot's canonical encoding is a
 // byte string (see snapshot.go); once a job has shipped one, every later
 // version's canonical encoding is *defined* as applySnapDelta(prev, delta) —
@@ -33,41 +35,39 @@ const (
 // sticky error set on malformed input. This is how delta construction and
 // patching move opaque values between encodings verbatim — the bytes are
 // the identity; they are never re-encoded.
-func skipValue(r *rbuf) []byte {
-	start := r.b
-	switch tag := r.byte(); tag {
+func skipValue(r *wire.Reader) []byte {
+	start := r.Rest()
+	switch tag := r.U8(); tag {
 	case vNil:
 	case vBool:
-		r.skip(1)
+		r.Take(1)
 	case vInt:
-		r.iv()
+		r.Iv()
 	case vFloat64:
-		r.skip(8)
+		r.Take(8)
 	case vString, vBytes:
-		r.skip(r.uv())
+		r.Bytes()
 	case vInts:
-		n := r.count(1)
-		for i := 0; i < n && r.err == nil; i++ {
-			r.iv()
+		n := r.Count(1)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			r.Iv()
 		}
 	case vFloats:
-		n := r.count(8)
-		r.skip(uint64(n) * 8)
+		r.Take(8 * r.Count(8))
 	case vFloatss:
-		n := r.count(1)
-		for i := 0; i < n && r.err == nil; i++ {
-			m := r.count(8)
-			r.skip(uint64(m) * 8)
+		n := r.Count(1)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			r.Take(8 * r.Count(8))
 		}
 	case vHandle:
-		r.uv()
+		r.Uv()
 	default:
-		r.fail()
+		r.Corruptf("unknown value tag %d", tag)
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
-	return start[:len(start)-len(r.b)]
+	return start[:len(start)-len(r.Rest())]
 }
 
 // encEntry is one entry of an encoded snapshot in structural form: its
@@ -101,28 +101,17 @@ func cmpEntryKey(aScope, aName, bScope, bName string) int {
 // without decoding values — the structural view delta construction and
 // patching work on. The returned entries alias b.
 func parseSnapEntries(b []byte) ([]encEntry, error) {
-	r := &rbuf{b: b}
-	nsym := r.count(1)
-	names := make([]string, 0, nsym)
-	for i := 0; i < nsym && r.err == nil; i++ {
-		names = append(names, r.str())
-	}
-	nent := r.count(3)
+	r := wire.NewReader(b)
+	names := readSymbols(r)
+	nent := r.Count(3)
 	ents := make([]encEntry, 0, nent)
-	for i := 0; i < nent && r.err == nil; i++ {
-		scopeID := r.uv()
-		nameID := r.uv()
-		if r.err != nil || scopeID >= uint64(len(names)) || nameID >= uint64(len(names)) {
-			r.fail()
-			break
+	for i := 0; i < nent && r.Err() == nil; i++ {
+		en := encEntry{scope: readSymbol(r, names), name: readSymbol(r, names), val: skipValue(r)}
+		if r.Err() == nil {
+			ents = append(ents, en)
 		}
-		val := skipValue(r)
-		if r.err != nil {
-			break
-		}
-		ents = append(ents, encEntry{scope: names[scopeID], name: names[nameID], val: val})
 	}
-	if err := r.done(); err != nil {
+	if err := codecErr(r.Done()); err != nil {
 		return nil, err
 	}
 	return ents, nil
@@ -161,68 +150,53 @@ func encodeSnapDelta(d *snapDelta) []byte {
 		intern(k.scope)
 		intern(k.name)
 	}
-	w := &wbuf{}
-	w.byte(mSnapDelta)
-	w.uv(d.Job)
-	w.u64(d.BaseHash)
-	w.u64(d.NewHash)
-	w.uv(uint64(len(names)))
+	w := &wire.Writer{}
+	w.U8(mSnapDelta)
+	w.Uv(d.Job)
+	w.U64(d.BaseHash)
+	w.U64(d.NewHash)
+	w.Uv(uint64(len(names)))
 	for _, s := range names {
-		w.str(s)
+		w.Str(s)
 	}
-	w.uv(uint64(len(d.Changed)))
+	w.Uv(uint64(len(d.Changed)))
 	for _, en := range d.Changed {
-		w.uv(ids[en.scope])
-		w.uv(ids[en.name])
-		w.b = append(w.b, en.val...)
+		w.Uv(ids[en.scope])
+		w.Uv(ids[en.name])
+		w.Raw(en.val)
 	}
-	w.uv(uint64(len(d.Deleted)))
+	w.Uv(uint64(len(d.Deleted)))
 	for _, k := range d.Deleted {
-		w.uv(ids[k.scope])
-		w.uv(ids[k.name])
+		w.Uv(ids[k.scope])
+		w.Uv(ids[k.name])
 	}
-	return w.b
+	return w.B
 }
 
 // decodeSnapDelta parses an mSnapDelta payload (type byte stripped). Changed
 // value bytes alias b, so callers must finish patching before recycling the
 // frame buffer.
 func decodeSnapDelta(b []byte) (snapDelta, error) {
-	r := &rbuf{b: b}
-	d := snapDelta{Job: r.uv(), BaseHash: r.u64(), NewHash: r.u64()}
-	nsym := r.count(1)
-	names := make([]string, 0, nsym)
-	for i := 0; i < nsym && r.err == nil; i++ {
-		names = append(names, r.str())
-	}
-	sym := func(id uint64) string {
-		if r.err != nil || id >= uint64(len(names)) {
-			r.fail()
-			return ""
-		}
-		return names[id]
-	}
-	nch := r.count(3)
+	r := wire.NewReader(b)
+	d := snapDelta{Job: r.Uv(), BaseHash: r.U64(), NewHash: r.U64()}
+	names := readSymbols(r)
+	nch := r.Count(3)
 	d.Changed = make([]encEntry, 0, nch)
-	for i := 0; i < nch && r.err == nil; i++ {
-		scope := sym(r.uv())
-		name := sym(r.uv())
-		val := skipValue(r)
-		if r.err != nil {
-			break
+	for i := 0; i < nch && r.Err() == nil; i++ {
+		en := encEntry{scope: readSymbol(r, names), name: readSymbol(r, names), val: skipValue(r)}
+		if r.Err() == nil {
+			d.Changed = append(d.Changed, en)
 		}
-		d.Changed = append(d.Changed, encEntry{scope: scope, name: name, val: val})
 	}
-	ndel := r.count(2)
+	ndel := r.Count(2)
 	d.Deleted = make([]delKey, 0, ndel)
-	for i := 0; i < ndel && r.err == nil; i++ {
-		k := delKey{scope: sym(r.uv()), name: sym(r.uv())}
-		if r.err != nil {
-			break
+	for i := 0; i < ndel && r.Err() == nil; i++ {
+		k := delKey{scope: readSymbol(r, names), name: readSymbol(r, names)}
+		if r.Err() == nil {
+			d.Deleted = append(d.Deleted, k)
 		}
-		d.Deleted = append(d.Deleted, k)
 	}
-	return d, r.done()
+	return d, codecErr(r.Done())
 }
 
 // applySnapDelta patches base (an encoded snapshot) with d and returns the
@@ -286,22 +260,22 @@ func applySnapDelta(base []byte, d *snapDelta) ([]byte, error) {
 	for _, en := range d.Changed {
 		est += len(en.val) + len(en.scope) + len(en.name) + 16
 	}
-	w := &wbuf{b: allocBuf(est)[:0]}
+	w := &wire.Writer{B: wire.Alloc(est)[:0]}
 	for _, en := range merged {
 		intern(en.scope)
 		intern(en.name)
 	}
-	w.uv(uint64(len(names)))
+	w.Uv(uint64(len(names)))
 	for _, s := range names {
-		w.str(s)
+		w.Str(s)
 	}
-	w.uv(uint64(len(merged)))
+	w.Uv(uint64(len(merged)))
 	for _, en := range merged {
-		w.uv(ids[en.scope])
-		w.uv(ids[en.name])
-		w.b = append(w.b, en.val...)
+		w.Uv(ids[en.scope])
+		w.Uv(ids[en.name])
+		w.Raw(en.val)
 	}
-	return w.b, nil
+	return w.B, nil
 }
 
 // snapNack is one decoded mSnapNack frame.
@@ -313,17 +287,17 @@ type snapNack struct {
 }
 
 func encodeSnapNack(n snapNack) []byte {
-	w := &wbuf{}
-	w.byte(mSnapNack)
-	w.uv(n.Job)
-	w.u64(n.BaseHash)
-	w.u64(n.NewHash)
-	w.byte(n.Cause)
-	return w.b
+	w := &wire.Writer{}
+	w.U8(mSnapNack)
+	w.Uv(n.Job)
+	w.U64(n.BaseHash)
+	w.U64(n.NewHash)
+	w.U8(n.Cause)
+	return w.B
 }
 
 func decodeSnapNack(b []byte) (snapNack, error) {
-	r := &rbuf{b: b}
-	n := snapNack{Job: r.uv(), BaseHash: r.u64(), NewHash: r.u64(), Cause: r.byte()}
-	return n, r.done()
+	r := wire.NewReader(b)
+	n := snapNack{Job: r.Uv(), BaseHash: r.U64(), NewHash: r.U64(), Cause: r.U8()}
+	return n, codecErr(r.Done())
 }

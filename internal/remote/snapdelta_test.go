@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/strategy"
+	"repro/internal/wire"
 )
 
 // buildDelta constructs a delta from base's store version to e's current
@@ -20,14 +21,14 @@ import (
 func buildDelta(t *testing.T, e *store.Exposed, sinceVer, baseHash uint64, vt *ValueTable) *snapDelta {
 	t.Helper()
 	changed, deleted := e.ChangedSince(sinceVer)
-	vw := &wbuf{}
+	vw := &wire.Writer{}
 	d := &snapDelta{Job: 7, BaseHash: baseHash}
 	for _, c := range changed {
-		start := len(vw.b)
+		start := len(vw.B)
 		if err := appendValue(vw, c.V, vt); err != nil {
 			t.Fatalf("appendValue: %v", err)
 		}
-		d.Changed = append(d.Changed, encEntry{scope: c.Scope, name: c.Name, val: vw.b[start:]})
+		d.Changed = append(d.Changed, encEntry{scope: c.Scope, name: c.Name, val: vw.B[start:]})
 	}
 	for _, dk := range deleted {
 		d.Deleted = append(d.Deleted, delKey{scope: dk.Scope, name: dk.Name})
@@ -87,7 +88,7 @@ func TestSnapDeltaPatchRoundtrip(t *testing.T) {
 	if !bytes.Equal(patched, patched2) {
 		t.Fatal("applySnapDelta is not deterministic")
 	}
-	if fnv1a64(patched) != fnv1a64(patched2) {
+	if wire.FNV1a(patched) != wire.FNV1a(patched2) {
 		t.Fatal("hash mismatch between identical patches")
 	}
 }
@@ -139,7 +140,7 @@ func TestSnapshotForDeltaCache(t *testing.T) {
 	if !bytes.Equal(patched, d2) {
 		t.Fatal("cached delta does not patch base to the current encoding")
 	}
-	if fnv1a64(patched) != h2 {
+	if wire.FNV1a(patched) != h2 {
 		t.Fatal("patched hash diverges from current hash")
 	}
 
@@ -343,7 +344,7 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 		ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
 		a, b := net.Pipe()
 		go func() {
-			wr := newWire(a)
+			wr := newMuxWriter(a)
 			wr.writeMsg(encodeHello(helloMsg{Version: tc.version, Name: "nego", Slots: 1}))
 			// Keep the pipe open long enough for addConn to finish.
 			readFrame(a, nil)

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Snapshot serialization: the exposed store's entries, sorted by (scope,
@@ -11,19 +12,6 @@ import (
 // snapshot's content identity — the dispatcher ships a snapshot to a worker
 // at most once per hash, and the worker caches decoded stores by hash, which
 // is the paper's load-once reuse of @load state stretched across the wire.
-
-// fnv1a64 hashes b with 64-bit FNV-1a.
-func fnv1a64(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * prime64
-	}
-	return h
-}
 
 // encodeSnapshot serializes e's entries and returns the bytes with their
 // content hash. Opaque values go through the value table (or fail without
@@ -35,49 +23,59 @@ func encodeSnapshot(e *store.Exposed, vt *ValueTable) ([]byte, uint64, error) {
 		syms.Intern(kv.Scope)
 		syms.Intern(kv.Name)
 	}
-	w := &wbuf{}
+	w := &wire.Writer{}
 	n := syms.Len()
-	w.uv(uint64(n))
+	w.Uv(uint64(n))
 	for id := 0; id < n; id++ {
-		w.str(syms.Name(uint32(id)))
+		w.Str(syms.Name(uint32(id)))
 	}
-	w.uv(uint64(len(entries)))
+	w.Uv(uint64(len(entries)))
 	for _, kv := range entries {
 		scopeID, _ := syms.Lookup(kv.Scope)
 		nameID, _ := syms.Lookup(kv.Name)
-		w.uv(uint64(scopeID))
-		w.uv(uint64(nameID))
+		w.Uv(uint64(scopeID))
+		w.Uv(uint64(nameID))
 		if err := appendValue(w, kv.V, vt); err != nil {
 			return nil, 0, err
 		}
 	}
-	return w.b, fnv1a64(w.b), nil
+	return w.B, wire.FNV1a(w.B), nil
+}
+
+// readSymbols reads a symbol table: a count, then that many strings.
+func readSymbols(r *wire.Reader) []string {
+	n := r.Count(1)
+	names := make([]string, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		names = append(names, r.Str())
+	}
+	return names
+}
+
+// readSymbol reads a symbol id and resolves it in names, failing r on an id
+// outside the table.
+func readSymbol(r *wire.Reader, names []string) string {
+	id := r.Uv()
+	if r.Err() != nil || id >= uint64(len(names)) {
+		r.Corruptf("symbol id %d outside table of %d", id, len(names))
+		return ""
+	}
+	return names[id]
 }
 
 // decodeSnapshot rebuilds an exposed store from encoded snapshot bytes.
 func decodeSnapshot(b []byte, vt *ValueTable) (*store.Exposed, error) {
-	r := &rbuf{b: b}
-	nsym := r.count(1)
-	names := make([]string, 0, nsym)
-	for i := 0; i < nsym && r.err == nil; i++ {
-		names = append(names, r.str())
-	}
-	nent := r.count(3)
+	r := wire.NewReader(b)
+	names := readSymbols(r)
+	nent := r.Count(3)
 	e := store.NewExposed()
-	for i := 0; i < nent && r.err == nil; i++ {
-		scopeID := r.uv()
-		nameID := r.uv()
-		if r.err != nil || scopeID >= uint64(len(names)) || nameID >= uint64(len(names)) {
-			r.fail()
-			break
+	for i := 0; i < nent && r.Err() == nil; i++ {
+		scope, name := readSymbol(r, names), readSymbol(r, names)
+		if v := readValue(r, vt); r.Err() == nil {
+			e.Set(scope, name, v)
 		}
-		v, err := readValue(r, vt)
-		if err != nil {
-			return nil, err
-		}
-		e.Set(names[scopeID], names[nameID], v)
 	}
-	if err := r.done(); err != nil {
+	if err := codecErr(r.Done()); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // snapCacheCap bounds how many decoded snapshots a worker retains per
@@ -131,7 +132,7 @@ func (w *Worker) ServeConn(conn net.Conn) {
 	c := &wconn{
 		w:      w,
 		c:      conn,
-		wire:   newWire(conn),
+		wire:   newMuxWriter(conn),
 		out:    make(chan resultMsg, 64),
 		closed: make(chan struct{}),
 	}
@@ -347,7 +348,7 @@ func (w *Worker) Close() {
 type wconn struct {
 	w    *Worker
 	c    net.Conn
-	wire *wire
+	wire *muxWriter
 
 	flushMu    sync.Mutex     // owner of the result-flush path (writer or a direct-flushing task)
 	direct     [1]resultMsg   // direct-flush scratch, guarded by flushMu
@@ -382,7 +383,7 @@ func (c *wconn) readLoop() {
 	dmx := newDemuxBound(w.opts.MaxInflightChunks)
 	defer dmx.close()
 	var buf []byte
-	defer func() { freeBuf(buf) }()
+	defer func() { wire.Free(buf) }()
 	// Buffer the conn so header and payload of a small frame cost one Read
 	// (one wakeup on synchronous pipes) instead of two.
 	br := bufio.NewReaderSize(c.c, readBufSize)
@@ -409,22 +410,22 @@ func (c *wconn) readLoop() {
 		}
 		switch payload[0] {
 		case mSnapshot:
-			r := &rbuf{b: payload[1:]}
-			job := r.uv()
-			hash := r.u64()
-			if r.err != nil {
-				err = r.err
+			r := wire.NewReader(payload[1:])
+			job := r.Uv()
+			hash := r.U64()
+			enc := r.Rest()
+			if err = codecErr(r.Err()); err != nil {
 				break
 			}
 			var e *store.Exposed
-			e, err = decodeSnapshot(r.b, w.opts.Values)
+			e, err = decodeSnapshot(enc, w.opts.Values)
 			if err != nil {
 				break
 			}
 			// Retain the canonical encoding as a future delta-patch base; the
 			// payload buffer is pooled and recycled below, so copy out.
-			data := make([]byte, len(r.b))
-			copy(data, r.b)
+			data := make([]byte, len(enc))
+			copy(data, enc)
 			w.installSnapshot(job, hash, e, data)
 		case mSnapDelta:
 			var d snapDelta
@@ -482,7 +483,7 @@ func (c *wconn) readLoop() {
 			err = fmt.Errorf("%w: unexpected frame type %d", errCodec, payload[0])
 		}
 		if pooled {
-			freeBuf(payload)
+			wire.Free(payload)
 		}
 		if err != nil {
 			break
@@ -517,15 +518,15 @@ func (c *wconn) applyDelta(d *snapDelta) error {
 	if err != nil {
 		return err
 	}
-	if fnv1a64(patched) != d.NewHash {
-		freeBuf(patched) // single-owner here: safe to recycle
+	if wire.FNV1a(patched) != d.NewHash {
+		wire.Free(patched) // single-owner here: safe to recycle
 		return c.write(encodeSnapNack(snapNack{
 			Job: d.Job, BaseHash: d.BaseHash, NewHash: d.NewHash, Cause: nackHashMismatch,
 		}))
 	}
 	e, err := decodeSnapshot(patched, w.opts.Values)
 	if err != nil {
-		freeBuf(patched)
+		wire.Free(patched)
 		return err
 	}
 	w.installSnapshot(d.Job, d.NewHash, e, patched)
@@ -680,7 +681,7 @@ func (c *wconn) flush(batch []resultMsg) error {
 		probe := getFrameBuf()
 		fixed := make([]resultMsg, len(batch))
 		for i, m := range batch {
-			probe.resetFrame()
+			resetFrame(probe)
 			if e1 := appendResults(probe, batch[i:i+1], vt); e1 != nil {
 				m = resultMsg{ID: m.ID, Res: core.ExecResult{
 					Err: fmt.Sprintf("remote: unserializable sample result: %v", e1),
@@ -689,14 +690,14 @@ func (c *wconn) flush(batch []resultMsg) error {
 			fixed[i] = m
 		}
 		putFrameBuf(probe)
-		wb.resetFrame()
+		resetFrame(wb)
 		if err := appendResults(wb, fixed, vt); err != nil {
 			putFrameBuf(wb)
 			return err
 		}
 		batch = fixed
 	}
-	if len(wb.b)-frameHeader > maxMessage {
+	if len(wb.B)-frameHeader > maxMessage {
 		putFrameBuf(wb)
 		if len(batch) == 1 {
 			return c.flush([]resultMsg{{ID: batch[0].ID, Res: core.ExecResult{

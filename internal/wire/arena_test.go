@@ -1,4 +1,4 @@
-package remote
+package wire
 
 import "testing"
 
@@ -25,49 +25,49 @@ func TestBufClass(t *testing.T) {
 
 func TestAllocBufClassCapacity(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 2 << 10, 3 << 10, 1 << 20, 128 << 20} {
-		b := allocBuf(n)
+		b := Alloc(n)
 		if len(b) != n {
-			t.Fatalf("allocBuf(%d): len %d", n, len(b))
+			t.Fatalf("Alloc(%d): len %d", n, len(b))
 		}
 		ci := bufClass(n)
 		if ci >= 0 && cap(b) != bufClasses[ci] {
-			t.Errorf("allocBuf(%d): cap %d, want class size %d", n, cap(b), bufClasses[ci])
+			t.Errorf("Alloc(%d): cap %d, want class size %d", n, cap(b), bufClasses[ci])
 		}
-		freeBuf(b)
+		Free(b)
 	}
 	// Beyond the largest class: plain allocation, exact capacity.
-	huge := allocBuf(128<<20 + 1)
+	huge := Alloc(128<<20 + 1)
 	if len(huge) != 128<<20+1 || cap(huge) != 128<<20+1 {
-		t.Errorf("oversize allocBuf: len %d cap %d", len(huge), cap(huge))
+		t.Errorf("oversize Alloc: len %d cap %d", len(huge), cap(huge))
 	}
-	freeBuf(huge) // must be a no-op drop, not a pool poisoning
+	Free(huge) // must be a no-op drop, not a pool poisoning
 }
 
 func TestFreeBufRejectsForeignSlices(t *testing.T) {
 	// Capacities that match no class must not enter a pool; this would
-	// otherwise hand short arrays to allocBuf callers expecting class cap.
-	freeBuf(nil)
-	freeBuf(make([]byte, 10))
-	freeBuf(make([]byte, 0, 3<<10))
-	b := allocBuf(1 << 10)
+	// otherwise hand short arrays to Alloc callers expecting class cap.
+	Free(nil)
+	Free(make([]byte, 10))
+	Free(make([]byte, 0, 3<<10))
+	b := Alloc(1 << 10)
 	if cap(b) != bufClasses[0] {
-		t.Fatalf("allocBuf after foreign freeBuf: cap %d, want %d", cap(b), bufClasses[0])
+		t.Fatalf("Alloc after foreign Free: cap %d, want %d", cap(b), bufClasses[0])
 	}
-	freeBuf(b)
+	Free(b)
 }
 
 func TestGrowBuf(t *testing.T) {
-	b := allocBuf(100)
-	b2 := growBuf(b, 200)
+	b := Alloc(100)
+	b2 := Grow(b, 200)
 	if &b2[0] != &b[0] {
-		t.Error("growBuf within capacity should reuse the backing array")
+		t.Error("Grow within capacity should reuse the backing array")
 	}
 	if len(b2) != 200 {
-		t.Errorf("growBuf len = %d, want 200", len(b2))
+		t.Errorf("Grow len = %d, want 200", len(b2))
 	}
-	b3 := growBuf(b2, 4<<10)
+	b3 := Grow(b2, 4<<10)
 	if len(b3) != 4<<10 || cap(b3) != bufClasses[bufClass(4<<10)] {
-		t.Errorf("growBuf beyond capacity: len %d cap %d", len(b3), cap(b3))
+		t.Errorf("Grow beyond capacity: len %d cap %d", len(b3), cap(b3))
 	}
-	freeBuf(b3)
+	Free(b3)
 }
