@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"strconv"
 	"sync"
@@ -157,8 +158,8 @@ type counters struct {
 // rounds: the interned symbol table for the region's variable names and the
 // recycling pool for its sampling-process structs (region bodies draw and
 // commit the same variables every round, so a pooled SP's slices are already
-// the right size). Feedback history lives on the tuning processes, not here —
-// see P.fbSeen.
+// the right size). Feedback lives on the tuning processes, not here — see
+// P.fbSeen.
 type regionShape struct {
 	syms *store.Symbols
 	pool sync.Pool // *SP
@@ -284,7 +285,7 @@ func (t *Tuner) RunContext(ctx context.Context, fn func(p *P) error) error {
 }
 
 func (t *Tuner) newP(ctx context.Context) *P {
-	return &P{t: t, pid: t.nextPID.Add(1), ctx: ctx}
+	return &P{t: t, pid: t.nextPID.Add(1), ctx: ctx, fbSeen: map[string]fbView{}, fbNew: map[string]fbView{}}
 }
 
 // AddWork accounts units of computation against the budget; unattributed
@@ -345,7 +346,8 @@ func (t *Tuner) Metrics() Metrics {
 	}
 }
 
-// maxFeedback bounds how much per-region feedback a strategy is handed.
+// maxFeedback bounds how much per-region feedback a strategy is handed, and
+// with it what a tuning process retains per region name.
 const maxFeedback = 64
 
 func (t *Tuner) notePeakRetained(v int64) {
@@ -387,10 +389,10 @@ type P struct {
 	// created under this process, handed to the parent when it Waits.
 	// Both are touched only from the process's own logical thread (Split
 	// snapshots before the child goroutine starts, Wait merges after the
-	// children are done), so they need no lock; slices are never mutated in
-	// place, so parent and child views may share backing arrays.
-	fbSeen   map[string][]strategy.Feedback
-	fbNew    map[string][]strategy.Feedback
+	// children are done), so they need no lock. Each holds one bounded
+	// fbView per region name, not the history: see fbView.
+	fbSeen   map[string]fbView
+	fbNew    map[string]fbView
 	children []*P // split order; fixes the Wait merge order
 
 	// Checkpoint identity (set only when the job records). path names this
@@ -402,38 +404,85 @@ type P struct {
 	nsplit int
 }
 
-// feedbackFor returns the feedback visible to this tuning process for a
-// region name, best-first, capped at maxFeedback entries.
-func (p *P) feedbackFor(name string, minimize bool) []strategy.Feedback {
-	fb := append([]strategy.Feedback(nil), p.fbSeen[name]...)
-	strategy.SortBestFirst(fb, minimize)
-	if len(fb) > maxFeedback {
-		fb = fb[:maxFeedback]
-	}
-	return fb
+// fbView is the part of a feedback history a strategy can ever be handed:
+// its best maxFeedback entries, best first, ties in arrival order — equal to
+// strategy.SortBestFirst(history)[:maxFeedback], and kept so by insert without
+// the history (DESIGN.md §9 has the argument). fb is never mutated once a
+// view is stored: a split child, a sampler and an executor's round task all
+// alias it.
+type fbView struct {
+	fb       []strategy.Feedback
+	minimize bool // the direction fb is ordered under
 }
 
-// addFeedback records the feedback one of p's completed rounds produced.
-func (p *P) addFeedback(name string, fb []strategy.Feedback) {
-	if len(fb) == 0 {
+// toward returns v ordered for the given direction. A region name reused
+// with the opposite Minimize re-sorts what is retained; the entries the old
+// direction had already dropped are gone.
+func (v fbView) toward(minimize bool) fbView {
+	if v.minimize != minimize {
+		v.fb, v.minimize = append([]strategy.Feedback(nil), v.fb...), minimize
+		strategy.SortBestFirst(v.fb, minimize)
+	}
+	return v
+}
+
+// slot returns the index an entry with this score would take — behind
+// every retained entry that is at least as good — or maxFeedback if a full
+// view has no room for it. Scores are never NaN here.
+func (v fbView) slot(score float64) int {
+	i := len(v.fb)
+	for i > 0 && (v.minimize && score < v.fb[i-1].Score || !v.minimize && score > v.fb[i-1].Score) {
+		i--
+	}
+	return i
+}
+
+// insert puts e at index i, its slot, dropping the worst entry of a full
+// view. v.fb must be private to the caller, with room for maxFeedback entries.
+func (v *fbView) insert(i int, e strategy.Feedback) {
+	if i == maxFeedback {
 		return
 	}
-	if p.fbSeen == nil {
-		p.fbSeen = make(map[string][]strategy.Feedback)
+	if len(v.fb) < maxFeedback {
+		v.fb = append(v.fb, e)
 	}
-	if p.fbNew == nil {
-		p.fbNew = make(map[string][]strategy.Feedback)
-	}
-	p.fbSeen[name] = appendFeedback(p.fbSeen[name], fb)
-	p.fbNew[name] = appendFeedback(p.fbNew[name], fb)
+	copy(v.fb[i+1:], v.fb[i:])
+	v.fb[i] = e
 }
 
-// appendFeedback concatenates into a fresh backing array: views inherited
-// across Split share slices, so in-place append would corrupt siblings.
-func appendFeedback(dst, src []strategy.Feedback) []strategy.Feedback {
-	out := make([]strategy.Feedback, 0, len(dst)+len(src))
-	out = append(out, dst...)
-	return append(out, src...)
+// feedbackFor returns the feedback visible to this tuning process for a
+// region name, best first, at most maxFeedback entries. The slice is shared:
+// callers must not modify it.
+func (p *P) feedbackFor(name string, minimize bool) []strategy.Feedback {
+	return p.fbSeen[name].toward(minimize).fb
+}
+
+// addFeedback folds n candidate entries, in arrival order, into both of p's
+// views of a region name: the samples of one completed round, or what a
+// finished child created. score(i) is candidate i's score, NaN for one that
+// yields no feedback; params(i) builds its configuration and is called only
+// for a candidate that enters a view.
+func (p *P) addFeedback(name string, minimize bool, n int, score func(i int) float64, params func(i int) map[string]float64) {
+	seen, created := p.fbSeen[name].toward(minimize), p.fbNew[name].toward(minimize)
+	private := false
+	for i := 0; i < n; i++ {
+		s := score(i)
+		si, ci := seen.slot(s), created.slot(s)
+		if math.IsNaN(s) || si == maxFeedback && ci == maxFeedback {
+			continue
+		}
+		if !private {
+			seen.fb = append(make([]strategy.Feedback, 0, maxFeedback), seen.fb...)
+			created.fb = append(make([]strategy.Feedback, 0, maxFeedback), created.fb...)
+			private = true
+		}
+		e := strategy.Feedback{Params: params(i), Score: s}
+		seen.insert(si, e)
+		created.insert(ci, e)
+	}
+	if private {
+		p.fbSeen[name], p.fbNew[name] = seen, created
+	}
 }
 
 // Tuner returns the engine this process belongs to.
@@ -504,12 +553,7 @@ func (p *P) Split(fn func(child *P) error) {
 		child.path = p.path + "." + strconv.Itoa(p.nsplit)
 		p.nsplit++
 	}
-	if len(p.fbSeen) > 0 {
-		child.fbSeen = make(map[string][]strategy.Feedback, len(p.fbSeen))
-		for name, fb := range p.fbSeen {
-			child.fbSeen[name] = fb
-		}
-	}
+	child.fbSeen = maps.Clone(p.fbSeen)
 	p.children = append(p.children, child)
 	p.wg.Add(1)
 	atomic.AddInt64(&p.pending, 1)
@@ -543,13 +587,14 @@ func (p *P) Wait() error {
 		p.wg.Wait()
 	}
 	// Children are done (wg.Wait synchronizes with their goroutines): merge
-	// the feedback they created into this process's view, in split order, so
-	// the merged list is the same no matter which child finished first.
+	// the feedback they created into this process's views, in split order, so
+	// the merged views are the same no matter which child finished first.
 	for _, c := range p.children {
-		for name, fb := range c.fbNew {
-			p.addFeedback(name, fb)
+		for name, v := range c.fbNew {
+			p.addFeedback(name, v.minimize, len(v.fb),
+				func(i int) float64 { return v.fb[i].Score },
+				func(i int) map[string]float64 { return v.fb[i].Params })
 		}
-		c.fbNew, c.fbSeen = nil, nil
 	}
 	p.children = nil
 	p.errM.Lock()

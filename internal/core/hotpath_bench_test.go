@@ -2,10 +2,12 @@ package core
 
 import (
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/dist"
+	"repro/internal/strategy"
 )
 
 // The hot-path microbenchmarks measure the sample inner loop the way the
@@ -113,4 +115,48 @@ func BenchmarkCommitSteadyState(b *testing.B) {
 			sp.Commit("y", 2.0)
 		}
 	})
+}
+
+// BenchmarkScoredRounds runs one fresh job of N scored 8-sample MCMC rounds
+// under one region name per iteration. ns/round and allocs/round are the
+// figures to read: a round's cost must not depend on how many rounds came
+// before it, so they stay level from 64 to 1024 rounds.
+func BenchmarkScoredRounds(b *testing.B) {
+	spec := RegionSpec{
+		Name:     "rounds",
+		Samples:  8,
+		Strategy: strategy.MCMC(strategy.MCMCOptions{}),
+		Score:    func(sp *SP) float64 { return sp.MustGet("y").(float64) },
+	}
+	d := dist.Uniform(0, 1)
+	body := func(sp *SP) error {
+		x := sp.Float("x", d)
+		sp.Commit("y", x*(2-x))
+		return nil
+	}
+	for _, rounds := range []int{64, 256, 1024} {
+		b.Run(strconv.Itoa(rounds), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				err := New(Options{MaxPool: runtime.NumCPU(), Seed: 1}).Run(func(p *P) error {
+					for r := 0; r < rounds; r++ {
+						if _, err := p.Region(spec, body); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N * rounds)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/round")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/round")
+		})
+	}
 }

@@ -144,19 +144,38 @@ func TestFeedbackCausalVisibility(t *testing.T) {
 	})
 }
 
+// TestFeedbackCapped checks what a process retains, not only what it hands
+// out: after 100 tied samples both views of the name hold the first
+// maxFeedback arrivals and nothing more.
 func TestFeedbackCapped(t *testing.T) {
 	run(t, newTuner(), func(p *P) error {
 		for round := 0; round < 10; round++ {
 			_, err := p.Region(RegionSpec{
 				Name: "cap", Samples: 10, Minimize: true,
 				Score: func(sp *SP) float64 { return 0 },
-			}, func(sp *SP) error { return nil })
+			}, func(sp *SP) error {
+				sp.Float("round", dist.Uniform(float64(round), float64(round)+1))
+				return nil
+			})
 			if err != nil {
 				return err
 			}
 		}
-		if got := len(p.feedbackFor("cap", true)); got > maxFeedback {
-			return fmt.Errorf("feedback grew to %d, cap is %d", got, maxFeedback)
+		if got := len(p.feedbackFor("cap", true)); got != maxFeedback {
+			return fmt.Errorf("feedback handed out is %d entries, want %d", got, maxFeedback)
+		}
+		for which, v := range map[string]fbView{"seen": p.fbSeen["cap"], "created": p.fbNew["cap"]} {
+			if len(v.fb) != maxFeedback || cap(v.fb) != maxFeedback {
+				return fmt.Errorf("%s view retains %d entries (room for %d), cap is %d", which, len(v.fb), cap(v.fb), maxFeedback)
+			}
+			for i, f := range v.fb {
+				if r := int(f.Params["round"]); r != i/10 {
+					return fmt.Errorf("%s view entry %d came from round %d: ties must keep arrival order", which, i, r)
+				}
+			}
+		}
+		if len(p.fbSeen) != 1 || len(p.fbNew) != 1 {
+			return fmt.Errorf("views under %d and %d names, want 1", len(p.fbSeen), len(p.fbNew))
 		}
 		return nil
 	})

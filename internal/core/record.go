@@ -431,15 +431,9 @@ func (r *recorder) replayRound(p *P, spec *RegionSpec, jr *checkpoint.Round) (*R
 	res.degraded = failed > 0
 	res.timeouts = timeouts
 
-	// Feedback reconstruction mirrors finish(): the owning P's causal view
-	// advances exactly as it did in the recorded life.
-	var out []strategy.Feedback
-	for g := 0; g < n; g++ {
-		if !math.IsNaN(res.scores[g]) && res.haveParams[g] {
-			out = append(out, strategy.Feedback{Params: res.Params(g), Score: res.scores[g]})
-		}
-	}
-	p.addFeedback(spec.Name, out)
+	// As in finish(): the owning P's causal view advances exactly as it did
+	// in the recorded life.
+	p.addFeedback(spec.Name, spec.Minimize, n, res.Score, res.Params)
 
 	t.obsv.noteReplayedRound()
 

@@ -255,16 +255,6 @@ func (rs *regionState) recycleSP(sp *SP) {
 	rs.shape.pool.Put(sp)
 }
 
-// paramMap materializes group g's parameter snapshot as a name-keyed map.
-func (rs *regionState) paramMap(g int) map[string]float64 {
-	s := rs.spans[g]
-	out := make(map[string]float64, s.n)
-	for _, kv := range rs.arena[s.off : s.off+s.n] {
-		out[rs.syms.Name(kv.id)] = kv.v
-	}
-	return out
-}
-
 // ringItem is one committed (variable, value) pair in flight.
 type ringItem struct {
 	x string
@@ -506,7 +496,8 @@ launch:
 }
 
 // finish assembles the Result after all sampling processes of a round are
-// done, records feedback, and updates the memory metric.
+// done, updates the memory metric, and folds the round's scored samples into
+// the owner's feedback views.
 func (rs *regionState) finish() (*Result, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -519,15 +510,6 @@ func (rs *regionState) finish() (*Result, error) {
 		}
 		scores[g] = rs.scoreSum[g] / float64(rs.scoreCnt[g])
 	}
-
-	// Feedback for future rounds of this region.
-	var fb []strategy.Feedback
-	for g := 0; g < rs.n; g++ {
-		if !math.IsNaN(scores[g]) && rs.haveParams[g] {
-			fb = append(fb, strategy.Feedback{Params: rs.paramMap(g), Score: scores[g]})
-		}
-	}
-	rs.owner.addFeedback(rs.spec.Name, fb)
 
 	// Memory metric: values retained in the store, aggregator state, and
 	// the ring's high-water mark of in-flight results.
@@ -581,6 +563,9 @@ func (rs *regionState) finish() (*Result, error) {
 		degraded:   failed > 0,
 		timeouts:   timeouts,
 	}
+	// Feedback for future rounds of this region: every scored sample (one
+	// that is scored also has its parameter snapshot).
+	rs.owner.addFeedback(rs.spec.Name, rs.spec.Minimize, rs.n, res.Score, res.Params)
 
 	if failed == rs.n && rs.n > 0 && !rs.t.opts.Fault.DegradeEmpty {
 		return res, fmt.Errorf("core: region %q: every sampling process failed: %w",

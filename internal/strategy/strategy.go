@@ -159,7 +159,10 @@ func (s *mcmcSampler) Draw(name string, d dist.Dist) float64 {
 
 // SortBestFirst sorts feedback in place so that fb[0] is the best entry:
 // smallest score when minimize is true, largest otherwise. NaN scores sink
-// to the end. The runtime calls this before handing feedback to a Strategy.
+// to the end and ties keep their order. This is the order the runtime hands
+// feedback to a Strategy in; the runtime keeps it incrementally and calls
+// this only on the at most 64 entries (core's maxFeedback) it retains per
+// process and region name, when a name is reused in the other direction.
 func SortBestFirst(fb []Feedback, minimize bool) {
 	less := func(a, b float64) bool {
 		if math.IsNaN(a) {
@@ -173,8 +176,9 @@ func SortBestFirst(fb []Feedback, minimize bool) {
 		}
 		return a > b
 	}
-	// Insertion sort: feedback sets are small and this keeps the package
-	// free of sort.Slice closures allocating per call.
+	// Insertion sort: stable, quadratic, and free of sort.Slice closures
+	// allocating per call — for the runtime's bounded sets, not for whole
+	// histories.
 	for i := 1; i < len(fb); i++ {
 		for j := i; j > 0 && less(fb[j].Score, fb[j-1].Score); j-- {
 			fb[j], fb[j-1] = fb[j-1], fb[j]
