@@ -53,7 +53,6 @@ func main() {
 	resume := flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir if one exists")
 	fleetMax := flag.Int("fleet-max", 0, "autoscale an elastic loopback sampling fleet up to this many workers (wb mode only; 0 = in-process sampling)")
 	fleetMin := flag.Int("fleet-min", 1, "minimum elastic fleet size (with -fleet-max)")
-	snapCacheMB := flag.Int("snap-cache-mb", 0, "dispatcher-side encoded-snapshot cache cap in MiB, for delta shipping (with -fleet-max; 0 = default 64, negative = unbounded)")
 	server := flag.String("server", "", "submit to this wbtuned control plane instead of running locally (e.g. http://localhost:8437)")
 	program := flag.String("program", "synthetic", "service program name (with -server)")
 	jobName := flag.String("job-name", "", "job name on the server (with -server; default cli-<program>-<seed>)")
@@ -139,11 +138,7 @@ func main() {
 	}
 
 	if *fleetMax > 0 {
-		snapCache := *snapCacheMB << 20
-		if *snapCacheMB < 0 {
-			snapCache = -1 // unbounded
-		}
-		restore, err := bench.EnableElasticFleet(*fleetMin, *fleetMax, snapCache, reg)
+		restore, err := bench.EnableElasticFleet(*fleetMin, *fleetMax, reg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wbtune: -fleet-max: %v\n", err)
 			os.Exit(1)
@@ -151,9 +146,6 @@ func main() {
 		defer restore()
 	} else if *fleetMin != 1 {
 		fmt.Fprintln(os.Stderr, "wbtune: -fleet-min requires -fleet-max")
-		os.Exit(2)
-	} else if *snapCacheMB != 0 {
-		fmt.Fprintln(os.Stderr, "wbtune: -snap-cache-mb requires -fleet-max")
 		os.Exit(2)
 	}
 

@@ -43,15 +43,14 @@ import (
 // config is everything main's flags decide — kept separate so tests can
 // build a daemon without going through the flag parser.
 type config struct {
-	httpAddr    string
-	storeDir    string
-	pool        int
-	maxRunning  int
-	queueLimit  int
-	quotas      map[string]jobs.TenantQuota
-	fleetMin    int
-	fleetMax    int
-	snapCacheMB int
+	httpAddr   string
+	storeDir   string
+	pool       int
+	maxRunning int
+	queueLimit int
+	quotas     map[string]jobs.TenantQuota
+	fleetMin   int
+	fleetMax   int
 }
 
 // daemon is one assembled wbtuned instance.
@@ -74,13 +73,8 @@ func newDaemon(cfg config) (*daemon, error) {
 	if cfg.fleetMax > 0 {
 		shared := remote.NewRegistry()
 		vals := remote.NewValueTable()
-		snapCache := cfg.snapCacheMB << 20
-		if cfg.snapCacheMB < 0 {
-			snapCache = -1
-		}
 		d.ex = remote.NewExecutor(remote.ExecutorOptions{
 			Registry: shared, Dynamic: true, Values: vals, Obs: d.reg,
-			SnapCacheBytes: snapCache,
 		})
 		d.rt = core.NewRuntime(core.RuntimeOptions{
 			MaxPool: cfg.pool, Obs: d.reg, Executor: d.ex,
@@ -232,7 +226,6 @@ func main() {
 	})
 	flag.IntVar(&cfg.fleetMax, "fleet-max", 0, "autoscale an elastic loopback sampling fleet up to this many workers (0 = in-process sampling)")
 	flag.IntVar(&cfg.fleetMin, "fleet-min", 1, "minimum elastic fleet size (with -fleet-max)")
-	flag.IntVar(&cfg.snapCacheMB, "snap-cache-mb", 0, "encoded-snapshot cache cap in MiB for delta shipping (0 = default 64, negative = unbounded)")
 	flag.Parse()
 	if cfg.fleetMax == 0 && cfg.fleetMin != 1 {
 		fmt.Fprintln(os.Stderr, "wbtuned: -fleet-min requires -fleet-max")

@@ -211,16 +211,13 @@ func ElasticFleetPerf() ([]PerfResult, float64, error) {
 // benchmark regions are unregistered closures, so workers must share the
 // dispatcher's registry and value table) autoscaled between min and max
 // single-slot workers by a FleetController whose load signal follows the
-// most recently created tuner's runtime. snapCacheBytes caps the
-// dispatcher-side encoded-snapshot cache that backs delta shipping (0 =
-// package default, negative = unbounded). It returns a restore func that
+// most recently created tuner's runtime. It returns a restore func that
 // uninstalls the hooks and tears the fleet down.
-func EnableElasticFleet(min, max, snapCacheBytes int, reg *obs.Registry) (restore func(), err error) {
+func EnableElasticFleet(min, max int, reg *obs.Registry) (restore func(), err error) {
 	shared := remote.NewRegistry()
 	vals := remote.NewValueTable()
 	ex := remote.NewExecutor(remote.ExecutorOptions{
 		Registry: shared, Dynamic: true, Values: vals, Obs: reg,
-		SnapCacheBytes: snapCacheBytes,
 	})
 	var cur atomic.Pointer[core.Runtime]
 	fc := remote.NewFleetController(ex, remote.FleetOptions{

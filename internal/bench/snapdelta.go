@@ -14,11 +14,11 @@ import (
 
 // Incremental-store snapshot benchmark: a tuning program exposes one large
 // blob once and re-exposes one small knob every round — the shape where
-// protocol v4 delta shipping pays. The same workload runs twice: against v4
+// delta snapshot shipping pays. The same workload runs twice: against current
 // workers (full ship once per worker, key-level deltas after) and against
 // workers pinned to protocol v3 (full re-ship every version). Both runs, and
 // an in-process reference run, must produce byte-identical dumps; the gate is
-// the ratio of v3 snapshot bytes to v4 snapshot bytes.
+// the ratio of v3 snapshot bytes to current-protocol snapshot bytes.
 
 // Incremental workload defaults, also recorded in BENCH_<pr>.json.
 const (
@@ -146,7 +146,7 @@ func SnapshotDeltaPerf() ([]PerfResult, float64, error) {
 		}
 		return best, nil
 	}
-	delta, err := measure(0) // 0 = current protocol (v4): delta shipping on
+	delta, err := measure(0) // 0 = current protocol: delta shipping on
 	if err != nil {
 		return nil, 0, err
 	}

@@ -14,12 +14,14 @@ import (
 // [minProtocolVersion, protocolVersion] rejects the connection rather than
 // misparsing frames. Version 3 adds mux chunk frames (large messages
 // interleave as mChunk streams, see mux.go) on top of version 2's
-// job-namespaced snapshots and rounds. Version 4 adds delta snapshot
-// shipping (mSnapDelta/mSnapNack, see snapdelta.go); v3 workers remain fully
-// served — the dispatcher records each worker's negotiated version and ships
-// them full snapshots only.
+// job-namespaced snapshots and rounds. Version 4 adds the delta snapshot
+// frames (mSnapDelta/mSnapNack, see snapdelta.go); version 5 keeps every
+// frame layout and redefines the snapshot hash they carry as a sum of
+// per-entry terms (see snapshot.go). v3 and v4 workers remain fully served —
+// the dispatcher records each worker's negotiated version and ships them
+// full snapshots only, whose hash they treat as an opaque cache key.
 const (
-	protocolVersion    = 4
+	protocolVersion    = 5
 	minProtocolVersion = 3
 )
 
@@ -35,8 +37,8 @@ const (
 	mBye       byte = 8  // worker -> dispatcher: all in-flight flushed, closing
 	mEndJob    byte = 9  // dispatcher -> worker: a job closed, drop its snapshots
 	mChunk     byte = 10 // either direction: one chunk of an interleaved message
-	mSnapDelta byte = 11 // dispatcher -> worker (v4): key-level snapshot delta against a shipped base
-	mSnapNack  byte = 12 // worker -> dispatcher (v4): typed refusal of a delta; answer is a full ship
+	mSnapDelta byte = 11 // dispatcher -> worker (v5): key-level snapshot delta against a shipped base
+	mSnapNack  byte = 12 // worker -> dispatcher (v5): typed refusal of a delta; answer is a full ship
 )
 
 // snapKey names one cached snapshot: job-scoped so co-tenant jobs of a

@@ -22,7 +22,7 @@ func TestSnapshotForRejectsOversize(t *testing.T) {
 	defer ex.Close()
 	e := store.NewExposed()
 	e.Set("global", "big", strings.Repeat("x", maxMessage))
-	if _, _, err := ex.snapshotFor(1, e); !errors.Is(err, ErrMessageTooBig) {
+	if _, err := ex.snapshotFor(1, e); !errors.Is(err, ErrMessageTooBig) {
 		t.Fatalf("snapshotFor on oversize store: %v, want ErrMessageTooBig", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,17 +44,7 @@ type ExecutorOptions struct {
 	// DefaultAffinityWait; negative disables affinity waiting (pure FIFO
 	// stealing, the pre-elastic behaviour).
 	AffinityWait time.Duration
-	// SnapCacheBytes bounds each job's dispatcher-side encoded-snapshot
-	// cache: retained snapshot versions beyond the newest are evicted oldest
-	// first once their bytes exceed the cap (counted by
-	// wbtuner_snapcache_evictions_total), trading delta-ship coverage for
-	// memory. Zero means DefaultSnapCacheBytes; negative disables the bound.
-	SnapCacheBytes int
 }
-
-// DefaultSnapCacheBytes is the default per-job bound on retained encoded
-// snapshot versions (the delta-ship base set).
-const DefaultSnapCacheBytes = 64 << 20
 
 // DefaultAffinityWait is the default bound on how long a sample holds out
 // for a snapshot-affine worker before stealing lands it anywhere. It is
@@ -76,7 +67,6 @@ const DefaultAffinityWait = 2 * time.Millisecond
 type NetExecutor struct {
 	opts    ExecutorOptions
 	affWait time.Duration
-	snapCap int // per-job byte bound on retained snapshot versions
 	fm      *fleetMetrics
 
 	mu        sync.Mutex
@@ -91,46 +81,50 @@ type NetExecutor struct {
 	capLs     []func(delta int) // capacity watchers (scheduler bounds)
 
 	snapMu sync.Mutex
-	snaps  map[uint64]*jobSnap // job id -> encoded-snapshot cache
+	snaps  map[uint64]*jobSnap // job id -> snapshot version cache
 }
 
-// snapVersion is one retained encoded snapshot version of a job. data is
-// immutable once stored and may be referenced by queued bulk items, so
-// eviction only drops the reference (the GC reclaims it; it is never
-// recycled into the buffer pool). delta, when non-nil, is the encoded
-// mSnapDelta frame patching this version's bytes into the job's current
-// version; ratioFail records that the delta existed but exceeded the ratio
-// bound, so ships from this base fall back to full with cause=ratio.
-type snapVersion struct {
+// snapBase is one superseded snapshot version of a job, retained only as a
+// delta-ship base: its store version, its identity, and — no copy of the
+// snapshot itself — the encoded mSnapDelta frame that takes a worker holding
+// it to the job's current version. ratioFail records that the delta existed
+// but exceeded the ratio bound, so ships from this base fall back to full with
+// cause=ratio.
+type snapBase struct {
 	ver       uint64
 	hash      uint64
-	data      []byte
 	delta     []byte
 	ratioFail bool
 }
 
-// maxSnapVersions bounds how many snapshot versions a jobSnap retains,
-// independent of the byte cap. The oldest retained version is the store's
-// tombstone-compaction horizon (every deleted-key record must survive until
-// no retained base predates it), so with small snapshots the byte cap alone
-// would let a long-running service job accumulate versions — and therefore
-// tombstones — without bound. Workers more than maxSnapVersions rounds
-// stale take a full re-ship, which they'd likely need anyway.
+// maxSnapVersions bounds how many delta bases a jobSnap retains behind its
+// current version. Each costs one delta frame of at most half a full
+// encoding, so memory is bounded by construction; the oldest base is also the
+// store's tombstone-compaction horizon (every deleted-key record must survive
+// until no retained base predates it), which is why a long-running service
+// job must not keep every version. Workers more than maxSnapVersions
+// versions stale take a full re-ship, which they'd likely need anyway.
 const maxSnapVersions = 8
 
-// jobSnap caches one job's encoded exposed-store snapshot history. The
-// current version is encoded (or patched) once per store version; older
-// versions are retained, oldest-first in lru and bounded by the byte cap
-// and maxSnapVersions, as delta-ship bases — a worker last sent any
-// retained version receives a key-level patch instead of the full encoding.
-// Per-job entries keep co-tenant jobs on a shared Runtime from thrashing
-// each other's cache between interleaved rounds.
+// jobSnap caches one job's snapshot history: the current version's entries,
+// advanced in O(changed entries) per store version, and the superseded
+// versions' identities, oldest first, as delta-ship bases — a worker last
+// sent any retained version receives a key-level delta instead of the full
+// encoding. Per-job entries keep co-tenant jobs on a shared Runtime from
+// thrashing each other's cache between interleaved rounds.
 type jobSnap struct {
-	store  *store.Exposed
-	cur    *snapVersion
-	byHash map[uint64]*snapVersion // every retained version, cur included
-	lru    []uint64                // retained hashes, oldest first; cur last
-	bytes  int                     // sum of len(data) over byHash
+	store *store.Exposed
+	ver   uint64 // store version cur reflects
+	cur   *snapVersion
+	bases []*snapBase
+}
+
+// horizon is the oldest store version any retained identity reflects.
+func (s *jobSnap) horizon() uint64 {
+	if len(s.bases) > 0 {
+		return s.bases[0].ver
+	}
+	return s.ver
 }
 
 // NewExecutor returns an executor with no workers; add them with AddConn or
@@ -145,14 +139,6 @@ func NewExecutor(opts ExecutorOptions) *NetExecutor {
 		ex.affWait = opts.AffinityWait
 	case opts.AffinityWait == 0:
 		ex.affWait = DefaultAffinityWait
-	}
-	switch {
-	case opts.SnapCacheBytes > 0:
-		ex.snapCap = opts.SnapCacheBytes
-	case opts.SnapCacheBytes == 0:
-		ex.snapCap = DefaultSnapCacheBytes
-	default:
-		ex.snapCap = int(^uint(0) >> 1) // unbounded
 	}
 	if opts.Obs != nil {
 		ex.fm = newFleetMetrics(opts.Obs)
@@ -223,7 +209,7 @@ type dworker struct {
 	wire       *muxWriter
 	name       string
 	slots      int
-	proto      uint64 // negotiated protocol version; < 4 never receives deltas
+	proto      uint64 // negotiated protocol version; < snapDeltaProto never receives deltas
 	chunkBound int    // per-connection demux stream bound; 0 = protocol default
 	m          *workerMetrics
 
@@ -233,7 +219,7 @@ type dworker struct {
 	// exempt — they ride the bulk lane and tasks park worker-side until
 	// theirs lands.
 	shipMu     sync.Mutex
-	sentSnaps  map[snapKey]bool
+	sentSnaps  map[uint64]map[uint64]struct{} // job id -> identities queued to this worker
 	sentRounds map[uint64]bool
 
 	// bulkq feeds the bulk-lane goroutine, which streams snapshot ships as
@@ -250,9 +236,9 @@ type dworker struct {
 	haveSnaps map[snapKey]struct{} // dispatcher-side affinity index
 }
 
-// bulkItem is one snapshot ship queued on the bulk lane: a full snapshot
+// bulkItem is one snapshot ship queued on the bulk lane: a full encoding
 // (data) or, when delta is non-nil, a complete encoded mSnapDelta frame
-// patching a base the worker already holds into version hash.
+// taking a base the worker already holds to version hash.
 type bulkItem struct {
 	job, hash uint64
 	data      []byte
@@ -290,12 +276,11 @@ type callOutcome struct {
 
 // roundState is the executor's BeginRound handle.
 type roundState struct {
-	id       uint64
-	job      uint64
-	dyn      uint64
-	payload  []byte // encoded round frame
-	snapHash uint64
-	snapData []byte
+	id      uint64
+	job     uint64
+	dyn     uint64
+	payload []byte       // encoded round frame
+	snap    *snapVersion // the store version the round samples under; nil if none
 }
 
 // Dial connects to a worker's TCP listen address and adds it to the fleet.
@@ -388,7 +373,7 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 		proto:      hello.Version,
 		chunkBound: tn.MaxInflightChunks,
 		m:          m,
-		sentSnaps:  make(map[snapKey]bool),
+		sentSnaps:  make(map[uint64]map[uint64]struct{}),
 		sentRounds: make(map[uint64]bool),
 		bulkq:      make(chan bulkItem, bulkCap),
 		stop:       make(chan struct{}),
@@ -413,100 +398,134 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 // instead of paying a full snapshot round-trip at dispatch time.
 func (ex *NetExecutor) warmWorker(w *dworker) {
 	ex.snapMu.Lock()
-	items := make([]bulkItem, 0, len(ex.snaps))
+	curs := make(map[uint64]*snapVersion, len(ex.snaps))
 	for job, s := range ex.snaps {
-		if s.cur != nil {
-			items = append(items, bulkItem{job: job, hash: s.cur.hash, data: s.cur.data})
-		}
+		curs[job] = s.cur
 	}
 	ex.snapMu.Unlock()
-	for _, it := range items {
-		sk := snapKey{job: it.job, hash: it.hash}
-		w.shipMu.Lock()
-		if !w.sentSnaps[sk] {
-			if err := w.queueSnapshotLocked(it.job, it.hash, it.data); err != nil {
-				w.shipMu.Unlock()
-				return
-			}
+	for job, v := range curs {
+		if ex.shipSnapshot(w, job, v) != nil {
+			return
 		}
-		w.shipMu.Unlock()
-		ex.mu.Lock()
-		if !w.dead {
-			w.haveSnaps[sk] = struct{}{}
-		}
-		ex.mu.Unlock()
 	}
 }
 
-// queueSnapshotLocked queues the (job, hash) snapshot on w's bulk lane,
-// shipping a delta against a base this worker already holds when the v4
-// rules allow it and the full encoding otherwise. Callers hold w.shipMu and
-// have checked sentSnaps.
-func (w *dworker) queueSnapshotLocked(job, hash uint64, data []byte) error {
-	sk := snapKey{job: job, hash: hash}
-	it := w.ex.snapItem(w, sk, data)
-	w.sentSnaps[sk] = true
+// shipSnapshot makes sure version v of job's snapshot is queued to w and
+// marks w as an affinity holder of it — the pre-shipping step PrimeSnapshot
+// and warmWorker share.
+func (ex *NetExecutor) shipSnapshot(w *dworker, job uint64, v *snapVersion) error {
+	sk := snapKey{job: job, hash: v.hash}
+	w.shipMu.Lock()
+	var err error
+	if _, sent := w.sentSnaps[job][v.hash]; !sent {
+		if w.m != nil {
+			w.m.snapMisses.Inc()
+		}
+		err = w.queueLocked(ex.snapItem(w, job, v))
+	}
+	w.shipMu.Unlock()
+	if err != nil {
+		return err
+	}
+	ex.mu.Lock()
+	if !w.dead {
+		w.haveSnaps[sk] = struct{}{}
+	}
+	ex.mu.Unlock()
+	return nil
+}
+
+// queueLocked feeds one snapshot ship to w's bulk lane and records its version
+// as sent; a worker that stopped meanwhile is left un-marked, so a later
+// round's ship to a reconnected worker is not suppressed. Callers hold
+// w.shipMu and have checked sentSnaps.
+func (w *dworker) queueLocked(it bulkItem) error {
+	sent := w.sentSnaps[it.job]
+	if sent == nil {
+		sent = make(map[uint64]struct{}, maxSnapVersions+1)
+		w.sentSnaps[it.job] = sent
+	}
+	sent[it.hash] = struct{}{}
 	select {
 	case w.bulkq <- it:
 		return nil
 	case <-w.stop:
-		delete(w.sentSnaps, sk)
+		delete(sent, it.hash)
 		return errWorkerStopped
 	}
 }
 
-// snapItem decides how (job, hash) reaches w: an mSnapDelta against the
-// newest retained base already queued to this worker when the worker speaks
-// v4 and the cached delta passed the ratio bound; the full encoding
-// otherwise, counting why the delta path was unavailable. Callers hold
-// w.shipMu (which guards w.sentSnaps); snapMu nests inside it.
-func (ex *NetExecutor) snapItem(w *dworker, sk snapKey, data []byte) bulkItem {
-	full := bulkItem{job: sk.job, hash: sk.hash, data: data}
+// snapItem decides how version v of job's snapshot reaches w: an mSnapDelta
+// against the newest retained base already queued to this worker when the
+// worker speaks v5 and the cached delta passed the ratio bound; the full
+// encoding — materialised here, on first need — otherwise, counting why the
+// delta path was unavailable. Callers hold w.shipMu (which guards
+// w.sentSnaps); snapMu nests inside it.
+func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem {
+	sent, known := w.sentSnaps[job]
+	var delta []byte
+	hadRatio := false
 	ex.snapMu.Lock()
-	defer ex.snapMu.Unlock()
-	s := ex.snaps[sk.job]
-	if s == nil || s.cur == nil || s.cur.hash != sk.hash {
-		// Not the version the delta cache targets (a stale round's data or a
-		// dropped cache): nothing to patch from, and nothing to count — no
-		// delta ever existed for this ship.
-		ex.countSnapBytes(false, len(data))
-		return full
-	}
-	var best *snapVersion
-	hadBase, hadRatio := false, false
-	for osk := range w.sentSnaps {
-		if osk.job != sk.job || osk.hash == sk.hash {
-			continue
-		}
-		hadBase = true
-		b := s.byHash[osk.hash]
-		if b == nil || b == s.cur {
-			continue
-		}
-		if b.ratioFail {
-			hadRatio = true
-			continue
-		}
-		if b.delta != nil && (best == nil || b.ver > best.ver) {
-			best = b
+	s := ex.snaps[job]
+	current := s != nil && s.cur == v
+	if current && known && w.proto >= snapDeltaProto {
+		for _, b := range s.bases { // oldest first: the last usable one is the newest
+			if _, ok := sent[b.hash]; !ok {
+				continue
+			}
+			if b.ratioFail {
+				hadRatio = true
+			} else {
+				delta = b.delta // refreshed under snapMu by every advance
+			}
 		}
 	}
+	ex.snapMu.Unlock()
 	switch {
-	case !hadBase:
+	case !current:
+		// Not the version the delta cache targets (a stale round, or a dropped
+		// cache): nothing to count — no delta ever existed for this ship.
+	case !known:
 		// Cold worker for this job: the first ship is necessarily full.
 	case w.proto < snapDeltaProto:
 		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackVer })
-	case best != nil:
-		ex.countSnapBytes(true, len(best.delta))
-		return bulkItem{job: sk.job, hash: sk.hash, delta: best.delta}
+	case delta != nil:
+		ex.countSnapBytes(true, len(delta))
+		return bulkItem{job: job, hash: v.hash, delta: delta}
 	case hadRatio:
 		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackRatio })
 	default:
-		// Every base this worker holds was evicted from the dispatcher cache.
+		// Every version this worker was sent has left the dispatcher cache.
 		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackBase })
 	}
+	data := v.encoded()
 	ex.countSnapBytes(false, len(data))
-	return full
+	return bulkItem{job: job, hash: v.hash, data: data}
+}
+
+// forgetSnaps drops identities that left a job's snapshot cache from every
+// worker's sent and affinity indexes, so neither grows with a job's version
+// count. The job's key itself stays in sentSnaps: a worker whose every known
+// version was evicted is stale (a counted base fallback), not cold.
+func (ex *NetExecutor) forgetSnaps(job uint64, hashes []uint64) {
+	if len(hashes) == 0 {
+		return
+	}
+	ex.mu.Lock()
+	workers := append([]*dworker(nil), ex.workers...)
+	for _, w := range workers {
+		for _, h := range hashes {
+			delete(w.haveSnaps, snapKey{job: job, hash: h})
+		}
+	}
+	ex.mu.Unlock()
+	for _, w := range workers {
+		w.shipMu.Lock()
+		for _, h := range hashes {
+			delete(w.sentSnaps[job], h)
+		}
+		w.shipMu.Unlock()
+	}
 }
 
 func (ex *NetExecutor) countSnapBytes(delta bool, n int) {
@@ -608,58 +627,54 @@ func (ex *NetExecutor) RemoveConn(ctx context.Context, name string) error {
 	return expired
 }
 
-// snapshotFor encodes (or reuses) the snapshot of a job's exposed store,
-// cached per job by the store's version counter so unchanged @load state is
-// encoded once per version, not once per round — even while other jobs'
-// rounds interleave on the same executor.
+// snapshotFor returns the snapshot version of a job's exposed store (nil for
+// an empty store), cached per job by the store's version counter so unchanged
+// @load state costs nothing per round — even while other jobs' rounds
+// interleave on the same executor.
 //
-// A job's first snapshot is a fresh encodeSnapshot; every later version's
-// canonical encoding is *defined* as applySnapDelta(previous, delta) — see
-// snapdelta.go for why re-encoding would break hash stability. The per-base
-// delta payloads workers receive are computed here, eagerly: BeginRound runs
-// while the job's store is quiescent, so one ChangedSince scan covers every
-// retained base and ship time never races a concurrent Set.
-func (ex *NetExecutor) snapshotFor(job uint64, e *store.Exposed) ([]byte, uint64, error) {
+// A job's first snapshot encodes every value once; every later version is
+// the previous one with only the entries the store reports changed spliced
+// in. The per-base delta frames workers receive are built here, eagerly:
+// BeginRound runs while the job's store is quiescent, so one ChangedSince
+// scan covers every retained base and ship time never races a concurrent Set.
+func (ex *NetExecutor) snapshotFor(job uint64, e *store.Exposed) (*snapVersion, error) {
 	if e == nil || e.Len() == 0 {
-		return nil, 0, nil
+		return nil, nil
 	}
 	ex.snapMu.Lock()
-	defer ex.snapMu.Unlock()
 	ver := e.Version()
 	s := ex.snaps[job]
-	if s != nil && s.store == e && s.cur.ver == ver {
-		return s.cur.data, s.cur.hash, nil
-	}
 	if s == nil || s.store != e {
 		// First snapshot for this job (or the job re-bound to a fresh store,
-		// e.g. after resume): full encode, fresh history.
-		data, hash, err := encodeSnapshot(e, ex.opts.Values)
+		// e.g. after resume): encode everything, fresh history.
+		defer ex.snapMu.Unlock()
+		cur, err := newSnapVersion(e, ex.opts.Values)
+		if err == nil {
+			err = checkSnapshotSize(snapBound(cur.ents))
+		}
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		if err := checkSnapshotSize(len(data)); err != nil {
-			return nil, 0, err
-		}
-		cur := &snapVersion{ver: ver, hash: hash, data: data}
-		ex.snaps[job] = &jobSnap{
-			store:  e,
-			cur:    cur,
-			byHash: map[uint64]*snapVersion{hash: cur},
-			lru:    []uint64{hash},
-			bytes:  len(data),
-		}
-		return data, hash, nil
+		ex.snaps[job] = &jobSnap{store: e, ver: ver, cur: cur}
+		return cur, nil
 	}
-	data, hash, err := ex.advanceSnapLocked(job, e, s, ver)
+	var gone []uint64
+	var err error
+	if s.ver != ver {
+		gone, err = ex.advanceSnapLocked(job, e, s, ver)
+	}
+	cur := s.cur
+	ex.snapMu.Unlock()
+	ex.forgetSnaps(job, gone) // takes ex.mu and shipMu, which snapMu nests inside
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return data, hash, nil
+	return cur, nil
 }
 
-// checkSnapshotSize enforces the wire cap at encode time: an exposed store
-// too large to ship fails the round over to the in-process path instead of
-// letting the worker drop the connection on an oversized frame.
+// checkSnapshotSize enforces the wire cap when a version is built: an exposed
+// store too large to ship fails the round over to the in-process path instead
+// of letting the worker drop the connection on an oversized frame.
 func checkSnapshotSize(n int) error {
 	if n+snapshotOverhead > maxMessage {
 		return fmt.Errorf("%w: %d-byte exposed-store snapshot", ErrMessageTooBig, n)
@@ -668,136 +683,97 @@ func checkSnapshotSize(n int) error {
 }
 
 // advanceSnapLocked moves job's snapshot cache from s.cur to the store's
-// current version: it patches the previous canonical encoding with the keys
-// changed since it, then refreshes every retained base's cached delta to
-// target the new version, evicting oldest bases past the byte cap. Callers
-// hold ex.snapMu.
-func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSnap, ver uint64) ([]byte, uint64, error) {
+// current version in O(changed entries) of encoding and hashing: it encodes
+// the values set since s.ver, splices them into the previous entry list,
+// retains the previous version's identity as a delta base, and refreshes
+// every retained base's cached delta to target the new version. It returns
+// the identities evicted past maxSnapVersions. Callers hold ex.snapMu.
+func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSnap, ver uint64) ([]uint64, error) {
 	prev := s.cur
-	oldest := s.byHash[s.lru[0]].ver
-	changed, deleted := e.ChangedSince(oldest)
+	changed, deleted := e.ChangedSince(s.horizon())
 
 	// Encode each value changed since the previous version exactly once;
-	// these bytes become part of the new canonical encoding.
-	vw := &wire.Writer{}
-	var chPrev []encEntry
+	// these bytes are what the new version and every delta to it carry.
+	var scratch wire.Writer
+	var chPrev []snapEntry
 	for _, c := range changed {
-		if c.Ver <= prev.ver {
+		if c.Ver <= s.ver {
 			continue
 		}
-		start := len(vw.B)
-		if err := appendValue(vw, c.V, ex.opts.Values); err != nil {
-			return nil, 0, err
+		en, err := encodeEntry(&scratch, c.Scope, c.Name, c.V, ex.opts.Values)
+		if err != nil {
+			return nil, err
 		}
-		chPrev = append(chPrev, encEntry{scope: c.Scope, name: c.Name, val: vw.B[start:]})
+		chPrev = append(chPrev, en)
 	}
 	var delPrev []delKey
 	for _, d := range deleted {
-		if d.Ver > prev.ver {
+		if d.Ver > s.ver {
 			delPrev = append(delPrev, delKey{scope: d.Scope, name: d.Name})
 		}
 	}
-	d := &snapDelta{Job: job, BaseHash: prev.hash, Changed: chPrev, Deleted: delPrev}
-	newData, err := applySnapDelta(prev.data, d)
-	if err != nil {
-		return nil, 0, err // unreachable on our own encodings
-	}
-	newHash := wire.FNV1a(newData)
-	if newHash == prev.hash {
+	ents, sum := spliceEntries(prev.ents, prev.sum, chPrev, delPrev)
+	hash := snapIdentity(sum)
+	if hash == prev.hash {
 		// Content-identical rewrite (same values re-Set, or scratch keys
 		// Set and Deleted within one round): nothing to ship, but tombstones
 		// behind the retention horizon still fall off — without this a
 		// service job churning per-round scratch keys back to identical
 		// content would grow the deleted-key map forever.
-		wire.Free(newData)
-		prev.ver = ver
-		e.CompactDeletions(s.byHash[s.lru[0]].ver)
-		return prev.data, prev.hash, nil
+		s.ver = ver
+		e.CompactDeletions(s.horizon())
+		return nil, nil
 	}
-	if err := checkSnapshotSize(len(newData)); err != nil {
-		wire.Free(newData)
-		return nil, 0, err
-	}
-	d.NewHash = newHash
-
-	// Index the new encoding so per-base deltas slice current value bytes
-	// out of it instead of re-encoding (which would change handle ids).
-	ents, err := parseSnapEntries(newData)
-	if err != nil {
-		return nil, 0, err // unreachable: we just built it
-	}
-	index := make(map[delKey][]byte, len(ents))
-	for _, en := range ents {
-		index[delKey{scope: en.scope, name: en.name}] = en.val
+	bound := snapBound(ents)
+	if err := checkSnapshotSize(bound); err != nil {
+		return nil, err
 	}
 
-	prev.setDelta(encodeSnapDelta(d), len(newData))
-	for _, h := range s.lru {
-		b := s.byHash[h]
-		if b == prev {
-			continue
-		}
-		var ch []encEntry
-		var del []delKey
-		for _, c := range changed {
-			if c.Ver <= b.ver {
-				continue
-			}
-			if val, ok := index[delKey{scope: c.Scope, name: c.Name}]; ok {
-				ch = append(ch, encEntry{scope: c.Scope, name: c.Name, val: val})
-			}
-		}
-		for _, dk := range deleted {
-			if dk.Ver > b.ver {
-				del = append(del, delKey{scope: dk.Scope, name: dk.Name})
-			}
-		}
-		b.setDelta(encodeSnapDelta(&snapDelta{
-			Job: job, BaseHash: b.hash, NewHash: newHash, Changed: ch, Deleted: del,
-		}), len(newData))
-	}
-
-	// A content hash seen before (a store that cycled back to earlier
-	// contents) re-enters as the current version rather than duplicating.
-	if old, ok := s.byHash[newHash]; ok {
-		for i, h := range s.lru {
-			if h == newHash {
-				s.lru = append(s.lru[:i], s.lru[i+1:]...)
-				break
-			}
-		}
-		s.bytes -= len(old.data)
-		delete(s.byHash, newHash)
-	}
-	cur := &snapVersion{ver: ver, hash: newHash, data: newData}
-	s.byHash[newHash] = cur
-	s.lru = append(s.lru, newHash)
-	s.cur = cur
-	s.bytes += len(newData)
-	for (s.bytes > ex.snapCap || len(s.lru) > maxSnapVersions) && len(s.lru) > 1 {
-		h := s.lru[0]
-		s.lru = s.lru[1:]
-		s.bytes -= len(s.byHash[h].data)
-		delete(s.byHash, h)
+	// The previous version becomes a base, the oldest beyond maxSnapVersions
+	// are evicted, and a store that cycled back to earlier contents re-enters
+	// as the current version: its old identity stops being a base.
+	s.bases = slices.DeleteFunc(append(s.bases, &snapBase{ver: s.ver, hash: prev.hash}),
+		func(b *snapBase) bool { return b.hash == hash })
+	var gone []uint64
+	for len(s.bases) > maxSnapVersions {
+		gone = append(gone, s.bases[0].hash)
+		s.bases = s.bases[1:]
 		if ex.fm != nil {
 			ex.fm.snapEvictions.Inc()
 		}
 	}
+	for _, b := range s.bases {
+		d := snapDelta{Job: job, BaseHash: b.hash, NewHash: hash}
+		for _, c := range changed {
+			if c.Ver <= b.ver {
+				continue
+			}
+			// Current value bytes come from the new version, never from a
+			// re-encode (which would change handle ids).
+			if i, ok := slices.BinarySearchFunc(ents, c, func(en snapEntry, c store.ChangedKV) int {
+				return cmpEntryKey(en.scope, en.name, c.Scope, c.Name)
+			}); ok {
+				d.Changed = append(d.Changed, ents[i])
+			}
+		}
+		for _, dk := range deleted {
+			if dk.Ver > b.ver {
+				d.Deleted = append(d.Deleted, delKey{scope: dk.Scope, name: dk.Name})
+			}
+		}
+		// Keep the frame unless it exceeds the ratio bound (half the full
+		// encoding, by its upper bound): then ships from this base fall back
+		// to full with cause=ratio.
+		b.delta = encodeSnapDelta(&d)
+		if b.ratioFail = len(b.delta)*2 > bound; b.ratioFail {
+			b.delta = nil
+		}
+	}
+	s.cur, s.ver = &snapVersion{ents: ents, sum: sum, hash: hash}, ver
 	// Tombstones at or below the oldest retained version can never be asked
 	// about again.
-	e.CompactDeletions(s.byHash[s.lru[0]].ver)
-	return newData, newHash, nil
-}
-
-// setDelta caches payload as v's patch to the new current version unless it
-// exceeds the ratio bound (half the full encoding), in which case ships from
-// this base fall back to full with cause=ratio.
-func (v *snapVersion) setDelta(payload []byte, fullLen int) {
-	if len(payload)*2 <= fullLen {
-		v.delta, v.ratioFail = payload, false
-	} else {
-		v.delta, v.ratioFail = nil, true
-	}
+	e.CompactDeletions(s.horizon())
+	return gone, nil
 }
 
 // snapshotOverhead bounds the snapshot message's framing prefix (type byte,
@@ -822,7 +798,7 @@ func (ex *NetExecutor) BeginRound(r core.RoundTask) (any, error) {
 		}
 		dyn = ex.opts.Registry.registerDynamic(Registration{Spec: r.Spec, Body: r.Body})
 	}
-	data, hash, err := ex.snapshotFor(r.Job, r.Exposed)
+	snap, err := ex.snapshotFor(r.Job, r.Exposed)
 	if err != nil {
 		if dyn != 0 {
 			ex.opts.Registry.releaseDynamic(dyn)
@@ -833,7 +809,11 @@ func (ex *NetExecutor) BeginRound(r core.RoundTask) (any, error) {
 	ex.nextRound++
 	id := ex.nextRound
 	ex.mu.Unlock()
-	rs := &roundState{id: id, job: r.Job, dyn: dyn, snapHash: hash, snapData: data}
+	rs := &roundState{id: id, job: r.Job, dyn: dyn, snap: snap}
+	var hash uint64
+	if snap != nil {
+		hash = snap.hash
+	}
 	rs.payload = encodeRound(roundMsg{
 		ID:       id,
 		Job:      r.Job,
@@ -878,7 +858,7 @@ func (ex *NetExecutor) EndRound(handle any) {
 }
 
 // EndJob retires one tuning job's executor state: the dispatcher-side
-// encoded-snapshot cache entry is dropped and every live worker is told to
+// snapshot cache entry is dropped and every live worker is told to
 // evict the job's decoded snapshots. core.Tuner.Close calls it (via the
 // core.JobEnder interface) when a job on a shared Runtime shuts down, so a
 // long-lived executor does not accumulate state for departed tenants.
@@ -902,14 +882,8 @@ func (ex *NetExecutor) EndJob(job uint64) {
 	payload := encodeEndJob(job)
 	for _, w := range workers {
 		w.shipMu.Lock()
-		sent := false
-		for sk := range w.sentSnaps {
-			if sk.job == job {
-				delete(w.sentSnaps, sk)
-				sent = true
-			}
-		}
-		if sent {
+		if _, sent := w.sentSnaps[job]; sent {
+			delete(w.sentSnaps, job)
 			w.wire.writeMsg(payload)
 		}
 		w.shipMu.Unlock()
@@ -924,8 +898,8 @@ func (ex *NetExecutor) Execute(ctx context.Context, handle any, group, attempt i
 		return core.ExecResult{}, core.ErrExecUnsupported
 	}
 	c := &call{r: rs, group: group, attempt: attempt, done: make(chan callOutcome, 1), enq: time.Now()}
-	if rs.snapData != nil {
-		c.sk = snapKey{job: rs.job, hash: rs.snapHash}
+	if rs.snap != nil {
+		c.sk = snapKey{job: rs.job, hash: rs.snap.hash}
 	}
 	ex.mu.Lock()
 	if ex.closed || ex.liveLocked() == 0 {
@@ -1136,13 +1110,12 @@ func (w *dworker) ship(c *call) error {
 	w.shipMu.Lock()
 	defer w.shipMu.Unlock()
 	rs := c.r
-	sk := snapKey{job: rs.job, hash: rs.snapHash}
-	if rs.snapData != nil {
-		if !w.sentSnaps[sk] {
+	if rs.snap != nil {
+		if _, sent := w.sentSnaps[rs.job][rs.snap.hash]; !sent {
 			if w.m != nil {
 				w.m.snapMisses.Inc()
 			}
-			if err := w.queueSnapshotLocked(rs.job, rs.snapHash, rs.snapData); err != nil {
+			if err := w.queueLocked(w.ex.snapItem(w, rs.job, rs.snap)); err != nil {
 				return err
 			}
 		} else if w.m != nil {
@@ -1266,34 +1239,27 @@ func (w *dworker) readLoop() {
 var errWorkerBye = fmt.Errorf("remote: worker drained and disconnected")
 
 // handleSnapNack answers a worker's typed delta refusal (base missing from
-// its cache, or a post-patch hash mismatch) with an immediate full ship of
-// the refused version — divergence heals in one round trip; it is never
-// silent. The sent mark is cleared first so that even if the encoded bytes
-// are no longer retained, a later round re-ships rather than wedging the
-// worker's parked tasks until snapWaitTimeout bounces them.
+// its cache, or a spliced identity that did not match) with an immediate full
+// ship of the refused version — divergence heals in one round trip; it is
+// never silent. The sent mark is cleared first so that if the refused version
+// is no longer the job's current one, a later round re-ships rather than
+// wedging the worker's parked tasks until snapWaitTimeout bounces them.
 func (ex *NetExecutor) handleSnapNack(w *dworker, n snapNack) {
 	ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackNack })
 	ex.snapMu.Lock()
-	var data []byte
-	if s := ex.snaps[n.Job]; s != nil {
-		if v := s.byHash[n.NewHash]; v != nil {
-			data = v.data
-		}
+	var v *snapVersion
+	if s := ex.snaps[n.Job]; s != nil && s.cur.hash == n.NewHash {
+		v = s.cur
 	}
 	ex.snapMu.Unlock()
-	sk := snapKey{job: n.Job, hash: n.NewHash}
 	w.shipMu.Lock()
-	delete(w.sentSnaps, sk)
-	if data != nil {
-		w.sentSnaps[sk] = true
+	defer w.shipMu.Unlock()
+	delete(w.sentSnaps[n.Job], n.NewHash)
+	if v != nil {
+		data := v.encoded()
 		ex.countSnapBytes(false, len(data))
-		select {
-		case w.bulkq <- bulkItem{job: n.Job, hash: n.NewHash, data: data}:
-		case <-w.stop:
-			delete(w.sentSnaps, sk)
-		}
+		_ = w.queueLocked(bulkItem{job: n.Job, hash: n.NewHash, data: data}) // a stopped worker needs no answer
 	}
-	w.shipMu.Unlock()
 }
 
 // deliver hands one result to its waiting Execute call and frees the slot.

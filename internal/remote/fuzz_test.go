@@ -116,17 +116,20 @@ func FuzzFrameDecode(f *testing.F) {
 				if rb.Err() != nil {
 					continue
 				}
-				e, err := decodeSnapshot(rb.Rest(), nil)
+				s, err := decodeSnapshot(rb.Rest(), nil)
 				if err != nil {
 					continue
 				}
-				sb, _, err := encodeSnapshot(e, nil)
+				sb, hash, err := encodeSnapshot(s.e, nil)
 				if err != nil {
 					t.Fatalf("re-encode of decoded snapshot failed: %v", err)
 				}
-				e2, err := decodeSnapshot(sb, nil)
-				if err != nil || fmt.Sprintf("%#v", e2.Entries()) != fmt.Sprintf("%#v", e.Entries()) {
+				s2, err := decodeSnapshot(sb, nil)
+				if err != nil || fmt.Sprintf("%#v", s2.e.Entries()) != fmt.Sprintf("%#v", s.e.Entries()) {
 					t.Fatalf("snapshot round trip diverged: %v", err)
+				}
+				if got := snapIdentity(s2.sum); got != hash {
+					t.Fatalf("canonical re-encode has identity %#x, its decode %#x", hash, got)
 				}
 			}
 		}
@@ -217,39 +220,42 @@ func fuzzDeltaBase() ([]byte, uint64) {
 }
 
 // FuzzSnapDeltaDecode feeds arbitrary bytes through the delta path exactly as
-// a worker read loop would: decode the mSnapDelta payload, then patch the
-// fixed base snapshot with it. Nothing may panic — malformed symbol ids,
-// hostile counts, truncated value bytes, wrong hashes, and unsorted or
-// duplicate keys must all come back as errors or as patches the post-patch
-// hash check rejects. Decoded deltas must survive a re-encode/re-decode round
-// trip, and every successful patch must still parse as a snapshot encoding.
-// The seed corpus in testdata covers the valid-delta, hash-mismatch,
-// base-missing, and truncation shapes the nack protocol distinguishes.
+// a worker read loop would: decode the mSnapDelta payload, then apply it to a
+// worker holding the fixed base snapshot. Nothing may panic — malformed symbol
+// ids, hostile counts, truncated value bytes, wrong hashes, and unsorted or
+// duplicate keys must all come back as errors or as typed refusals that
+// install nothing. Decoded deltas must survive a re-encode/re-decode round
+// trip, the reference byte patch of the same delta must still parse as a
+// snapshot encoding, and whatever the worker does install must be exactly what
+// the reference patch decodes to, under the identity the frame named. The
+// seed corpus in testdata covers the valid-delta, hash-mismatch, base-missing,
+// and truncation shapes the nack protocol distinguishes.
 func FuzzSnapDeltaDecode(f *testing.F) {
 	base, baseHash := fuzzDeltaBase()
+	baseSnap, err := decodeSnapshot(base, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	// A well-formed delta: replace one key, add one, delete one — with the
-	// true post-patch hash, the shape a healthy v4 stream carries.
-	valid := &snapDelta{BaseHash: baseHash, Changed: []encEntry{
-		{scope: "global", name: "knob", val: func() []byte {
-			w := &wire.Writer{}
-			w.U8(vFloat64)
-			w.F64(2.5)
-			return w.B
-		}()},
+	// true identity of the result, the shape a healthy stream carries.
+	f64 := &wire.Writer{}
+	f64.U8(vFloat64)
+	f64.F64(2.5)
+	valid := &snapDelta{BaseHash: baseHash, Changed: []snapEntry{
+		{scope: "global", name: "knob", val: f64.B},
 		{scope: "global", name: "new", val: []byte{vNil}},
 	}, Deleted: []delKey{{scope: "global", name: "tag"}}}
-	if patched, err := applySnapDelta(base, valid); err == nil {
-		valid.NewHash = wire.FNV1a(patched)
-		wire.Free(patched)
+	if patched, err := oraclePatch(base, valid); err == nil {
+		valid.NewHash, _ = oracleIdentity(patched)
 	}
 	vb := encodeSnapDelta(valid)
 	f.Add(vb[1:])
-	// Hash mismatch: the patch applies but must fail verification.
+	// Hash mismatch: the delta applies but must fail verification.
 	wrongHash := *valid
 	wrongHash.NewHash ^= 1
 	f.Add(encodeSnapDelta(&wrongHash)[1:])
-	// Base missing: refers to an encoding nobody holds.
+	// Base missing: refers to a snapshot nobody holds.
 	noBase := *valid
 	noBase.BaseHash ^= 1
 	f.Add(encodeSnapDelta(&noBase)[1:])
@@ -283,22 +289,46 @@ func FuzzSnapDeltaDecode(f *testing.F) {
 		if err != nil || fmt.Sprintf("%#v", d2) != fmt.Sprintf("%#v", d) {
 			t.Fatalf("delta round trip diverged: %v", err)
 		}
-		patched, err := applySnapDelta(base, &d)
+		// The reference patch output must itself be a parseable encoding.
+		patched, err := oraclePatch(base, &d)
 		if err != nil {
-			return
+			t.Fatalf("reference patch of a decodable delta failed: %v", err)
 		}
-		// The patch output must itself be a parseable snapshot encoding.
-		if _, err := parseSnapEntries(patched); err != nil {
+		want, err := oracleIdentity(patched)
+		if err != nil {
 			t.Fatalf("patch produced an unparseable encoding: %v", err)
 		}
-		// When the hash verifies (as the worker requires before install),
-		// decoding may still reject unresolvable values, but never panic.
-		if wire.FNV1a(patched) == d.NewHash {
-			if e, err := decodeSnapshot(patched, nil); err == nil {
-				_ = e.Entries()
+
+		w := NewWorker(WorkerOptions{Registry: Builtins()})
+		w.installSnapshot(d.Job, baseHash, baseSnap)
+		cause, err := w.applyDelta(&d)
+		got, held := w.snapshot(d.Job, d.NewHash)
+		installed := held && got != baseSnap // a delta may name the base's own identity
+		switch {
+		case err != nil: // a value no standalone worker can resolve
+			if installed {
+				t.Fatal("a delta that failed to decode installed a snapshot")
+			}
+		case d.BaseHash != baseHash:
+			if cause != nackBaseMissing || installed {
+				t.Fatalf("unknown base: nack cause %d, installed %v", cause, installed)
+			}
+		case want != d.NewHash:
+			if cause != nackHashMismatch || installed {
+				t.Fatalf("identity %#x named as %#x: nack cause %d, installed %v", want, d.NewHash, cause, installed)
+			}
+		default:
+			if cause != 0 || !held {
+				t.Fatalf("verified delta refused: nack cause %d, held %v", cause, held)
+			}
+			ref, err := oracleDecode(patched, nil)
+			if err != nil {
+				t.Fatalf("worker installed what the reference cannot decode: %v", err)
+			}
+			if fmt.Sprintf("%#v", got.e.Entries()) != fmt.Sprintf("%#v", ref.Entries()) {
+				t.Fatalf("worker installed %#v, reference patch decodes to %#v", got.e.Entries(), ref.Entries())
 			}
 		}
-		wire.Free(patched)
 	})
 }
 

@@ -46,15 +46,15 @@ const (
 	MetricAffinityMisses = "wbtuner_affinity_miss_total"
 	// MetricSnapshotBytes counts encoded snapshot payload bytes queued for
 	// shipment, labeled mode=full|delta. The full/delta ratio on an
-	// incremental-store workload is the v4 protocol's figure of merit.
+	// incremental-store workload is delta shipping's figure of merit.
 	MetricSnapshotBytes = "wbtuner_snapshot_bytes_total"
 	// MetricSnapDeltaFallback counts ships that fell back to a full snapshot
 	// when a delta was conceivable, labeled cause=version (worker negotiated
-	// v3), base (no shipped base to delta against), ratio (delta exceeded
+	// v3 or v4), base (no shipped base to delta against), ratio (delta exceeded
 	// half the full encoding), or nack (worker refused the delta).
 	MetricSnapDeltaFallback = "wbtuner_snapshot_delta_fallback_total"
-	// MetricSnapCacheEvictions counts dispatcher-side encoded-snapshot cache
-	// entries evicted by the byte-bounded LRU.
+	// MetricSnapCacheEvictions counts delta bases evicted from a job's
+	// dispatcher-side snapshot cache by the version-count bound.
 	MetricSnapCacheEvictions = "wbtuner_snapcache_evictions_total"
 )
 
@@ -83,7 +83,7 @@ func newFleetMetrics(reg *obs.Registry) *fleetMetrics {
 	reg.SetHelp(MetricAffinityMisses, "samples dispatched to a worker that had to be shipped their snapshot")
 	reg.SetHelp(MetricSnapshotBytes, "encoded snapshot payload bytes queued for shipment")
 	reg.SetHelp(MetricSnapDeltaFallback, "snapshot ships that fell back from delta to full")
-	reg.SetHelp(MetricSnapCacheEvictions, "dispatcher encoded-snapshot cache entries evicted by the byte cap")
+	reg.SetHelp(MetricSnapCacheEvictions, "dispatcher snapshot-cache delta bases evicted by the version-count bound")
 	return &fleetMetrics{
 		fleetSize:      reg.Gauge(MetricFleetSize),
 		affHits:        reg.Counter(MetricAffinityHits),

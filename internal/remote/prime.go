@@ -10,12 +10,9 @@ import "repro/internal/store"
 // the job's snapshot receive a key-level delta (see snapdelta.go) instead of
 // the full encoding. It implements core.SnapshotPrimer.
 func (ex *NetExecutor) PrimeSnapshot(job uint64, e *store.Exposed) error {
-	data, hash, err := ex.snapshotFor(job, e)
-	if err != nil {
+	v, err := ex.snapshotFor(job, e)
+	if err != nil || v == nil {
 		return err
-	}
-	if data == nil {
-		return nil
 	}
 	ex.mu.Lock()
 	workers := make([]*dworker, 0, len(ex.workers))
@@ -25,34 +22,11 @@ func (ex *NetExecutor) PrimeSnapshot(job uint64, e *store.Exposed) error {
 		}
 	}
 	ex.mu.Unlock()
-	sk := snapKey{job: job, hash: hash}
 	var firstErr error
 	for _, w := range workers {
-		w.shipMu.Lock()
-		if w.sentSnaps[sk] {
-			w.shipMu.Unlock()
-			continue
-		}
-		if w.m != nil {
-			w.m.snapMisses.Inc()
-		}
-		shipped := true
-		if err := w.queueSnapshotLocked(job, hash, data); err != nil {
-			// The worker went away mid-prime; queueSnapshotLocked un-marked
-			// it so a later round's ship to a reconnected worker is not
-			// suppressed.
-			shipped = false
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		w.shipMu.Unlock()
-		if shipped {
-			ex.mu.Lock()
-			if !w.dead {
-				w.haveSnaps[sk] = struct{}{} // primed workers count as affine
-			}
-			ex.mu.Unlock()
+		// Primed workers count as affine.
+		if err := ex.shipSnapshot(w, job, v); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr

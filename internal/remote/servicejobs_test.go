@@ -109,16 +109,16 @@ func TestTombstonesBoundedAcrossRounds(t *testing.T) {
 		if round > 0 {
 			e.Delete("g", fmt.Sprintf("scratch%d", round-1))
 		}
-		if _, _, err := ex.snapshotFor(7, e); err != nil {
+		if _, err := ex.snapshotFor(7, e); err != nil {
 			t.Fatalf("snapshotFor(round %d): %v", round, err)
 		}
 	}
 
 	ex.snapMu.Lock()
-	retained := len(ex.snaps[7].lru)
+	retained := len(ex.snaps[7].bases)
 	ex.snapMu.Unlock()
 	if retained > maxSnapVersions {
-		t.Fatalf("cache retains %d versions, want <= %d", retained, maxSnapVersions)
+		t.Fatalf("cache retains %d bases, want <= %d", retained, maxSnapVersions)
 	}
 	// Tombstones newer than the oldest retained base must survive (they are
 	// part of that base's delta); everything older must be gone. With one
@@ -139,7 +139,7 @@ func TestTombstonesCompactedOnIdenticalRewrite(t *testing.T) {
 	defer ex.Close()
 	e := store.NewExposed()
 	e.Set("g", "base", 1.0)
-	if _, _, err := ex.snapshotFor(9, e); err != nil {
+	if _, err := ex.snapshotFor(9, e); err != nil {
 		t.Fatalf("initial snapshotFor: %v", err)
 	}
 
@@ -148,7 +148,7 @@ func TestTombstonesCompactedOnIdenticalRewrite(t *testing.T) {
 		k := fmt.Sprintf("tmp%d", round)
 		e.Set("g", k, float64(round))
 		e.Delete("g", k) // content is back to {base: 1.0}
-		if _, _, err := ex.snapshotFor(9, e); err != nil {
+		if _, err := ex.snapshotFor(9, e); err != nil {
 			t.Fatalf("snapshotFor(round %d): %v", round, err)
 		}
 	}

@@ -2,39 +2,36 @@ package remote
 
 import "repro/internal/wire"
 
-// Protocol v4 delta snapshot shipping. A snapshot's canonical encoding is a
-// byte string (see snapshot.go); once a job has shipped one, every later
-// version's canonical encoding is *defined* as applySnapDelta(prev, delta) —
-// a deterministic byte-level patch both sides run — rather than a fresh
-// encodeSnapshot. That definition matters because opaque values encode as
-// ValueTable handles whose ids are assigned at encode time: re-encoding the
-// same store twice yields different bytes, so only patching keeps the
-// dispatcher's and every worker's copy byte-identical (and therefore
-// hash-identical) across versions.
+// Delta snapshot shipping (protocol v5). A snapshot's identity is a sum of
+// per-entry terms (see snapshot.go), so both ends move from one version to
+// the next by touching only the entries that changed.
 //
 // An mSnapDelta frame carries {job, baseHash, newHash, changed entries with
-// raw value bytes, deleted keys}. The worker locates the encoded base by
-// (job, baseHash), patches, and verifies the FNV-1a hash of the result
-// against newHash before decoding — a mismatch or a missing base produces a
-// typed mSnapNack refusal, which the dispatcher answers with a full ship.
-// Divergence is impossible to ignore; it is never silent.
+// their encoded value bytes, deleted keys}. The worker locates the snapshot it
+// caches under (job, baseHash), splices the changes into a copy of its entry
+// list — decoding only the changed values, sharing every other one — and
+// installs the result only if the identity it arrives at equals newHash. A
+// mismatch or a missing base produces a typed mSnapNack refusal, which the
+// dispatcher answers with a full ship; a full ship's identity is recomputed
+// from its bytes while decoding. Every cached snapshot is therefore either
+// verified in full or one verified step from a verified base: divergence is
+// impossible to ignore; it is never silent.
 
-// snapDeltaProto is the first protocol version that understands
-// mSnapDelta/mSnapNack; workers negotiating anything older are shipped full
-// snapshots only.
-const snapDeltaProto = 4
+// snapDeltaProto is the first protocol version whose snapshot identity is the
+// entry-term sum. mSnapDelta/mSnapNack frames exist since v4, but a v4 worker
+// checks a patch against a hash of the whole encoding, so workers negotiating
+// anything older than 5 are shipped full snapshots only.
+const snapDeltaProto = 5
 
 // Nack causes: why a worker refused an mSnapDelta.
 const (
-	nackBaseMissing  byte = 1 // the (job, baseHash) encoding is not cached
-	nackHashMismatch byte = 2 // the patch result did not hash to newHash
+	nackBaseMissing  byte = 1 // no snapshot is cached under (job, baseHash)
+	nackHashMismatch byte = 2 // the spliced entries did not sum to newHash
 )
 
 // skipValue advances r past one encoded value without decoding it and
 // returns the raw bytes it occupied (aliasing r's buffer), or nil with r's
-// sticky error set on malformed input. This is how delta construction and
-// patching move opaque values between encodings verbatim — the bytes are
-// the identity; they are never re-encoded.
+// sticky error set on malformed input.
 func skipValue(r *wire.Reader) []byte {
 	start := r.Rest()
 	switch tag := r.U8(); tag {
@@ -70,60 +67,14 @@ func skipValue(r *wire.Reader) []byte {
 	return start[:len(start)-len(r.Rest())]
 }
 
-// encEntry is one entry of an encoded snapshot in structural form: its
-// scoped name plus the raw value bytes inside the encoding (tag included).
-type encEntry struct {
-	scope, name string
-	val         []byte
-}
-
-// delKey names one deleted entry in a delta.
-type delKey struct{ scope, name string }
-
-// cmpEntryKey orders entries by (scope, name), the canonical snapshot order.
-func cmpEntryKey(aScope, aName, bScope, bName string) int {
-	if aScope != bScope {
-		if aScope < bScope {
-			return -1
-		}
-		return 1
-	}
-	if aName != bName {
-		if aName < bName {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// parseSnapEntries splits encoded snapshot bytes into per-entry triples
-// without decoding values — the structural view delta construction and
-// patching work on. The returned entries alias b.
-func parseSnapEntries(b []byte) ([]encEntry, error) {
-	r := wire.NewReader(b)
-	names := readSymbols(r)
-	nent := r.Count(3)
-	ents := make([]encEntry, 0, nent)
-	for i := 0; i < nent && r.Err() == nil; i++ {
-		en := encEntry{scope: readSymbol(r, names), name: readSymbol(r, names), val: skipValue(r)}
-		if r.Err() == nil {
-			ents = append(ents, en)
-		}
-	}
-	if err := codecErr(r.Done()); err != nil {
-		return nil, err
-	}
-	return ents, nil
-}
-
 // snapDelta is one decoded mSnapDelta frame. Changed entries carry raw value
-// bytes sliced from (and aliasing) the frame payload, in (scope, name) order.
+// bytes (val) sliced from, and aliasing, the frame payload; changed and
+// deleted keys are each in strictly ascending (scope, name) order.
 type snapDelta struct {
 	Job      uint64
 	BaseHash uint64
 	NewHash  uint64
-	Changed  []encEntry
+	Changed  []snapEntry
 	Deleted  []delKey
 }
 
@@ -131,59 +82,51 @@ type snapDelta struct {
 // be sorted by (scope, name); scope and name strings are interned into a
 // frame-local symbol table in first-appearance order.
 func encodeSnapDelta(d *snapDelta) []byte {
-	ids := make(map[string]uint64, 2*(len(d.Changed)+len(d.Deleted)))
-	var names []string
-	intern := func(s string) uint64 {
-		if id, ok := ids[s]; ok {
-			return id
-		}
-		id := uint64(len(names))
-		ids[s] = id
-		names = append(names, s)
-		return id
-	}
-	for _, en := range d.Changed {
-		intern(en.scope)
-		intern(en.name)
+	syms := symtab{ids: make(map[string]uint64)}
+	for i := range d.Changed {
+		syms.intern(d.Changed[i].scope)
+		syms.intern(d.Changed[i].name)
 	}
 	for _, k := range d.Deleted {
-		intern(k.scope)
-		intern(k.name)
+		syms.intern(k.scope)
+		syms.intern(k.name)
 	}
 	w := &wire.Writer{}
 	w.U8(mSnapDelta)
 	w.Uv(d.Job)
 	w.U64(d.BaseHash)
 	w.U64(d.NewHash)
-	w.Uv(uint64(len(names)))
-	for _, s := range names {
-		w.Str(s)
-	}
+	syms.write(w)
 	w.Uv(uint64(len(d.Changed)))
-	for _, en := range d.Changed {
-		w.Uv(ids[en.scope])
-		w.Uv(ids[en.name])
+	for i := range d.Changed {
+		en := &d.Changed[i]
+		w.Uv(syms.ids[en.scope])
+		w.Uv(syms.ids[en.name])
 		w.Raw(en.val)
 	}
 	w.Uv(uint64(len(d.Deleted)))
 	for _, k := range d.Deleted {
-		w.Uv(ids[k.scope])
-		w.Uv(ids[k.name])
+		w.Uv(syms.ids[k.scope])
+		w.Uv(syms.ids[k.name])
 	}
 	return w.B
 }
 
-// decodeSnapDelta parses an mSnapDelta payload (type byte stripped). Changed
-// value bytes alias b, so callers must finish patching before recycling the
-// frame buffer.
+// decodeSnapDelta parses an mSnapDelta payload (type byte stripped) without
+// decoding values. Changed value bytes alias b, so callers must be done with
+// them before recycling the frame buffer. Keys out of order are refused —
+// spliceEntries merges sorted lists.
 func decodeSnapDelta(b []byte) (snapDelta, error) {
 	r := wire.NewReader(b)
 	d := snapDelta{Job: r.Uv(), BaseHash: r.U64(), NewHash: r.U64()}
 	names := readSymbols(r)
 	nch := r.Count(3)
-	d.Changed = make([]encEntry, 0, nch)
+	d.Changed = make([]snapEntry, 0, nch)
 	for i := 0; i < nch && r.Err() == nil; i++ {
-		en := encEntry{scope: readSymbol(r, names), name: readSymbol(r, names), val: skipValue(r)}
+		en := snapEntry{scope: readSymbol(r, names), name: readSymbol(r, names), val: skipValue(r)}
+		if i > 0 && r.Err() == nil && cmpEntryKey(d.Changed[i-1].scope, d.Changed[i-1].name, en.scope, en.name) >= 0 {
+			r.Corruptf("changed entry %q/%q out of order", en.scope, en.name)
+		}
 		if r.Err() == nil {
 			d.Changed = append(d.Changed, en)
 		}
@@ -192,6 +135,9 @@ func decodeSnapDelta(b []byte) (snapDelta, error) {
 	d.Deleted = make([]delKey, 0, ndel)
 	for i := 0; i < ndel && r.Err() == nil; i++ {
 		k := delKey{scope: readSymbol(r, names), name: readSymbol(r, names)}
+		if i > 0 && r.Err() == nil && cmpEntryKey(d.Deleted[i-1].scope, d.Deleted[i-1].name, k.scope, k.name) >= 0 {
+			r.Corruptf("deleted key %q/%q out of order", k.scope, k.name)
+		}
 		if r.Err() == nil {
 			d.Deleted = append(d.Deleted, k)
 		}
@@ -199,83 +145,48 @@ func decodeSnapDelta(b []byte) (snapDelta, error) {
 	return d, codecErr(r.Done())
 }
 
-// applySnapDelta patches base (an encoded snapshot) with d and returns the
-// new canonical encoding in a pool-allocated buffer. The patch is a pure
-// function of (base, d): the dispatcher and every worker produce identical
-// bytes, which is what makes the post-patch hash check meaningful. The
-// caller owns the returned buffer; it does NOT alias base or d.
-func applySnapDelta(base []byte, d *snapDelta) ([]byte, error) {
-	ents, err := parseSnapEntries(base)
-	if err != nil {
-		return nil, err
-	}
-	dels := make(map[delKey]struct{}, len(d.Deleted))
-	for _, k := range d.Deleted {
-		dels[k] = struct{}{}
-	}
-	merged := make([]encEntry, 0, len(ents)+len(d.Changed))
-	i, j := 0, 0
-	for i < len(ents) || j < len(d.Changed) {
-		takeChanged := false
+// spliceEntries applies a delta to a version's sorted entry list and to the
+// sum of its entry terms: every changed entry replaces its namesake or is
+// inserted in order, every deleted key present in base is dropped (a changed
+// key wins over a deletion of the same key; deleting an absent key is a
+// no-op). base is not modified; the result shares every entry the delta did
+// not touch. changed and deleted must each be strictly ascending. It is the
+// one definition of a version step: the dispatcher and every worker run it, on
+// value bytes and on decoded values respectively, and must arrive at the same
+// sum.
+func spliceEntries(base []snapEntry, sum uint64, changed []snapEntry, deleted []delKey) ([]snapEntry, uint64) {
+	out := make([]snapEntry, 0, len(base)+len(changed))
+	i, j, k := 0, 0, 0
+	for i < len(base) || j < len(changed) {
+		c := -1 // changed[j] sorts before base[i]: an insert
 		switch {
-		case i >= len(ents):
-			takeChanged = true
-		case j >= len(d.Changed):
-		default:
-			switch cmpEntryKey(d.Changed[j].scope, d.Changed[j].name, ents[i].scope, ents[i].name) {
-			case -1:
-				takeChanged = true
-			case 0: // same key: the changed entry replaces the base entry
-				merged = append(merged, d.Changed[j])
-				i++
-				j++
+		case j == len(changed):
+			c = 1
+		case i < len(base):
+			c = cmpEntryKey(changed[j].scope, changed[j].name, base[i].scope, base[i].name)
+		}
+		if c <= 0 {
+			out = append(out, changed[j])
+			sum += changed[j].hash
+			j++
+			if c < 0 {
 				continue
 			}
 		}
-		if takeChanged {
-			merged = append(merged, d.Changed[j])
-			j++
-			continue
-		}
-		en := ents[i]
+		en := &base[i]
 		i++
-		if _, gone := dels[delKey{scope: en.scope, name: en.name}]; gone {
-			continue
+		if c > 0 {
+			for k < len(deleted) && cmpEntryKey(deleted[k].scope, deleted[k].name, en.scope, en.name) < 0 {
+				k++
+			}
+			if k == len(deleted) || deleted[k] != (delKey{en.scope, en.name}) {
+				out = append(out, *en)
+				continue
+			}
 		}
-		merged = append(merged, en)
+		sum -= en.hash // replaced or deleted
 	}
-
-	ids := make(map[string]uint64, 16)
-	var names []string
-	intern := func(s string) uint64 {
-		if id, ok := ids[s]; ok {
-			return id
-		}
-		id := uint64(len(names))
-		ids[s] = id
-		names = append(names, s)
-		return id
-	}
-	est := len(base) + 64
-	for _, en := range d.Changed {
-		est += len(en.val) + len(en.scope) + len(en.name) + 16
-	}
-	w := &wire.Writer{B: wire.Alloc(est)[:0]}
-	for _, en := range merged {
-		intern(en.scope)
-		intern(en.name)
-	}
-	w.Uv(uint64(len(names)))
-	for _, s := range names {
-		w.Str(s)
-	}
-	w.Uv(uint64(len(merged)))
-	for _, en := range merged {
-		w.Uv(ids[en.scope])
-		w.Uv(ids[en.name])
-		w.Raw(en.val)
-	}
-	return w.B, nil
+	return out, sum
 }
 
 // snapNack is one decoded mSnapNack frame.

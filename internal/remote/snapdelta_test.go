@@ -16,19 +16,29 @@ import (
 	"repro/internal/wire"
 )
 
+// encodeSnapshot returns e's full encoding and identity through the
+// dispatcher's own path: entries encoded once, then materialised.
+func encodeSnapshot(e *store.Exposed, vt *ValueTable) ([]byte, uint64, error) {
+	v, err := newSnapVersion(e, vt)
+	if err != nil {
+		return nil, 0, err
+	}
+	return v.encoded(), v.hash, nil
+}
+
 // buildDelta constructs a delta from base's store version to e's current
 // contents the way the dispatcher does, for codec-level tests.
 func buildDelta(t *testing.T, e *store.Exposed, sinceVer, baseHash uint64, vt *ValueTable) *snapDelta {
 	t.Helper()
 	changed, deleted := e.ChangedSince(sinceVer)
-	vw := &wire.Writer{}
+	var scratch wire.Writer
 	d := &snapDelta{Job: 7, BaseHash: baseHash}
 	for _, c := range changed {
-		start := len(vw.B)
-		if err := appendValue(vw, c.V, vt); err != nil {
-			t.Fatalf("appendValue: %v", err)
+		en, err := encodeEntry(&scratch, c.Scope, c.Name, c.V, vt)
+		if err != nil {
+			t.Fatalf("encodeEntry: %v", err)
 		}
-		d.Changed = append(d.Changed, encEntry{scope: c.Scope, name: c.Name, val: vw.B[start:]})
+		d.Changed = append(d.Changed, en)
 	}
 	for _, dk := range deleted {
 		d.Deleted = append(d.Deleted, delKey{scope: dk.Scope, name: dk.Name})
@@ -38,8 +48,9 @@ func buildDelta(t *testing.T, e *store.Exposed, sinceVer, baseHash uint64, vt *V
 
 // TestSnapDeltaPatchRoundtrip drives the full codec cycle: encode a base
 // snapshot, mutate the store (set, overwrite, delete), build and serialize a
-// delta, decode it, patch the base, and demand the patched bytes decode to
-// exactly the mutated store's contents with a matching content hash.
+// delta, decode it, and apply it both ways — the reference byte patch and the
+// worker's entry splice — demanding exactly the mutated store's contents from
+// each, under the identity a fresh encode of the mutated store has.
 func TestSnapDeltaPatchRoundtrip(t *testing.T) {
 	e := store.NewExposed()
 	e.Set("g", "alpha", 1.5)
@@ -56,6 +67,11 @@ func TestSnapDeltaPatchRoundtrip(t *testing.T) {
 	e.Delete("g", "gone")            // delete
 	e.Set("z", "tail", []byte{9, 8}) // new key sorting last
 	d := buildDelta(t, e, baseVer, baseHash, nil)
+	wantData, wantHash, err := encodeSnapshot(e, nil)
+	if err != nil {
+		t.Fatalf("encodeSnapshot(mutated): %v", err)
+	}
+	d.NewHash = wantHash
 
 	frame := encodeSnapDelta(d)
 	if frame[0] != mSnapDelta {
@@ -68,35 +84,36 @@ func TestSnapDeltaPatchRoundtrip(t *testing.T) {
 	if dec.Job != d.Job || dec.BaseHash != baseHash {
 		t.Fatalf("decoded header = %+v", dec)
 	}
-	patched, err := applySnapDelta(baseData, &dec)
+	patched, err := oraclePatch(baseData, &dec)
 	if err != nil {
-		t.Fatalf("applySnapDelta: %v", err)
+		t.Fatalf("oraclePatch: %v", err)
 	}
-	got, err := decodeSnapshot(patched, nil)
+	if !bytes.Equal(patched, wantData) {
+		t.Fatal("patched base is not the mutated store's encoding")
+	}
+
+	w := NewWorker(WorkerOptions{Registry: Builtins()})
+	base, err := decodeSnapshot(baseData, nil)
 	if err != nil {
-		t.Fatalf("decodeSnapshot(patched): %v", err)
+		t.Fatalf("decodeSnapshot(base): %v", err)
 	}
-	if want, have := e.Entries(), got.Entries(); !reflect.DeepEqual(want, have) {
-		t.Fatalf("patched entries = %v, want %v", have, want)
+	w.installSnapshot(d.Job, baseHash, base)
+	if cause, err := w.applyDelta(&dec); err != nil || cause != 0 {
+		t.Fatalf("applyDelta: nack cause %d, err %v", cause, err)
 	}
-	// The patch must agree with what the dispatcher computes: patching the
-	// same base with the same delta twice is byte-identical.
-	patched2, err := applySnapDelta(baseData, &dec)
-	if err != nil {
-		t.Fatalf("applySnapDelta(2): %v", err)
+	got, ok := w.snapshot(d.Job, wantHash)
+	if !ok {
+		t.Fatal("applied delta was not installed under the new identity")
 	}
-	if !bytes.Equal(patched, patched2) {
-		t.Fatal("applySnapDelta is not deterministic")
-	}
-	if wire.FNV1a(patched) != wire.FNV1a(patched2) {
-		t.Fatal("hash mismatch between identical patches")
+	if want, have := e.Entries(), got.e.Entries(); !reflect.DeepEqual(want, have) {
+		t.Fatalf("spliced entries = %v, want %v", have, want)
 	}
 }
 
 // TestSnapshotForDeltaCache exercises the dispatcher cache: version
-// transitions patch rather than re-encode, retained bases get deltas
-// targeting the current version, and applying a cached delta to its base
-// reproduces the current encoding byte-for-byte.
+// transitions splice rather than re-encode, retained bases get deltas
+// targeting the current version, and patching a base's full encoding with its
+// cached delta reproduces the current version's full encoding byte-for-byte.
 func TestSnapshotForDeltaCache(t *testing.T) {
 	ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
 	defer ex.Close()
@@ -104,60 +121,58 @@ func TestSnapshotForDeltaCache(t *testing.T) {
 	e.Set("g", "blob", make([]float64, 4096))
 	e.Set("g", "knob", 1.0)
 
-	d1, h1, err := ex.snapshotFor(3, e)
+	v1, err := ex.snapshotFor(3, e)
 	if err != nil {
 		t.Fatalf("snapshotFor(1): %v", err)
 	}
 	e.Set("g", "knob", 2.0)
-	d2, h2, err := ex.snapshotFor(3, e)
+	v2, err := ex.snapshotFor(3, e)
 	if err != nil {
 		t.Fatalf("snapshotFor(2): %v", err)
 	}
-	if h1 == h2 {
-		t.Fatal("version transition did not change the content hash")
+	if v1.hash == v2.hash {
+		t.Fatal("version transition did not change the identity")
 	}
-	ex.snapMu.Lock()
+	if &v1.ents[0].val[0] != &v2.ents[0].val[0] {
+		t.Fatal("successive versions do not share the unchanged blob's encoded bytes")
+	}
 	s := ex.snaps[3]
-	base := s.byHash[h1]
-	ex.snapMu.Unlock()
-	if s.cur.hash != h2 || base == nil {
-		t.Fatalf("cache state: cur=%x retained h1=%v", s.cur.hash, base != nil)
+	if s.cur != v2 || len(s.bases) != 1 || s.bases[0].hash != v1.hash {
+		t.Fatalf("cache state: cur=%x, %d bases", s.cur.hash, len(s.bases))
 	}
+	base := s.bases[0]
 	if base.delta == nil {
 		t.Fatal("retained base has no cached delta")
 	}
-	if len(base.delta)*2 > len(d2) {
-		t.Fatalf("one-knob delta is %d bytes vs %d full — not under the ratio bound", len(base.delta), len(d2))
+	if len(base.delta)*2 > len(v2.encoded()) {
+		t.Fatalf("one-knob delta is %d bytes vs %d full — not under the ratio bound", len(base.delta), len(v2.encoded()))
 	}
 	dec, err := decodeSnapDelta(base.delta[1:])
 	if err != nil {
 		t.Fatalf("decode cached delta: %v", err)
 	}
-	patched, err := applySnapDelta(d1, &dec)
+	patched, err := oraclePatch(v1.encoded(), &dec)
 	if err != nil {
 		t.Fatalf("apply cached delta: %v", err)
 	}
-	if !bytes.Equal(patched, d2) {
+	if !bytes.Equal(patched, v2.encoded()) {
 		t.Fatal("cached delta does not patch base to the current encoding")
 	}
-	if wire.FNV1a(patched) != h2 {
-		t.Fatal("patched hash diverges from current hash")
+	if dec.NewHash != v2.hash {
+		t.Fatal("cached delta names a different identity than the current version's")
 	}
 
 	// Rewriting most of the store pushes the delta past the ratio bound:
 	// the base is retained but marked ratio-failed.
 	e.Set("g", "blob", make([]float64, 4100))
-	_, h3, err := ex.snapshotFor(3, e)
+	v3, err := ex.snapshotFor(3, e)
 	if err != nil {
 		t.Fatalf("snapshotFor(3): %v", err)
 	}
-	ex.snapMu.Lock()
-	b2 := ex.snaps[3].byHash[h2]
-	ex.snapMu.Unlock()
-	if h3 == h2 || b2 == nil {
-		t.Fatal("expected a new version with h2 retained")
+	if v3.hash == v2.hash || len(s.bases) != 2 || s.bases[1].hash != v2.hash {
+		t.Fatal("expected a new version with v2 retained")
 	}
-	if !b2.ratioFail || b2.delta != nil {
+	if b2 := s.bases[1]; !b2.ratioFail || b2.delta != nil {
 		t.Fatalf("blob rewrite delta should ratio-fail, got delta=%d bytes ratioFail=%v", len(b2.delta), b2.ratioFail)
 	}
 }
@@ -257,10 +272,9 @@ func TestSnapDeltaNackBaseMissing(t *testing.T) {
 				return
 			}
 			// Simulate a worker restart's cold cache without dropping the
-			// connection: forget every decoded snapshot and patch base.
+			// connection: forget every cached snapshot.
 			w.mu.Lock()
-			w.snaps = make(map[snapKey]*store.Exposed)
-			w.snapData = make(map[snapKey][]byte)
+			w.snaps = make(map[snapKey]*cachedSnap)
 			w.snapOrder = make(map[uint64][]uint64)
 			w.mu.Unlock()
 		})
@@ -272,19 +286,23 @@ func TestSnapDeltaNackBaseMissing(t *testing.T) {
 	}
 }
 
-// TestSnapDeltaNackHashMismatch corrupts the worker's cached base (valid
-// encoding, wrong contents): the patch applies structurally but the
-// post-patch hash must catch the divergence, nack, and heal via full
-// re-ship — never silently install wrong @load state.
+// TestSnapDeltaNackHashMismatch corrupts the worker's cached base (a valid
+// snapshot, wrong contents): the delta splices structurally but the identity
+// it arrives at must expose the divergence, nack, and heal via full re-ship —
+// never silently install wrong @load state.
 func TestSnapDeltaNackHashMismatch(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	local := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42}, 3, nil)
 
-	bogus := store.NewExposed()
-	bogus.Set("g", "blob", []float64{666})
-	bogusData, _, err := encodeSnapshot(bogus, nil)
+	bogusStore := store.NewExposed()
+	bogusStore.Set("g", "blob", []float64{666})
+	bogusData, _, err := encodeSnapshot(bogusStore, nil)
 	if err != nil {
 		t.Fatalf("encodeSnapshot: %v", err)
+	}
+	bogus, err := decodeSnapshot(bogusData, nil)
+	if err != nil {
+		t.Fatalf("decodeSnapshot: %v", err)
 	}
 
 	reg := NewRegistry()
@@ -297,8 +315,8 @@ func TestSnapDeltaNackHashMismatch(t *testing.T) {
 				return
 			}
 			w.mu.Lock()
-			for k := range w.snapData {
-				w.snapData[k] = bogusData // decoded snaps stay; only patch bases rot
+			for k := range w.snaps {
+				w.snaps[k] = bogus // every delta base rots
 			}
 			w.mu.Unlock()
 		})
@@ -310,37 +328,40 @@ func TestSnapDeltaNackHashMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapDeltaV3Fallback pins a worker to protocol v3: it must join, run
-// byte-identically, and never be sent a delta — every post-change ship falls
-// back to full with cause=version.
-func TestSnapDeltaV3Fallback(t *testing.T) {
+// TestSnapDeltaOldProtoFallback pins a worker to protocol v3, then v4: it
+// must join, run byte-identically, and never be sent a delta — a v4 worker
+// understands the frame but not the identity it carries — so every
+// post-change ship falls back to full with cause=version.
+func TestSnapDeltaOldProtoFallback(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	local := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42}, 3, nil)
 
-	reg := NewRegistry()
-	oreg := obs.NewRegistry()
-	f := newFleet(t, 1, 2, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg},
-		WorkerOptions{Registry: reg, Protocol: 3})
-	remote := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: f.ex}, 3, nil)
-	if remote != local {
-		t.Fatalf("v3 run diverged from local run:\nlocal:\n%s\nremote:\n%s", local, remote)
-	}
-	if d := f.ex.fm.snapBytesDelta.Value(); d != 0 {
-		t.Fatalf("v3 worker was shipped %d delta bytes", d)
-	}
-	if v := f.ex.fm.fallbackVer.Value(); v == 0 {
-		t.Fatal("expected version-cause fallbacks for the v3 worker")
+	for _, proto := range []int{3, 4} {
+		reg := NewRegistry()
+		oreg := obs.NewRegistry()
+		f := newFleet(t, 1, 2, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg},
+			WorkerOptions{Registry: reg, Protocol: proto})
+		remote := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: f.ex}, 3, nil)
+		if remote != local {
+			t.Fatalf("v%d run diverged from local run:\nlocal:\n%s\nremote:\n%s", proto, local, remote)
+		}
+		if d := f.ex.fm.snapBytesDelta.Value(); d != 0 {
+			t.Fatalf("v%d worker was shipped %d delta bytes", proto, d)
+		}
+		if v := f.ex.fm.fallbackVer.Value(); v == 0 {
+			t.Fatalf("expected version-cause fallbacks for the v%d worker", proto)
+		}
 	}
 }
 
-// TestSnapshotVersionNegotiation checks the handshake range: v3 and v4
+// TestSnapshotVersionNegotiation checks the handshake range: v3, v4 and v5
 // workers join, anything outside is rejected.
 func TestSnapshotVersionNegotiation(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	for _, tc := range []struct {
 		version uint64
 		ok      bool
-	}{{2, false}, {3, true}, {4, true}, {5, false}} {
+	}{{2, false}, {3, true}, {4, true}, {5, true}, {6, false}} {
 		ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
 		a, b := net.Pipe()
 		go func() {
@@ -362,31 +383,107 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 	}
 }
 
-// TestSnapCacheEviction bounds the dispatcher cache tightly enough that
-// retaining every version is impossible: old bases must be evicted (counted
-// by the eviction metric), later ships fall back gracefully, and parity
-// holds throughout.
+// sentCounts reports, per worker of ex, how many snapshot identities the
+// dispatcher's sent index and affinity index hold.
+func sentCounts(ex *NetExecutor) (sent, have []int) {
+	ex.mu.Lock()
+	workers := append([]*dworker(nil), ex.workers...)
+	for _, w := range workers {
+		have = append(have, len(w.haveSnaps))
+	}
+	ex.mu.Unlock()
+	for _, w := range workers {
+		n := 0
+		w.shipMu.Lock()
+		for _, m := range w.sentSnaps {
+			n += len(m)
+		}
+		w.shipMu.Unlock()
+		sent = append(sent, n)
+	}
+	return sent, have
+}
+
+// TestSnapCacheEviction runs more versions than the dispatcher retains: old
+// bases must be evicted (counted by the eviction metric), parity holds
+// throughout, and the per-worker sent and affinity indexes — which used to
+// gain a key per version until EndJob, with every ship ranging over all of
+// them — stay within the retained set however many rounds the job runs.
 func TestSnapCacheEviction(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
-	const rounds = 5
+	const rounds = 200
 	local := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42}, rounds, nil)
 
 	reg := NewRegistry()
 	oreg := obs.NewRegistry()
-	// The blob encodes to ~64KiB; a 100KiB cap holds the current version and
-	// at most one base.
-	f := newFleet(t, 2, 2, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg, SnapCacheBytes: 100 << 10},
-		WorkerOptions{Registry: reg})
-	remote := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: f.ex}, rounds, nil)
+	f := newFleet(t, 2, 2, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg}, WorkerOptions{Registry: reg})
+	remote := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: f.ex}, rounds,
+		func(round int) {
+			if round != rounds-1 {
+				return // the job is still open: EndJob has not cleared anything
+			}
+			sent, have := sentCounts(f.ex)
+			for i := range sent {
+				if sent[i] > maxSnapVersions+1 || have[i] > maxSnapVersions+1 {
+					t.Errorf("worker %d: %d sent and %d affinity keys after %d versions, want <= %d",
+						i, sent[i], have[i], rounds, maxSnapVersions+1)
+				}
+			}
+		})
 	if remote != local {
 		t.Fatalf("evicting run diverged from local run:\nlocal:\n%s\nremote:\n%s", local, remote)
 	}
-	if ev := f.ex.fm.snapEvictions.Value(); ev == 0 {
-		t.Fatal("tight byte cap produced no evictions")
+	if ev := f.ex.fm.snapEvictions.Value(); ev != rounds-1-maxSnapVersions {
+		t.Fatalf("%d versions produced %d evictions, want %d", rounds, ev, rounds-1-maxSnapVersions)
 	}
 }
 
-// TestSnapshotMetricsExposition checks the v4 metric families reach the
+// TestSnapEvictedBaseFallback starves a worker of a job's versions until the
+// only one it was ever sent has left the dispatcher cache: the next ship
+// finds no delta to send, counts a base fallback (the worker is stale, not
+// cold) and heals with a full ship.
+func TestSnapEvictedBaseFallback(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	reg := NewRegistry()
+	oreg := obs.NewRegistry()
+	f := newFleet(t, 1, 1, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg}, WorkerOptions{Registry: reg})
+	const job = 5
+	e := store.NewExposed()
+	e.Set("g", "blob", make([]float64, 1024))
+	e.Set("g", "knob", 0.0)
+	if err := f.ex.PrimeSnapshot(job, e); err != nil {
+		t.Fatalf("PrimeSnapshot(cold): %v", err)
+	}
+	for i := 1; i <= maxSnapVersions+1; i++ {
+		e.Set("g", "knob", float64(i))
+		if _, err := f.ex.snapshotFor(job, e); err != nil {
+			t.Fatalf("snapshotFor(%d): %v", i, err)
+		}
+	}
+	if sent, have := sentCounts(f.ex); sent[0] != 0 || have[0] != 0 {
+		t.Fatalf("evicted identity still indexed: %d sent, %d affinity keys", sent[0], have[0])
+	}
+	if err := f.ex.PrimeSnapshot(job, e); err != nil {
+		t.Fatalf("PrimeSnapshot(stale): %v", err)
+	}
+	if n := f.ex.fm.fallbackBase.Value(); n != 1 {
+		t.Fatalf("base fallbacks = %d, want 1", n)
+	}
+	if d := f.ex.fm.snapBytesDelta.Value(); d != 0 {
+		t.Fatalf("%d delta bytes shipped with no base to patch", d)
+	}
+	cur := f.ex.snaps[job].cur
+	got, ok := f.workers[0].awaitSnapshot(&wconn{closed: make(chan struct{})}, job, cur.hash)
+	if !ok {
+		t.Fatal("full re-ship never landed on the worker")
+	}
+	if want, have := e.Entries(), got.Entries(); !reflect.DeepEqual(want, have) {
+		t.Fatalf("healed worker holds %v, want %v", have, want)
+	}
+	f.ex.EndJob(job)
+}
+
+// TestSnapshotMetricsExposition checks the delta-shipping metric families reach the
 // Prometheus exposition with their expected names and labels after real
 // delta traffic.
 func TestSnapshotMetricsExposition(t *testing.T) {

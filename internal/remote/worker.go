@@ -41,9 +41,9 @@ type WorkerOptions struct {
 	// interleaving). Zero means the protocol default.
 	MaxInflightChunks int
 	// Protocol pins the version advertised in the hello frame. Zero means
-	// the current protocolVersion; 3 joins as a legacy worker that receives
-	// full snapshots only (no mSnapDelta). Values outside the dispatcher's
-	// accepted range are rejected at handshake.
+	// the current protocolVersion; 3 or 4 joins as a legacy worker that
+	// receives full snapshots only (no mSnapDelta). Values outside the
+	// dispatcher's accepted range are rejected at handshake.
 	Protocol int
 }
 
@@ -58,8 +58,7 @@ type Worker struct {
 	sem    chan struct{}
 
 	mu          sync.Mutex
-	snaps       map[snapKey]*store.Exposed
-	snapData    map[snapKey][]byte  // encoded bytes, kept as delta-patch bases
+	snaps       map[snapKey]*cachedSnap
 	snapOrder   map[uint64][]uint64 // job id -> hashes, oldest first
 	snapWaiters map[snapKey]chan struct{}
 	conns       map[*wconn]struct{}
@@ -91,8 +90,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 		opts:        opts,
 		runner:      core.NewDetachedRunner(),
 		sem:         make(chan struct{}, opts.Slots),
-		snaps:       make(map[snapKey]*store.Exposed),
-		snapData:    make(map[snapKey][]byte),
+		snaps:       make(map[snapKey]*cachedSnap),
 		snapOrder:   make(map[uint64][]uint64),
 		snapWaiters: make(map[snapKey]chan struct{}),
 		conns:       make(map[*wconn]struct{}),
@@ -161,20 +159,19 @@ func (w *Worker) ServeConn(conn net.Conn) {
 	c.readLoop()
 }
 
-// snapshot returns the cached exposed store for a (job, content hash) pair.
-func (w *Worker) snapshot(job, hash uint64) (*store.Exposed, bool) {
+// snapshot returns the snapshot cached under a (job, identity) pair.
+func (w *Worker) snapshot(job, hash uint64) (*cachedSnap, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	e, ok := w.snaps[snapKey{job: job, hash: hash}]
-	return e, ok
+	s, ok := w.snaps[snapKey{job: job, hash: hash}]
+	return s, ok
 }
 
-// installSnapshot caches a decoded snapshot together with its canonical
-// encoded bytes, which later mSnapDelta frames patch as bases. data's
-// ownership transfers to the cache; evicted byte buffers are dropped to the
-// GC (never recycled into the pool) because a concurrent delta application
-// on another connection may still be reading them.
-func (w *Worker) installSnapshot(job, hash uint64, e *store.Exposed, data []byte) {
+// installSnapshot caches a verified snapshot under its identity, releasing
+// the tasks parked on it. An evicted snapshot is simply dropped: a delta
+// application on another connection may still be reading it, and its values
+// live on in whichever later versions share them.
+func (w *Worker) installSnapshot(job, hash uint64, s *cachedSnap) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	k := snapKey{job: job, hash: hash}
@@ -185,25 +182,13 @@ func (w *Worker) installSnapshot(job, hash uint64, e *store.Exposed, data []byte
 	if _, ok := w.snaps[k]; ok {
 		return
 	}
-	w.snaps[k] = e
-	w.snapData[k] = data
+	w.snaps[k] = s
 	order := append(w.snapOrder[job], hash)
 	if len(order) > snapCacheCap {
-		old := snapKey{job: job, hash: order[0]}
-		delete(w.snaps, old)
-		delete(w.snapData, old)
+		delete(w.snaps, snapKey{job: job, hash: order[0]})
 		order = order[1:]
 	}
 	w.snapOrder[job] = order
-}
-
-// snapshotBase returns the cached canonical encoding for (job, hash), the
-// patch base of an incoming delta.
-func (w *Worker) snapshotBase(job, hash uint64) ([]byte, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	b, ok := w.snapData[snapKey{job: job, hash: hash}]
-	return b, ok
 }
 
 // snapWaitTimeout bounds how long a task parks waiting for its snapshot,
@@ -220,9 +205,9 @@ var snapWaitTimeout = 5 * time.Second
 func (w *Worker) awaitSnapshot(c *wconn, job, hash uint64) (*store.Exposed, bool) {
 	k := snapKey{job: job, hash: hash}
 	w.mu.Lock()
-	if e, ok := w.snaps[k]; ok {
+	if s, ok := w.snaps[k]; ok {
 		w.mu.Unlock()
-		return e, true
+		return s.e, true
 	}
 	ch, ok := w.snapWaiters[k]
 	if !ok {
@@ -237,10 +222,11 @@ func (w *Worker) awaitSnapshot(c *wconn, job, hash uint64) (*store.Exposed, bool
 	case <-c.closed:
 	case <-t.C:
 	}
-	w.mu.Lock()
-	e, ok := w.snaps[k]
-	w.mu.Unlock()
-	return e, ok
+	s, ok := w.snapshot(job, hash)
+	if !ok {
+		return nil, false
+	}
+	return s.e, true
 }
 
 // endJob evicts every snapshot a departed job installed. Job ids are unique
@@ -252,7 +238,6 @@ func (w *Worker) endJob(job uint64) {
 	defer w.mu.Unlock()
 	for _, hash := range w.snapOrder[job] {
 		delete(w.snaps, snapKey{job: job, hash: hash})
-		delete(w.snapData, snapKey{job: job, hash: hash})
 	}
 	delete(w.snapOrder, job)
 	for k, ch := range w.snapWaiters {
@@ -417,23 +402,31 @@ func (c *wconn) readLoop() {
 			if err = codecErr(r.Err()); err != nil {
 				break
 			}
-			var e *store.Exposed
-			e, err = decodeSnapshot(enc, w.opts.Values)
+			var s *cachedSnap
+			s, err = decodeSnapshot(enc, w.opts.Values)
 			if err != nil {
 				break
 			}
-			// Retain the canonical encoding as a future delta-patch base; the
-			// payload buffer is pooled and recycled below, so copy out.
-			data := make([]byte, len(enc))
-			copy(data, enc)
-			w.installSnapshot(job, hash, e, data)
+			// The recomputed identity must be the one the ship claims: every
+			// later delta is verified against this snapshot's entry terms, so
+			// an unchecked base would make those checks vacuous.
+			if got := snapIdentity(s.sum); got != hash {
+				err = fmt.Errorf("%w: snapshot shipped as %#x decodes to identity %#x", errCodec, hash, got)
+				break
+			}
+			w.installSnapshot(job, hash, s)
 		case mSnapDelta:
 			var d snapDelta
 			d, err = decodeSnapDelta(payload[1:])
 			if err != nil {
 				break
 			}
-			err = c.applyDelta(&d)
+			var cause byte
+			if cause, err = w.applyDelta(&d); err == nil && cause != 0 {
+				err = c.write(encodeSnapNack(snapNack{
+					Job: d.Job, BaseHash: d.BaseHash, NewHash: d.NewHash, Cause: cause,
+				}))
+			}
 		case mRound:
 			var rm roundMsg
 			rm, err = decodeRound(payload[1:])
@@ -500,37 +493,34 @@ func (c *wconn) readLoop() {
 // rounds returns the per-connection round table.
 func (c *wconn) rounds() *sync.Map { return &c.roundsMap }
 
-// applyDelta patches a cached base with a key-level snapshot delta, verifies
-// the post-patch content hash, and installs the result. A base missing from
-// the cache or a hash mismatch sends a typed mSnapNack — the dispatcher
-// answers with a full re-ship, so divergence heals in one round trip and is
-// never silent. A structurally malformed delta is a protocol error that
-// drops the connection, like any other undecodable frame.
-func (c *wconn) applyDelta(d *snapDelta) error {
-	w := c.w
-	base, ok := w.snapshotBase(d.Job, d.BaseHash)
+// applyDelta splices a key-level delta into a cached base — decoding only the
+// changed values, sharing the rest — and installs the result if the identity
+// it arrives at is the one the frame names. A base missing from the cache or
+// an identity mismatch installs nothing and returns the nack cause: the read
+// loop answers with a typed mSnapNack and the dispatcher with a full re-ship,
+// so divergence heals in one round trip and is never silent. A structurally
+// malformed delta is a protocol error that drops the connection, like any
+// other undecodable frame.
+func (w *Worker) applyDelta(d *snapDelta) (nackCause byte, err error) {
+	base, ok := w.snapshot(d.Job, d.BaseHash)
 	if !ok {
-		return c.write(encodeSnapNack(snapNack{
-			Job: d.Job, BaseHash: d.BaseHash, NewHash: d.NewHash, Cause: nackBaseMissing,
-		}))
+		return nackBaseMissing, nil
 	}
-	patched, err := applySnapDelta(base, d)
-	if err != nil {
-		return err
+	changed := make([]snapEntry, len(d.Changed))
+	for i := range d.Changed {
+		en := &d.Changed[i]
+		r := wire.NewReader(en.val)
+		changed[i] = readEntry(r, en.scope, en.name, w.opts.Values)
+		if err := codecErr(r.Done()); err != nil {
+			return 0, err
+		}
 	}
-	if wire.FNV1a(patched) != d.NewHash {
-		wire.Free(patched) // single-owner here: safe to recycle
-		return c.write(encodeSnapNack(snapNack{
-			Job: d.Job, BaseHash: d.BaseHash, NewHash: d.NewHash, Cause: nackHashMismatch,
-		}))
+	ents, sum := spliceEntries(base.ents, base.sum, changed, d.Deleted)
+	if snapIdentity(sum) != d.NewHash {
+		return nackHashMismatch, nil
 	}
-	e, err := decodeSnapshot(patched, w.opts.Values)
-	if err != nil {
-		wire.Free(patched)
-		return err
-	}
-	w.installSnapshot(d.Job, d.NewHash, e, patched)
-	return nil
+	w.installSnapshot(d.Job, d.NewHash, newCachedSnap(ents, sum))
+	return 0, nil
 }
 
 // inlineTask reports whether a task should run on the read loop itself: a
