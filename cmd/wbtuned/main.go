@@ -58,6 +58,7 @@ type daemon struct {
 	cfg config
 	reg *obs.Registry
 	rt  *core.Runtime
+	ds  *checkpoint.DirStore // nil without -store
 	m   *jobs.Manager
 	ln  net.Listener
 	srv *http.Server
@@ -104,7 +105,7 @@ func newDaemon(cfg config) (*daemon, error) {
 			d.stopFleet()
 			return nil, fmt.Errorf("opening store: %w", err)
 		}
-		store = ds
+		d.ds, store = ds, ds
 	}
 
 	programs := jobs.NewRegistry()
@@ -132,6 +133,7 @@ func newDaemon(cfg config) (*daemon, error) {
 	ln, err := net.Listen("tcp", cfg.httpAddr)
 	if err != nil {
 		d.m.Close()
+		d.closeStore()
 		d.stopFleet()
 		return nil, err
 	}
@@ -158,7 +160,15 @@ func (d *daemon) serve() error {
 func (d *daemon) shutdown(ctx context.Context) {
 	_ = d.srv.Shutdown(ctx)
 	d.m.Close()
+	d.closeStore()
 	d.stopFleet()
+}
+
+// closeStore releases the store directory for the next process.
+func (d *daemon) closeStore() {
+	if d.ds != nil {
+		d.ds.Close()
+	}
 }
 
 func (d *daemon) stopFleet() {

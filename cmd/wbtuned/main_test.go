@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/leakcheck"
@@ -23,13 +25,18 @@ import (
 // shuts the daemon down cleanly.
 func TestSmokeWbtuned(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
-	d, err := newDaemon(config{
+	cfg := config{
 		httpAddr: "127.0.0.1:0",
 		storeDir: t.TempDir(),
 		pool:     4,
-	})
+	}
+	d, err := newDaemon(cfg)
 	if err != nil {
 		t.Fatalf("newDaemon: %v", err)
+	}
+	// The store directory has one writer: a second daemon on it is refused.
+	if _, err := newDaemon(cfg); !errors.Is(err, checkpoint.ErrStoreLocked) {
+		t.Fatalf("second daemon on the same -store: %v, want ErrStoreLocked", err)
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- d.serve() }()
@@ -134,6 +141,12 @@ func TestSmokeWbtuned(t *testing.T) {
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	// Shutdown released the directory for the next process.
+	ds, err := checkpoint.NewDirStore(cfg.storeDir)
+	if err != nil {
+		t.Fatalf("store directory after shutdown: %v", err)
+	}
+	ds.Close()
 }
 
 // TestQuotaFlagParsing covers the -quota grammar.

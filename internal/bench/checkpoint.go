@@ -41,7 +41,8 @@ var registerCommitTypes = sync.OnceFunc(func() {
 // not know — panics rather than silently discarding requested state.
 //
 // Like Observe, it composes with any OptionsHook already installed and
-// returns a restore func; call it only between sequential runs.
+// returns a restore func, which also closes the store; call it only between
+// sequential runs.
 func EnableCheckpointing(dir string, every int, resume bool) (restore func(), err error) {
 	registerCommitTypes()
 	store, err := checkpoint.NewDirStore(dir)
@@ -68,5 +69,8 @@ func EnableCheckpointing(dir string, every int, resume bool) (restore func(), er
 		}
 		return o
 	}
-	return func() { OptionsHook = prev }, nil
+	return func() {
+		OptionsHook = prev
+		store.Close()
+	}, nil
 }

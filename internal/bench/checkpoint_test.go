@@ -118,7 +118,7 @@ func childRun(t *testing.T, mode, dir string, resume bool, crash, out string) er
 
 // TestCheckpointResumeTable1Parity is the headline crash-recovery gate: a
 // Canny Table I row whose tuning process is SIGKILLed at a seeded
-// auto-checkpoint — on either side of the store's atomic rename — then
+// auto-checkpoint — on either side of the store's record write — then
 // resumed in a fresh process must render byte for byte what an
 // uninterrupted process renders. Both the in-process executor and a
 // loopback worker fleet are proven.
@@ -141,10 +141,10 @@ func TestCheckpointResumeTable1Parity(t *testing.T) {
 			// auto-checkpoint while a write is in flight, and the last save
 			// is the final complete one), but the first save is always the
 			// first round's auto-checkpoint and a second save always
-			// follows. So kill after the first rename (survivor: save 1) or
-			// during the second save's write (survivor: still save 1) — the
+			// follows. So kill after the first write (survivor: save 1) or
+			// before the second save's write (survivor: still save 1) — the
 			// surviving checkpoint is partial in every timing.
-			for site, k := range map[string]int{"ckpt-pre-rename": 2, "ckpt-post-rename": 1} {
+			for site, k := range map[string]int{"ckpt-pre-write": 2, "ckpt-post-write": 1} {
 				dir := filepath.Join(base, mode+"-"+site)
 				crashOut := filepath.Join(dir, "crash.out")
 
@@ -161,12 +161,13 @@ func TestCheckpointResumeTable1Parity(t *testing.T) {
 					t.Fatalf("%s:%d: crash child produced output despite dying", site, k)
 				}
 				// The kill must have left a parseable, resumable checkpoint:
-				// either the previous save (pre-rename) or the k-th one.
+				// either the previous save (pre-write) or the k-th one.
 				ds, err := checkpoint.NewDirStore(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				st, err := checkpoint.LoadFrom(ds, "run001")
+				ds.Close() // the resume child is the directory's next writer
 				if err != nil || st == nil {
 					t.Fatalf("%s:%d: no checkpoint survived the kill: %v", site, k, err)
 				}

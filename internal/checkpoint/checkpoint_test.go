@@ -184,23 +184,34 @@ func TestDirStore(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("LoadFrom returned a different state")
 	}
-	// No temp file may survive a completed save.
+	// The directory holds the log and nothing else.
 	ents, err := os.ReadDir(filepath.Join(dir, "ckpts"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if e.Name() != "job.ckpt" {
+		if e.Name() != logName {
 			t.Fatalf("unexpected file %q after save", e.Name())
 		}
 	}
-	for _, bad := range []string{"", "a/b", `a\b`, "..", "a..b"} {
+	// Labels are record fields, not file names: only an empty or oversized
+	// one is refused.
+	for _, bad := range []string{"", strings.Repeat("x", maxLabel+1)} {
 		if err := ds.Save(bad, data); err == nil {
-			t.Fatalf("Save accepted invalid label %q", bad)
+			t.Fatalf("Save accepted invalid label of %d bytes", len(bad))
 		}
-		if _, err := ds.Load(bad); err == nil {
-			t.Fatalf("Load accepted invalid label %q", bad)
+		if err := ds.Delete(bad); err == nil {
+			t.Fatalf("Delete accepted invalid label of %d bytes", len(bad))
 		}
+		if _, err := ds.Load(bad); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("Load of invalid label of %d bytes: %v, want fs.ErrNotExist", len(bad), err)
+		}
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := ds.Save("job", data); err == nil {
+		t.Fatal("Save on a closed store succeeded")
 	}
 }
 

@@ -4,17 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
-
-	"repro/internal/faultinject"
 )
 
 // Store is a pluggable checkpoint sink keyed by label. Save must be
 // atomic: a crash mid-save leaves either the previous checkpoint or the
-// new one, never a torn file. Load returns an error satisfying
+// new one, never a torn one. Load returns an error satisfying
 // errors.Is(err, fs.ErrNotExist) when no checkpoint exists under label.
 type Store interface {
 	Save(label string, data []byte) error
@@ -49,90 +44,6 @@ func LoadFrom(s Store, label string) (*State, error) {
 		return nil, err
 	}
 	return DecodeBytes(data)
-}
-
-// DirStore is a file-backed Store: one <label>.ckpt file per label in a
-// flat directory. Saves write a temp file and rename it into place, so a
-// kill at any instruction boundary leaves a parseable checkpoint (the
-// crash-recovery suite injects kills on both sides of the rename to prove
-// it).
-type DirStore struct {
-	dir string
-}
-
-// NewDirStore returns a DirStore rooted at dir, creating it if needed.
-func NewDirStore(dir string) (*DirStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return &DirStore{dir: dir}, nil
-}
-
-// path validates label (it becomes a file name) and returns its file path.
-func (d *DirStore) path(label string) (string, error) {
-	if label == "" || strings.ContainsAny(label, "/\\") || strings.Contains(label, "..") {
-		return "", fmt.Errorf("checkpoint: invalid label %q", label)
-	}
-	return filepath.Join(d.dir, label+".ckpt"), nil
-}
-
-// Save writes data under label via temp file + atomic rename.
-func (d *DirStore) Save(label string, data []byte) error {
-	final, err := d.path(label)
-	if err != nil {
-		return err
-	}
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	faultinject.CrashPoint("ckpt-pre-rename")
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	faultinject.CrashPoint("ckpt-post-rename")
-	return nil
-}
-
-// Load reads the checkpoint stored under label.
-func (d *DirStore) Load(label string) ([]byte, error) {
-	p, err := d.path(label)
-	if err != nil {
-		return nil, err
-	}
-	return os.ReadFile(p)
-}
-
-// List returns the labels of every stored checkpoint. In-flight ".tmp"
-// files (a save that never reached its rename) are not checkpoints and are
-// skipped.
-func (d *DirStore) List() ([]string, error) {
-	ents, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	var labels []string
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".ckpt") {
-			continue
-		}
-		labels = append(labels, strings.TrimSuffix(name, ".ckpt"))
-	}
-	return labels, nil
-}
-
-// Delete removes the checkpoint stored under label; deleting an absent
-// label is a no-op.
-func (d *DirStore) Delete(label string) error {
-	p, err := d.path(label)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
 }
 
 // MemStore is an in-memory Store for tests and live migration handoffs.

@@ -67,23 +67,21 @@ func storeUnderTest(t *testing.T, s Store) {
 
 func TestDirStoreListDelete(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewDirStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A stray temp file (kill before rename) and an unrelated file must not
-	// surface as labels.
-	if err := os.WriteFile(filepath.Join(dir, "torn.ckpt.tmp"), []byte("x"), 0o644); err != nil {
+	// The temp file of a compaction that never reached its rename and an
+	// unrelated file must not surface as labels, nor keep the store from
+	// opening.
+	if err := os.WriteFile(filepath.Join(dir, logTmpName), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	storeUnderTest(t, s)
-
-	if err := s.Delete("../escape"); err == nil {
-		t.Fatal("Delete accepted a path-traversal label")
+	s, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer s.Close()
+	storeUnderTest(t, s)
 }
 
 func TestMemStoreListDelete(t *testing.T) {

@@ -94,7 +94,9 @@ type subscriber struct {
 	closed bool
 }
 
-// job is the manager-internal record of one submission.
+// job is the manager-internal record of one submission. run, resume and
+// cancel are dropped once the job is terminal: a job at rest keeps only what
+// Status reports.
 type job struct {
 	spec        core.JobSpec
 	run         RunFunc
@@ -134,7 +136,9 @@ type Manager struct {
 	queueWait *obs.Histogram
 
 	mu       sync.Mutex
-	jobs     map[string]*job
+	jobs     map[string]*job // every live job and the last maxFinished terminal ones
+	finished [maxFinished]*job
+	nFinish  int    // terminal jobs so far; finished[nFinish%maxFinished] is the oldest kept
 	queue    []*job // submission order; admission scans for best (class, seq)
 	running  int
 	byTenant map[string]int
@@ -149,6 +153,11 @@ type bucket struct {
 	tokens float64
 	last   time.Time
 }
+
+// maxFinished is how many terminal jobs the manager remembers. Older ones
+// are forgotten, oldest first: their names can be submitted again and Get,
+// Subscribe and Wait report ErrNotFound for them.
+const maxFinished = 1024
 
 // specLabel / ckptLabel key a job's durable state in the Store.
 func specLabel(name string) string { return "spec-" + name }
@@ -426,6 +435,9 @@ func (m *Manager) runJob(j *job, t *core.Tuner, ctx context.Context) {
 	// interrupted, not finished: its spec — and any checkpoint — stay
 	// persisted so the next process re-admits or resumes it.
 	interrupted := err != nil && m.closed && !j.userCancel && ctx.Err() != nil
+	// Only now that ctx.Err() is read: an uncancelled child stays registered
+	// under baseCtx, and holds everything the job reached, until Close.
+	j.cancel()
 	m.finishLocked(j, result, err, interrupted)
 	m.pumpLocked()
 	m.mu.Unlock()
@@ -455,6 +467,19 @@ func (m *Manager) finishLocked(j *job, result string, err error, interrupted boo
 	m.noteState(j.state)
 	m.dropPersistedLocked(j.spec.Name)
 	m.closeWaitersLocked(j)
+	m.retireLocked(j)
+}
+
+// retireLocked files a job that just became terminal among the finished
+// ones, forgetting the oldest of them once maxFinished are kept.
+func (m *Manager) retireLocked(j *job) {
+	j.run, j.resume, j.cancel = nil, nil, nil
+	slot := &m.finished[m.nFinish%maxFinished]
+	if old := *slot; old != nil {
+		delete(m.jobs, old.spec.Name)
+	}
+	*slot = j
+	m.nFinish++
 }
 
 // dropPersistedLocked removes a finished job's durable spec and checkpoint.
@@ -550,6 +575,7 @@ func (m *Manager) Cancel(name string) error {
 		m.noteState(StateCancelled)
 		m.dropPersistedLocked(name)
 		m.closeWaitersLocked(j)
+		m.retireLocked(j)
 	default:
 		j.userCancel = true
 		if j.cancel != nil {
@@ -593,7 +619,8 @@ func (m *Manager) Get(name string) (Status, error) {
 	return m.statusLocked(j), nil
 }
 
-// List returns every known job's status in submission order.
+// List returns every known job's status in submission order: the live jobs
+// and at most maxFinished terminal ones.
 func (m *Manager) List() []Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -623,7 +650,10 @@ func (m *Manager) Wait(ctx context.Context, name string) (Status, error) {
 	case <-ctx.Done():
 		return Status{}, ctx.Err()
 	}
-	return m.Get(name)
+	// Through j, not the name: by now the job may be forgotten.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.statusLocked(j), nil
 }
 
 // Subscribe attaches a round-stream listener to the named job. It returns

@@ -11,9 +11,10 @@ import (
 
 // TestRestartRecovery is the kill-and-restart integration test: a durable
 // manager dies with one checkpointed job mid-run and two more still queued;
-// a fresh manager over the same DirStore must resume the checkpointed job
-// (not restart it), re-admit the queued specs exactly once each, and drive
-// everything to results byte-identical to an uninterrupted run.
+// a fresh manager over the same directory, opened anew, must resume the
+// checkpointed job (not restart it), re-admit the queued specs exactly once
+// each, and drive everything to results byte-identical to an uninterrupted
+// run.
 func TestRestartRecovery(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	dir := t.TempDir()
@@ -68,8 +69,15 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatalf("mid state %q before shutdown, want queued", s.State)
 	}
 	m1.Close()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Life 2: recover from the same directory.
+	// Life 2: recover from the same directory, its index rebuilt from the log.
+	if store, err = checkpoint.NewDirStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	m2 := NewManager(Options{
 		Runtime:  core.NewRuntime(core.RuntimeOptions{MaxPool: 4}),
 		Programs: newReg(closedChan()),
