@@ -658,26 +658,34 @@ func (m *Manager) Wait(ctx context.Context, name string) (Status, error) {
 
 // Subscribe attaches a round-stream listener to the named job. It returns
 // the rounds emitted so far and a channel carrying subsequent ones; the
-// channel closes when the job reaches rest. Call stop to detach early.
-func (m *Manager) Subscribe(name string) ([]Round, <-chan Round, func(), error) {
+// channel closes when the job reaches rest. status reports the job's status
+// through the subscription itself, so the final one is still there once the
+// channel has closed, even if the manager has forgotten the job by then. Call
+// stop to detach early.
+func (m *Manager) Subscribe(name string) (past []Round, rounds <-chan Round, status func() Status, stop func(), err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[name]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return nil, nil, nil, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	past := append([]Round(nil), j.rounds...)
+	past = append([]Round(nil), j.rounds...)
+	status = func() Status {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.statusLocked(j)
+	}
 	ch := make(chan Round, 128)
 	sub := &subscriber{ch: ch}
 	select {
 	case <-j.done:
 		sub.closed = true
 		close(ch)
-		return past, ch, func() {}, nil
+		return past, ch, status, func() {}, nil
 	default:
 	}
 	j.subs = append(j.subs, sub)
-	stop := func() {
+	stop = func() {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		if sub.closed {
@@ -692,7 +700,7 @@ func (m *Manager) Subscribe(name string) ([]Round, <-chan Round, func(), error) 
 			}
 		}
 	}
-	return past, ch, stop, nil
+	return past, ch, status, stop, nil
 }
 
 // Recover rebuilds the manager's queue from a previous process's durable

@@ -143,8 +143,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // event per Round (JSON data), then one "done" event carrying the final
 // Status when the job reaches rest.
 func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	past, ch, stop, err := s.m.Subscribe(name)
+	past, ch, status, stop, err := s.m.Subscribe(r.PathValue("name"))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -183,9 +182,7 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
 			return
 		case rd, open := <-ch:
 			if !open {
-				if st, err := s.m.Get(name); err == nil {
-					event("done", st)
-				}
+				event("done", status())
 				return
 			}
 			if !event("round", rd) {

@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -342,5 +344,83 @@ func TestJobsMetricsExposition(t *testing.T) {
 	// The completed-state counter should have retired all three jobs.
 	if !strings.Contains(text, fmt.Sprintf(`%s{state="completed"} 3`, MetricJobsState)) {
 		t.Errorf("expected 3 completed jobs in exposition:\n%s", text)
+	}
+}
+
+// stallWriter is a streaming ResponseWriter whose first Flush — the rounds
+// handler's header flush, right after it subscribed — reports in and then
+// blocks until resume is closed.
+type stallWriter struct {
+	hdr     http.Header
+	mu      sync.Mutex
+	buf     bytes.Buffer
+	once    sync.Once
+	flushed chan struct{}
+	resume  chan struct{}
+}
+
+func (w *stallWriter) Header() http.Header { return w.hdr }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+func (w *stallWriter) Flush() {
+	w.once.Do(func() {
+		close(w.flushed)
+		<-w.resume
+	})
+}
+
+// TestRoundsStreamDoneSurvivesEviction: a rounds stream ends with the job's
+// final status even when the manager has forgotten the job by the time the
+// handler gets to its closed channel — maxFinished later jobs finished while
+// the handler was stalled on a slow client.
+func TestRoundsStreamDoneSurvivesEviction(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	release := make(chan struct{})
+	m := NewManager(Options{
+		Runtime:  core.NewRuntime(core.RuntimeOptions{MaxPool: 4}),
+		Programs: testRegistry(release), MaxRunning: 1,
+	})
+	defer m.Close()
+	srv := NewServer(m, nil)
+	mustSubmit(t, m, core.JobSpec{Name: "watched", Program: "wait"})
+
+	w := &stallWriter{hdr: make(http.Header), flushed: make(chan struct{}), resume: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeHTTP(w, httptest.NewRequest("GET", "/v1/jobs/watched/rounds", nil))
+	}()
+	<-w.flushed // the handler holds its subscription and is stalled
+
+	close(release) // "watched" completes, and so does every wait job after it
+	for i := 0; i < maxFinished; i++ {
+		name := fmt.Sprintf("later-%d", i)
+		mustSubmit(t, m, core.JobSpec{Name: name, Program: "wait"})
+		if _, err := m.Wait(context.Background(), name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Get("watched"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(watched) = %v; the test needs it forgotten before the handler resumes", err)
+	}
+
+	close(w.resume)
+	<-served
+	out := w.buf.String()
+	i := strings.Index(out, "event: done\n")
+	if i < 0 {
+		t.Fatalf("stream ended without a done event:\n%s", out)
+	}
+	var st Status
+	data := strings.TrimPrefix(strings.SplitN(out[i:], "\n", 3)[1], "data: ")
+	if err := json.Unmarshal([]byte(data), &st); err != nil {
+		t.Fatalf("done event data %q: %v", data, err)
+	}
+	if st.State != StateCompleted || st.Result != "done" || st.Spec.Name != "watched" {
+		t.Errorf("done event carries %+v, want watched completed with its result", st)
 	}
 }

@@ -38,36 +38,26 @@ type ExecutorOptions struct {
 	// Obs, when non-nil, receives the per-worker dispatch metrics and the
 	// fleet-level gauges (fleet size, affinity hits/misses).
 	Obs *obs.Registry
-	// AffinityWait bounds how long a sample whose job snapshot is already
-	// cached on a busy worker waits for one of that worker's slots before
-	// falling back to work stealing on any free worker. Zero means
-	// DefaultAffinityWait; negative disables affinity waiting (pure FIFO
-	// stealing, the pre-elastic behaviour).
-	AffinityWait time.Duration
 }
-
-// DefaultAffinityWait is the default bound on how long a sample holds out
-// for a snapshot-affine worker before stealing lands it anywhere. It is
-// deliberately a fraction of a typical sample's service time: affinity is
-// worth a short queue, never a stall.
-const DefaultAffinityWait = 2 * time.Millisecond
 
 // NetExecutor implements core.Executor over a fleet of worker connections.
 //
-// Scheduling is pull-based work stealing: Execute appends the sample to one
-// shared FIFO queue, and every worker connection runs a pump goroutine that
-// claims the queue head whenever the worker has a free slot — so a fast or
-// idle worker naturally takes work a slow one has not claimed, with no
-// per-worker queues to balance. A worker that dies (read error, protocol
+// Placement: Execute hands the sample to a worker with a free slot — one that
+// can start it without a full snapshot ship if there is one, any other
+// otherwise — and only when no live worker has a free slot does it join one
+// shared FIFO queue, whose head every worker connection's pump goroutine
+// claims the moment its worker frees a slot. Snapshot affinity is a
+// preference among free workers, never a reason to wait for a busy one, so a
+// fast or idle worker naturally takes work a slow one has not claimed, with
+// no per-worker queues to balance. A worker that dies (read error, protocol
 // violation) fails its in-flight samples with a retryable error; core's
 // FaultPolicy retry machinery re-executes them, the re-dispatch lands on a
 // surviving worker, and the seeded sampler makes the replay draw exactly
 // what the lost attempt drew. When no workers remain, Execute reports
 // ErrExecUnsupported and the tuner finishes the run in-process.
 type NetExecutor struct {
-	opts    ExecutorOptions
-	affWait time.Duration
-	fm      *fleetMetrics
+	opts ExecutorOptions
+	fm   *fleetMetrics
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -85,13 +75,14 @@ type NetExecutor struct {
 }
 
 // snapBase is one superseded snapshot version of a job, retained only as a
-// delta-ship base: its store version, its identity, and — no copy of the
-// snapshot itself — the encoded mSnapDelta frame that takes a worker holding
-// it to the job's current version. ratioFail records that the delta existed
-// but exceeded the ratio bound, so ships from this base fall back to full with
-// cause=ratio.
+// delta-ship base: its store version, its place in the job's version order,
+// its identity, and — no copy of the snapshot itself — the encoded mSnapDelta
+// frame that takes a worker holding it to the job's current version.
+// ratioFail records that the delta existed but exceeded the ratio bound, so
+// ships from this base fall back to full with cause=ratio.
 type snapBase struct {
 	ver       uint64
+	seq       uint64
 	hash      uint64
 	delta     []byte
 	ratioFail bool
@@ -134,12 +125,6 @@ func NewExecutor(opts ExecutorOptions) *NetExecutor {
 		panic("remote: ExecutorOptions.Registry is required")
 	}
 	ex := &NetExecutor{opts: opts, snaps: make(map[uint64]*jobSnap)}
-	switch {
-	case opts.AffinityWait > 0:
-		ex.affWait = opts.AffinityWait
-	case opts.AffinityWait == 0:
-		ex.affWait = DefaultAffinityWait
-	}
 	if opts.Obs != nil {
 		ex.fm = newFleetMetrics(opts.Obs)
 	}
@@ -219,8 +204,16 @@ type dworker struct {
 	// exempt — they ride the bulk lane and tasks park worker-side until
 	// theirs lands.
 	shipMu     sync.Mutex
-	sentSnaps  map[uint64]map[uint64]struct{} // job id -> identities queued to this worker
 	sentRounds map[uint64]bool
+
+	// sent mirrors, per job, the worker's FIFO snapshot cache: the versions
+	// queued to it, oldest first, at most snapCacheCap of them. It answers
+	// both "what must this ship carry" and "can this worker start the sample
+	// without a full ship", so it is written under shipMu and ex.mu together
+	// (ex.mu innermost) and read under either: the ship path holds shipMu,
+	// placement holds ex.mu. A job's key outlives its versions until EndJob —
+	// a worker whose every known version is gone is stale, not cold.
+	sent map[uint64][]sentVer
 
 	// bulkq feeds the bulk-lane goroutine, which streams snapshot ships as
 	// interleavable chunk frames so a multi-megabyte @load state never
@@ -229,20 +222,24 @@ type dworker struct {
 	stop  chan struct{} // closed by fail; releases the bulk lane
 
 	// Guarded by ex.mu.
-	inflight  map[uint64]*call
-	dead      bool
-	draining  bool
-	counted   bool                 // slots currently in the fleet capacity
-	haveSnaps map[snapKey]struct{} // dispatcher-side affinity index
+	inflight map[uint64]*call
+	dead     bool
+	draining bool
+	counted  bool // slots currently in the fleet capacity
 }
+
+// sentVer names one snapshot version queued to a worker: its place in the
+// job's version order and its identity.
+type sentVer struct{ seq, hash uint64 }
 
 // bulkItem is one snapshot ship queued on the bulk lane: a full encoding
 // (data) or, when delta is non-nil, a complete encoded mSnapDelta frame
-// taking a base the worker already holds to version hash.
+// taking a base the worker already holds to version ver.
 type bulkItem struct {
-	job, hash uint64
-	data      []byte
-	delta     []byte
+	job   uint64
+	ver   sentVer
+	data  []byte
+	delta []byte
 }
 
 // call is one Execute invocation in flight.
@@ -255,13 +252,6 @@ type call struct {
 
 	enq  time.Time
 	sent time.Time
-
-	// Affinity routing: sk identifies the snapshot this sample needs; a call
-	// queued while only busy workers hold sk carries a deadline after which
-	// any worker may steal it. Guarded by ex.mu.
-	sk          snapKey
-	affDeadline time.Time
-	affTimer    *time.Timer
 
 	// Guarded by ex.mu.
 	worker    *dworker
@@ -373,12 +363,11 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 		proto:      hello.Version,
 		chunkBound: tn.MaxInflightChunks,
 		m:          m,
-		sentSnaps:  make(map[uint64]map[uint64]struct{}),
 		sentRounds: make(map[uint64]bool),
+		sent:       make(map[uint64][]sentVer),
 		bulkq:      make(chan bulkItem, bulkCap),
 		stop:       make(chan struct{}),
 		inflight:   make(map[uint64]*call),
-		haveSnaps:  make(map[snapKey]struct{}),
 	}
 	ex.workers = append(ex.workers, w)
 	ex.countLocked(w)
@@ -394,8 +383,9 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 
 // warmWorker pre-ships every cached job snapshot to a just-added worker over
 // the bulk lane (protocol v3 pre-priming), so a scale-up joins the fleet
-// warm: its first affinity-routed samples park briefly on an in-flight ship
-// instead of paying a full snapshot round-trip at dispatch time.
+// warm: placement already prefers it, and its first samples park briefly on
+// an in-flight ship instead of paying a full snapshot round-trip at dispatch
+// time.
 func (ex *NetExecutor) warmWorker(w *dworker) {
 	ex.snapMu.Lock()
 	curs := make(map[uint64]*snapVersion, len(ex.snaps))
@@ -410,59 +400,77 @@ func (ex *NetExecutor) warmWorker(w *dworker) {
 	}
 }
 
-// shipSnapshot makes sure version v of job's snapshot is queued to w and
-// marks w as an affinity holder of it — the pre-shipping step PrimeSnapshot
-// and warmWorker share.
+// shipSnapshot makes sure version v of job's snapshot is queued to w — the
+// pre-shipping step PrimeSnapshot and warmWorker share.
 func (ex *NetExecutor) shipSnapshot(w *dworker, job uint64, v *snapVersion) error {
-	sk := snapKey{job: job, hash: v.hash}
 	w.shipMu.Lock()
-	var err error
-	if _, sent := w.sentSnaps[job][v.hash]; !sent {
-		if w.m != nil {
-			w.m.snapMisses.Inc()
+	defer w.shipMu.Unlock()
+	if w.hasSent(job, v.hash) {
+		return nil
+	}
+	w.m.countSnapshot(false)
+	return w.queueLocked(ex.snapItem(w, job, v))
+}
+
+// hasSent reports whether the version with identity hash was queued to w and
+// is still in its cache. Callers hold w.shipMu or ex.mu.
+func (w *dworker) hasSent(job, hash uint64) bool {
+	for _, sv := range w.sent[job] {
+		if sv.hash == hash {
+			return true
 		}
-		err = w.queueLocked(ex.snapItem(w, job, v))
 	}
-	w.shipMu.Unlock()
-	if err != nil {
-		return err
+	return false
+}
+
+// holds reports whether w can start a sample of rs without a full snapshot
+// ship: it was queued the round's version, or — speaking v5 — a version the
+// round's cached deltas reach. It is judged only from what was really queued
+// to w, so a worker that has not yet taken its first ship of a job, or whose
+// versions have all fallen behind the retained bases, is not a holder.
+// Deltas target a job's current version only, so for a round that a sibling
+// tuning process has since overtaken this can answer yes where the ship turns
+// out full; placement treats it as a preference, and hits and misses are
+// counted at ship time. Callers hold ex.mu.
+func (w *dworker) holds(rs *roundState) bool {
+	v := rs.snap
+	for _, sv := range w.sent[rs.job] {
+		if sv.hash == v.hash || (w.proto >= snapDeltaProto && v.reach <= sv.seq && sv.seq < v.seq) {
+			return true
+		}
 	}
-	ex.mu.Lock()
-	if !w.dead {
-		w.haveSnaps[sk] = struct{}{}
-	}
-	ex.mu.Unlock()
-	return nil
+	return false
 }
 
 // queueLocked feeds one snapshot ship to w's bulk lane and records its version
-// as sent; a worker that stopped meanwhile is left un-marked, so a later
-// round's ship to a reconnected worker is not suppressed. Callers hold
-// w.shipMu and have checked sentSnaps.
+// as sent, dropping the oldest once the list outgrows the worker's cache.
+// Callers hold w.shipMu and have checked hasSent.
 func (w *dworker) queueLocked(it bulkItem) error {
-	sent := w.sentSnaps[it.job]
-	if sent == nil {
-		sent = make(map[uint64]struct{}, maxSnapVersions+1)
-		w.sentSnaps[it.job] = sent
-	}
-	sent[it.hash] = struct{}{}
 	select {
 	case w.bulkq <- it:
-		return nil
 	case <-w.stop:
-		delete(sent, it.hash)
 		return errWorkerStopped
 	}
+	w.ex.mu.Lock()
+	vs := w.sent[it.job]
+	if vs == nil {
+		vs = make([]sentVer, 0, snapCacheCap+1)
+	}
+	if vs = append(vs, it.ver); len(vs) > snapCacheCap {
+		vs = slices.Delete(vs, 0, 1) // the worker's FIFO cache has dropped its oldest too
+	}
+	w.sent[it.job] = vs
+	w.ex.mu.Unlock()
+	return nil
 }
 
 // snapItem decides how version v of job's snapshot reaches w: an mSnapDelta
 // against the newest retained base already queued to this worker when the
 // worker speaks v5 and the cached delta passed the ratio bound; the full
 // encoding — materialised here, on first need — otherwise, counting why the
-// delta path was unavailable. Callers hold w.shipMu (which guards
-// w.sentSnaps); snapMu nests inside it.
+// delta path was unavailable. Callers hold w.shipMu; snapMu nests inside it.
 func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem {
-	sent, known := w.sentSnaps[job]
+	_, known := w.sent[job]
 	var delta []byte
 	hadRatio := false
 	ex.snapMu.Lock()
@@ -470,7 +478,7 @@ func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem
 	current := s != nil && s.cur == v
 	if current && known && w.proto >= snapDeltaProto {
 		for _, b := range s.bases { // oldest first: the last usable one is the newest
-			if _, ok := sent[b.hash]; !ok {
+			if !w.hasSent(job, b.hash) {
 				continue
 			}
 			if b.ratioFail {
@@ -481,6 +489,7 @@ func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem
 		}
 	}
 	ex.snapMu.Unlock()
+	it := bulkItem{job: job, ver: sentVer{seq: v.seq, hash: v.hash}}
 	switch {
 	case !current:
 		// Not the version the delta cache targets (a stale round, or a dropped
@@ -491,41 +500,17 @@ func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem
 		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackVer })
 	case delta != nil:
 		ex.countSnapBytes(true, len(delta))
-		return bulkItem{job: job, hash: v.hash, delta: delta}
+		it.delta = delta
+		return it
 	case hadRatio:
 		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackRatio })
 	default:
 		// Every version this worker was sent has left the dispatcher cache.
 		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackBase })
 	}
-	data := v.encoded()
-	ex.countSnapBytes(false, len(data))
-	return bulkItem{job: job, hash: v.hash, data: data}
-}
-
-// forgetSnaps drops identities that left a job's snapshot cache from every
-// worker's sent and affinity indexes, so neither grows with a job's version
-// count. The job's key itself stays in sentSnaps: a worker whose every known
-// version was evicted is stale (a counted base fallback), not cold.
-func (ex *NetExecutor) forgetSnaps(job uint64, hashes []uint64) {
-	if len(hashes) == 0 {
-		return
-	}
-	ex.mu.Lock()
-	workers := append([]*dworker(nil), ex.workers...)
-	for _, w := range workers {
-		for _, h := range hashes {
-			delete(w.haveSnaps, snapKey{job: job, hash: h})
-		}
-	}
-	ex.mu.Unlock()
-	for _, w := range workers {
-		w.shipMu.Lock()
-		for _, h := range hashes {
-			delete(w.sentSnaps[job], h)
-		}
-		w.shipMu.Unlock()
-	}
+	it.data = v.encoded()
+	ex.countSnapBytes(false, len(it.data))
+	return it
 }
 
 func (ex *NetExecutor) countSnapBytes(delta bool, n int) {
@@ -642,12 +627,12 @@ func (ex *NetExecutor) snapshotFor(job uint64, e *store.Exposed) (*snapVersion, 
 		return nil, nil
 	}
 	ex.snapMu.Lock()
+	defer ex.snapMu.Unlock()
 	ver := e.Version()
 	s := ex.snaps[job]
 	if s == nil || s.store != e {
 		// First snapshot for this job (or the job re-bound to a fresh store,
 		// e.g. after resume): encode everything, fresh history.
-		defer ex.snapMu.Unlock()
 		cur, err := newSnapVersion(e, ex.opts.Values)
 		if err == nil {
 			err = checkSnapshotSize(snapBound(cur.ents))
@@ -658,18 +643,12 @@ func (ex *NetExecutor) snapshotFor(job uint64, e *store.Exposed) (*snapVersion, 
 		ex.snaps[job] = &jobSnap{store: e, ver: ver, cur: cur}
 		return cur, nil
 	}
-	var gone []uint64
-	var err error
 	if s.ver != ver {
-		gone, err = ex.advanceSnapLocked(job, e, s, ver)
+		if err := ex.advanceSnapLocked(job, e, s, ver); err != nil {
+			return nil, err
+		}
 	}
-	cur := s.cur
-	ex.snapMu.Unlock()
-	ex.forgetSnaps(job, gone) // takes ex.mu and shipMu, which snapMu nests inside
-	if err != nil {
-		return nil, err
-	}
-	return cur, nil
+	return s.cur, nil
 }
 
 // checkSnapshotSize enforces the wire cap when a version is built: an exposed
@@ -686,9 +665,9 @@ func checkSnapshotSize(n int) error {
 // current version in O(changed entries) of encoding and hashing: it encodes
 // the values set since s.ver, splices them into the previous entry list,
 // retains the previous version's identity as a delta base, and refreshes
-// every retained base's cached delta to target the new version. It returns
-// the identities evicted past maxSnapVersions. Callers hold ex.snapMu.
-func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSnap, ver uint64) ([]uint64, error) {
+// every retained base's cached delta to target the new version, evicting the
+// bases past maxSnapVersions. Callers hold ex.snapMu.
+func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSnap, ver uint64) error {
 	prev := s.cur
 	changed, deleted := e.ChangedSince(s.horizon())
 
@@ -702,7 +681,7 @@ func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSna
 		}
 		en, err := encodeEntry(&scratch, c.Scope, c.Name, c.V, ex.opts.Values)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		chPrev = append(chPrev, en)
 	}
@@ -722,21 +701,19 @@ func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSna
 		// content would grow the deleted-key map forever.
 		s.ver = ver
 		e.CompactDeletions(s.horizon())
-		return nil, nil
+		return nil
 	}
 	bound := snapBound(ents)
 	if err := checkSnapshotSize(bound); err != nil {
-		return nil, err
+		return err
 	}
 
 	// The previous version becomes a base, the oldest beyond maxSnapVersions
 	// are evicted, and a store that cycled back to earlier contents re-enters
 	// as the current version: its old identity stops being a base.
-	s.bases = slices.DeleteFunc(append(s.bases, &snapBase{ver: s.ver, hash: prev.hash}),
+	s.bases = slices.DeleteFunc(append(s.bases, &snapBase{ver: s.ver, seq: prev.seq, hash: prev.hash}),
 		func(b *snapBase) bool { return b.hash == hash })
-	var gone []uint64
 	for len(s.bases) > maxSnapVersions {
-		gone = append(gone, s.bases[0].hash)
 		s.bases = s.bases[1:]
 		if ex.fm != nil {
 			ex.fm.snapEvictions.Inc()
@@ -769,11 +746,16 @@ func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSna
 			b.delta = nil
 		}
 	}
-	s.cur, s.ver = &snapVersion{ents: ents, sum: sum, hash: hash}, ver
+	cur := &snapVersion{ents: ents, sum: sum, hash: hash, seq: prev.seq + 1}
+	cur.reach = cur.seq
+	for i := len(s.bases) - 1; i >= 0 && !s.bases[i].ratioFail; i-- {
+		cur.reach = s.bases[i].seq
+	}
+	s.cur, s.ver = cur, ver
 	// Tombstones at or below the oldest retained version can never be asked
 	// about again.
 	e.CompactDeletions(s.horizon())
-	return gone, nil
+	return nil
 }
 
 // snapshotOverhead bounds the snapshot message's framing prefix (type byte,
@@ -872,35 +854,29 @@ func (ex *NetExecutor) EndJob(job uint64) {
 		if !w.dead {
 			workers = append(workers, w)
 		}
-		for sk := range w.haveSnaps {
-			if sk.job == job {
-				delete(w.haveSnaps, sk)
-			}
-		}
 	}
 	ex.mu.Unlock()
 	payload := encodeEndJob(job)
 	for _, w := range workers {
 		w.shipMu.Lock()
-		if _, sent := w.sentSnaps[job]; sent {
-			delete(w.sentSnaps, job)
+		if _, sent := w.sent[job]; sent {
+			ex.mu.Lock()
+			delete(w.sent, job)
+			ex.mu.Unlock()
 			w.wire.writeMsg(payload)
 		}
 		w.shipMu.Unlock()
 	}
 }
 
-// Execute queues one sampling-process attempt and blocks until a worker
-// returns its result, the context expires, or the fleet is gone.
+// Execute places one sampling-process attempt on a worker and blocks until
+// its result returns, the context expires, or the fleet is gone.
 func (ex *NetExecutor) Execute(ctx context.Context, handle any, group, attempt int) (core.ExecResult, error) {
 	rs, ok := handle.(*roundState)
 	if !ok {
 		return core.ExecResult{}, core.ErrExecUnsupported
 	}
 	c := &call{r: rs, group: group, attempt: attempt, done: make(chan callOutcome, 1), enq: time.Now()}
-	if rs.snap != nil {
-		c.sk = snapKey{job: rs.job, hash: rs.snap.hash}
-	}
 	ex.mu.Lock()
 	if ex.closed || ex.liveLocked() == 0 {
 		ex.mu.Unlock()
@@ -908,60 +884,18 @@ func (ex *NetExecutor) Execute(ctx context.Context, handle any, group, attempt i
 	}
 	ex.nextCall++
 	c.id = ex.nextCall
-	// Fast path: with an empty queue and a live worker holding a free slot,
-	// claim the call inline and ship it from this goroutine — skipping the
-	// pump wakeup and handoff, which dominate loopback dispatch latency at
-	// small fleet sizes. The queue-empty check keeps FIFO fairness: nothing
-	// ever overtakes a waiting call. Affinity-first: a free worker already
-	// holding this sample's snapshot wins over round-robin; when only busy
-	// workers hold it, the sample queues with a bounded affinity deadline
-	// instead of claiming a cold worker outright.
+	// Fast path: with an empty queue and a free slot somewhere, claim the call
+	// inline and ship it from this goroutine — skipping the pump wakeup and
+	// handoff, which dominate loopback dispatch latency at small fleet sizes.
+	// The queue-empty check keeps FIFO order: nothing ever overtakes a
+	// waiting call.
 	var fast *dworker
 	if len(ex.queue) == 0 {
-		var free, affFree *dworker
-		affHeld := false
-		n := len(ex.workers)
-		start := ex.rr
-		ex.rr++
-		for i := 0; i < n; i++ {
-			w := ex.workers[(start+i)%n]
-			if w.dead || w.draining {
-				continue
-			}
-			hasSlot := len(w.inflight) < w.slots
-			if c.sk.hash != 0 {
-				if _, held := w.haveSnaps[c.sk]; held {
-					affHeld = true
-					if hasSlot && affFree == nil {
-						affFree = w
-					}
-				}
-			}
-			if hasSlot && free == nil {
-				free = w
-			}
-		}
-		switch {
-		case affFree != nil:
-			fast = affFree
-		case affHeld && ex.affWait > 0:
-			// A holder exists but is saturated: park briefly for its slot.
-		default:
-			fast = free
-		}
-		if fast != nil {
-			ex.claimLocked(fast, c)
-		}
+		fast = ex.pickLocked(rs)
 	}
-	if fast == nil {
-		if c.sk.hash != 0 && ex.affWait > 0 && ex.affinityHeldLocked(c.sk) {
-			c.affDeadline = time.Now().Add(ex.affWait)
-			c.affTimer = time.AfterFunc(ex.affWait, func() {
-				ex.mu.Lock()
-				ex.cond.Broadcast() // deadline passed: any pump may steal it now
-				ex.mu.Unlock()
-			})
-		}
+	if fast != nil {
+		ex.claimLocked(fast, c)
+	} else {
 		ex.queue = append(ex.queue, c)
 		ex.cond.Broadcast()
 	}
@@ -979,15 +913,8 @@ func (ex *NetExecutor) Execute(ctx context.Context, handle any, group, attempt i
 		return out.res, out.err
 	case <-ctx.Done():
 		ex.mu.Lock()
-		for i, qc := range ex.queue {
-			if qc == c {
-				ex.queue = append(ex.queue[:i], ex.queue[i+1:]...)
-				break
-			}
-		}
-		if c.affTimer != nil {
-			c.affTimer.Stop()
-			c.affTimer = nil
+		if i := slices.Index(ex.queue, c); i >= 0 {
+			ex.dequeueLocked(i)
 		}
 		// If a worker already claimed the call, its eventual result is
 		// discarded on arrival; the worker slot frees itself then.
@@ -1002,93 +929,71 @@ func (ex *NetExecutor) Execute(ctx context.Context, handle any, group, attempt i
 	}
 }
 
-// claimLocked assigns c to w: slot accounting, dispatch timestamps, and the
-// affinity bookkeeping — a claim by a worker already holding c's snapshot is
-// a hit, any other claim a miss that extends the snapshot's worker set.
+// pickLocked chooses the worker a new sample of rs starts on: scanning from
+// the rotation cursor, the first live worker with a free slot that holds rs's
+// snapshot (see holds), otherwise the first with a free slot at all — a busy
+// holder is never worth waiting for, since any free worker is one ship away
+// from being a holder itself. It returns nil when no live worker has a free
+// slot: the sample queues. Callers hold ex.mu.
+func (ex *NetExecutor) pickLocked(rs *roundState) *dworker {
+	var free *dworker
+	n := len(ex.workers)
+	start := ex.rr
+	ex.rr++
+	for i := 0; i < n; i++ {
+		w := ex.workers[(start+i)%n]
+		if w.dead || w.draining || len(w.inflight) >= w.slots {
+			continue
+		}
+		if rs.snap == nil || w.holds(rs) {
+			return w
+		}
+		if free == nil {
+			free = w
+		}
+	}
+	return free
+}
+
+// claimLocked assigns c to w: slot accounting and dispatch timestamps.
 // Callers hold ex.mu.
 func (ex *NetExecutor) claimLocked(w *dworker, c *call) {
 	w.inflight[c.id] = c
 	c.worker = w
 	c.sent = time.Now()
 	w.m.setInflight(len(w.inflight))
-	if c.affTimer != nil {
-		c.affTimer.Stop()
-		c.affTimer = nil
-	}
-	if c.sk.hash != 0 {
-		if _, held := w.haveSnaps[c.sk]; held {
-			if ex.fm != nil {
-				ex.fm.affHits.Inc()
-			}
-		} else {
-			w.haveSnaps[c.sk] = struct{}{}
-			if ex.fm != nil {
-				ex.fm.affMisses.Inc()
-			}
-		}
-	}
 }
 
-// affinityHeldLocked reports whether any live worker holds sk. Callers hold
-// ex.mu.
-func (ex *NetExecutor) affinityHeldLocked(sk snapKey) bool {
-	for _, w := range ex.workers {
-		if w.dead || w.draining {
-			continue
-		}
-		if _, held := w.haveSnaps[sk]; held {
-			return true
-		}
-	}
-	return false
+// dequeueLocked removes queue entry i, keeping order, and clears the slot it
+// vacates at the tail: a *call left in the backing array would keep its round
+// payload and snapshot version reachable past EndJob. Callers hold ex.mu.
+func (ex *NetExecutor) dequeueLocked(i int) {
+	last := len(ex.queue) - 1
+	copy(ex.queue[i:], ex.queue[i+1:])
+	ex.queue[last] = nil
+	ex.queue = ex.queue[:last]
 }
 
-// claimQueuedLocked scans the queue head-first for the first call w may
-// take: a call with no affinity deadline is always claimable (FIFO), one
-// with a deadline is claimable by a holder of its snapshot immediately and
-// by anyone once the deadline passes or the holders are gone — bounded
-// affinity, never starvation. Returns nil if nothing is claimable. Callers
-// hold ex.mu.
-func (ex *NetExecutor) claimQueuedLocked(w *dworker) *call {
-	var now time.Time
-	for i, c := range ex.queue {
-		if !c.affDeadline.IsZero() {
-			if _, held := w.haveSnaps[c.sk]; !held {
-				if now.IsZero() {
-					now = time.Now()
-				}
-				if now.Before(c.affDeadline) && ex.affinityHeldLocked(c.sk) {
-					continue // hold out for an affine slot a bit longer
-				}
-			}
-		}
-		ex.queue = append(ex.queue[:i], ex.queue[i+1:]...)
-		ex.claimLocked(w, c)
-		return c
-	}
-	return nil
-}
-
-// pump is a worker connection's stealing loop: whenever the worker has a
-// free slot, claim the first queued call the affinity policy lets it take
-// and ship it.
+// pump is a worker connection's claiming loop: whenever the worker has a free
+// slot and a call is waiting, claim the queue head — strictly FIFO, whichever
+// worker frees a slot first — and ship it.
 func (w *dworker) pump() {
 	ex := w.ex
 	for {
 		ex.mu.Lock()
-		var c *call
 		for {
 			if w.dead || w.draining || ex.closed {
 				ex.mu.Unlock()
 				return
 			}
-			if len(w.inflight) < w.slots {
-				if c = ex.claimQueuedLocked(w); c != nil {
-					break
-				}
+			if len(w.inflight) < w.slots && len(ex.queue) > 0 {
+				break
 			}
 			ex.cond.Wait()
 		}
+		c := ex.queue[0]
+		ex.dequeueLocked(0)
+		ex.claimLocked(w, c)
 		ex.mu.Unlock()
 		w.m.observeDispatch(c.enq, c.sent)
 		if err := w.ship(c); err != nil {
@@ -1105,22 +1010,25 @@ func (w *dworker) pump() {
 // the round frame ahead of its tasks on the connection even when the pump
 // and a fast-path Execute ship concurrently; the snapshot intentionally
 // bypasses that ordering (tasks park worker-side until it lands) so a large
-// @load state never head-of-line blocks the fleet.
+// @load state never head-of-line blocks the fleet. This is also where the
+// claim's affinity outcome is known and counted: a miss is a claim that cost
+// a full snapshot ship, a hit one that cost a delta or nothing.
 func (w *dworker) ship(c *call) error {
 	w.shipMu.Lock()
 	defer w.shipMu.Unlock()
 	rs := c.r
 	if rs.snap != nil {
-		if _, sent := w.sentSnaps[rs.job][rs.snap.hash]; !sent {
-			if w.m != nil {
-				w.m.snapMisses.Inc()
-			}
-			if err := w.queueLocked(w.ex.snapItem(w, rs.job, rs.snap)); err != nil {
+		cached := w.hasSent(rs.job, rs.snap.hash)
+		hit := cached
+		if !cached {
+			it := w.ex.snapItem(w, rs.job, rs.snap)
+			if err := w.queueLocked(it); err != nil {
 				return err
 			}
-		} else if w.m != nil {
-			w.m.snapHits.Inc()
+			hit = it.delta != nil
 		}
+		w.m.countSnapshot(cached)
+		w.ex.fm.countAffinity(hit)
 	}
 	if !w.sentRounds[rs.id] {
 		if err := w.wire.writeMsg(rs.payload); err != nil {
@@ -1153,7 +1061,7 @@ func (w *dworker) bulkLoop() {
 				hdr.B = hdr.B[:0]
 				hdr.U8(mSnapshot)
 				hdr.Uv(it.job)
-				hdr.U64(it.hash)
+				hdr.U64(it.ver.hash)
 				err = w.wire.writeMsg(hdr.B, it.data)
 			}
 			if err != nil {
@@ -1254,11 +1162,15 @@ func (ex *NetExecutor) handleSnapNack(w *dworker, n snapNack) {
 	ex.snapMu.Unlock()
 	w.shipMu.Lock()
 	defer w.shipMu.Unlock()
-	delete(w.sentSnaps[n.Job], n.NewHash)
+	if vs, ok := w.sent[n.Job]; ok { // not a job EndJob has already forgotten
+		ex.mu.Lock()
+		w.sent[n.Job] = slices.DeleteFunc(vs, func(sv sentVer) bool { return sv.hash == n.NewHash })
+		ex.mu.Unlock()
+	}
 	if v != nil {
 		data := v.encoded()
 		ex.countSnapBytes(false, len(data))
-		_ = w.queueLocked(bulkItem{job: n.Job, hash: n.NewHash, data: data}) // a stopped worker needs no answer
+		_ = w.queueLocked(bulkItem{job: n.Job, ver: sentVer{seq: v.seq, hash: v.hash}, data: data}) // a stopped worker needs no answer
 	}
 }
 
@@ -1337,10 +1249,6 @@ func (ex *NetExecutor) Close() {
 	queued := ex.queue
 	ex.queue = nil
 	for _, c := range queued {
-		if c.affTimer != nil {
-			c.affTimer.Stop()
-			c.affTimer = nil
-		}
 		if !c.delivered && !c.abandoned {
 			c.delivered = true
 		}

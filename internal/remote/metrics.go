@@ -20,8 +20,9 @@ const (
 	// MetricRPCSeconds observes the wire round trip: task frame written
 	// until the result frame arrived.
 	MetricRPCSeconds = "wbtuner_remote_rpc_seconds"
-	// MetricSnapshotHits / MetricSnapshotMisses count rounds whose snapshot
-	// was already cached on the worker (hit: nothing shipped) vs shipped.
+	// MetricSnapshotHits / MetricSnapshotMisses count samples whose snapshot
+	// was already queued to the worker (hit: nothing shipped) vs shipped,
+	// whole or as a delta.
 	MetricSnapshotHits   = "wbtuner_remote_snapshot_cache_hits_total"
 	MetricSnapshotMisses = "wbtuner_remote_snapshot_cache_misses_total"
 	// MetricBytes counts frame bytes per direction (label dir=in|out).
@@ -39,9 +40,10 @@ const (
 	// MetricScaleEvents counts autoscaler actions, labeled dir=up|down.
 	MetricScaleEvents = "wbtuner_scale_events_total"
 	// MetricAffinityHits / MetricAffinityMisses count dispatched samples that
-	// landed on a worker already holding their job's snapshot (hit) vs one
-	// that had to be sent it (miss). The steady-state hit ratio is the
-	// affinity dispatcher's figure of merit.
+	// carry a snapshot by what their claim cost: a miss needed a full
+	// snapshot ship (the worker's first sample of the job, or a delta
+	// fallback), a hit a delta or nothing. The steady-state hit ratio is
+	// placement's figure of merit.
 	MetricAffinityHits   = "wbtuner_affinity_hit_total"
 	MetricAffinityMisses = "wbtuner_affinity_miss_total"
 	// MetricSnapshotBytes counts encoded snapshot payload bytes queued for
@@ -79,8 +81,8 @@ func newFleetMetrics(reg *obs.Registry) *fleetMetrics {
 		return nil
 	}
 	reg.SetHelp(MetricFleetSize, "live workers counted in the fleet capacity")
-	reg.SetHelp(MetricAffinityHits, "samples dispatched to a worker already holding their snapshot")
-	reg.SetHelp(MetricAffinityMisses, "samples dispatched to a worker that had to be shipped their snapshot")
+	reg.SetHelp(MetricAffinityHits, "samples whose worker could start them without a full snapshot ship (delta or nothing)")
+	reg.SetHelp(MetricAffinityMisses, "samples whose claim cost a full snapshot ship")
 	reg.SetHelp(MetricSnapshotBytes, "encoded snapshot payload bytes queued for shipment")
 	reg.SetHelp(MetricSnapDeltaFallback, "snapshot ships that fell back from delta to full")
 	reg.SetHelp(MetricSnapCacheEvictions, "dispatcher snapshot-cache delta bases evicted by the version-count bound")
@@ -131,6 +133,32 @@ func newWorkerMetrics(reg *obs.Registry, worker, transport string) *workerMetric
 		bytesIn:    reg.Counter(MetricBytes, "worker", worker, "dir", "in"),
 		bytesOut:   reg.Counter(MetricBytes, "worker", worker, "dir", "out"),
 		failures:   reg.Counter(MetricWorkerFailures, "worker", worker),
+	}
+}
+
+// countAffinity counts one claimed sample that carries a snapshot: a hit if
+// its worker could start it without a full snapshot ship.
+func (m *fleetMetrics) countAffinity(hit bool) {
+	if m == nil {
+		return
+	}
+	if hit {
+		m.affHits.Inc()
+	} else {
+		m.affMisses.Inc()
+	}
+}
+
+// countSnapshot counts one claimed sample whose snapshot was already queued
+// to the worker (cached) or had to be shipped, whole or as a delta.
+func (m *workerMetrics) countSnapshot(cached bool) {
+	if m == nil {
+		return
+	}
+	if cached {
+		m.snapHits.Inc()
+	} else {
+		m.snapMisses.Inc()
 	}
 }
 

@@ -120,6 +120,24 @@ func TestJobCloseReleasesRemoteSnapshots(t *testing.T) {
 		snaps, jobs := snapCount(w)
 		return jobs == 0 && snaps == 0
 	})
+	// Nothing the executor still reaches may reference an ended job's
+	// snapshot: not its version cache, not a worker's sent index, and not a
+	// call left behind in a vacated slot of the queue's backing array (six
+	// samples a round over four slots: calls did queue).
+	f.ex.snapMu.Lock()
+	cached := len(f.ex.snaps)
+	f.ex.snapMu.Unlock()
+	if cached != 0 {
+		t.Errorf("%d jobs still in the dispatcher's snapshot cache after both ended", cached)
+	}
+	if sent := sentCounts(f.ex); sent[0] != 0 {
+		t.Errorf("%d snapshot versions of ended jobs still in the worker's sent index", sent[0])
+	}
+	for i, qc := range queueBacking(f.ex) {
+		if qc != nil {
+			t.Errorf("queue slot %d still references call %d of an ended job", i, qc.id)
+		}
+	}
 
 	// A cancelled job must return its scheduler slots even with samples in
 	// flight at cancellation time.

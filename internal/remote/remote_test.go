@@ -26,7 +26,7 @@ type fleet struct {
 	conns   []net.Conn // dispatcher-side pipe ends, for killing workers
 }
 
-func newFleet(t *testing.T, n, slots int, exOpts ExecutorOptions, wOpts WorkerOptions) *fleet {
+func newFleet(t testing.TB, n, slots int, exOpts ExecutorOptions, wOpts WorkerOptions) *fleet {
 	t.Helper()
 	f := &fleet{ex: NewExecutor(exOpts)}
 	for i := 0; i < n; i++ {

@@ -383,32 +383,26 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 	}
 }
 
-// sentCounts reports, per worker of ex, how many snapshot identities the
-// dispatcher's sent index and affinity index hold.
-func sentCounts(ex *NetExecutor) (sent, have []int) {
+// sentCounts reports, per worker of ex, how many snapshot versions the
+// dispatcher's sent index holds.
+func sentCounts(ex *NetExecutor) (sent []int) {
 	ex.mu.Lock()
-	workers := append([]*dworker(nil), ex.workers...)
-	for _, w := range workers {
-		have = append(have, len(w.haveSnaps))
-	}
-	ex.mu.Unlock()
-	for _, w := range workers {
+	defer ex.mu.Unlock()
+	for _, w := range ex.workers {
 		n := 0
-		w.shipMu.Lock()
-		for _, m := range w.sentSnaps {
-			n += len(m)
+		for _, vs := range w.sent {
+			n += len(vs)
 		}
-		w.shipMu.Unlock()
 		sent = append(sent, n)
 	}
-	return sent, have
+	return sent
 }
 
 // TestSnapCacheEviction runs more versions than the dispatcher retains: old
 // bases must be evicted (counted by the eviction metric), parity holds
-// throughout, and the per-worker sent and affinity indexes — which used to
-// gain a key per version until EndJob, with every ship ranging over all of
-// them — stay within the retained set however many rounds the job runs.
+// throughout, and the per-worker sent index — which used to gain a key per
+// version until EndJob, with every ship ranging over all of them — stays
+// within the worker's cache size however many rounds the job runs.
 func TestSnapCacheEviction(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	const rounds = 200
@@ -422,11 +416,10 @@ func TestSnapCacheEviction(t *testing.T) {
 			if round != rounds-1 {
 				return // the job is still open: EndJob has not cleared anything
 			}
-			sent, have := sentCounts(f.ex)
-			for i := range sent {
-				if sent[i] > maxSnapVersions+1 || have[i] > maxSnapVersions+1 {
-					t.Errorf("worker %d: %d sent and %d affinity keys after %d versions, want <= %d",
-						i, sent[i], have[i], rounds, maxSnapVersions+1)
+			for i, sent := range sentCounts(f.ex) {
+				if sent > snapCacheCap {
+					t.Errorf("worker %d: %d sent versions indexed after %d versions, want <= %d",
+						i, sent, rounds, snapCacheCap)
 				}
 			}
 		})
@@ -460,8 +453,11 @@ func TestSnapEvictedBaseFallback(t *testing.T) {
 			t.Fatalf("snapshotFor(%d): %v", i, err)
 		}
 	}
-	if sent, have := sentCounts(f.ex); sent[0] != 0 || have[0] != 0 {
-		t.Fatalf("evicted identity still indexed: %d sent, %d affinity keys", sent[0], have[0])
+	f.ex.mu.Lock()
+	holder := f.ex.workers[0].holds(&roundState{job: job, snap: f.ex.snaps[job].cur})
+	f.ex.mu.Unlock()
+	if holder {
+		t.Fatal("a worker whose only version left the dispatcher cache still counts as a holder")
 	}
 	if err := f.ex.PrimeSnapshot(job, e); err != nil {
 		t.Fatalf("PrimeSnapshot(stale): %v", err)

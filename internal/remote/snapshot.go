@@ -106,15 +106,22 @@ type snapVersion struct {
 	sum  uint64      // of the entries' terms
 	hash uint64      // snapIdentity(sum)
 
+	// seq orders the job's versions (1 is its first). reach is the oldest seq
+	// a worker can hold and still be brought here by a cached delta: every
+	// base retained when this version was built, back to reach, passed the
+	// ratio bound. reach == seq when no delta leads here.
+	seq, reach uint64
+
 	once sync.Once
 	full []byte
 }
 
-// newSnapVersion encodes every value of e once. Deterministic for native
-// values: equal store contents yield equal entries and identity.
+// newSnapVersion encodes every value of e once, as a job's first version.
+// Deterministic for native values: equal store contents yield equal entries
+// and identity.
 func newSnapVersion(e *store.Exposed, vt *ValueTable) (*snapVersion, error) {
 	kvs := e.Entries()
-	v := &snapVersion{ents: make([]snapEntry, 0, len(kvs))}
+	v := &snapVersion{ents: make([]snapEntry, 0, len(kvs)), seq: 1, reach: 1}
 	var scratch wire.Writer
 	for _, kv := range kvs {
 		en, err := encodeEntry(&scratch, kv.Scope, kv.Name, kv.V, vt)
