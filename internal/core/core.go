@@ -226,6 +226,12 @@ func (t *Tuner) acquireCtx(ctx context.Context, event sched.Event, todo int) err
 	return t.sched.AcquireCtxJob(ctx, event, todo, t.job)
 }
 
+// renew keeps the slot of a finishing sampling process of this job for its
+// next one (sched.Renew); false means the caller must release it.
+func (t *Tuner) renew(todo int) bool {
+	return t.sched.Renew(sched.SpawnS, todo, t.job)
+}
+
 // release returns one of this job's pool slots.
 func (t *Tuner) release() {
 	t.sched.ReleaseJob(t.job)

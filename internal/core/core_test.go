@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/agg"
 	"repro/internal/dist"
@@ -445,15 +446,29 @@ func TestSyncWithPrunedProcesses(t *testing.T) {
 }
 
 func TestSyncBarrierLargerThanPool(t *testing.T) {
-	// 12 sampling processes, pool of 4: without slot hand-back at the
-	// barrier this deadlocks.
-	run(t, New(Options{MaxPool: 4, Seed: 1}), func(p *P) error {
-		_, err := p.Region(RegionSpec{Name: "r", Samples: 12}, func(sp *SP) error {
-			sp.Sync(func(*SyncView) {})
+	// 64 sampling processes, pool of 2: without slot hand-back at the barrier
+	// this deadlocks. Every body blocked there has handed its slot back, so the
+	// launch loop keeps starting workers until the whole region is co-resident;
+	// past the barrier the bodies re-acquire and finish two at a time.
+	tuner := New(Options{MaxPool: 2, Seed: 1})
+	var calls, arrived atomic.Int64
+	run(t, tuner, func(p *P) error {
+		res, err := p.Region(RegionSpec{Name: "r", Samples: 64}, func(sp *SP) error {
+			sp.Sync(func(v *SyncView) { calls.Add(1); arrived.Store(int64(v.Count())) })
+			sp.Commit("v", 1.0)
 			return nil
 		})
+		if err == nil && res.Len("v") != 64 {
+			err = fmt.Errorf("%d of 64 samples committed", res.Len("v"))
+		}
 		return err
 	})
+	if calls.Load() != 1 || arrived.Load() != 64 {
+		t.Fatalf("barrier callback ran %d times and saw %d processes, want once with 64", calls.Load(), arrived.Load())
+	}
+	if st := tuner.Metrics().Scheduler; st.PeakInUse > 2 || tuner.sched.InUse() != 0 {
+		t.Fatalf("pool of 2 peaked at %d, %d still in use after Run", st.PeakInUse, tuner.sched.InUse())
+	}
 }
 
 func TestDoubleSync(t *testing.T) {
@@ -565,6 +580,42 @@ func TestBudgetCutsLaunches(t *testing.T) {
 	})
 	if !tuner.BudgetExceeded() {
 		t.Fatal("budget should be exceeded")
+	}
+}
+
+// TestBudgetCutsExactTail pins where a work budget cuts a round. The decision
+// whether group g+1 may launch is taken as group g is claimed, before g runs:
+// sample 3 spends the whole budget — at a moment the launch loop provably is
+// not mid-decision, it is parked waiting for a slot — so sample 4, claimed by
+// the worker that just ran 3, is the first to see the budget spent and the
+// last to run; 5.. are pruned. The per-sample launcher this loop replaced
+// cut at the same place.
+func TestBudgetCutsExactTail(t *testing.T) {
+	tuner := New(Options{MaxPool: 1, Seed: 1, Budget: 5})
+	run(t, tuner, func(p *P) error {
+		res, err := p.Region(RegionSpec{Name: "r", Samples: 12}, func(sp *SP) error {
+			if sp.Index() == 3 {
+				for tuner.sched.Load().Queued == 0 {
+					time.Sleep(100 * time.Microsecond)
+				}
+				sp.Work(10)
+			}
+			sp.Commit("v", 1.0)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for g := 0; g < 12; g++ {
+			_, ran := res.Value("v", g)
+			if want := g <= 4; ran != want || res.Pruned(g) == want {
+				return fmt.Errorf("sample %d: ran=%v pruned=%v, want samples 0..4 run and 5..11 pruned", g, ran, res.Pruned(g))
+			}
+		}
+		return nil
+	})
+	if m := tuner.Metrics(); m.Samples != 5 || tuner.sched.InUse() != 0 {
+		t.Fatalf("%d sampling processes ran, %d slots in use after Run; want 5 and 0", m.Samples, tuner.sched.InUse())
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
@@ -12,39 +13,63 @@ import (
 	"repro/internal/strategy"
 )
 
+// TestCVFoldsShareParams: the folds of one sampling-and-validation group see
+// the same draws, whichever workers run them — with headroom (one goroutine
+// per fold, all at once) and saturated (two slot-holding workers claiming 72
+// (group, fold) pairs between them, a group's folds usually on different
+// workers). The digest pins the draws and fold-averaged scores to what the
+// per-sample launcher before the claim loop produced at this seed.
 func TestCVFoldsShareParams(t *testing.T) {
-	var mu sync.Mutex
-	draws := map[int][]float64{} // group -> drawn x per fold
-	run(t, New(Options{MaxPool: 16, Seed: 3}), func(p *P) error {
-		_, err := p.Region(RegionSpec{
-			Name: "cv", Samples: 4, CV: 3, Minimize: true,
-			Score: func(sp *SP) float64 { return 0 },
-		}, func(sp *SP) error {
-			x := sp.Float("x", dist.Uniform(0, 1))
-			mu.Lock()
-			draws[sp.Index()] = append(draws[sp.Index()], x)
-			mu.Unlock()
-			return nil
+	const groups, folds = 24, 3
+	const wantDigest = "e99307a58029ce6c"
+	for _, pool := range []int{2, 16, 128} {
+		var mu sync.Mutex
+		draws := map[int][][2]float64{} // group -> drawn (x, y) per fold
+		var res *Result
+		run(t, New(Options{MaxPool: pool, Seed: 3}), func(p *P) error {
+			var err error
+			res, err = p.Region(RegionSpec{
+				Name: "cv", Samples: groups, CV: folds, Minimize: true,
+				Score: func(sp *SP) float64 {
+					f, _ := sp.Fold()
+					// Whole numbers, so the fold average does not depend on
+					// the order the folds finished in.
+					return math.Floor(1024*sp.Float("x", dist.Uniform(0, 1))) + float64(f)
+				},
+			}, func(sp *SP) error {
+				x := sp.Float("x", dist.Uniform(0, 1))
+				y := sp.Float("y", dist.Uniform(-1, 1))
+				mu.Lock()
+				draws[sp.Index()] = append(draws[sp.Index()], [2]float64{x, y})
+				mu.Unlock()
+				return nil
+			})
+			return err
 		})
-		return err
-	})
-	if len(draws) != 4 {
-		t.Fatalf("groups = %d", len(draws))
-	}
-	seen := map[float64]bool{}
-	for g, xs := range draws {
-		if len(xs) != 3 {
-			t.Fatalf("group %d ran %d folds", g, len(xs))
+		if len(draws) != groups {
+			t.Fatalf("pool %d: groups = %d", pool, len(draws))
 		}
-		for _, x := range xs[1:] {
-			if x != xs[0] {
-				t.Fatalf("group %d folds drew different values: %v", g, xs)
+		seen := map[float64]bool{}
+		h := fnv.New64a()
+		for g := 0; g < groups; g++ {
+			xs := draws[g]
+			if len(xs) != folds {
+				t.Fatalf("pool %d: group %d ran %d folds", pool, g, len(xs))
 			}
+			for _, x := range xs[1:] {
+				if x != xs[0] {
+					t.Fatalf("pool %d: group %d folds drew different values: %v", pool, g, xs)
+				}
+			}
+			seen[xs[0][0]] = true
+			fmt.Fprintf(h, "%d %v %v %v\n", g, xs[0], res.Params(g), res.Score(g))
 		}
-		seen[xs[0]] = true
-	}
-	if len(seen) < 2 {
-		t.Fatal("all groups drew the same value; groups must differ")
+		if len(seen) < 2 {
+			t.Fatalf("pool %d: all groups drew the same value; groups must differ", pool)
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != wantDigest {
+			t.Errorf("pool %d: digest of draws and scores = %s, want %s", pool, got, wantDigest)
+		}
 	}
 }
 

@@ -7,40 +7,25 @@ import (
 	"time"
 
 	"repro/internal/store"
-	"repro/internal/strategy"
 )
 
-// remoteWorker is the dispatcher-side counterpart of worker: one (group, 0)
-// sampling slot whose attempts run on the configured Executor instead of
-// this process. It owns a pool slot for the lifetime of the sample, exactly
-// like a local worker, so Algorithm 1's occupancy accounting is identical
-// whichever side the body runs on.
-func (rs *regionState) remoteWorker(g int) {
-	defer rs.wg.Done()
-	slot := newHeldSlot()
-	res, err, timedOut, unsupported := rs.runRemoteSP(g, slot)
+// dispatch runs sample g of an executor round on the worker's pool slot — a
+// dispatched sample holds a slot exactly like a local one, so Algorithm 1's
+// occupancy accounting is identical whichever side the body runs on. It
+// reports false when the executor cannot run the sample (the body hit a Sync
+// barrier, or every worker is gone): the region is poisoned — the rest of
+// this round and every future round of the name run in-process — the partial
+// attempt is discarded, and the caller re-runs the sample on the in-process
+// path; the seeded sampler makes the local re-run draw exactly what a healthy
+// remote run would have drawn.
+func (rs *regionState) dispatch(g int) bool {
+	res, err, timedOut, unsupported := rs.runRemoteSP(g)
 	if unsupported {
-		// The executor cannot run this sample (the body hit a Sync barrier,
-		// or every worker is gone). Poison the region name so future rounds
-		// skip dispatch, discard the partial attempt, and re-run the sample
-		// on the in-process path — the seeded sampler makes the local re-run
-		// draw exactly what a healthy remote run would have drawn.
 		rs.t.execSkip.Store(rs.spec.Name, struct{}{})
-		sampler := rs.spec.Strategy.Sampler(rs.seed, g, rs.n, rs.fb)
-		if rs.runSP(rs.ctx, g, 0, slot, sampler, rs.body) {
-			slot.release(rs.t)
-			return // abandoned local attempt: neither slot nor sampler is safe to reuse
-		}
-		slot.release(rs.t)
-		slotPool.Put(slot)
-		if rec, ok := sampler.(strategy.Recycler); ok {
-			rec.Recycle()
-		}
-		return
+		return false
 	}
 	rs.applyExec(g, res, err, timedOut)
-	slot.release(rs.t)
-	slotPool.Put(slot)
+	return true
 }
 
 // runRemoteSP drives the attempts of one dispatched sample through the
@@ -50,7 +35,7 @@ func (rs *regionState) remoteWorker(g int) {
 // the distinguished timeout outcome. It mirrors runSP's control flow so a
 // sample's observable lifecycle — counters, trace events, retry schedule —
 // does not depend on where its body ran.
-func (rs *regionState) runRemoteSP(g int, slot *spSlot) (ExecResult, error, bool, bool) {
+func (rs *regionState) runRemoteSP(g int) (ExecResult, error, bool, bool) {
 	t := rs.t
 	ex := t.opts.Executor
 	fp := t.opts.Fault

@@ -149,15 +149,16 @@ func TestExecutorUnsupportedPoisonsRegion(t *testing.T) {
 	ex := newFakeExec()
 	ex.unsupported = true
 	tuner := New(Options{MaxPool: 4, Seed: 3, Executor: ex})
+	const samples = 64 // on 4 local + 4 executor slots
 	runRegion := func(p *P) error {
-		res, err := p.Region(RegionSpec{Name: "r", Samples: 4}, func(sp *SP) error {
+		res, err := p.Region(RegionSpec{Name: "r", Samples: samples}, func(sp *SP) error {
 			sp.Commit("v", sp.Float("x", dist.Uniform(0, 1)))
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		if res.N() != 4 || res.Len("v") != 4 {
+		if res.N() != samples || res.Len("v") != samples {
 			return fmt.Errorf("N=%d Len=%d", res.N(), res.Len("v"))
 		}
 		return nil
@@ -169,6 +170,14 @@ func TestExecutorUnsupportedPoisonsRegion(t *testing.T) {
 		begun := ex.begun.Load()
 		if begun == 0 {
 			return errors.New("executor never consulted")
+		}
+		// The poison holds within the round too: a worker whose sample the
+		// executor declined runs its next samples in-process, and so does
+		// every worker that claims after it. Only the workers already
+		// dispatching when the first answer came back — at most one per slot —
+		// ever reached the executor.
+		if n := ex.executed.Load(); n == 0 || n > 8 {
+			return fmt.Errorf("Execute called %d times for %d samples on 8 slots, want 1..8", n, samples)
 		}
 		// Second round of the same region: poisoned, so no new BeginRound.
 		if err := runRegion(p); err != nil {
@@ -186,23 +195,29 @@ func TestExecutorUnsupportedPoisonsRegion(t *testing.T) {
 
 func TestExecutorSyncBodyFallsBack(t *testing.T) {
 	ex := newFakeExec()
-	tuner := New(Options{MaxPool: 4, Seed: 5, Executor: ex})
+	tuner := New(Options{MaxPool: 2, Seed: 5, Executor: ex})
+	const samples = 32 // on 2 local + 4 executor slots: the barrier needs them all co-resident
 	err := tuner.Run(func(p *P) error {
-		var syncs atomic.Int64
-		res, err := p.Region(RegionSpec{Name: "barrier", Samples: 3}, func(sp *SP) error {
+		var syncs, arrived atomic.Int64
+		res, err := p.Region(RegionSpec{Name: "barrier", Samples: samples}, func(sp *SP) error {
 			x := sp.Float("x", dist.Uniform(0, 1))
-			sp.Sync(func(v *SyncView) { syncs.Add(1) })
+			sp.Sync(func(v *SyncView) { syncs.Add(1); arrived.Store(int64(v.Count())) })
 			sp.Commit("v", x)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		if res.Len("v") != 3 {
+		if res.Len("v") != samples {
 			return fmt.Errorf("Len=%d", res.Len("v"))
 		}
-		if syncs.Load() == 0 {
-			return errors.New("Sync callback never ran")
+		if syncs.Load() != 1 || arrived.Load() != samples {
+			return fmt.Errorf("Sync callback ran %d times and saw %d processes, want once with %d", syncs.Load(), arrived.Load(), samples)
+		}
+		// Once the first dispatched sample came back Unsupported nothing more
+		// was dispatched; only the first worker of each slot could get there.
+		if n := ex.executed.Load(); n == 0 || n > 6 {
+			return fmt.Errorf("Execute called %d times for %d samples on 6 slots, want 1..6", n, samples)
 		}
 		return nil
 	})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +27,7 @@ func counterClock() func() int64 {
 // the identical trace twice.
 func TestHungSamplerDegradesWithinDeadline(t *testing.T) {
 	const hungSample = 2
+	var live, peakLive atomic.Int64 // sampling processes in their bodies, the hung one aside
 	runOnce := func() (*Tuner, *Result, *obs.Registry, []byte) {
 		reg := obs.NewRegistry()
 		tr := NewTrace()
@@ -46,6 +48,11 @@ func TestHungSamplerDegradesWithinDeadline(t *testing.T) {
 					<-sp.Context().Done()
 					return sp.Context().Err()
 				}
+				if n := live.Add(1); n > peakLive.Load() {
+					peakLive.Store(n)
+				}
+				time.Sleep(time.Millisecond)
+				live.Add(-1)
 				sp.Commit("v", float64(sp.Index()))
 				return nil
 			})
@@ -75,6 +82,19 @@ func TestHungSamplerDegradesWithinDeadline(t *testing.T) {
 	m := tuner.Metrics()
 	if m.Timeouts != 1 || m.Degraded != 1 {
 		t.Fatalf("metrics: timeouts=%d degraded=%d, want 1/1", m.Timeouts, m.Degraded)
+	}
+	// Abandoning the attempt released the worker's slot, so that worker must
+	// start no further sample: the launch loop replaces it through a regular
+	// admission. Had it carried on beside its replacement, two bodies would
+	// have overlapped on a pool of one.
+	if got := peakLive.Load(); got != 1 {
+		t.Fatalf("%d sampling processes ran side by side on a pool of 1", got)
+	}
+	// The tuning process twice, six sampling processes; nothing admitted that
+	// did not run, nothing left behind.
+	if m.Scheduler.Admitted != 8 || m.Scheduler.PeakInUse != 1 || tuner.sched.InUse() != 0 {
+		t.Fatalf("scheduler after the abandoned sample: %+v, %d in use; want 8 admitted, peak 1, 0 in use",
+			m.Scheduler, tuner.sched.InUse())
 	}
 
 	var prom bytes.Buffer

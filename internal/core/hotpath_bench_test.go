@@ -58,6 +58,46 @@ func BenchmarkSamplingHotPath(b *testing.B) {
 	b.ReportMetric(float64(b.N*hotPathSamples)/b.Elapsed().Seconds(), "samples/sec")
 }
 
+// BenchmarkSaturatedRegion runs one 256-sample unscored region per iteration
+// on pools far smaller than the round — the case the slot-holding launch
+// loop exists for. ns/sample is the per-sample cost of the whole round;
+// waits/round is how many requests the scheduler's wait list saw per round
+// (a handful: the launch loop's and the tuning process's re-entry — one per
+// sample would read ~250).
+func BenchmarkSaturatedRegion(b *testing.B) {
+	d := dist.Uniform(0, 1)
+	for _, pool := range []int{1, 2, 4} {
+		b.Run("pool="+strconv.Itoa(pool), func(b *testing.B) {
+			tuner := New(Options{MaxPool: pool, Seed: 1, Incremental: true})
+			b.ReportAllocs()
+			b.ResetTimer()
+			err := tuner.Run(func(p *P) error {
+				p.Expose("input", 0.5)
+				for i := 0; i < b.N; i++ {
+					_, err := p.Region(RegionSpec{
+						Name:      "saturated",
+						Samples:   hotPathSamples,
+						Aggregate: map[string]agg.Kind{"y": agg.Avg},
+					}, func(sp *SP) error {
+						sp.Commit("y", sp.Float("alpha", d)+sp.Float("beta", d)+sp.Load("input").(float64))
+						return nil
+					})
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hotPathSamples), "ns/sample")
+			b.ReportMetric(float64(tuner.Metrics().Scheduler.Waited)/float64(b.N), "waits/round")
+		})
+	}
+}
+
 // benchInSP runs fn once inside a single sampling process of a minimal
 // region, for steady-state primitive benchmarks.
 func benchInSP(b *testing.B, setup func(p *P), fn func(sp *SP)) {

@@ -187,18 +187,19 @@ type regionState struct {
 	exposed *store.Exposed // the store SP.Load reads (the tuner's, or a shipped snapshot)
 	store   *store.Agg
 	incs    map[string]agg.Incremental
-	shared  []*svgShared   // per-group shared draws under CV
+	shared  []*svgShared   // per-group sampler and shared draws under CV
 	ro      *regionObs     // nil when observability is off
 	det     *detachedState // non-nil only for detached (worker-side) runs
 	fb      []strategy.Feedback
 	owner   *P  // tuning process running the round; receives its feedback
-	execH   any // executor round handle; non-nil routes launches remotely
+	execH   any // executor round handle; non-nil routes samples to the executor
 
 	// Per-round launch state, fixed before the first worker starts; workers
-	// read them so launching a sample needs no closure allocation.
-	ctx  context.Context
-	body func(sp *SP) error
-	wg   sync.WaitGroup
+	// read them so launching a worker needs no closure allocation.
+	ctx           context.Context
+	body          func(sp *SP) error
+	fullyLaunched context.CancelFunc // withdraws the launch loop's queued request
+	wg            sync.WaitGroup
 
 	mu         sync.Mutex
 	scoreSum   []float64
@@ -208,7 +209,7 @@ type regionState struct {
 	haveParams []bool
 	pruned     []bool
 	errs       []error
-	launched   int
+	launched   int // pairs claimed so far == index of the next pair, group-major
 	done       int
 	total      int // launched target; reduced if the budget cuts the round
 	barrier    *barrier
@@ -378,10 +379,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 	rs.ctx = ctx
 	rs.body = body
 	if k > 1 {
-		rs.shared = make([]*svgShared, n)
-		for g := range rs.shared {
-			rs.shared[g] = &svgShared{vals: make(map[string]float64)}
-		}
+		rs.shared = make([]*svgShared, n) // filled at each group's first claim
 	}
 	rs.barrier = newBarrier(rs)
 	if t.opts.Incremental && len(rs.incs) > 0 {
@@ -428,56 +426,36 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		}
 	}
 
-launch:
-	for g := 0; g < n; g++ {
-		// A region always launches at least one sample group, even with
-		// the budget already spent — otherwise a tight budget would
-		// produce no result at all instead of a cheap one.
-		if g > 0 && t.BudgetExceeded() {
-			// Stop launching; un-launched groups count as pruned.
-			rs.mu.Lock()
-			for gg := g; gg < n; gg++ {
-				rs.pruned[gg] = true
-			}
-			rs.total = rs.launched
-			rs.mu.Unlock()
-			rs.barrier.maybeRelease()
-			break launch
+	// Launch (DESIGN §8): every slot the round is admitted becomes one worker,
+	// which runs sample after sample on it for as long as Algorithm 1 lets it
+	// renew the admission. This loop keeps asking for one slot more while
+	// pairs remain, so the round widens whenever the pool has room — after a
+	// body handed its slot back at a Sync barrier, after an abandoned attempt
+	// released its own, or when another job's share shrinks.
+	//
+	// Whoever claims the round's last pair withdraws the request this loop has
+	// queued (fullyLaunched), before any worker can find the round exhausted
+	// and release: the slots a finished round frees go to requests that have
+	// a process to run.
+	lctx, fullyLaunched := context.WithCancel(ctx)
+	defer fullyLaunched()
+	rs.fullyLaunched = fullyLaunched
+	for {
+		todo, more := rs.unlaunched()
+		if !more {
+			break
 		}
-		var sampler strategy.Sampler
-		if rs.execH == nil {
-			// A dispatched sample's worker rebuilds this sampler from
-			// (seed, g, n, fb) — Sampler is a pure function of them, so the
-			// remote draws match these bit for bit.
-			sampler = spec.Strategy.Sampler(rs.seed, g, n, fb)
+		if err := t.acquireCtx(lctx, sched.SpawnS, todo); err != nil {
+			rs.cut(err)
+			break
 		}
-		for f := 0; f < k; f++ {
-			if err := t.acquireCtx(ctx, sched.SpawnS, n-g); err != nil {
-				// The region budget (or the caller's context) expired while
-				// this request was queued: everything not yet launched fails
-				// with the distinguished budget outcome, and the round
-				// aggregates over whatever the launched samples commit.
-				rs.mu.Lock()
-				for gg := g; gg < n; gg++ {
-					if rs.errs[gg] == nil && (gg > g || f == 0) {
-						rs.errs[gg] = fmt.Errorf("%w: %v", ErrRegionBudget, err)
-					}
-				}
-				rs.total = rs.launched
-				rs.mu.Unlock()
-				rs.barrier.maybeRelease()
-				break launch
-			}
-			rs.mu.Lock()
-			rs.launched++
-			rs.mu.Unlock()
-			rs.wg.Add(1)
-			if rs.execH != nil {
-				go rs.remoteWorker(g)
-			} else {
-				go rs.worker(g, f, sampler)
-			}
+		g, f, ok := rs.claim(false)
+		if !ok {
+			t.release() // admitted in the instant the last pair was claimed
+			break
 		}
+		rs.wg.Add(1)
+		go rs.worker(g, f)
 	}
 	rs.wg.Wait()
 	if rs.ring != nil {
@@ -493,6 +471,99 @@ launch:
 		rec.maybeAuto()
 	}
 	return res, ferr
+}
+
+// unlaunched reports whether the round still has (group, fold) pairs nobody
+// has claimed, and Algorithm 1's todo for the next one: the sample groups
+// remaining, counting the one the pair belongs to.
+func (rs *regionState) unlaunched() (todo int, more bool) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.n - rs.launched/rs.k, rs.launched < rs.total
+}
+
+// claim hands its caller the round's next un-launched (group, fold) pair to
+// run on the pool slot the caller holds. The launch loop claims with a slot
+// it just acquired; a worker claims with renew set, asking the scheduler to
+// let it keep the slot its finished sample ran on — the admission is renewed
+// under rs.mu so that it is counted exactly when a pair is there to use it.
+// ok is false when every pair is claimed, the round was cut, or the renewal
+// was declined; the caller then releases its slot.
+//
+// Claiming the last fold of a group also decides whether the next group may
+// launch at all: once the work budget is spent the remaining groups are
+// pruned. Deciding it here, after the claim, keeps the rule that a region
+// always launches at least one group — a tight budget yields a cheap result
+// instead of none.
+func (rs *regionState) claim(renew bool) (g, f int, ok bool) {
+	rs.mu.Lock()
+	if rs.launched == rs.total {
+		rs.mu.Unlock()
+		return 0, 0, false
+	}
+	g, f = rs.launched/rs.k, rs.launched%rs.k
+	if renew {
+		if err := rs.ctx.Err(); err != nil {
+			// What the launch loop's acquire reports for an expired region
+			// budget, seen first by a worker.
+			rs.cutLocked(err)
+			rs.mu.Unlock()
+			rs.barrier.maybeRelease()
+			return 0, 0, false
+		}
+		if !rs.t.renew(rs.n - g) {
+			rs.mu.Unlock()
+			return 0, 0, false
+		}
+	}
+	rs.launched++
+	if f == 0 && rs.shared != nil {
+		// Cross-validation folds share one sampler and one set of draws.
+		rs.shared[g] = &svgShared{
+			sampler: rs.spec.Strategy.Sampler(rs.seed, g, rs.n, rs.fb),
+			vals:    make(map[string]float64),
+		}
+	}
+	pruned := f == rs.k-1 && g+1 < rs.n && rs.t.BudgetExceeded()
+	if pruned {
+		// Stop launching; un-launched groups count as pruned.
+		for gg := g + 1; gg < rs.n; gg++ {
+			rs.pruned[gg] = true
+		}
+		rs.total = rs.launched
+	}
+	if rs.launched == rs.total {
+		rs.fullyLaunched()
+	}
+	rs.mu.Unlock()
+	if pruned {
+		rs.barrier.maybeRelease()
+	}
+	return g, f, true
+}
+
+// cut ends launching because the region budget (or the caller's context)
+// expired: every pair not yet launched fails with the distinguished budget
+// outcome, and the round aggregates over whatever the launched samples
+// commit.
+func (rs *regionState) cut(err error) {
+	rs.mu.Lock()
+	rs.cutLocked(err)
+	rs.mu.Unlock()
+	rs.barrier.maybeRelease()
+}
+
+func (rs *regionState) cutLocked(err error) {
+	if rs.launched == rs.total {
+		return // nothing left to cut: the launch loop's request was withdrawn
+	}
+	g, f := rs.launched/rs.k, rs.launched%rs.k
+	for gg := g; gg < rs.n; gg++ {
+		if rs.errs[gg] == nil && (gg > g || f == 0) {
+			rs.errs[gg] = fmt.Errorf("%w: %v", ErrRegionBudget, err)
+		}
+	}
+	rs.total = rs.launched
 }
 
 // finish assembles the Result after all sampling processes of a round are

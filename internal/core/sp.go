@@ -31,13 +31,13 @@ type abandonPanic struct{}
 // only fire in detached runs.
 type noSyncPanic struct{}
 
-// spSlot tracks ownership of one Algorithm 1 pool slot across the attempts
-// of one (group, fold) worker. Sync hands the slot back around the barrier,
+// spSlot tracks ownership of one Algorithm 1 pool slot across the samples
+// and attempts of one worker. Sync hands the slot back around the barrier,
 // and the timeout monitor releases it when abandoning a wedged attempt — the
 // CAS makes the hand-off race-free, so a slot is never released twice.
 type spSlot struct{ held atomic.Bool }
 
-// slotPool recycles pool-slot trackers across samples. A slot is only
+// slotPool recycles pool-slot trackers across workers. A slot is only
 // returned to the pool by a worker whose sampling process was not abandoned:
 // an abandoned body goroutine may still hold a reference and race a stray
 // (harmless on its own slot, fatal on a recycled one) release CAS.
@@ -411,12 +411,13 @@ func (sp *SP) Sync(cb func(v *SyncView)) {
 	}
 }
 
-// svgShared holds the parameter draws shared by the k processes of one
-// sampling-and-validation group (Sec. IV-A): same sample values, different
-// folds.
+// svgShared holds the sampler and the parameter draws shared by the k
+// processes of one sampling-and-validation group (Sec. IV-A): same sample
+// values, different folds.
 type svgShared struct {
-	mu   sync.Mutex
-	vals map[string]float64
+	sampler strategy.Sampler
+	mu      sync.Mutex
+	vals    map[string]float64
 }
 
 func (s *svgShared) draw(name string, sampler strategy.Sampler, d dist.Dist) float64 {
@@ -430,28 +431,47 @@ func (s *svgShared) draw(name string, sampler strategy.Sampler, d dist.Dist) flo
 	return v
 }
 
-// worker is one (group, fold) sampling worker: it owns a pool slot for the
-// lifetime of the sample and recycles the slot and sampler when the sample
-// finished cleanly. It runs as a plain goroutine method so launching a
-// sample allocates no closure.
-func (rs *regionState) worker(g, f int, sampler strategy.Sampler) {
+// worker runs sampling processes on one pool slot: the (group, fold) pair it
+// was started with, then — as long as Algorithm 1 renews the admission — the
+// pairs it claims itself, so a saturated round costs a goroutine and a queued
+// request per slot, not per sample. Which worker runs a sample cannot show in
+// its result: a sampler is a pure function of (seed, g, n, fb). On an
+// executor round the samples are dispatched instead (dispatch.go); the slot
+// accounting is the same whichever side the body runs on. It runs as a plain
+// goroutine method so starting one allocates no closure.
+func (rs *regionState) worker(g, f int) {
 	defer rs.wg.Done()
 	slot := newHeldSlot()
-	timedOut := rs.runSP(rs.ctx, g, f, slot, sampler, rs.body)
-	slot.release(rs.t)
-	if timedOut {
-		// The abandoned body goroutine may still reference the slot and the
-		// sampler; neither is safe to hand to another sample.
-		return
-	}
-	slotPool.Put(slot)
-	if rs.k == 1 {
-		// Sole user of the sampler (cross-validation folds share theirs and
-		// finish at different times; those samplers are not recycled).
-		if rec, ok := sampler.(strategy.Recycler); ok {
-			rec.Recycle()
+	for ok := true; ok; g, f, ok = rs.claim(true) {
+		if rs.execH != nil {
+			// Not once the executor has declined a sample of the region.
+			if _, skip := rs.t.execSkip.Load(rs.spec.Name); !skip && rs.dispatch(g) {
+				continue
+			}
+		}
+		var sampler strategy.Sampler
+		if rs.shared != nil {
+			sampler = rs.shared[g].sampler
+		} else {
+			sampler = rs.spec.Strategy.Sampler(rs.seed, g, rs.n, rs.fb)
+		}
+		if rs.runSP(rs.ctx, g, f, slot, sampler, rs.body) {
+			// The abandoned body goroutine may still reference the slot and
+			// the sampler; neither is safe to hand to another sample, so the
+			// worker ends here and the launch loop replaces it.
+			slot.release(rs.t)
+			return
+		}
+		if rs.shared == nil {
+			// Sole user of the sampler (cross-validation folds share theirs and
+			// finish at different times; those samplers are not recycled).
+			if rec, ok := sampler.(strategy.Recycler); ok {
+				rec.Recycle()
+			}
 		}
 	}
+	slot.release(rs.t)
+	slotPool.Put(slot)
 }
 
 // runSP executes one sampling process: draw, compute, commit, score — with

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,6 +124,69 @@ func TestLoopbackParity(t *testing.T) {
 	}
 	if n := len(reg.dyn); n != 0 {
 		t.Fatalf("%d dynamic registrations leaked", n)
+	}
+}
+
+// countingExec counts the samples core hands an executor.
+type countingExec struct {
+	core.Executor
+	executed atomic.Int64
+}
+
+func (c *countingExec) Execute(ctx context.Context, h any, group, attempt int) (core.ExecResult, error) {
+	c.executed.Add(1)
+	return c.Executor.Execute(ctx, h, group, attempt)
+}
+
+// TestLoopbackSyncBodyRunsLocally: a body that reaches a Sync barrier cannot
+// run detached. The worker reports Unsupported over the wire, the sample
+// re-runs in-process with the draws the remote run would have made, and from
+// then on nothing of the region is dispatched: not the next sample of the
+// core worker that got the answer, not the workers started while the first
+// ones wait at the barrier, not the next round.
+func TestLoopbackSyncBodyRunsLocally(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	const samples = 24 // on 2 local + 4 fleet slots: the barrier needs them all co-resident
+	program := func(opts core.Options) string {
+		var dump string
+		tuner := core.New(opts)
+		err := tuner.Run(func(p *core.P) error {
+			p.Expose("bias", 0.5)
+			for round := 0; round < 2; round++ {
+				var arrived atomic.Int64
+				res, err := p.Region(core.RegionSpec{Name: "barrier", Samples: samples}, func(sp *core.SP) error {
+					x := sp.Float("x", dist.Uniform(0, 1))
+					sp.Sync(func(v *core.SyncView) { arrived.Store(int64(v.Count())) })
+					sp.Commit("y", x+sp.Load("bias").(float64))
+					return nil
+				})
+				if err != nil {
+					return err
+				}
+				if arrived.Load() != samples {
+					return fmt.Errorf("round %d: barrier saw %d processes, want %d", round, arrived.Load(), samples)
+				}
+				dump += dumpRegion(res)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return dump
+	}
+	local := program(core.Options{MaxPool: 2, Seed: 9})
+
+	reg := NewRegistry()
+	f := newFleet(t, 2, 2, ExecutorOptions{Registry: reg, Dynamic: true}, WorkerOptions{Registry: reg})
+	ex := &countingExec{Executor: f.ex}
+	if got := program(core.Options{MaxPool: 2, Seed: 9, Executor: ex}); got != local {
+		t.Fatalf("run over the fleet diverged from the local run:\nlocal:\n%s\nfleet:\n%s", local, got)
+	}
+	// Only the first worker of each slot can have dispatched before the first
+	// Unsupported came back.
+	if n := ex.executed.Load(); n == 0 || n > 6 {
+		t.Fatalf("%d samples dispatched for 2 rounds of %d on 6 slots, want 1..6", n, samples)
 	}
 }
 

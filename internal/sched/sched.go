@@ -18,14 +18,31 @@
 //
 // Admission is two-tier. While the pool has headroom and nothing is queued,
 // Acquire and Release are a single CAS on the occupancy word (plus one on
-// the job's slot count) — the steady-state path of a sampling round never
-// takes a lock. Only under pressure (a request that does not fit) does the
-// scheduler fall back to the mutex-protected wait list. The occupancy word
-// and the waiter count form the usual two-flag protocol: an acquirer
-// publishes its waiter entry before re-checking occupancy, a releaser
-// decrements occupancy before checking for waiters, so (with sequentially
-// consistent atomics) at least one side observes the other and no wakeup is
-// lost.
+// the job's slot count). A request that does not fit falls back to the
+// mutex-protected wait list. A saturated sampling round — more samples than
+// slots, which is every round of any size — stays off that list too: a
+// finishing sampling process calls Renew, which is EXIT followed by SPAWN of
+// the same kind without the slot changing hands, and runs the round's next
+// sample itself. Renew takes the mutex only while something is queued — in
+// a saturated round the launcher's standing request for one more slot is, so
+// that is an uncontended lock and a scan of about one entry per sample — to
+// ask whether a queued request is strictly ahead of the renewal in the
+// admission order; the holder yields (a plain Release, which wakes that
+// request) only then. The occupancy word and the waiter count form the usual
+// two-flag protocol: an acquirer publishes its waiter entry before
+// re-checking occupancy, a releaser decrements occupancy before checking for
+// waiters, so (with sequentially consistent atomics) at least one side
+// observes the other and no wakeup is lost. A renewal frees nothing, so it
+// has no wakeup to lose: a waiter it did not see is seen by the holder's
+// next Renew or Release.
+//
+// What the counters mean follows from that. Admitted counts processes
+// admitted, whichever of the three ways (CAS, queue, Renew) let them in.
+// Waited counts requests that were queued — about one per saturated round
+// (the round's launcher asking for one more slot than the pool has), not one
+// per sample. WaitNanos accrues for as long as such a request stays queued,
+// i.e. the whole time a round wanted more slots than it had, which is the
+// pressure signal an elastic fleet controller steers by.
 package sched
 
 import (
@@ -55,8 +72,8 @@ const (
 const tpFraction = 0.75
 
 // Stats reports scheduler behaviour for the optimization-effect experiment
-// (Fig. 10): how many admissions happened, how often requests had to wait,
-// and the peak number of simultaneously admitted processes.
+// (Fig. 10): how many processes were admitted, how many requests had to
+// queue, and the peak number of simultaneously admitted processes.
 type Stats struct {
 	Admitted  int64
 	Waited    int64
@@ -149,6 +166,7 @@ func (j *Job) load() (inuse, share int64) {
 }
 
 type waiter struct {
+	ctx   context.Context // the request's; a cancelled request is passed over
 	event Event
 	todo  int
 	seq   int64
@@ -283,10 +301,13 @@ func (s *Scheduler) RemoveCapacity(n int) {
 type LoadStats struct {
 	// Admitted counts admissions since construction.
 	Admitted int64
-	// Waited counts admissions that had to queue first.
+	// Waited counts requests that had to queue first. A saturated sampling
+	// round queues about one (its launcher's), not one per sample: the
+	// samples behind it are admitted by Renew.
 	Waited int64
 	// WaitNanos is the total time queued requests spent waiting before
-	// admission (or cancellation), in nanoseconds.
+	// admission (or cancellation), in nanoseconds — for a sampling round,
+	// the whole time it wanted more slots than it had.
 	WaitNanos int64
 	// Queued is the number of requests waiting right now.
 	Queued int
@@ -345,10 +366,10 @@ const (
 
 // Instrument registers the scheduler's metrics with reg: an admission-wait
 // histogram per request kind (MetricWaitSeconds, label kind=sampling|tuning;
-// immediate admissions observe zero) and the pool-occupancy gauge
+// immediate admissions and renewals observe zero) and the pool-occupancy gauge
 // (MetricPoolOccupancy). Call it before the scheduler sees traffic.
 func (s *Scheduler) Instrument(reg *obs.Registry) {
-	reg.SetHelp(MetricWaitSeconds, "time a spawn request waited for pool admission (Algorithm 1)")
+	reg.SetHelp(MetricWaitSeconds, "time a process waited for pool admission (Algorithm 1); zero for an immediate admission or a renewed slot")
 	reg.SetHelp(MetricPoolOccupancy, "currently admitted tuning + sampling processes")
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -438,7 +459,9 @@ func (s *Scheduler) AcquireCtx(ctx context.Context, event Event, todo int) error
 // with admission the admission wins (AcquireCtxJob returns nil and the
 // caller owns a slot), so a cancelled sampling region can never strand pool
 // capacity — Algorithm 1's admission queue stays live even when every
-// outstanding request belongs to a wedged region.
+// outstanding request belongs to a wedged region. A request whose context is
+// already cancelled when a slot frees is passed over, so cancelling a request
+// before releasing a slot guarantees the slot goes to somebody else.
 func (s *Scheduler) AcquireCtxJob(ctx context.Context, event Event, todo int, j *Job) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -482,7 +505,7 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 	}
 	s.waited.Add(1)
 	w := waiterPool.Get().(*waiter)
-	w.event, w.todo, w.seq, w.job = event, todo, s.seq, j
+	w.ctx, w.event, w.todo, w.seq, w.job = ctx, event, todo, s.seq, j
 	s.seq++
 	w.index = len(s.queue)
 	s.queue = append(s.queue, w)
@@ -498,7 +521,7 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 	t0 := time.Now()
 	select {
 	case <-w.ready: // admitted by a releasing (or re-checking) goroutine
-		w.job = nil
+		w.ctx, w.job = nil, nil
 		waiterPool.Put(w)
 		s.waitNanos.Add(time.Since(t0).Nanoseconds())
 		if h != nil {
@@ -512,7 +535,7 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 			// cancellation; the slot is ours and the acquire succeeds.
 			s.mu.Unlock()
 			<-w.ready
-			w.job = nil
+			w.ctx, w.job = nil, nil
 			waiterPool.Put(w)
 			s.waitNanos.Add(time.Since(t0).Nanoseconds())
 			if h != nil {
@@ -524,7 +547,7 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 		s.nwait.Store(int64(len(s.queue)))
 		s.cancelled.Add(1)
 		s.mu.Unlock()
-		w.job = nil
+		w.ctx, w.job = nil, nil
 		waiterPool.Put(w)
 		s.waitNanos.Add(time.Since(t0).Nanoseconds())
 		return ctx.Err()
@@ -575,12 +598,78 @@ func (s *Scheduler) ReleaseJob(j *Job) {
 	s.mu.Unlock()
 }
 
+// Renew is ReleaseJob(j) immediately followed by a successful
+// AcquireJob(event, todo, j) in which the slot never changes hands: a
+// finishing process of job j keeps its slot for the next process of the same
+// kind. It reports true, and counts one admission with zero wait, unless
+// giving the slot up would admit somebody with a better claim — a queued
+// request that fits the freed slot and is strictly ahead of the renewal in
+// the admission order (see ahead). It also declines when occupancy exceeds
+// the kind's current bound (RemoveCapacity shrank the pool under the holder)
+// and always on a disabled scheduler, which never holds a process back. On
+// false nothing changed: the caller still owns the slot and releases it.
+func (s *Scheduler) Renew(event Event, todo int, j *Job) bool {
+	if s.disabled {
+		return false
+	}
+	occ := s.occ.Load()
+	if occ > s.limit(event) {
+		return false
+	}
+	if s.nwait.Load() != 0 {
+		s.mu.Lock()
+		yield := false
+		for _, w := range s.queue {
+			// Would w be admitted into the freed slot? (j's own cap has room
+			// once the holder has exited.)
+			fits := (w.job == j || !w.job.atCap()) && occ-1 < s.limit(w.event) && w.ctx.Err() == nil
+			if fits && ahead(w, event, todo, j) {
+				yield = true
+				break
+			}
+		}
+		s.mu.Unlock()
+		if yield {
+			return false
+		}
+	}
+	s.admitted.Add(1)
+	if h := s.waitHist(event); h != nil {
+		h.Observe(0)
+	}
+	return true
+}
+
+// ahead reports whether queued request w is strictly ahead of a renewal
+// (event, todo) by a holder of job j: the order of better, with j's load
+// counted without the slot being renewed — that slot is what is on offer —
+// and without the FIFO step, which only ever ordered queued requests among
+// themselves. A tie goes to the holder: handing an equal claim the slot
+// buys nothing and costs a park, a wake and a goroutine.
+func ahead(w *waiter, event Event, todo int, j *Job) bool {
+	if w.event != event {
+		return w.event == SpawnS
+	}
+	if w.job != j {
+		wi, ws := w.job.load()
+		hi, hs := j.load()
+		if j != nil {
+			hi--
+		}
+		if wi*hs != hi*ws {
+			return wi*hs < hi*ws
+		}
+	}
+	return w.todo < todo
+}
+
 // wakeLocked admits as many queued waiters as now fit, best-first under the
 // weighted-fair Algorithm 1 order: per round it scans the wait list for the
-// highest-priority waiter whose job is under its cap and whose kind has
-// occupancy headroom, then takes the job slot and the pool slot for real. A
-// candidate that loses a take race (job releases run outside s.mu) is set
-// aside for the rest of this wake. Callers must hold s.mu.
+// highest-priority waiter — not cancelled — whose job is under its cap and
+// whose kind has occupancy headroom, then takes the job slot and the pool
+// slot for real. A candidate that loses a take race (job releases run
+// outside s.mu) is set aside for the rest of this wake. Callers must hold
+// s.mu.
 func (s *Scheduler) wakeLocked() {
 	var skip map[*waiter]struct{}
 	for len(s.queue) > 0 {
@@ -589,7 +678,9 @@ func (s *Scheduler) wakeLocked() {
 			if _, sk := skip[w]; sk {
 				continue
 			}
-			if w.job.atCap() {
+			if w.job.atCap() || w.ctx.Err() != nil {
+				// A request cancelled while queued takes no slot from a live
+				// one; its own goroutine removes the entry.
 				continue
 			}
 			if s.occ.Load() >= s.limit(w.event) {
