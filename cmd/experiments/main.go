@@ -15,7 +15,11 @@
 //	experiments fig20          speech precision on 10 speaker sets (Fig. 20)
 //	experiments fig21          speech score-vs-budget curves (Fig. 21)
 //	experiments fig22          drone behaviour learning (Fig. 22)
+//	experiments ablations      strategy, CV, pool and auto-sampling ablations
 //	experiments all            everything above
+//
+// Performance is measured by the one harness BENCHMARK.json declares:
+// go run ./benchmark --workload <name>.
 //
 // Flags: -seed N (default 1); -checkpoint-dir DIR with optional
 // -checkpoint-every N and -resume to checkpoint tuning runs and pick up
@@ -26,15 +30,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/bench"
 )
 
 func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
-	benchJSON := flag.String("bench-json", "", "run the hot-path microbenchmarks and write a perf report to this path (\"-\" for stdout)")
-	benchBaseline := flag.String("bench-baseline", "", "compare -bench-json results against this report; exit nonzero on >25% regression")
 	ckptDir := flag.String("checkpoint-dir", "", "write periodic job checkpoints to this directory")
 	ckptEvery := flag.Int("checkpoint-every", 8, "rounds between auto-checkpoints (with -checkpoint-dir)")
 	resume := flag.Bool("resume", false, "resume interrupted runs from -checkpoint-dir")
@@ -49,9 +50,6 @@ func main() {
 	} else if *resume {
 		fmt.Fprintln(os.Stderr, "experiments: -resume requires -checkpoint-dir")
 		os.Exit(2)
-	}
-	if *benchJSON != "" {
-		os.Exit(benchReport(*benchJSON, *benchBaseline))
 	}
 	if flag.NArg() < 1 {
 		usage()
@@ -74,100 +72,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: experiments [-seed N] <table1|fig6|fig7|fig10|fig11|fig12|fig15|fig16|fig17|fig18|fig19|fig20|fig21|fig22|ablations|all>")
-	fmt.Fprintln(os.Stderr, "       experiments -bench-json <path> [-bench-baseline <path>]")
-}
-
-// benchReport runs the hot-path microbenchmarks plus the worker-scaling and
-// multi-job sweeps, writes the perf report, and (when a baseline report is
-// given) gates on the regression threshold. Returns the process exit code.
-func benchReport(out, baseline string) int {
-	const tolerance = 0.25
-	results := bench.RunPerf()
-	scaling, err := bench.ScalingPerf()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: worker scaling:", err)
-		return 1
-	}
-	results = append(results, scaling...)
-	multi, err := bench.MultiJobPerf()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: multi-job:", err)
-		return 1
-	}
-	results = append(results, multi...)
-	wire, err := bench.RemotePerf()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: wire perf:", err)
-		return 1
-	}
-	results = append(results, wire...)
-	elastic, elasticRatio, err := bench.ElasticFleetPerf()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: elastic fleet:", err)
-		return 1
-	}
-	results = append(results, elastic...)
-	snap, snapRatio, err := bench.SnapshotDeltaPerf()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: snapshot delta:", err)
-		return 1
-	}
-	results = append(results, snap...)
-	rep := bench.PerfReport{
-		PR:         9,
-		Note:       "protocol v4 delta snapshot shipping: per-key dirty tracking, patch-defined encodings, byte-bounded dispatcher snapshot cache",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Benchmarks: results,
-		Baseline:   bench.PrePRBaseline(),
-	}
-	if err := bench.WritePerfJSON(out, rep); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
-	}
-	compareTo := rep.Baseline
-	if baseline != "" {
-		prev, err := bench.ReadPerfJSON(baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 1
-		}
-		compareTo = prev.Benchmarks
-	}
-	for _, r := range results {
-		line := fmt.Sprintf("%-22s %12.1f ns/op %8d allocs/op %10d B/op", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-		if r.SamplesPerSec > 0 {
-			line += fmt.Sprintf(" %12.0f samples/sec", r.SamplesPerSec)
-		}
-		if r.P99NsPerOp > 0 {
-			line += fmt.Sprintf(" %12.0f ns p99", r.P99NsPerOp)
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
-	regressions := bench.ComparePerf(results, compareTo, tolerance)
-	if elasticRatio < bench.ElasticMinRatio {
-		regressions = append(regressions, fmt.Sprintf(
-			"elastic_fleet_bursty: %.1f%% of static-fleet throughput (floor %.0f%%)",
-			100*elasticRatio, 100*bench.ElasticMinRatio))
-	} else {
-		fmt.Fprintf(os.Stderr, "elastic fleet sustains %.1f%% of static-fleet throughput (floor %.0f%%)\n",
-			100*elasticRatio, 100*bench.ElasticMinRatio)
-	}
-	if snapRatio < bench.SnapDeltaMinRatio {
-		regressions = append(regressions, fmt.Sprintf(
-			"snapshot_ship_delta: %.1fx byte reduction vs full re-ship (floor %.0fx)",
-			snapRatio, bench.SnapDeltaMinRatio))
-	} else {
-		fmt.Fprintf(os.Stderr, "delta shipping cuts incremental snapshot bytes %.1fx vs full re-ship (floor %.0fx)\n",
-			snapRatio, bench.SnapDeltaMinRatio)
-	}
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "REGRESSION:", r)
-		}
-		return 1
-	}
-	return 0
+	fmt.Fprintln(os.Stderr, "usage: experiments [-seed N] [-checkpoint-dir DIR [-checkpoint-every N] [-resume]] <table1|fig6|fig7|fig10|fig11|fig12|fig15|fig16|fig17|fig18|fig19|fig20|fig21|fig22|ablations|all>")
 }
 
 // curveBudgets is the budget sweep used by every score-vs-budget figure.

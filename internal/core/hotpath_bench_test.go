@@ -13,9 +13,9 @@ import (
 // The hot-path microbenchmarks measure the sample inner loop the way the
 // paper's workloads drive it: a tight region with a cheap body that draws a
 // few tunables in a loop, reads exposed inputs, and commits a scalar result.
-// BenchmarkSamplingHotPath is the sampling-throughput benchmark recorded in
-// BENCH_3.json and gated by CI; the steady-state benchmarks isolate one
-// primitive each.
+// BenchmarkSamplingHotPath is the sampling-throughput shape the region_wide
+// workload of BENCHMARK.json measures end to end; the steady-state benchmarks
+// isolate one primitive each.
 
 // hotPathSamples is the per-region sample count of the throughput benchmark:
 // large enough to amortize round setup, small enough to run many rounds.

@@ -59,8 +59,8 @@ type CheckpointPolicy struct {
 }
 
 // SnapshotPrimer is implemented by executors that cache content-hashed
-// exposed-store snapshots on remote workers (protocol v3). A resumed job
-// primes the fleet with its restored store so the first rounds after a
+// exposed-store snapshots on remote workers. A resumed job primes the
+// fleet with its restored store so the first rounds after a
 // migration hit a warm cache instead of re-shipping.
 type SnapshotPrimer interface {
 	PrimeSnapshot(job uint64, e *store.Exposed) error

@@ -10,20 +10,13 @@ import (
 	"repro/internal/wire"
 )
 
-// protocolVersion is negotiated in the hello frame; a version outside
-// [minProtocolVersion, protocolVersion] rejects the connection rather than
-// misparsing frames. Version 3 adds mux chunk frames (large messages
-// interleave as mChunk streams, see mux.go) on top of version 2's
-// job-namespaced snapshots and rounds. Version 4 adds the delta snapshot
-// frames (mSnapDelta/mSnapNack, see snapdelta.go); version 5 keeps every
-// frame layout and redefines the snapshot hash they carry as a sum of
-// per-entry terms (see snapshot.go). v3 and v4 workers remain fully served —
-// the dispatcher records each worker's negotiated version and ships them
-// full snapshots only, whose hash they treat as an opaque cache key.
-const (
-	protocolVersion    = 5
-	minProtocolVersion = 3
-)
+// protocolVersion is the one wire protocol both ends speak: job-namespaced
+// snapshots and rounds, mux chunk frames (large messages interleave as mChunk
+// streams, see mux.go), delta snapshot frames (mSnapDelta/mSnapNack, see
+// snapdelta.go) and a snapshot identity that is a sum of per-entry terms (see
+// snapshot.go). The worker states it in its hello frame; the dispatcher
+// refuses any other value rather than misparse frames.
+const protocolVersion = 5
 
 // Message type bytes (first payload byte of every frame).
 const (
@@ -37,8 +30,8 @@ const (
 	mBye       byte = 8  // worker -> dispatcher: all in-flight flushed, closing
 	mEndJob    byte = 9  // dispatcher -> worker: a job closed, drop its snapshots
 	mChunk     byte = 10 // either direction: one chunk of an interleaved message
-	mSnapDelta byte = 11 // dispatcher -> worker (v5): key-level snapshot delta against a shipped base
-	mSnapNack  byte = 12 // worker -> dispatcher (v5): typed refusal of a delta; answer is a full ship
+	mSnapDelta byte = 11 // dispatcher -> worker: key-level snapshot delta against a shipped base
+	mSnapNack  byte = 12 // worker -> dispatcher: typed refusal of a delta; answer is a full ship
 )
 
 // snapKey names one cached snapshot: job-scoped so co-tenant jobs of a

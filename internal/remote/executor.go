@@ -194,8 +194,7 @@ type dworker struct {
 	wire       *muxWriter
 	name       string
 	slots      int
-	proto      uint64 // negotiated protocol version; < snapDeltaProto never receives deltas
-	chunkBound int    // per-connection demux stream bound; 0 = protocol default
+	chunkBound int // per-connection demux stream bound; 0 = protocol default
 	m          *workerMetrics
 
 	// shipMu orders one worker's control frames: under it, a round frame
@@ -324,9 +323,8 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 	if err != nil {
 		return "", err
 	}
-	if hello.Version < minProtocolVersion || hello.Version > protocolVersion {
-		return "", fmt.Errorf("remote: protocol version mismatch: worker %d, dispatcher %d-%d",
-			hello.Version, minProtocolVersion, protocolVersion)
+	if hello.Version != protocolVersion {
+		return "", fmt.Errorf("remote: protocol version mismatch: worker %d, dispatcher %d", hello.Version, protocolVersion)
 	}
 	if hello.Slots < 1 {
 		return "", fmt.Errorf("%w: worker advertises no slots", errCodec)
@@ -360,7 +358,6 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 		wire:       newMuxWriter(cc),
 		name:       name,
 		slots:      hello.Slots,
-		proto:      hello.Version,
 		chunkBound: tn.MaxInflightChunks,
 		m:          m,
 		sentRounds: make(map[uint64]bool),
@@ -382,10 +379,9 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 }
 
 // warmWorker pre-ships every cached job snapshot to a just-added worker over
-// the bulk lane (protocol v3 pre-priming), so a scale-up joins the fleet
-// warm: placement already prefers it, and its first samples park briefly on
-// an in-flight ship instead of paying a full snapshot round-trip at dispatch
-// time.
+// the bulk lane, so a scale-up joins the fleet warm: placement already prefers
+// it, and its first samples park briefly on an in-flight ship instead of
+// paying a full snapshot round-trip at dispatch time.
 func (ex *NetExecutor) warmWorker(w *dworker) {
 	ex.snapMu.Lock()
 	curs := make(map[uint64]*snapVersion, len(ex.snaps))
@@ -424,10 +420,10 @@ func (w *dworker) hasSent(job, hash uint64) bool {
 }
 
 // holds reports whether w can start a sample of rs without a full snapshot
-// ship: it was queued the round's version, or — speaking v5 — a version the
-// round's cached deltas reach. It is judged only from what was really queued
-// to w, so a worker that has not yet taken its first ship of a job, or whose
-// versions have all fallen behind the retained bases, is not a holder.
+// ship: it was queued the round's version, or a version the round's cached
+// deltas reach. It is judged only from what was really queued to w, so a
+// worker that has not yet taken its first ship of a job, or whose versions
+// have all fallen behind the retained bases, is not a holder.
 // Deltas target a job's current version only, so for a round that a sibling
 // tuning process has since overtaken this can answer yes where the ship turns
 // out full; placement treats it as a preference, and hits and misses are
@@ -435,7 +431,7 @@ func (w *dworker) hasSent(job, hash uint64) bool {
 func (w *dworker) holds(rs *roundState) bool {
 	v := rs.snap
 	for _, sv := range w.sent[rs.job] {
-		if sv.hash == v.hash || (w.proto >= snapDeltaProto && v.reach <= sv.seq && sv.seq < v.seq) {
+		if sv.hash == v.hash || (v.reach <= sv.seq && sv.seq < v.seq) {
 			return true
 		}
 	}
@@ -466,9 +462,9 @@ func (w *dworker) queueLocked(it bulkItem) error {
 
 // snapItem decides how version v of job's snapshot reaches w: an mSnapDelta
 // against the newest retained base already queued to this worker when the
-// worker speaks v5 and the cached delta passed the ratio bound; the full
-// encoding — materialised here, on first need — otherwise, counting why the
-// delta path was unavailable. Callers hold w.shipMu; snapMu nests inside it.
+// cached delta passed the ratio bound; the full encoding — materialised here,
+// on first need — otherwise, counting why the delta path was unavailable.
+// Callers hold w.shipMu; snapMu nests inside it.
 func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem {
 	_, known := w.sent[job]
 	var delta []byte
@@ -476,7 +472,7 @@ func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem
 	ex.snapMu.Lock()
 	s := ex.snaps[job]
 	current := s != nil && s.cur == v
-	if current && known && w.proto >= snapDeltaProto {
+	if current && known {
 		for _, b := range s.bases { // oldest first: the last usable one is the newest
 			if !w.hasSent(job, b.hash) {
 				continue
@@ -496,8 +492,6 @@ func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem
 		// cache): nothing to count — no delta ever existed for this ship.
 	case !known:
 		// Cold worker for this job: the first ship is necessarily full.
-	case w.proto < snapDeltaProto:
-		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackVer })
 	case delta != nil:
 		ex.countSnapBytes(true, len(delta))
 		it.delta = delta

@@ -51,9 +51,9 @@ const (
 	// incremental-store workload is delta shipping's figure of merit.
 	MetricSnapshotBytes = "wbtuner_snapshot_bytes_total"
 	// MetricSnapDeltaFallback counts ships that fell back to a full snapshot
-	// when a delta was conceivable, labeled cause=version (worker negotiated
-	// v3 or v4), base (no shipped base to delta against), ratio (delta exceeded
-	// half the full encoding), or nack (worker refused the delta).
+	// when a delta was conceivable, labeled cause=base (no shipped base to
+	// delta against), ratio (delta exceeded half the full encoding), or nack
+	// (worker refused the delta).
 	MetricSnapDeltaFallback = "wbtuner_snapshot_delta_fallback_total"
 	// MetricSnapCacheEvictions counts delta bases evicted from a job's
 	// dispatcher-side snapshot cache by the version-count bound.
@@ -69,7 +69,6 @@ type fleetMetrics struct {
 
 	snapBytesFull  *obs.Counter
 	snapBytesDelta *obs.Counter
-	fallbackVer    *obs.Counter
 	fallbackBase   *obs.Counter
 	fallbackRatio  *obs.Counter
 	fallbackNack   *obs.Counter
@@ -92,7 +91,6 @@ func newFleetMetrics(reg *obs.Registry) *fleetMetrics {
 		affMisses:      reg.Counter(MetricAffinityMisses),
 		snapBytesFull:  reg.Counter(MetricSnapshotBytes, "mode", "full"),
 		snapBytesDelta: reg.Counter(MetricSnapshotBytes, "mode", "delta"),
-		fallbackVer:    reg.Counter(MetricSnapDeltaFallback, "cause", "version"),
 		fallbackBase:   reg.Counter(MetricSnapDeltaFallback, "cause", "base"),
 		fallbackRatio:  reg.Counter(MetricSnapDeltaFallback, "cause", "ratio"),
 		fallbackNack:   reg.Counter(MetricSnapDeltaFallback, "cause", "nack"),

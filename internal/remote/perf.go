@@ -12,12 +12,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire-layer performance measurement, shared between the Benchmark*
-// functions in wire_bench_test.go and the machine-readable report behind
-// `experiments -bench-json` (via internal/bench). The steady-state codec
-// paths are the zero-copy tentpole's contract: encode of tasks and result
-// batches, and the frame roundtrip, must not allocate per op — CI gates on
-// the numbers this file produces.
+// Wire-layer performance measurement, read by benchmark/probes.go (the
+// remote.wire_* layer metrics of BENCHMARK.json) and by the Benchmark*
+// functions in wire_bench_test.go. The steady-state codec paths are the
+// zero-copy contract: encode of tasks and result batches, and the frame
+// roundtrip, must not allocate per op — alloc_test.go holds them there.
 
 // PerfPoint is one wire-layer measurement. P99NsPerOp carries a latency
 // tail (dispatch/rpc histograms) instead of a mean; points that measure

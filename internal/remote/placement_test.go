@@ -145,13 +145,7 @@ func TestEveryWarmWorkerWorks(t *testing.T) {
 	if ships <= 2 || fm.snapBytesDelta.Value() == 0 {
 		t.Errorf("%d ships, %d delta bytes: rounds after the first should ship deltas", ships, fm.snapBytesDelta.Value())
 	}
-	for cause, c := range map[string]*obs.Counter{
-		"version": fm.fallbackVer, "base": fm.fallbackBase, "ratio": fm.fallbackRatio, "nack": fm.fallbackNack,
-	} {
-		if n := c.Value(); n != 0 {
-			t.Errorf("%d %s fallbacks: every ship after a worker's first should be a delta", n, cause)
-		}
-	}
+	noFallbacks(t, fm)
 	hits := fm.affHits.Value()
 	if hits+2 != rounds*32 || float64(hits) < 0.95*rounds*32 {
 		t.Errorf("affinity hits = %d of %d claims, want all but the two full ships", hits, rounds*32)
@@ -204,10 +198,22 @@ func TestEveryWarmWorkerWorksMultiJob(t *testing.T) {
 	}
 }
 
+// noFallbacks fails t for every delta-fallback cause fm has counted.
+func noFallbacks(t *testing.T, fm *fleetMetrics) {
+	t.Helper()
+	for cause, c := range map[string]*obs.Counter{
+		"base": fm.fallbackBase, "ratio": fm.fallbackRatio, "nack": fm.fallbackNack,
+	} {
+		if n := c.Value(); n != 0 {
+			t.Errorf("%d %s fallbacks: every ship after a worker's first should be a delta", n, cause)
+		}
+	}
+}
+
 // placementWorker is a dworker with no connection behind it: enough state for
 // pickLocked and holds, which only read it.
 func placementWorker(ex *NetExecutor, name string, slots, busy int, sent ...sentVer) *dworker {
-	w := &dworker{ex: ex, name: name, slots: slots, proto: protocolVersion,
+	w := &dworker{ex: ex, name: name, slots: slots,
 		inflight: make(map[uint64]*call), sent: make(map[uint64][]sentVer)}
 	for i := 0; i < busy; i++ {
 		w.inflight[uint64(i)] = &call{}
@@ -231,7 +237,6 @@ func TestPlacementRule(t *testing.T) {
 		name           string
 		slots, busy    int
 		sent           []sentVer
-		proto          uint64
 		draining, dead bool
 	}
 	for _, tc := range []struct {
@@ -249,12 +254,6 @@ func TestPlacementRule(t *testing.T) {
 		{name: "a version behind the retained bases does not",
 			workers: []wk{{name: "stale", slots: 1, sent: []sentVer{stale}}, {name: "base", slots: 1, sent: []sentVer{base}}},
 			want:    []string{"base"}},
-		{name: "a base held by a pre-v5 worker does not",
-			workers: []wk{{name: "v4", slots: 1, sent: []sentVer{base}, proto: 4}, {name: "v5", slots: 1, sent: []sentVer{base}}},
-			want:    []string{"v5"}},
-		{name: "the exact version on a pre-v5 worker does",
-			workers: []wk{{name: "cold", slots: 1}, {name: "v4", slots: 1, sent: []sentVer{exact}, proto: 4}},
-			want:    []string{"v4"}},
 		{name: "free non-holder beats busy holder",
 			workers: []wk{{name: "warm", slots: 2, busy: 2, sent: []sentVer{exact}}, {name: "cold", slots: 1}},
 			want:    []string{"cold"}},
@@ -280,9 +279,6 @@ func TestPlacementRule(t *testing.T) {
 			ex := NewExecutor(ExecutorOptions{Registry: NewRegistry()})
 			for _, k := range tc.workers {
 				w := placementWorker(ex, k.name, k.slots, k.busy, k.sent...)
-				if k.proto != 0 {
-					w.proto = k.proto
-				}
 				w.draining, w.dead = k.draining, k.dead
 				ex.workers = append(ex.workers, w)
 			}
@@ -431,24 +427,21 @@ func TestAffinityOutcome(t *testing.T) {
 		return nil
 	}
 	for _, tc := range []struct {
-		name  string
-		proto int
+		name string
 		// skip is how many versions the store advances unseen by the worker
 		// between its first sample and its second.
 		skip                   int
 		wantHit                bool
-		wantBase, wantVer      int64
+		wantBase               int64
 		wantDelta, wantFullTwo bool
 	}{
 		{name: "delta-reachable", skip: 1, wantHit: true, wantDelta: true},
 		{name: "stale after eviction", skip: maxSnapVersions + 1, wantBase: 1, wantFullTwo: true},
-		{name: "v4 worker", proto: 4, skip: 1, wantVer: 1, wantFullTwo: true},
-		{name: "v3 worker", proto: 3, skip: 1, wantVer: 1, wantFullTwo: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewRegistry()
 			f := newFleet(t, 1, 1, ExecutorOptions{Registry: reg, Dynamic: true, Obs: obs.NewRegistry()},
-				WorkerOptions{Registry: reg, Protocol: tc.proto})
+				WorkerOptions{Registry: reg})
 			fm := f.ex.fm
 			e := store.NewExposed()
 			e.Set("global", "blob", make([]float64, 1024))
@@ -477,7 +470,7 @@ func TestAffinityOutcome(t *testing.T) {
 				t.Fatalf("cold claim counted %d hits, %d misses, want 0, 1", h, m)
 			}
 			full := fm.snapBytesFull.Value()
-			if fm.fallbackBase.Value()+fm.fallbackVer.Value()+fm.fallbackRatio.Value() != 0 {
+			if fm.fallbackBase.Value()+fm.fallbackRatio.Value() != 0 {
 				t.Fatal("a cold ship is not a delta fallback")
 			}
 
@@ -494,9 +487,6 @@ func TestAffinityOutcome(t *testing.T) {
 			}
 			if got := fm.fallbackBase.Value(); got != tc.wantBase {
 				t.Errorf("base fallbacks = %d, want %d", got, tc.wantBase)
-			}
-			if got := fm.fallbackVer.Value(); got != tc.wantVer {
-				t.Errorf("version fallbacks = %d, want %d", got, tc.wantVer)
 			}
 			if got := fm.snapBytesDelta.Value() > 0; got != tc.wantDelta {
 				t.Errorf("delta shipped = %v, want %v", got, tc.wantDelta)

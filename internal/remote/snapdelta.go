@@ -2,7 +2,7 @@ package remote
 
 import "repro/internal/wire"
 
-// Delta snapshot shipping (protocol v5). A snapshot's identity is a sum of
+// Delta snapshot shipping. A snapshot's identity is a sum of
 // per-entry terms (see snapshot.go), so both ends move from one version to
 // the next by touching only the entries that changed.
 //
@@ -16,12 +16,6 @@ import "repro/internal/wire"
 // from its bytes while decoding. Every cached snapshot is therefore either
 // verified in full or one verified step from a verified base: divergence is
 // impossible to ignore; it is never silent.
-
-// snapDeltaProto is the first protocol version whose snapshot identity is the
-// entry-term sum. mSnapDelta/mSnapNack frames exist since v4, but a v4 worker
-// checks a patch against a hash of the whole encoding, so workers negotiating
-// anything older than 5 are shipped full snapshots only.
-const snapDeltaProto = 5
 
 // Nack causes: why a worker refused an mSnapDelta.
 const (

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -226,32 +228,43 @@ func incrementalProgram(t *testing.T, opts core.Options, rounds int, between fun
 
 // TestSnapDeltaShipParity runs the incremental workload over loopback
 // workers and demands (a) byte-identical results to the local run and (b)
-// that rounds after the first actually shipped deltas, cutting snapshot
-// bytes well below full re-ships.
+// that each worker is shipped the full store once and deltas ever after:
+// full-ship bytes within one full encoding per worker, no fallback of any
+// cause, and delta bytes at least 5x below what re-shipping the store every
+// version would cost.
 func TestSnapDeltaShipParity(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
-	local := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42}, 4, nil)
+	const rounds, workers = 16, 2
+	local := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42}, rounds, nil)
 
 	reg := NewRegistry()
 	oreg := obs.NewRegistry()
-	f := newFleet(t, 2, 2, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg}, WorkerOptions{Registry: reg})
-	remote := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: f.ex}, 4, nil)
+	f := newFleet(t, workers, 2, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg}, WorkerOptions{Registry: reg})
+	remote := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: f.ex}, rounds, nil)
 	if remote != local {
 		t.Fatalf("delta-shipped run diverged from local run:\nlocal:\n%s\nremote:\n%s", local, remote)
 	}
-	fullB := f.ex.fm.snapBytesFull.Value()
-	deltaB := f.ex.fm.snapBytesDelta.Value()
+	e := store.NewExposed()
+	e.Set("global", "blob", make([]float64, 8192))
+	e.Set("global", "knob", 1.0)
+	one, _, err := encodeSnapshot(e, nil)
+	if err != nil {
+		t.Fatalf("encodeSnapshot: %v", err)
+	}
+	fm := f.ex.fm
+	fullB, deltaB := fm.snapBytesFull.Value(), fm.snapBytesDelta.Value()
 	if deltaB == 0 {
 		t.Fatal("no delta bytes shipped on an incremental workload")
 	}
-	// 2 workers x 1 initial full ship, then deltas; each delta is tiny next
-	// to the 8k-float blob, so delta bytes must be a small fraction of full.
-	if deltaB*5 > fullB {
-		t.Fatalf("delta bytes %d not well under full bytes %d", deltaB, fullB)
+	if limit := int64(workers * len(one)); fullB == 0 || fullB > limit {
+		t.Fatalf("full-ship bytes %d, want at most one %d-byte encoding per worker (%d)", fullB, len(one), limit)
 	}
-	if nacks := f.ex.fm.fallbackNack.Value(); nacks != 0 {
-		t.Fatalf("healthy run produced %d nacks", nacks)
+	// Re-shipping full at every version costs each worker rounds encodings;
+	// the floor is a 5x cut in total snapshot bytes.
+	if reship := int64(rounds * workers * len(one)); (fullB+deltaB)*5 > reship {
+		t.Fatalf("shipped %d full + %d delta bytes, not 5x under the %d of a full re-ship per version", fullB, deltaB, reship)
 	}
+	noFallbacks(t, fm)
 }
 
 // TestSnapDeltaNackBaseMissing wipes a worker's snapshot cache mid-run: the
@@ -328,58 +341,51 @@ func TestSnapDeltaNackHashMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapDeltaOldProtoFallback pins a worker to protocol v3, then v4: it
-// must join, run byte-identically, and never be sent a delta — a v4 worker
-// understands the frame but not the identity it carries — so every
-// post-change ship falls back to full with cause=version.
-func TestSnapDeltaOldProtoFallback(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	local := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42}, 3, nil)
-
-	for _, proto := range []int{3, 4} {
-		reg := NewRegistry()
-		oreg := obs.NewRegistry()
-		f := newFleet(t, 1, 2, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg},
-			WorkerOptions{Registry: reg, Protocol: proto})
-		remote := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: f.ex}, 3, nil)
-		if remote != local {
-			t.Fatalf("v%d run diverged from local run:\nlocal:\n%s\nremote:\n%s", proto, local, remote)
-		}
-		if d := f.ex.fm.snapBytesDelta.Value(); d != 0 {
-			t.Fatalf("v%d worker was shipped %d delta bytes", proto, d)
-		}
-		if v := f.ex.fm.fallbackVer.Value(); v == 0 {
-			t.Fatalf("expected version-cause fallbacks for the v%d worker", proto)
-		}
-	}
-}
-
-// TestSnapshotVersionNegotiation checks the handshake range: v3, v4 and v5
-// workers join, anything outside is rejected.
+// TestSnapshotVersionNegotiation checks the handshake: a hello with the one
+// protocol version joins, any other is refused with the mismatch error, and
+// the refused worker's ServeConn returns once the dispatcher hangs up.
 func TestSnapshotVersionNegotiation(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	for _, tc := range []struct {
 		version uint64
 		ok      bool
-	}{{2, false}, {3, true}, {4, true}, {5, true}, {6, false}} {
+	}{{4, false}, {5, true}, {6, false}} {
 		ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
+		w := NewWorker(WorkerOptions{Registry: Builtins()})
+		// A real worker behind a relay that restates its hello's version.
+		wa, wb := net.Pipe()
 		a, b := net.Pipe()
+		served := make(chan struct{})
+		go func() { w.ServeConn(wa); close(served) }()
 		go func() {
-			wr := newMuxWriter(a)
-			wr.writeMsg(encodeHello(helloMsg{Version: tc.version, Name: "nego", Slots: 1}))
-			// Keep the pipe open long enough for addConn to finish.
-			readFrame(a, nil)
+			defer wb.Close()
+			payload, err := readFrame(wb, nil)
+			if err != nil || len(payload) == 0 || payload[0] != mHello {
+				t.Errorf("relay: no hello from the worker: %v", err)
+				a.Close()
+				return
+			}
+			hello, _ := decodeHello(payload[1:])
+			hello.Version = tc.version
+			newMuxWriter(a).writeMsg(encodeHello(hello))
+			readFrame(a, nil) // until the dispatcher hangs up
 		}()
 		err := ex.AddConn(b)
 		if tc.ok && err != nil {
 			t.Errorf("version %d rejected: %v", tc.version, err)
 		}
-		if !tc.ok && err == nil {
-			t.Errorf("version %d accepted", tc.version)
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "protocol version mismatch")) {
+			t.Errorf("version %d: AddConn = %v, want the version-mismatch refusal", tc.version, err)
 		}
 		ex.Close()
-		a.Close()
 		b.Close()
+		select {
+		case <-served:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("version %d: worker's ServeConn still running after the dispatcher hung up", tc.version)
+		}
+		w.Close()
+		a.Close()
 	}
 }
 
@@ -497,7 +503,6 @@ func TestSnapshotMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		MetricSnapshotBytes + `{mode="delta"}`,
 		MetricSnapshotBytes + `{mode="full"}`,
-		MetricSnapDeltaFallback + `{cause="version"}`,
 		MetricSnapDeltaFallback + `{cause="base"}`,
 		MetricSnapDeltaFallback + `{cause="ratio"}`,
 		MetricSnapDeltaFallback + `{cause="nack"}`,
@@ -506,5 +511,8 @@ func TestSnapshotMetricsExposition(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("exposition is missing %q:\n%s", want, out)
 		}
+	}
+	if n := strings.Count(out, MetricSnapDeltaFallback+"{"); n != 3 {
+		t.Errorf("%d fallback causes exposed, want exactly base, ratio, nack:\n%s", n, out)
 	}
 }

@@ -15,8 +15,8 @@ type Tuning struct {
 	// Zero leaves the stack default; negative disables keepalives.
 	KeepAlive time.Duration
 	// MaxInflightChunks bounds, per connection, how many interleaved chunk
-	// streams the protocol v3 demux will reassemble concurrently and how
-	// deep the dispatcher's bulk snapshot lane may queue. Zero means the
+	// streams the demux will reassemble concurrently and how deep the
+	// dispatcher's bulk snapshot lane may queue. Zero means the
 	// protocol defaults (16 streams, 8 queued ships); values below 1 are
 	// clamped up to 1.
 	MaxInflightChunks int

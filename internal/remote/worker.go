@@ -40,11 +40,6 @@ type WorkerOptions struct {
 	// streams the demux reassembles concurrently (backpressure on snapshot
 	// interleaving). Zero means the protocol default.
 	MaxInflightChunks int
-	// Protocol pins the version advertised in the hello frame. Zero means
-	// the current protocolVersion; 3 or 4 joins as a legacy worker that
-	// receives full snapshots only (no mSnapDelta). Values outside the
-	// dispatcher's accepted range are rejected at handshake.
-	Protocol int
 }
 
 // Worker runs sampling processes on behalf of remote dispatchers. One
@@ -78,13 +73,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 	}
 	if opts.Slots <= 0 {
 		opts.Slots = 2 * runtime.GOMAXPROCS(0)
-	}
-	if opts.Protocol == 0 {
-		opts.Protocol = protocolVersion
-	}
-	if opts.Protocol < minProtocolVersion || opts.Protocol > protocolVersion {
-		panic(fmt.Sprintf("remote: WorkerOptions.Protocol %d outside supported range %d-%d",
-			opts.Protocol, minProtocolVersion, protocolVersion))
 	}
 	return &Worker{
 		opts:        opts,
@@ -145,7 +133,7 @@ func (w *Worker) ServeConn(conn net.Conn) {
 	w.mu.Unlock()
 
 	if err := c.wire.writeMsg(encodeHello(helloMsg{
-		Version: uint64(w.opts.Protocol), Name: w.opts.Name, Slots: w.opts.Slots,
+		Version: protocolVersion, Name: w.opts.Name, Slots: w.opts.Slots,
 	})); err != nil {
 		w.mu.Lock()
 		delete(w.conns, c)
