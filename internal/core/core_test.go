@@ -486,6 +486,48 @@ func TestDoubleSync(t *testing.T) {
 	}
 }
 
+// TestLastFinishRacesLastArrival: a finishing sample skips the barrier when it
+// sees nobody waiting, so the release must then come from the arrival it did
+// not see. Each round one process arrives at the barrier while its siblings
+// finish without ever syncing, as close together as a pool of their own makes
+// them; a lost release would leave the arrival parked for ever.
+func TestLastFinishRacesLastArrival(t *testing.T) {
+	const rounds = 1000
+	var released atomic.Int64
+	finished := make(chan error, 1)
+	go func() {
+		finished <- New(Options{MaxPool: 4, Seed: 1}).Run(func(p *P) error {
+			for r := 0; r < rounds; r++ {
+				res, err := p.Region(RegionSpec{Name: "race", Samples: 2 + r%3}, func(sp *SP) error {
+					if sp.Index() == 0 {
+						sp.Sync(func(v *SyncView) { released.Add(int64(v.Count())) })
+					}
+					sp.Commit("v", 1.0)
+					return nil
+				})
+				if err == nil && res.Len("v") != 2+r%3 {
+					err = fmt.Errorf("round %d: %d of %d samples committed", r, res.Len("v"), 2+r%3)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatalf("a barrier release was lost: %d of %d rounds released their waiter", released.Load(), rounds)
+	}
+	if released.Load() != rounds {
+		t.Fatalf("%d barrier releases of one waiter each, want %d", released.Load(), rounds)
+	}
+}
+
 func TestScoringAndBest(t *testing.T) {
 	run(t, newTuner(), func(p *P) error {
 		res, err := p.Region(RegionSpec{

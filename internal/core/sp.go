@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/dist"
 	"repro/internal/sched"
@@ -76,12 +77,14 @@ type pkv struct {
 //
 // The per-process hot state (drawn parameters, committed results, loaded
 // exposed values) is kept in slices indexed by the region's interned symbol
-// IDs, so the steady-state Float/Load/Commit paths are a lock-free table
-// lookup plus a slice access and allocate nothing. SP structs and their
-// slice storage are pooled per region shape; a recycled SP is fully reset
-// before reuse.
+// IDs, and a name resolves to its ID through the process's own memo (sym),
+// so a steady-state Float/Load/Commit/Get is a memo hit plus a slice access:
+// no hash, no lock, no allocation. SP structs, their slice storage and the
+// memo are pooled per region shape; a recycled SP is reset before reuse,
+// except for the memo: the shape's symbol IDs never change.
 type SP struct {
 	rs      *regionState
+	memo    [1 << memoBits]memoEntry
 	group   int
 	fold    int
 	attempt int
@@ -162,6 +165,40 @@ func (sp *SP) Context() context.Context {
 // fold count k. Without cross-validation it returns (0, 1).
 func (sp *SP) Fold() (fold, k int) { return sp.fold, sp.rs.k }
 
+// memoBits sizes an SP's name memo: 32 slots, several times the handful of
+// variables a region body names.
+const memoBits = 5
+
+// memoEntry is one slot of an SP's direct-mapped name -> symbol id memo.
+type memoEntry struct {
+	name string
+	id   uint32
+	ok   bool // a filled slot, as opposed to the zero entry ("" -> 0)
+}
+
+// sym resolves a variable name to its id in the shape's symbol table, interning
+// it on first sight. A body passes the same few strings sample after sample, so
+// the process remembers them: a hit costs a string comparison (settled on the
+// pointer when the body passes the same literal) where the table would hash the
+// name. The slot comes from the name's data pointer, which is only an index
+// hint — never dereferenced, never what decides a hit: equality with the
+// remembered name is. Equal strings at different addresses, names sharing an
+// address or a slot, a reused address and the unspecified pointer of "" can
+// only cost a miss, which asks the table and overwrites the slot. The memo is
+// the process's own (SyncView.Value, the one caller on another goroutine, runs
+// while the process is parked at the barrier) and outlives recycling: SPs are
+// pooled per shape and a table's ids never change.
+func (sp *SP) sym(name string) uint32 {
+	p := uint64(uintptr(unsafe.Pointer(unsafe.StringData(name))))
+	e := &sp.memo[p*0x9E3779B97F4A7C15>>(64-memoBits)] // Fibonacci hashing
+	if e.ok && e.name == name {
+		return e.id
+	}
+	id := sp.rs.syms.Intern(name)
+	*e = memoEntry{name: name, id: id, ok: true}
+	return id
+}
+
 // Float draws the tunable variable name from d (rule [SAMPLE]). Drawing
 // the same name again returns the already-drawn value, and under
 // cross-validation all processes of one SVG share the same draw.
@@ -169,15 +206,15 @@ func (sp *SP) Float(name string, d dist.Dist) float64 {
 	if sp.isAbandoned() {
 		panic(abandonPanic{})
 	}
-	if id, ok := sp.rs.syms.Lookup(name); ok && int(id) < len(sp.pset) && sp.pset[id] {
+	id := sp.sym(name)
+	if int(id) < len(sp.pset) && sp.pset[id] {
 		return sp.pvals[id]
 	}
-	return sp.drawFloat(name, d)
+	return sp.drawFloat(name, id, d)
 }
 
-// drawFloat is the first-draw path: intern the name, draw, and record.
-func (sp *SP) drawFloat(name string, d dist.Dist) float64 {
-	id := sp.rs.syms.Intern(name)
+// drawFloat is the first-draw path: draw, and record under the name's id.
+func (sp *SP) drawFloat(name string, id uint32, d dist.Dist) float64 {
 	if n := sp.rs.syms.Len(); len(sp.pset) < n {
 		sp.pvals = append(sp.pvals, make([]float64, n-len(sp.pvals))...)
 		sp.pset = append(sp.pset, make([]bool, n-len(sp.pset))...)
@@ -231,16 +268,16 @@ func (sp *SP) appendParams(dst []pkv) []pkv {
 // Values of type float64 and []float64 participate in the built-in
 // aggregation strategies; any type may be committed for custom aggregation.
 func (sp *SP) Commit(x string, v any) {
-	if id, ok := sp.rs.syms.Lookup(x); ok && int(id) < len(sp.cset) && sp.cset[id] {
+	id := sp.sym(x)
+	if int(id) < len(sp.cset) && sp.cset[id] {
 		sp.cvals[id] = v
 		return
 	}
-	sp.commitSlow(x, v)
+	sp.commitSlow(id, v)
 }
 
 // commitSlow is the first-commit path for a variable.
-func (sp *SP) commitSlow(x string, v any) {
-	id := sp.rs.syms.Intern(x)
+func (sp *SP) commitSlow(id uint32, v any) {
 	if n := sp.rs.syms.Len(); len(sp.cset) < n {
 		sp.cvals = append(sp.cvals, make([]any, n-len(sp.cvals))...)
 		sp.cset = append(sp.cset, make([]bool, n-len(sp.cset))...)
@@ -252,7 +289,7 @@ func (sp *SP) commitSlow(x string, v any) {
 
 // Get reads back a value this process has committed; Score callbacks use it.
 func (sp *SP) Get(x string) (any, bool) {
-	if id, ok := sp.rs.syms.Lookup(x); ok && int(id) < len(sp.cset) && sp.cset[id] {
+	if id := sp.sym(x); int(id) < len(sp.cset) && sp.cset[id] {
 		return sp.cvals[id], true
 	}
 	return nil, false
@@ -298,24 +335,24 @@ func (sp *SP) Work(units float64) {
 // Load reads an exposed global-scope variable from inside a sampling
 // process; the exposed store is shared with the tuning process. Loaded
 // values are cached in the process against the store's version counter, so
-// a kernel loop re-reading its inputs costs one atomic load per read
-// instead of a store lock round-trip.
+// a kernel loop re-reading its inputs costs one atomic load, a name-memo hit
+// (sym) and a slice index per read: no store lock, no hashing of the name.
 func (sp *SP) Load(name string) any {
 	e := sp.rs.exposed
 	if ver := e.Version(); ver != sp.lver {
 		sp.resetLoadCache()
 		sp.lver = ver
 	}
-	if id, ok := sp.rs.syms.Lookup(name); ok && int(id) < len(sp.lset) && sp.lset[id] {
+	id := sp.sym(name)
+	if int(id) < len(sp.lset) && sp.lset[id] {
 		return sp.lvals[id]
 	}
-	return sp.loadSlow(name)
+	return sp.loadSlow(name, id)
 }
 
 // loadSlow is the cache-miss path: read the store and remember the value.
-func (sp *SP) loadSlow(name string) any {
+func (sp *SP) loadSlow(name string, id uint32) any {
 	v := sp.rs.exposed.MustGet(globalScope, name)
-	id := sp.rs.syms.Intern(name)
 	if n := sp.rs.syms.Len(); len(sp.lset) < n {
 		sp.lvals = append(sp.lvals, make([]any, n-len(sp.lvals))...)
 		sp.lset = append(sp.lset, make([]bool, n-len(sp.lset))...)
@@ -836,6 +873,7 @@ type barrier struct {
 	waiters []chan struct{}
 	arrived []*SP
 	cb      func(v *SyncView)
+	nwait   atomic.Int32 // len(waiters), written under mu: lets maybeRelease skip both locks
 }
 
 func newBarrier(rs *regionState) *barrier { return &barrier{rs: rs} }
@@ -846,14 +884,21 @@ func (b *barrier) arrive(sp *SP, cb func(v *SyncView)) {
 	b.waiters = append(b.waiters, ch)
 	b.arrived = append(b.arrived, sp)
 	b.cb = cb
+	b.nwait.Store(int32(len(b.waiters)))
 	b.mu.Unlock()
 	b.maybeRelease()
 	<-ch
 }
 
 // maybeRelease releases the barrier when the arrived set equals the set of
-// live (launched or still to launch, not finished) sampling processes.
+// live (launched or still to launch, not finished) sampling processes. With
+// nobody waiting there is nothing to release, and the early return loses no
+// release: a process arriving after the load publishes itself, then runs its
+// own maybeRelease, which reads rs.done no earlier than the caller's increment.
 func (b *barrier) maybeRelease() {
+	if b.nwait.Load() == 0 {
+		return
+	}
 	b.rs.mu.Lock()
 	pending := b.rs.total - b.rs.done
 	b.rs.mu.Unlock()
@@ -874,6 +919,7 @@ func (b *barrier) maybeRelease() {
 			ka = append(ka, sp)
 		}
 		b.waiters, b.arrived = kw, ka
+		b.nwait.Store(int32(len(kw)))
 	}
 	if len(b.waiters) == 0 || len(b.waiters) != pending {
 		b.mu.Unlock()
@@ -883,6 +929,7 @@ func (b *barrier) maybeRelease() {
 	sps := b.arrived
 	waiters := b.waiters
 	b.waiters, b.arrived, b.cb = nil, nil, nil
+	b.nwait.Store(0)
 	b.mu.Unlock()
 
 	if cb != nil {

@@ -82,7 +82,8 @@ type Options struct {
 	// Quotas maps tenant names to their bounds. Tenants absent from the map
 	// (and the "" default tenant) are unlimited.
 	Quotas map[string]TenantQuota
-	// Obs, when non-nil, receives the jobs metrics.
+	// Obs, when non-nil, receives the jobs metrics. Give the Runtime the same
+	// registry: a forgotten job's series are removed from this one.
 	Obs *obs.Registry
 }
 
@@ -471,12 +472,16 @@ func (m *Manager) finishLocked(j *job, result string, err error, interrupted boo
 }
 
 // retireLocked files a job that just became terminal among the finished
-// ones, forgetting the oldest of them once maxFinished are kept.
+// ones, forgetting the oldest of them once maxFinished are kept — and with it
+// the job=<name> series the Runtime filed for it in the shared registry.
 func (m *Manager) retireLocked(j *job) {
 	j.run, j.resume, j.cancel = nil, nil, nil
 	slot := &m.finished[m.nFinish%maxFinished]
 	if old := *slot; old != nil {
 		delete(m.jobs, old.spec.Name)
+		if m.opts.Obs != nil {
+			m.opts.Obs.RemoveSeries("job", old.spec.Name)
+		}
 	}
 	*slot = j
 	m.nFinish++

@@ -11,6 +11,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 )
 
 // heapAlloc is the live heap after a full collection.
@@ -146,4 +147,53 @@ func TestCancelledQueuedJobsBounded(t *testing.T) {
 		t.Fatalf("manager knows %d jobs, want %d cancelled + the running one", got, maxFinished)
 	}
 	close(release)
+}
+
+// seriesCount is how many series the registry exposes.
+func seriesCount(reg *obs.Registry) (n int) {
+	for _, f := range reg.Snapshot() {
+		n += len(f.Series)
+	}
+	return n
+}
+
+// TestForgottenJobsLeaveNoSeries: the Runtime files a set of job=<name> series
+// for every job, so a manager that forgets a finished job must take them out
+// of the registry too. After the first maxFinished uniquely named jobs the
+// series count stays where it is for the next 2*maxFinished.
+func TestForgottenJobsLeaveNoSeries(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	oreg := obs.NewRegistry()
+	reg := NewRegistry()
+	reg.Register("tune", func(core.JobSpec) (RunFunc, error) { return tuneProgram(1, 0, nil), nil })
+	m := NewManager(Options{
+		Runtime:  core.NewRuntime(core.RuntimeOptions{MaxPool: 4, Obs: oreg}),
+		Programs: reg, MaxRunning: 2, Obs: oreg,
+	})
+	defer m.Close()
+
+	const batch = 8
+	var full int
+	for done := 0; done < 3*maxFinished; done += batch {
+		for i := done; i < done+batch; i++ {
+			mustSubmit(t, m, core.JobSpec{Name: fmt.Sprintf("job-%d", i), Program: "tune", Seed: int64(i % 16)})
+		}
+		for i := done; i < done+batch; i++ {
+			if _, err := m.Wait(context.Background(), fmt.Sprintf("job-%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if (done+batch)%128 != 0 {
+			continue // a snapshot walks every series
+		}
+		switch n := seriesCount(oreg); {
+		case done+batch == maxFinished:
+			full = n
+		case done+batch > maxFinished && n != full:
+			t.Fatalf("after %d jobs the registry holds %d series, %d after the first %d", done+batch, n, full, maxFinished)
+		}
+	}
+	if perJob := full / maxFinished; perJob < 5 {
+		t.Fatalf("%d series for %d jobs: the jobs are not labelled, the test measures nothing", full, maxFinished)
+	}
 }

@@ -211,9 +211,17 @@ type family struct {
 	kind    Kind
 	buckets []float64 // histograms only
 
-	order  []string // series keys in creation order
-	series map[string]any
-	labels map[string][]string // series key -> flattened k,v pairs
+	order  []*series          // in creation order
+	series map[string]*series // by series key
+}
+
+// series is one labeled instrument of a family.
+type series struct {
+	fam    *family
+	key    string
+	labels []string // flattened k,v pairs
+	inst   any
+	dead   bool // removed; lists holding it sweep it out when they next fill
 }
 
 // Registry holds metric families and produces expositions. Create with
@@ -222,11 +230,12 @@ type Registry struct {
 	mu    sync.Mutex
 	names []string
 	fams  map[string]*family
+	pairs map[[2]string][]*series // label pair -> the series carrying it
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]*family)}
+	return &Registry{fams: make(map[string]*family), pairs: make(map[[2]string][]*series)}
 }
 
 // SetHelp attaches Prometheus HELP text to a metric name. It may be called
@@ -236,7 +245,7 @@ func (r *Registry) SetHelp(name, help string) {
 	defer r.mu.Unlock()
 	f, ok := r.fams[name]
 	if !ok {
-		f = &family{name: name, series: make(map[string]any), labels: make(map[string][]string), kind: -1}
+		f = &family{name: name, series: make(map[string]*series), kind: -1}
 		r.fams[name] = f
 		r.names = append(r.names, name)
 	}
@@ -273,7 +282,7 @@ func escapeLabel(v string) string {
 func (r *Registry) get(name string, kind Kind, buckets []float64) *family {
 	f, ok := r.fams[name]
 	if !ok {
-		f = &family{name: name, kind: kind, series: make(map[string]any), labels: make(map[string][]string)}
+		f = &family{name: name, kind: kind, series: make(map[string]*series)}
 		if kind == KindHistogram {
 			f.buckets = append([]float64(nil), buckets...)
 		}
@@ -324,13 +333,11 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	defer r.mu.Unlock()
 	f := r.get(name, KindCounter, nil)
 	key := seriesKey(labels)
-	if c, ok := f.series[key]; ok {
-		return c.(*Counter)
+	if s, ok := f.series[key]; ok {
+		return s.inst.(*Counter)
 	}
 	c := &Counter{}
-	f.series[key] = c
-	f.labels[key] = append([]string(nil), labels...)
-	f.order = append(f.order, key)
+	r.add(f, key, labels, c)
 	return c
 }
 
@@ -341,13 +348,11 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	defer r.mu.Unlock()
 	f := r.get(name, KindGauge, nil)
 	key := seriesKey(labels)
-	if g, ok := f.series[key]; ok {
-		return g.(*Gauge)
+	if s, ok := f.series[key]; ok {
+		return s.inst.(*Gauge)
 	}
 	g := &Gauge{}
-	f.series[key] = g
-	f.labels[key] = append([]string(nil), labels...)
-	f.order = append(f.order, key)
+	r.add(f, key, labels, g)
 	return g
 }
 
@@ -366,17 +371,63 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 	defer r.mu.Unlock()
 	f := r.get(name, KindHistogram, buckets)
 	key := seriesKey(labels)
-	if h, ok := f.series[key]; ok {
-		return h.(*Histogram)
+	if s, ok := f.series[key]; ok {
+		return s.inst.(*Histogram)
 	}
 	h := &Histogram{
 		upper:  f.buckets,
 		counts: make([]atomic.Uint64, len(f.buckets)+1),
 	}
-	f.series[key] = h
-	f.labels[key] = append([]string(nil), labels...)
-	f.order = append(f.order, key)
+	r.add(f, key, labels, h)
 	return h
+}
+
+// add files a new instrument in its family and under each of its label pairs,
+// with r.mu held.
+func (r *Registry) add(f *family, key string, labels []string, inst any) {
+	s := &series{fam: f, key: key, labels: append([]string(nil), labels...), inst: inst}
+	f.series[key] = s
+	f.order = appendLive(f.order, s)
+	for i := 0; i+1 < len(labels); i += 2 {
+		p := [2]string{labels[i], labels[i+1]}
+		r.pairs[p] = appendLive(r.pairs[p], s)
+	}
+}
+
+// appendLive appends s to l, first sweeping removed series out of a full l:
+// the appends that filled it pay for the sweep, so removal itself never scans.
+func appendLive(l []*series, s *series) []*series {
+	if len(l) == cap(l) {
+		live := l[:0]
+		for _, x := range l {
+			if !x.dead {
+				live = append(live, x)
+			}
+		}
+		clear(l[len(live):])
+		l = live
+	}
+	return append(l, s)
+}
+
+// RemoveSeries drops every series, in every family, that carries the label
+// key=value, and reports how many it dropped; the cost is proportional to
+// that number, not to the registry. An instrument somebody still holds keeps
+// counting but is no longer exposed, and asking for its name and labels again
+// creates a fresh one: remove only what has stopped being updated.
+func (r *Registry) RemoveSeries(key, value string) (n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p := [2]string{key, value}
+	for _, s := range r.pairs[p] {
+		if !s.dead {
+			s.dead = true
+			delete(s.fam.series, s.key)
+			n++
+		}
+	}
+	delete(r.pairs, p)
+	return n
 }
 
 // SeriesSnapshot is one labeled instrument's state at snapshot time.
@@ -415,9 +466,12 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 			continue // SetHelp for a metric that never materialized
 		}
 		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind}
-		for _, key := range f.order {
-			ss := SeriesSnapshot{Labels: f.labels[key]}
-			switch m := f.series[key].(type) {
+		for _, s := range f.order {
+			if s.dead {
+				continue
+			}
+			ss := SeriesSnapshot{Labels: s.labels}
+			switch m := s.inst.(type) {
 			case *Counter:
 				ss.Value = float64(m.Value())
 			case *Gauge:

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -288,4 +291,94 @@ func BenchmarkGaugeParallel(b *testing.B) {
 			g.Add(1)
 		}
 	})
+}
+
+// TestRemoveSeriesMatchesOracle drives random creations and removals by label
+// pair against the slow obvious model — a list of live series in creation
+// order, filtered on removal — and compares the whole exposition after every
+// step. Values are bumped at creation and on every re-lookup so a series that
+// was removed and created again is seen to start from zero.
+func TestRemoveSeriesMatchesOracle(t *testing.T) {
+	type live struct {
+		fam    string
+		labels []string
+		v      int64
+	}
+	r := NewRegistry()
+	rng := rand.New(rand.NewSource(7))
+	var oracle []live
+	fams := []string{"a_total", "b_total", "c_total"}
+	pick := func() []string {
+		l := []string{"job", fmt.Sprintf("j%d", rng.Intn(12))}
+		if rng.Intn(2) == 0 {
+			l = append(l, "region", fmt.Sprintf("r%d", rng.Intn(3)))
+		}
+		return l
+	}
+	for step := 0; step < 4000; step++ {
+		if rng.Intn(4) > 0 {
+			fam, labels := fams[rng.Intn(len(fams))], pick()
+			r.Counter(fam, labels...).Inc()
+			found := false
+			for i := range oracle {
+				if oracle[i].fam == fam && slices.Equal(oracle[i].labels, labels) {
+					oracle[i].v++
+					found = true
+				}
+			}
+			if !found {
+				oracle = append(oracle, live{fam, labels, 1})
+			}
+		} else {
+			pair := pick()
+			if len(pair) == 4 && rng.Intn(2) == 0 {
+				pair = pair[2:]
+			}
+			want := 0
+			kept := oracle[:0]
+			for _, s := range oracle {
+				has := false
+				for i := 0; i+1 < len(s.labels); i += 2 {
+					has = has || (s.labels[i] == pair[0] && s.labels[i+1] == pair[1])
+				}
+				if has {
+					want++
+				} else {
+					kept = append(kept, s)
+				}
+			}
+			oracle = kept
+			if got := r.RemoveSeries(pair[0], pair[1]); got != want {
+				t.Fatalf("step %d: RemoveSeries(%s=%s) dropped %d series, want %d", step, pair[0], pair[1], got, want)
+			}
+		}
+		got, want := map[string][]string{}, map[string][]string{}
+		for _, f := range r.Snapshot() {
+			for _, s := range f.Series {
+				got[f.Name] = append(got[f.Name], fmt.Sprint(s.Labels, s.Value))
+			}
+		}
+		for _, s := range oracle {
+			want[s.fam] = append(want[s.fam], fmt.Sprint(s.labels, float64(s.v)))
+		}
+		for _, fam := range fams { // series in creation order within a family
+			if !slices.Equal(got[fam], want[fam]) {
+				t.Fatalf("step %d: family %s exposes\n%v\nwant\n%v", step, fam, got[fam], want[fam])
+			}
+		}
+	}
+	// Removed series are swept when a list fills, not kept: 4000 steps leave
+	// no list longer than twice the 12 + 12*3 series a family can have live.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, f := range r.fams {
+		if len(f.order) > 2*48 {
+			t.Errorf("family %s keeps %d entries for %d live series", name, len(f.order), len(f.series))
+		}
+	}
+	for p, l := range r.pairs {
+		if len(l) > 2*48*len(fams) {
+			t.Errorf("pair %v keeps %d entries", p, len(l))
+		}
+	}
 }

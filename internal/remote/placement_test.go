@@ -102,6 +102,12 @@ func (s *claimSplit) round() (took []uint64) {
 // first claimant takes every sample. Throughput would show a regression only
 // as a drift; this names it. The bound is per round — a dispatcher that
 // alternates whole rounds between the workers looks balanced in aggregate.
+//
+// Who claims a sample is a race between two workers' result frames, so on a
+// 2-core box with a CPU burner beside the test one run in twelve reads 5
+// balanced rounds of 11. Everything deterministic (the dump, two full ships,
+// no fallback, the hit count) is asserted on every attempt; the balance gates
+// what placement can do, as the best of three attempts.
 func TestEveryWarmWorkerWorks(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	const rounds = 12
@@ -109,12 +115,25 @@ func TestEveryWarmWorkerWorks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
+	best := 0
+	for attempt := 0; attempt < 3 && best*2 < rounds-1; attempt++ {
+		shared := warmWorkerAttempt(t, rounds, local)
+		t.Logf("attempt %d: both workers claimed >= 4 of 32 samples in %d of %d warm rounds", attempt, shared, rounds-1)
+		best = max(best, shared)
+	}
+	if best*2 < rounds-1 {
+		t.Errorf("both workers claimed >= 4 of 32 samples in only %d of %d warm rounds, best of 3 attempts", best, rounds-1)
+	}
+}
 
+// warmWorkerAttempt runs the warm program once over a fresh fleet of two
+// one-slot workers, checks every deterministic property of the run, and
+// returns in how many warm rounds both workers took at least 4 samples.
+func warmWorkerAttempt(t *testing.T, rounds int, local string) (shared int) {
 	reg := NewRegistry()
 	oreg := obs.NewRegistry()
 	f := newFleet(t, 2, 1, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg}, WorkerOptions{Registry: reg})
 	split := newClaimSplit(f.ex)
-	shared := 0
 	remote, err := warmDump(core.New(core.Options{MaxPool: 1, Seed: 5, Executor: f.ex}), "warm", rounds, 5,
 		func(round int) {
 			took := split.round()
@@ -133,9 +152,6 @@ func TestEveryWarmWorkerWorks(t *testing.T) {
 	if remote != local {
 		t.Fatalf("dispatched run diverged from local run:\nlocal:\n%s\nremote:\n%s", local, remote)
 	}
-	if shared*2 < rounds-1 {
-		t.Errorf("both workers claimed >= 4 of 32 samples in only %d of %d warm rounds", shared, rounds-1)
-	}
 
 	fm := f.ex.fm
 	if misses := fm.affMisses.Value(); misses != 2 {
@@ -147,9 +163,10 @@ func TestEveryWarmWorkerWorks(t *testing.T) {
 	}
 	noFallbacks(t, fm)
 	hits := fm.affHits.Value()
-	if hits+2 != rounds*32 || float64(hits) < 0.95*rounds*32 {
-		t.Errorf("affinity hits = %d of %d claims, want all but the two full ships", hits, rounds*32)
+	if want := int64(rounds * 32); hits+2 != want || float64(hits) < 0.95*float64(want) {
+		t.Errorf("affinity hits = %d of %d claims, want all but the two full ships", hits, want)
 	}
+	return shared
 }
 
 // TestEveryWarmWorkerWorksMultiJob runs two co-tenant jobs, each re-exposing a
