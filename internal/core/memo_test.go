@@ -116,7 +116,7 @@ func (r *memoRun) exec(round int, ops []memoOp) {
 			name = strings.Clone(name)
 		}
 		if r.bypass {
-			sp.memo = [1 << memoBits]memoEntry{}
+			clear(sp.memo[:])
 		}
 		switch op.kind {
 		case opFloat:
@@ -272,6 +272,45 @@ func TestSymMemoMatchesOracle(t *testing.T) {
 			t.Errorf("detached run differs from the local one:\n%s", firstDiff(detached, memo))
 		}
 	}
+}
+
+// TestReadsDoNotGrowSymbolTable: Get, and Load of a name nobody exposed, only
+// read the shape's symbol table. Probing many names that were never written
+// answers "not there" every time and leaves the table, a copy-on-write
+// structure that pays O(n) for every new name, the size the writes made it.
+func TestReadsDoNotGrowSymbolTable(t *testing.T) {
+	run(t, New(Options{MaxPool: 1, Seed: 1}), func(p *P) error {
+		_, err := p.Region(RegionSpec{Name: "reads", Samples: 1}, func(sp *SP) error {
+			sp.Float("x", dist.Uniform(0, 1))
+			sp.Commit("y", 1.0)
+			before := sp.rs.syms.Len()
+			for i := 0; i < 2000; i++ {
+				name := fmt.Sprintf("absent-%d", i%500)
+				if v, ok := sp.Get(name); ok || v != nil {
+					t.Errorf("Get(%q) = %v, %v for a name never committed", name, v, ok)
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("Load(%q) of an unexposed name did not panic", name)
+						}
+					}()
+					sp.Load(name)
+				}()
+			}
+			if v, ok := sp.Get("x"); ok { // drawn, never committed: known to the table
+				t.Errorf("Get(x) = %v, true", v)
+			}
+			if v, ok := sp.Get("y"); !ok || v != 1.0 {
+				t.Errorf("Get(y) = %v, %v", v, ok)
+			}
+			if after := sp.rs.syms.Len(); after != before {
+				t.Errorf("reads grew the symbol table from %d to %d names", before, after)
+			}
+			return nil
+		})
+		return err
+	})
 }
 
 var memoSink float64

@@ -79,9 +79,8 @@ type pkv struct {
 // exposed values) is kept in slices indexed by the region's interned symbol
 // IDs, and a name resolves to its ID through the process's own memo (sym),
 // so a steady-state Float/Load/Commit/Get is a memo hit plus a slice access:
-// no hash, no lock, no allocation. SP structs, their slice storage and the
-// memo are pooled per region shape; a recycled SP is reset before reuse,
-// except for the memo: the shape's symbol IDs never change.
+// no hash, no lock, no allocation. SPs are pooled per region shape; a recycled
+// one is reset before reuse, except for the memo: a shape's IDs never change.
 type SP struct {
 	rs      *regionState
 	memo    [1 << memoBits]memoEntry
@@ -165,8 +164,7 @@ func (sp *SP) Context() context.Context {
 // fold count k. Without cross-validation it returns (0, 1).
 func (sp *SP) Fold() (fold, k int) { return sp.fold, sp.rs.k }
 
-// memoBits sizes an SP's name memo: 32 slots, several times the handful of
-// variables a region body names.
+// memoBits sizes an SP's name memo: 32 slots for the handful of names a body uses.
 const memoBits = 5
 
 // memoEntry is one slot of an SP's direct-mapped name -> symbol id memo.
@@ -176,27 +174,27 @@ type memoEntry struct {
 	ok   bool // a filled slot, as opposed to the zero entry ("" -> 0)
 }
 
-// sym resolves a variable name to its id in the shape's symbol table, interning
-// it on first sight. A body passes the same few strings sample after sample, so
-// the process remembers them: a hit costs a string comparison (settled on the
-// pointer when the body passes the same literal) where the table would hash the
-// name. The slot comes from the name's data pointer, which is only an index
-// hint — never dereferenced, never what decides a hit: equality with the
-// remembered name is. Equal strings at different addresses, names sharing an
-// address or a slot, a reused address and the unspecified pointer of "" can
-// only cost a miss, which asks the table and overwrites the slot. The memo is
-// the process's own (SyncView.Value, the one caller on another goroutine, runs
-// while the process is parked at the barrier) and outlives recycling: SPs are
-// pooled per shape and a table's ids never change.
+// noSym is sym's answer for a name the table has not seen: past every slice,
+// so the callers' bounds checks send it down their slow paths, which intern it.
+const noSym = 1<<31 - 1
+
+// sym resolves a variable name to its id in the shape's symbol table, hashing
+// only a name the process has not resolved before and never growing the table:
+// reading a name nobody wrote leaves no trace. The slot comes from the name's
+// data pointer, an index hint that is never dereferenced (DESIGN §8): equality
+// with the remembered name decides a hit, so a wrong slot only costs a miss,
+// which asks the table. The memo outlives recycling: a shape's ids never change.
 func (sp *SP) sym(name string) uint32 {
 	p := uint64(uintptr(unsafe.Pointer(unsafe.StringData(name))))
 	e := &sp.memo[p*0x9E3779B97F4A7C15>>(64-memoBits)] // Fibonacci hashing
 	if e.ok && e.name == name {
 		return e.id
 	}
-	id := sp.rs.syms.Intern(name)
-	*e = memoEntry{name: name, id: id, ok: true}
-	return id
+	if id, ok := sp.rs.syms.Lookup(name); ok {
+		*e = memoEntry{name, id, true}
+		return id
+	}
+	return noSym
 }
 
 // Float draws the tunable variable name from d (rule [SAMPLE]). Drawing
@@ -213,8 +211,11 @@ func (sp *SP) Float(name string, d dist.Dist) float64 {
 	return sp.drawFloat(name, id, d)
 }
 
-// drawFloat is the first-draw path: draw, and record under the name's id.
+// drawFloat is the first-draw path: intern a new name, draw, and record.
 func (sp *SP) drawFloat(name string, id uint32, d dist.Dist) float64 {
+	if id == noSym {
+		id = sp.rs.syms.Intern(name)
+	}
 	if n := sp.rs.syms.Len(); len(sp.pset) < n {
 		sp.pvals = append(sp.pvals, make([]float64, n-len(sp.pvals))...)
 		sp.pset = append(sp.pset, make([]bool, n-len(sp.pset))...)
@@ -273,11 +274,14 @@ func (sp *SP) Commit(x string, v any) {
 		sp.cvals[id] = v
 		return
 	}
-	sp.commitSlow(id, v)
+	sp.commitSlow(x, id, v)
 }
 
 // commitSlow is the first-commit path for a variable.
-func (sp *SP) commitSlow(id uint32, v any) {
+func (sp *SP) commitSlow(x string, id uint32, v any) {
+	if id == noSym {
+		id = sp.rs.syms.Intern(x)
+	}
 	if n := sp.rs.syms.Len(); len(sp.cset) < n {
 		sp.cvals = append(sp.cvals, make([]any, n-len(sp.cvals))...)
 		sp.cset = append(sp.cset, make([]bool, n-len(sp.cset))...)
@@ -353,6 +357,9 @@ func (sp *SP) Load(name string) any {
 // loadSlow is the cache-miss path: read the store and remember the value.
 func (sp *SP) loadSlow(name string, id uint32) any {
 	v := sp.rs.exposed.MustGet(globalScope, name)
+	if id == noSym {
+		id = sp.rs.syms.Intern(name)
+	}
 	if n := sp.rs.syms.Len(); len(sp.lset) < n {
 		sp.lvals = append(sp.lvals, make([]any, n-len(sp.lvals))...)
 		sp.lset = append(sp.lset, make([]bool, n-len(sp.lset))...)
@@ -892,9 +899,8 @@ func (b *barrier) arrive(sp *SP, cb func(v *SyncView)) {
 
 // maybeRelease releases the barrier when the arrived set equals the set of
 // live (launched or still to launch, not finished) sampling processes. With
-// nobody waiting there is nothing to release, and the early return loses no
-// release: a process arriving after the load publishes itself, then runs its
-// own maybeRelease, which reads rs.done no earlier than the caller's increment.
+// nobody waiting it returns at once and loses no release: a process arriving
+// after the load runs its own, reading rs.done after the caller's increment.
 func (b *barrier) maybeRelease() {
 	if b.nwait.Load() == 0 {
 		return

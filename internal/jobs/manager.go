@@ -471,9 +471,8 @@ func (m *Manager) finishLocked(j *job, result string, err error, interrupted boo
 	m.retireLocked(j)
 }
 
-// retireLocked files a job that just became terminal among the finished
-// ones, forgetting the oldest of them once maxFinished are kept — and with it
-// the job=<name> series the Runtime filed for it in the shared registry.
+// retireLocked files a job that just became terminal among the finished ones,
+// forgetting the oldest, and its job=<name> series, once maxFinished are kept.
 func (m *Manager) retireLocked(j *job) {
 	j.run, j.resume, j.cancel = nil, nil, nil
 	slot := &m.finished[m.nFinish%maxFinished]

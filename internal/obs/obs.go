@@ -18,6 +18,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -211,7 +212,6 @@ type family struct {
 	kind    Kind
 	buckets []float64 // histograms only
 
-	order  []*series          // in creation order
 	series map[string]*series // by series key
 }
 
@@ -221,7 +221,7 @@ type series struct {
 	key    string
 	labels []string // flattened k,v pairs
 	inst   any
-	dead   bool // removed; lists holding it sweep it out when they next fill
+	seq    int // creation order across the registry
 }
 
 // Registry holds metric families and produces expositions. Create with
@@ -230,12 +230,13 @@ type Registry struct {
 	mu    sync.Mutex
 	names []string
 	fams  map[string]*family
-	pairs map[[2]string][]*series // label pair -> the series carrying it
+	pairs map[[2]string]map[*series]struct{} // label pair -> the series carrying it
+	seq   int
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]*family), pairs: make(map[[2]string][]*series)}
+	return &Registry{fams: make(map[string]*family), pairs: make(map[[2]string]map[*series]struct{})}
 }
 
 // SetHelp attaches Prometheus HELP text to a metric name. It may be called
@@ -385,48 +386,36 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 // add files a new instrument in its family and under each of its label pairs,
 // with r.mu held.
 func (r *Registry) add(f *family, key string, labels []string, inst any) {
-	s := &series{fam: f, key: key, labels: append([]string(nil), labels...), inst: inst}
+	r.seq++
+	s := &series{fam: f, key: key, labels: append([]string(nil), labels...), inst: inst, seq: r.seq}
 	f.series[key] = s
-	f.order = appendLive(f.order, s)
-	for i := 0; i+1 < len(labels); i += 2 {
-		p := [2]string{labels[i], labels[i+1]}
-		r.pairs[p] = appendLive(r.pairs[p], s)
-	}
-}
-
-// appendLive appends s to l, first sweeping removed series out of a full l:
-// the appends that filled it pay for the sweep, so removal itself never scans.
-func appendLive(l []*series, s *series) []*series {
-	if len(l) == cap(l) {
-		live := l[:0]
-		for _, x := range l {
-			if !x.dead {
-				live = append(live, x)
-			}
+	for l := s.labels; len(l) >= 2; l = l[2:] {
+		p := [2]string{l[0], l[1]}
+		if r.pairs[p] == nil {
+			r.pairs[p] = make(map[*series]struct{})
 		}
-		clear(l[len(live):])
-		l = live
+		r.pairs[p][s] = struct{}{}
 	}
-	return append(l, s)
 }
 
-// RemoveSeries drops every series, in every family, that carries the label
-// key=value, and reports how many it dropped; the cost is proportional to
-// that number, not to the registry. An instrument somebody still holds keeps
-// counting but is no longer exposed, and asking for its name and labels again
-// creates a fresh one: remove only what has stopped being updated.
-func (r *Registry) RemoveSeries(key, value string) (n int) {
+// RemoveSeries drops every series, of every family, that carries the label
+// key=value and reports how many, at a cost proportional to that number. An
+// instrument still held keeps counting unexposed: remove only what is no
+// longer updated.
+func (r *Registry) RemoveSeries(key, value string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p := [2]string{key, value}
-	for _, s := range r.pairs[p] {
-		if !s.dead {
-			s.dead = true
-			delete(s.fam.series, s.key)
-			n++
+	gone := r.pairs[[2]string{key, value}]
+	n := len(gone)
+	for s := range gone {
+		delete(s.fam.series, s.key)
+		for l := s.labels; len(l) >= 2; l = l[2:] {
+			p := [2]string{l[0], l[1]}
+			if delete(r.pairs[p], s); len(r.pairs[p]) == 0 {
+				delete(r.pairs, p)
+			}
 		}
 	}
-	delete(r.pairs, p)
 	return n
 }
 
@@ -462,14 +451,16 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 	out := make([]FamilySnapshot, 0, len(r.names))
 	for _, name := range r.names {
 		f := r.fams[name]
-		if f.kind == -1 {
-			continue // SetHelp for a metric that never materialized
+		if len(f.series) == 0 {
+			continue // SetHelp for a metric that never materialized, or every series removed
 		}
 		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind}
-		for _, s := range f.order {
-			if s.dead {
-				continue
-			}
+		live := make([]*series, 0, len(f.series))
+		for _, s := range f.series {
+			live = append(live, s)
+		}
+		slices.SortFunc(live, func(a, b *series) int { return a.seq - b.seq })
+		for _, s := range live {
 			ss := SeriesSnapshot{Labels: s.labels}
 			switch m := s.inst.(type) {
 			case *Counter:

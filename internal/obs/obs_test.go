@@ -354,6 +354,9 @@ func TestRemoveSeriesMatchesOracle(t *testing.T) {
 		}
 		got, want := map[string][]string{}, map[string][]string{}
 		for _, f := range r.Snapshot() {
+			if len(f.Series) == 0 {
+				t.Fatalf("step %d: family %s exposed with no series", step, f.Name)
+			}
 			for _, s := range f.Series {
 				got[f.Name] = append(got[f.Name], fmt.Sprint(s.Labels, s.Value))
 			}
@@ -367,18 +370,31 @@ func TestRemoveSeriesMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	// Removed series are swept when a list fills, not kept: 4000 steps leave
-	// no list longer than twice the 12 + 12*3 series a family can have live.
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, f := range r.fams {
-		if len(f.order) > 2*48 {
-			t.Errorf("family %s keeps %d entries for %d live series", name, len(f.order), len(f.series))
-		}
+	// The index is exact: one entry per label pair of a live series, nothing kept
+	// for a removed one.
+	refs, want := 0, 0
+	for _, set := range r.pairs {
+		refs += len(set)
 	}
-	for p, l := range r.pairs {
-		if len(l) > 2*48*len(fams) {
-			t.Errorf("pair %v keeps %d entries", p, len(l))
-		}
+	for _, s := range oracle {
+		want += len(s.labels) / 2
+	}
+	if refs != want {
+		t.Errorf("the pair index holds %d entries for %d label pairs of live series", refs, want)
+	}
+	// A family whose last series went is not exposed, even as a header, until
+	// a series of it is created again.
+	for j := 0; j < 12; j++ {
+		r.RemoveSeries("job", fmt.Sprintf("j%d", j))
+	}
+	if snap := r.Snapshot(); len(snap) != 0 {
+		t.Fatalf("every series removed, the snapshot still holds %+v", snap)
+	}
+	if len(r.pairs) != 0 {
+		t.Fatalf("every series removed, the pair index still holds %v", r.pairs)
+	}
+	r.Counter("b_total", "job", "j3").Inc()
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Name != "b_total" || len(snap[0].Series) != 1 || snap[0].Series[0].Value != 1 {
+		t.Fatalf("after one re-creation the snapshot holds %+v", snap)
 	}
 }
