@@ -35,20 +35,12 @@ func main() {
 	slots := flag.Int("slots", 0, "concurrent sampling processes (0 = 2x GOMAXPROCS)")
 	name := flag.String("name", "", "worker name reported to dispatchers (default: listen address)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight samples on shutdown")
-	keepAlive := flag.Duration("keepalive", 0, "TCP keepalive period on dispatcher connections (0 = stack default, negative = off; tcp/tls only)")
-	maxChunks := flag.Int("max-inflight-chunks", 0, "per-connection bound on concurrently reassembling snapshot chunk streams (0 = protocol default)")
 	flag.Parse()
 
 	tr, err := buildTransport(*trName, *tlsCert, *tlsKey)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wbtune-worker: %v\n", err)
 		os.Exit(2)
-	}
-	if *keepAlive != 0 || *maxChunks != 0 {
-		tr = transport.WithTuning(tr, transport.Tuning{
-			KeepAlive:         *keepAlive,
-			MaxInflightChunks: *maxChunks,
-		})
 	}
 	ln, err := tr.Listen(*listen)
 	if err != nil {
@@ -59,10 +51,9 @@ func main() {
 		*name = ln.Addr().String()
 	}
 	w := remote.NewWorker(remote.WorkerOptions{
-		Name:              *name,
-		Slots:             *slots,
-		Registry:          remote.Builtins(),
-		MaxInflightChunks: *maxChunks,
+		Name:     *name,
+		Slots:    *slots,
+		Registry: remote.Builtins(),
 	})
 
 	sigc := make(chan os.Signal, 1)

@@ -81,13 +81,12 @@ func newDaemon(cfg config) (*daemon, error) {
 			MaxPool: cfg.pool, Obs: d.reg, Executor: d.ex,
 		})
 		d.fc = remote.NewFleetController(d.ex, remote.FleetOptions{
-			Load:          func() sched.LoadStats { return d.rt.Load() },
-			Registry:      shared,
-			Values:        vals,
-			LoopbackSlots: 1,
-			Min:           cfg.fleetMin,
-			Max:           cfg.fleetMax,
-			Obs:           d.reg,
+			Load:     func() sched.LoadStats { return d.rt.Load() },
+			Registry: shared,
+			Values:   vals,
+			Min:      cfg.fleetMin,
+			Max:      cfg.fleetMax,
+			Obs:      d.reg,
 		})
 		if err := d.fc.Start(); err != nil {
 			d.fc.Stop()

@@ -30,12 +30,11 @@ func EnableElasticFleet(min, max int, reg *obs.Registry) (restore func(), err er
 			}
 			return sched.LoadStats{}
 		},
-		Registry:      shared,
-		Values:        vals,
-		LoopbackSlots: 1,
-		Min:           min,
-		Max:           max,
-		Obs:           reg,
+		Registry: shared,
+		Values:   vals,
+		Min:      min,
+		Max:      max,
+		Obs:      reg,
 	})
 	if err := fc.Start(); err != nil {
 		fc.Stop()

@@ -8,8 +8,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/agg"
 	"repro/internal/dist"
+	"repro/internal/sched"
 )
 
 // fakeExec runs dispatched samples through a DetachedRunner in-process —
@@ -57,9 +60,13 @@ func (f *fakeExec) Execute(ctx context.Context, handle any, group, attempt int) 
 			return ExecResult{}, Transient(errors.New("fake: connection reset"))
 		}
 	}
-	return f.runner.Run(ctx, r.Spec, r.Body, SampleTask{
+	res := f.runner.Run(ctx, r.Spec, r.Body, SampleTask{
 		Seed: r.Seed, N: r.N, Group: group, Attempt: attempt, Feedback: r.Feedback,
-	}, r.Exposed), nil
+	}, r.Exposed)
+	if err := ctx.Err(); err != nil {
+		return ExecResult{}, err // honour the per-sample deadline, as Executor asks
+	}
+	return res, nil
 }
 
 func (f *fakeExec) EndRound(any) { f.ended.Add(1) }
@@ -67,68 +74,149 @@ func (f *fakeExec) Capacity() int {
 	return 4
 }
 
-// sampleDump flattens one region result for comparison across runs.
-func sampleDump(res *Result) string {
-	s := ""
-	for g := 0; g < res.N(); g++ {
-		s += fmt.Sprintf("g%d params=%v", g, res.Params(g))
-		if v, ok := res.Value("y", g); ok {
-			s += fmt.Sprintf(" y=%v", v)
-		}
-		s += "\n"
-	}
-	return s
+// parityKind is one way the sampling processes of the reference program can
+// end. odd, when set, is what sample oddSample does between drawing and
+// committing, on every attempt.
+type parityKind struct {
+	name        string
+	fault       FaultPolicy
+	incremental bool
+	aggregate   map[string]agg.Kind
+	odd         func(sp *SP) error
 }
 
-// runParityProgram runs the reference tuning program and returns its region
-// dump. The body loads exposed state, draws, scores, and commits — every
-// externalized channel the executor must round-trip.
-func runParityProgram(t *testing.T, opts Options) string {
+const oddSample = 2
+
+var errOdd = errors.New("parity: odd sample failed")
+
+var parityKinds = []parityKind{
+	{name: "clean"},
+	{name: "prune", odd: func(sp *SP) error { sp.Work(0.125); sp.Check(false); return nil }},
+	{name: "panic", odd: func(sp *SP) error { sp.Work(0.125); panic("parity: odd sample panicked") }},
+	{name: "error", fault: FaultPolicy{MaxAttempts: 3}, odd: func(sp *SP) error { sp.Work(0.125); return errOdd }},
+	{name: "retry then succeed", fault: FaultPolicy{MaxAttempts: 3, Backoff: time.Microsecond},
+		odd: func(sp *SP) error {
+			sp.Work(0.125)
+			if sp.Attempt() == 1 {
+				return Transient(errOdd)
+			}
+			return nil
+		}},
+	{name: "retries exhausted", fault: FaultPolicy{MaxAttempts: 2, Backoff: time.Microsecond},
+		odd: func(sp *SP) error { sp.Work(0.125); return Transient(errOdd) }},
+	// The deadline is far above what a healthy sample needs even under -race
+	// on a loaded machine; only the odd sample, which waits for it, meets it.
+	{name: "timeout", fault: FaultPolicy{SampleTimeout: 200 * time.Millisecond},
+		odd: func(sp *SP) error { <-sp.Context().Done(); return sp.Context().Err() }},
+	// MIN and MAX do not depend on the order values reach the ring in.
+	{name: "incremental, one variable", incremental: true, aggregate: map[string]agg.Kind{"y": agg.Max}},
+	{name: "incremental, two variables", incremental: true, aggregate: map[string]agg.Kind{"y": agg.Max, "z": agg.Min}},
+}
+
+// runParityKind runs the reference tuning program — the body loads exposed
+// state, draws, accounts work, scores and commits: every externalized channel
+// an executor must round-trip — under pk's fault policy and returns what it
+// left behind: the region dump and, as lifecycle, the tuner's counters and per
+// sample the kinds of the trace events it emitted, in order.
+func runParityKind(t *testing.T, pk parityKind, opts Options) (dump, lifecycle string) {
 	t.Helper()
+	tr := NewTrace()
+	tr.SetClock(counterClock())
+	opts.Trace, opts.Incremental = tr, pk.incremental
+	if pk.fault != (FaultPolicy{}) {
+		opts.Fault = pk.fault
+	}
 	tuner := New(opts)
-	var dump string
 	err := tuner.Run(func(p *P) error {
 		p.Expose("bias", 0.125)
 		res, err := p.Region(RegionSpec{
-			Name:    "parity",
-			Samples: 8,
-			Score:   func(sp *SP) float64 { return sp.MustGet("y").(float64) },
+			Name:      "parity",
+			Samples:   8,
+			Aggregate: pk.aggregate,
+			Score:     func(sp *SP) float64 { return sp.MustGet("y").(float64) },
 		}, func(sp *SP) error {
 			x := sp.Float("x", dist.Uniform(0, 1))
 			k := sp.Int("k", dist.IntRange(1, 5))
+			if pk.odd != nil && sp.Index() == oddSample {
+				if err := pk.odd(sp); err != nil {
+					return err
+				}
+			}
 			sp.Work(0.25)
-			sp.Commit("y", x*float64(k)+sp.Load("bias").(float64))
+			y := x*float64(k) + sp.Load("bias").(float64)
+			sp.Commit("y", y)
+			sp.Commit("z", -y)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		dump = sampleDump(res)
+		for g := 0; g < res.N(); g++ {
+			dump += fmt.Sprintf("g%d params=%v score=%v pruned=%v failed=%v timedOut=%v", g,
+				res.Params(g), res.Score(g), res.Pruned(g), res.Err(g) != nil, res.TimedOut(g))
+			for _, x := range []string{"y", "z"} {
+				if v, ok := res.Value(x, g); ok {
+					dump += fmt.Sprintf(" %s=%v", x, v)
+				}
+			}
+			dump += "\n"
+		}
 		best := res.BestIndex()
 		if best < 0 {
 			return errors.New("no best sample")
 		}
-		dump += fmt.Sprintf("best=%d score=%v\n", best, res.MustValue("y", best))
+		dump += fmt.Sprintf("best=%d score=%v aggregated y=%v z=%v\n",
+			best, res.Score(best), res.Aggregated("y"), res.Aggregated("z"))
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+
+	m := tuner.Metrics()
+	m.Scheduler = sched.Stats{} // an executor's capacity widens the pool
+	if pk.incremental {
+		m.PeakRetained = 0 // counts the ring's high-water mark, which is timing
+	}
+	lifecycle = fmt.Sprintf("metrics=%+v\n", m)
+
+	kinds := make(map[int][]string) // Sample is -1 on region-level events
+	for _, e := range tr.Events() {
+		kinds[e.Sample] = append(kinds[e.Sample], e.Kind.String())
+	}
+	for g := -1; g < 8; g++ {
+		lifecycle += fmt.Sprintf("trace g%d=%v\n", g, kinds[g])
+	}
+	return dump, lifecycle
+}
+
+// runParityProgram is the region dump of the clean kind.
+func runParityProgram(t *testing.T, opts Options) string {
+	t.Helper()
+	dump, _ := runParityKind(t, parityKinds[0], opts)
 	return dump
 }
 
+// TestExecutorParityWithLocal observes the one sample lifecycle from outside:
+// however a sampling process ends, a round run through an executor leaves the
+// same results, the same counters and the same trace events per sample as the
+// round run in-process.
 func TestExecutorParityWithLocal(t *testing.T) {
-	local := runParityProgram(t, Options{MaxPool: 4, Seed: 7})
-	ex := newFakeExec()
-	remote := runParityProgram(t, Options{MaxPool: 4, Seed: 7, Executor: ex})
-	if local != remote {
-		t.Fatalf("executor run diverged from local run:\nlocal:\n%s\nremote:\n%s", local, remote)
-	}
-	if ex.begun.Load() == 0 || ex.executed.Load() == 0 {
-		t.Fatalf("executor unused: begun=%d executed=%d", ex.begun.Load(), ex.executed.Load())
-	}
-	if ex.begun.Load() != ex.ended.Load() {
-		t.Fatalf("BeginRound/EndRound imbalance: %d vs %d", ex.begun.Load(), ex.ended.Load())
+	for _, pk := range parityKinds {
+		t.Run(pk.name, func(t *testing.T) {
+			local, localLife := runParityKind(t, pk, Options{MaxPool: 4, Seed: 7})
+			ex := newFakeExec()
+			remote, remoteLife := runParityKind(t, pk, Options{MaxPool: 4, Seed: 7, Executor: ex})
+			if local != remote || localLife != remoteLife {
+				t.Fatalf("executor run diverged from local run:\nlocal:\n%s%s\nremote:\n%s%s", local, localLife, remote, remoteLife)
+			}
+			if ex.begun.Load() == 0 || ex.executed.Load() == 0 {
+				t.Fatalf("executor unused: begun=%d executed=%d", ex.begun.Load(), ex.executed.Load())
+			}
+			if ex.begun.Load() != ex.ended.Load() {
+				t.Fatalf("BeginRound/EndRound imbalance: %d vs %d", ex.begun.Load(), ex.ended.Load())
+			}
+		})
 	}
 }
 
@@ -191,6 +279,10 @@ func TestExecutorUnsupportedPoisonsRegion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	// A declined dispatch is not a started sample: only the in-process runs count.
+	if got := tuner.Metrics().Samples; got != 2*samples {
+		t.Fatalf("Samples=%d after two declined rounds of %d, want %d", got, samples, 2*samples)
+	}
 }
 
 func TestExecutorSyncBodyFallsBack(t *testing.T) {
@@ -226,6 +318,9 @@ func TestExecutorSyncBodyFallsBack(t *testing.T) {
 	}
 	if _, poisoned := tuner.execSkip.Load("barrier"); !poisoned {
 		t.Fatalf("Sync region not poisoned for future rounds")
+	}
+	if got := tuner.Metrics().Samples; got != samples {
+		t.Fatalf("Samples=%d, want %d: a sample the executor declined was counted before its in-process run", got, samples)
 	}
 }
 

@@ -216,20 +216,26 @@ func (sp *SP) drawFloat(name string, id uint32, d dist.Dist) float64 {
 	if id == noSym {
 		id = sp.rs.syms.Intern(name)
 	}
-	if n := sp.rs.syms.Len(); len(sp.pset) < n {
-		sp.pvals = append(sp.pvals, make([]float64, n-len(sp.pvals))...)
-		sp.pset = append(sp.pset, make([]bool, n-len(sp.pset))...)
-	}
 	var v float64
 	if sp.shared != nil {
 		v = sp.shared.draw(name, sp.sampler, d)
 	} else {
 		v = sp.sampler.Draw(name, d)
 	}
+	sp.setParam(id, v)
+	return v
+}
+
+// setParam records v as the drawn value of the parameter with symbol id, next
+// in draw order: drawn here, or drawn by a detached process and shipped home.
+func (sp *SP) setParam(id uint32, v float64) {
+	if n := sp.rs.syms.Len(); len(sp.pset) < n {
+		sp.pvals = append(sp.pvals, make([]float64, n-len(sp.pvals))...)
+		sp.pset = append(sp.pset, make([]bool, n-len(sp.pset))...)
+	}
 	sp.pvals[id] = v
 	sp.pset[id] = true
 	sp.porder = append(sp.porder, id)
-	return v
 }
 
 // Int draws an integer-valued tunable variable.
@@ -479,59 +485,73 @@ func (s *svgShared) draw(name string, sampler strategy.Sampler, d dist.Dist) flo
 // was started with, then — as long as Algorithm 1 renews the admission — the
 // pairs it claims itself, so a saturated round costs a goroutine and a queued
 // request per slot, not per sample. Which worker runs a sample cannot show in
-// its result: a sampler is a pure function of (seed, g, n, fb). On an
-// executor round the samples are dispatched instead (dispatch.go); the slot
-// accounting is the same whichever side the body runs on. It runs as a plain
-// goroutine method so starting one allocates no closure.
+// its result: a sampler is a pure function of (seed, g, n, fb). It runs as a
+// plain goroutine method so starting one allocates no closure.
 func (rs *regionState) worker(g, f int) {
 	defer rs.wg.Done()
 	slot := newHeldSlot()
 	for ok := true; ok; g, f, ok = rs.claim(true) {
-		if rs.execH != nil {
-			// Not once the executor has declined a sample of the region.
-			if _, skip := rs.t.execSkip.Load(rs.spec.Name); !skip && rs.dispatch(g) {
-				continue
-			}
-		}
-		var sampler strategy.Sampler
-		if rs.shared != nil {
-			sampler = rs.shared[g].sampler
-		} else {
-			sampler = rs.spec.Strategy.Sampler(rs.seed, g, rs.n, rs.fb)
-		}
-		if rs.runSP(rs.ctx, g, f, slot, sampler, rs.body) {
-			// The abandoned body goroutine may still reference the slot and
-			// the sampler; neither is safe to hand to another sample, so the
-			// worker ends here and the launch loop replaces it.
+		if rs.runSP(g, f, slot) {
+			// The abandoned body goroutine may still reference the slot, which
+			// is therefore not safe to hand to another sample: the worker ends
+			// here and the launch loop replaces it.
 			slot.release(rs.t)
 			return
-		}
-		if rs.shared == nil {
-			// Sole user of the sampler (cross-validation folds share theirs and
-			// finish at different times; those samplers are not recycled).
-			if rec, ok := sampler.(strategy.Recycler); ok {
-				rec.Recycle()
-			}
 		}
 	}
 	slot.release(rs.t)
 	slotPool.Put(slot)
 }
 
-// runSP executes one sampling process: draw, compute, commit, score — with
-// the region's fault policy applied around it. Retryable failures re-attempt
-// with deterministic backoff; a deadline or budget expiry abandons the
-// attempt and commits the distinguished timeout outcome. Exactly one spDone
-// is reported per (group, fold) slot regardless of attempts. It reports
-// whether the sample ended in the abandoned/timed-out state.
-func (rs *regionState) runSP(ctx context.Context, g, f int, slot *spSlot, sampler strategy.Sampler, body func(sp *SP) error) bool {
+// runSP runs one sampling process to its one commit: draw, compute, commit,
+// score — with the region's fault policy applied around it. An attempt is
+// dispatched (remoteAttempt) on an executor round and runs in-process
+// (runAttempt) otherwise; either way it ends as an SP. Retryable failures
+// re-attempt with deterministic backoff; a deadline or budget expiry ends the
+// sample with the distinguished timeout outcome. An executor that declines the
+// sample poisons the region — the rest of this round and every future round of
+// the name run in-process — and the sample starts over in-process at attempt 1.
+// Exactly one spDone or spDoneTimeout is reported per (group, fold) slot
+// regardless of attempts. It reports whether an in-process attempt was
+// abandoned: its body goroutine may still be running, on the worker's slot.
+func (rs *regionState) runSP(g, f int, slot *spSlot) (abandoned bool) {
 	t := rs.t
 	fp := t.opts.Fault
+	ctx := rs.ctx
+	remote := false
+	if rs.execH != nil {
+		// Not once the executor has declined a sample of the region.
+		_, skip := t.execSkip.Load(rs.spec.Name)
+		remote = !skip
+	}
 	var sp *SP
 	var err error
 	timedOut := false
 	for attempt := 1; ; attempt++ {
-		sp, err, timedOut = rs.runAttempt(ctx, g, f, attempt, slot, sampler, body)
+		if remote {
+			var declined bool
+			if sp, err, timedOut, declined = rs.remoteAttempt(g, attempt); declined {
+				t.execSkip.Store(rs.spec.Name, struct{}{})
+				remote, attempt = false, 0
+				continue
+			}
+		} else {
+			// Every attempt draws from a fresh sampler, here as on a worker: a
+			// retried sample redraws what its first attempt drew.
+			var sampler strategy.Sampler
+			if rs.shared != nil {
+				sampler = rs.shared[g].sampler
+			} else {
+				sampler = rs.spec.Strategy.Sampler(rs.seed, g, rs.n, rs.fb)
+			}
+			sp, err, timedOut = rs.runAttempt(ctx, g, f, attempt, slot, sampler, rs.body)
+			// The finished body was the sampler's sole user, unless it is one
+			// fold of a cross-validation group, which share theirs; an abandoned
+			// body may still draw.
+			if rec, ok := sampler.(strategy.Recycler); ok && rs.shared == nil && !timedOut {
+				rec.Recycle()
+			}
+		}
 		if timedOut || err == nil || !IsRetryable(err) || attempt >= fp.attempts() || ctx.Err() != nil {
 			break
 		}
@@ -542,7 +562,6 @@ func (rs *regionState) runSP(ctx context.Context, g, f int, slot *spSlot, sample
 		t.opts.Trace.add(Event{Kind: EvSampleRetry, Region: rs.spec.Name,
 			Sample: g, Round: attempt, Err: traceErr(err)})
 		rs.recycleSP(sp) // the failed attempt's process is dead; reuse it
-		sp = nil
 		timer := time.NewTimer(fp.backoff(rs.seed, g, attempt+1))
 		select {
 		case <-timer.C:
@@ -552,12 +571,17 @@ func (rs *regionState) runSP(ctx context.Context, g, f int, slot *spSlot, sample
 			timedOut = true
 		}
 		if timedOut {
-			rs.spDoneTimeout(g, err)
-			return true
+			break
 		}
 	}
-	rs.spDone(sp, err, timedOut)
-	return timedOut
+	if timedOut {
+		// An abandoned process contributes nothing but its outcome: its body
+		// goroutine may still be running, so its SP is neither read nor recycled.
+		rs.spDoneTimeout(g, err)
+		return !remote
+	}
+	rs.spDone(sp, err)
+	return false
 }
 
 // invokeBody runs the sampling body (and the Score callback) with the
@@ -749,8 +773,10 @@ func (rs *regionState) noteOutcome(g int, err error, timedOut, pruned bool, scor
 	}
 }
 
-// spDoneTimeout finishes a (group, fold) slot whose retry backoff was cut
-// short by cancellation: there is no live SP to read, only the outcome.
+// spDoneTimeout finishes a (group, fold) slot that timed out — an abandoned
+// in-process attempt, a dispatched one whose deadline the executor honoured, a
+// retry backoff cut short by cancellation: there is no SP to read, only the
+// outcome.
 func (rs *regionState) spDoneTimeout(g int, err error) {
 	rs.noteOutcome(g, err, true, false, 0)
 	rs.mu.Lock()
@@ -763,28 +789,15 @@ func (rs *regionState) spDoneTimeout(g int, err error) {
 }
 
 // spDone commits the finished sampling process's results into the region
-// (the parent side of rule [AGGR-S]) and advances the barrier bookkeeping.
-// A timed-out process contributes nothing but its distinguished outcome: the
-// monitor must not read the abandoned body's mutable state, so only the
-// immutable sample index is touched on that path — and the SP itself is
-// never recycled, since the abandoned body goroutine may still be running.
+// (the parent side of rule [AGGR-S]) and advances the barrier bookkeeping,
+// wherever the process ran: it is the only way into the ring, the store, the
+// parameter arena and the score sums.
 //
 // A successful process's commits are flushed in batches: one ring batch for
 // incrementally aggregated variables (one lock round-trip instead of one per
 // value) and one store batch for the rest.
-func (rs *regionState) spDone(sp *SP, err error, timedOut bool) {
+func (rs *regionState) spDone(sp *SP, err error) {
 	g := sp.group
-	if timedOut {
-		rs.noteOutcome(g, err, true, false, 0)
-		rs.mu.Lock()
-		if rs.errs[g] == nil {
-			rs.errs[g] = err
-		}
-		rs.done++
-		rs.mu.Unlock()
-		rs.barrier.maybeRelease()
-		return
-	}
 	rs.noteOutcome(g, err, false, sp.pruned, sp.score)
 
 	ok := err == nil && !sp.pruned

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/core"
@@ -22,7 +23,8 @@ import (
 //
 // Refusals map to distinct status codes (see writeError): a full queue is
 // 503 + Retry-After, an exceeded quota 429, a duplicate name 409, an
-// invalid or unknown-program spec 400, an unknown job 404.
+// invalid or unknown-program spec 400, a body over 1 MiB 413, an unknown
+// job 404.
 type Server struct {
 	m   *Manager
 	obs *obs.Registry
@@ -61,7 +63,10 @@ type errorBody struct {
 
 // statusFor maps a typed refusal to its HTTP status code.
 func statusFor(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusServiceUnavailable // back-pressure: retry later
 	case errors.Is(err, ErrQuotaExceeded):
@@ -100,8 +105,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec core.JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad spec JSON: " + err.Error()})
+	err := dec.Decode(&spec)
+	if err == nil {
+		// The spec is the whole body: only EOF may follow the one JSON value.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the spec")
+		}
+	}
+	if err != nil {
+		writeError(w, fmt.Errorf("%w: bad spec JSON: %w", core.ErrSpecInvalid, err))
 		return
 	}
 	st, err := s.m.Submit(spec)

@@ -68,15 +68,26 @@ func TestServerStatusCodes(t *testing.T) {
 	tests := []struct {
 		name string
 		spec core.JobSpec
+		raw  string // posted as the body instead of spec when set
 		want int
 	}{
-		{"queue full", core.JobSpec{Name: "overflow", Program: "wait", Tenant: "a"}, http.StatusServiceUnavailable},
-		{"duplicate", core.JobSpec{Name: "running", Program: "wait", Tenant: "a"}, http.StatusConflict},
-		{"unknown program", core.JobSpec{Name: "mystery", Program: "nope"}, http.StatusBadRequest},
-		{"invalid spec", core.JobSpec{Name: "", Program: "wait"}, http.StatusBadRequest},
+		{name: "queue full", spec: core.JobSpec{Name: "overflow", Program: "wait", Tenant: "a"}, want: http.StatusServiceUnavailable},
+		{name: "duplicate", spec: core.JobSpec{Name: "running", Program: "wait", Tenant: "a"}, want: http.StatusConflict},
+		{name: "unknown program", spec: core.JobSpec{Name: "mystery", Program: "nope"}, want: http.StatusBadRequest},
+		{name: "invalid spec", spec: core.JobSpec{Name: "", Program: "wait"}, want: http.StatusBadRequest},
+		{name: "oversize body", raw: `{"name": "` + strings.Repeat("x", 1<<20) + `"}`, want: http.StatusRequestEntityTooLarge},
+		{name: "trailing data", raw: `{"name": "twice", "program": "wait"} {"name": "again", "program": "wait"}`, want: http.StatusBadRequest},
 	}
 	for _, tc := range tests {
-		resp := postSpec(t, srv.URL, tc.spec)
+		var resp *http.Response
+		if tc.raw == "" {
+			resp = postSpec(t, srv.URL, tc.spec)
+		} else {
+			var err error
+			if resp, err = http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.raw)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}

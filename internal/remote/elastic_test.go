@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
+	"repro/internal/remote/transport"
 	"repro/internal/sched"
 	"repro/internal/strategy"
 )
@@ -299,6 +302,98 @@ func TestFleetControllerScalesUpAndDown(t *testing.T) {
 	waitFor(t, "fleet drained back to Min", func() bool { return fc.Size() == 1 })
 	if downs := oreg.Counter(MetricScaleEvents, "dir", "down").Value(); downs == 0 {
 		t.Fatal("no scale-down events after the load stopped")
+	}
+}
+
+// TestFleetControllerDialsAddressPoolFirst drives the controller tick by tick
+// over a pool of two listening workers: scale-ups dial the pool's addresses in
+// order before spawning a loopback worker, and scale-downs retire the loopback
+// worker first and hand a hung-up address back to the pool, to be dialed again.
+func TestFleetControllerDialsAddressPoolFirst(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	dir := t.TempDir()
+	addrs := []string{filepath.Join(dir, "a.sock"), filepath.Join(dir, "b.sock")}
+	var pool []*Worker
+	var served []chan error
+	for i, addr := range addrs {
+		ln, err := transport.Unix().Listen(addr)
+		if err != nil {
+			t.Fatalf("listen %s: %v", addr, err)
+		}
+		w := NewWorker(WorkerOptions{Registry: Builtins(), Slots: 1, Name: fmt.Sprintf("pool-%d", i)})
+		ch := make(chan error, 1)
+		go func() { ch <- w.Serve(ln) }()
+		pool, served = append(pool, w), append(served, ch)
+	}
+
+	ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
+	var load sched.LoadStats // what the next tick reads; ticks are driven by hand
+	fc := NewFleetController(ex, FleetOptions{
+		Load:       func() sched.LoadStats { return load },
+		Registry:   Builtins(),
+		Addresses:  addrs,
+		Transport:  transport.Unix(),
+		Min:        1,
+		Max:        3,
+		Interval:   time.Hour,
+		Cooldown:   time.Nanosecond,
+		QuietTicks: 1,
+	})
+	if err := fc.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	expect := func(step string, workers, undialed []string) {
+		t.Helper()
+		fc.mu.Lock()
+		pending := append([]string{}, fc.undialed...)
+		fc.mu.Unlock()
+		if got := ex.Workers(); !reflect.DeepEqual(got, workers) || !reflect.DeepEqual(pending, undialed) {
+			t.Fatalf("%s: workers %v, un-dialed %v; want %v and %v", step, got, pending, workers, undialed)
+		}
+	}
+	pressured := sched.LoadStats{Queued: 1, Capacity: 4}
+	idle := sched.LoadStats{Capacity: 4}
+
+	expect("Start", []string{"pool-0"}, addrs[1:])
+	load = pressured
+	fc.tick()
+	expect("second scale-up", []string{"pool-0", "pool-1"}, []string{})
+	fc.tick()
+	expect("third scale-up", []string{"pool-0", "pool-1", "elastic-1"}, []string{})
+	fc.tick()
+	expect("at Max", []string{"pool-0", "pool-1", "elastic-1"}, []string{})
+
+	load = idle
+	fc.tick()
+	expect("first scale-down", []string{"pool-0", "pool-1"}, []string{})
+	fc.tick()
+	expect("second scale-down", []string{"pool-0"}, addrs[1:])
+	fc.tick()
+	expect("at Min", []string{"pool-0"}, addrs[1:])
+
+	load = pressured
+	fc.tick()
+	if got := fc.Size(); got != 2 {
+		t.Fatalf("Size=%d after the hung-up address was dialed again, want 2", got)
+	}
+	fc.mu.Lock()
+	again := fc.members[1].addr
+	fc.mu.Unlock()
+	if again != addrs[1] {
+		t.Fatalf("scale-up after the hang-up dialed %q, want the returned address %q", again, addrs[1])
+	}
+
+	fc.Stop()
+	ex.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i, w := range pool {
+		if err := w.Drain(ctx); err != nil {
+			t.Fatalf("Drain pool-%d: %v", i, err)
+		}
+		if err := <-served[i]; err != nil {
+			t.Fatalf("Serve pool-%d: %v", i, err)
+		}
 	}
 }
 

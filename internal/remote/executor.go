@@ -21,6 +21,9 @@ import (
 // helloTimeout bounds how long AddConn waits for a worker's hello frame.
 const helloTimeout = 10 * time.Second
 
+// bulkCap is how many snapshot ships may queue on one worker's bulk lane.
+const bulkCap = 8
+
 // ExecutorOptions configure a NetExecutor.
 type ExecutorOptions struct {
 	// Registry names the regions workers can run. A region whose name is
@@ -189,13 +192,12 @@ func (ex *NetExecutor) uncountLocked(w *dworker) {
 
 // dworker is the dispatcher's view of one worker connection.
 type dworker struct {
-	ex         *NetExecutor
-	c          net.Conn
-	wire       *muxWriter
-	name       string
-	slots      int
-	chunkBound int // per-connection demux stream bound; 0 = protocol default
-	m          *workerMetrics
+	ex    *NetExecutor
+	c     net.Conn
+	wire  *muxWriter
+	name  string
+	slots int
+	m     *workerMetrics
 
 	// shipMu orders one worker's control frames: under it, a round frame
 	// always hits the connection before the tasks that reference it, even
@@ -285,11 +287,7 @@ func (ex *NetExecutor) DialTransport(t transport.Transport, addr string) error {
 	if err != nil {
 		return err
 	}
-	var tn transport.Tuning
-	if td, ok := t.(transport.Tuned); ok {
-		tn = td.Tuning()
-	}
-	if _, err := ex.addConn(c, t.Name(), tn); err != nil {
+	if _, err := ex.addConn(c, t.Name()); err != nil {
 		c.Close()
 		return err
 	}
@@ -302,14 +300,14 @@ func (ex *NetExecutor) DialTransport(t transport.Transport, addr string) error {
 // their metrics transport="pipe" (the loopback case); use DialTransport to
 // carry a real transport name.
 func (ex *NetExecutor) AddConn(conn net.Conn) error {
-	_, err := ex.addConn(conn, "pipe", transport.Tuning{})
+	_, err := ex.addConn(conn, "pipe")
 	return err
 }
 
 // addConn performs the hello handshake and registers the worker, returning
 // the (possibly deduplicated) name it joined under — the handle RemoveConn
 // retires it by.
-func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport.Tuning) (string, error) {
+func (ex *NetExecutor) addConn(conn net.Conn, transportName string) (string, error) {
 	conn.SetDeadline(time.Now().Add(helloTimeout))
 	payload, err := readFrame(conn, nil)
 	defer wire.Free(payload)
@@ -346,10 +344,6 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 			name = fmt.Sprintf("%s-%d", hello.Name, ex.nextName)
 		}
 	}
-	bulkCap := 8
-	if tn.MaxInflightChunks > 0 {
-		bulkCap = tn.MaxInflightChunks
-	}
 	m := newWorkerMetrics(ex.opts.Obs, name, transportName)
 	cc := &countingConn{Conn: conn, m: m}
 	w := &dworker{
@@ -358,7 +352,6 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string, tn transport
 		wire:       newMuxWriter(cc),
 		name:       name,
 		slots:      hello.Slots,
-		chunkBound: tn.MaxInflightChunks,
 		m:          m,
 		sentRounds: make(map[uint64]bool),
 		sent:       make(map[uint64][]sentVer),
@@ -1075,7 +1068,7 @@ func (w *dworker) bulkLoop() {
 // Any error fails the worker.
 func (w *dworker) readLoop() {
 	ex := w.ex
-	dmx := newDemuxBound(w.chunkBound)
+	dmx := newDemux()
 	defer dmx.close()
 	var dec decoder
 	var buf []byte

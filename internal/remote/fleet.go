@@ -23,9 +23,6 @@ type FleetOptions struct {
 	// workers must resolve the same region names the executor ships).
 	Registry *Registry
 	Values   *ValueTable
-	// LoopbackSlots is the slot count of each spawned loopback worker.
-	// Zero means 1.
-	LoopbackSlots int
 
 	// Addresses is the remote worker pool: scale-ups dial un-dialed
 	// addresses (in order) before spawning loopback workers, and
@@ -97,9 +94,6 @@ type FleetController struct {
 func NewFleetController(ex *NetExecutor, opts FleetOptions) *FleetController {
 	if opts.Load == nil {
 		panic("remote: FleetOptions.Load is required")
-	}
-	if opts.LoopbackSlots < 1 {
-		opts.LoopbackSlots = 1
 	}
 	if opts.Min < 1 {
 		opts.Min = 1
@@ -250,8 +244,8 @@ func (fc *FleetController) tick() {
 			if meanWait > 2*fc.opts.Setpoint && len(fc.members) > step {
 				step = len(fc.members)
 			}
-			if q := now.Queued / fc.opts.LoopbackSlots; q > step {
-				step = q
+			if now.Queued > step {
+				step = now.Queued
 			}
 			if now.HighJobsQueued > step {
 				step = now.HighJobsQueued
@@ -273,7 +267,7 @@ func (fc *FleetController) tick() {
 				}
 			}
 		}
-	case dWait == 0 && now.InUse < now.Capacity-fc.opts.LoopbackSlots:
+	case dWait == 0 && now.InUse < now.Capacity-1:
 		// Wait-free and at least one worker's worth of headroom idle.
 		fc.quiet++
 		if fc.quiet >= fc.opts.QuietTicks && len(fc.members) > fc.opts.Min &&
@@ -304,11 +298,7 @@ func (fc *FleetController) growLocked() error {
 		if err != nil {
 			return err
 		}
-		var tn transport.Tuning
-		if td, ok := fc.opts.Transport.(transport.Tuned); ok {
-			tn = td.Tuning()
-		}
-		name, err := fc.ex.addConn(c, fc.opts.Transport.Name(), tn)
+		name, err := fc.ex.addConn(c, fc.opts.Transport.Name())
 		if err != nil {
 			c.Close()
 			return err
@@ -323,13 +313,13 @@ func (fc *FleetController) growLocked() error {
 	fc.spawned++
 	w := NewWorker(WorkerOptions{
 		Name:     fmt.Sprintf("elastic-%d", fc.spawned),
-		Slots:    fc.opts.LoopbackSlots,
+		Slots:    1,
 		Registry: fc.opts.Registry,
 		Values:   fc.opts.Values,
 	})
 	a, b := net.Pipe()
 	go w.ServeConn(a)
-	name, err := fc.ex.addConn(b, "pipe", transport.Tuning{})
+	name, err := fc.ex.addConn(b, "pipe")
 	if err != nil {
 		b.Close()
 		w.Close()

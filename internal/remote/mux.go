@@ -178,20 +178,9 @@ type muxStream struct {
 // safe for concurrent use; each read loop owns one.
 type demux struct {
 	streams map[uint64]*muxStream
-	bound   int // max concurrent streams; maxStreams unless tuned per-conn
 }
 
-func newDemux() *demux { return newDemuxBound(0) }
-
-// newDemuxBound builds a demux whose concurrent-stream bound is n; n < 1
-// means the protocol default. Transport tuning (per-connection in-flight
-// chunk bound) lowers it to cap reassembly memory on constrained links.
-func newDemuxBound(n int) *demux {
-	if n < 1 {
-		n = maxStreams
-	}
-	return &demux{streams: make(map[uint64]*muxStream), bound: n}
-}
+func newDemux() *demux { return &demux{streams: make(map[uint64]*muxStream)} }
 
 // feed hands one frame payload to the demux. Non-chunk frames pass through
 // unchanged. For chunk frames it returns (nil, false, nil) while the stream
@@ -218,8 +207,8 @@ func (d *demux) feed(payload []byte) (msg []byte, pooled bool, err error) {
 		if total == 0 || total > maxMessage {
 			return nil, false, fmt.Errorf("%w: chunk stream length %d", errCodec, total)
 		}
-		if len(d.streams) >= d.bound {
-			return nil, false, fmt.Errorf("%w: more than %d concurrent chunk streams", errCodec, d.bound)
+		if len(d.streams) >= maxStreams {
+			return nil, false, fmt.Errorf("%w: more than %d concurrent chunk streams", errCodec, maxStreams)
 		}
 		s = &muxStream{buf: wire.Alloc(int(total))[:0], total: int(total)}
 		d.streams[sid] = s

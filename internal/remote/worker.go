@@ -36,10 +36,6 @@ type WorkerOptions struct {
 	// Values resolves opaque value handles when the dispatcher shares the
 	// table (same-process loopback); nil on a standalone worker.
 	Values *ValueTable
-	// MaxInflightChunks bounds, per dispatcher connection, how many chunk
-	// streams the demux reassembles concurrently (backpressure on snapshot
-	// interleaving). Zero means the protocol default.
-	MaxInflightChunks int
 }
 
 // Worker runs sampling processes on behalf of remote dispatchers. One
@@ -353,7 +349,7 @@ func (c *wconn) finish() {
 // interleaved with the small frames they must not block.
 func (c *wconn) readLoop() {
 	w := c.w
-	dmx := newDemuxBound(w.opts.MaxInflightChunks)
+	dmx := newDemux()
 	defer dmx.close()
 	var buf []byte
 	defer func() { wire.Free(buf) }()
