@@ -6,9 +6,10 @@
 package c45
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/dist"
 )
@@ -136,18 +137,15 @@ func majority(ds Dataset, idx []int) (class int, errs float64) {
 	return best, float64(len(idx) - counts[best])
 }
 
-func entropy(ds Dataset, idx []int) float64 {
-	counts := make([]int, ds.Classes)
-	for _, i := range idx {
-		counts[ds.Y[i]]++
-	}
+// countEntropy is the class entropy, in bits, of n examples with the given
+// per-class counts.
+func countEntropy(counts []int, n int) float64 {
 	h := 0.0
-	n := float64(len(idx))
 	for _, c := range counts {
 		if c == 0 {
 			continue
 		}
-		p := float64(c) / n
+		p := float64(c) / float64(n)
 		h -= p * math.Log2(p)
 	}
 	return h
@@ -159,36 +157,45 @@ func grow(ds Dataset, idx []int, p Params) *Node {
 	if len(idx) < p.MinSplit || errs == 0 {
 		return node
 	}
-	// Best gain-ratio split across features and thresholds.
-	baseH := entropy(ds, idx)
+	total := make([]int, ds.Classes)
+	for _, i := range idx {
+		total[ds.Y[i]]++
+	}
+	// Best gain-ratio split across features and thresholds: sweep each
+	// feature's distinct-value midpoints in sorted order, carrying the
+	// class counts of the examples at or below the threshold.
+	baseH := countEntropy(total, len(idx))
 	bestGR := 0.0
 	bestF, bestThr := -1, 0.0
 	dim := len(ds.X[0])
-	vals := make([]float64, 0, len(idx))
+	order := make([]int, len(idx))
+	left := make([]int, ds.Classes)
+	right := make([]int, ds.Classes)
 	for f := 0; f < dim; f++ {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, ds.X[i][f])
-		}
-		sort.Float64s(vals)
-		for v := 0; v < len(vals)-1; v++ {
-			if vals[v] == vals[v+1] {
+		copy(order, idx)
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ds.X[a][f], ds.X[b][f]) })
+		clear(left)
+		k := 0
+		for v := 0; v < len(order)-1; v++ {
+			a, b := ds.X[order[v]][f], ds.X[order[v+1]][f]
+			if a == b {
 				continue
 			}
-			thr := (vals[v] + vals[v+1]) / 2
-			var li, ri []int
-			for _, i := range idx {
-				if ds.X[i][f] <= thr {
-					li = append(li, i)
-				} else {
-					ri = append(ri, i)
-				}
+			// (a+b)/2 may round onto b: the partition is by value, as
+			// x <= thr, not by position.
+			thr := (a + b) / 2
+			for ; k < len(order) && ds.X[order[k]][f] <= thr; k++ {
+				left[ds.Y[order[k]]]++
 			}
-			if len(li) == 0 || len(ri) == 0 {
+			nl, nr := k, len(order)-k
+			if nl == 0 || nr == 0 {
 				continue
 			}
-			pl := float64(len(li)) / float64(len(idx))
-			gain := baseH - pl*entropy(ds, li) - (1-pl)*entropy(ds, ri)
+			for c := range right {
+				right[c] = total[c] - left[c]
+			}
+			pl := float64(nl) / float64(len(idx))
+			gain := baseH - pl*countEntropy(left, nl) - (1-pl)*countEntropy(right, nr)
 			splitInfo := -pl*math.Log2(pl) - (1-pl)*math.Log2(1-pl)
 			if splitInfo < 1e-9 {
 				continue

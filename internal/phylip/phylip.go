@@ -82,48 +82,21 @@ func GenDataset(seed int64, n int) Dataset {
 // exponential branch lengths and returns the leaf-to-leaf path distances.
 func randomTreeDistances(r *rand.Rand, n int) [][]float64 {
 	// Build by sequential attachment: leaf i joins a random existing edge.
-	type edge struct {
-		a, b int
-		w    float64
-	}
-	adj := map[int][]edge{}
-	addEdge := func(a, b int, w float64) {
-		adj[a] = append(adj[a], edge{a, b, w})
-		adj[b] = append(adj[b], edge{b, a, w})
-	}
+	t := Tree{N: n}
 	next := n // internal node ids from n upward
 	bl := func() float64 { return 0.1 + r.ExpFloat64()*0.45 }
-	addEdge(0, 1, bl())
+	t.Edges = append(t.Edges, TreeEdge{0, 1, bl()})
 	nodes := []int{0, 1}
 	for leaf := 2; leaf < n; leaf++ {
 		// Attach via a new internal node spliced next to a random node.
 		host := nodes[r.Intn(len(nodes))]
 		inner := next
 		next++
-		addEdge(host, inner, bl())
-		addEdge(inner, leaf, bl())
+		t.Edges = append(t.Edges, TreeEdge{host, inner, bl()})
+		t.Edges = append(t.Edges, TreeEdge{inner, leaf, bl()})
 		nodes = append(nodes, leaf, inner)
 	}
-	// BFS from every leaf for path distances.
-	out := mat(n)
-	for s := 0; s < n; s++ {
-		distTo := map[int]float64{s: 0}
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, e := range adj[v] {
-				if _, ok := distTo[e.b]; !ok {
-					distTo[e.b] = distTo[v] + e.w
-					queue = append(queue, e.b)
-				}
-			}
-		}
-		for t := 0; t < n; t++ {
-			out[s][t] = distTo[t]
-		}
-	}
-	return out
+	return t.Distances()
 }
 
 func mat(n int) [][]float64 {
@@ -260,40 +233,30 @@ func neighborJoin(d [][]float64) Tree {
 	if n < 3 {
 		panic("phylip: neighbor joining needs >= 3 taxa")
 	}
-	// Working copies; active holds current node ids.
+	// Working copies; active holds current node ids. Joins create ids n,
+	// n+1, ..., 2n-3 (the last center), so dm and rs are indexed by id.
 	active := make([]int, n)
 	for i := range active {
 		active[i] = i
 	}
-	dm := map[[2]int]float64{}
-	get := func(a, b int) float64 {
-		if a > b {
-			a, b = b, a
-		}
-		return dm[[2]int{a, b}]
-	}
-	set := func(a, b int, v float64) {
-		if a > b {
-			a, b = b, a
-		}
-		dm[[2]int{a, b}] = v
-	}
+	dm := mat(2*n - 2)
+	set := func(a, b int, v float64) { dm[a][b], dm[b][a] = v, v }
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			set(i, j, d[i][j])
 		}
 	}
+	rs := make([]float64, 2*n-2)
 	tree := Tree{N: n}
 	next := n
 	for len(active) > 3 {
 		m := len(active)
 		// Row sums.
-		rs := make(map[int]float64, m)
 		for _, a := range active {
 			s := 0.0
 			for _, b := range active {
 				if a != b {
-					s += get(a, b)
+					s += dm[a][b]
 				}
 			}
 			rs[a] = s
@@ -304,7 +267,7 @@ func neighborJoin(d [][]float64) Tree {
 		for x := 0; x < m; x++ {
 			for y := x + 1; y < m; y++ {
 				a, b := active[x], active[y]
-				q := float64(m-2)*get(a, b) - rs[a] - rs[b]
+				q := float64(m-2)*dm[a][b] - rs[a] - rs[b]
 				if q < bestQ {
 					bestQ, bi, bj = q, x, y
 				}
@@ -313,8 +276,8 @@ func neighborJoin(d [][]float64) Tree {
 		a, b := active[bi], active[bj]
 		u := next
 		next++
-		la := 0.5*get(a, b) + (rs[a]-rs[b])/(2*float64(m-2))
-		lb := get(a, b) - la
+		la := 0.5*dm[a][b] + (rs[a]-rs[b])/(2*float64(m-2))
+		lb := dm[a][b] - la
 		tree.Edges = append(tree.Edges,
 			TreeEdge{A: a, B: u, W: math.Max(la, 0)},
 			TreeEdge{A: b, B: u, W: math.Max(lb, 0)})
@@ -322,7 +285,7 @@ func neighborJoin(d [][]float64) Tree {
 			if k == a || k == b {
 				continue
 			}
-			set(u, k, 0.5*(get(a, k)+get(b, k)-get(a, b)))
+			set(u, k, 0.5*(dm[a][k]+dm[b][k]-dm[a][b]))
 		}
 		// Remove a, b; add u.
 		na := active[:0]
@@ -336,9 +299,9 @@ func neighborJoin(d [][]float64) Tree {
 	// Join the last three around one center.
 	a, b, c := active[0], active[1], active[2]
 	u := next
-	la := 0.5 * (get(a, b) + get(a, c) - get(b, c))
-	lb := 0.5 * (get(a, b) + get(b, c) - get(a, c))
-	lc := 0.5 * (get(a, c) + get(b, c) - get(a, b))
+	la := 0.5 * (dm[a][b] + dm[a][c] - dm[b][c])
+	lb := 0.5 * (dm[a][b] + dm[b][c] - dm[a][c])
+	lc := 0.5 * (dm[a][c] + dm[b][c] - dm[a][b])
 	tree.Edges = append(tree.Edges,
 		TreeEdge{A: a, B: u, W: math.Max(la, 0)},
 		TreeEdge{A: b, B: u, W: math.Max(lb, 0)},
@@ -351,6 +314,15 @@ func neighborJoin(d [][]float64) Tree {
 func (t *Tree) refine(d [][]float64, power float64, iters int) {
 	n := t.N
 	paths := t.pathEdges()
+	w := mat(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			w[i][j] = 1.0
+			if power != 0 {
+				w[i][j] = 1 / math.Pow(math.Max(d[i][j], 1e-3), power)
+			}
+		}
+	}
 	for it := 0; it < iters; it++ {
 		T := t.Distances()
 		changed := false
@@ -361,12 +333,8 @@ func (t *Tree) refine(d [][]float64, power float64, iters int) {
 					if !paths[i][j][e] {
 						continue
 					}
-					w := 1.0
-					if power != 0 {
-						w = 1 / math.Pow(math.Max(d[i][j], 1e-3), power)
-					}
-					num += w * (d[i][j] - T[i][j])
-					den += w
+					num += w[i][j] * (d[i][j] - T[i][j])
+					den += w[i][j]
 				}
 			}
 			if den == 0 {
@@ -377,8 +345,8 @@ func (t *Tree) refine(d [][]float64, power float64, iters int) {
 			if math.Abs(nw-t.Edges[e].W) > 1e-9 {
 				t.Edges[e].W = nw
 				changed = true
-				// Keep T approximately current by full recompute next edge
-				// round; cheap at these sizes.
+				// Recompute T exactly before the next edge. An incremental
+				// T += delta along the edge's paths would change the bits.
 				T = t.Distances()
 			}
 		}
@@ -388,77 +356,100 @@ func (t *Tree) refine(d [][]float64, power float64, iters int) {
 	}
 }
 
+// arc is one direction of a tree edge in the CSR adjacency.
+type arc struct{ to, edge int }
+
+// adjacency returns the tree's CSR adjacency: node v's arcs are
+// arcs[start[v]:start[v+1]], in t.Edges order.
+func (t *Tree) adjacency() (start []int, arcs []arc) {
+	nodes := t.N
+	for _, e := range t.Edges {
+		nodes = max(nodes, e.A+1, e.B+1)
+	}
+	start = make([]int, nodes+1)
+	for _, e := range t.Edges {
+		start[e.A+1]++
+		start[e.B+1]++
+	}
+	for v := 0; v < nodes; v++ {
+		start[v+1] += start[v]
+	}
+	arcs = make([]arc, 2*len(t.Edges))
+	fill := append([]int(nil), start[:nodes]...)
+	for k, e := range t.Edges {
+		arcs[fill[e.A]] = arc{e.B, k}
+		fill[e.A]++
+		arcs[fill[e.B]] = arc{e.A, k}
+		fill[e.B]++
+	}
+	return start, arcs
+}
+
 // pathEdges[i][j][e] reports whether edge e lies on the i-j path.
 func (t *Tree) pathEdges() [][][]bool {
 	n := t.N
-	adj := map[int][]int{} // node -> edge indices
-	for e, ed := range t.Edges {
-		adj[ed.A] = append(adj[ed.A], e)
-		adj[ed.B] = append(adj[ed.B], e)
-	}
+	start, arcs := t.adjacency()
+	via := make([]int, len(start)-1) // edge a DFS from leaf i reached each node by
+	from := make([]int, len(start)-1)
 	out := make([][][]bool, n)
-	for i := range out {
-		out[i] = make([][]bool, n)
-	}
+	var stack []int
 	for i := 0; i < n; i++ {
-		// DFS from leaf i recording the edge path to every node.
-		type frame struct {
-			node int
-			path []int
+		out[i] = make([][]bool, n)
+		for v := range via {
+			via[v] = -1
 		}
-		visited := map[int]bool{i: true}
-		stack := []frame{{i, nil}}
+		via[i] = len(t.Edges) // the root: visited, no edge
+		stack = append(stack[:0], i)
 		for len(stack) > 0 {
-			f := stack[len(stack)-1]
+			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if f.node < n && f.node != i {
-				mark := make([]bool, len(t.Edges))
-				for _, e := range f.path {
-					mark[e] = true
-				}
-				out[i][f.node] = mark
-			}
-			for _, e := range adj[f.node] {
-				other := t.Edges[e].A
-				if other == f.node {
-					other = t.Edges[e].B
-				}
-				if !visited[other] {
-					visited[other] = true
-					p := append(append([]int(nil), f.path...), e)
-					stack = append(stack, frame{other, p})
+			for _, a := range arcs[start[v]:start[v+1]] {
+				if via[a.to] < 0 {
+					via[a.to], from[a.to] = a.edge, v
+					stack = append(stack, a.to)
 				}
 			}
+		}
+		for j := 0; j < n; j++ {
+			if j == i || via[j] < 0 {
+				continue
+			}
+			mark := make([]bool, len(t.Edges))
+			for v := j; v != i; v = from[v] {
+				mark[via[v]] = true
+			}
+			out[i][j] = mark
 		}
 	}
 	return out
 }
 
-// Distances returns the leaf-to-leaf path-length matrix of the tree.
+// Distances returns the leaf-to-leaf path-length matrix of the tree. Each
+// node's distance is one sum along its unique path from the source, so the
+// traversal order does not change a bit of it.
 func (t *Tree) Distances() [][]float64 {
 	n := t.N
-	adj := map[int][]TreeEdge{}
-	for _, e := range t.Edges {
-		adj[e.A] = append(adj[e.A], e)
-		adj[e.B] = append(adj[e.B], TreeEdge{A: e.B, B: e.A, W: e.W})
-	}
+	start, arcs := t.adjacency()
+	distTo := make([]float64, len(start)-1)
+	seen := make([]bool, len(start)-1)
+	queue := make([]int, 0, len(start)-1)
 	out := mat(n)
 	for s := 0; s < n; s++ {
-		distTo := map[int]float64{s: 0}
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, e := range adj[v] {
-				if _, ok := distTo[e.B]; !ok {
-					distTo[e.B] = distTo[v] + e.W
-					queue = append(queue, e.B)
+		clear(distTo)
+		clear(seen)
+		seen[s] = true
+		queue = append(queue[:0], s)
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for _, a := range arcs[start[v]:start[v+1]] {
+				if !seen[a.to] {
+					seen[a.to] = true
+					distTo[a.to] = distTo[v] + t.Edges[a.edge].W
+					queue = append(queue, a.to)
 				}
 			}
 		}
-		for u := 0; u < n; u++ {
-			out[s][u] = distTo[u]
-		}
+		copy(out[s], distTo[:n])
 	}
 	return out
 }
