@@ -1,9 +1,10 @@
 // Package agg implements WBTuner's built-in aggregation strategies
 // (Sec. IV-C): MIN, MAX, majority vote (MV), averaging (AVG) and duplicate
-// elimination (DEDUP), plus the incremental-aggregation machinery of
-// Sec. IV-B. An incremental aggregator consumes each committed sample result
-// as it arrives, so the runtime does not have to retain every sample until
-// the end of the region — the optimization Fig. 10 measures.
+// elimination (DEDUP). Every aggregator is incremental (Sec. IV-B): it
+// consumes each committed sample result as the runtime folds it in at
+// commit, so with incremental aggregation on the runtime does not have to
+// retain every sample until the end of the region — the optimization
+// Fig. 10 measures.
 //
 // Aggregators accept either scalar float64 values or []float64 vectors
 // (e.g. images); the element type is fixed by the first Add.
@@ -342,10 +343,3 @@ func (d *dedup) Result() any {
 
 func (d *dedup) Count() int    { return d.n }
 func (d *dedup) Retained() int { return len(d.out) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -3,7 +3,6 @@ package agg
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -260,101 +259,6 @@ func TestPropertyMajorityVectorThreshold(t *testing.T) {
 	}
 }
 
-func TestRingPutDrain(t *testing.T) {
-	r := NewRing(4)
-	r.Put(1)
-	r.Put(2)
-	got := r.Drain()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Drain = %v", got)
-	}
-	if r.Len() != 0 {
-		t.Fatal("ring not empty after drain")
-	}
-	if r.Drain() != nil {
-		t.Fatal("Drain of empty ring should be nil")
-	}
-}
-
-func TestRingWrapsAround(t *testing.T) {
-	r := NewRing(3)
-	r.Put(1)
-	r.Put(2)
-	r.Drain()
-	r.Put(3)
-	r.Put(4)
-	r.Put(5) // wraps internally
-	got := r.Drain()
-	if len(got) != 3 || got[0] != 3 || got[2] != 5 {
-		t.Fatalf("Drain after wrap = %v", got)
-	}
-}
-
-func TestRingBlocksWhenFullAndPeak(t *testing.T) {
-	r := NewRing(2)
-	r.Put(1)
-	r.Put(2)
-	done := make(chan struct{})
-	go func() {
-		r.Put(3) // must block until drain
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("Put did not block on full ring")
-	default:
-	}
-	if got := r.Drain(); len(got) != 2 {
-		t.Fatalf("Drain = %v", got)
-	}
-	<-done
-	if r.Peak() != 2 {
-		t.Fatalf("Peak = %d", r.Peak())
-	}
-}
-
-func TestRingConcurrentProducersConsumer(t *testing.T) {
-	r := NewRing(8)
-	const producers, per = 8, 100
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				r.Put(p*per + i)
-			}
-		}(p)
-	}
-	total := 0
-	doneProducing := make(chan struct{})
-	go func() { wg.Wait(); close(doneProducing) }()
-	for {
-		total += len(r.Drain())
-		select {
-		case <-doneProducing:
-			total += len(r.Drain())
-			if total != producers*per {
-				t.Errorf("drained %d values, want %d", total, producers*per)
-			}
-			if r.Peak() > 8 {
-				t.Errorf("ring exceeded capacity: peak %d", r.Peak())
-			}
-			return
-		default:
-		}
-	}
-}
-
-func TestRingBadCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRing(0)
-}
-
 func TestKeyOfDistinguishesValues(t *testing.T) {
 	if KeyOf(1.0) == KeyOf(2.0) {
 		t.Fatal("scalar keys collide")
@@ -364,63 +268,5 @@ func TestKeyOfDistinguishesValues(t *testing.T) {
 	}
 	if KeyOf([]float64{1, 2}) != KeyOf([]float64{1, 2}) {
 		t.Fatal("equal vectors must share a key")
-	}
-}
-
-func TestRingWaitDrainBlocksAndReturns(t *testing.T) {
-	r := NewRing(4)
-	got := make(chan []any, 1)
-	go func() {
-		items, ok := r.WaitDrain()
-		if !ok {
-			t.Error("WaitDrain reported closed with data pending")
-		}
-		got <- items
-	}()
-	r.Put("a")
-	items := <-got
-	if len(items) != 1 || items[0] != "a" {
-		t.Fatalf("WaitDrain = %v", items)
-	}
-}
-
-func TestRingWaitDrainClosedEmpty(t *testing.T) {
-	r := NewRing(2)
-	r.Put(1)
-	r.Close()
-	items, ok := r.WaitDrain()
-	if !ok || len(items) != 1 {
-		t.Fatalf("first WaitDrain after close = %v, %v", items, ok)
-	}
-	if _, ok := r.WaitDrain(); ok {
-		t.Fatal("WaitDrain on closed empty ring should report done")
-	}
-}
-
-func TestRingProducerConsumerThroughWaitDrain(t *testing.T) {
-	r := NewRing(4)
-	const n = 500
-	var total int
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			items, ok := r.WaitDrain()
-			if !ok {
-				return
-			}
-			total += len(items)
-		}
-	}()
-	for i := 0; i < n; i++ {
-		r.Put(i)
-	}
-	r.Close()
-	<-done
-	if total != n {
-		t.Fatalf("consumer saw %d of %d values", total, n)
-	}
-	if r.Peak() > 4 {
-		t.Fatalf("ring exceeded capacity: %d", r.Peak())
 	}
 }

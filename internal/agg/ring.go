@@ -1,53 +1,18 @@
 package agg
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/obs"
-)
-
-// Ring is the bounded shared buffer of Sec. IV-B: sampling processes copy
-// their results into it and the tuning process drains it to aggregate
-// incrementally, so at most Cap results exist at any moment instead of one
-// per sample. Put blocks while the ring is full; Drain consumes everything
-// currently buffered.
-//
-// The Go runtime could use a buffered channel here, but the explicit ring
-// keeps the capacity observable for the Fig. 10 memory accounting and lets
-// the consumer drain in batches like the paper's implementation.
+// Ring is a bounded FIFO buffer: PutBatch blocks while the ring is full,
+// Drain consumes everything currently buffered. The runtime no longer uses
+// it — incremental aggregates fold at commit — and it stays only because the
+// benchmark harness's agg probe calls NewRing, PutBatch and Drain; the rest
+// of it goes with ROADMAP item 1's benchmark change.
 type Ring struct {
-	mu       sync.Mutex
-	notFull  *sync.Cond
-	notEmpty *sync.Cond
-	buf      []any
-	head     int // index of oldest element
-	n        int // number of buffered elements
-	peak     int
-	closed   bool
-
-	// Optional instruments (nil without Instrument): current occupancy and
-	// the size distribution of drain batches.
-	occ   *obs.Gauge
-	batch *obs.Histogram
-}
-
-// Instrument attaches metrics to the ring: occ tracks the number of
-// buffered values, batch observes the size of every non-empty drain.
-// Either may be nil. Call before the ring sees traffic; rings are
-// per-round, so several rings may share the same instruments (the gauge is
-// then last-writer-wins, which is fine for an occupancy signal).
-func (r *Ring) Instrument(occ *obs.Gauge, batch *obs.Histogram) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.occ = occ
-	r.batch = batch
-}
-
-// noteOccupancy publishes r.n. Callers must hold r.mu.
-func (r *Ring) noteOccupancy() {
-	if r.occ != nil {
-		r.occ.Set(float64(r.n))
-	}
+	mu      sync.Mutex
+	notFull *sync.Cond
+	buf     []any
+	head    int // index of oldest element
+	n       int // number of buffered elements
 }
 
 // NewRing returns a ring buffer with the given capacity (>= 1).
@@ -57,94 +22,26 @@ func NewRing(capacity int) *Ring {
 	}
 	r := &Ring{buf: make([]any, capacity)}
 	r.notFull = sync.NewCond(&r.mu)
-	r.notEmpty = sync.NewCond(&r.mu)
 	return r
 }
 
-// Put appends v, blocking while the ring is full. Put on a closed ring
-// panics: producers must finish before Close.
-func (r *Ring) Put(v any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.n == len(r.buf) && !r.closed {
-		r.notFull.Wait()
-	}
-	if r.closed {
-		panic("agg: Put on closed ring")
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
-	r.n++
-	if r.n > r.peak {
-		r.peak = r.n
-	}
-	r.noteOccupancy()
-	r.notEmpty.Signal()
-}
-
-// PutBatch appends every item in order under one lock acquisition — the
-// batch flush of a finishing sampling process, replacing one lock round-trip
-// per committed value. When the batch exceeds the free space it fills the
-// ring, waits for the consumer to drain, and continues, so a batch larger
-// than the capacity still respects the ring's memory bound. PutBatch on a
-// closed ring panics, like Put.
+// PutBatch appends every item in order under one lock acquisition. When the
+// batch exceeds the free space it fills the ring, waits for a Drain, and
+// continues, so a batch larger than the capacity still respects the bound.
 func (r *Ring) PutBatch(items []any) {
-	if len(items) == 0 {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for len(items) > 0 {
-		for r.n == len(r.buf) && !r.closed {
+		for r.n == len(r.buf) {
 			r.notFull.Wait()
 		}
-		if r.closed {
-			panic("agg: Put on closed ring")
-		}
-		k := len(r.buf) - r.n
-		if k > len(items) {
-			k = len(items)
-		}
-		for i := 0; i < k; i++ {
-			r.buf[(r.head+r.n)%len(r.buf)] = items[i]
+		k := min(len(r.buf)-r.n, len(items))
+		for _, v := range items[:k] {
+			r.buf[(r.head+r.n)%len(r.buf)] = v
 			r.n++
 		}
 		items = items[k:]
-		if r.n > r.peak {
-			r.peak = r.n
-		}
-		r.noteOccupancy()
-		r.notEmpty.Signal()
 	}
-}
-
-// WaitDrain blocks until at least one value is buffered (returning
-// everything buffered) or the ring is closed and empty (returning nil,
-// false). It is the consumer loop of the incremental-aggregation pattern:
-//
-//	for items, ok := ring.WaitDrain(); ok; items, ok = ring.WaitDrain() { … }
-func (r *Ring) WaitDrain() ([]any, bool) {
-	r.mu.Lock()
-	for r.n == 0 && !r.closed {
-		r.notEmpty.Wait()
-	}
-	if r.n == 0 {
-		r.mu.Unlock()
-		return nil, false
-	}
-	out := make([]any, 0, r.n)
-	for r.n > 0 {
-		out = append(out, r.buf[r.head])
-		r.buf[r.head] = nil
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-	}
-	r.noteOccupancy()
-	if r.batch != nil {
-		r.batch.Observe(float64(len(out)))
-	}
-	r.notFull.Broadcast()
-	r.mu.Unlock()
-	return out, true
 }
 
 // Drain removes and returns everything currently buffered (possibly nothing).
@@ -161,36 +58,6 @@ func (r *Ring) Drain() []any {
 		r.head = (r.head + 1) % len(r.buf)
 		r.n--
 	}
-	r.noteOccupancy()
-	if r.batch != nil {
-		r.batch.Observe(float64(len(out)))
-	}
 	r.notFull.Broadcast()
 	return out
-}
-
-// Close marks the ring closed, waking blocked producers (which then panic —
-// closing with producers still running is a harness bug, not a user path)
-// and unblocking a consumer waiting in WaitDrain once the buffer empties.
-func (r *Ring) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = true
-	r.notFull.Broadcast()
-	r.notEmpty.Broadcast()
-}
-
-// Peak reports the largest number of simultaneously buffered values, the
-// memory high-water mark for the incremental-aggregation experiment.
-func (r *Ring) Peak() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.peak
-}
-
-// Len reports the number of currently buffered values.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
 }

@@ -54,6 +54,37 @@ func TestLoadSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestIncrementalRegionAllocs gates a whole round of the sampling-throughput
+// shape (BenchmarkSamplingHotPath): one steady-state 256-sample incremental
+// Avg region, whose values fold into the aggregator at commit. Each worker
+// costs about one allocation, so the pool is fixed at 4 rather than the
+// machine's core count.
+func TestIncrementalRegionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate; the race detector drops sync.Pool entries")
+	}
+	d := dist.Uniform(0, 1)
+	var allocs float64
+	tuner := New(Options{MaxPool: 4, Seed: 1, Incremental: true})
+	err := tuner.Run(func(p *P) error {
+		p.Expose("input", 0.5)
+		var rerr error
+		allocs = testing.AllocsPerRun(20, func() {
+			if err := hotPathRegion(p, d); err != nil {
+				rerr = err
+			}
+		})
+		return rerr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.0f allocations per region", allocs)
+	if allocs > 300 {
+		t.Errorf("a 256-sample incremental Avg region allocates %.0f objects, want <= 300", allocs)
+	}
+}
+
 func TestCommitSteadyStateAllocFree(t *testing.T) {
 	allocs := allocsInSP(t, nil, func(sp *SP) {
 		// Constant operand: boxing is static, so the call itself must be free.

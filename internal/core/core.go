@@ -66,9 +66,8 @@ type Options struct {
 	Trace *Trace
 	// Obs, when non-nil, receives the runtime's metrics: per-region
 	// latency and sample-duration histograms, per-round sample outcome
-	// counters, scheduler admission-wait and pool-occupancy metrics, and
-	// incremental-aggregation ring metrics. Hot-path updates are atomic;
-	// with Obs nil the runtime records nothing.
+	// counters, and scheduler admission-wait and pool-occupancy metrics.
+	// Hot-path updates are atomic; with Obs nil the runtime records nothing.
 	Obs *obs.Registry
 	// Budget, when positive, bounds the total work units the tuner may
 	// spend (Work calls accumulate against it). Once exceeded, regions stop

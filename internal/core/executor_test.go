@@ -108,7 +108,7 @@ var parityKinds = []parityKind{
 	// on a loaded machine; only the odd sample, which waits for it, meets it.
 	{name: "timeout", fault: FaultPolicy{SampleTimeout: 200 * time.Millisecond},
 		odd: func(sp *SP) error { <-sp.Context().Done(); return sp.Context().Err() }},
-	// MIN and MAX do not depend on the order values reach the ring in.
+	// MIN and MAX do not depend on the order samples complete in.
 	{name: "incremental, one variable", incremental: true, aggregate: map[string]agg.Kind{"y": agg.Max}},
 	{name: "incremental, two variables", incremental: true, aggregate: map[string]agg.Kind{"y": agg.Max, "z": agg.Min}},
 }
@@ -175,9 +175,6 @@ func runParityKind(t *testing.T, pk parityKind, opts Options) (dump, lifecycle s
 
 	m := tuner.Metrics()
 	m.Scheduler = sched.Stats{} // an executor's capacity widens the pool
-	if pk.incremental {
-		m.PeakRetained = 0 // counts the ring's high-water mark, which is timing
-	}
 	lifecycle = fmt.Sprintf("metrics=%+v\n", m)
 
 	kinds := make(map[int][]string) // Sample is -1 on region-level events

@@ -21,6 +21,26 @@ import (
 // large enough to amortize round setup, small enough to run many rounds.
 const hotPathSamples = 256
 
+// hotPathRegion runs one region of the sampling-throughput shape: every
+// sample draws two tunables and loads the exposed "input" 16 times, then
+// commits one scalar to an incremental Avg.
+func hotPathRegion(p *P, d dist.Dist) error {
+	_, err := p.Region(RegionSpec{
+		Name:      "hot",
+		Samples:   hotPathSamples,
+		Aggregate: map[string]agg.Kind{"y": agg.Avg},
+	}, func(sp *SP) error {
+		acc := 0.0
+		for j := 0; j < 16; j++ {
+			acc += sp.Float("alpha", d) + sp.Float("beta", d)
+			acc += sp.Load("input").(float64)
+		}
+		sp.Commit("y", acc)
+		return nil
+	})
+	return err
+}
+
 // BenchmarkSamplingHotPath runs one sampling-bound region per iteration:
 // tight region, cheap body, MaxPool = NumCPU. The custom samples/sec metric
 // is per sampling process, not per region.
@@ -32,20 +52,7 @@ func BenchmarkSamplingHotPath(b *testing.B) {
 	err := tuner.Run(func(p *P) error {
 		p.Expose("input", 0.5)
 		for i := 0; i < b.N; i++ {
-			_, err := p.Region(RegionSpec{
-				Name:      "hot",
-				Samples:   hotPathSamples,
-				Aggregate: map[string]agg.Kind{"y": agg.Avg},
-			}, func(sp *SP) error {
-				acc := 0.0
-				for j := 0; j < 16; j++ {
-					acc += sp.Float("alpha", d) + sp.Float("beta", d)
-					acc += sp.Load("input").(float64)
-				}
-				sp.Commit("y", acc)
-				return nil
-			})
-			if err != nil {
+			if err := hotPathRegion(p, d); err != nil {
 				return err
 			}
 		}

@@ -46,6 +46,9 @@ func TestPeakRetainedTracksCommits(t *testing.T) {
 	}
 }
 
+// TestIncrementalReducesPeakRetained pins what an incremental region holds:
+// the aggregator's own state and nothing in flight, so one Avg variable over
+// 8 samples retains exactly one value where the one-shot path retains 8.
 func TestIncrementalReducesPeakRetained(t *testing.T) {
 	retained := func(incremental bool) int64 {
 		tuner := New(Options{MaxPool: 8, Seed: 1, Incremental: incremental})
@@ -61,8 +64,8 @@ func TestIncrementalReducesPeakRetained(t *testing.T) {
 		})
 		return tuner.Metrics().PeakRetained
 	}
-	if on, off := retained(true), retained(false); on >= off {
-		t.Fatalf("incremental retained %d >= one-shot %d", on, off)
+	if on, off := retained(true), retained(false); on != 1 || off != 9 {
+		t.Fatalf("PeakRetained: incremental %d, one-shot %d; want 1 and 9 (8 stored values + the Avg state)", on, off)
 	}
 }
 
@@ -271,16 +274,20 @@ func TestTunerMetricsSnapshotIsolated(t *testing.T) {
 	}
 }
 
-// The ring-backed incremental path must produce the same aggregates as the
-// direct path while bounding in-flight values.
-func TestRingBackedIncrementalMatchesDirect(t *testing.T) {
-	results := func(incremental bool) (float64, []float64) {
-		tuner := New(Options{MaxPool: 8, Seed: 3, Incremental: incremental})
+// TestIncrementalMatchesRetained checks that folding at commit without
+// retaining gives the same aggregates as the retaining path, on pools from
+// serial to wider than needed and through an executor, whose dispatched
+// samples fold through the same spDone. Avg over small integers and MV do not
+// depend on the order samples complete in.
+func TestIncrementalMatchesRetained(t *testing.T) {
+	results := func(opts Options) (float64, []float64, int) {
+		tuner := New(opts)
 		var avg float64
 		var mv []float64
+		var stored int
 		run(t, tuner, func(p *P) error {
 			res, err := p.Region(RegionSpec{
-				Name: "ring", Samples: 32,
+				Name: "fold", Samples: 32,
 				Aggregate: map[string]agg.Kind{"s": agg.Avg, "v": agg.MV},
 			}, func(sp *SP) error {
 				sp.Commit("s", float64(sp.Index()))
@@ -297,18 +304,39 @@ func TestRingBackedIncrementalMatchesDirect(t *testing.T) {
 			}
 			avg = res.Aggregated("s").(float64)
 			mv = res.Aggregated("v").([]float64)
+			stored = res.Len("s") + res.Len("v")
 			return nil
 		})
-		return avg, mv
+		return avg, mv, stored
 	}
-	a1, v1 := results(false)
-	a2, v2 := results(true)
-	if a1 != a2 {
-		t.Fatalf("Avg differs: direct %g vs ring %g", a1, a2)
-	}
-	for i := range v1 {
-		if v1[i] != v2[i] {
-			t.Fatalf("MV differs at %d: %v vs %v", i, v1, v2)
-		}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"pool=1", Options{MaxPool: 1}},
+		{"pool=2", Options{MaxPool: 2}},
+		{"pool=8", Options{MaxPool: 8}},
+		{"executor", Options{MaxPool: 2, Executor: newFakeExec()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Seed = 3
+			a1, v1, n1 := results(tc.opts)
+			tc.opts.Incremental = true
+			a2, v2, n2 := results(tc.opts)
+			if a1 != a2 {
+				t.Fatalf("Avg differs: retained %g vs incremental %g", a1, a2)
+			}
+			for i := range v1 {
+				if v1[i] != v2[i] {
+					t.Fatalf("MV differs at %d: %v vs %v", i, v1, v2)
+				}
+			}
+			if n1 != 64 || n2 != 0 {
+				t.Fatalf("stored values: retained %d, incremental %d; want 64 and 0", n1, n2)
+			}
+			if ex, ok := tc.opts.Executor.(*fakeExec); ok && ex.executed.Load() == 0 {
+				t.Fatal("executor unused")
+			}
+		})
 	}
 }

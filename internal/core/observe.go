@@ -27,10 +27,10 @@ const (
 	MetricSamples = "wbtuner_samples_total"
 	// MetricSplits counts child tuning processes spawned with Split.
 	MetricSplits = "wbtuner_splits_total"
-	// MetricRingOccupancy gauges the values buffered in the incremental-
-	// aggregation ring (last-writer-wins across concurrent regions).
-	MetricRingOccupancy = "wbtuner_ring_occupancy"
-	// MetricRingDrainBatch observes the size of every ring drain batch.
+	// MetricRingDrainBatch named the size histogram of the incremental-
+	// aggregation ring's drains. Incremental aggregates now fold at commit,
+	// so nothing emits it; the name stays for the benchmark harness, which
+	// reads it as agg.ring_peak and so reports 0.
 	MetricRingDrainBatch = "wbtuner_ring_drain_batch_size"
 	// MetricSamplesTimeout counts sampling processes abandoned at a
 	// per-sample deadline or region budget, per region.
@@ -70,8 +70,6 @@ type tunerObs struct {
 	reg       *obs.Registry
 	job       string // job label value; "" = unlabeled (single-job compat)
 	splits    *obs.Counter
-	ringOcc   *obs.Gauge
-	ringBatch *obs.Histogram
 	ckptBytes *obs.Histogram
 	ckptDur   *obs.Histogram
 	ckpts     *obs.Counter
@@ -113,8 +111,6 @@ func newTunerObs(reg *obs.Registry, job string) *tunerObs {
 	reg.SetHelp(MetricRounds, "sampling rounds started")
 	reg.SetHelp(MetricSamples, "sampling processes finished, by outcome")
 	reg.SetHelp(MetricSplits, "child tuning processes spawned with Split")
-	reg.SetHelp(MetricRingOccupancy, "values buffered in the incremental-aggregation ring")
-	reg.SetHelp(MetricRingDrainBatch, "values folded per incremental-aggregation drain")
 	reg.SetHelp(MetricSamplesTimeout, "sampling processes abandoned at a deadline or region budget")
 	reg.SetHelp(MetricSamplesRetried, "sampling-process re-attempts after retryable failures")
 	reg.SetHelp(MetricRegionsDegraded, "regions completed with at least one timed-out or failed sample")
@@ -126,8 +122,6 @@ func newTunerObs(reg *obs.Registry, job string) *tunerObs {
 	reg.SetHelp(MetricReplayedRounds, "sampling rounds replayed from a resume journal")
 	o := &tunerObs{reg: reg, job: job, regions: make(map[string]*regionObs)}
 	o.splits = reg.Counter(MetricSplits, o.labels()...)
-	o.ringOcc = reg.Gauge(MetricRingOccupancy, o.labels()...)
-	o.ringBatch = reg.Histogram(MetricRingDrainBatch, obs.SizeBuckets(), o.labels()...)
 	o.ckptBytes = reg.Histogram(MetricCheckpointBytes, obs.ByteBuckets(), o.labels()...)
 	o.ckptDur = reg.Histogram(MetricCheckpointDuration, obs.DurationBuckets(), o.labels()...)
 	o.ckpts = reg.Counter(MetricCheckpoints, o.labels()...)

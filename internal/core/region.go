@@ -213,16 +213,6 @@ type regionState struct {
 	done       int
 	total      int // launched target; reduced if the budget cuts the round
 	barrier    *barrier
-
-	// Incremental aggregation (Sec. IV-B): sampling processes copy their
-	// results into a bounded shared ring; the tuning-process side drains it
-	// and folds values into the aggregators, so at most ringCap values are
-	// in flight instead of one per sample. When the region has exactly one
-	// incremental variable, soleInc names its aggregator and ring entries are
-	// the committed values themselves (no per-value pair allocation).
-	ring     *agg.Ring
-	ringDone chan struct{}
-	soleInc  agg.Incremental
 }
 
 // span locates one group's parameter snapshot inside the round arena.
@@ -254,36 +244,6 @@ func (rs *regionState) newSP(g, f, attempt int, slot *spSlot, sampler strategy.S
 func (rs *regionState) recycleSP(sp *SP) {
 	sp.reset()
 	rs.shape.pool.Put(sp)
-}
-
-// ringItem is one committed (variable, value) pair in flight.
-type ringItem struct {
-	x string
-	v any
-}
-
-// ringCap bounds the in-flight results of incremental aggregation.
-const ringCap = 8
-
-// drainRing is the tuning-process side of incremental aggregation.
-func (rs *regionState) drainRing() {
-	defer close(rs.ringDone)
-	for {
-		items, ok := rs.ring.WaitDrain()
-		if !ok {
-			return
-		}
-		if rs.soleInc != nil {
-			for _, v := range items {
-				rs.soleInc.Add(v)
-			}
-			continue
-		}
-		for _, it := range items {
-			item := it.(ringItem)
-			rs.incs[item.x].Add(item.v)
-		}
-	}
 }
 
 // runRound executes one sampling round of n sample groups.
@@ -382,19 +342,6 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		rs.shared = make([]*svgShared, n) // filled at each group's first claim
 	}
 	rs.barrier = newBarrier(rs)
-	if t.opts.Incremental && len(rs.incs) > 0 {
-		if len(rs.incs) == 1 {
-			for _, a := range rs.incs {
-				rs.soleInc = a
-			}
-		}
-		rs.ring = agg.NewRing(ringCap)
-		if t.obsv != nil {
-			rs.ring.Instrument(t.obsv.ringOcc, t.obsv.ringBatch)
-		}
-		rs.ringDone = make(chan struct{})
-		go rs.drainRing()
-	}
 
 	fb := p.feedbackFor(spec.Name, spec.Minimize)
 	rs.fb = fb
@@ -458,12 +405,6 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		go rs.worker(g, f)
 	}
 	rs.wg.Wait()
-	if rs.ring != nil {
-		// All producers are done: flush the ring and wait for the drain
-		// loop to fold the tail into the aggregators.
-		rs.ring.Close()
-		<-rs.ringDone
-	}
 
 	res, ferr := rs.finish()
 	if rec != nil {
@@ -582,14 +523,10 @@ func (rs *regionState) finish() (*Result, error) {
 		scores[g] = rs.scoreSum[g] / float64(rs.scoreCnt[g])
 	}
 
-	// Memory metric: values retained in the store, aggregator state, and
-	// the ring's high-water mark of in-flight results.
+	// Memory metric: values retained in the store and aggregator state.
 	retained := int64(rs.store.Total())
 	for _, a := range rs.incs {
 		retained += int64(a.Retained())
-	}
-	if rs.ring != nil {
-		retained += int64(rs.ring.Peak())
 	}
 	rs.t.notePeakRetained(retained)
 

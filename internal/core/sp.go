@@ -131,8 +131,7 @@ type SP struct {
 	lver   uint64
 
 	// flush scratch, reused across pool generations.
-	kvbuf   []store.KV
-	ringbuf []any
+	kvbuf []store.KV
 
 	pruned bool
 	score  float64
@@ -399,7 +398,6 @@ func (sp *SP) reset() {
 	sp.resetLoadCache()
 	sp.lver = 0
 	sp.kvbuf = sp.kvbuf[:0]
-	sp.ringbuf = sp.ringbuf[:0]
 	sp.rs = nil
 	sp.sampler = nil
 	sp.shared = nil
@@ -790,44 +788,23 @@ func (rs *regionState) spDoneTimeout(g int, err error) {
 
 // spDone commits the finished sampling process's results into the region
 // (the parent side of rule [AGGR-S]) and advances the barrier bookkeeping,
-// wherever the process ran: it is the only way into the ring, the store, the
-// parameter arena and the score sums.
+// wherever the process ran: it is the only way into the aggregators, the
+// store, the parameter arena and the score sums.
 //
-// A successful process's commits are flushed in batches: one ring batch for
-// incrementally aggregated variables (one lock round-trip instead of one per
-// value) and one store batch for the rest.
+// A successful process folds each commit that has a built-in aggregator into
+// it under rs.mu, in completion order, and stores its commits in one batch,
+// except, with incremental aggregation (Sec. IV-B), the folded ones. The paper
+// hands values to its aggregators through a ring because its sampling
+// processes are forked; a goroutine reaches them here, so no value is ever in
+// flight.
 func (rs *regionState) spDone(sp *SP, err error) {
 	g := sp.group
 	rs.noteOutcome(g, err, false, sp.pruned, sp.score)
 
 	ok := err == nil && !sp.pruned
 	if ok && sp.fold == 0 {
-		// Partition this process's commits into the ring batch (incremental
-		// variables with a live ring) and the store batch (everything else),
-		// in commit order.
 		for _, id := range sp.corder {
-			x := rs.syms.Name(id)
-			v := sp.cvals[id]
-			if _, inc := rs.incs[x]; inc && rs.ring != nil {
-				// Incremental path: hand the value to the tuning process
-				// through the bounded ring and do not retain it. With a
-				// single incremental variable the name is implied, so the
-				// committed value rides the ring as-is (it is already boxed);
-				// only multi-variable regions pay a (name, value) pair.
-				if rs.soleInc != nil {
-					sp.ringbuf = append(sp.ringbuf, v)
-				} else {
-					sp.ringbuf = append(sp.ringbuf, ringItem{x: x, v: v})
-				}
-				continue
-			}
-			sp.kvbuf = append(sp.kvbuf, store.KV{X: x, V: v})
-		}
-		if len(sp.ringbuf) > 0 {
-			// Flushed outside rs.mu: the ring applies backpressure when the
-			// drain loop falls behind, and blocking under the region lock
-			// would stall every other finishing process.
-			rs.ring.PutBatch(sp.ringbuf)
+			sp.kvbuf = append(sp.kvbuf, store.KV{X: rs.syms.Name(id), V: sp.cvals[id]})
 		}
 	}
 
@@ -847,11 +824,17 @@ func (rs *regionState) spDone(sp *SP, err error) {
 			rs.spans[g] = span{off, len(rs.arena) - off}
 		}
 		if sp.fold == 0 {
+			kept := sp.kvbuf[:0]
 			for _, kv := range sp.kvbuf {
 				if a, inc := rs.incs[kv.X]; inc {
 					a.Add(kv.V)
+					if rs.t.opts.Incremental {
+						continue
+					}
 				}
+				kept = append(kept, kv)
 			}
+			sp.kvbuf = kept
 		}
 		if sp.scored {
 			rs.scoreSum[g] += sp.score

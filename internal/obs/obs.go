@@ -198,9 +198,6 @@ func DurationBuckets() []float64 { return ExpBuckets(1e-6, 4, 12) }
 // remote dispatch p99) and power-of-four widths would dominate the estimate.
 func FineDurationBuckets() []float64 { return ExpBuckets(1e-6, 2, 22) }
 
-// SizeBuckets are the default count/size buckets: 1 to 512 in powers of two.
-func SizeBuckets() []float64 { return ExpBuckets(1, 2, 10) }
-
 // ByteBuckets are payload-size buckets: 64 B to 256 MiB in powers of four,
 // wide enough for checkpoint and snapshot payloads.
 func ByteBuckets() []float64 { return ExpBuckets(64, 4, 12) }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -264,15 +265,20 @@ func TestWorkerDeathReassignsInFlight(t *testing.T) {
 		MaxPool: 4, Seed: 13, Executor: f.ex,
 		Fault: core.FaultPolicy{MaxAttempts: 4, Backoff: time.Millisecond},
 	})
+	// Partition worker w0 once a body has signalled that it runs: a timer
+	// could fire after the round had already finished.
+	inFlight := make(chan struct{})
+	var signal sync.Once
 	killed := make(chan struct{})
 	go func() {
-		time.Sleep(20 * time.Millisecond)
-		f.conns[0].Close() // partition worker w0 mid-run
+		<-inFlight
+		f.conns[0].Close()
 		close(killed)
 	}()
 	err := tuner.Run(func(p *core.P) error {
 		res, err := p.Region(core.RegionSpec{Name: "r", Samples: 16}, func(sp *core.SP) error {
 			x := sp.Float("x", dist.Uniform(0, 1))
+			signal.Do(func() { close(inFlight) })
 			time.Sleep(5 * time.Millisecond) // keep samples in flight across the kill
 			sp.Commit("v", x)
 			return nil
@@ -285,14 +291,21 @@ func TestWorkerDeathReassignsInFlight(t *testing.T) {
 		}
 		return nil
 	})
+	signal.Do(func() { close(inFlight) }) // no body ran: let the killer finish
 	<-killed
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	// The dispatcher learns of the death when its read loop sees EOF, which
+	// can trail the round; the failure counter is the last thing it updates.
+	failures := oreg.Counter(MetricWorkerFailures, "worker", "w0")
+	for deadline := time.Now().Add(10 * time.Second); failures.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := f.ex.Capacity(); got != 2 {
 		t.Fatalf("Capacity=%d after one worker died, want 2", got)
 	}
-	if n := oreg.Counter(MetricWorkerFailures, "worker", "w0").Value(); n != 1 {
+	if n := failures.Value(); n != 1 {
 		t.Fatalf("worker failure counter = %d, want 1", n)
 	}
 }
