@@ -28,6 +28,21 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
+// BenchmarkTable1Pass is the profiling target for Table I's application
+// kernels: one iteration tunes all 13 programs white-box at seeds 1-4, the
+// pass TestTable1OutcomeDigest pins.
+func BenchmarkTable1Pass(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, bm := range bench.All() {
+			for seed := int64(1); seed <= 4; seed++ {
+				if out := bm.WBTune(seed, 0); out.Samples < 2 {
+					b.Fatalf("%s seed %d explored %d samples", bm.Name(), seed, out.Samples)
+				}
+			}
+		}
+	}
+}
+
 // benchWB runs one benchmark's white-box tuning per iteration.
 func benchWB(b *testing.B, name string) {
 	bm := bench.ByName(name)

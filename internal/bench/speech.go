@@ -115,7 +115,9 @@ func votePrecision(audios []speech.Audio, votes []map[int]int) float64 {
 	for i, a := range audios {
 		bestW, bestN := -1, 0
 		for w := 0; w < len(speech.Vocabulary); w++ {
-			if n := votes[i][w]; n > bestN || (n == bestN && w < bestW) {
+			// Words are visited in rising order and only a strictly larger
+			// count takes over, so a tie already goes to the lower word.
+			if n := votes[i][w]; n > bestN {
 				bestW, bestN = w, n
 			}
 		}
@@ -144,9 +146,10 @@ func (b SpeechBench) WBTune(seed int64, budget float64) Outcome {
 		defPrm := speechParams(speechDefaultConfig())
 		defTmpl := speech.Templates(defPrm)
 		p.Work(speechAudios * (speech.WorkFeatures + speech.WorkDecode))
-		defW := marginWeight(speechMargin(audios, defTmpl, defPrm))
-		for i, a := range audios {
-			votes[i][speech.Recognize(a, defTmpl, defPrm)] += defW
+		defPreds, defMargin := speechDecode(audios, defTmpl, defPrm)
+		defW := marginWeight(defMargin)
+		for i, w := range defPreds {
+			votes[i][w] += defW
 		}
 
 		// White-box pitch estimation: read the spectrograms' spectral
@@ -177,14 +180,11 @@ func (b SpeechBench) WBTune(seed int64, budget float64) Outcome {
 			// @check: a configuration that cannot recognize its own clean
 			// calibration words is broken; prune it before paying for the
 			// real decoding work — the white-box shortcut.
-			sp.Check(speech.SelfTest(tmpl, prm) >= 8)
+			sp.Check(speech.SelfTest(tmpl, prm, 8) >= 8)
 			sp.Work(speechAudios * (speech.WorkFeatures + speech.WorkDecode))
-			preds := make([]int, len(audios))
-			for i, a := range audios {
-				preds[i] = speech.Recognize(a, tmpl, prm)
-			}
+			preds, margin := speechDecode(audios, tmpl, prm)
 			sp.Commit("words", preds)
-			sp.Commit("margin", speechMargin(audios, tmpl, prm))
+			sp.Commit("margin", margin)
 			return nil
 		})
 		if err != nil {
@@ -215,26 +215,19 @@ func (b SpeechBench) WBTune(seed int64, budget float64) Outcome {
 	return out
 }
 
-// speechMargin is the ground-truth-free guide for the black-box search:
-// the average confidence margin between the best and second-best word.
-func speechMargin(audios []speech.Audio, tmpl [][][]float64, p speech.Params) float64 {
+// speechDecode recognizes every audio in one decode pass each and returns
+// the predicted words and the ground-truth-free guide for the black-box
+// search: the average confidence margin between the best and second-best
+// word.
+func speechDecode(audios []speech.Audio, tmpl [][][]float64, p speech.Params) ([]int, float64) {
+	preds := make([]int, len(audios))
 	total := 0.0
-	for _, a := range audios {
-		feats := speech.Features(a.Spec, p)
-		best, second := math.Inf(1), math.Inf(1)
-		for _, tm := range tmpl {
-			d := speech.DTW(feats, tm, p)
-			if d < best {
-				best, second = d, best
-			} else if d < second {
-				second = d
-			}
-		}
-		if !math.IsInf(second, 1) && !math.IsInf(best, 1) {
-			total += second - best
-		}
+	for i, a := range audios {
+		w, margin := speech.Decode(a, tmpl, p)
+		preds[i] = w
+		total += margin
 	}
-	return total / float64(len(audios))
+	return preds, total / float64(len(audios))
 }
 
 // OTTune implements Benchmark.
@@ -253,12 +246,8 @@ func (b SpeechBench) OTTune(seed int64, budget float64) Outcome {
 			speechAudios*(speech.WorkFeatures+speech.WorkDecode))
 		prm := speechParams(cfg)
 		tmpl := speech.Templates(prm)
-		self := speech.SelfTest(tmpl, prm)
-		preds := make([]int, len(audios))
-		for i, a := range audios {
-			preds[i] = speech.Recognize(a, tmpl, prm)
-		}
-		margin := speechMargin(audios, tmpl, prm)
+		self := speech.SelfTest(tmpl, prm, 0)
+		preds, margin := speechDecode(audios, tmpl, prm)
 		return self*10 + margin, otSample{preds: preds, selfOK: self >= 8, margin: margin}
 	}
 	tu := opentuner.New(speechSpace(), obj, opentuner.Options{

@@ -95,9 +95,55 @@ func (v *Veloci) Control(s State, sp Setpoint, dt float64) Motors {
 // soft gains make it fly slower than Veloci.
 type Ardu struct {
 	paramStore
+	g                arduGains
 	velX, velY, velZ pid
 	rateR, rateP     pid
 	mode             Mode
+}
+
+// arduGains are the parameters Control reads on every physics step,
+// resolved from the parameter map by Reset and SetParams.
+type arduGains struct {
+	tkoffAccZP, tkoffAccZI, landAccZP, landAccZI, velZP, velZI float64
+	wpnavSpeedCMS, posXYPCM, posZPCM, pilotAccelZ              float64
+	tkoffPosZP, tkoffSpdCMS, tkoffThrMax                       float64
+	landSpeedCMS, landFlareAlt, landPosZP, landThrMin          float64
+	pscVelXYFilt, velXYFF, angleMaxCD                          float64
+	motThstHover, motSpinMin, atcInputTC                       float64
+	angRllP, angPitP, yawRateP                                 float64
+}
+
+// resolve reads the gains Control uses out of the parameter map.
+func (a *Ardu) resolve() {
+	g := a.get
+	a.g = arduGains{
+		tkoffAccZP:    g("TKOFF_ACC_Z_P"),
+		tkoffAccZI:    g("TKOFF_ACC_Z_I"),
+		landAccZP:     g("LAND_ACC_Z_P"),
+		landAccZI:     g("LAND_ACC_Z_I"),
+		velZP:         g("VEL_Z_P"),
+		velZI:         g("VEL_Z_I"),
+		wpnavSpeedCMS: g("WPNAV_SPEED_CMS"),
+		posXYPCM:      g("POS_XY_P_CM"),
+		posZPCM:       g("POS_Z_P_CM"),
+		pilotAccelZ:   g("PILOT_ACCEL_Z"),
+		tkoffPosZP:    g("TKOFF_POS_Z_P"),
+		tkoffSpdCMS:   g("TKOFF_SPD_CMS"),
+		tkoffThrMax:   g("TKOFF_THR_MAX"),
+		landSpeedCMS:  g("LAND_SPEED_CMS"),
+		landFlareAlt:  g("LAND_FLARE_ALT"),
+		landPosZP:     g("LAND_POS_Z_P"),
+		landThrMin:    g("LAND_THR_MIN"),
+		pscVelXYFilt:  g("PSC_VELXY_FILT"),
+		velXYFF:       g("VEL_XY_FF"),
+		angleMaxCD:    g("ANGLE_MAX_CD"),
+		motThstHover:  g("MOT_THST_HOVER"),
+		motSpinMin:    g("MOT_SPIN_MIN"),
+		atcInputTC:    g("ATC_INPUT_TC"),
+		angRllP:       g("ANG_RLL_P"),
+		angPitP:       g("ANG_PIT_P"),
+		yawRateP:      g("YAW_RATE_P"),
+	}
 }
 
 // ArduTunables lists the 40 parameters the behaviour-learning experiment
@@ -205,8 +251,16 @@ func NewArdu() *Ardu {
 // Name implements Controller.
 func (a *Ardu) Name() string { return "ardu" }
 
+// SetParams implements Controller; Control sees the new values at once,
+// without a Reset.
+func (a *Ardu) SetParams(p map[string]float64) {
+	a.paramStore.SetParams(p)
+	a.resolve()
+}
+
 // Reset implements Controller.
 func (a *Ardu) Reset() {
+	a.resolve()
 	g := a.get
 	tilt := g("ANGLE_MAX_CD") / 100 * math.Pi / 180
 	a.velX = pid{kp: g("VEL_XY_P"), ki: g("VEL_XY_I"), limit: tilt}
@@ -219,63 +273,63 @@ func (a *Ardu) Reset() {
 
 // Control implements Controller.
 func (a *Ardu) Control(s State, sp Setpoint, dt float64) Motors {
-	g := a.get
+	g := &a.g
 	if sp.Mode != a.mode {
 		// Mode transition: per-mode vertical gains take over.
 		a.mode = sp.Mode
 		switch sp.Mode {
 		case ModeTakeoff:
-			a.velZ = pid{kp: g("TKOFF_ACC_Z_P"), ki: g("TKOFF_ACC_Z_I"), limit: 0.5}
+			a.velZ = pid{kp: g.tkoffAccZP, ki: g.tkoffAccZI, limit: 0.5}
 		case ModeLand:
-			a.velZ = pid{kp: g("LAND_ACC_Z_P"), ki: g("LAND_ACC_Z_I"), limit: 0.5}
+			a.velZ = pid{kp: g.landAccZP, ki: g.landAccZI, limit: 0.5}
 		default:
-			a.velZ = pid{kp: g("VEL_Z_P"), ki: g("VEL_Z_I"), limit: 0.5}
+			a.velZ = pid{kp: g.velZP, ki: g.velZI, limit: 0.5}
 		}
 	}
 	err := sp.Target.Sub(s.Pos)
 
 	// Position loop in centimetres: gains carry the cm conversion.
-	cmsMax := g("WPNAV_SPEED_CMS") / 100
-	velSpX := clampF(err.X*100*g("POS_XY_P_CM")/100, cmsMax)
-	velSpY := clampF(err.Y*100*g("POS_XY_P_CM")/100, cmsMax)
+	cmsMax := g.wpnavSpeedCMS / 100
+	velSpX := clampF(err.X*100*g.posXYPCM/100, cmsMax)
+	velSpY := clampF(err.Y*100*g.posXYPCM/100, cmsMax)
 	var velSpZ float64
 	switch sp.Mode {
 	case ModeTakeoff:
-		velSpZ = math.Min(err.Z*g("TKOFF_POS_Z_P"), g("TKOFF_SPD_CMS")/100)
+		velSpZ = math.Min(err.Z*g.tkoffPosZP, g.tkoffSpdCMS/100)
 	case ModeLand:
-		spd := g("LAND_SPEED_CMS") / 100
-		if s.Pos.Z < g("LAND_FLARE_ALT") {
+		spd := g.landSpeedCMS / 100
+		if s.Pos.Z < g.landFlareAlt {
 			spd *= 0.5 // flare: slow final descent
 		}
-		velSpZ = math.Max(err.Z*g("LAND_POS_Z_P"), -spd)
+		velSpZ = math.Max(err.Z*g.landPosZP, -spd)
 	default:
-		velSpZ = clampF(err.Z*g("POS_Z_P_CM"), g("PILOT_ACCEL_Z")/100)
+		velSpZ = clampF(err.Z*g.posZPCM, g.pilotAccelZ/100)
 	}
 
 	// Velocity loop: PI plus feed-forward, low-pass filtered setpoints.
-	fx := g("PSC_VELXY_FILT")
+	fx := g.pscVelXYFilt
 	pitchSp := clampF(a.velX.update((velSpX-s.Vel.X)*fx/math.Max(fx, 1e-3), dt)+
-		g("VEL_XY_FF")*velSpX/10, g("ANGLE_MAX_CD")/100*math.Pi/180)
+		g.velXYFF*velSpX/10, g.angleMaxCD/100*math.Pi/180)
 	rollSp := clampF(-a.velY.update((velSpY-s.Vel.Y)*fx/math.Max(fx, 1e-3), dt)-
-		g("VEL_XY_FF")*velSpY/10, g("ANGLE_MAX_CD")/100*math.Pi/180)
-	collective := g("MOT_THST_HOVER") + a.velZ.update(velSpZ-s.Vel.Z, dt)
-	lo := g("MOT_SPIN_MIN")
+		g.velXYFF*velSpY/10, g.angleMaxCD/100*math.Pi/180)
+	collective := g.motThstHover + a.velZ.update(velSpZ-s.Vel.Z, dt)
+	lo := g.motSpinMin
 	hi := 1.0
 	if sp.Mode == ModeTakeoff {
-		hi = g("TKOFF_THR_MAX")
+		hi = g.tkoffThrMax
 	}
 	if sp.Mode == ModeLand {
-		lo = math.Max(lo, g("LAND_THR_MIN"))
+		lo = math.Max(lo, g.landThrMin)
 	}
 	collective = math.Min(hi, math.Max(lo, collective))
 
 	// Attitude -> rates -> torques; ATC_INPUT_TC shapes the rate setpoint.
-	tc := math.Max(g("ATC_INPUT_TC"), 1e-2)
-	rollRateSp := (rollSp - s.Roll) * g("ANG_RLL_P") / (1 + tc)
-	pitchRateSp := (pitchSp - s.Pitch) * g("ANG_PIT_P") / (1 + tc)
+	tc := math.Max(g.atcInputTC, 1e-2)
+	rollRateSp := (rollSp - s.Roll) * g.angRllP / (1 + tc)
+	pitchRateSp := (pitchSp - s.Pitch) * g.angPitP / (1 + tc)
 	rollT := a.rateR.update(rollRateSp-s.RollRate, dt)
 	pitchT := a.rateP.update(pitchRateSp-s.PitchRate, dt)
-	yawT := -g("YAW_RATE_P") * s.YawRate
+	yawT := -g.yawRateP * s.YawRate
 
 	return mixer(collective, rollT, pitchT, yawT)
 }

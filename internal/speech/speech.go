@@ -251,8 +251,31 @@ func Templates(p Params) [][][]float64 {
 }
 
 // DTW computes the band-constrained dynamic-time-warping distance between
-// two feature sequences, normalized by path length.
+// two feature sequences, normalized by path length. Every feature value
+// must be finite, as Features' are (the log of a value at least the energy
+// floor): a cell whose predecessors are all unreachable is then skipped
+// without computing its frame distance.
 func DTW(a, b [][]float64, p Params) float64 {
+	inf := math.Inf(1)
+	return dtw(a, b, p, &dtwRows{}, abandon{second: inf, bestScore: inf})
+}
+
+// dtwRows are the two DP rows, reused across the templates of one Decode.
+type dtwRows struct{ prev, cur []float64 }
+
+// abandon carries Decode's running best into dtw: the second-best distance
+// and the best score so far, and this template's score terms.
+type abandon struct {
+	second, bestScore float64
+	prior, mismatch   float64
+}
+
+// dtw is DTW with early abandoning. Frame distances are non-negative, so
+// a row's cheapest cell bounds the final distance from below (rounding is
+// monotone). Once that bound can neither reach the two best distances nor
+// the best score, the template cannot change Decode's word or margin, and
+// dtw returns +Inf instead of finishing the band.
+func dtw(a, b [][]float64, p Params, rows *dtwRows, ab abandon) float64 {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return math.Inf(1)
@@ -266,8 +289,11 @@ func DTW(a, b [][]float64, p Params) float64 {
 		exp = 1
 	}
 	const inf = math.MaxFloat64 / 4
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
+	if cap(rows.prev) < m+1 {
+		rows.prev = make([]float64, m+1)
+		rows.cur = make([]float64, m+1)
+	}
+	prev, cur := rows.prev[:m+1], rows.cur[:m+1]
 	for j := range prev {
 		prev[j] = inf
 	}
@@ -285,15 +311,26 @@ func DTW(a, b [][]float64, p Params) float64 {
 		}
 		rowBest := inf
 		for j := lo; j <= hi; j++ {
-			d := frameDist(a[i-1], b[j-1], exp)
 			best := math.Min(prev[j], math.Min(cur[j-1], prev[j-1]))
-			cur[j] = d + best
+			if best >= inf {
+				continue // inf + d == inf: the cell stays unreachable
+			}
+			cur[j] = frameDist(a[i-1], b[j-1], exp) + best
 			if cur[j] < rowBest {
 				rowBest = cur[j]
 			}
 		}
+		if rowBest >= inf {
+			return math.Inf(1) // every path is cut
+		}
+		// The bound is scored with Decode's expression, term for term, so
+		// it cannot round above the template's final score.
+		lb := rowBest / float64(n+m)
+		if lb >= ab.second && lb+p.LangWeight*ab.prior+p.InsertPenalty*ab.mismatch >= ab.bestScore {
+			return math.Inf(1)
+		}
 		// Beam pruning: drop cells too far above the row's best path.
-		if p.BeamWidth > 0 && rowBest < inf {
+		if p.BeamWidth > 0 {
 			limit := rowBest + p.BeamWidth
 			for j := lo; j <= hi; j++ {
 				if cur[j] > limit {
@@ -337,22 +374,41 @@ func maxInt(a, b int) int {
 // Recognize decodes one audio against the templates: the word minimizing
 // DTW distance plus language-model and insertion terms.
 func Recognize(a Audio, templates [][][]float64, p Params) int {
+	w, _ := Decode(a, templates, p)
+	return w
+}
+
+// Decode is one pass over the templates. It returns the word Recognize
+// picks and the confidence margin: the gap between the best and the
+// second-best DTW distance, or 0 when either is infinite. A template whose
+// DTW is abandoned early could not have changed either result.
+func Decode(a Audio, templates [][][]float64, p Params) (word int, margin float64) {
 	feats := Features(a.Spec, p)
-	best, bestScore := 0, math.Inf(1)
+	var rows dtwRows
+	bestScore := math.Inf(1)
+	best, second := math.Inf(1), math.Inf(1)
 	for w, tmpl := range templates {
-		d := DTW(feats, tmpl, p)
 		// Zipf-ish prior over the vocabulary.
 		prior := math.Log(float64(w) + 1.5)
 		// The insertion penalty charges length mismatch between utterance
 		// and template — the single-word analogue of penalizing inserted
 		// words in a sequence decode.
 		mismatch := math.Abs(float64(len(feats)-len(tmpl))) / float64(len(tmpl)+1)
+		d := dtw(feats, tmpl, p, &rows, abandon{second, bestScore, prior, mismatch})
 		score := d + p.LangWeight*prior + p.InsertPenalty*mismatch
 		if score < bestScore {
-			best, bestScore = w, score
+			word, bestScore = w, score
+		}
+		if d < best {
+			best, second = d, best
+		} else if d < second {
+			second = d
 		}
 	}
-	return best
+	if !math.IsInf(second, 1) && !math.IsInf(best, 1) {
+		margin = second - best
+	}
+	return word, margin
 }
 
 // SelfTest scores a configuration on calibration recordings: clean
@@ -361,11 +417,15 @@ func Recognize(a Audio, templates [][][]float64, p Params) int {
 // recognize its own calibration set is broken (degenerate filter band,
 // over-aggressive gating); the white-box tuning program prunes such
 // samples before paying for real decoding. Returns the number of
-// calibration words recognized (0..len(Vocabulary)).
-func SelfTest(templates [][][]float64, p Params) float64 {
+// calibration words recognized (0..len(Vocabulary)), or a smaller count
+// once reaching need has become impossible; need 0 counts every word.
+func SelfTest(templates [][][]float64, p Params, need int) float64 {
 	cal := Speaker{Pitch: 0, Rate: 0.9, Noise: 0.02}
 	correct := 0
 	for w := range Vocabulary {
+		if correct+len(Vocabulary)-w < need {
+			break
+		}
 		if Recognize(Synthesize(0xCA1, cal, w), templates, p) == w {
 			correct++
 		}

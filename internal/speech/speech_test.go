@@ -262,13 +262,13 @@ func TestEstimatePitchShiftAccuracy(t *testing.T) {
 
 func TestSelfTestDiscriminates(t *testing.T) {
 	good := DefaultParams()
-	if got := SelfTest(Templates(good), good); got < 8 {
+	if got := SelfTest(Templates(good), good, 0); got < 8 {
 		t.Fatalf("defaults self-test = %g, want >= 8", got)
 	}
 	broken := DefaultParams()
 	broken.FilterLow = 0.9 // band squeezed into silence
 	broken.FilterHigh = 0.95
-	if got := SelfTest(Templates(broken), broken); got >= 8 {
+	if got := SelfTest(Templates(broken), broken, 0); got >= 8 {
 		t.Fatalf("degenerate band self-test = %g, should fail", got)
 	}
 }
