@@ -83,6 +83,144 @@ func TestDistancesMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// refRefine is the refinement refine replaced: every edge scans every leaf
+// pair against a path-membership table, re-sums its weights each pass, and
+// a changed branch length recomputes the whole distance matrix.
+func refRefine(t *Tree, d [][]float64, power float64, iters int) {
+	n := t.N
+	paths := refPathEdges(*t)
+	w := mat(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			w[i][j] = 1.0
+			if power != 0 {
+				w[i][j] = 1 / math.Pow(math.Max(d[i][j], 1e-3), power)
+			}
+		}
+	}
+	for it := 0; it < iters; it++ {
+		T := mapDistances(*t)
+		changed := false
+		for e := range t.Edges {
+			num, den := 0.0, 0.0
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if !paths[i][j][e] {
+						continue
+					}
+					num += w[i][j] * (d[i][j] - T[i][j])
+					den += w[i][j]
+				}
+			}
+			if den == 0 {
+				continue
+			}
+			delta := num / den
+			nw := math.Max(t.Edges[e].W+delta, 0)
+			if math.Abs(nw-t.Edges[e].W) > 1e-9 {
+				t.Edges[e].W = nw
+				changed = true
+				T = mapDistances(*t)
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+}
+
+// refPathEdges[i][j][e] reports whether edge e lies on the i-j path, found
+// by walking a map-backed DFS tree back from j to i.
+func refPathEdges(t Tree) [][][]bool {
+	adj := map[int][]int{} // node -> incident edge indices
+	for k, e := range t.Edges {
+		adj[e.A] = append(adj[e.A], k)
+		adj[e.B] = append(adj[e.B], k)
+	}
+	out := make([][][]bool, t.N)
+	for i := 0; i < t.N; i++ {
+		out[i] = make([][]bool, t.N)
+		via := map[int]int{i: -1} // node -> edge it was reached by
+		from := map[int]int{}
+		stack := []int{i}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, k := range adj[v] {
+				u := t.Edges[k].A + t.Edges[k].B - v
+				if _, ok := via[u]; !ok {
+					via[u], from[u] = k, v
+					stack = append(stack, u)
+				}
+			}
+		}
+		for j := 0; j < t.N; j++ {
+			if j == i {
+				continue
+			}
+			mark := make([]bool, len(t.Edges))
+			for v := j; v != i; v = from[v] {
+				mark[via[v]] = true
+			}
+			out[i][j] = mark
+		}
+	}
+	return out
+}
+
+// TestRefineMatchesFullRecomputeOracle holds refine, which re-sums only
+// the pairs and distances a branch change touches, to the full-scan,
+// full-recompute refinement bit for bit: on random non-additive matrices,
+// on the benchmark's own distance matrices, and on edge rows (power 0,
+// additive input, a zero matrix, a single refinement pass).
+func TestRefineMatchesFullRecomputeOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	type input struct {
+		d     [][]float64
+		power float64
+		iters int
+	}
+	var inputs []input
+	for n := 3; n <= 14; n++ {
+		for trial := 0; trial < 30; trial++ {
+			inputs = append(inputs, input{randomMatrix(r, n), 3 * r.Float64(), 20})
+		}
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		ds := GenDataset(seed, 9)
+		prm := Params{Ease: 0.3 + 2.2*r.Float64(), InvarFrac: 0.4 * r.Float64(), CVI: 0.5 + 1.5*r.Float64()}
+		inputs = append(inputs, input{DistMatrix(ds.PObs, prm), 3 * r.Float64(), 20})
+	}
+	for _, n := range []int{3, 4, 9, 13} {
+		ds := GenDataset(int64(n), max(n, 4))
+		inputs = append(inputs,
+			input{randomMatrix(r, n), 0, 20},
+			input{ds.TrueD, 1.5, 20},
+			input{mat(n), 2, 20},
+			input{randomMatrix(r, n), 1, 1})
+	}
+	changedAny := 0
+	for k, in := range inputs {
+		nj := neighborJoin(in.d)
+		got := Tree{N: nj.N, Edges: append([]TreeEdge(nil), nj.Edges...)}
+		want := Tree{N: nj.N, Edges: append([]TreeEdge(nil), nj.Edges...)}
+		got.refine(in.d, in.power, in.iters)
+		refRefine(&want, in.d, in.power, in.iters)
+		for e := range want.Edges {
+			if math.Float64bits(got.Edges[e].W) != math.Float64bits(want.Edges[e].W) {
+				t.Fatalf("input %d (n=%d, power %g): edge %d weight %v, oracle %v",
+					k, len(in.d), in.power, e, got.Edges[e].W, want.Edges[e].W)
+			}
+			if want.Edges[e].W != nj.Edges[e].W {
+				changedAny++
+			}
+		}
+	}
+	if changedAny == 0 {
+		t.Fatal("refinement moved no branch on any input")
+	}
+}
+
 // Distances allocates its n result rows plus a constant number of scratch
 // slices, whatever the tree size.
 func TestDistancesAllocs(t *testing.T) {
@@ -90,6 +228,20 @@ func TestDistancesAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { tree.Distances() })
 	if limit := float64(tree.N + 8); allocs > limit {
 		t.Fatalf("Distances on %d leaves allocates %.0f times, limit %.0f", tree.N, allocs, limit)
+	}
+}
+
+// BuildTree allocates neighbor joining's distance rows and a constant
+// number of slices besides: refinement's pair lists, hops and distances
+// are each one flat slice, however many pairs a branch change touches.
+func TestBuildTreeAllocs(t *testing.T) {
+	for _, n := range []int{5, 9, 14} {
+		ds := GenDataset(1, n)
+		d := DistMatrix(ds.PObs, DefaultParams())
+		allocs := testing.AllocsPerRun(20, func() { BuildTree(d, 1) })
+		if limit := float64(3*n + 16); allocs > limit {
+			t.Fatalf("BuildTree on %d species allocates %.0f times, limit %.0f", n, allocs, limit)
+		}
 	}
 }
 

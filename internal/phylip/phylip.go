@@ -311,49 +311,122 @@ func neighborJoin(d [][]float64) Tree {
 
 // refine runs coordinate-descent weighted least squares on branch lengths:
 // for each edge, the optimal adjustment given the paths through it.
+//
+// Only the leaf pairs whose path crosses an edge enter its sums, in i, j
+// order as a full scan would visit them. A changed branch length re-sums
+// only the leaf-to-node distances across it, each as distance-to-parent
+// plus edge, which is how Distances reaches that node: every distance read
+// is the one a fresh Distances would give, bit for bit. An incremental
+// T += delta would not be.
 func (t *Tree) refine(d [][]float64, power float64, iters int) {
 	n := t.N
-	paths := t.pathEdges()
-	w := mat(n)
+	start, arcs := t.adjacency()
+	nodes := len(start) - 1
+	dist := t.fromLeaves(start, arcs) // leaf i to node j at i*nodes+j
+	cuts := t.cuts(start, arcs)
+	// The pair terms share dist's layout, so a cut's pair index reads all three.
+	dd := make([]float64, n*nodes)
+	w := make([]float64, n*nodes)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			w[i][j] = 1.0
+			k := i*nodes + j
+			dd[k] = d[i][j]
+			w[k] = 1.0
 			if power != 0 {
-				w[i][j] = 1 / math.Pow(math.Max(d[i][j], 1e-3), power)
+				w[k] = 1 / math.Pow(math.Max(d[i][j], 1e-3), power)
 			}
 		}
 	}
+	// The weights never change, so neither does an edge's denominator.
+	den := make([]float64, len(t.Edges))
+	for e, c := range cuts {
+		for _, k := range c.pairs {
+			den[e] += w[k]
+		}
+	}
 	for it := 0; it < iters; it++ {
-		T := t.Distances()
 		changed := false
-		for e := range t.Edges {
-			num, den := 0.0, 0.0
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					if !paths[i][j][e] {
-						continue
-					}
-					num += w[i][j] * (d[i][j] - T[i][j])
-					den += w[i][j]
-				}
-			}
-			if den == 0 {
+		for e, c := range cuts {
+			if den[e] == 0 {
 				continue
 			}
-			delta := num / den
+			num := 0.0
+			for _, k := range c.pairs {
+				num += w[k] * (dd[k] - dist[k])
+			}
+			delta := num / den[e]
 			nw := math.Max(t.Edges[e].W+delta, 0)
 			if math.Abs(nw-t.Edges[e].W) > 1e-9 {
 				t.Edges[e].W = nw
 				changed = true
-				// Recompute T exactly before the next edge. An incremental
-				// T += delta along the edge's paths would change the bits.
-				T = t.Distances()
+				// Each leaf re-sums the nodes beyond the edge from it.
+				for near, hops := range c.sides {
+					far := c.sides[1-near]
+					for _, leaf := range hops {
+						if leaf.node >= n {
+							continue
+						}
+						row := dist[leaf.node*nodes : (leaf.node+1)*nodes]
+						for _, h := range far {
+							row[h.node] = row[h.from] + t.Edges[h.edge].W
+						}
+					}
+				}
 			}
 		}
 		if !changed {
 			break
 		}
 	}
+}
+
+// cut is what one tree edge separates. sides[0] holds the nodes on its A
+// end's side, sides[1] those on its B end's, each as the hops that reach
+// them from the edge, parents first. pairs indexes, as leaf i*nodes+j, every
+// leaf pair i < j whose path crosses the edge, in i, j order.
+type cut struct {
+	sides [2][]hop
+	pairs []int
+}
+
+// hop reaches node from its parent along edge.
+type hop struct{ node, from, edge int }
+
+// cuts returns every edge's cut.
+func (t *Tree) cuts(start []int, arcs []arc) []cut {
+	n, nodes := t.N, len(start)-1
+	out := make([]cut, len(t.Edges))
+	// The two sides of an edge hold every node once.
+	hops := make([]hop, 0, len(t.Edges)*nodes)
+	// An edge with a leaves on one side crosses a*(n-a) <= n*n/4 pairs.
+	pairs := make([]int, 0, len(t.Edges)*(n*n/4))
+	side := make([]int, nodes)
+	for e, te := range t.Edges {
+		for s, root := range [2]hop{{te.A, te.B, e}, {te.B, te.A, e}} {
+			first := len(hops)
+			hops = append(hops, root)
+			for k := first; k < len(hops); k++ {
+				h := hops[k]
+				side[h.node] = s
+				for _, a := range arcs[start[h.node]:start[h.node+1]] {
+					if a.edge != h.edge {
+						hops = append(hops, hop{a.to, h.node, a.edge})
+					}
+				}
+			}
+			out[e].sides[s] = hops[first:len(hops):len(hops)]
+		}
+		first := len(pairs)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if side[i] != side[j] {
+					pairs = append(pairs, i*nodes+j)
+				}
+			}
+		}
+		out[e].pairs = pairs[first:len(pairs):len(pairs)]
+	}
+	return out
 }
 
 // arc is one direction of a tree edge in the CSR adjacency.
@@ -385,57 +458,28 @@ func (t *Tree) adjacency() (start []int, arcs []arc) {
 	return start, arcs
 }
 
-// pathEdges[i][j][e] reports whether edge e lies on the i-j path.
-func (t *Tree) pathEdges() [][][]bool {
-	n := t.N
+// Distances returns the leaf-to-leaf path-length matrix of the tree.
+func (t *Tree) Distances() [][]float64 {
 	start, arcs := t.adjacency()
-	via := make([]int, len(start)-1) // edge a DFS from leaf i reached each node by
-	from := make([]int, len(start)-1)
-	out := make([][][]bool, n)
-	var stack []int
-	for i := 0; i < n; i++ {
-		out[i] = make([][]bool, n)
-		for v := range via {
-			via[v] = -1
-		}
-		via[i] = len(t.Edges) // the root: visited, no edge
-		stack = append(stack[:0], i)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, a := range arcs[start[v]:start[v+1]] {
-				if via[a.to] < 0 {
-					via[a.to], from[a.to] = a.edge, v
-					stack = append(stack, a.to)
-				}
-			}
-		}
-		for j := 0; j < n; j++ {
-			if j == i || via[j] < 0 {
-				continue
-			}
-			mark := make([]bool, len(t.Edges))
-			for v := j; v != i; v = from[v] {
-				mark[via[v]] = true
-			}
-			out[i][j] = mark
-		}
+	nodes := len(start) - 1
+	dist := t.fromLeaves(start, arcs)
+	out := mat(t.N)
+	for s, row := range out {
+		copy(row, dist[s*nodes:])
 	}
 	return out
 }
 
-// Distances returns the leaf-to-leaf path-length matrix of the tree. Each
-// node's distance is one sum along its unique path from the source, so the
+// fromLeaves returns the path length from every leaf s to every node v, at
+// s*nodes+v. Each is one sum along the unique path from the leaf, so the
 // traversal order does not change a bit of it.
-func (t *Tree) Distances() [][]float64 {
-	n := t.N
-	start, arcs := t.adjacency()
-	distTo := make([]float64, len(start)-1)
-	seen := make([]bool, len(start)-1)
-	queue := make([]int, 0, len(start)-1)
-	out := mat(n)
-	for s := 0; s < n; s++ {
-		clear(distTo)
+func (t *Tree) fromLeaves(start []int, arcs []arc) []float64 {
+	nodes := len(start) - 1
+	dist := make([]float64, t.N*nodes)
+	seen := make([]bool, nodes)
+	queue := make([]int, 0, nodes)
+	for s := 0; s < t.N; s++ {
+		distTo := dist[s*nodes : (s+1)*nodes]
 		clear(seen)
 		seen[s] = true
 		queue = append(queue[:0], s)
@@ -449,9 +493,8 @@ func (t *Tree) Distances() [][]float64 {
 				}
 			}
 		}
-		copy(out[s], distTo[:n])
 	}
-	return out
+	return dist
 }
 
 // SumOfSquares is Phylip's default score: Σ (d_ij - t_ij)² over pairs,

@@ -1,6 +1,7 @@
 package speech
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -92,15 +93,31 @@ func refDecode(a Audio, templates [][][]float64, p Params) (word int, best, seco
 	return word, best, second
 }
 
-func refSelfTest(templates [][][]float64, p Params) float64 {
+// refSelfTest is the self-test as a full decode of every calibration word:
+// the count, and which words were recognized.
+func refSelfTest(templates [][][]float64, p Params) (float64, []bool) {
 	cal := Speaker{Pitch: 0, Rate: 0.9, Noise: 0.02}
 	correct := 0
+	won := make([]bool, len(Vocabulary))
 	for w := range Vocabulary {
 		if rw, _, _ := refDecode(Synthesize(0xCA1, cal, w), templates, p); rw == w {
 			correct++
+			won[w] = true
 		}
 	}
-	return float64(correct)
+	return float64(correct), won
+}
+
+// checkWins holds wins to the full decode for every calibration word.
+func checkWins(t *testing.T, label string, templates [][][]float64, p Params, want []bool) {
+	t.Helper()
+	cal := Speaker{Pitch: 0, Rate: 0.9, Noise: 0.02}
+	var rows dtwRows
+	for w := range Vocabulary {
+		if got := wins(Synthesize(0xCA1, cal, w), w, templates, p, &rows); got != want[w] {
+			t.Errorf("%s: wins(word %d) = %v, full decode %v (%+v)", label, w, got, want[w], p)
+		}
+	}
 }
 
 // randomParams draws a configuration from the ranges the Speech benchmark
@@ -121,8 +138,10 @@ func randomParams(r *rand.Rand) Params {
 
 // TestDecodeMatchesFullBandOracle checks that the one early-abandoning
 // decode pass returns bit for bit what the full-band Recognize and the
-// separate margin pass returned, and that SelfTest's early stop keeps its
-// count (need 0) and its >= 8 verdict (need 8).
+// separate margin pass returned, that the self-test's check of whether the
+// right word wins agrees with a full decode word by word, and that
+// SelfTest's early stop keeps its count (need 0) and its >= 8 verdict
+// (need 8).
 func TestDecodeMatchesFullBandOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	var configs []Params
@@ -152,7 +171,8 @@ func TestDecodeMatchesFullBandOracle(t *testing.T) {
 	}
 	check := func(i int, p Params) {
 		tmpl := Templates(p)
-		want := refSelfTest(tmpl, p)
+		want, won := refSelfTest(tmpl, p)
+		checkWins(t, fmt.Sprintf("config %d", i), tmpl, p, won)
 		if got := SelfTest(tmpl, p, 0); got != want {
 			t.Errorf("config %d: SelfTest(need 0) = %g, oracle %g (%+v)", i, got, want, p)
 		}
@@ -201,6 +221,43 @@ func TestDecodeMatchesFullBandOracle(t *testing.T) {
 	}
 	close(next)
 	wg.Wait()
+}
+
+// TestWinsBreaksTiesLikeDecode gives some words an exact copy of another
+// word's template. With no language weight their scores tie exactly, and
+// Decode keeps the earlier word: the self-test must count the earlier word
+// of each copied pair and never the later one.
+func TestWinsBreaksTiesLikeDecode(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	ties := 0
+	for i := 0; i < 24; i++ {
+		p := DefaultParams()
+		if i > 0 {
+			p = randomParams(r)
+		}
+		p.LangWeight = 0
+		tmpl := Templates(p)
+		// Copy each of three templates over another, in both directions.
+		for k := 0; k < 3; k++ {
+			a, b := r.Intn(len(tmpl)), r.Intn(len(tmpl))
+			tmpl[b] = tmpl[a]
+		}
+		want, won := refSelfTest(tmpl, p)
+		checkWins(t, fmt.Sprintf("config %d", i), tmpl, p, won)
+		if got := SelfTest(tmpl, p, 0); got != want {
+			t.Errorf("config %d: SelfTest(need 0) = %g, oracle %g", i, got, want)
+		}
+		for w := range tmpl {
+			for v := w + 1; v < len(tmpl); v++ {
+				if &tmpl[w][0] == &tmpl[v][0] && won[w] {
+					ties++
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no copied template won its tie; the test exercises nothing")
+	}
 }
 
 // speechTestAudios matches the Speech benchmark's utterances per set.

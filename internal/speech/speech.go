@@ -260,21 +260,44 @@ func DTW(a, b [][]float64, p Params) float64 {
 	return dtw(a, b, p, &dtwRows{}, abandon{second: inf, bestScore: inf})
 }
 
-// dtwRows are the two DP rows, reused across the templates of one Decode.
+// dtwRows are the two DP rows, reused across the templates of one Decode
+// or SelfTest.
 type dtwRows struct{ prev, cur []float64 }
 
-// abandon carries Decode's running best into dtw: the second-best distance
-// and the best score so far, and this template's score terms.
+// abandon carries the caller's running bests into dtw, the second-best
+// distance and the best score so far, and this template's score terms.
 type abandon struct {
 	second, bestScore float64
 	prior, mismatch   float64
 }
 
+// terms returns word w's score terms against an utterance of frames
+// frames, with no running bests.
+func terms(w, frames int, tmpl [][]float64) abandon {
+	inf := math.Inf(1)
+	return abandon{
+		second: inf, bestScore: inf,
+		// Zipf-ish prior over the vocabulary.
+		prior: math.Log(float64(w) + 1.5),
+		// The insertion penalty charges length mismatch between utterance
+		// and template — the single-word analogue of penalizing inserted
+		// words in a sequence decode.
+		mismatch: math.Abs(float64(frames-len(tmpl))) / float64(len(tmpl)+1),
+	}
+}
+
+// score is a template's decode score at DTW distance d. dtw's bound and
+// the final score go through this one expression, so the bound cannot
+// round above the score.
+func (ab abandon) score(d float64, p Params) float64 {
+	return d + p.LangWeight*ab.prior + p.InsertPenalty*ab.mismatch
+}
+
 // dtw is DTW with early abandoning. Frame distances are non-negative, so
 // a row's cheapest cell bounds the final distance from below (rounding is
-// monotone). Once that bound can neither reach the two best distances nor
-// the best score, the template cannot change Decode's word or margin, and
-// dtw returns +Inf instead of finishing the band.
+// monotone). Once that bound reaches the second-best distance and its
+// score reaches the best score, the template can change neither the word
+// nor the margin, and dtw returns +Inf instead of finishing the band.
 func dtw(a, b [][]float64, p Params, rows *dtwRows, ab abandon) float64 {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
@@ -323,10 +346,8 @@ func dtw(a, b [][]float64, p Params, rows *dtwRows, ab abandon) float64 {
 		if rowBest >= inf {
 			return math.Inf(1) // every path is cut
 		}
-		// The bound is scored with Decode's expression, term for term, so
-		// it cannot round above the template's final score.
 		lb := rowBest / float64(n+m)
-		if lb >= ab.second && lb+p.LangWeight*ab.prior+p.InsertPenalty*ab.mismatch >= ab.bestScore {
+		if lb >= ab.second && ab.score(lb, p) >= ab.bestScore {
 			return math.Inf(1)
 		}
 		// Beam pruning: drop cells too far above the row's best path.
@@ -388,14 +409,10 @@ func Decode(a Audio, templates [][][]float64, p Params) (word int, margin float6
 	bestScore := math.Inf(1)
 	best, second := math.Inf(1), math.Inf(1)
 	for w, tmpl := range templates {
-		// Zipf-ish prior over the vocabulary.
-		prior := math.Log(float64(w) + 1.5)
-		// The insertion penalty charges length mismatch between utterance
-		// and template — the single-word analogue of penalizing inserted
-		// words in a sequence decode.
-		mismatch := math.Abs(float64(len(feats)-len(tmpl))) / float64(len(tmpl)+1)
-		d := dtw(feats, tmpl, p, &rows, abandon{second, bestScore, prior, mismatch})
-		score := d + p.LangWeight*prior + p.InsertPenalty*mismatch
+		ab := terms(w, len(feats), tmpl)
+		ab.second, ab.bestScore = second, bestScore
+		d := dtw(feats, tmpl, p, &rows, ab)
+		score := ab.score(d, p)
 		if score < bestScore {
 			word, bestScore = w, score
 		}
@@ -421,16 +438,53 @@ func Decode(a Audio, templates [][][]float64, p Params) (word int, margin float6
 // once reaching need has become impossible; need 0 counts every word.
 func SelfTest(templates [][][]float64, p Params, need int) float64 {
 	cal := Speaker{Pitch: 0, Rate: 0.9, Noise: 0.02}
+	var rows dtwRows
 	correct := 0
 	for w := range Vocabulary {
 		if correct+len(Vocabulary)-w < need {
 			break
 		}
-		if Recognize(Synthesize(0xCA1, cal, w), templates, p) == w {
+		if wins(Synthesize(0xCA1, cal, w), w, templates, p, &rows) {
 			correct++
 		}
 	}
 	return float64(correct)
+}
+
+// wins reports whether Recognize picks word w for a, without finding out
+// what it picks otherwise. Template w is aligned in full; every other
+// template only until its score bound shows it cannot beat w's score, and
+// the first that beats it ends the search. Decode keeps the first of tied
+// scores, so an earlier word beats w on a tie and a later one only
+// strictly below; when no template scores finite, Decode answers word 0.
+func wins(a Audio, w int, templates [][][]float64, p Params, rows *dtwRows) bool {
+	if w >= len(templates) {
+		return w == 0 // no templates at all: Decode answers 0
+	}
+	feats := Features(a.Spec, p)
+	ab := terms(w, len(feats), templates[w])
+	target := ab.score(dtw(feats, templates[w], p, rows, ab), p)
+	inf := math.Inf(1)
+	if w > 0 && !(target < inf) {
+		return false
+	}
+	for v, tmpl := range templates {
+		if v == w {
+			continue
+		}
+		// v beats w iff its score is below bar. Only the word matters
+		// here, so no distance bound holds dtw back.
+		bar := target
+		if v < w {
+			bar = math.Nextafter(target, inf)
+		}
+		ab := terms(v, len(feats), tmpl)
+		ab.second, ab.bestScore = math.Inf(-1), bar
+		if ab.score(dtw(feats, tmpl, p, rows, ab), p) < bar {
+			return false
+		}
+	}
+	return true
 }
 
 // SpectralCentroid is the energy-weighted mean frequency of a spectrogram,
