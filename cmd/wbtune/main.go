@@ -138,6 +138,10 @@ func main() {
 	}
 
 	if *fleetMax > 0 {
+		if *fleetMin > *fleetMax {
+			fmt.Fprintln(os.Stderr, "wbtune: -fleet-min exceeds -fleet-max")
+			os.Exit(2)
+		}
 		restore, err := bench.EnableElasticFleet(*fleetMin, *fleetMax, reg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wbtune: -fleet-max: %v\n", err)

@@ -73,9 +73,8 @@ func newDaemon(cfg config) (*daemon, error) {
 
 	if cfg.fleetMax > 0 {
 		shared := remote.NewRegistry()
-		vals := remote.NewValueTable()
 		d.ex = remote.NewExecutor(remote.ExecutorOptions{
-			Registry: shared, Dynamic: true, Values: vals, Obs: d.reg,
+			Registry: shared, Dynamic: true, Values: remote.NewValueTable(), Obs: d.reg,
 		})
 		d.rt = core.NewRuntime(core.RuntimeOptions{
 			MaxPool: cfg.pool, Obs: d.reg, Executor: d.ex,
@@ -83,10 +82,8 @@ func newDaemon(cfg config) (*daemon, error) {
 		d.fc = remote.NewFleetController(d.ex, remote.FleetOptions{
 			Load:     func() sched.LoadStats { return d.rt.Load() },
 			Registry: shared,
-			Values:   vals,
 			Min:      cfg.fleetMin,
 			Max:      cfg.fleetMax,
-			Obs:      d.reg,
 		})
 		if err := d.fc.Start(); err != nil {
 			d.fc.Stop()
@@ -238,6 +235,10 @@ func main() {
 	flag.Parse()
 	if cfg.fleetMax == 0 && cfg.fleetMin != 1 {
 		fmt.Fprintln(os.Stderr, "wbtuned: -fleet-min requires -fleet-max")
+		os.Exit(2)
+	}
+	if cfg.fleetMax > 0 && cfg.fleetMin > cfg.fleetMax {
+		fmt.Fprintln(os.Stderr, "wbtuned: -fleet-min exceeds -fleet-max")
 		os.Exit(2)
 	}
 

@@ -18,9 +18,8 @@ import (
 // uninstalls the hooks and tears the fleet down.
 func EnableElasticFleet(min, max int, reg *obs.Registry) (restore func(), err error) {
 	shared := remote.NewRegistry()
-	vals := remote.NewValueTable()
 	ex := remote.NewExecutor(remote.ExecutorOptions{
-		Registry: shared, Dynamic: true, Values: vals, Obs: reg,
+		Registry: shared, Dynamic: true, Values: remote.NewValueTable(), Obs: reg,
 	})
 	var cur atomic.Pointer[core.Runtime]
 	fc := remote.NewFleetController(ex, remote.FleetOptions{
@@ -31,10 +30,8 @@ func EnableElasticFleet(min, max int, reg *obs.Registry) (restore func(), err er
 			return sched.LoadStats{}
 		},
 		Registry: shared,
-		Values:   vals,
 		Min:      min,
 		Max:      max,
-		Obs:      reg,
 	})
 	if err := fc.Start(); err != nil {
 		fc.Stop()

@@ -112,7 +112,6 @@ func TestElasticBurstySustainsStatic(t *testing.T) {
 			// Twenty quiet ticks (40ms) before a drain: longer than a burst
 			// gap, so mid-run drains only happen under sustained idleness.
 			QuietTicks: 20,
-			Obs:        oreg,
 		})
 		if err := fc.Start(); err != nil {
 			t.Fatalf("FleetController.Start: %v", err)

@@ -12,16 +12,16 @@ import (
 
 // protocolVersion is the one wire protocol both ends speak: job-namespaced
 // snapshots and rounds, mux chunk frames (large messages interleave as mChunk
-// streams, see mux.go), delta snapshot frames (mSnapDelta/mSnapNack, see
-// snapdelta.go) and a snapshot identity that is a sum of per-entry terms (see
-// snapshot.go). The worker states it in its hello frame; the dispatcher
-// refuses any other value rather than misparse frames.
-const protocolVersion = 5
+// streams, see mux.go), one snapshot frame, mSnapDelta, whose full ship is the
+// delta from the empty snapshot (see snapdelta.go), and a snapshot identity
+// that is a sum of per-entry terms (see snapshot.go). The worker states it in
+// its hello frame; the dispatcher refuses any other value rather than
+// misparse frames.
+const protocolVersion = 6
 
-// Message type bytes (first payload byte of every frame).
+// Message type bytes (first payload byte of every frame). 2 is unassigned.
 const (
 	mHello     byte = 1  // worker -> dispatcher: name, slots, version
-	mSnapshot  byte = 2  // dispatcher -> worker: content-hashed exposed-store snapshot
 	mRound     byte = 3  // dispatcher -> worker: one sampling round's recipe
 	mTask      byte = 4  // dispatcher -> worker: run one sampling-process attempt
 	mResults   byte = 5  // worker -> dispatcher: a batch of finished samples
@@ -30,8 +30,8 @@ const (
 	mBye       byte = 8  // worker -> dispatcher: all in-flight flushed, closing
 	mEndJob    byte = 9  // dispatcher -> worker: a job closed, drop its snapshots
 	mChunk     byte = 10 // either direction: one chunk of an interleaved message
-	mSnapDelta byte = 11 // dispatcher -> worker: key-level snapshot delta against a shipped base
-	mSnapNack  byte = 12 // worker -> dispatcher: typed refusal of a delta; answer is a full ship
+	mSnapDelta byte = 11 // dispatcher -> worker: key-level snapshot delta against a shipped or the empty base
+	mSnapNack  byte = 12 // worker -> dispatcher: typed refusal of a base delta; answer is a full ship
 )
 
 // snapKey names one cached snapshot: job-scoped so co-tenant jobs of a

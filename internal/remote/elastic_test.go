@@ -271,7 +271,6 @@ func TestFleetControllerScalesUpAndDown(t *testing.T) {
 		Interval:   2 * time.Millisecond,
 		Cooldown:   4 * time.Millisecond,
 		QuietTicks: 3,
-		Obs:        oreg,
 	})
 	if err := fc.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -409,7 +408,6 @@ func TestFleetMetricsExposition(t *testing.T) {
 		Registry: Builtins(),
 		Min:      2,
 		Max:      2,
-		Obs:      oreg,
 	})
 	if err := fc.Start(); err != nil {
 		t.Fatalf("Start: %v", err)

@@ -38,8 +38,9 @@ type ExecutorOptions struct {
 	Dynamic bool
 	// Values is the shared opaque-value table for same-process workers.
 	Values *ValueTable
-	// Obs, when non-nil, receives the per-worker dispatch metrics and the
-	// fleet-level gauges (fleet size, affinity hits/misses).
+	// Obs, when non-nil, receives the per-worker dispatch metrics, the
+	// fleet-level gauges (fleet size, affinity hits/misses) and a
+	// FleetController's scale events.
 	Obs *obs.Registry
 }
 
@@ -233,14 +234,13 @@ type dworker struct {
 // job's version order and its identity.
 type sentVer struct{ seq, hash uint64 }
 
-// bulkItem is one snapshot ship queued on the bulk lane: a full encoding
-// (data) or, when delta is non-nil, a complete encoded mSnapDelta frame
-// taking a base the worker already holds to version ver.
+// bulkItem is one snapshot ship queued on the bulk lane: a complete encoded
+// mSnapDelta frame taking a base the worker holds, or the empty snapshot, to
+// version ver.
 type bulkItem struct {
 	job   uint64
 	ver   sentVer
-	data  []byte
-	delta []byte
+	frame []byte
 }
 
 // call is one Execute invocation in flight.
@@ -398,7 +398,8 @@ func (ex *NetExecutor) shipSnapshot(w *dworker, job uint64, v *snapVersion) erro
 		return nil
 	}
 	w.m.countSnapshot(false)
-	return w.queueLocked(ex.snapItem(w, job, v))
+	it, _ := ex.snapItem(w, job, v)
+	return w.queueLocked(it)
 }
 
 // hasSent reports whether the version with identity hash was queued to w and
@@ -453,12 +454,12 @@ func (w *dworker) queueLocked(it bulkItem) error {
 	return nil
 }
 
-// snapItem decides how version v of job's snapshot reaches w: an mSnapDelta
-// against the newest retained base already queued to this worker when the
-// cached delta passed the ratio bound; the full encoding — materialised here,
-// on first need — otherwise, counting why the delta path was unavailable.
-// Callers hold w.shipMu; snapMu nests inside it.
-func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem {
+// snapItem decides how version v of job's snapshot reaches w: the cached
+// delta from the newest retained base already queued to this worker when it
+// passed the ratio bound; a full ship — v's from-empty frame — otherwise,
+// counting why a base delta was unavailable. full reports the latter. Callers
+// hold w.shipMu; snapMu nests inside it.
+func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) (it bulkItem, full bool) {
 	_, known := w.sent[job]
 	var delta []byte
 	hadRatio := false
@@ -478,7 +479,6 @@ func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem
 		}
 	}
 	ex.snapMu.Unlock()
-	it := bulkItem{job: job, ver: sentVer{seq: v.seq, hash: v.hash}}
 	switch {
 	case !current:
 		// Not the version the delta cache targets (a stale round, or a dropped
@@ -487,17 +487,22 @@ func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) bulkItem
 		// Cold worker for this job: the first ship is necessarily full.
 	case delta != nil:
 		ex.countSnapBytes(true, len(delta))
-		it.delta = delta
-		return it
+		return bulkItem{job: job, ver: sentVer{seq: v.seq, hash: v.hash}, frame: delta}, false
 	case hadRatio:
 		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackRatio })
 	default:
 		// Every version this worker was sent has left the dispatcher cache.
 		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackBase })
 	}
-	it.data = v.encoded()
-	ex.countSnapBytes(false, len(it.data))
-	return it
+	return ex.fullItem(v), true
+}
+
+// fullItem is the full ship of version v: its from-empty frame, counted as
+// mode="full".
+func (ex *NetExecutor) fullItem(v *snapVersion) bulkItem {
+	frame := v.encoded()
+	ex.countSnapBytes(false, len(frame))
+	return bulkItem{job: v.job, ver: sentVer{seq: v.seq, hash: v.hash}, frame: frame}
 }
 
 func (ex *NetExecutor) countSnapBytes(delta bool, n int) {
@@ -620,7 +625,7 @@ func (ex *NetExecutor) snapshotFor(job uint64, e *store.Exposed) (*snapVersion, 
 	if s == nil || s.store != e {
 		// First snapshot for this job (or the job re-bound to a fresh store,
 		// e.g. after resume): encode everything, fresh history.
-		cur, err := newSnapVersion(e, ex.opts.Values)
+		cur, err := newSnapVersion(job, e, ex.opts.Values)
 		if err == nil {
 			err = checkSnapshotSize(snapBound(cur.ents))
 		}
@@ -733,7 +738,7 @@ func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSna
 			b.delta = nil
 		}
 	}
-	cur := &snapVersion{ents: ents, sum: sum, hash: hash, seq: prev.seq + 1}
+	cur := &snapVersion{job: job, ents: ents, sum: sum, hash: hash, seq: prev.seq + 1}
 	cur.reach = cur.seq
 	for i := len(s.bases) - 1; i >= 0 && !s.bases[i].ratioFail; i-- {
 		cur.reach = s.bases[i].seq
@@ -745,9 +750,9 @@ func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSna
 	return nil
 }
 
-// snapshotOverhead bounds the snapshot message's framing prefix (type byte,
-// job uvarint, content hash).
-const snapshotOverhead = 1 + binary.MaxVarintLen64 + 8
+// snapshotOverhead bounds the fixed header of an mSnapDelta frame (type byte,
+// job uvarint, base and new identities); snapBound covers the rest.
+const snapshotOverhead = 1 + binary.MaxVarintLen64 + 2*8
 
 // BeginRound prepares one sampling round for dispatch: resolve or publish
 // the region's registration, encode the exposed-store snapshot, and encode
@@ -1008,11 +1013,11 @@ func (w *dworker) ship(c *call) error {
 		cached := w.hasSent(rs.job, rs.snap.hash)
 		hit := cached
 		if !cached {
-			it := w.ex.snapItem(w, rs.job, rs.snap)
+			it, full := w.ex.snapItem(w, rs.job, rs.snap)
 			if err := w.queueLocked(it); err != nil {
 				return err
 			}
-			hit = it.delta != nil
+			hit = !full
 		}
 		w.m.countSnapshot(cached)
 		w.ex.fm.countAffinity(hit)
@@ -1037,21 +1042,10 @@ var errWorkerStopped = errors.New("remote: worker connection stopped")
 // and results of other jobs interleave into the gaps instead of waiting out
 // the transfer.
 func (w *dworker) bulkLoop() {
-	var hdr wire.Writer
 	for {
 		select {
 		case it := <-w.bulkq:
-			var err error
-			if it.delta != nil {
-				err = w.wire.writeMsg(it.delta)
-			} else {
-				hdr.B = hdr.B[:0]
-				hdr.U8(mSnapshot)
-				hdr.Uv(it.job)
-				hdr.U64(it.ver.hash)
-				err = w.wire.writeMsg(hdr.B, it.data)
-			}
-			if err != nil {
+			if err := w.wire.writeMsg(it.frame); err != nil {
 				w.ex.fail(w, err)
 				return
 			}
@@ -1135,10 +1129,11 @@ var errWorkerBye = fmt.Errorf("remote: worker drained and disconnected")
 
 // handleSnapNack answers a worker's typed delta refusal (base missing from
 // its cache, or a spliced identity that did not match) with an immediate full
-// ship of the refused version — divergence heals in one round trip; it is
-// never silent. The sent mark is cleared first so that if the refused version
-// is no longer the job's current one, a later round re-ships rather than
-// wedging the worker's parked tasks until snapWaitTimeout bounces them.
+// ship of the refused version, its from-empty frame — divergence heals in one
+// round trip; it is never silent. The sent mark is cleared first so that if
+// the refused version is no longer the job's current one, a later round
+// re-ships rather than wedging the worker's parked tasks until
+// snapWaitTimeout bounces them.
 func (ex *NetExecutor) handleSnapNack(w *dworker, n snapNack) {
 	ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackNack })
 	ex.snapMu.Lock()
@@ -1155,9 +1150,7 @@ func (ex *NetExecutor) handleSnapNack(w *dworker, n snapNack) {
 		ex.mu.Unlock()
 	}
 	if v != nil {
-		data := v.encoded()
-		ex.countSnapBytes(false, len(data))
-		_ = w.queueLocked(bulkItem{job: n.Job, ver: sentVer{seq: v.seq, hash: v.hash}, data: data}) // a stopped worker needs no answer
+		_ = w.queueLocked(ex.fullItem(v)) // a stopped worker needs no answer
 	}
 }
 

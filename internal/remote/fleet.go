@@ -18,11 +18,11 @@ type FleetOptions struct {
 	// control signal. Wire it to core.Runtime.Load. Required.
 	Load func() sched.LoadStats
 
-	// Registry and Values configure spawned loopback workers; Registry is
-	// required when the address pool alone cannot reach Max (loopback
-	// workers must resolve the same region names the executor ships).
+	// Registry configures spawned loopback workers; nil means never spawn
+	// them, so it is required when the address pool alone cannot reach Max
+	// (loopback workers must resolve the same region names the executor
+	// ships).
 	Registry *Registry
-	Values   *ValueTable
 
 	// Addresses is the remote worker pool: scale-ups dial un-dialed
 	// addresses (in order) before spawning loopback workers, and
@@ -48,9 +48,6 @@ type FleetOptions struct {
 	// QuietTicks is how many consecutive wait-free, under-utilized ticks
 	// must pass before one worker drains. Zero means 3.
 	QuietTicks int
-
-	// Obs, when non-nil, receives wbtuner_scale_events_total.
-	Obs *obs.Registry
 }
 
 // fleetMember is one controller-owned worker: a spawned loopback worker
@@ -89,8 +86,9 @@ type FleetController struct {
 	done     chan struct{}
 }
 
-// NewFleetController builds a controller for ex. Call Start to bring the
-// fleet to Min and begin the control loop.
+// NewFleetController builds a controller for ex. Spawned loopback workers
+// share ex's value table, and scale events are counted in ex's metrics
+// registry. Call Start to bring the fleet to Min and begin the control loop.
 func NewFleetController(ex *NetExecutor, opts FleetOptions) *FleetController {
 	if opts.Load == nil {
 		panic("remote: FleetOptions.Load is required")
@@ -130,10 +128,10 @@ func NewFleetController(ex *NetExecutor, opts FleetOptions) *FleetController {
 		opts:     opts,
 		undialed: append([]string(nil), opts.Addresses...),
 	}
-	if opts.Obs != nil {
-		opts.Obs.SetHelp(MetricScaleEvents, "autoscaler scale events by direction")
-		fc.ups = opts.Obs.Counter(MetricScaleEvents, "dir", "up")
-		fc.downs = opts.Obs.Counter(MetricScaleEvents, "dir", "down")
+	if o := ex.opts.Obs; o != nil {
+		o.SetHelp(MetricScaleEvents, "autoscaler scale events by direction")
+		fc.ups = o.Counter(MetricScaleEvents, "dir", "up")
+		fc.downs = o.Counter(MetricScaleEvents, "dir", "down")
 	}
 	return fc
 }
@@ -315,7 +313,7 @@ func (fc *FleetController) growLocked() error {
 		Name:     fmt.Sprintf("elastic-%d", fc.spawned),
 		Slots:    1,
 		Registry: fc.opts.Registry,
-		Values:   fc.opts.Values,
+		Values:   fc.ex.opts.Values,
 	})
 	a, b := net.Pipe()
 	go w.ServeConn(a)

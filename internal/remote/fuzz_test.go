@@ -16,8 +16,9 @@ import (
 // connection read loop would: split the stream into length-prefixed frames,
 // then decode each payload with the message decoder its type byte selects.
 // Nothing may panic or allocate unboundedly — malformed length prefixes,
-// truncated snapshots, hostile collection counts, and overlong varints must
-// all come back as errors. For payloads that do decode, the decoded message
+// truncated frames, hostile collection counts, and overlong varints must all
+// come back as errors. Snapshot frames have their own target,
+// FuzzSnapDeltaDecode. For payloads that do decode, the decoded message
 // must survive a re-encode/re-decode round trip unchanged (compared on
 // printed form, which tolerates non-canonical varints and NaN scores in the
 // fuzz input).
@@ -50,14 +51,10 @@ func FuzzFrameDecode(f *testing.F) {
 	{
 		e := store.NewExposed()
 		e.Set("global", "k", 1.25)
-		if sb, hash, err := encodeSnapshot(e, nil); err == nil {
-			w := &wire.Writer{}
-			w.U8(mSnapshot)
-			w.U64(hash)
-			w.B = append(w.B, sb...)
-			f.Add(frame(w.B))
-			// Truncated snapshot: frame claims more than it carries.
-			f.Add(frame(w.B)[:len(w.B)/2])
+		if sb, _, err := encodeSnapshot(1, e, nil); err == nil {
+			f.Add(frame(sb))
+			// Truncated: the frame claims more than it carries.
+			f.Add(frame(sb)[:len(sb)/2])
 		}
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}) // hostile length prefix
@@ -109,27 +106,6 @@ func FuzzFrameDecode(f *testing.F) {
 				ms2, err := decodeResults(b[1:], nil, nil)
 				if err != nil || fmt.Sprintf("%#v", ms2) != fmt.Sprintf("%#v", ms) {
 					t.Fatalf("results round trip diverged: %v", err)
-				}
-			case mSnapshot:
-				rb := wire.NewReader(body)
-				rb.U64() // content hash
-				if rb.Err() != nil {
-					continue
-				}
-				s, err := decodeSnapshot(rb.Rest(), nil)
-				if err != nil {
-					continue
-				}
-				sb, hash, err := encodeSnapshot(s.e, nil)
-				if err != nil {
-					t.Fatalf("re-encode of decoded snapshot failed: %v", err)
-				}
-				s2, err := decodeSnapshot(sb, nil)
-				if err != nil || fmt.Sprintf("%#v", s2.e.Entries()) != fmt.Sprintf("%#v", s.e.Entries()) {
-					t.Fatalf("snapshot round trip diverged: %v", err)
-				}
-				if got := snapIdentity(s2.sum); got != hash {
-					t.Fatalf("canonical re-encode has identity %#x, its decode %#x", hash, got)
 				}
 			}
 		}
@@ -204,7 +180,7 @@ func FuzzMuxDecode(f *testing.F) {
 }
 
 // fuzzDeltaBase builds the fixed base snapshot FuzzSnapDeltaDecode patches
-// against — a deterministic encoding with several value shapes, so crafted
+// against — a deterministic full ship with several value shapes, so crafted
 // deltas exercise replace, insert, and delete paths.
 func fuzzDeltaBase() ([]byte, uint64) {
 	e := store.NewExposed()
@@ -212,30 +188,34 @@ func fuzzDeltaBase() ([]byte, uint64) {
 	e.Set("global", "tag", "blue")
 	e.Set("global", "trace", []float64{1, 2, 3})
 	e.Set("aux", "ids", []int{7, 8})
-	b, hash, err := encodeSnapshot(e, nil)
+	b, hash, err := encodeSnapshot(0, e, nil)
 	if err != nil {
 		panic(err)
 	}
 	return b, hash
 }
 
-// FuzzSnapDeltaDecode feeds arbitrary bytes through the delta path exactly as
-// a worker read loop would: decode the mSnapDelta payload, then apply it to a
-// worker holding the fixed base snapshot. Nothing may panic — malformed symbol
-// ids, hostile counts, truncated value bytes, wrong hashes, and unsorted or
-// duplicate keys must all come back as errors or as typed refusals that
-// install nothing. Decoded deltas must survive a re-encode/re-decode round
-// trip, the reference byte patch of the same delta must still parse as a
-// snapshot encoding, and whatever the worker does install must be exactly what
+// FuzzSnapDeltaDecode feeds arbitrary bytes through the snapshot path exactly
+// as a worker read loop would: decode the mSnapDelta payload, then apply it to
+// a worker holding the fixed base snapshot. Nothing may panic — malformed
+// symbol ids, hostile counts, truncated value bytes, wrong hashes, and
+// unsorted or duplicate keys must all come back as errors or as typed
+// refusals that install nothing; a full ship (BaseHash 0) that misnames its
+// identity must be an error, never a nack. Decoded deltas must survive a
+// re-encode/re-decode round trip, the reference byte patch of the same delta
+// — against the base, or the empty snapshot for BaseHash 0 — must still parse
+// as a full ship, and whatever the worker does install must be exactly what
 // the reference patch decodes to, under the identity the frame named. The
 // seed corpus in testdata covers the valid-delta, hash-mismatch, base-missing,
-// and truncation shapes the nack protocol distinguishes.
+// and truncation shapes the nack protocol distinguishes; the full-ship shapes
+// are seeded here.
 func FuzzSnapDeltaDecode(f *testing.F) {
 	base, baseHash := fuzzDeltaBase()
-	baseSnap, err := decodeSnapshot(base, nil)
+	baseSnap, err := installFull(base, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
+	empty := oracleWrite(0, nil)
 
 	// A well-formed delta: replace one key, add one, delete one — with the
 	// true identity of the result, the shape a healthy stream carries.
@@ -276,6 +256,11 @@ func FuzzSnapDeltaDecode(f *testing.F) {
 		w.Uv(0)
 		f.Add(w.B)
 	}
+	// Full ships: the base's own, and one naming the wrong identity.
+	f.Add(base[1:])
+	misnamed := append([]byte(nil), base...)
+	misnamed[1+1+8] ^= 1 // type byte, job 0, BaseHash 0, then NewHash
+	f.Add(misnamed[1:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := decodeSnapDelta(data)
@@ -289,8 +274,12 @@ func FuzzSnapDeltaDecode(f *testing.F) {
 		if err != nil || fmt.Sprintf("%#v", d2) != fmt.Sprintf("%#v", d) {
 			t.Fatalf("delta round trip diverged: %v", err)
 		}
-		// The reference patch output must itself be a parseable encoding.
-		patched, err := oraclePatch(base, &d)
+		// The reference patch output must itself be a parseable full ship.
+		ref := base
+		if d.BaseHash == 0 {
+			ref = empty
+		}
+		patched, err := oraclePatch(ref, &d)
 		if err != nil {
 			t.Fatalf("reference patch of a decodable delta failed: %v", err)
 		}
@@ -305,11 +294,13 @@ func FuzzSnapDeltaDecode(f *testing.F) {
 		got, held := w.snapshot(d.Job, d.NewHash)
 		installed := held && got != baseSnap // a delta may name the base's own identity
 		switch {
-		case err != nil: // a value no standalone worker can resolve
-			if installed {
-				t.Fatal("a delta that failed to decode installed a snapshot")
+		case err != nil: // malformed or unresolvable value bytes, or a misnamed full ship
+			if installed || cause != 0 {
+				t.Fatalf("a delta that failed to decode installed %v, nack cause %d", installed, cause)
 			}
-		case d.BaseHash != baseHash:
+		case d.BaseHash == 0 && want != d.NewHash:
+			t.Fatalf("full ship of identity %#x named as %#x was not refused as malformed (nack cause %d)", want, d.NewHash, cause)
+		case d.BaseHash != 0 && d.BaseHash != baseHash:
 			if cause != nackBaseMissing || installed {
 				t.Fatalf("unknown base: nack cause %d, installed %v", cause, installed)
 			}

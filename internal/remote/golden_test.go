@@ -8,13 +8,17 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/store"
 	"repro/internal/strategy"
 )
 
 // TestGoldenFormats pins the exact bytes of one message per binary format —
 // a framed round recipe, a framed result batch crossing every native value
-// tag, a WBCK checkpoint and a WBJS job spec. The hex was generated before
-// the three codecs moved onto internal/wire; a refactor of the shared
+// tag, a WBCK checkpoint and a WBJS job spec — and of the snapshot frame in
+// both its shapes: a full ship (the delta from the empty snapshot) and a
+// delta from a shipped base, both built by the dispatcher's own path, so
+// their entry identities are pinned too. The first four were generated
+// before the three codecs moved onto internal/wire; a refactor of the shared
 // primitives that moves a single byte on the wire or on disk fails here.
 func TestGoldenFormats(t *testing.T) {
 	framed := func(payload []byte) []byte {
@@ -77,6 +81,21 @@ func TestGoldenFormats(t *testing.T) {
 		t.Fatalf("core.EncodeSpec: %v", err)
 	}
 
+	ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
+	defer ex.Close()
+	e := store.NewExposed()
+	e.Set("global", "bias", 0.25)
+	e.Set("s", "tag", "blue")
+	v1, err := ex.snapshotFor(7, e)
+	if err != nil {
+		t.Fatalf("snapshotFor: %v", err)
+	}
+	e.Set("global", "bias", -1)
+	e.Delete("s", "tag")
+	if _, err := ex.snapshotFor(7, e); err != nil {
+		t.Fatalf("snapshotFor(next): %v", err)
+	}
+
 	for _, c := range []struct {
 		name string
 		got  []byte
@@ -89,6 +108,8 @@ func TestGoldenFormats(t *testing.T) {
 		{"results frame", framed(results), goldenResultsFrame},
 		{"WBCK state", wbck, goldenWBCK},
 		{"WBJS spec", wbjs, goldenWBJS},
+		{"full ship frame", framed(v1.encoded()), goldenFullShipFrame},
+		{"base delta frame", framed(ex.snaps[7].bases[0].delta), goldenBaseDeltaFrame},
 	} {
 		if got := hex.EncodeToString(c.got); got != c.want {
 			t.Errorf("%s bytes moved:\n got %s\nwant %s", c.name, got, c.want)
@@ -101,4 +122,10 @@ const (
 	goldenResultsFrame = "000000840501ac0214bfe0000000000000ff0f016501057369676d613ff800000000000009036e696c00016201010169025301660340020000000000000173040268690262730502aabb026973060201d80402667307023ff0000000000000c000000000000000036673730803013ff0000000000000000240000000000000004008000000000000"
 	goldenWBCK         = "5742434b01000000f2f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff11020102042000000000000000804000000201300303302e310101013000020104656467650101300104656467650210040123456789abcdef01046265737405023fe00000000000003fd00000000000000101057369676d613ff800000000000001400800000000000004000204736c6f7706016e020e0362696707808080808040026f6b04010372617706020102016d0802023ff00000000000004000000000000000014008000000000000036d6978090300030178013ff00000000000000206676c6f62616c0462696173013fd00000000000000173037461670304626c7565bdae51ca9166c4a4"
 	goldenWBJS         = "57424a530100000053010b63616e6e792d6e6967687406766973696f6e010563616e6e7902057363656e65056e696768740673746167653101335340977000000000000102ac020180c2d72f000300400000000000000000010102037878e819980738af"
+)
+
+// The snapshot frame in protocol 6: one full ship and one base delta.
+const (
+	goldenFullShipFrame  = "0000003c0b0700000000000000004c7aeb9c59e54b240406676c6f62616c046269617301730374616702000109033fd00000000000000203060404626c756500"
+	goldenBaseDeltaFrame = "0000002e0b074c7aeb9c59e54b24c3d5290a6d49dca00406676c6f62616c0462696173017303746167010001020201010203"
 )

@@ -52,7 +52,7 @@ const (
 	MetricSnapshotBytes = "wbtuner_snapshot_bytes_total"
 	// MetricSnapDeltaFallback counts ships that fell back to a full snapshot
 	// when a delta was conceivable, labeled cause=base (no shipped base to
-	// delta against), ratio (delta exceeded half the full encoding), or nack
+	// delta against), ratio (delta exceeded half a full ship), or nack
 	// (worker refused the delta).
 	MetricSnapDeltaFallback = "wbtuner_snapshot_delta_fallback_total"
 	// MetricSnapCacheEvictions counts delta bases evicted from a job's

@@ -84,7 +84,7 @@ func (wr *muxWriter) writeBuf(wb *wire.Writer) error {
 		return fmt.Errorf("%w (%d bytes)", ErrMessageTooBig, payload)
 	}
 	if payload > chunkThreshold {
-		return wr.writeChunks(payload, [][]byte{wb.B[frameHeader:]})
+		return wr.writeChunks(wb.B[frameHeader:])
 	}
 	binary.BigEndian.PutUint32(wb.B[:frameHeader], uint32(payload))
 	wr.mu.Lock()
@@ -93,37 +93,30 @@ func (wr *muxWriter) writeBuf(wb *wire.Writer) error {
 	return err
 }
 
-// writeMsg frames and writes the concatenation of segs as one message,
-// without materializing the concatenation when it must be chunked anyway.
-func (wr *muxWriter) writeMsg(segs ...[]byte) error {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
+// writeMsg frames and writes payload as one message.
+func (wr *muxWriter) writeMsg(payload []byte) error {
+	if len(payload) > maxMessage {
+		return fmt.Errorf("%w (%d bytes)", ErrMessageTooBig, len(payload))
 	}
-	if total > maxMessage {
-		return fmt.Errorf("%w (%d bytes)", ErrMessageTooBig, total)
-	}
-	if total > chunkThreshold {
-		return wr.writeChunks(total, segs)
+	if len(payload) > chunkThreshold {
+		return wr.writeChunks(payload)
 	}
 	wb := getFrameBuf()
-	for _, s := range segs {
-		wb.Raw(s)
-	}
+	wb.Raw(payload)
 	err := wr.writeBuf(wb)
 	putFrameBuf(wb)
 	return err
 }
 
-// writeChunks cuts the logical message (the concatenation of segs, total
-// bytes) into chunk frames on a fresh stream id. The connection lock is
-// released between chunks so concurrent small frames interleave.
-func (wr *muxWriter) writeChunks(total int, segs [][]byte) error {
+// writeChunks cuts the logical message into chunk frames on a fresh stream
+// id. The connection lock is released between chunks so concurrent small
+// frames interleave.
+func (wr *muxWriter) writeChunks(payload []byte) error {
 	sid := wr.streams.Add(1)
 	wb := getFrameBuf()
 	defer putFrameBuf(wb)
-	sent, si, so := 0, 0, 0
-	for first := true; sent < total; first = false {
+	total := len(payload)
+	for sent, first := 0, true; sent < total; first = false {
 		n := total - sent
 		if n > chunkThreshold {
 			n = chunkThreshold
@@ -142,20 +135,7 @@ func (wr *muxWriter) writeChunks(total int, segs [][]byte) error {
 		if first {
 			wb.Uv(uint64(total))
 		}
-		for rem := n; rem > 0; {
-			seg := segs[si][so:]
-			take := rem
-			if take > len(seg) {
-				take = len(seg)
-			}
-			wb.Raw(seg[:take])
-			so += take
-			rem -= take
-			if so == len(segs[si]) {
-				si++
-				so = 0
-			}
-		}
+		wb.Raw(payload[sent : sent+n])
 		sent += n
 		binary.BigEndian.PutUint32(wb.B[:frameHeader], uint32(len(wb.B)-frameHeader))
 		wr.mu.Lock()

@@ -62,9 +62,7 @@ func TestWireChunkRoundTrip(t *testing.T) {
 		rec := &frameRecorder{}
 		w := newMuxWriter(rec)
 		msg := patternMsg(size)
-		// Split the message across segments to exercise the multi-segment
-		// copy cursor in writeChunks.
-		if err := w.writeMsg(msg[:size/3], msg[size/3:size/2], msg[size/2:]); err != nil {
+		if err := w.writeMsg(msg); err != nil {
 			t.Fatalf("size %d: writeMsg: %v", size, err)
 		}
 		dmx := newDemux()
@@ -345,10 +343,6 @@ func TestWireRejectsOversizeMessages(t *testing.T) {
 	big := make([]byte, maxMessage+1)
 	if err := w.writeMsg(big); !errors.Is(err, ErrMessageTooBig) {
 		t.Errorf("writeMsg oversize: %v, want ErrMessageTooBig", err)
-	}
-	// Split across segments: the sum is what must trip the cap.
-	if err := w.writeMsg(big[:maxMessage], big[:1]); !errors.Is(err, ErrMessageTooBig) {
-		t.Errorf("writeMsg oversize segments: %v, want ErrMessageTooBig", err)
 	}
 	wb := &wire.Writer{B: make([]byte, frameHeader)}
 	wb.B = append(wb.B, big...)

@@ -8,7 +8,7 @@ import "repro/internal/store"
 // round that needs it on each worker; priming moves that transfer off the
 // first rounds' critical path. Workers already holding an older version of
 // the job's snapshot receive a key-level delta (see snapdelta.go) instead of
-// the full encoding. It implements core.SnapshotPrimer.
+// a full ship. It implements core.SnapshotPrimer.
 func (ex *NetExecutor) PrimeSnapshot(job uint64, e *store.Exposed) error {
 	v, err := ex.snapshotFor(job, e)
 	if err != nil || v == nil {

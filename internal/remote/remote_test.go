@@ -578,13 +578,26 @@ func TestCodecBytesLengthPastPayload(t *testing.T) {
 
 	e := store.NewExposed()
 	e.Set("global", "b", []byte{0xaa, 0xbb})
-	sb, _, err := encodeSnapshot(e, nil)
+	sb, _, err := encodeSnapshot(1, e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb[len(sb)-3]++
-	if _, err := decodeSnapshot(sb, nil); !errors.Is(err, errCodec) {
-		t.Fatalf("snapshot with overlong []byte: %v, want errCodec", err)
+	sb[len(sb)-4]++ // the entry is last: tag, length 2 -> 3, 0xaa, 0xbb, then no deletions
+	w := NewWorker(WorkerOptions{Registry: Builtins()})
+	if cause, err := applyFrame(w, sb); !errors.Is(err, errCodec) || cause != 0 {
+		t.Fatalf("snapshot with overlong []byte: nack cause %d, err %v, want errCodec", cause, err)
+	}
+
+	// An entry's length prefix framing more or less than one value is
+	// malformed, even in a frame that names the identity of the bytes framed.
+	for _, val := range [][]byte{{vBytes, 2, 0xaa, 0xbb, 0}, {vBytes, 2, 0xaa}} {
+		en := snapEntry{scope: "global", name: "b", val: val}
+		frame := encodeSnapDelta(&snapDelta{
+			Job: 1, NewHash: snapIdentity(entryHash(en.scope, en.name, val)), Changed: []snapEntry{en},
+		})
+		if cause, err := applyFrame(w, frame); !errors.Is(err, errCodec) || cause != 0 {
+			t.Errorf("value % x under its length prefix: nack cause %d, err %v, want errCodec", val, cause, err)
+		}
 	}
 }
 
@@ -593,7 +606,7 @@ func TestSnapshotRoundTripAndHash(t *testing.T) {
 	e.Set("global", "a", 1.5)
 	e.Set("global", "b", "str")
 	e.Set("scope2", "a", []float64{1, 2, 3})
-	b1, h1, err := encodeSnapshot(e, nil)
+	b1, h1, err := encodeSnapshot(1, e, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -602,7 +615,7 @@ func TestSnapshotRoundTripAndHash(t *testing.T) {
 	e2.Set("scope2", "a", []float64{1, 2, 3})
 	e2.Set("global", "b", "str")
 	e2.Set("global", "a", 1.5)
-	b2, h2, err := encodeSnapshot(e2, nil)
+	b2, h2, err := encodeSnapshot(1, e2, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -610,16 +623,16 @@ func TestSnapshotRoundTripAndHash(t *testing.T) {
 		t.Fatalf("snapshot encoding not canonical: %x vs %x", h1, h2)
 	}
 	e2.Set("global", "a", 2.5)
-	_, h3, err := encodeSnapshot(e2, nil)
+	_, h3, err := encodeSnapshot(1, e2, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	if h3 == h1 {
 		t.Fatal("hash unchanged after content change")
 	}
-	dec, err := decodeSnapshot(b1, nil)
+	dec, err := installFull(b1, nil)
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatal(err)
 	}
 	if got := snapIdentity(dec.sum); got != h1 {
 		t.Fatalf("decode recomputed identity %#x, want %#x", got, h1)

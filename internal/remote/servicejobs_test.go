@@ -36,7 +36,6 @@ func TestFleetScalesUpOnHighPriorityQueue(t *testing.T) {
 		Max:      4,
 		Setpoint: 200 * time.Microsecond,
 		Interval: 2 * time.Millisecond,
-		Obs:      oreg,
 	})
 	if err := fc.Start(); err != nil {
 		t.Fatalf("Start: %v", err)

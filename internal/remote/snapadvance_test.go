@@ -36,16 +36,11 @@ func newAdvanceRig() *advanceRig {
 	}
 }
 
-// fullShip hands version v to the worker the way an mSnapshot frame does.
+// fullShip hands version v's from-empty frame to the worker.
 func (r *advanceRig) fullShip(v *snapVersion) error {
-	s, err := decodeSnapshot(v.encoded(), r.vt)
-	if err != nil {
-		return err
+	if cause, err := applyFrame(r.w, v.encoded()); err != nil || cause != 0 {
+		return fmt.Errorf("full ship of %#x refused: nack cause %d, err %v", v.hash, cause, err)
 	}
-	if got := snapIdentity(s.sum); got != v.hash {
-		return fmt.Errorf("full ship of %#x decodes to identity %#x", v.hash, got)
-	}
-	r.w.installSnapshot(r.job, v.hash, s)
 	return nil
 }
 
@@ -66,7 +61,7 @@ func (r *advanceRig) lastDelta() (*snapDelta, error) {
 // histories: sets, deletes, re-adds, content-identical rewrites and opaque
 // handles over ~40 keys in two scopes. After every version the worker's
 // store, the decode of the reference-patched bytes and the decode of the
-// dispatcher's materialised full encoding all equal the tuner's store, and the
+// dispatcher's materialised from-empty frame all equal the tuner's store, and the
 // identity both sides maintained incrementally equals the one recomputed
 // from the reference bytes alone.
 func TestSnapAdvanceMatchesFullPatch(t *testing.T) {
@@ -153,7 +148,7 @@ func TestSnapAdvanceMatchesFullPatch(t *testing.T) {
 						t.Fatalf("step %d: decode cached delta: %v", step, err)
 					}
 					if d == nil { // past the ratio bound: both sides take a full ship
-						if ref, err = oracleEncode(r.e, r.vt); err != nil {
+						if ref, err = oracleEncode(r.job, r.e, r.vt); err != nil {
 							t.Fatalf("step %d: oracleEncode: %v", step, err)
 						}
 						if err := r.fullShip(next); err != nil {

@@ -7,15 +7,18 @@ import "repro/internal/wire"
 // the next by touching only the entries that changed.
 //
 // An mSnapDelta frame carries {job, baseHash, newHash, changed entries with
-// their encoded value bytes, deleted keys}. The worker locates the snapshot it
-// caches under (job, baseHash), splices the changes into a copy of its entry
-// list — decoding only the changed values, sharing every other one — and
-// installs the result only if the identity it arrives at equals newHash. A
-// mismatch or a missing base produces a typed mSnapNack refusal, which the
-// dispatcher answers with a full ship; a full ship's identity is recomputed
-// from its bytes while decoding. Every cached snapshot is therefore either
-// verified in full or one verified step from a verified base: divergence is
-// impossible to ignore; it is never silent.
+// their length-prefixed encoded value bytes, deleted keys}; it is the only
+// snapshot frame. The worker locates the snapshot it caches under (job,
+// baseHash), splices the changes into a copy of its entry list — decoding
+// only the changed values, sharing every other one — and installs the result
+// only if the identity it arrives at equals newHash. A full ship is the delta
+// from the empty snapshot: baseHash 0, which snapIdentity never produces and
+// every worker holds implicitly. A mismatch or a missing base produces a
+// typed mSnapNack refusal, which the dispatcher answers with a full ship; a
+// full ship that fails verification is malformed and drops the connection,
+// since answering its nack with the same frame would loop. Every cached
+// snapshot is therefore one verified step from a verified base, the empty
+// one included: divergence is impossible to ignore; it is never silent.
 
 // Nack causes: why a worker refused an mSnapDelta.
 const (
@@ -23,47 +26,10 @@ const (
 	nackHashMismatch byte = 2 // the spliced entries did not sum to newHash
 )
 
-// skipValue advances r past one encoded value without decoding it and
-// returns the raw bytes it occupied (aliasing r's buffer), or nil with r's
-// sticky error set on malformed input.
-func skipValue(r *wire.Reader) []byte {
-	start := r.Rest()
-	switch tag := r.U8(); tag {
-	case vNil:
-	case vBool:
-		r.Take(1)
-	case vInt:
-		r.Iv()
-	case vFloat64:
-		r.Take(8)
-	case vString, vBytes:
-		r.Bytes()
-	case vInts:
-		n := r.Count(1)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			r.Iv()
-		}
-	case vFloats:
-		r.Take(8 * r.Count(8))
-	case vFloatss:
-		n := r.Count(1)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			r.Take(8 * r.Count(8))
-		}
-	case vHandle:
-		r.Uv()
-	default:
-		r.Corruptf("unknown value tag %d", tag)
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	return start[:len(start)-len(r.Rest())]
-}
-
 // snapDelta is one decoded mSnapDelta frame. Changed entries carry raw value
 // bytes (val) sliced from, and aliasing, the frame payload; changed and
-// deleted keys are each in strictly ascending (scope, name) order.
+// deleted keys are each in strictly ascending (scope, name) order. BaseHash 0
+// names the empty snapshot.
 type snapDelta struct {
 	Job      uint64
 	BaseHash uint64
@@ -96,7 +62,7 @@ func encodeSnapDelta(d *snapDelta) []byte {
 		en := &d.Changed[i]
 		w.Uv(syms.ids[en.scope])
 		w.Uv(syms.ids[en.name])
-		w.Raw(en.val)
+		w.Bytes(en.val)
 	}
 	w.Uv(uint64(len(d.Deleted)))
 	for _, k := range d.Deleted {
@@ -108,7 +74,8 @@ func encodeSnapDelta(d *snapDelta) []byte {
 
 // decodeSnapDelta parses an mSnapDelta payload (type byte stripped) without
 // decoding values. Changed value bytes alias b, so callers must be done with
-// them before recycling the frame buffer. Keys out of order are refused —
+// them before recycling the frame buffer; whether each holds exactly one value
+// is checked when it is decoded (decodeEntry). Keys out of order are refused —
 // spliceEntries merges sorted lists.
 func decodeSnapDelta(b []byte) (snapDelta, error) {
 	r := wire.NewReader(b)
@@ -117,7 +84,7 @@ func decodeSnapDelta(b []byte) (snapDelta, error) {
 	nch := r.Count(3)
 	d.Changed = make([]snapEntry, 0, nch)
 	for i := 0; i < nch && r.Err() == nil; i++ {
-		en := snapEntry{scope: readSymbol(r, names), name: readSymbol(r, names), val: skipValue(r)}
+		en := snapEntry{scope: readSymbol(r, names), name: readSymbol(r, names), val: r.Bytes()}
 		if i > 0 && r.Err() == nil && cmpEntryKey(d.Changed[i-1].scope, d.Changed[i-1].name, en.scope, en.name) >= 0 {
 			r.Corruptf("changed entry %q/%q out of order", en.scope, en.name)
 		}

@@ -18,14 +18,40 @@ import (
 	"repro/internal/wire"
 )
 
-// encodeSnapshot returns e's full encoding and identity through the
-// dispatcher's own path: entries encoded once, then materialised.
-func encodeSnapshot(e *store.Exposed, vt *ValueTable) ([]byte, uint64, error) {
-	v, err := newSnapVersion(e, vt)
+// encodeSnapshot returns the full ship of e's contents as job's snapshot —
+// its from-empty frame — and identity through the dispatcher's own path:
+// entries encoded once, then materialised.
+func encodeSnapshot(job uint64, e *store.Exposed, vt *ValueTable) ([]byte, uint64, error) {
+	v, err := newSnapVersion(job, e, vt)
 	if err != nil {
 		return nil, 0, err
 	}
 	return v.encoded(), v.hash, nil
+}
+
+// applyFrame runs one encoded snapshot frame through w's install path, as
+// its read loop does.
+func applyFrame(w *Worker, frame []byte) (nackCause byte, err error) {
+	if len(frame) == 0 || frame[0] != mSnapDelta {
+		return 0, errCodec
+	}
+	d, err := decodeSnapDelta(frame[1:])
+	if err != nil {
+		return 0, err
+	}
+	return w.applyDelta(&d)
+}
+
+// installFull runs a full ship through a fresh worker's install path and
+// returns the snapshot it installed.
+func installFull(frame []byte, vt *ValueTable) (*cachedSnap, error) {
+	w := NewWorker(WorkerOptions{Registry: Builtins(), Values: vt})
+	if cause, err := applyFrame(w, frame); err != nil || cause != 0 {
+		return nil, fmt.Errorf("full ship refused: nack cause %d, err %v", cause, err)
+	}
+	d, _ := decodeSnapDelta(frame[1:])
+	s, _ := w.snapshot(d.Job, d.NewHash)
+	return s, nil
 }
 
 // buildDelta constructs a delta from base's store version to e's current
@@ -58,7 +84,7 @@ func TestSnapDeltaPatchRoundtrip(t *testing.T) {
 	e.Set("g", "alpha", 1.5)
 	e.Set("g", "beta", "blue")
 	e.Set("g", "gone", []float64{1, 2, 3})
-	baseData, baseHash, err := encodeSnapshot(e, nil)
+	baseData, baseHash, err := encodeSnapshot(7, e, nil)
 	if err != nil {
 		t.Fatalf("encodeSnapshot: %v", err)
 	}
@@ -69,7 +95,7 @@ func TestSnapDeltaPatchRoundtrip(t *testing.T) {
 	e.Delete("g", "gone")            // delete
 	e.Set("z", "tail", []byte{9, 8}) // new key sorting last
 	d := buildDelta(t, e, baseVer, baseHash, nil)
-	wantData, wantHash, err := encodeSnapshot(e, nil)
+	wantData, wantHash, err := encodeSnapshot(7, e, nil)
 	if err != nil {
 		t.Fatalf("encodeSnapshot(mutated): %v", err)
 	}
@@ -95,11 +121,9 @@ func TestSnapDeltaPatchRoundtrip(t *testing.T) {
 	}
 
 	w := NewWorker(WorkerOptions{Registry: Builtins()})
-	base, err := decodeSnapshot(baseData, nil)
-	if err != nil {
-		t.Fatalf("decodeSnapshot(base): %v", err)
+	if cause, err := applyFrame(w, baseData); err != nil || cause != 0 {
+		t.Fatalf("full ship of base: nack cause %d, err %v", cause, err)
 	}
-	w.installSnapshot(d.Job, baseHash, base)
 	if cause, err := w.applyDelta(&dec); err != nil || cause != 0 {
 		t.Fatalf("applyDelta: nack cause %d, err %v", cause, err)
 	}
@@ -114,8 +138,8 @@ func TestSnapDeltaPatchRoundtrip(t *testing.T) {
 
 // TestSnapshotForDeltaCache exercises the dispatcher cache: version
 // transitions splice rather than re-encode, retained bases get deltas
-// targeting the current version, and patching a base's full encoding with its
-// cached delta reproduces the current version's full encoding byte-for-byte.
+// targeting the current version, and patching a base's full ship with its
+// cached delta reproduces the current version's full ship byte-for-byte.
 func TestSnapshotForDeltaCache(t *testing.T) {
 	ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
 	defer ex.Close()
@@ -247,7 +271,7 @@ func TestSnapDeltaShipParity(t *testing.T) {
 	e := store.NewExposed()
 	e.Set("global", "blob", make([]float64, 8192))
 	e.Set("global", "knob", 1.0)
-	one, _, err := encodeSnapshot(e, nil)
+	one, _, err := encodeSnapshot(^uint64(0), e, nil) // the widest job id's header
 	if err != nil {
 		t.Fatalf("encodeSnapshot: %v", err)
 	}
@@ -257,7 +281,7 @@ func TestSnapDeltaShipParity(t *testing.T) {
 		t.Fatal("no delta bytes shipped on an incremental workload")
 	}
 	if limit := int64(workers * len(one)); fullB == 0 || fullB > limit {
-		t.Fatalf("full-ship bytes %d, want at most one %d-byte encoding per worker (%d)", fullB, len(one), limit)
+		t.Fatalf("full-ship bytes %d, want at most one %d-byte full ship per worker (%d)", fullB, len(one), limit)
 	}
 	// Re-shipping full at every version costs each worker rounds encodings;
 	// the floor is a 5x cut in total snapshot bytes.
@@ -269,8 +293,8 @@ func TestSnapDeltaShipParity(t *testing.T) {
 
 // TestSnapDeltaNackBaseMissing wipes a worker's snapshot cache mid-run: the
 // next delta refers to a base the worker no longer holds, the worker
-// refuses with nackBaseMissing, the dispatcher re-ships full, and the run
-// stays byte-identical.
+// refuses with nackBaseMissing, the dispatcher answers with the version's
+// from-empty frame, and the run stays byte-identical.
 func TestSnapDeltaNackBaseMissing(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	local := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42}, 3, nil)
@@ -279,11 +303,13 @@ func TestSnapDeltaNackBaseMissing(t *testing.T) {
 	oreg := obs.NewRegistry()
 	f := newFleet(t, 1, 2, ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg}, WorkerOptions{Registry: reg})
 	w := f.workers[0]
+	var fullAtWipe int64
 	remote := incrementalProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: f.ex}, 3,
 		func(round int) {
 			if round != 0 {
 				return
 			}
+			fullAtWipe = f.ex.fm.snapBytesFull.Value()
 			// Simulate a worker restart's cold cache without dropping the
 			// connection: forget every cached snapshot.
 			w.mu.Lock()
@@ -297,6 +323,9 @@ func TestSnapDeltaNackBaseMissing(t *testing.T) {
 	if nacks := f.ex.fm.fallbackNack.Value(); nacks == 0 {
 		t.Fatal("expected at least one base-missing nack")
 	}
+	if full := f.ex.fm.snapBytesFull.Value(); full <= fullAtWipe {
+		t.Fatalf("full-ship bytes stayed at %d after the wipe: the nack was not answered with a from-empty frame", full)
+	}
 }
 
 // TestSnapDeltaNackHashMismatch corrupts the worker's cached base (a valid
@@ -309,13 +338,13 @@ func TestSnapDeltaNackHashMismatch(t *testing.T) {
 
 	bogusStore := store.NewExposed()
 	bogusStore.Set("g", "blob", []float64{666})
-	bogusData, _, err := encodeSnapshot(bogusStore, nil)
+	bogusData, _, err := encodeSnapshot(1, bogusStore, nil)
 	if err != nil {
 		t.Fatalf("encodeSnapshot: %v", err)
 	}
-	bogus, err := decodeSnapshot(bogusData, nil)
+	bogus, err := installFull(bogusData, nil)
 	if err != nil {
-		t.Fatalf("decodeSnapshot: %v", err)
+		t.Fatal(err)
 	}
 
 	reg := NewRegistry()
@@ -341,6 +370,52 @@ func TestSnapDeltaNackHashMismatch(t *testing.T) {
 	}
 }
 
+// TestFullShipMismatchDropsConn sends a worker a full ship whose entries do
+// not sum to the identity it names. Answering with a nack would bring back
+// the same frame, so the worker must refuse it as malformed: it drops the
+// connection, sends no mSnapNack, and installs nothing.
+func TestFullShipMismatchDropsConn(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	e := store.NewExposed()
+	e.Set("g", "knob", 1.5)
+	v, err := newSnapVersion(3, e, nil)
+	if err != nil {
+		t.Fatalf("newSnapVersion: %v", err)
+	}
+	v.hash ^= 1
+	frame := v.encoded()
+
+	w := NewWorker(WorkerOptions{Registry: Builtins()})
+	defer w.Close()
+	a, b := net.Pipe()
+	defer b.Close()
+	served := make(chan struct{})
+	go func() { w.ServeConn(a); close(served) }()
+	b.SetDeadline(time.Now().Add(10 * time.Second))
+	if hello, err := readFrame(b, nil); err != nil || hello[0] != mHello {
+		t.Fatalf("no hello from the worker: %v", err)
+	}
+	if err := newMuxWriter(b).writeMsg(frame); err != nil {
+		t.Fatalf("sending the full ship: %v", err)
+	}
+	for {
+		payload, err := readFrame(b, nil)
+		if err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("the worker kept the connection after a misnamed full ship")
+			}
+			break // dropped
+		}
+		if payload[0] == mSnapNack {
+			t.Fatal("the worker nacked a full ship")
+		}
+	}
+	<-served
+	if _, ok := w.snapshot(3, v.hash); ok {
+		t.Fatal("a misnamed full ship was installed")
+	}
+}
+
 // TestSnapshotVersionNegotiation checks the handshake: a hello with the one
 // protocol version joins, any other is refused with the mismatch error, and
 // the refused worker's ServeConn returns once the dispatcher hangs up.
@@ -349,7 +424,7 @@ func TestSnapshotVersionNegotiation(t *testing.T) {
 	for _, tc := range []struct {
 		version uint64
 		ok      bool
-	}{{4, false}, {5, true}, {6, false}} {
+	}{{5, false}, {6, true}, {7, false}} {
 		ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
 		w := NewWorker(WorkerOptions{Registry: Builtins()})
 		// A real worker behind a relay that restates its hello's version.

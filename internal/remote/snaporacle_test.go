@@ -10,7 +10,9 @@ import (
 // of it, and the worker's store is a fresh decode of the patched bytes. It is
 // O(snapshot bytes) per step, which is why it left the runtime, and has no
 // state beyond its byte strings, which is what makes it an oracle for the
-// entry-list path (TestSnapAdvanceMatchesFullPatch).
+// entry-list path (TestSnapAdvanceMatchesFullPatch). Its byte strings are
+// from-empty mSnapDelta frames, the runtime's full ships, with the identity
+// in the header recomputed from the entries.
 
 // oracleEntry is one entry of an encoded snapshot in structural form: its
 // scoped name plus the raw value bytes inside the encoding (tag included).
@@ -19,46 +21,72 @@ type oracleEntry struct {
 	val         []byte
 }
 
-// oracleEncode serializes e's entries, sorted by (scope, name), with both
-// strings interned through a symbol table and every value freshly encoded.
-func oracleEncode(e *store.Exposed, vt *ValueTable) ([]byte, error) {
-	entries := e.Entries()
+// oracleWrite serializes sorted entries as job's from-empty frame, with both
+// strings interned through a symbol table in first-appearance order.
+func oracleWrite(job uint64, ents []oracleEntry) []byte {
 	syms := store.NewSymbols()
-	for _, kv := range entries {
-		syms.Intern(kv.Scope)
-		syms.Intern(kv.Name)
+	var sum uint64
+	for _, en := range ents {
+		syms.Intern(en.scope)
+		syms.Intern(en.name)
+		sum += entryHash(en.scope, en.name, en.val)
 	}
 	w := &wire.Writer{}
+	w.U8(mSnapDelta)
+	w.Uv(job)
+	w.U64(0)
+	w.U64(snapIdentity(sum))
 	n := syms.Len()
 	w.Uv(uint64(n))
 	for id := 0; id < n; id++ {
 		w.Str(syms.Name(uint32(id)))
 	}
-	w.Uv(uint64(len(entries)))
-	for _, kv := range entries {
-		scopeID, _ := syms.Lookup(kv.Scope)
-		nameID, _ := syms.Lookup(kv.Name)
+	w.Uv(uint64(len(ents)))
+	for _, en := range ents {
+		scopeID, _ := syms.Lookup(en.scope)
+		nameID, _ := syms.Lookup(en.name)
 		w.Uv(uint64(scopeID))
 		w.Uv(uint64(nameID))
+		w.Bytes(en.val)
+	}
+	w.Uv(0)
+	return w.B
+}
+
+// oracleEncode serializes e's entries, sorted by (scope, name), with every
+// value freshly encoded.
+func oracleEncode(job uint64, e *store.Exposed, vt *ValueTable) ([]byte, error) {
+	var ents []oracleEntry
+	for _, kv := range e.Entries() {
+		w := &wire.Writer{}
 		if err := appendValue(w, kv.V, vt); err != nil {
 			return nil, err
 		}
+		ents = append(ents, oracleEntry{kv.Scope, kv.Name, w.B})
 	}
-	return w.B, nil
+	return oracleWrite(job, ents), nil
 }
 
-// oracleParse splits encoded snapshot bytes into per-entry triples without
-// decoding values. The returned entries alias b.
+// oracleParse splits a from-empty frame into entries without decoding values.
+// The returned entries alias b.
 func oracleParse(b []byte) ([]oracleEntry, error) {
 	r := wire.NewReader(b)
+	typ, _, baseHash := r.U8(), r.Uv(), r.U64()
+	if typ != mSnapDelta || baseHash != 0 {
+		r.Corruptf("not a from-empty frame")
+	}
+	r.U64() // identity: recomputed, never trusted
 	names := readSymbols(r)
 	nent := r.Count(3)
 	ents := make([]oracleEntry, 0, nent)
 	for i := 0; i < nent && r.Err() == nil; i++ {
-		en := oracleEntry{scope: readSymbol(r, names), name: readSymbol(r, names), val: skipValue(r)}
+		en := oracleEntry{scope: readSymbol(r, names), name: readSymbol(r, names), val: r.Bytes()}
 		if r.Err() == nil {
 			ents = append(ents, en)
 		}
+	}
+	if r.Uv() != 0 {
+		r.Corruptf("from-empty frame deletes keys")
 	}
 	if err := codecErr(r.Done()); err != nil {
 		return nil, err
@@ -66,8 +94,8 @@ func oracleParse(b []byte) ([]oracleEntry, error) {
 	return ents, nil
 }
 
-// oraclePatch patches base (an encoded snapshot) with d and returns the new
-// encoding, a pure function of (base, d).
+// oraclePatch patches base (a from-empty frame) with d and returns the new
+// version's from-empty frame, a pure function of (base, d).
 func oraclePatch(base []byte, d *snapDelta) ([]byte, error) {
 	ents, err := oracleParse(base)
 	if err != nil {
@@ -108,53 +136,29 @@ func oraclePatch(base []byte, d *snapDelta) ([]byte, error) {
 		}
 		merged = append(merged, en)
 	}
-
-	ids := make(map[string]uint64, 16)
-	var names []string
-	intern := func(s string) {
-		if _, ok := ids[s]; !ok {
-			ids[s] = uint64(len(names))
-			names = append(names, s)
-		}
-	}
-	for _, en := range merged {
-		intern(en.scope)
-		intern(en.name)
-	}
-	w := &wire.Writer{}
-	w.Uv(uint64(len(names)))
-	for _, s := range names {
-		w.Str(s)
-	}
-	w.Uv(uint64(len(merged)))
-	for _, en := range merged {
-		w.Uv(ids[en.scope])
-		w.Uv(ids[en.name])
-		w.Raw(en.val)
-	}
-	return w.B, nil
+	return oracleWrite(d.Job, merged), nil
 }
 
-// oracleDecode rebuilds an exposed store from encoded snapshot bytes.
+// oracleDecode rebuilds an exposed store from a from-empty frame.
 func oracleDecode(b []byte, vt *ValueTable) (*store.Exposed, error) {
-	r := wire.NewReader(b)
-	names := readSymbols(r)
-	nent := r.Count(3)
-	e := store.NewExposed()
-	for i := 0; i < nent && r.Err() == nil; i++ {
-		scope, name := readSymbol(r, names), readSymbol(r, names)
-		if v := readValue(r, vt); r.Err() == nil {
-			e.Set(scope, name, v)
-		}
-	}
-	if err := codecErr(r.Done()); err != nil {
+	ents, err := oracleParse(b)
+	if err != nil {
 		return nil, err
+	}
+	e := store.NewExposed()
+	for _, en := range ents {
+		r := wire.NewReader(en.val)
+		v := readValue(r, vt)
+		if err := codecErr(r.Done()); err != nil {
+			return nil, err
+		}
+		e.Set(en.scope, en.name, v)
 	}
 	return e, nil
 }
 
-// oracleIdentity recomputes a snapshot's identity from nothing but its
-// encoded bytes.
+// oracleIdentity recomputes a snapshot's identity from nothing but the
+// entries of its from-empty frame.
 func oracleIdentity(b []byte) (uint64, error) {
 	ents, err := oracleParse(b)
 	if err != nil {

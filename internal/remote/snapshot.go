@@ -85,23 +85,26 @@ func encodeEntry(scratch *wire.Writer, scope, name string, v any, vt *ValueTable
 	return snapEntry{scope: scope, name: name, val: val, hash: entryHash(scope, name, val)}, nil
 }
 
-// snapBound is an O(entries) upper bound on the length of ents' full
-// encoding, what the wire cap and the delta ratio rule are checked against
-// without materialising it: per entry its value bytes, two symbol ids and —
-// charged per entry, not once per distinct string — both symbols' table slots.
+// snapBound is an O(entries) upper bound on the length of ents' from-empty
+// frame less its fixed header (snapshotOverhead), what the wire cap and the
+// delta ratio rule are checked against without materialising it: the symbol,
+// entry and deletion counts, then per entry its value bytes and their length
+// prefix, two symbol ids and — charged per entry, not once per distinct
+// string — both symbols' table slots.
 func snapBound(ents []snapEntry) int {
-	n := 2 * binary.MaxVarintLen64
+	n := 3 * binary.MaxVarintLen64
 	for i := range ents {
 		en := &ents[i]
-		n += len(en.val) + len(en.scope) + len(en.name) + 4*binary.MaxVarintLen64
+		n += len(en.val) + len(en.scope) + len(en.name) + 5*binary.MaxVarintLen64
 	}
 	return n
 }
 
 // snapVersion is one immutable version of a job's snapshot on the
-// dispatcher. The contiguous full encoding exists only once a full ship of
-// this version is actually queued.
+// dispatcher. Its from-empty frame exists only once a full ship of this
+// version is actually queued.
 type snapVersion struct {
+	job  uint64
 	ents []snapEntry // sorted
 	sum  uint64      // of the entries' terms
 	hash uint64      // snapIdentity(sum)
@@ -119,9 +122,9 @@ type snapVersion struct {
 // newSnapVersion encodes every value of e once, as a job's first version.
 // Deterministic for native values: equal store contents yield equal entries
 // and identity.
-func newSnapVersion(e *store.Exposed, vt *ValueTable) (*snapVersion, error) {
+func newSnapVersion(job uint64, e *store.Exposed, vt *ValueTable) (*snapVersion, error) {
 	kvs := e.Entries()
-	v := &snapVersion{ents: make([]snapEntry, 0, len(kvs)), seq: 1, reach: 1}
+	v := &snapVersion{job: job, ents: make([]snapEntry, 0, len(kvs)), seq: 1, reach: 1}
 	var scratch wire.Writer
 	for _, kv := range kvs {
 		en, err := encodeEntry(&scratch, kv.Scope, kv.Name, kv.V, vt)
@@ -135,27 +138,13 @@ func newSnapVersion(e *store.Exposed, vt *ValueTable) (*snapVersion, error) {
 	return v, nil
 }
 
-// encoded returns the version's full encoding, the body of an mSnapshot
-// frame: a symbol table interning every scope and name in first-appearance
-// order, then each entry as two symbol ids and its value bytes. Built on
-// first use; immutable afterwards.
+// encoded returns the version's from-empty frame: the mSnapDelta that takes
+// a worker holding nothing of the job (BaseHash 0, the empty snapshot) to
+// this version, every entry a changed one. Built on first use; immutable
+// afterwards.
 func (v *snapVersion) encoded() []byte {
 	v.once.Do(func() {
-		syms := symtab{ids: make(map[string]uint64)}
-		for i := range v.ents {
-			syms.intern(v.ents[i].scope)
-			syms.intern(v.ents[i].name)
-		}
-		w := &wire.Writer{}
-		syms.write(w)
-		w.Uv(uint64(len(v.ents)))
-		for i := range v.ents {
-			en := &v.ents[i]
-			w.Uv(syms.ids[en.scope])
-			w.Uv(syms.ids[en.name])
-			w.Raw(en.val)
-		}
-		v.full = w.B
+		v.full = encodeSnapDelta(&snapDelta{Job: v.job, NewHash: v.hash, Changed: v.ents})
 	})
 	return v.full
 }
@@ -203,13 +192,16 @@ func readSymbol(r *wire.Reader, names []string) string {
 	return names[id]
 }
 
-// readEntry decodes one value from r into a worker-side entry, hashing the
-// raw bytes it occupied. On malformed input r is failed.
-func readEntry(r *wire.Reader, scope, name string, vt *ValueTable) snapEntry {
-	start := r.Rest()
+// decodeEntry decodes a changed entry's value bytes into a worker-side
+// entry. The bytes must hold exactly one value: a length prefix that
+// disagrees with the value it frames is malformed.
+func decodeEntry(en *snapEntry, vt *ValueTable) (snapEntry, error) {
+	r := wire.NewReader(en.val)
 	v := readValue(r, vt)
-	raw := start[:len(start)-len(r.Rest())]
-	return snapEntry{scope: scope, name: name, v: v, hash: entryHash(scope, name, raw)}
+	if err := codecErr(r.Done()); err != nil {
+		return snapEntry{}, err
+	}
+	return snapEntry{scope: en.scope, name: en.name, v: v, hash: entryHash(en.scope, en.name, en.val)}, nil
 }
 
 // cachedSnap is one snapshot version a worker holds: the decoded store that
@@ -227,32 +219,4 @@ func newCachedSnap(ents []snapEntry, sum uint64) *cachedSnap {
 		e.Set(ents[i].scope, ents[i].name, ents[i].v)
 	}
 	return &cachedSnap{e: e, ents: ents, sum: sum}
-}
-
-// decodeSnapshot rebuilds a snapshot from a full encoding, recomputing every
-// entry term on the way so the caller can hold the result against the
-// identity it was shipped under. Entries out of canonical order are refused:
-// delta application relies on the order.
-func decodeSnapshot(b []byte, vt *ValueTable) (*cachedSnap, error) {
-	r := wire.NewReader(b)
-	names := readSymbols(r)
-	nent := r.Count(3)
-	ents := make([]snapEntry, 0, nent)
-	var sum uint64
-	for i := 0; i < nent; i++ {
-		scope, name := readSymbol(r, names), readSymbol(r, names)
-		if i > 0 && r.Err() == nil && cmpEntryKey(ents[i-1].scope, ents[i-1].name, scope, name) >= 0 {
-			r.Corruptf("snapshot entry %q/%q out of order", scope, name)
-		}
-		en := readEntry(r, scope, name, vt)
-		if r.Err() != nil {
-			break
-		}
-		ents = append(ents, en)
-		sum += en.hash
-	}
-	if err := codecErr(r.Done()); err != nil {
-		return nil, err
-	}
-	return newCachedSnap(ents, sum), nil
 }

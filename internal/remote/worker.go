@@ -378,27 +378,6 @@ func (c *wconn) readLoop() {
 			break
 		}
 		switch payload[0] {
-		case mSnapshot:
-			r := wire.NewReader(payload[1:])
-			job := r.Uv()
-			hash := r.U64()
-			enc := r.Rest()
-			if err = codecErr(r.Err()); err != nil {
-				break
-			}
-			var s *cachedSnap
-			s, err = decodeSnapshot(enc, w.opts.Values)
-			if err != nil {
-				break
-			}
-			// The recomputed identity must be the one the ship claims: every
-			// later delta is verified against this snapshot's entry terms, so
-			// an unchecked base would make those checks vacuous.
-			if got := snapIdentity(s.sum); got != hash {
-				err = fmt.Errorf("%w: snapshot shipped as %#x decodes to identity %#x", errCodec, hash, got)
-				break
-			}
-			w.installSnapshot(job, hash, s)
 		case mSnapDelta:
 			var d snapDelta
 			d, err = decodeSnapDelta(payload[1:])
@@ -477,30 +456,35 @@ func (c *wconn) readLoop() {
 // rounds returns the per-connection round table.
 func (c *wconn) rounds() *sync.Map { return &c.roundsMap }
 
-// applyDelta splices a key-level delta into a cached base — decoding only the
-// changed values, sharing the rest — and installs the result if the identity
-// it arrives at is the one the frame names. A base missing from the cache or
-// an identity mismatch installs nothing and returns the nack cause: the read
-// loop answers with a typed mSnapNack and the dispatcher with a full re-ship,
-// so divergence heals in one round trip and is never silent. A structurally
-// malformed delta is a protocol error that drops the connection, like any
-// other undecodable frame.
+// applyDelta decodes a delta's changed values and splices them into its
+// base — the empty snapshot for BaseHash 0, else a cached one, whose other
+// entries the result shares — and installs the result if the identity it
+// arrives at is the one the frame names. A base missing from the cache or an
+// identity mismatch against a cached base installs nothing and returns the
+// nack cause: the read loop answers with a typed mSnapNack and the dispatcher
+// with a full re-ship, so divergence heals in one round trip and is never
+// silent. A full ship (BaseHash 0) that misnames its identity is malformed —
+// its re-ship would be the same frame — and, like any structurally malformed
+// delta, is a protocol error that drops the connection.
 func (w *Worker) applyDelta(d *snapDelta) (nackCause byte, err error) {
-	base, ok := w.snapshot(d.Job, d.BaseHash)
-	if !ok {
-		return nackBaseMissing, nil
-	}
 	changed := make([]snapEntry, len(d.Changed))
 	for i := range d.Changed {
-		en := &d.Changed[i]
-		r := wire.NewReader(en.val)
-		changed[i] = readEntry(r, en.scope, en.name, w.opts.Values)
-		if err := codecErr(r.Done()); err != nil {
+		if changed[i], err = decodeEntry(&d.Changed[i], w.opts.Values); err != nil {
 			return 0, err
 		}
 	}
+	base := &cachedSnap{}
+	if d.BaseHash != 0 {
+		var ok bool
+		if base, ok = w.snapshot(d.Job, d.BaseHash); !ok {
+			return nackBaseMissing, nil
+		}
+	}
 	ents, sum := spliceEntries(base.ents, base.sum, changed, d.Deleted)
-	if snapIdentity(sum) != d.NewHash {
+	if got := snapIdentity(sum); got != d.NewHash {
+		if d.BaseHash == 0 {
+			return 0, fmt.Errorf("%w: snapshot shipped as %#x decodes to identity %#x", errCodec, d.NewHash, got)
+		}
 		return nackHashMismatch, nil
 	}
 	w.installSnapshot(d.Job, d.NewHash, newCachedSnap(ents, sum))
