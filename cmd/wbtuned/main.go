@@ -20,14 +20,17 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -53,6 +56,19 @@ type config struct {
 	fleetMax   int
 }
 
+// check refuses the fleet flags main cannot honour: -fleet-min without
+// -fleet-max (fleetMin is 1 unless the flag is given), and -fleet-min above
+// -fleet-max.
+func (c config) check() error {
+	if c.fleetMax == 0 && c.fleetMin != 1 {
+		return errors.New("-fleet-min requires -fleet-max")
+	}
+	if c.fleetMax > 0 && c.fleetMin > c.fleetMax {
+		return errors.New("-fleet-min exceeds -fleet-max")
+	}
+	return nil
+}
+
 // daemon is one assembled wbtuned instance.
 type daemon struct {
 	cfg config
@@ -62,8 +78,8 @@ type daemon struct {
 	m   *jobs.Manager
 	ln  net.Listener
 	srv *http.Server
-	fc  *remote.FleetController
-	ex  *remote.NetExecutor
+
+	fleetStop func() // retires the -fleet-max fleet; nil without one
 }
 
 // newDaemon wires runtime, optional elastic fleet, jobs manager, and the
@@ -71,28 +87,24 @@ type daemon struct {
 func newDaemon(cfg config) (*daemon, error) {
 	d := &daemon{cfg: cfg, reg: obs.NewRegistry()}
 
+	// The fleet's load signal reads the runtime, which is built on the fleet's
+	// executor: it reads zero stats until the runtime exists.
+	var cur atomic.Pointer[core.Runtime]
+	ropts := core.RuntimeOptions{MaxPool: cfg.pool, Obs: d.reg}
 	if cfg.fleetMax > 0 {
-		shared := remote.NewRegistry()
-		d.ex = remote.NewExecutor(remote.ExecutorOptions{
-			Registry: shared, Dynamic: true, Values: remote.NewValueTable(), Obs: d.reg,
+		ex, stop, err := remote.StartLoopbackFleet(cfg.fleetMin, cfg.fleetMax, d.reg, func() sched.LoadStats {
+			if rt := cur.Load(); rt != nil {
+				return rt.Load()
+			}
+			return sched.LoadStats{}
 		})
-		d.rt = core.NewRuntime(core.RuntimeOptions{
-			MaxPool: cfg.pool, Obs: d.reg, Executor: d.ex,
-		})
-		d.fc = remote.NewFleetController(d.ex, remote.FleetOptions{
-			Load:     func() sched.LoadStats { return d.rt.Load() },
-			Registry: shared,
-			Min:      cfg.fleetMin,
-			Max:      cfg.fleetMax,
-		})
-		if err := d.fc.Start(); err != nil {
-			d.fc.Stop()
-			d.ex.Close()
+		if err != nil {
 			return nil, fmt.Errorf("starting fleet: %w", err)
 		}
-	} else {
-		d.rt = core.NewRuntime(core.RuntimeOptions{MaxPool: cfg.pool, Obs: d.reg})
+		ropts.Executor, d.fleetStop = ex, stop
 	}
+	d.rt = core.NewRuntime(ropts)
+	cur.Store(d.rt)
 
 	var store checkpoint.Store
 	if cfg.storeDir != "" {
@@ -168,11 +180,8 @@ func (d *daemon) closeStore() {
 }
 
 func (d *daemon) stopFleet() {
-	if d.fc != nil {
-		d.fc.Stop()
-	}
-	if d.ex != nil {
-		d.ex.Close()
+	if d.fleetStop != nil {
+		d.fleetStop()
 	}
 }
 
@@ -208,8 +217,8 @@ func parseQuota(s string, into map[string]jobs.TenantQuota) error {
 			}
 		case "rate":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 {
-				return fmt.Errorf("bound %q wants a non-negative number", part)
+			if err != nil || f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+				return fmt.Errorf("bound %q wants a finite non-negative number", part)
 			}
 			q.RatePerSec = f
 		default:
@@ -233,12 +242,8 @@ func main() {
 	flag.IntVar(&cfg.fleetMax, "fleet-max", 0, "autoscale an elastic loopback sampling fleet up to this many workers (0 = in-process sampling)")
 	flag.IntVar(&cfg.fleetMin, "fleet-min", 1, "minimum elastic fleet size (with -fleet-max)")
 	flag.Parse()
-	if cfg.fleetMax == 0 && cfg.fleetMin != 1 {
-		fmt.Fprintln(os.Stderr, "wbtuned: -fleet-min requires -fleet-max")
-		os.Exit(2)
-	}
-	if cfg.fleetMax > 0 && cfg.fleetMin > cfg.fleetMax {
-		fmt.Fprintln(os.Stderr, "wbtuned: -fleet-min exceeds -fleet-max")
+	if err := cfg.check(); err != nil {
+		fmt.Fprintf(os.Stderr, "wbtuned: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -165,9 +166,31 @@ func TestQuotaFlagParsing(t *testing.T) {
 	if quotas["solo"] != (jobs.TenantQuota{MaxRunning: 1}) {
 		t.Fatalf("parsed %+v", quotas["solo"])
 	}
-	for _, bad := range []string{"", "=running:1", "x", "x=", "x=running", "x=running:-1", "x=zap:3", "x=rate:nope"} {
+	for _, bad := range []string{"", "=running:1", "x", "x=", "x=running", "x=running:-1", "x=zap:3", "x=rate:nope", "x=rate:NaN", "x=rate:Inf"} {
 		if err := parseQuota(bad, quotas); err == nil {
 			t.Errorf("parseQuota(%q) accepted garbage", bad)
+		}
+	}
+}
+
+// TestConfigCheck covers the fleet flag checks main exits 2 on. fleetMin is 1
+// when -fleet-min is not given.
+func TestConfigCheck(t *testing.T) {
+	for _, c := range []struct {
+		min, max int
+		err      string
+	}{
+		{1, 0, ""},
+		{1, 4, ""},
+		{4, 4, ""},
+		{0, 4, ""},
+		{2, 0, "-fleet-min requires -fleet-max"},
+		{0, 0, "-fleet-min requires -fleet-max"},
+		{5, 4, "-fleet-min exceeds -fleet-max"},
+	} {
+		err := config{fleetMin: c.min, fleetMax: c.max}.check()
+		if got := fmt.Sprint(err); c.err == "" && err != nil || c.err != "" && got != c.err {
+			t.Errorf("-fleet-min %d -fleet-max %d: check() = %v, want %q", c.min, c.max, err, c.err)
 		}
 	}
 }

@@ -10,32 +10,19 @@ import (
 )
 
 // EnableElasticFleet routes every white-box tuning run this package starts
-// through a shared elastic loopback fleet: a Dynamic-registry executor (the
-// benchmark regions are unregistered closures, so workers must share the
-// dispatcher's registry and value table) autoscaled between min and max
-// single-slot workers by a FleetController whose load signal follows the
-// most recently created tuner's runtime. It returns a restore func that
-// uninstalls the hooks and tears the fleet down.
+// through a shared elastic loopback fleet (remote.StartLoopbackFleet)
+// autoscaled between min and max single-slot workers, whose load signal
+// follows the most recently created tuner's runtime. It returns a restore
+// func that uninstalls the hooks and tears the fleet down.
 func EnableElasticFleet(min, max int, reg *obs.Registry) (restore func(), err error) {
-	shared := remote.NewRegistry()
-	ex := remote.NewExecutor(remote.ExecutorOptions{
-		Registry: shared, Dynamic: true, Values: remote.NewValueTable(), Obs: reg,
-	})
 	var cur atomic.Pointer[core.Runtime]
-	fc := remote.NewFleetController(ex, remote.FleetOptions{
-		Load: func() sched.LoadStats {
-			if rt := cur.Load(); rt != nil {
-				return rt.Load()
-			}
-			return sched.LoadStats{}
-		},
-		Registry: shared,
-		Min:      min,
-		Max:      max,
+	ex, stop, err := remote.StartLoopbackFleet(min, max, reg, func() sched.LoadStats {
+		if rt := cur.Load(); rt != nil {
+			return rt.Load()
+		}
+		return sched.LoadStats{}
 	})
-	if err := fc.Start(); err != nil {
-		fc.Stop()
-		ex.Close()
+	if err != nil {
 		return nil, err
 	}
 	prevOpts, prevTuner := OptionsHook, TunerHook
@@ -54,7 +41,6 @@ func EnableElasticFleet(min, max int, reg *obs.Registry) (restore func(), err er
 	}
 	return func() {
 		OptionsHook, TunerHook = prevOpts, prevTuner
-		fc.Stop()
-		ex.Close()
+		stop()
 	}, nil
 }

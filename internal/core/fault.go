@@ -19,7 +19,8 @@ var ErrRegionBudget = errors.New("core: region budget exhausted before launch")
 
 // FaultPolicy configures the fault-tolerance layer of the sampling runtime.
 // The zero value disables it entirely: no deadlines, no retries, exactly the
-// paper's finish-or-panic semantics.
+// paper's finish-or-panic semantics. It is plain data, so a JobSpec carries it
+// as is (durations encode as nanoseconds in JSON).
 type FaultPolicy struct {
 	// SampleTimeout is the deadline for one sampling-process attempt. When
 	// it expires the runtime abandons the attempt: the pool slot is released,
@@ -27,28 +28,28 @@ type FaultPolicy struct {
 	// sample. The body goroutine itself cannot be killed — it is expected to
 	// observe SP.Context and return; a body that ignores its context keeps
 	// its goroutine alive until it returns on its own.
-	SampleTimeout time.Duration
+	SampleTimeout time.Duration `json:"sample_timeout,omitempty"`
 	// RegionBudget bounds a whole sampling round (all samples of one Region
 	// round share it). When it expires, in-flight samples are abandoned as
 	// timeouts and unlaunched groups fail with ErrRegionBudget.
-	RegionBudget time.Duration
+	RegionBudget time.Duration `json:"region_budget,omitempty"`
 	// MaxAttempts is the total number of attempts per sample. Values <= 1
 	// mean no retries. Only failures that are retryable (see Transient and
 	// IsRetryable) are retried; panics, prunes, and timeouts are not.
-	MaxAttempts int
+	MaxAttempts int `json:"max_attempts,omitempty"`
 	// Backoff is the base delay before the second attempt. Zero with
 	// retries enabled defaults to 1ms.
-	Backoff time.Duration
+	Backoff time.Duration `json:"backoff,omitempty"`
 	// BackoffFactor is the exponential growth factor. Values < 1 default
 	// to 2.
-	BackoffFactor float64
+	BackoffFactor float64 `json:"backoff_factor,omitempty"`
 	// MaxBackoff caps the per-attempt delay. Zero defaults to 1s.
-	MaxBackoff time.Duration
+	MaxBackoff time.Duration `json:"max_backoff,omitempty"`
 	// DegradeEmpty makes a region whose samples all failed return its
 	// (empty) Result without an error instead of the all-failed error, so a
 	// pipeline can continue past a fully-faulted stage and inspect the
 	// shortfall itself.
-	DegradeEmpty bool
+	DegradeEmpty bool `json:"degrade_empty,omitempty"`
 }
 
 // active reports whether any part of the policy is enabled.

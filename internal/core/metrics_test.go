@@ -227,6 +227,33 @@ func TestMustValuePanicsOnMissing(t *testing.T) {
 	})
 }
 
+// @loadS(x, i) past the last sample is a fault, not another sample's
+// outcome: Value reports it missing and MustValue panics with its own message.
+func TestMustValuePanicsOutOfRange(t *testing.T) {
+	tuner := newTuner()
+	defer func() {
+		if r := recover(); r != "core: no sample outcome for v" {
+			t.Fatalf("recovered %v, want MustValue's panic", r)
+		}
+	}()
+	_ = tuner.Run(func(p *P) error {
+		res, err := p.Region(RegionSpec{Name: "r", Samples: 2}, func(sp *SP) error {
+			sp.Commit("v", sp.Index())
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for _, i := range []int{-1, 2, 5} {
+			if v, ok := res.Value("v", i); ok {
+				t.Errorf("Value(v, %d) = %v, want none", i, v)
+			}
+		}
+		res.MustValue("v", 5)
+		return nil
+	})
+}
+
 func TestParamsCopyIsolated(t *testing.T) {
 	run(t, newTuner(), func(p *P) error {
 		res, err := p.Region(RegionSpec{Name: "r", Samples: 1}, func(sp *SP) error {

@@ -11,9 +11,8 @@ import (
 
 // Property: for any sample count and pruning mask, the aggregation store
 // holds exactly the unpruned samples' commits, at the right indices, and
-// Result's pruned flags match the mask — the core region invariant
-// (mirrors the semantics-level property test, but against the production
-// runtime).
+// Result's pruned flags match the mask — rule [AGGR-S] of Fig. 8 (DESIGN.md
+// §6).
 func TestPropertyRegionCommitsMatchMask(t *testing.T) {
 	f := func(nRaw uint8, mask uint16, seed int64) bool {
 		n := int(nRaw%12) + 1
@@ -49,6 +48,47 @@ func TestPropertyRegionCommitsMatchMask(t *testing.T) {
 			return nil
 		})
 		return err == nil && ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: pruned processes never count toward a @sync barrier, whenever
+// they are pruned. The barrier callback runs once and sees exactly the
+// survivors, or never runs when every process was pruned, and only the
+// survivors commit afterwards — rules [CHECK] and [SYNC-T] of Fig. 8.
+func TestPropertySyncCountsSurvivors(t *testing.T) {
+	f := func(nRaw uint8, mask uint16, seed int64) bool {
+		n := int(nRaw%12) + 1
+		want := 0
+		for i := 0; i < n; i++ {
+			if mask>>(i%16)&1 == 0 {
+				want++
+			}
+		}
+		var mu sync.Mutex
+		var counts []int
+		err := New(Options{MaxPool: 4, Seed: seed}).Run(func(p *P) error {
+			res, err := p.Region(RegionSpec{Name: "prop", Samples: n}, func(sp *SP) error {
+				sp.Check(mask>>(sp.Index()%16)&1 == 0)
+				sp.Sync(func(v *SyncView) {
+					mu.Lock()
+					counts = append(counts, v.Count())
+					mu.Unlock()
+				})
+				sp.Commit("v", 1.0)
+				return nil
+			})
+			if err == nil && res.Len("v") != want {
+				err = fmt.Errorf("%d commits, want %d", res.Len("v"), want)
+			}
+			return err
+		})
+		if want == 0 {
+			return err == nil && len(counts) == 0
+		}
+		return err == nil && len(counts) == 1 && counts[0] == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

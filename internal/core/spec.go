@@ -114,32 +114,6 @@ func (c *PriorityClass) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// FaultSpec is the serializable form of FaultPolicy — the same knobs minus
-// nothing: every FaultPolicy field is already plain data. Durations encode
-// as nanoseconds in JSON.
-type FaultSpec struct {
-	SampleTimeout time.Duration `json:"sample_timeout,omitempty"`
-	RegionBudget  time.Duration `json:"region_budget,omitempty"`
-	MaxAttempts   int           `json:"max_attempts,omitempty"`
-	Backoff       time.Duration `json:"backoff,omitempty"`
-	BackoffFactor float64       `json:"backoff_factor,omitempty"`
-	MaxBackoff    time.Duration `json:"max_backoff,omitempty"`
-	DegradeEmpty  bool          `json:"degrade_empty,omitempty"`
-}
-
-// Policy converts the spec into the runtime FaultPolicy.
-func (f FaultSpec) Policy() FaultPolicy {
-	return FaultPolicy{
-		SampleTimeout: f.SampleTimeout,
-		RegionBudget:  f.RegionBudget,
-		MaxAttempts:   f.MaxAttempts,
-		Backoff:       f.Backoff,
-		BackoffFactor: f.BackoffFactor,
-		MaxBackoff:    f.MaxBackoff,
-		DegradeEmpty:  f.DegradeEmpty,
-	}
-}
-
 // CheckpointSpec asks the hosting control plane to record and periodically
 // checkpoint the job. The store and label are deployment concerns the
 // manager supplies; the spec only carries the data that must survive a
@@ -191,7 +165,7 @@ type JobSpec struct {
 	// means no cap.
 	MaxParallel int `json:"max_parallel,omitempty"`
 	// Fault overrides the runtime's default fault policy when non-nil.
-	Fault *FaultSpec `json:"fault,omitempty"`
+	Fault *FaultPolicy `json:"fault,omitempty"`
 	// Checkpoint asks for checkpoint recording when non-nil.
 	Checkpoint *CheckpointSpec `json:"checkpoint,omitempty"`
 }
@@ -231,9 +205,10 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// Options converts the spec into the JobOptions a Runtime consumes. The
-// checkpoint policy is not included: its store and label are supplied by
-// whatever manages the job (see CheckpointSpec).
+// Options converts the spec into the JobOptions a Runtime consumes. The fault
+// policy is copied, so a job never aliases its spec. The checkpoint policy is
+// not included: its store and label are supplied by whatever manages the job
+// (see CheckpointSpec).
 func (s *JobSpec) Options() JobOptions {
 	jo := JobOptions{
 		Name:        s.Name,
@@ -244,7 +219,7 @@ func (s *JobSpec) Options() JobOptions {
 		MaxParallel: s.MaxParallel,
 	}
 	if s.Fault != nil {
-		fp := s.Fault.Policy()
+		fp := *s.Fault
 		jo.Fault = &fp
 	}
 	return jo
@@ -357,7 +332,7 @@ func DecodeSpec(data []byte) (*JobSpec, error) {
 	s.Share = int(r.Uv())
 	s.MaxParallel = int(r.Uv())
 	if r.Flag() {
-		s.Fault = &FaultSpec{
+		s.Fault = &FaultPolicy{
 			SampleTimeout: time.Duration(r.Iv()),
 			RegionBudget:  time.Duration(r.Iv()),
 			MaxAttempts:   int(r.Uv()),

@@ -21,7 +21,7 @@ func sampleSpec() *JobSpec {
 		Incremental: true,
 		Share:       2,
 		MaxParallel: 4,
-		Fault: &FaultSpec{
+		Fault: &FaultPolicy{
 			SampleTimeout: 50 * time.Millisecond,
 			RegionBudget:  time.Second,
 			MaxAttempts:   3,

@@ -185,6 +185,28 @@ func (fc *FleetController) Stop() {
 	}
 }
 
+// StartLoopbackFleet starts an elastic fleet of in-process loopback workers:
+// a Dynamic executor over a fresh shared Registry and ValueTable (the regions
+// it ships may be unregistered closures, so the workers must share both with
+// the dispatcher), and a FleetController that scales it between min and max
+// single-slot workers on load. The executor exists before the runtime that
+// will use it, so load must return the zero LoadStats until that runtime does.
+// stop retires the fleet: the controller first, then the executor.
+func StartLoopbackFleet(min, max int, reg *obs.Registry, load func() sched.LoadStats) (ex *NetExecutor, stop func(), err error) {
+	shared := NewRegistry()
+	ex = NewExecutor(ExecutorOptions{Registry: shared, Dynamic: true, Values: NewValueTable(), Obs: reg})
+	fc := NewFleetController(ex, FleetOptions{Load: load, Registry: shared, Min: min, Max: max})
+	stop = func() {
+		fc.Stop()
+		ex.Close()
+	}
+	if err := fc.Start(); err != nil {
+		stop()
+		return nil, nil, err
+	}
+	return ex, stop, nil
+}
+
 // Size reports the number of controller-owned workers.
 func (fc *FleetController) Size() int {
 	fc.mu.Lock()

@@ -74,7 +74,7 @@ func TestGoldenFormats(t *testing.T) {
 		Name: "canny-night", Tenant: "vision", Class: core.PriorityLow, Program: "canny",
 		Args: map[string]string{"stage1": "3", "scene": "night"},
 		Seed: -42, Budget: 1500, Incremental: true, Share: 2, MaxParallel: 300,
-		Fault:      &core.FaultSpec{SampleTimeout: 50 * time.Millisecond, MaxAttempts: 3, BackoffFactor: 2, DegradeEmpty: true},
+		Fault:      &core.FaultPolicy{SampleTimeout: 50 * time.Millisecond, MaxAttempts: 3, BackoffFactor: 2, DegradeEmpty: true},
 		Checkpoint: &core.CheckpointSpec{Every: 2, MinSlots: 3},
 	})
 	if err != nil {
