@@ -26,33 +26,118 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 
 	"repro/internal/bench"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/remote"
 )
 
+// config is what main's flags decide about a local tuning run — kept
+// separate so tests can check it without going through the flag parser.
+type config struct {
+	seed      int64
+	budget    float64
+	ckptDir   string
+	ckptEvery int
+	resume    bool
+	fleetMin  int
+	fleetMax  int
+}
+
+// check refuses the flags main cannot honour: a negative, NaN or infinite
+// -budget, -fleet-min without -fleet-max (fleetMin is 1 unless the flag is
+// given) or above it, and -resume without -checkpoint-dir.
+func (c config) check() error {
+	if c.budget < 0 || math.IsNaN(c.budget) || math.IsInf(c.budget, 0) {
+		return fmt.Errorf("-budget %v: want a finite non-negative number", c.budget)
+	}
+	if c.fleetMax == 0 && c.fleetMin != 1 {
+		return errors.New("-fleet-min requires -fleet-max")
+	}
+	if c.fleetMax > 0 && c.fleetMin > c.fleetMax {
+		return errors.New("-fleet-min exceeds -fleet-max")
+	}
+	if c.resume && c.ckptDir == "" {
+		return errors.New("-resume requires -checkpoint-dir")
+	}
+	return nil
+}
+
+// wb runs b's white-box program under budget on the tuner the flags
+// describe: one job (metric label job=<benchmark>) on a pool of 8,
+// in-process or on an elastic loopback fleet (-fleet-max), reporting to reg
+// and trace, and with -checkpoint-dir recording under the label run001 or,
+// with -resume, continuing a partial checkpoint found there. A resume that
+// diverged from its journal exits 1; any other run error already excluded
+// its samples from the outcome.
+func (c config) wb(b bench.Benchmark, budget float64, reg *obs.Registry, trace *core.Trace) bench.Outcome {
+	ropts := core.RuntimeOptions{MaxPool: 8, Obs: reg}
+	var rt *core.Runtime
+	if c.fleetMax == 0 {
+		rt = core.NewRuntime(ropts)
+	} else {
+		frt, stop, err := remote.StartLoopbackFleet(c.fleetMin, c.fleetMax, ropts)
+		exitOn("-fleet-max", err)
+		defer stop()
+		rt = frt
+	}
+	jo := core.JobOptions{Name: b.Name(), Seed: c.seed, Budget: budget, Trace: trace}
+	if c.ckptDir != "" {
+		store, err := checkpoint.NewDirStore(c.ckptDir)
+		exitOn("-checkpoint-dir", err)
+		defer store.Close()
+		jo.Checkpoint = &core.CheckpointPolicy{Store: store, Every: c.ckptEvery, Label: "run001"}
+		if c.resume {
+			st, err := checkpoint.LoadFrom(store, "run001")
+			exitOn("-resume", err)
+			if st != nil && !st.Complete { // a finished run starts fresh
+				jo.Resume = st
+			}
+		}
+	}
+	t := rt.NewJob(jo)
+	defer t.Close()
+	out, err := b.Tune(t, c.seed)
+	if errors.Is(err, core.ErrCheckpointDiverged) {
+		exitOn("-resume", err)
+	}
+	return out
+}
+
+// exitOn exits 1 with a message naming what failed when err is non-nil.
+func exitOn(what string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wbtune: %s: %v\n", what, err)
+		os.Exit(1)
+	}
+}
+
 func main() {
+	var cfg config
 	name := flag.String("bench", "Canny", "benchmark name (see -list)")
 	mode := flag.String("mode", "wb", "native | wb | ot")
-	seed := flag.Int64("seed", 1, "workload seed")
-	budget := flag.Float64("budget", 0, "work-unit budget (0 = benchmark default)")
+	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
+	flag.Float64Var(&cfg.budget, "budget", 0, "work-unit budget (0 = benchmark default)")
 	list := flag.Bool("list", false, "list benchmark names and exit")
 	metricsPath := flag.String("metrics", "", `write Prometheus text-format metrics to this file after the run ("-" = stdout)`)
 	tracePath := flag.String("trace", "", `write the runtime trace as JSONL to this file ("-" = stdout)`)
 	httpAddr := flag.String("http", "", "serve /metrics, /metrics.json and /debug/trace on this address (e.g. :8080) and block after the run")
-	ckptDir := flag.String("checkpoint-dir", "", "write periodic job checkpoints to this directory (wb mode only)")
-	ckptEvery := flag.Int("checkpoint-every", 8, "rounds between auto-checkpoints (with -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir if one exists")
-	fleetMax := flag.Int("fleet-max", 0, "autoscale an elastic loopback sampling fleet up to this many workers (wb mode only; 0 = in-process sampling)")
-	fleetMin := flag.Int("fleet-min", 1, "minimum elastic fleet size (with -fleet-max)")
+	flag.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "write periodic job checkpoints to this directory (wb mode only)")
+	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 8, "rounds between auto-checkpoints (with -checkpoint-dir)")
+	flag.BoolVar(&cfg.resume, "resume", false, "resume from the checkpoint in -checkpoint-dir if one exists")
+	flag.IntVar(&cfg.fleetMax, "fleet-max", 0, "autoscale an elastic loopback sampling fleet up to this many workers (wb mode only; 0 = in-process sampling)")
+	flag.IntVar(&cfg.fleetMin, "fleet-min", 1, "minimum elastic fleet size (with -fleet-max)")
 	server := flag.String("server", "", "submit to this wbtuned control plane instead of running locally (e.g. http://localhost:8437)")
 	program := flag.String("program", "synthetic", "service program name (with -server)")
 	jobName := flag.String("job-name", "", "job name on the server (with -server; default cli-<program>-<seed>)")
@@ -61,6 +146,10 @@ func main() {
 	args := argsFlag{}
 	flag.Var(args, "arg", "program argument key=value, repeatable (with -server)")
 	flag.Parse()
+	if err := cfg.check(); err != nil {
+		fmt.Fprintf(os.Stderr, "wbtune: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *server != "" {
 		cls, err := core.ParsePriorityClass(*class)
@@ -70,7 +159,7 @@ func main() {
 		}
 		name := *jobName
 		if name == "" {
-			name = fmt.Sprintf("cli-%s-%d", *program, *seed)
+			name = fmt.Sprintf("cli-%s-%d", *program, cfg.seed)
 		}
 		os.Exit(runServerMode(*server, core.JobSpec{
 			Name:    name,
@@ -78,8 +167,8 @@ func main() {
 			Class:   cls,
 			Program: *program,
 			Args:    args,
-			Seed:    *seed,
-			Budget:  *budget,
+			Seed:    cfg.seed,
+			Budget:  cfg.budget,
 		}))
 	}
 
@@ -101,18 +190,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Observability: one registry and trace for the whole run, installed
-	// into every white-box tuner the bench harness creates.
-	observing := *metricsPath != "" || *tracePath != "" || *httpAddr != ""
+	// Observability: one registry and trace for the run's white-box tuner.
 	var (
 		reg   *obs.Registry
 		trace *core.Trace
 	)
-	if observing {
+	if *metricsPath != "" || *tracePath != "" || *httpAddr != "" {
 		reg = obs.NewRegistry()
 		trace = core.NewTrace()
-		restore := bench.Observe(reg, trace)
-		defer restore()
 	}
 	if *httpAddr != "" {
 		mux := http.NewServeMux()
@@ -137,46 +222,18 @@ func main() {
 		}()
 	}
 
-	if *fleetMax > 0 {
-		if *fleetMin > *fleetMax {
-			fmt.Fprintln(os.Stderr, "wbtune: -fleet-min exceeds -fleet-max")
-			os.Exit(2)
-		}
-		restore, err := bench.EnableElasticFleet(*fleetMin, *fleetMax, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wbtune: -fleet-max: %v\n", err)
-			os.Exit(1)
-		}
-		defer restore()
-	} else if *fleetMin != 1 {
-		fmt.Fprintln(os.Stderr, "wbtune: -fleet-min requires -fleet-max")
-		os.Exit(2)
-	}
-
-	if *ckptDir != "" {
-		restore, err := bench.EnableCheckpointing(*ckptDir, *ckptEvery, *resume)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wbtune: -checkpoint-dir: %v\n", err)
-			os.Exit(1)
-		}
-		defer restore()
-	} else if *resume {
-		fmt.Fprintln(os.Stderr, "wbtune: -resume requires -checkpoint-dir")
-		os.Exit(2)
-	}
-
 	var out bench.Outcome
 	switch *mode {
 	case "native":
-		out = b.Native(*seed)
+		out = b.Native(cfg.seed)
 	case "wb":
-		out = b.WBTune(*seed, *budget)
+		out = cfg.wb(b, cfg.budget, reg, trace)
 	case "ot":
-		bud := *budget
+		bud := cfg.budget
 		if bud == 0 {
-			bud = b.WBTune(*seed, 0).Work // same budget WBTuner converged with
+			bud = cfg.wb(b, 0, reg, trace).Work // same budget WBTuner converged with
 		}
-		out = b.OTTune(*seed, bud)
+		out = b.OTTune(cfg.seed, bud)
 	default:
 		fmt.Fprintf(os.Stderr, "wbtune: unknown mode %q\n", *mode)
 		os.Exit(2)
@@ -188,16 +245,10 @@ func main() {
 	fmt.Printf("samples:    %d configurations\n", out.Samples)
 
 	if *metricsPath != "" {
-		if err := writeTo(*metricsPath, reg.WritePrometheus); err != nil {
-			fmt.Fprintf(os.Stderr, "wbtune: -metrics: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn("-metrics", writeTo(*metricsPath, reg.WritePrometheus))
 	}
 	if *tracePath != "" {
-		if err := writeTo(*tracePath, trace.WriteJSONL); err != nil {
-			fmt.Fprintf(os.Stderr, "wbtune: -trace: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn("-trace", writeTo(*tracePath, trace.WriteJSONL))
 	}
 	if *httpAddr != "" {
 		fmt.Printf("serving metrics on %s (/metrics, /metrics.json, /debug/trace); Ctrl-C to exit\n", *httpAddr)

@@ -30,7 +30,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -40,7 +39,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/remote"
-	"repro/internal/sched"
 )
 
 // config is everything main's flags decide — kept separate so tests can
@@ -87,24 +85,16 @@ type daemon struct {
 func newDaemon(cfg config) (*daemon, error) {
 	d := &daemon{cfg: cfg, reg: obs.NewRegistry()}
 
-	// The fleet's load signal reads the runtime, which is built on the fleet's
-	// executor: it reads zero stats until the runtime exists.
-	var cur atomic.Pointer[core.Runtime]
 	ropts := core.RuntimeOptions{MaxPool: cfg.pool, Obs: d.reg}
 	if cfg.fleetMax > 0 {
-		ex, stop, err := remote.StartLoopbackFleet(cfg.fleetMin, cfg.fleetMax, d.reg, func() sched.LoadStats {
-			if rt := cur.Load(); rt != nil {
-				return rt.Load()
-			}
-			return sched.LoadStats{}
-		})
+		rt, stop, err := remote.StartLoopbackFleet(cfg.fleetMin, cfg.fleetMax, ropts)
 		if err != nil {
 			return nil, fmt.Errorf("starting fleet: %w", err)
 		}
-		ropts.Executor, d.fleetStop = ex, stop
+		d.rt, d.fleetStop = rt, stop
+	} else {
+		d.rt = core.NewRuntime(ropts)
 	}
-	d.rt = core.NewRuntime(ropts)
-	cur.Store(d.rt)
 
 	var store checkpoint.Store
 	if cfg.storeDir != "" {

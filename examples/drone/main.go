@@ -10,12 +10,14 @@ import (
 	"fmt"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/drone"
 )
 
 func main() {
 	fmt.Println("tuning Ardu to mimic Veloci on the training missions...")
-	tuned, tuner := bench.TuneArdu(1, 0)
+	tuner := core.New(core.Options{Seed: 1, MaxPool: 8})
+	tuned, _ := bench.TuneArdu(tuner)
 	m := tuner.Metrics()
 	fmt.Printf("  %d sample flights, %d pruned (crashed/stuck), %.0f sim-seconds\n",
 		m.Samples, m.Pruned, tuner.WorkUsed())

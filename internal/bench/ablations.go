@@ -136,27 +136,16 @@ type PoolAblationRow struct {
 
 // PoolAblation sweeps the Algorithm 1 pool size on the Canny workload.
 func PoolAblation(seed int64) []PoolAblationRow {
-	defer func() { OptionsHook, TunerHook = nil, nil }()
 	var rows []PoolAblationRow
 	for _, pool := range []int{1, 2, 4, 8, 16} {
-		var captured *core.Tuner
-		pool := pool
-		OptionsHook = func(o core.Options) core.Options {
-			o.MaxPool = pool
-			o.DisableScheduler = false
-			return o
-		}
-		TunerHook = func(t *core.Tuner) { captured = t }
+		t := core.New(core.Options{Seed: seed, MaxPool: pool})
 		start := time.Now()
-		CannyBench{}.WBTune(seed, 0)
-		row := PoolAblationRow{
-			Pool:      pool,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		}
-		if captured != nil {
-			row.PeakProcesses = captured.Metrics().Scheduler.PeakInUse
-		}
-		rows = append(rows, row)
+		CannyBench{}.Tune(t, seed) // the row measures time and occupancy
+		rows = append(rows, PoolAblationRow{
+			Pool:          pool,
+			ElapsedMS:     float64(time.Since(start).Microseconds()) / 1000,
+			PeakProcesses: t.Metrics().Scheduler.PeakInUse,
+		})
 	}
 	return rows
 }

@@ -12,6 +12,7 @@
 package bench
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/core"
@@ -58,8 +59,12 @@ type Benchmark interface {
 	AggName() string
 	// Native runs the program untuned.
 	Native(seed int64) Outcome
-	// WBTune tunes with the white-box engine under the work budget
-	// (0 = the benchmark's own convergence budget).
+	// Tune runs the white-box program on t, a tuner its caller built, over
+	// the seed's workload, and returns the outcome with t's run error.
+	Tune(t *core.Tuner, seed int64) (Outcome, error)
+	// WBTune is Tune on the standard Table I tuner (pool 8, the seed, the
+	// work budget with 0 = the program's own convergence budget, and what
+	// Observe and EnableCheckpointing set).
 	WBTune(seed int64, budget float64) Outcome
 	// OTTune tunes with the black-box baseline under the work budget.
 	// Benchmarks where black-box tuning is inapplicable (Ardupilot)
@@ -132,47 +137,58 @@ type workCounter struct {
 func (w *workCounter) add(units float64) { w.used += units }
 func (w *workCounter) exceeded() bool    { return w.budget > 0 && w.used >= w.budget }
 
-// OptionsHook, when non-nil, rewrites the core.Options of every white-box
-// tuning run started by this package. The Fig. 10 optimization-effect
-// experiment uses it to toggle the scheduler and incremental aggregation
-// without forking every driver. Set it only between experiment runs; it is
-// read without synchronization.
-var OptionsHook func(core.Options) core.Options
-
-// TunerHook, when non-nil, observes every Tuner this package creates; the
-// Fig. 10 experiment uses it to read scheduler and memory metrics after a
-// run. Like OptionsHook, set it only between sequential experiment runs.
-var TunerHook func(*core.Tuner)
-
-// newCore builds a Tuner, applying the experiment-wide hooks.
-func newCore(o core.Options) *core.Tuner {
-	if OptionsHook != nil {
-		o = OptionsHook(o)
-	}
-	t := core.New(o)
-	if TunerHook != nil {
-		TunerHook(t)
-	}
-	return t
+// tuning is the run configuration of every standard Table I tuner beyond
+// pool, seed and budget: the registry and trace Observe sets and the
+// checkpoint policy EnableCheckpointing sets. It is read without
+// synchronization, so set it only between runs.
+var tuning struct {
+	obs   *obs.Registry
+	trace *core.Trace
+	ckpt  *ckptRuns // nil: no checkpointing
 }
 
-// Observe installs a metrics registry and an optional trace into every
-// white-box tuning run this package starts, composing with any OptionsHook
-// already in place. It returns a restore func that reinstates the previous
-// hook. Like OptionsHook itself, call it only between sequential runs.
-func Observe(reg *obs.Registry, tr *core.Trace) (restore func()) {
-	prev := OptionsHook
-	OptionsHook = func(o core.Options) core.Options {
-		if prev != nil {
-			o = prev(o)
-		}
-		if reg != nil {
-			o.Obs = reg
-		}
-		if tr != nil {
-			o.Trace = tr
-		}
-		return o
+// standardTuner builds the one Table I tuner every WBTune runs on: a pool of
+// 8, the seed and budget, and the configuration in tuning.
+func standardTuner(seed int64, budget float64) *core.Tuner {
+	o := core.Options{Seed: seed, Budget: budget, MaxPool: 8, Obs: tuning.obs, Trace: tuning.trace}
+	if tuning.ckpt != nil {
+		tuning.ckpt.apply(&o)
 	}
-	return func() { OptionsHook = prev }
+	return core.New(o)
+}
+
+// wbTune is every program's WBTune: Tune on the standard tuner.
+func wbTune(b Benchmark, seed int64, budget float64) Outcome {
+	out, err := b.Tune(standardTuner(seed, budget), seed)
+	panicOnDivergence(err)
+	return out
+}
+
+// panicOnDivergence panics with a standard tuner's run error when the run
+// resumed from a checkpoint and diverged from its journal, as
+// EnableCheckpointing panics on an undecodable checkpoint. Any other run
+// error already excluded its samples from the result.
+func panicOnDivergence(err error) {
+	if errors.Is(err, core.ErrCheckpointDiverged) {
+		panic(err)
+	}
+}
+
+// tunedOutcome returns an Outcome carrying t's work and sample counts and a
+// NaN score, for the program to fill in.
+func tunedOutcome(t *core.Tuner) Outcome {
+	m := t.Metrics()
+	return Outcome{
+		Score: math.NaN(), Work: t.WorkUsed(),
+		WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel, Samples: int(m.Samples),
+	}
+}
+
+// Observe sets the metrics registry and trace of every standard tuner
+// WBTune builds (nil for none) and returns a func that restores the
+// previous pair. Call it only between runs.
+func Observe(reg *obs.Registry, tr *core.Trace) (restore func()) {
+	prevReg, prevTr := tuning.obs, tuning.trace
+	tuning.obs, tuning.trace = reg, tr
+	return func() { tuning.obs, tuning.trace = prevReg, prevTr }
 }

@@ -216,9 +216,6 @@ func TestPoolAblationRespectsPool(t *testing.T) {
 			t.Fatalf("pool %d peaked at %d processes", r.Pool, r.PeakProcesses)
 		}
 	}
-	if OptionsHook != nil || TunerHook != nil {
-		t.Fatal("ablation leaked its hooks")
-	}
 }
 
 func TestAutoSamplingAblation(t *testing.T) {

@@ -227,24 +227,17 @@ func (c *cannyRun) body(p *core.P) error {
 	return p.Wait()
 }
 
-// WBTune implements Benchmark: the Fig. 4 program.
-func (b CannyBench) WBTune(seed int64, budget float64) Outcome {
+// WBTune implements Benchmark.
+func (b CannyBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark: the Fig. 4 program.
+func (b CannyBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	ds := b.dataset(seed)
 	nStage1, nStage2 := b.stages()
-	t := newCore(core.Options{Seed: seed, Budget: budget, Incremental: true, MaxPool: 8})
-
 	run := &cannyRun{bench: b, t: t, ds: ds, nStage1: nStage1, nStage2: nStage2}
 	err := t.Run(run.body)
-	_ = err // individual region failures already excluded their samples
 
-	m := t.Metrics()
-	out := Outcome{
-		Work:         t.WorkUsed(),
-		WorkSerial:   m.WorkSerial,
-		WorkParallel: m.WorkParallel,
-		Samples:      int(m.Samples),
-		Score:        math.NaN(),
-	}
+	out := tunedOutcome(t)
 	if final := consensusSelect(run.votes()); final != nil {
 		edges := img.Image{W: cannySize, H: cannySize, Pix: final}
 		out.Score = canny.Score(edges, ds.Truth)
@@ -255,7 +248,7 @@ func (b CannyBench) WBTune(seed int64, budget float64) Outcome {
 		// at the native score instead of reporting nothing.
 		out.Score = canny.Score(canny.Detect(ds.Noisy, canny.DefaultParams()), ds.Truth)
 	}
-	return out
+	return out, err
 }
 
 // consensusSelect picks the child result that agrees most with the

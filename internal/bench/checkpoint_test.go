@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,80 +13,71 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/remote"
 )
 
-// cannyRow renders the Canny Table I row at seed 1 — the workload of the
-// crash-replay suite. One row keeps the child runs short while still
-// exercising the full white-box pipeline: expose, two-stage sampling,
-// pruning, splits, custom aggregation, and opaque image commits.
-func cannyRow() string {
-	var buf bytes.Buffer
-	WriteTable1(&buf, []Table1Row{Table1(CannyBench{}, 1)})
-	return buf.String()
-}
-
-// ckptFleet hooks every white-box run onto a two-worker loopback fleet,
-// as in TestDistributedTable1Parity. It returns a teardown func.
-func ckptFleet() (teardown func(), err error) {
-	reg := remote.NewRegistry()
-	vals := remote.NewValueTable()
-	ex := remote.NewExecutor(remote.ExecutorOptions{Registry: reg, Dynamic: true, Values: vals})
-	var workers []*remote.Worker
-	for i := 0; i < 2; i++ {
-		w := remote.NewWorker(remote.WorkerOptions{
-			Name: fmt.Sprintf("ckpt-w%d", i), Slots: 4, Registry: reg, Values: vals,
-		})
-		a, b := net.Pipe()
-		go w.ServeConn(a)
-		if err := ex.AddConn(b); err != nil {
-			return nil, err
-		}
-		workers = append(workers, w)
-	}
-	prev := OptionsHook
-	OptionsHook = func(o core.Options) core.Options {
-		if prev != nil {
-			o = prev(o)
-		}
-		o.Executor = ex
-		return o
-	}
-	return func() {
-		OptionsHook = prev
-		ex.Close()
-		for _, w := range workers {
-			w.Close()
-		}
-	}, nil
+// outcomeBits renders an Outcome at full precision, so two renderings are
+// equal exactly when the outcomes are bit-equal (NaN scores included).
+func outcomeBits(o Outcome) string {
+	return fmt.Sprintf("%x %x %x %x %x %d\n",
+		math.Float64bits(o.Score), math.Float64bits(o.Internal), math.Float64bits(o.Work),
+		math.Float64bits(o.WorkSerial), math.Float64bits(o.WorkParallel), o.Samples)
 }
 
 // TestCheckpointChild is the subprocess body of the crash-replay suite: it
-// renders the Canny Table I row, optionally checkpointing to
-// WBTUNE_CKPT_DIR (resuming when WBTUNE_CKPT_RESUME is set) and optionally
-// dispatching sampling to a loopback worker fleet (WBTUNE_CKPT_MODE=net).
-// The parent injects kills via WBTUNE_CRASH, so this process may never
-// reach the output write — that is the point.
+// tunes Canny at seed 1 on a pool of 8 and writes the outcome's bits,
+// optionally checkpointing to WBTUNE_CKPT_DIR (resuming when
+// WBTUNE_CKPT_RESUME is set) and optionally dispatching sampling to a
+// two-worker loopback fleet (WBTUNE_CKPT_MODE=net). The parent injects kills
+// via WBTUNE_CRASH, so this process may never reach the output write — that
+// is the point.
 func TestCheckpointChild(t *testing.T) {
 	if os.Getenv("WBTUNE_CKPT_CHILD") == "" {
 		t.Skip("crash-replay child; driven by TestCheckpointResumeTable1Parity")
 	}
+	opts := core.RuntimeOptions{MaxPool: 8}
+	var rt *core.Runtime
 	if os.Getenv("WBTUNE_CKPT_MODE") == "net" {
-		teardown, err := ckptFleet()
+		frt, stop, err := remote.StartLoopbackFleet(2, 2, opts)
 		if err != nil {
 			t.Fatalf("loopback fleet: %v", err)
 		}
-		defer teardown()
+		defer stop()
+		rt = frt
+	} else {
+		rt = core.NewRuntime(opts)
 	}
+	jo := core.JobOptions{Seed: 1}
+	var resume *checkpoint.State
 	if dir := os.Getenv("WBTUNE_CKPT_DIR"); dir != "" {
-		restore, err := EnableCheckpointing(dir, 1, os.Getenv("WBTUNE_CKPT_RESUME") != "")
+		store, err := checkpoint.NewDirStore(dir)
 		if err != nil {
-			t.Fatalf("EnableCheckpointing: %v", err)
+			t.Fatal(err)
 		}
-		defer restore()
+		defer store.Close()
+		jo.Checkpoint = &core.CheckpointPolicy{Store: store, Every: 1, Label: "run001"}
+		if os.Getenv("WBTUNE_CKPT_RESUME") != "" {
+			if resume, err = checkpoint.LoadFrom(store, "run001"); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	out := cannyRow()
-	if err := os.WriteFile(os.Getenv("WBTUNE_CKPT_OUT"), []byte(out), 0o644); err != nil {
+	tu := (*core.Tuner)(nil)
+	if resume == nil {
+		tu = rt.NewJob(jo)
+	} else {
+		var err error
+		if tu, err = rt.ResumeJob(jo, resume); err != nil {
+			t.Fatalf("ResumeJob: %v", err)
+		}
+	}
+	defer tu.Close()
+	out, err := CannyBench{}.Tune(tu, 1)
+	if err != nil {
+		t.Fatalf("Tune: %v", err)
+	}
+	if err := os.WriteFile(os.Getenv("WBTUNE_CKPT_OUT"), []byte(outcomeBits(out)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -117,16 +108,14 @@ func childRun(t *testing.T, mode, dir string, resume bool, crash, out string) er
 }
 
 // TestCheckpointResumeTable1Parity is the headline crash-recovery gate: a
-// Canny Table I row whose tuning process is SIGKILLed at a seeded
-// auto-checkpoint — on either side of the store's record write — then
-// resumed in a fresh process must render byte for byte what an
-// uninterrupted process renders. Both the in-process executor and a
-// loopback worker fleet are proven.
+// Canny Table I tuning process SIGKILLed at a seeded auto-checkpoint — on
+// either side of the store's record write — then resumed in a fresh process
+// must produce an outcome bit-equal to an uninterrupted process's. Both the
+// in-process executor and a loopback worker fleet are proven.
 func TestCheckpointResumeTable1Parity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process crash-replay suite; skipped in -short")
 	}
-	registerCommitTypes() // this process decodes the crashed checkpoints
 	for _, mode := range []string{"local", "net"} {
 		t.Run(mode, func(t *testing.T) {
 			base := t.TempDir()
@@ -190,38 +179,106 @@ func TestCheckpointResumeTable1Parity(t *testing.T) {
 	}
 }
 
-// TestCheckpointAllBenchmarksParity records the full Table I sweep with
-// per-round auto-checkpoints to an in-memory store and requires (a) the
-// rendered table to match the unrecorded sweep byte for byte — recording
-// must never perturb a run — and (b) every job's checkpoint writes to have
-// succeeded, which pins that every value type any benchmark commits stays
-// representable (the gob registry in EnableCheckpointing is complete).
+// tuneParity is the bench layer's determinism table: for each Table I
+// program at seed 1, the outcome of Tune is bit-equal to WBTune's on a
+// runtime in-process and on a two-worker loopback fleet. With recorded set,
+// every job is also recorded every round to a MemStore, and every checkpoint
+// write must succeed, which pins that every value type a program commits
+// stays representable (see the registrations in checkpoint.go).
+func tuneParity(t *testing.T, recorded bool) {
+	t.Helper()
+	t.Cleanup(leakcheck.Check(t))
+	opts := core.RuntimeOptions{MaxPool: 8}
+	fleet, stop, err := remote.StartLoopbackFleet(2, 2, opts)
+	if err != nil {
+		t.Fatalf("loopback fleet: %v", err)
+	}
+	t.Cleanup(stop)
+	runtimes := []struct {
+		name string
+		rt   *core.Runtime
+	}{{"local", core.NewRuntime(opts)}, {"fleet", fleet}}
+
+	for _, b := range All() {
+		t.Run(b.Name(), func(t *testing.T) {
+			want := outcomeBits(b.WBTune(1, 0))
+			for _, r := range runtimes {
+				jo := core.JobOptions{Seed: 1}
+				if recorded {
+					jo.Checkpoint = &core.CheckpointPolicy{Store: &checkpoint.MemStore{}, Every: 1}
+				}
+				tu := r.rt.NewJob(jo)
+				out, err := b.Tune(tu, 1)
+				tu.Close()
+				if err != nil {
+					t.Errorf("%s: Tune: %v", r.name, err)
+				}
+				if got := outcomeBits(out); got != want {
+					t.Errorf("%s: outcome %q, WBTune %q", r.name, got, want)
+				}
+				if err := tu.SaveErr(); err != nil {
+					t.Errorf("%s: checkpoint write failed: %v", r.name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointAllBenchmarksParity pins that recording never perturbs a
+// run: every Table I program, recorded every round to a MemStore in-process
+// and on a loopback fleet, ends bit-equal to its unrecorded WBTune outcome,
+// and every checkpoint write succeeds.
 func TestCheckpointAllBenchmarksParity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full Table I sweep twice; skipped in -short")
+		t.Skip("13 programs three times over; skipped in -short")
 	}
-	plain := renderTable1(1)
+	tuneParity(t, true)
+}
 
-	registerCommitTypes()
-	var tuners []*core.Tuner
-	prevO, prevT := OptionsHook, TunerHook
-	OptionsHook = func(o core.Options) core.Options {
-		o.Checkpoint = &core.CheckpointPolicy{Store: &checkpoint.MemStore{}, Every: 1}
-		return o
+// TestWBTunePanicsOnDivergedResume pins that a resume whose re-execution
+// diverges from its journal fails loudly instead of producing a result: a
+// recorded FASTA run's first round is given a feedback hash replay cannot
+// reproduce, and resuming it through EnableCheckpointing must panic with
+// ErrCheckpointDiverged.
+func TestWBTunePanicsOnDivergedResume(t *testing.T) {
+	dir := t.TempDir()
+	restore, err := EnableCheckpointing(dir, 1, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	TunerHook = func(tu *core.Tuner) { tuners = append(tuners, tu) }
-	defer func() { OptionsHook, TunerHook = prevO, prevT }()
+	FastaBench{}.WBTune(1, 0)
+	restore()
 
-	recorded := renderTable1(1)
-	if recorded != plain {
-		t.Errorf("recording perturbed Table I\n--- plain ---\n%s--- recorded ---\n%s", plain, recorded)
+	ds, err := checkpoint.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(tuners) == 0 {
-		t.Fatal("no tuners created")
+	st, err := checkpoint.LoadFrom(ds, "run001")
+	if err != nil || st == nil || len(st.Rounds) == 0 {
+		t.Fatalf("recorded checkpoint: %v, %v", st, err)
 	}
-	for i, tu := range tuners {
-		if err := tu.SaveErr(); err != nil {
-			t.Errorf("job %d: checkpoint write failed: %v", i, err)
+	st.Rounds[0].FBHash ^= 1
+	st.Complete = false
+	data, err := checkpoint.EncodeBytes(st)
+	if err == nil {
+		err = ds.Save("run001", data)
+	}
+	ds.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restore, err = EnableCheckpointing(dir, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, core.ErrCheckpointDiverged) {
+			t.Fatalf("diverged resume: recovered %v, want a panic with ErrCheckpointDiverged", err)
 		}
-	}
+	}()
+	out := FastaBench{}.WBTune(1, 0)
+	t.Fatalf("diverged resume returned %+v", out)
 }

@@ -53,9 +53,11 @@ func (KmeansBench) Native(seed int64) Outcome {
 }
 
 // WBTune implements Benchmark.
-func (KmeansBench) WBTune(seed int64, budget float64) Outcome {
+func (b KmeansBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark.
+func (KmeansBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	ds := kmDataset(seed)
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
 	var bestState *kmeans.State
 	err := t.Run(func(p *core.P) error {
 		p.Work(kmLoad)
@@ -95,17 +97,12 @@ func (KmeansBench) WBTune(seed int64, budget float64) Outcome {
 		}
 		return nil
 	})
-	_ = err
-	m := t.Metrics()
-	out := Outcome{
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples), Score: math.NaN(),
-	}
+	out := tunedOutcome(t)
 	if bestState != nil {
 		out.Score = kmeans.Quality(bestState, ds.Labels)
 		out.Internal = kmeans.Score(bestState)
 	}
-	return out
+	return out, err
 }
 
 // OTTune implements Benchmark: every sample repays loading and never
@@ -169,9 +166,11 @@ func (DBScanBench) Native(seed int64) Outcome {
 }
 
 // WBTune implements Benchmark.
-func (DBScanBench) WBTune(seed int64, budget float64) Outcome {
+func (b DBScanBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark.
+func (DBScanBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	ds := dbDataset(seed)
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
 	var bestLabels []int
 	err := t.Run(func(p *core.P) error {
 		p.Work(dbLoad)
@@ -206,17 +205,12 @@ func (DBScanBench) WBTune(seed int64, budget float64) Outcome {
 		}
 		return nil
 	})
-	_ = err
-	m := t.Metrics()
-	out := Outcome{
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples), Score: math.NaN(),
-	}
+	out := tunedOutcome(t)
 	if bestLabels != nil {
 		out.Score = dbscan.Quality(bestLabels, ds.Labels)
 		out.Internal = dbscan.Score(ds.Points, bestLabels)
 	}
-	return out
+	return out, err
 }
 
 // OTTune implements Benchmark.

@@ -61,14 +61,13 @@ func droneModeMissions() []struct {
 	}
 }
 
-// TuneArdu runs the three per-mode tuning regions and returns the tuned
-// parameter set plus the tuner (for accounting).
-func TuneArdu(seed int64, budget float64) (map[string]float64, *core.Tuner) {
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
+// TuneArdu runs the three per-mode tuning regions on t and returns the
+// tuned parameter set with t's run error.
+func TuneArdu(t *core.Tuner) (map[string]float64, error) {
 	// Incumbent configuration, refined mode by mode.
 	incumbent := drone.NewArdu().Params()
 
-	_ = t.Run(func(p *core.P) error {
+	err := t.Run(func(p *core.P) error {
 		for _, mm := range droneModeMissions() {
 			// Reference flight for this mission, flown once per region.
 			ref := drone.Simulate(drone.NewVeloci(), mm.mission, droneSim)
@@ -117,27 +116,25 @@ func TuneArdu(seed int64, budget float64) (map[string]float64, *core.Tuner) {
 		}
 		return nil
 	})
-	return incumbent, t
+	return incumbent, err
 }
 
-// WBTune implements Benchmark: tune on the training missions, evaluate
+// WBTune implements Benchmark.
+func (b DroneBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark: tune on the training missions, evaluate
 // mimicry on the held-out test mission (Fig. 22).
-func (DroneBench) WBTune(seed int64, budget float64) Outcome {
-	tuned, t := TuneArdu(seed, budget)
+func (DroneBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+	tuned, err := TuneArdu(t)
 	m := drone.TestMission()
 	ref := drone.Simulate(drone.NewVeloci(), m, droneSim)
 	a := drone.NewArdu()
 	a.SetParams(tuned)
 	tr := drone.Simulate(a, m, droneSim)
-	mt := t.Metrics()
-	return Outcome{
-		Score:        drone.MotorRMSE(ref, tr),
-		Internal:     drone.MotorRMSE(ref, tr),
-		Work:         t.WorkUsed(),
-		WorkSerial:   mt.WorkSerial,
-		WorkParallel: mt.WorkParallel,
-		Samples:      int(mt.Samples),
-	}
+	rmse := drone.MotorRMSE(ref, tr)
+	out := tunedOutcome(t)
+	out.Score, out.Internal = rmse, rmse
+	return out, err
 }
 
 // OTTune implements Benchmark: inapplicable, as in the paper.

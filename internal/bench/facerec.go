@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/facerec"
@@ -64,11 +62,13 @@ func frParams(sp *core.SP) facerec.Params {
 	}
 }
 
-// WBTune implements Benchmark: the expensive gallery preprocessing is done
+// WBTune implements Benchmark.
+func (b FaceRecBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark: the expensive gallery preprocessing is done
 // once; each sample trains a candidate model and validates it.
-func (FaceRecBench) WBTune(seed int64, budget float64) Outcome {
+func (FaceRecBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	d := frDatasets(seed)
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
 	var best facerec.Params
 	found := false
 	err := t.Run(func(p *core.P) error {
@@ -100,18 +100,13 @@ func (FaceRecBench) WBTune(seed int64, budget float64) Outcome {
 		}
 		return nil
 	})
-	_ = err
-	m := t.Metrics()
-	out := Outcome{
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples), Score: math.NaN(),
-	}
+	out := tunedOutcome(t)
 	if found {
 		model := facerec.Train(d.test, best)
 		out.Score = facerec.Error(d.test, model)
 		out.Internal = out.Score
 	}
-	return out
+	return out, err
 }
 
 // OTTune implements Benchmark.

@@ -103,7 +103,9 @@ type Fig10Row struct {
 	PeakProcesses int
 }
 
-// fig10Variants are the ablation arms.
+// fig10Variants are the ablation arms. The incremental arms reach no code:
+// none of the four programs declares a built-in RegionSpec.Aggregate, so
+// "+incremental" reads as "none" and "full" as "+scheduler".
 var fig10Variants = []struct {
 	name        string
 	incremental bool
@@ -120,34 +122,24 @@ var fig10Variants = []struct {
 // scheduler effect is real concurrency throttling), memory by the peak
 // retained sample values and peak live processes.
 func Fig10(seed int64) []Fig10Row {
-	defer func() { OptionsHook, TunerHook = nil, nil }()
 	var rows []Fig10Row
 	for _, name := range []string{"Canny", "Kmeans", "SVM", "Phylip"} {
 		b := ByName(name)
 		for _, v := range fig10Variants {
-			var captured *core.Tuner
-			OptionsHook = func(o core.Options) core.Options {
-				o.Incremental = v.incremental
-				o.DisableScheduler = !v.scheduler
-				if v.scheduler {
-					o.MaxPool = 8
-				}
-				return o
-			}
-			TunerHook = func(t *core.Tuner) { captured = t }
+			t := core.New(core.Options{
+				Seed: seed, MaxPool: 8,
+				Incremental: v.incremental, DisableScheduler: !v.scheduler,
+			})
 			start := time.Now()
-			b.WBTune(seed, 0)
+			b.Tune(t, seed) // the arm measures time and memory, not the outcome
 			elapsed := time.Since(start)
-			row := Fig10Row{
+			m := t.Metrics()
+			rows = append(rows, Fig10Row{
 				Name: name, Variant: v.name,
-				ElapsedMS: float64(elapsed.Microseconds()) / 1000,
-			}
-			if captured != nil {
-				m := captured.Metrics()
-				row.PeakRetained = m.PeakRetained
-				row.PeakProcesses = m.Scheduler.PeakInUse
-			}
-			rows = append(rows, row)
+				ElapsedMS:     float64(elapsed.Microseconds()) / 1000,
+				PeakRetained:  m.PeakRetained,
+				PeakProcesses: m.Scheduler.PeakInUse,
+			})
 		}
 	}
 	return rows
@@ -318,7 +310,8 @@ type Fig22Result struct {
 // Fig22 tunes Ardu on the training missions and reports the test-mission
 // comparison.
 func Fig22(seed int64) Fig22Result {
-	tuned, _ := TuneArdu(seed, 0)
+	tuned, err := TuneArdu(standardTuner(seed, 0))
+	panicOnDivergence(err)
 	m := drone.TestMission()
 	ref := drone.Simulate(drone.NewVeloci(), m, droneSim)
 	base := drone.Simulate(drone.NewArdu(), m, droneSim)

@@ -54,9 +54,11 @@ func (MetisBench) Native(seed int64) Outcome {
 }
 
 // WBTune implements Benchmark.
-func (MetisBench) WBTune(seed int64, budget float64) Outcome {
+func (b MetisBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark.
+func (MetisBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	g := meGraph(seed)
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
 	best := math.NaN()
 	err := t.Run(func(p *core.P) error {
 		p.Work(metisLoad) // graph loading, once
@@ -83,13 +85,9 @@ func (MetisBench) WBTune(seed int64, budget float64) Outcome {
 		best = res.BestScore()
 		return nil
 	})
-	_ = err
-	m := t.Metrics()
-	return Outcome{
-		Score: best, Internal: best,
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples),
-	}
+	out := tunedOutcome(t)
+	out.Score, out.Internal = best, best
+	return out, err
 }
 
 // OTTune implements Benchmark.
@@ -177,12 +175,14 @@ func (C45Bench) Native(seed int64) Outcome {
 	return Outcome{Score: c45.ErrorRate(tree, test), Work: w, WorkSerial: w, Samples: 1}
 }
 
-// WBTune implements Benchmark: one region with built-in k-fold CV; each
-// SVG member trains on k-1 folds and validates on its own.
-func (C45Bench) WBTune(seed int64, budget float64) Outcome {
+// WBTune implements Benchmark.
+func (b C45Bench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark: one region with built-in k-fold CV; each SVG
+// member trains on k-1 folds and validates on its own.
+func (C45Bench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	train, test := c45Data(seed)
 	folds := c45Folds(len(train.X), c45CVFolds)
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
 	var best c45.Params
 	found := false
 	err := t.Run(func(p *core.P) error {
@@ -220,17 +220,12 @@ func (C45Bench) WBTune(seed int64, budget float64) Outcome {
 		}
 		return nil
 	})
-	_ = err
-	m := t.Metrics()
-	out := Outcome{
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples), Score: math.NaN(),
-	}
+	out := tunedOutcome(t)
 	if found {
 		tree := c45.Train(train, best)
 		out.Score = c45.ErrorRate(tree, test)
 	}
-	return out
+	return out, err
 }
 
 // OTTune implements Benchmark: the paper implements the same
@@ -340,7 +335,8 @@ func (SVMBench) Native(seed int64) Outcome {
 // selected configuration — the Fig. 17 bars.
 func (b SVMBench) TrainTestErrors(seed int64, budget float64) (trainErr, testErr float64) {
 	train, test := svmData(seed)
-	prm, ok, _ := b.tune(seed, budget, train)
+	prm, ok, err := b.tune(standardTuner(seed, budget), seed, train)
+	panicOnDivergence(err)
 	if !ok {
 		return math.NaN(), math.NaN()
 	}
@@ -348,14 +344,13 @@ func (b SVMBench) TrainTestErrors(seed int64, budget float64) (trainErr, testErr
 	return svm.ErrorRate(m, train), svm.ErrorRate(m, test)
 }
 
-// tune runs the white-box region and returns the selected params plus the
-// tuner used (for work accounting).
-func (b SVMBench) tune(seed int64, budget float64, train svm.Dataset) (svm.Params, bool, *core.Tuner) {
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
+// tune runs the white-box region on t and returns the selected params,
+// whether any were selected, and the run error.
+func (b SVMBench) tune(t *core.Tuner, seed int64, train svm.Dataset) (svm.Params, bool, error) {
 	folds := svm.Folds(len(train.X), svmCVFolds)
 	var best svm.Params
 	found := false
-	_ = t.Run(func(p *core.P) error {
+	err := t.Run(func(p *core.P) error {
 		p.Work(svm.WorkLoad)
 		spec := core.RegionSpec{
 			Name: "svm", Samples: 12, Minimize: true,
@@ -393,23 +388,22 @@ func (b SVMBench) tune(seed int64, budget float64, train svm.Dataset) (svm.Param
 		}
 		return nil
 	})
-	return best, found, t
+	return best, found, err
 }
 
 // WBTune implements Benchmark.
-func (b SVMBench) WBTune(seed int64, budget float64) Outcome {
+func (b SVMBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark.
+func (b SVMBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	train, test := svmData(seed)
-	best, found, t := b.tune(seed, budget, train)
-	m := t.Metrics()
-	out := Outcome{
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples), Score: math.NaN(),
-	}
+	best, found, err := b.tune(t, seed, train)
+	out := tunedOutcome(t)
 	if found {
 		model := svm.Train(train, best, seed)
 		out.Score = svm.ErrorRate(model, test)
 	}
-	return out
+	return out, err
 }
 
 // OTTune implements Benchmark: cross-validation implemented inside the

@@ -58,12 +58,14 @@ func (b PhylipBench) Native(seed int64) Outcome {
 	return Outcome{Score: phylip.Quality(ds, tree), Work: w, WorkSerial: w, Samples: 1}
 }
 
-// WBTune implements Benchmark: three nested tuning regions with loading
-// done once; stage-1 DEDUP prunes sample runs that produced the same
-// transition matrix, so tuning processes split only for unique models.
-func (b PhylipBench) WBTune(seed int64, budget float64) Outcome {
+// WBTune implements Benchmark.
+func (b PhylipBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark: three nested tuning regions with loading done
+// once; stage-1 DEDUP prunes sample runs that produced the same transition
+// matrix, so tuning processes split only for unique models.
+func (b PhylipBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	ds := b.dataset(seed)
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
 	var mu sync.Mutex
 	bestSS := math.Inf(1) // internal: fit to the computed distance matrix
 	var bestTree phylip.Tree
@@ -179,12 +181,7 @@ func (b PhylipBench) WBTune(seed int64, budget float64) Outcome {
 		}
 		return p.Wait()
 	})
-	_ = err
-	m := t.Metrics()
-	out := Outcome{
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples), Score: math.NaN(),
-	}
+	out := tunedOutcome(t)
 	if haveTree {
 		out.Score = phylip.Quality(ds, bestTree)
 		out.Internal = bestSS
@@ -194,7 +191,7 @@ func (b PhylipBench) WBTune(seed int64, budget float64) Outcome {
 		tree, _ := phylip.Run(ds, phylip.DefaultParams())
 		out.Score = phylip.Quality(ds, tree)
 	}
-	return out
+	return out, err
 }
 
 // bestKByScore returns the indices of the k best-scoring samples of a

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fasta"
@@ -51,12 +49,14 @@ func (FastaBench) Native(seed int64) Outcome {
 	}
 }
 
-// WBTune implements Benchmark: database loading/indexing happens once;
-// each sample scans with its gap penalties; the custom aggregation keeps
-// the best-separated hit list.
-func (FastaBench) WBTune(seed int64, budget float64) Outcome {
+// WBTune implements Benchmark.
+func (b FastaBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark: database loading/indexing happens once; each
+// sample scans with its gap penalties; the custom aggregation keeps the
+// best-separated hit list.
+func (FastaBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	ds := faDataset(seed)
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
 	var bestHits []fasta.Hit
 	err := t.Run(func(p *core.P) error {
 		p.Work(fasta.WorkLoad)
@@ -85,17 +85,12 @@ func (FastaBench) WBTune(seed int64, budget float64) Outcome {
 		}
 		return nil
 	})
-	_ = err
-	m := t.Metrics()
-	out := Outcome{
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples), Score: math.NaN(),
-	}
+	out := tunedOutcome(t)
 	if bestHits != nil {
 		out.Score = fasta.Quality(ds, bestHits)
 		out.Internal = fasta.Separation(bestHits)
 	}
-	return out
+	return out, err
 }
 
 // OTTune implements Benchmark.
@@ -164,9 +159,11 @@ func (TopNBench) Native(seed int64) Outcome {
 }
 
 // WBTune implements Benchmark.
-func (TopNBench) WBTune(seed int64, budget float64) Outcome {
+func (b TopNBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark.
+func (TopNBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	ds := tnDataset(seed)
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
 	var best *topn.Model
 	err := t.Run(func(p *core.P) error {
 		p.Work(topn.WorkModel) // co-occurrence counting, once
@@ -197,17 +194,12 @@ func (TopNBench) WBTune(seed int64, budget float64) Outcome {
 		}
 		return nil
 	})
-	_ = err
-	m := t.Metrics()
-	out := Outcome{
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples), Score: math.NaN(),
-	}
+	out := tunedOutcome(t)
 	if best != nil {
 		out.Score = topn.HitRate(ds, best, ds.Test)
 		out.Internal = topn.HitRate(ds, best, ds.Validate)
 	}
-	return out
+	return out, err
 }
 
 // OTTune implements Benchmark: every sample repays the co-occurrence

@@ -44,7 +44,7 @@ func argInt(args map[string]string, key string, def int) (int, error) {
 	return v, nil
 }
 
-// cannyProgram adapts CannyBench.WBTune's pipeline to the service model: the
+// cannyProgram adapts CannyBench.Tune's pipeline to the service model: the
 // manager owns the Tuner (built from the spec), rounds stream out as they
 // finish, and the returned string summarizes the tuned detector.
 func cannyProgram(spec core.JobSpec) (jobs.RunFunc, error) {

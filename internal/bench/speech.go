@@ -128,12 +128,14 @@ func votePrecision(audios []speech.Audio, votes []map[int]int) float64 {
 	return correct
 }
 
-// WBTune implements Benchmark: the audio loading and spectrogram stage is
-// shared; every sample run re-extracts features and decodes, committing
-// its predicted words, which are majority-voted per audio.
-func (b SpeechBench) WBTune(seed int64, budget float64) Outcome {
+// WBTune implements Benchmark.
+func (b SpeechBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark: the audio loading and spectrogram stage is
+// shared; every sample run re-extracts features and decodes, committing its
+// predicted words, which are majority-voted per audio.
+func (b SpeechBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	audios := b.data(seed)
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
 	votes := make([]map[int]int, len(audios))
 	for i := range votes {
 		votes[i] = map[int]int{}
@@ -204,15 +206,10 @@ func (b SpeechBench) WBTune(seed int64, budget float64) Outcome {
 		}
 		return nil
 	})
-	_ = err
-	m := t.Metrics()
-	out := Outcome{
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples),
-	}
+	out := tunedOutcome(t)
 	out.Score = votePrecision(audios, votes)
 	out.Internal = out.Score
-	return out
+	return out, err
 }
 
 // speechDecode recognizes every audio in one decode pass each and returns

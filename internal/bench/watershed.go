@@ -55,11 +55,13 @@ func (b WatershedBench) Native(seed int64) Outcome {
 	return Outcome{Score: watershed.Score(boundary, ds.Truth), Work: w, WorkSerial: w, Samples: 1}
 }
 
-// WBTune implements Benchmark: loading happens once, one sampling region
+// WBTune implements Benchmark.
+func (b WatershedBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
+
+// Tune implements Benchmark: loading happens once, one sampling region
 // covers all three parameters, boundaries are majority-voted.
-func (b WatershedBench) WBTune(seed int64, budget float64) Outcome {
+func (b WatershedBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
 	ds := b.dataset(seed)
-	t := newCore(core.Options{Seed: seed, Budget: budget, MaxPool: 8})
 	var voted []float64
 	err := t.Run(func(p *core.P) error {
 		p.Work(wsLoad)
@@ -101,17 +103,12 @@ func (b WatershedBench) WBTune(seed int64, budget float64) Outcome {
 		voted = consensusSelectN(maps, wsSize)
 		return nil
 	})
-	_ = err
-	m := t.Metrics()
-	out := Outcome{
-		Work: t.WorkUsed(), WorkSerial: m.WorkSerial, WorkParallel: m.WorkParallel,
-		Samples: int(m.Samples), Score: math.NaN(),
-	}
+	out := tunedOutcome(t)
 	if voted != nil {
 		out.Score = watershed.Score(img.Image{W: wsSize, H: wsSize, Pix: voted}, ds.Truth)
 		out.Internal = out.Score
 	}
-	return out
+	return out, err
 }
 
 // wsHeuristic guides the black-box search without ground truth: boundary

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/remote/transport"
 	"repro/internal/sched"
@@ -185,17 +187,29 @@ func (fc *FleetController) Stop() {
 	}
 }
 
-// StartLoopbackFleet starts an elastic fleet of in-process loopback workers:
-// a Dynamic executor over a fresh shared Registry and ValueTable (the regions
-// it ships may be unregistered closures, so the workers must share both with
-// the dispatcher), and a FleetController that scales it between min and max
-// single-slot workers on load. The executor exists before the runtime that
-// will use it, so load must return the zero LoadStats until that runtime does.
-// stop retires the fleet: the controller first, then the executor.
-func StartLoopbackFleet(min, max int, reg *obs.Registry, load func() sched.LoadStats) (ex *NetExecutor, stop func(), err error) {
+// StartLoopbackFleet starts an elastic fleet of in-process loopback workers
+// and returns the Runtime that runs on it. The fleet is a Dynamic executor
+// over a fresh shared Registry and ValueTable (the regions it ships may be
+// unregistered closures, so the workers must share both with the
+// dispatcher) and a FleetController that scales it between min and max
+// single-slot workers on the runtime's load. The runtime is built from opts
+// with that executor; opts.Obs also receives the fleet's metrics. stop
+// retires the fleet: the controller first, then the executor.
+func StartLoopbackFleet(min, max int, opts core.RuntimeOptions) (rt *core.Runtime, stop func(), err error) {
+	// The controller starts before the runtime exists: until it does, the
+	// load signal reads zero stats.
+	var cur atomic.Pointer[core.Runtime]
 	shared := NewRegistry()
-	ex = NewExecutor(ExecutorOptions{Registry: shared, Dynamic: true, Values: NewValueTable(), Obs: reg})
-	fc := NewFleetController(ex, FleetOptions{Load: load, Registry: shared, Min: min, Max: max})
+	ex := NewExecutor(ExecutorOptions{Registry: shared, Dynamic: true, Values: NewValueTable(), Obs: opts.Obs})
+	fc := NewFleetController(ex, FleetOptions{
+		Load: func() sched.LoadStats {
+			if rt := cur.Load(); rt != nil {
+				return rt.Load()
+			}
+			return sched.LoadStats{}
+		},
+		Registry: shared, Min: min, Max: max,
+	})
 	stop = func() {
 		fc.Stop()
 		ex.Close()
@@ -204,7 +218,10 @@ func StartLoopbackFleet(min, max int, reg *obs.Registry, load func() sched.LoadS
 		stop()
 		return nil, nil, err
 	}
-	return ex, stop, nil
+	opts.Executor = ex
+	rt = core.NewRuntime(opts)
+	cur.Store(rt)
+	return rt, stop, nil
 }
 
 // Size reports the number of controller-owned workers.
