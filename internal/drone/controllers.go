@@ -308,9 +308,9 @@ func (a *Ardu) Control(s State, sp Setpoint, dt float64) Motors {
 
 	// Velocity loop: PI plus feed-forward, low-pass filtered setpoints.
 	fx := g.pscVelXYFilt
-	pitchSp := clampF(a.velX.update((velSpX-s.Vel.X)*fx/math.Max(fx, 1e-3), dt)+
+	pitchSp := clampF(a.velX.update((velSpX-s.Vel.X)*fx/max(fx, 1e-3), dt)+
 		g.velXYFF*velSpX/10, g.angleMaxCD/100*math.Pi/180)
-	rollSp := clampF(-a.velY.update((velSpY-s.Vel.Y)*fx/math.Max(fx, 1e-3), dt)-
+	rollSp := clampF(-a.velY.update((velSpY-s.Vel.Y)*fx/max(fx, 1e-3), dt)-
 		g.velXYFF*velSpY/10, g.angleMaxCD/100*math.Pi/180)
 	collective := g.motThstHover + a.velZ.update(velSpZ-s.Vel.Z, dt)
 	lo := g.motSpinMin
@@ -324,7 +324,7 @@ func (a *Ardu) Control(s State, sp Setpoint, dt float64) Motors {
 	collective = math.Min(hi, math.Max(lo, collective))
 
 	// Attitude -> rates -> torques; ATC_INPUT_TC shapes the rate setpoint.
-	tc := math.Max(g.atcInputTC, 1e-2)
+	tc := max(g.atcInputTC, 1e-2)
 	rollRateSp := (rollSp - s.Roll) * g.angRllP / (1 + tc)
 	pitchRateSp := (pitchSp - s.Pitch) * g.angPitP / (1 + tc)
 	rollT := a.rateR.update(rollRateSp-s.RollRate, dt)
@@ -334,6 +334,11 @@ func (a *Ardu) Control(s State, sp Setpoint, dt float64) Motors {
 	return mixer(collective, rollT, pitchT, yawT)
 }
 
+// clampF keeps math.Min and math.Max, as do Control's clamps between two
+// variables: lim is tuned, and at lim = -Inf with a NaN v the builtins
+// answer NaN where these answer -Inf. clampAngle, mixer and pid.update
+// clamp to constant or positive limits, where the builtins agree with
+// math.Min and math.Max on every input.
 func clampF(v, lim float64) float64 {
 	return math.Min(lim, math.Max(-lim, v))
 }

@@ -113,7 +113,7 @@ func mixer(thrust, rollT, pitchT, yawT float64) Motors {
 		thrust - rollT - pitchT - yawT,
 	}
 	for i := range m {
-		m[i] = math.Min(1, math.Max(0, m[i]))
+		m[i] = min(1, max(0, m[i]))
 	}
 	return m
 }
@@ -154,7 +154,7 @@ func step(s *State, m Motors, dt float64) {
 
 func clampAngle(a float64) float64 {
 	const lim = 0.6
-	return math.Min(lim, math.Max(-lim, a))
+	return min(lim, max(-lim, a))
 }
 
 // pid is a textbook PID loop with output limiting and integrator clamping.
@@ -171,7 +171,7 @@ func (c *pid) reset() { c.integ, c.prev, c.hasPrev = 0, 0, false }
 func (c *pid) update(err, dt float64) float64 {
 	c.integ += err * dt
 	if lim := c.limit; lim > 0 {
-		c.integ = math.Min(lim, math.Max(-lim, c.integ))
+		c.integ = min(lim, max(-lim, c.integ))
 	}
 	d := 0.0
 	if c.hasPrev && dt > 0 {
@@ -181,7 +181,7 @@ func (c *pid) update(err, dt float64) float64 {
 	c.hasPrev = true
 	out := c.kp*err + c.ki*c.integ + c.kd*d
 	if lim := c.limit; lim > 0 {
-		out = math.Min(lim, math.Max(-lim, out))
+		out = min(lim, max(-lim, out))
 	}
 	return out
 }

@@ -136,17 +136,10 @@ func resampleMotors(motors [][4]float64, n int) [][4]float64 {
 		return out
 	}
 	for i := 0; i < n; i++ {
-		src := i * (len(motors) - 1) / maxi(n-1, 1)
+		src := i * (len(motors) - 1) / max(n-1, 1)
 		out[i] = motors[src]
 	}
 	return out
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // rmseResampled compares two motor segments on a normalized time axis.
@@ -178,7 +171,7 @@ func MotorRMSE(a, b Trace) float64 {
 	if math.IsInf(shape, 1) {
 		return shape
 	}
-	denom := math.Max(a.FlightTime, 1e-9)
+	denom := max(a.FlightTime, 1e-9)
 	timing := math.Abs(a.FlightTime-b.FlightTime) / denom
 	return shape + timingWeight*timing
 }
@@ -204,7 +197,7 @@ func ModeRMSE(a, b Trace, mode Mode) float64 {
 	if math.IsInf(shape, 1) {
 		return shape
 	}
-	denom := math.Max(float64(len(sa)), 1)
+	denom := max(float64(len(sa)), 1)
 	timing := math.Abs(float64(len(sa)-len(sb))) / denom
 	return shape + timingWeight*timing
 }

@@ -165,3 +165,91 @@ func BenchmarkArduSimulate(b *testing.B) {
 }
 
 var benchTrace Trace
+
+// minMaxEdges are the inputs on which float min and max can disagree: both
+// zeros, NaN, both infinities and subnormals, beside ordinary values on
+// both sides of the constant limits.
+var minMaxEdges = func() []float64 {
+	sub := math.Float64frombits(0x000fffffffffffff) // largest subnormal
+	vals := []float64{0, math.NaN(), math.Inf(1), math.SmallestNonzeroFloat64, sub, 0.3, 0.6, 1, 1.5, math.MaxFloat64}
+	for _, v := range vals[2:] {
+		vals = append(vals, -v)
+	}
+	return append(vals, math.Copysign(0, -1))
+}()
+
+// TestHelpersKeepMathMinMaxBits holds clampF, clampAngle, mixer and
+// pid.update to copies written with math.Min and math.Max, bit for bit on
+// every combination of minMaxEdges. mapArdu shares these helpers with Ardu,
+// so TestArduMatchesMapOracle cannot see them change. Any NaN matches any
+// NaN: math.Min and math.Max answer math.NaN(), the builtins a NaN operand,
+// and only math.Float64bits tells the payloads apart.
+func TestHelpersKeepMathMinMaxBits(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	clamp := func(v, lim float64) float64 { return math.Min(lim, math.Max(-lim, v)) }
+	for _, v := range minMaxEdges {
+		if got, want := clampAngle(v), clamp(v, 0.6); !same(got, want) {
+			t.Errorf("clampAngle(%v) = %v, math.Min/Max %v", v, got, want)
+		}
+		for _, lim := range minMaxEdges {
+			if got, want := clampF(v, lim), clamp(v, lim); !same(got, want) {
+				t.Errorf("clampF(%v, %v) = %v, math.Min/Max %v", v, lim, got, want)
+			}
+		}
+	}
+
+	for _, th := range minMaxEdges {
+		for _, rl := range minMaxEdges {
+			for _, pt := range minMaxEdges {
+				for _, yw := range minMaxEdges {
+					got := mixer(th, rl, pt, yw)
+					want := Motors{th - rl + pt + yw, th + rl + pt - yw, th + rl - pt + yw, th - rl - pt - yw}
+					for i := range want {
+						want[i] = math.Min(1, math.Max(0, want[i]))
+						if !same(got[i], want[i]) {
+							t.Fatalf("mixer(%v, %v, %v, %v)[%d] = %v, math.Min/Max %v", th, rl, pt, yw, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// refUpdate is pid.update with math.Min and math.Max.
+	refUpdate := func(c *pid, err, dt float64) float64 {
+		c.integ += err * dt
+		if lim := c.limit; lim > 0 {
+			c.integ = math.Min(lim, math.Max(-lim, c.integ))
+		}
+		d := 0.0
+		if c.hasPrev && dt > 0 {
+			d = (err - c.prev) / dt
+		}
+		c.prev = err
+		c.hasPrev = true
+		out := c.kp*err + c.ki*c.integ + c.kd*d
+		if lim := c.limit; lim > 0 {
+			out = math.Min(lim, math.Max(-lim, out))
+		}
+		return out
+	}
+	for _, lim := range minMaxEdges {
+		for _, integ := range minMaxEdges {
+			for _, err := range minMaxEdges {
+				for _, dt := range []float64{0, 0.01, math.SmallestNonzeroFloat64, math.Inf(1), math.NaN()} {
+					for _, k := range [][3]float64{{1, 1, 1}, {0.5, 2, 0}} {
+						c := pid{kp: k[0], ki: k[1], kd: k[2], limit: lim, integ: integ, prev: 0.3, hasPrev: true}
+						ref := c
+						got, want := c.update(err, dt), refUpdate(&ref, err, dt)
+						if !same(got, want) || !same(c.integ, ref.integ) {
+							t.Fatalf("pid{limit %v, integ %v}.update(%v, %v) = %v (integ %v), math.Min/Max %v (integ %v)",
+								lim, integ, err, dt, got, c.integ, want, ref.integ)
+						}
+					}
+				}
+			}
+		}
+	}
+}

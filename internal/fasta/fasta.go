@@ -83,39 +83,34 @@ func Gen(seed int64, queryLen, dbSize int) Dataset {
 // Align computes the Smith-Waterman local alignment score of a and b with
 // affine gaps (match +2, mismatch -1). Gotoh's three-matrix formulation.
 func Align(a, b []byte, p Params) float64 {
-	if p.GapOpen < 0 || p.GapExtend < 0 {
-		panic("fasta: negative gap penalties")
+	if !(p.GapOpen >= 0) || !(p.GapExtend >= 0) {
+		panic("fasta: negative or NaN gap penalties")
 	}
 	const (
 		match    = 2.0
 		mismatch = -1.0
 	)
-	n, m := len(a), len(b)
-	// H: best ending at (i,j); E: gap in a; F: gap in b. Rolling rows.
-	H := make([][]float64, 2)
-	E := make([][]float64, 2)
-	F := make([][]float64, 2)
-	for k := 0; k < 2; k++ {
-		H[k] = make([]float64, m+1)
-		E[k] = make([]float64, m+1)
-		F[k] = make([]float64, m+1)
-	}
+	m := len(b)
+	// H: best ending at (i,j); E: gap in a; F: gap in b. H[j] and F[j]
+	// hold column j+1 of row i-1 until row i overwrites them; E looks only
+	// left along row i, so it is one running value. Column 0 is all zeros.
+	buf := make([]float64, 2*m)
+	H, F := buf[:m], buf[m:]
 	best := 0.0
-	for i := 1; i <= n; i++ {
-		cur, prev := i%2, 1-i%2
-		for j := 1; j <= m; j++ {
+	for _, ai := range a {
+		diag, left, e := 0.0, 0.0, 0.0 // H[i-1][0], H[i][0] and E[i][0]
+		for j, bj := range b {
 			s := mismatch
-			if a[i-1] == b[j-1] {
+			if ai == bj {
 				s = match
 			}
-			E[cur][j] = math.Max(E[cur][j-1]-p.GapExtend, H[cur][j-1]-p.GapOpen)
-			F[cur][j] = math.Max(F[prev][j]-p.GapExtend, H[prev][j]-p.GapOpen)
-			h := math.Max(0, H[prev][j-1]+s)
-			h = math.Max(h, E[cur][j])
-			h = math.Max(h, F[cur][j])
-			H[cur][j] = h
-			if h > best {
-				best = h
+			up := H[j]
+			e = max(e-p.GapExtend, left-p.GapOpen)
+			f := max(F[j]-p.GapExtend, up-p.GapOpen)
+			left = max(0, diag+s, e, f)
+			diag, H[j], F[j] = up, left, f
+			if left > best {
+				best = left
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package fasta
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -67,12 +69,23 @@ func TestAffineGapsBeatLinearForIndels(t *testing.T) {
 }
 
 func TestAlignValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Align([]byte("AC"), []byte("AC"), Params{GapOpen: -1, GapExtend: 1})
+	nan := math.NaN()
+	for _, p := range []Params{
+		{GapOpen: -1, GapExtend: 1},
+		{GapOpen: 1, GapExtend: -1},
+		{GapOpen: nan, GapExtend: 1},
+		{GapOpen: 1, GapExtend: nan},
+		{GapOpen: math.Inf(-1), GapExtend: 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Align with %+v did not panic", p)
+				}
+			}()
+			Align([]byte("ACGTACGTAC"), []byte("ACGTACGTAC"), p)
+		}()
+	}
 }
 
 func TestSearchSortedBestFirst(t *testing.T) {
@@ -152,3 +165,88 @@ func TestGenValidation(t *testing.T) {
 	}()
 	Gen(1, 4, 10)
 }
+
+// refAlign is the Align the single-buffer one replaced: two rolling rows
+// each of H, E and F, indexed by i%2, combined with math.Max.
+func refAlign(a, b []byte, p Params) float64 {
+	const (
+		match    = 2.0
+		mismatch = -1.0
+	)
+	n, m := len(a), len(b)
+	H := make([][]float64, 2)
+	E := make([][]float64, 2)
+	F := make([][]float64, 2)
+	for k := 0; k < 2; k++ {
+		H[k] = make([]float64, m+1)
+		E[k] = make([]float64, m+1)
+		F[k] = make([]float64, m+1)
+	}
+	best := 0.0
+	for i := 1; i <= n; i++ {
+		cur, prev := i%2, 1-i%2
+		for j := 1; j <= m; j++ {
+			s := mismatch
+			if a[i-1] == b[j-1] {
+				s = match
+			}
+			E[cur][j] = math.Max(E[cur][j-1]-p.GapExtend, H[cur][j-1]-p.GapOpen)
+			F[cur][j] = math.Max(F[prev][j]-p.GapExtend, H[prev][j]-p.GapOpen)
+			h := math.Max(0, H[prev][j-1]+s)
+			h = math.Max(h, E[cur][j])
+			h = math.Max(h, F[cur][j])
+			H[cur][j] = h
+			if h > best {
+				best = h
+			}
+		}
+	}
+	return best
+}
+
+// TestAlignMatchesTwoRowOracle holds Align to refAlign bit for bit on
+// random sequences of length 0-200, with gap penalties that include zero,
+// an open cheaper than an extend, and +Inf.
+func TestAlignMatchesTwoRowOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	seq := func() []byte {
+		s := make([]byte, r.Intn(201))
+		for i := range s {
+			s[i] = Alphabet[r.Intn(4)]
+		}
+		return s
+	}
+	inf := math.Inf(1)
+	edges := []Params{
+		{0, 0}, {0, 1}, {1, 0}, {0.5, 3}, {2, 2.5},
+		{inf, 1}, {1, inf}, {inf, inf}, {inf, 0}, DefaultParams(),
+	}
+	for i := 0; i < 400; i++ {
+		p := Params{GapOpen: 12 * r.Float64(), GapExtend: 6 * r.Float64()}
+		if i < len(edges) {
+			p = edges[i]
+		}
+		a, b := seq(), seq()
+		if i%10 == 0 {
+			b = a[:r.Intn(len(a)+1)] // a shared prefix: long exact runs
+		}
+		got, want := Align(a, b, p), refAlign(a, b, p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d (%+v, lengths %d and %d): Align %v, oracle %v", i, p, len(a), len(b), got, want)
+		}
+	}
+}
+
+func BenchmarkAlign(b *testing.B) {
+	ds := Gen(1, 64, 16)
+	p := Params{GapOpen: 4, GapExtend: 0.5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range ds.DB {
+			benchScore = Align(ds.Query, s, p)
+		}
+	}
+}
+
+var benchScore float64

@@ -41,8 +41,8 @@ func refDTW(a, b [][]float64, p Params) float64 {
 		hi := m
 		if band < m {
 			c := i * m / n
-			lo = maxInt(1, c-band)
-			hi = minInt(m, c+band)
+			lo = max(1, c-band)
+			hi = min(m, c+band)
 		}
 		rowBest := inf
 		for j := lo; j <= hi; j++ {
@@ -221,6 +221,43 @@ func TestDecodeMatchesFullBandOracle(t *testing.T) {
 	}
 	close(next)
 	wg.Wait()
+}
+
+// TestDTWMatchesFullBandOracle holds DTW to refDTW bit for bit on the
+// distance itself, template by template: the cells DTW skips under the
+// beam must be exactly the ones the beam would have cut. Each edge beam (a
+// near-zero one, ones narrower and wider than a frame distance, +Inf and
+// disabled) runs on the defaults and on two random configurations.
+func TestDTWMatchesFullBandOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	var configs []Params
+	for _, beam := range []float64{1e-9, 0.25, 2, math.Inf(1), 0} {
+		for _, base := range []Params{DefaultParams(), randomParams(r), randomParams(r)} {
+			base.BeamWidth = beam
+			configs = append(configs, base)
+		}
+	}
+	for len(configs) < 515 {
+		configs = append(configs, randomParams(r))
+	}
+	cut := 0
+	for i, p := range configs {
+		tmpl := Templates(p)
+		_, audios := GenSpeakerSet(int64(i)+1, i%10, 1)
+		feats := Features(audios[0].Spec, p)
+		for w, tm := range tmpl {
+			got, want := DTW(feats, tm, p), refDTW(feats, tm, p)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("config %d template %d: DTW %v, oracle %v (%+v)", i, w, got, want, p)
+			}
+			if math.IsInf(want, 1) {
+				cut++
+			}
+		}
+	}
+	if cut == 0 {
+		t.Error("no template was cut by the beam; the near-zero beam rows exercise nothing")
+	}
 }
 
 // TestWinsBreaksTiesLikeDecode gives some words an exact copy of another

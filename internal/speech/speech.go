@@ -79,7 +79,7 @@ func contour(w int, u float64) float64 {
 	b := 0.15 * math.Sin(2*math.Pi*(u+float64(w)/10))
 	c := 0.2 * u * float64(w%3)
 	v := a + b + c
-	return math.Min(0.95, math.Max(0.05, v))
+	return min(0.95, max(0.05, v))
 }
 
 // Audio is one utterance with its ground-truth word.
@@ -148,8 +148,10 @@ func Features(spec Spectrogram, p Params) [][]float64 {
 	if nf < 2 {
 		nf = 2
 	}
-	lo := math.Max(0, math.Min(p.FilterLow, 0.9))
-	hi := math.Min(1, math.Max(p.FilterHigh, lo+0.05))
+	lo := max(0, min(p.FilterLow, 0.9))
+	// math.Max, not the builtin, wherever neither side is a constant: the
+	// builtin answers NaN where math.Max answers +Inf (+Inf against NaN).
+	hi := min(1, math.Max(p.FilterHigh, lo+0.05))
 	flen := p.FrameLen
 	if flen < 1 {
 		flen = 1
@@ -158,7 +160,7 @@ func Features(spec Spectrogram, p Params) [][]float64 {
 	if shift < 1 {
 		shift = 1
 	}
-	floor := math.Max(p.EnergyFloor, 1e-9)
+	floor := max(p.EnergyFloor, 1e-9)
 
 	// Peak energy for the noise gate.
 	peak := 0.0
@@ -223,7 +225,7 @@ func Features(spec Spectrogram, p Params) [][]float64 {
 	return frames
 }
 
-func clamp01(v float64) float64 { return math.Min(1, math.Max(0, v)) }
+func clamp01(v float64) float64 { return min(1, max(0, v)) }
 
 // Templates extracts the reference features of every vocabulary word from
 // clean canonical renderings (a neutral speaker) under the same parameters,
@@ -238,7 +240,7 @@ func Templates(p Params) [][][]float64 {
 		a := Synthesize(0x7E3, neutral, w)
 		f := Features(a.Spec, tp)
 		if p.TemplateSmooth > 0 && len(f) > 1 {
-			sm := math.Min(p.TemplateSmooth, 0.95)
+			sm := min(p.TemplateSmooth, 0.95)
 			for t := 1; t < len(f); t++ {
 				for b := range f[t] {
 					f[t][b] = (1-sm)*f[t][b] + sm*f[t-1][b]
@@ -298,6 +300,13 @@ func (ab abandon) score(d float64, p Params) float64 {
 // monotone). Once that bound reaches the second-best distance and its
 // score reaches the best score, the template can change neither the word
 // nor the margin, and dtw returns +Inf instead of finishing the band.
+//
+// For the same reason a cell whose cheapest predecessor already exceeds
+// the row's best so far plus the beam is left unreachable without its
+// frame distance: its value would exceed the row's final best plus the
+// beam, so the beam would cut it, and so would every later cell of the
+// row that took it as its cheapest predecessor. The pruned row is the one
+// the full row would give.
 func dtw(a, b [][]float64, p Params, rows *dtwRows, ab abandon) float64 {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
@@ -329,14 +338,17 @@ func dtw(a, b [][]float64, p Params, rows *dtwRows, ab abandon) float64 {
 		hi := m
 		if band < m {
 			c := i * m / n
-			lo = maxInt(1, c-band)
-			hi = minInt(m, c+band)
+			lo = max(1, c-band)
+			hi = min(m, c+band)
 		}
 		rowBest := inf
 		for j := lo; j <= hi; j++ {
-			best := math.Min(prev[j], math.Min(cur[j-1], prev[j-1]))
+			best := min(prev[j], cur[j-1], prev[j-1])
 			if best >= inf {
 				continue // inf + d == inf: the cell stays unreachable
+			}
+			if p.BeamWidth > 0 && best > rowBest+p.BeamWidth {
+				continue // the cell is at least best: the beam would cut it
 			}
 			cur[j] = frameDist(a[i-1], b[j-1], exp) + best
 			if cur[j] < rowBest {
@@ -370,26 +382,12 @@ func dtw(a, b [][]float64, p Params, rows *dtwRows, ab abandon) float64 {
 }
 
 func frameDist(a, b []float64, exp float64) float64 {
-	n := minInt(len(a), len(b))
+	n := min(len(a), len(b))
 	s := 0.0
 	for i := 0; i < n; i++ {
 		s += math.Pow(math.Abs(a[i]-b[i]), exp)
 	}
 	return math.Pow(s/float64(n), 1/exp)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Recognize decodes one audio against the templates: the word minimizing
