@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/dist"
 )
@@ -137,6 +138,41 @@ func majority(ds Dataset, idx []int) (class int, errs float64) {
 	return best, float64(len(idx) - counts[best])
 }
 
+// tableN bounds the node sizes whose entropy terms come from plogpTab.
+const tableN = 64
+
+// plogpTab holds plogp(c, n) and splitInfo(c, n) at n*(n+1)/2+c for
+// 0 < c <= n <= tableN, built on first use.
+var plogpTab = sync.OnceValue(func() [][2]float64 {
+	tab := make([][2]float64, (tableN+1)*(tableN+2)/2)
+	for n := 1; n <= tableN; n++ {
+		for c := 1; c <= n; c++ {
+			p := float64(c) / float64(n)
+			tab[n*(n+1)/2+c] = [2]float64{p * math.Log2(p), -p*math.Log2(p) - (1-p)*math.Log2(1-p)}
+		}
+	}
+	return tab
+})
+
+// plogp is p*Log2(p) with p = c/n.
+func plogp(c, n int) float64 {
+	if n <= tableN {
+		return plogpTab()[n*(n+1)/2+c][0]
+	}
+	p := float64(c) / float64(n)
+	return p * math.Log2(p)
+}
+
+// splitInfo is the split information, in bits, of sending c of n
+// examples left.
+func splitInfo(c, n int) float64 {
+	if n <= tableN {
+		return plogpTab()[n*(n+1)/2+c][1]
+	}
+	p := float64(c) / float64(n)
+	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
+}
+
 // countEntropy is the class entropy, in bits, of n examples with the given
 // per-class counts.
 func countEntropy(counts []int, n int) float64 {
@@ -145,8 +181,7 @@ func countEntropy(counts []int, n int) float64 {
 		if c == 0 {
 			continue
 		}
-		p := float64(c) / float64(n)
-		h -= p * math.Log2(p)
+		h -= plogp(c, n)
 	}
 	return h
 }
@@ -196,11 +231,11 @@ func grow(ds Dataset, idx []int, p Params) *Node {
 			}
 			pl := float64(nl) / float64(len(idx))
 			gain := baseH - pl*countEntropy(left, nl) - (1-pl)*countEntropy(right, nr)
-			splitInfo := -pl*math.Log2(pl) - (1-pl)*math.Log2(1-pl)
-			if splitInfo < 1e-9 {
+			si := splitInfo(nl, len(idx))
+			if si < 1e-9 {
 				continue
 			}
-			if gr := gain / splitInfo; gr > bestGR {
+			if gr := gain / si; gr > bestGR {
 				bestGR, bestF, bestThr = gr, f, thr
 			}
 		}

@@ -7,10 +7,54 @@ import (
 	"testing"
 )
 
+// log2Entropy is countEntropy as it was before the p*Log2(p) table: it
+// calls math.Log2 for every class.
+func log2Entropy(counts []int, n int) float64 {
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / float64(n)
+		h -= p * math.Log2(p)
+	}
+	return h
+}
+
+// TestPlogpMatchesLog2 compares every table entry, and the direct
+// expressions beyond the table, with math.Log2 as grow used to call it,
+// bit for bit: the entropy term for 0 < c <= n and the split information
+// for 0 < c < n, for n up to three times the table bound.
+func TestPlogpMatchesLog2(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	counts := make([]int, 3)
+	for n := 1; n <= 3*tableN; n++ {
+		for c := 1; c <= n; c++ {
+			pl := float64(c) / float64(n)
+			if got, want := plogp(c, n), pl*math.Log2(pl); !same(got, want) {
+				t.Fatalf("n %d c %d: entropy term %v, Log2 %v", n, c, got, want)
+			}
+			if c < n {
+				if got, want := splitInfo(c, n), -pl*math.Log2(pl)-(1-pl)*math.Log2(1-pl); !same(got, want) {
+					t.Fatalf("n %d c %d: split information %v, Log2 %v", n, c, got, want)
+				}
+			}
+			// Three classes with counts c, n-c and 0 in every order.
+			counts[0], counts[1], counts[2] = c, n-c, 0
+			for k := 0; k < 3; k++ {
+				if got, want := countEntropy(counts, n), log2Entropy(counts, n); !same(got, want) {
+					t.Fatalf("countEntropy(%v, %d) = %v, Log2 %v", counts, n, got, want)
+				}
+				counts[0], counts[1], counts[2] = counts[1], counts[2], counts[0]
+			}
+		}
+	}
+}
+
 // partitionGrow is the obvious split search grow replaced: for every
 // distinct-value midpoint it re-partitions idx by x <= thr and counts both
-// sides from scratch. It is the reference TestGrowMatchesPartitionOracle
-// holds grow to.
+// sides from scratch, with math.Log2 for every entropy. It is the
+// reference TestGrowMatchesPartitionOracle holds grow to.
 func partitionGrow(ds Dataset, idx []int, p Params) *Node {
 	class, errs := majority(ds, idx)
 	node := &Node{Feature: -1, Class: class, ErrCount: errs, N: len(idx)}
@@ -22,7 +66,7 @@ func partitionGrow(ds Dataset, idx []int, p Params) *Node {
 		for _, i := range idx {
 			counts[ds.Y[i]]++
 		}
-		return countEntropy(counts, len(idx))
+		return log2Entropy(counts, len(idx))
 	}
 	baseH := entropy(idx)
 	bestGR := 0.0

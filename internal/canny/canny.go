@@ -155,7 +155,7 @@ func Score(edges, truth img.Image) float64 {
 
 // GradEnergy is the mean Sobel gradient magnitude of an image.
 func GradEnergy(m img.Image) float64 {
-	mag, _ := img.Sobel(m)
+	mag := img.Gradient(m)
 	energy := 0.0
 	for _, v := range mag.Pix {
 		energy += v

@@ -151,6 +151,7 @@ type counters struct {
 	retried, degraded, splits atomic.Int64
 	peakRetained              atomic.Int64
 	workSer, workPar          atomic.Int64 // milli work units
+	idleLaunches              atomic.Int64 // launcher admissions runRound released unused
 }
 
 // regionShape is the per-region-name state the Tuner accumulates across

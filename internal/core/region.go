@@ -399,6 +399,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		g, f, ok := rs.claim(false)
 		if !ok {
 			t.release() // admitted in the instant the last pair was claimed
+			t.ctr.idleLaunches.Add(1)
 			break
 		}
 		rs.wg.Add(1)

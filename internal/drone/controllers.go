@@ -49,6 +49,10 @@ func (v *Veloci) Reset() {
 	v.rateP = pid{kp: g("MC_PITCHRATE_P"), ki: g("MC_PITCHRATE_I"), kd: g("MC_PITCHRATE_D"), limit: 0.4}
 }
 
+func (v *Veloci) loopBits() loopBits {
+	return newLoopBits(0, v.velX, v.velY, v.velZ, v.rateR, v.rateP)
+}
+
 // Control implements Controller.
 func (v *Veloci) Control(s State, sp Setpoint, dt float64) Motors {
 	g := v.get
@@ -269,6 +273,10 @@ func (a *Ardu) Reset() {
 	a.rateR = pid{kp: g("RAT_RLL_P"), ki: g("RAT_RLL_I"), kd: g("RAT_RLL_D"), limit: 0.4}
 	a.rateP = pid{kp: g("RAT_PIT_P"), ki: g("RAT_PIT_I"), kd: g("RAT_PIT_D"), limit: 0.4}
 	a.mode = -1
+}
+
+func (a *Ardu) loopBits() loopBits {
+	return newLoopBits(a.mode, a.velX, a.velY, a.velZ, a.rateR, a.rateP)
 }
 
 // Control implements Controller.

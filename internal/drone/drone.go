@@ -186,6 +186,39 @@ func (c *pid) update(err, dt float64) float64 {
 	return out
 }
 
+// loopStater is a controller whose Control output and next loop state
+// depend only on Control's arguments and on what loopBits returns.
+type loopStater interface {
+	loopBits() loopBits
+}
+
+// loopBits are the bits of a controller's PID loops and of the mode it
+// last flew. Simulate compares bits, not values: equal bits in give equal
+// bits out, while == calls -0 and 0 equal.
+type loopBits [5*7 + 1]uint64
+
+func newLoopBits(mode Mode, loops ...pid) (b loopBits) {
+	for i, c := range loops {
+		hasPrev := uint64(0)
+		if c.hasPrev {
+			hasPrev = 1
+		}
+		copy(b[7*i:], []uint64{math.Float64bits(c.kp), math.Float64bits(c.ki), math.Float64bits(c.kd),
+			math.Float64bits(c.limit), math.Float64bits(c.integ), math.Float64bits(c.prev), hasPrev})
+	}
+	b[len(b)-1] = uint64(mode)
+	return b
+}
+
+func stateBits(s *State) [12]uint64 {
+	var b [12]uint64
+	for i, v := range []float64{s.Pos.X, s.Pos.Y, s.Pos.Z, s.Vel.X, s.Vel.Y, s.Vel.Z,
+		s.Roll, s.Pitch, s.RollRate, s.PitchRate, s.Yaw, s.YawRate} {
+		b[i] = math.Float64bits(v)
+	}
+	return b
+}
+
 // paramStore implements Params/SetParams over a map with panic-on-unknown.
 type paramStore struct {
 	name string

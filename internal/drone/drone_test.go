@@ -275,6 +275,26 @@ func TestSimOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestSimOptionsNonFinitePanics: int(maxT/dt) of a NaN or an infinity is
+// implementation-defined, so Simulate refuses such options.
+func TestSimOptionsNonFinitePanics(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, opt := range []SimOptions{
+		{MaxTime: nan}, {MaxTime: inf}, {MaxTime: -inf},
+		{Dt: nan}, {Dt: inf}, {Dt: -inf},
+		{Dt: nan, MaxTime: nan},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Simulate with %+v did not panic", opt)
+				}
+			}()
+			Simulate(NewVeloci(), TrainingMission1(), opt)
+		}()
+	}
+}
+
 func TestVelociParamsImmutableByCopy(t *testing.T) {
 	v := NewVeloci()
 	p := v.Params()

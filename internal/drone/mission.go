@@ -1,7 +1,9 @@
 package drone
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -58,8 +60,17 @@ type SimOptions struct {
 
 // Simulate flies the mission with the controller and records the trace.
 // The mission planner sequences takeoff → waypoints → land and reports
-// completion when the vehicle is back on the ground.
+// completion when the vehicle is back on the ground. A NaN or infinite
+// Dt or MaxTime panics.
+//
+// A step is a function of the state, the controller's loop state, the
+// mode and the waypoint alone. Once all of them repeat the previous
+// step's bits, every later step repeats that step, so for Veloci and Ardu
+// the rest of the flight is its record, copied.
 func Simulate(c Controller, m Mission, opt SimOptions) Trace {
+	if math.IsNaN(opt.Dt) || math.IsInf(opt.Dt, 0) || math.IsNaN(opt.MaxTime) || math.IsInf(opt.MaxTime, 0) {
+		panic(fmt.Sprintf("drone: non-finite SimOptions %+v", opt))
+	}
 	dt := opt.Dt
 	if dt <= 0 {
 		dt = 0.02
@@ -75,7 +86,39 @@ func Simulate(c Controller, m Mission, opt SimOptions) Trace {
 	wp := 0
 	home := Vec3{}
 	steps := int(maxT / dt)
+	ls, _ := c.(loopStater)
+	type loop struct {
+		s    [12]uint64
+		c    loopBits
+		mode Mode
+		wp   int
+	}
+	var prevPos Vec3 // at the top of the previous step
+	var prev loop
+	held := false // prev is the loop at the top of the previous step
 	for i := 0; i < steps; i++ {
+		// A repeated position gates the full comparison. From step 12 on,
+		// the completion test's i > 10 held at step i-1.
+		if ls != nil && i > 11 && s.Pos == prevPos {
+			cur := loop{stateBits(&s), ls.loopBits(), mode, wp}
+			if held && cur == prev {
+				last := len(tr.Motors) - 1
+				tr.Motors, tr.Pos = slices.Grow(tr.Motors, steps-i), slices.Grow(tr.Pos, steps-i)
+				tr.Modes = slices.Grow(tr.Modes, steps-i)
+				for ; i < steps; i++ {
+					tr.Motors = append(tr.Motors, tr.Motors[last])
+					tr.Pos = append(tr.Pos, tr.Pos[last])
+					tr.Modes = append(tr.Modes, tr.Modes[last])
+					for _, mm := range tr.Motors[last] {
+						tr.Energy += mm * mm * dt
+					}
+				}
+				break
+			}
+			prev, held = cur, true
+		} else {
+			prevPos, held = s.Pos, false
+		}
 		var sp Setpoint
 		switch mode {
 		case ModeTakeoff:

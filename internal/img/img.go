@@ -127,8 +127,17 @@ func Smooth(m Image, sigma float64) Image {
 // Sobel computes gradient magnitude and direction (radians) with the 3x3
 // Sobel operator. Magnitudes are not normalized.
 func Sobel(m Image) (mag, dir Image) {
-	mag = New(m.W, m.H)
 	dir = New(m.W, m.H)
+	return sobel(m, dir.Pix), dir
+}
+
+// Gradient is Sobel's magnitude alone.
+func Gradient(m Image) Image { return sobel(m, nil) }
+
+// sobel returns the Sobel magnitude of m and, unless dir is nil, writes
+// the direction into dir.
+func sobel(m Image, dir []float64) Image {
+	mag := New(m.W, m.H)
 	for y := 0; y < m.H; y++ {
 		for x := 0; x < m.W; x++ {
 			gx := m.At(x+1, y-1) + 2*m.At(x+1, y) + m.At(x+1, y+1) -
@@ -136,10 +145,12 @@ func Sobel(m Image) (mag, dir Image) {
 			gy := m.At(x-1, y+1) + 2*m.At(x, y+1) + m.At(x+1, y+1) -
 				m.At(x-1, y-1) - 2*m.At(x, y-1) - m.At(x+1, y-1)
 			mag.Pix[y*m.W+x] = math.Hypot(gx, gy)
-			dir.Pix[y*m.W+x] = math.Atan2(gy, gx)
+			if dir != nil {
+				dir[y*m.W+x] = math.Atan2(gy, gx)
+			}
 		}
 	}
-	return mag, dir
+	return mag
 }
 
 // AddNoise returns a copy of m with Gaussian pixel noise of the given

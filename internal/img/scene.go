@@ -84,7 +84,7 @@ func Scene(name string, w, h int) Image {
 // gradient. On noiseless synthetic scenes this is exactly the set of
 // primitive boundaries — the role of the expert-picked ground truth.
 func TruthEdges(clean Image) Image {
-	mag, _ := Sobel(clean)
+	mag := Gradient(clean)
 	thr := 0.25 * mag.MaxPix()
 	out := New(clean.W, clean.H)
 	for i, v := range mag.Pix {

@@ -12,6 +12,7 @@ package speech
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/dist"
 )
@@ -171,33 +172,43 @@ func Features(spec Spectrogram, p Params) [][]float64 {
 	}
 	gate := p.NoiseGate * peak
 
+	// Each band's bins, bins[start[b]:start[b+1]], in frequency order.
+	var bins []int
+	start := make([]int, nf+1)
+	for b := 0; b < nf; b++ {
+		bandLo := lo + (hi-lo)*float64(b)/float64(nf)
+		bandHi := lo + (hi-lo)*float64(b+1)/float64(nf)
+		// Frequency-warp compensation: shift the analysis bands to
+		// follow a pitch-shifted speaker back into template space.
+		bandLo = clamp01(bandLo + p.WarpAlpha)
+		bandHi = clamp01(bandHi + p.WarpAlpha)
+		for f := 0; f < spec.F; f++ {
+			freq := float64(f) / float64(spec.F-1)
+			if freq < bandLo || freq >= bandHi {
+				continue
+			}
+			bins = append(bins, f)
+		}
+		start[b+1] = len(bins)
+	}
+
 	var frames [][]float64
 	for t0 := 0; t0+flen <= spec.T; t0 += shift {
 		feat := make([]float64, nf)
 		for b := 0; b < nf; b++ {
-			bandLo := lo + (hi-lo)*float64(b)/float64(nf)
-			bandHi := lo + (hi-lo)*float64(b+1)/float64(nf)
-			// Frequency-warp compensation: shift the analysis bands to
-			// follow a pitch-shifted speaker back into template space.
-			bandLo = clamp01(bandLo + p.WarpAlpha)
-			bandHi = clamp01(bandHi + p.WarpAlpha)
 			sum := 0.0
-			n := 0
+			band := bins[start[b]:start[b+1]]
 			for t := t0; t < t0+flen; t++ {
-				for f := 0; f < spec.F; f++ {
-					freq := float64(f) / float64(spec.F-1)
-					if freq < bandLo || freq >= bandHi {
-						continue
-					}
-					e := spec.at(t, f)
+				row := spec.E[t*spec.F:]
+				for _, f := range band {
+					e := row[f]
 					if e < gate {
 						e = 0
 					}
 					sum += e
-					n++
 				}
 			}
-			if n > 0 {
+			if n := flen * len(band); n > 0 {
 				sum /= float64(n)
 			}
 			// Pre-emphasis tilts energy toward high bands.
@@ -232,12 +243,10 @@ func clamp01(v float64) float64 { return min(1, max(0, v)) }
 // except WarpAlpha: the warp maps a shifted speaker into canonical template
 // space, so templates themselves are always extracted unwarped.
 func Templates(p Params) [][][]float64 {
-	neutral := Speaker{Pitch: 0, Rate: 1, Noise: 0}
 	tp := p
 	tp.WarpAlpha = 0
 	out := make([][][]float64, len(Vocabulary))
-	for w := range Vocabulary {
-		a := Synthesize(0x7E3, neutral, w)
+	for w, a := range canonical() {
 		f := Features(a.Spec, tp)
 		if p.TemplateSmooth > 0 && len(f) > 1 {
 			sm := min(p.TemplateSmooth, 0.95)
@@ -251,6 +260,18 @@ func Templates(p Params) [][][]float64 {
 	}
 	return out
 }
+
+// canonical is every vocabulary word rendered by the neutral speaker, the
+// source of Templates and of EstimatePitchShift's reference. The
+// renderings depend on nothing else, so they are made once and only read.
+var canonical = sync.OnceValue(func() []Audio {
+	neutral := Speaker{Pitch: 0, Rate: 1, Noise: 0}
+	out := make([]Audio, len(Vocabulary))
+	for w := range out {
+		out[w] = Synthesize(0x7E3, neutral, w)
+	}
+	return out
+})
 
 // DTW computes the band-constrained dynamic-time-warping distance between
 // two feature sequences, normalized by path length. Every feature value
@@ -513,10 +534,9 @@ func EstimatePitchShift(audios []Audio) float64 {
 		obs += SpectralCentroid(a.Spec)
 	}
 	obs /= float64(len(audios))
-	neutral := Speaker{Pitch: 0, Rate: 1, Noise: 0}
 	ref := 0.0
-	for w := range Vocabulary {
-		ref += SpectralCentroid(Synthesize(0x7E3, neutral, w).Spec)
+	for _, a := range canonical() {
+		ref += SpectralCentroid(a.Spec)
 	}
 	ref /= float64(len(Vocabulary))
 	return obs - ref

@@ -138,24 +138,30 @@ func Train(ds Dataset, p Params, seed int64) *Model {
 		for _, i := range order {
 			t++
 			eta := p.Eta0 / math.Pow(float64(t), p.EtaDecay)
-			for c := 0; c < ds.Classes; c++ {
+			k := 1 - eta*p.Lambda
+			x := ds.X[i]
+			for c, w := range m.W {
 				y := -1.0
 				weight := 1.0
 				if ds.Y[i] == c {
 					y = 1
 					weight = p.PosWeight
 				}
-				score := m.score(c, ds.X[i])
-				// Regularization shrink.
-				for d := range m.W[c] {
-					m.W[c][d] *= 1 - eta*p.Lambda
+				// score, with the regularization shrink applied to each
+				// weight once the sum has read it.
+				score := 0.0
+				for d, xd := range x {
+					score += w[d] * xd * p.FeatScale
+					w[d] *= k
 				}
+				score += w[dim] * p.Bias
+				w[dim] *= k
 				if y*score < p.Margin {
 					g := eta * weight * y
-					for d := 0; d < dim; d++ {
-						m.W[c][d] += g * ds.X[i][d] * p.FeatScale
+					for d, xd := range x {
+						w[d] += g * xd * p.FeatScale
 					}
-					m.W[c][dim] += g * p.Bias
+					w[dim] += g * p.Bias
 				}
 			}
 		}

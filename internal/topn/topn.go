@@ -7,8 +7,10 @@
 package topn
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/dist"
@@ -164,40 +166,52 @@ func BuildModel(c *Cooccur, ds Dataset, p Params) *Model {
 // Recommend returns the top-n items for a user (excluding items already in
 // the basket), scored by summed similarity to the basket.
 func (m *Model) Recommend(basket []int, n int) []int {
-	inBasket := map[int]bool{}
-	for _, it := range basket {
-		inBasket[it] = true
+	return m.recommend(basket, n, &recScratch{})
+}
+
+// recScratch is recommend's dense per-item scratch. HitRate reuses one
+// across users: recommend leaves it cleared, and its result is a prefix
+// of touched, valid until the next call.
+type recScratch struct {
+	inBasket, scored []bool
+	score            []float64
+	touched          []int // the scored items
+}
+
+// recommend is Recommend over sc. Each score is summed in the same order
+// from 0 as a map would sum it, and (score desc, item asc) is a total
+// order, so the result does not depend on the order of touched.
+func (m *Model) recommend(basket []int, n int, sc *recScratch) []int {
+	if len(sc.score) < len(m.sims) {
+		*sc = recScratch{make([]bool, len(m.sims)), make([]bool, len(m.sims)), make([]float64, len(m.sims)), nil}
 	}
-	scores := map[int]float64{}
+	for _, it := range basket {
+		sc.inBasket[it] = true
+	}
+	touched := sc.touched[:0]
 	for _, it := range basket {
 		for _, e := range m.sims[it] {
-			if !inBasket[e.item] {
-				scores[e.item] += e.sim
+			if sc.inBasket[e.item] {
+				continue
 			}
+			if !sc.scored[e.item] {
+				sc.scored[e.item] = true
+				touched = append(touched, e.item)
+			}
+			sc.score[e.item] += e.sim
 		}
 	}
-	type cand struct {
-		item  int
-		score float64
-	}
-	var cands []cand
-	for it, s := range scores {
-		cands = append(cands, cand{it, s})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].item < cands[j].item
+	slices.SortFunc(touched, func(a, b int) int {
+		return cmp.Or(cmp.Compare(sc.score[b], sc.score[a]), cmp.Compare(a, b))
 	})
-	if len(cands) > n {
-		cands = cands[:n]
+	for _, it := range touched {
+		sc.scored[it], sc.score[it] = false, 0
 	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.item
+	for _, it := range basket {
+		sc.inBasket[it] = false
 	}
-	return out
+	sc.touched = touched
+	return touched[:min(n, len(touched))]
 }
 
 // TopN is the recommendation list length used by the experiments.
@@ -206,8 +220,9 @@ const TopN = 10
 // HitRate computes hit-rate@TopN against a holdout (one item per user).
 func HitRate(ds Dataset, m *Model, holdout []int) float64 {
 	hits := 0
+	var sc recScratch
 	for u, basket := range ds.Train {
-		for _, rec := range m.Recommend(basket, TopN) {
+		for _, rec := range m.recommend(basket, TopN, &sc) {
 			if rec == holdout[u] {
 				hits++
 				break

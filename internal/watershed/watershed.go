@@ -7,7 +7,6 @@
 package watershed
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -36,7 +35,7 @@ func Segment(in img.Image, p Params) (labels []int, boundary img.Image) {
 		p.Sigma = 0.1
 	}
 	sm := img.Smooth(in, p.Sigma)
-	topo, _ := img.Sobel(sm)
+	topo := img.Gradient(sm)
 	w, h := topo.W, topo.H
 
 	seeds := markers(topo, p.MarkerThr, p.MinMarkerDx)
@@ -65,7 +64,7 @@ func Segment(in img.Image, p Params) (labels []int, boundary img.Image) {
 				j := ny*w + nx
 				if labels[j] == 0 && !inQueue[j] {
 					inQueue[j] = true
-					heap.Push(pq, j)
+					pq.push(j)
 				}
 			}
 		}
@@ -75,8 +74,8 @@ func Segment(in img.Image, p Params) (labels []int, boundary img.Image) {
 	}
 	boundary = img.New(w, h)
 	const lineLabel = -1
-	for pq.Len() > 0 {
-		i := heap.Pop(pq).(int)
+	for len(pq.idx) > 0 {
+		i := pq.pop()
 		inQueue[i] = false
 		if labels[i] != 0 {
 			continue
@@ -119,21 +118,49 @@ func Segment(in img.Image, p Params) (labels []int, boundary img.Image) {
 	return labels, boundary
 }
 
-// pixelHeap orders pixel indices by topography value (min-heap).
+// pixelHeap orders pixel indices by topography value (min-heap). push and
+// pop are container/heap's Push and Pop step for step, so pixels of equal
+// topography pop in the same order.
 type pixelHeap struct {
 	topo []float64
 	idx  []int
 }
 
-func (h *pixelHeap) Len() int           { return len(h.idx) }
-func (h *pixelHeap) Less(i, j int) bool { return h.topo[h.idx[i]] < h.topo[h.idx[j]] }
-func (h *pixelHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *pixelHeap) Push(x any)         { h.idx = append(h.idx, x.(int)) }
-func (h *pixelHeap) Pop() any {
-	old := h.idx
-	n := len(old)
-	v := old[n-1]
-	h.idx = old[:n-1]
+func (h *pixelHeap) less(i, j int) bool { return h.topo[h.idx[i]] < h.topo[h.idx[j]] }
+
+func (h *pixelHeap) swap(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
+
+func (h *pixelHeap) push(v int) {
+	h.idx = append(h.idx, v)
+	for j := len(h.idx) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h *pixelHeap) pop() int {
+	n := len(h.idx) - 1
+	h.swap(0, n)
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	v := h.idx[n]
+	h.idx = h.idx[:n]
 	return v
 }
 
