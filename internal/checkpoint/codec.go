@@ -84,8 +84,11 @@ func (e *encoder) value(v any, depth int) {
 			e.value(el, depth+1)
 		}
 	default:
+		// gob encodes through a pointer to an interface; boxing a local copy
+		// here keeps v itself off the heap on every native-typed call.
+		boxed := v
 		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(&v); err != nil {
+		if err := gob.NewEncoder(&gb).Encode(&boxed); err != nil {
 			e.fail(fmt.Errorf("checkpoint: encode %T: %w", v, err))
 			return
 		}
@@ -108,14 +111,19 @@ func (e *encoder) kvs(kvs []KV) {
 	}
 }
 
-// state appends st's body layout.
-func (e *encoder) state(st *State) {
+// The body is, in order: the header, the event journal (a count, then the
+// entries), the round journal (likewise) and the exposed entries. state
+// writes it from a State; EncodeJournal splices the two journal sections from
+// entries encoded earlier, one by one, with event and round.
+
+// header appends the capture's identity, counters and frontier.
+func (e *encoder) header(st *State) {
 	e.Raw(st.ID[:])
 	e.Iv(st.Seed)
 	e.Uv(uint64(st.MinSlots))
 	e.Flag(st.Complete)
 	c := &st.Counters
-	for _, v := range []int64{
+	for _, v := range [...]int64{
 		c.Regions, c.Rounds, c.Samples, c.Pruned,
 		c.Panics, c.Timeouts, c.Retried, c.Degraded,
 		c.Splits, c.PeakRetained,
@@ -134,57 +142,72 @@ func (e *encoder) state(st *State) {
 		e.Str(p)
 		e.Uv(st.Frontier[p])
 	}
+}
 
-	e.Uv(uint64(len(st.Events)))
-	for _, ev := range st.Events {
-		e.Str(ev.Path)
-		e.Uv(ev.Seq)
-		e.U8(ev.Kind)
-		e.Uv(ev.Arg)
-		e.Str(ev.Name)
+// event appends one event journal entry.
+func (e *encoder) event(ev *Event) {
+	e.Str(ev.Path)
+	e.Uv(ev.Seq)
+	e.U8(ev.Kind)
+	e.Uv(ev.Arg)
+	e.Str(ev.Name)
+}
+
+// round appends one round journal entry.
+func (e *encoder) round(r *Round) {
+	e.Str(r.Path)
+	e.Uv(r.Seq)
+	e.Str(r.Region)
+	e.Iv(int64(r.Round))
+	e.Iv(int64(r.N))
+	e.Iv(int64(r.K))
+	e.U64(r.FBHash)
+	e.kvs(r.Aggregated)
+	e.Uv(uint64(len(r.Groups)))
+	for gi := range r.Groups {
+		g := &r.Groups[gi]
+		e.Uv(uint64(len(g.Params)))
+		for _, p := range g.Params {
+			e.Str(p.Name)
+			e.F64(p.V)
+		}
+		e.Flag(g.HaveParams)
+		e.F64(g.ScoreSum)
+		e.Iv(int64(g.ScoreCnt))
+		e.Flag(g.Pruned)
+		e.U8(g.ErrKind)
+		e.Str(g.ErrMsg)
+		e.kvs(g.Commits)
 	}
+}
 
+// state appends st's body layout.
+func (e *encoder) state(st *State) {
+	e.header(st)
+	e.Uv(uint64(len(st.Events)))
+	for i := range st.Events {
+		e.event(&st.Events[i])
+	}
 	e.Uv(uint64(len(st.Rounds)))
 	for i := range st.Rounds {
-		r := &st.Rounds[i]
-		e.Str(r.Path)
-		e.Uv(r.Seq)
-		e.Str(r.Region)
-		e.Iv(int64(r.Round))
-		e.Iv(int64(r.N))
-		e.Iv(int64(r.K))
-		e.U64(r.FBHash)
-		e.kvs(r.Aggregated)
-		e.Uv(uint64(len(r.Groups)))
-		for gi := range r.Groups {
-			g := &r.Groups[gi]
-			e.Uv(uint64(len(g.Params)))
-			for _, p := range g.Params {
-				e.Str(p.Name)
-				e.F64(p.V)
-			}
-			e.Flag(g.HaveParams)
-			e.F64(g.ScoreSum)
-			e.Iv(int64(g.ScoreCnt))
-			e.Flag(g.Pruned)
-			e.U8(g.ErrKind)
-			e.Str(g.ErrMsg)
-			e.kvs(g.Commits)
-		}
+		e.round(&st.Rounds[i])
 	}
+	e.exposed(st.Exposed)
+}
 
-	// Exposed entries whose value the codec cannot represent are skipped
-	// rather than failing the checkpoint: the tuning program re-executes
-	// its Expose calls during replay anyway, so the snapshot is a warm
-	// start, not the source of truth. Journal values above, by contrast,
-	// fail the write — replay cannot reconstruct a round without them.
+// exposed appends the exposed entries. Entries whose value the codec cannot
+// represent are skipped rather than failing the checkpoint: the tuning
+// program re-executes its Expose calls during replay anyway, so the snapshot
+// is a warm start, not the source of truth. Journal values, by contrast,
+// fail the write — replay cannot reconstruct a round without them.
+func (e *encoder) exposed(xs []Entry) {
 	countAt := len(e.B)
-	e.Uv(uint64(len(st.Exposed))) // worst case; re-encoded below if entries drop
+	e.Uv(uint64(len(xs))) // worst case; re-encoded below if entries drop
 	kept := 0
 	entriesAt := len(e.B)
-	for _, en := range st.Exposed {
+	for _, en := range xs {
 		mark := len(e.B)
-		probe := &encoder{Writer: wire.Writer{B: e.B}}
+		probe := encoder{Writer: wire.Writer{B: e.B}}
 		probe.Str(en.Scope)
 		probe.Str(en.Name)
 		probe.value(en.V, 0)
@@ -195,7 +218,7 @@ func (e *encoder) state(st *State) {
 		e.B = probe.B
 		kept++
 	}
-	if kept != len(st.Exposed) {
+	if kept != len(xs) {
 		// Rewrite the count in place. Uvarint lengths can differ, so
 		// re-append the kept entries after the corrected count.
 		entries := append([]byte(nil), e.B[entriesAt:]...)
@@ -208,8 +231,13 @@ func (e *encoder) state(st *State) {
 // EncodeBytes encodes st into a freshly allocated byte slice. The body is
 // staged in a pooled buffer and sealed into its envelope in one copy.
 func EncodeBytes(st *State) ([]byte, error) {
-	e := &encoder{Writer: wire.Writer{B: wire.Alloc(4 << 10)[:0]}}
+	e := encoder{Writer: wire.Writer{B: wire.Alloc(4 << 10)[:0]}}
 	e.state(st)
+	return e.seal()
+}
+
+// seal wraps the staged body in its envelope and frees the staging buffer.
+func (e *encoder) seal() ([]byte, error) {
 	var out []byte
 	err := e.err
 	if err == nil {
@@ -217,6 +245,64 @@ func EncodeBytes(st *State) ([]byte, error) {
 	}
 	wire.Free(e.B)
 	return out, err
+}
+
+// Journal is the event and round journal of one P path, each entry encoded
+// once, when it is journaled, exactly as EncodeBytes would encode it. A
+// capture then splices journals (EncodeJournal) instead of re-encoding every
+// entry it has ever recorded.
+type Journal struct {
+	events, rounds   []byte
+	nEvents, nRounds int
+}
+
+// AddEvent appends ev's encoding.
+func (j *Journal) AddEvent(ev *Event) {
+	e := encoder{Writer: wire.Writer{B: j.events}}
+	e.event(ev)
+	j.events = e.B
+	j.nEvents++
+}
+
+// AddRound appends r's encoding. It fails, leaving the journal as it was, if
+// a value has no encoding (an unregistered gob type).
+func (j *Journal) AddRound(r *Round) error {
+	e := encoder{Writer: wire.Writer{B: j.rounds}}
+	e.round(r)
+	if e.err != nil {
+		j.rounds = e.B[:len(j.rounds)]
+		return e.err
+	}
+	j.rounds = e.B
+	j.nRounds++
+	return nil
+}
+
+// EncodeJournal encodes st exactly as EncodeBytes encodes a copy of st whose
+// Events and Rounds are the entries of js, journal by journal in the order
+// given; st's own Events and Rounds are ignored. Listing the journals in
+// sorted path order reproduces EncodeBytes's (path, seq) entry order.
+func EncodeJournal(st *State, js []*Journal) ([]byte, error) {
+	// The staging buffer is sized for the journals plus a header and a small
+	// exposed store: a larger pooled class would sit in the pool unused.
+	n, ne, nr := 1<<10, 0, 0
+	for _, j := range js {
+		n += len(j.events) + len(j.rounds)
+		ne += j.nEvents
+		nr += j.nRounds
+	}
+	e := encoder{Writer: wire.Writer{B: wire.Alloc(n)[:0]}}
+	e.header(st)
+	e.Uv(uint64(ne))
+	for _, j := range js {
+		e.Raw(j.events)
+	}
+	e.Uv(uint64(nr))
+	for _, j := range js {
+		e.Raw(j.rounds)
+	}
+	e.exposed(st.Exposed)
+	return e.seal()
 }
 
 // readValue decodes one dynamically typed value; malformed input fails r.

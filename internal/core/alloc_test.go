@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/dist"
 )
 
@@ -92,5 +93,44 @@ func TestCommitSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Commit allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestRecordedRoundAllocs gates what checkpoint recording adds to a round of
+// the service-job shape (8 rounds of 16 scored samples, a checkpoint every 2
+// rounds): each entry is encoded once into its path's journal and a capture
+// splices the journals, so recording costs a small constant per round, not a
+// re-encoding of the whole journal at every checkpoint.
+func TestRecordedRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate; the race detector drops sync.Pool entries")
+	}
+	const rounds = 8
+	job := func(pol *CheckpointPolicy) float64 {
+		return testing.AllocsPerRun(10, func() {
+			err := New(Options{MaxPool: 4, Seed: 1, Checkpoint: pol}).Run(func(p *P) error {
+				spec := RegionSpec{Name: "svc", Samples: 16, Score: func(sp *SP) float64 { return sp.MustGet("y").(float64) }}
+				for r := 0; r < rounds; r++ {
+					if _, err := p.Region(spec, func(sp *SP) error {
+						x := sp.Float("x", dist.Uniform(0, 1))
+						sp.Commit("y", x*(2-x))
+						return nil
+					}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain := job(nil)
+	recorded := job(&CheckpointPolicy{Store: &checkpoint.MemStore{}, Every: 2})
+	perRound := (recorded - plain) / rounds
+	t.Logf("%.0f allocations per job unrecorded, %.0f recorded: %+.1f per round", plain, recorded, perRound)
+	if perRound > 24 {
+		t.Errorf("recording adds %.1f allocations per round, want <= 24", perRound)
 	}
 }

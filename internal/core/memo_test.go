@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/store"
 )
 
 // The name memo (SP.sym) is checked the house way: against the slow obvious
@@ -42,7 +43,7 @@ type memoOp struct {
 func memoNames() []string {
 	const shared = "prefixes-of-one-string"
 	names := []string{"alpha", "beta", "y", "", shared[:6], shared[:8]}
-	for i := 0; i < 1<<memoBits+8; i++ {
+	for i := 0; i < memoSets*memoWays+8; i++ {
 		names = append(names, fmt.Sprintf("n%02d", i))
 	}
 	return names
@@ -192,7 +193,7 @@ func (sc memoScenario) run(t *testing.T, bypass bool) string {
 	scripts := make([][]memoOp, sc.scripts)
 	for i := range scripts {
 		// From three names (every call a hit) to more names than slots.
-		scripts[i] = memoScript(rng, 120, []int{3, 9, 1<<memoBits + 12}[i%3])
+		scripts[i] = memoScript(rng, 120, []int{3, 9, memoSets*memoWays + 12}[i%3])
 	}
 	log := &memoLog{seen: map[string]string{}}
 	var out strings.Builder
@@ -356,5 +357,52 @@ func TestSteadyStateFloatCheaperThanLookup(t *testing.T) {
 	t.Logf("steady-state Float %.2f ns, bare Symbols.Lookup %.2f ns", floatNs, lookupNs)
 	if floatNs >= lookupNs {
 		t.Errorf("a steady-state Float costs %.2f ns, a bare symbol-table lookup %.2f ns: the name is being hashed again", floatNs, lookupNs)
+	}
+}
+
+// TestMemoKeepsAnyFourNames is the layout gate of the memo: whatever
+// addresses a body's names have, up to four of them stay resident once each
+// has been touched. Every draw clones each name onto the heap behind a
+// prefix of random length and keeps the name's part, so its data pointer,
+// and the set that picks, is arbitrary. After the first touch the shape's symbol table is
+// swapped for an empty one: a name the memo no longer holds then reads as
+// never committed, so a miss cannot hide behind the table.
+func TestMemoKeepsAnyFourNames(t *testing.T) {
+	const draws, passes = 1000, 8
+	rng := rand.New(rand.NewSource(4))
+	misses, worst := 0, ""
+	run(t, New(Options{MaxPool: 1, Seed: 1}), func(p *P) error {
+		_, err := p.Region(RegionSpec{Name: "layout", Samples: 1}, func(sp *SP) error {
+			for c := 0; c < 32; c++ { // the table knows every name, as after a region's first round
+				sp.Commit(fmt.Sprintf("name%02d", c), 0.0)
+			}
+			for d := 0; d < draws; d++ {
+				k := 1 + rng.Intn(4)
+				names := make([]string, k)
+				for i, c := range rng.Perm(32)[:k] {
+					pre := strings.Repeat("#", rng.Intn(64))
+					names[i] = strings.Clone(pre + fmt.Sprintf("name%02d", c))[len(pre):]
+				}
+				for i, name := range names {
+					sp.Commit(name, float64(d*4+i))
+				}
+				syms := sp.rs.syms
+				sp.rs.syms = store.NewSymbols()
+				for pass := 0; pass < passes; pass++ {
+					for _, i := range rng.Perm(k) {
+						if v, ok := sp.Get(names[i]); !ok || v != float64(d*4+i) {
+							misses++
+							worst = fmt.Sprintf("draw %d: %q missed among %q", d, names[i], names)
+						}
+					}
+				}
+				sp.rs.syms = syms
+			}
+			return nil
+		})
+		return err
+	})
+	if misses > 0 {
+		t.Fatalf("%d memo misses after first touch over %d draws of at most 4 names (last: %s)", misses, draws, worst)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,16 +75,25 @@ var (
 	resumedID = make(map[[16]byte]bool)
 )
 
-// pathSeq keys the journal: one P path's seq-th event.
+// pathSeq keys the loaded journal: one P path's seq-th event.
 type pathSeq struct {
 	path string
 	seq  uint64
 }
 
-// recorder is a job's checkpoint state: per-path event counters, the
-// replay frontier, and the event/round journal. All mutable fields are
-// touched only inside gate callbacks, which the gate mutex serializes, so
-// the recorder needs no lock of its own.
+// pathLog is one P path's part of the recorder: its event counter this life,
+// the replay frontier it resumed with, and its journal below the counter,
+// each entry encoded once, in seq order, when the path reaches it.
+type pathLog struct {
+	count    uint64
+	frontier uint64
+	journal  checkpoint.Journal
+}
+
+// recorder is a job's checkpoint state: per-path event counters, replay
+// frontiers and encoded journals, and the loaded journal replay reads. All
+// mutable fields are touched only inside gate callbacks, which the gate mutex
+// serializes, so the recorder needs no lock of its own.
 type recorder struct {
 	t      *Tuner
 	policy CheckpointPolicy
@@ -93,13 +103,16 @@ type recorder struct {
 	writing atomic.Bool // one auto-checkpoint writer at a time
 
 	// Gate-serialized state.
-	counts      map[string]uint64 // events seen per path, this life
-	frontier    map[string]uint64 // loaded replay frontier (empty on cold start)
+	paths map[string]*pathLog
+	// The journal a resumed job loaded, which replay reads; an entry leaves
+	// it for its path's journal when replay reaches it.
 	events      map[pathSeq]checkpoint.Event
 	rounds      map[pathSeq]*checkpoint.Round
-	roundsSince int   // live rounds since the last auto-checkpoint
-	due         bool  // an auto-checkpoint is owed
-	diverged    error // sticky ErrCheckpointDiverged detail
+	roundsSince int           // live rounds since the last auto-checkpoint
+	due         bool          // an auto-checkpoint is owed
+	diverged    error         // sticky ErrCheckpointDiverged detail
+	journalErr  error         // sticky: a journal entry with no encoding fails every capture
+	shadow      journalShadow // nil outside tests
 
 	saveMu  sync.Mutex
 	saveErr error // last auto-checkpoint write failure (soft)
@@ -109,11 +122,10 @@ type recorder struct {
 // restored state from st when resuming. Callers have already validated st.
 func newRecorder(t *Tuner, pol *CheckpointPolicy, st *checkpoint.State) *recorder {
 	r := &recorder{
-		t:        t,
-		counts:   make(map[string]uint64),
-		frontier: make(map[string]uint64),
-		events:   make(map[pathSeq]checkpoint.Event),
-		rounds:   make(map[pathSeq]*checkpoint.Round),
+		t:      t,
+		paths:  make(map[string]*pathLog),
+		events: make(map[pathSeq]checkpoint.Event),
+		rounds: make(map[pathSeq]*checkpoint.Round),
 	}
 	if pol != nil {
 		r.policy = *pol
@@ -131,7 +143,7 @@ func newRecorder(t *Tuner, pol *CheckpointPolicy, st *checkpoint.State) *recorde
 		return r
 	}
 	for p, c := range st.Frontier {
-		r.frontier[p] = c
+		r.path(p).frontier = c
 	}
 	for _, ev := range st.Events {
 		r.events[pathSeq{ev.Path, ev.Seq}] = ev
@@ -167,6 +179,49 @@ func newRecorder(t *Tuner, pol *CheckpointPolicy, st *checkpoint.State) *recorde
 	return r
 }
 
+// journalShadow sees, under the gate mutex, every entry a recorder journals
+// live and every checkpoint it captures. Only tests set one: the journal's
+// byte oracle keeps the journal as maps beside the encoded logs.
+type journalShadow interface {
+	event(ev checkpoint.Event)
+	round(jr *checkpoint.Round)
+	captured(r *recorder, data []byte)
+}
+
+// path returns the recorder state of one P path.
+func (r *recorder) path(name string) *pathLog {
+	pl := r.paths[name]
+	if pl == nil {
+		pl = &pathLog{}
+		r.paths[name] = pl
+	}
+	return pl
+}
+
+// reach moves the loaded journal's entries at (path, seq), which replay has
+// just reached, into the path's journal: a capture keeps every entry below
+// the counter, whether this life recorded it or loaded it.
+func (r *recorder) reach(pl *pathLog, path string, seq uint64) {
+	k := pathSeq{path, seq}
+	if ev, ok := r.events[k]; ok {
+		pl.journal.AddEvent(&ev)
+		delete(r.events, k)
+	}
+	if jr, ok := r.rounds[k]; ok {
+		r.addRound(pl, jr)
+		delete(r.rounds, k)
+	}
+}
+
+// addRound appends a round to a path's journal, or remembers why it has no
+// encoding: a round missing from the journal would make every later
+// checkpoint unresumable, so every later capture fails instead.
+func (r *recorder) addRound(pl *pathLog, jr *checkpoint.Round) {
+	if err := pl.journal.AddRound(jr); err != nil && r.journalErr == nil {
+		r.journalErr = err
+	}
+}
+
 // setDiverged records the first divergence; later rounds fail fast on it.
 func (r *recorder) setDiverged(detail string) {
 	if r.diverged == nil {
@@ -187,19 +242,23 @@ func (r *recorder) divergence() error {
 // counters, metrics, and trace before the checkpoint was taken.
 func (r *recorder) noteEvent(p *P, kind uint8, arg uint64, name string) (suppress bool) {
 	r.gate.Mutate(func() {
-		seq := r.counts[p.path]
-		r.counts[p.path] = seq + 1
-		if seq < r.frontier[p.path] {
+		pl := r.path(p.path)
+		seq := pl.count
+		pl.count++
+		if seq < pl.frontier {
 			suppress = true
 			want, ok := r.events[pathSeq{p.path, seq}]
 			if !ok || want.Kind != kind || want.Name != name {
 				r.setDiverged(fmt.Sprintf("path %s event %d: replay produced kind %d name %q, journal has kind %d name %q (missing=%v)",
 					p.path, seq, kind, name, want.Kind, want.Name, !ok))
 			}
+			r.reach(pl, p.path, seq)
 			return
 		}
-		r.events[pathSeq{p.path, seq}] = checkpoint.Event{
-			Path: p.path, Seq: seq, Kind: kind, Arg: arg, Name: name,
+		ev := checkpoint.Event{Path: p.path, Seq: seq, Kind: kind, Arg: arg, Name: name}
+		pl.journal.AddEvent(&ev)
+		if r.shadow != nil {
+			r.shadow.event(ev)
 		}
 	})
 	return suppress
@@ -215,10 +274,12 @@ func (r *recorder) enterRound(p *P, region string, round, n, k int) (rep *checkp
 			err = r.diverged
 			return false
 		}
-		seq = r.counts[p.path]
-		r.counts[p.path] = seq + 1
-		if seq < r.frontier[p.path] {
+		pl := r.path(p.path)
+		seq = pl.count
+		pl.count++
+		if seq < pl.frontier {
 			jr, ok := r.rounds[pathSeq{p.path, seq}]
+			r.reach(pl, p.path, seq)
 			if !ok || jr.Region != region || jr.Round != round || jr.N != n || jr.K != k {
 				r.setDiverged(fmt.Sprintf("path %s event %d: replay reached round %s/%d n=%d k=%d, journal disagrees (missing=%v)",
 					p.path, seq, region, round, n, k, !ok))
@@ -234,33 +295,36 @@ func (r *recorder) enterRound(p *P, region string, round, n, k int) (rep *checkp
 }
 
 // exitRound retires a live round: it journals the round's complete outcome
-// under (path, seq) and advances the auto-checkpoint clock.
+// under (path, seq) and advances the auto-checkpoint clock. The entry is
+// built in a pooled scratch round before the gate is taken; the journal
+// keeps only its encoding.
 func (r *recorder) exitRound(p *P, seq uint64, round int, rs *regionState, res *Result) {
-	jr := buildJournalRound(p.path, seq, round, rs, res)
+	jr := journalRounds.Get().(*checkpoint.Round)
+	buildJournalRound(jr, p.path, seq, round, rs, res)
 	r.gate.ExitRound(func() {
-		r.rounds[pathSeq{p.path, seq}] = jr
+		r.addRound(r.path(p.path), jr)
+		if r.shadow != nil {
+			r.shadow.round(jr)
+		}
 		r.roundsSince++
 		if r.policy.Store != nil && r.roundsSince >= r.policy.Every {
 			r.due = true
 		}
 	})
+	resetJournalRound(jr)
+	journalRounds.Put(jr)
 }
 
-// buildJournalRound captures one finished round as its journal entry.
-// Aggregates are recorded as final folded values, never refolded at
-// replay: AVG float sums and DEDUP order fold in completion order, so
-// re-aggregation would not be deterministic.
-func buildJournalRound(path string, seq uint64, round int, rs *regionState, res *Result) *checkpoint.Round {
-	jr := &checkpoint.Round{
-		Path:   path,
-		Seq:    seq,
-		Region: rs.spec.Name,
-		Round:  round,
-		N:      rs.n,
-		K:      rs.k,
-		FBHash: feedbackHash(rs.fb),
-		Groups: make([]checkpoint.Group, rs.n),
-	}
+// journalRounds recycles the scratch rounds exitRound encodes from.
+var journalRounds = sync.Pool{New: func() any { return new(checkpoint.Round) }}
+
+// buildJournalRound fills jr, reusing its slices, with one finished round's
+// journal entry. Aggregates are recorded as final folded values, never
+// refolded at replay: AVG float sums and DEDUP order fold in completion
+// order, so re-aggregation would not be deterministic.
+func buildJournalRound(jr *checkpoint.Round, path string, seq uint64, round int, rs *regionState, res *Result) {
+	jr.Path, jr.Seq, jr.Region, jr.Round = path, seq, rs.spec.Name, round
+	jr.N, jr.K, jr.FBHash = rs.n, rs.k, feedbackHash(rs.fb)
 	names := make([]string, 0, 8)
 	for x := range res.aggregated {
 		names = append(names, x)
@@ -271,12 +335,12 @@ func buildJournalRound(path string, seq uint64, round int, rs *regionState, res 
 	}
 	vars := rs.store.Vars()
 	sort.Strings(vars)
+	jr.Groups = slices.Grow(jr.Groups[:0], rs.n)[:rs.n]
 	for g := 0; g < rs.n; g++ {
 		jg := &jr.Groups[g]
 		if rs.haveParams[g] {
 			jg.HaveParams = true
 			s := rs.spans[g]
-			jg.Params = make([]checkpoint.Param, 0, s.n)
 			for _, kv := range rs.arena[s.off : s.off+s.n] {
 				jg.Params = append(jg.Params, checkpoint.Param{Name: rs.syms.Name(kv.id), V: kv.v})
 			}
@@ -291,7 +355,19 @@ func buildJournalRound(path string, seq uint64, round int, rs *regionState, res 
 			}
 		}
 	}
-	return jr
+}
+
+// resetJournalRound empties a scratch round for reuse, keeping its slices'
+// capacity and dropping every value it referenced.
+func resetJournalRound(jr *checkpoint.Round) {
+	clear(jr.Aggregated)
+	for i := range jr.Groups {
+		g := &jr.Groups[i]
+		clear(g.Params)
+		clear(g.Commits)
+		*g = checkpoint.Group{Params: g.Params[:0], Commits: g.Commits[:0]}
+	}
+	*jr = checkpoint.Round{Aggregated: jr.Aggregated[:0], Groups: jr.Groups[:0]}
 }
 
 // encodeGroupErr flattens a group error for the journal, keeping the
@@ -479,9 +555,9 @@ func (t *Tuner) SaveErr() error {
 // the policy store.
 func (r *recorder) writeCheckpoint(complete bool) error {
 	t0 := time.Now()
-	var st *checkpoint.State
-	r.gate.Run(func() { st = r.captureLocked(complete) })
-	data, err := checkpoint.EncodeBytes(st)
+	var data []byte
+	var err error
+	r.gate.Run(func() { data, err = r.captureLocked(complete) })
 	if err != nil {
 		return err
 	}
@@ -492,14 +568,15 @@ func (r *recorder) writeCheckpoint(complete bool) error {
 	return nil
 }
 
-// captureLocked snapshots the job's round-boundary state. It runs under
+// captureLocked encodes the job's round-boundary state. It runs under
 // gate.Run: no round is in flight and no event can be journaled
 // concurrently, so the counters, journal, and exposed store are mutually
-// consistent. The emitted state carries only journal entries below the
-// captured frontier; entries above it (loaded from a previous life but not
-// yet re-reached) stay in the live journal for the ongoing replay but
-// would be re-recorded identically, so the checkpoint omits them.
-func (r *recorder) captureLocked(complete bool) *checkpoint.State {
+// consistent. Each path's journal holds exactly its entries below its
+// counter, the captured frontier, in seq order, so the capture splices the
+// journals in sorted path order and encodes nothing but the header and the
+// exposed store. Loaded entries replay has not reached yet stay out: they
+// would be re-recorded identically.
+func (r *recorder) captureLocked(complete bool) ([]byte, error) {
 	t := r.t
 	st := &checkpoint.State{
 		Seed:     t.opts.Seed,
@@ -520,66 +597,68 @@ func (r *recorder) captureLocked(complete bool) *checkpoint.State {
 			WorkSerialMilli: t.ctr.workSer.Load(),
 			WorkParaMilli:   t.ctr.workPar.Load(),
 		},
-		Frontier: make(map[string]uint64, len(r.counts)),
+		Frontier: make(map[string]uint64, len(r.paths)),
 	}
 	if _, err := crand.Read(st.ID[:]); err != nil {
 		panic("core: checkpoint id: " + err.Error())
 	}
-	for p, c := range r.counts {
-		st.Frontier[p] = c
-	}
-	for k, ev := range r.events {
-		if k.seq < st.Frontier[k.path] {
-			st.Events = append(st.Events, ev)
+	names := make([]string, 0, len(r.paths))
+	for name, pl := range r.paths {
+		if pl.count > 0 {
+			names = append(names, name)
+			st.Frontier[name] = pl.count
 		}
 	}
-	sort.Slice(st.Events, func(i, j int) bool {
-		if st.Events[i].Path != st.Events[j].Path {
-			return st.Events[i].Path < st.Events[j].Path
-		}
-		return st.Events[i].Seq < st.Events[j].Seq
-	})
-	for k, jr := range r.rounds {
-		if k.seq < st.Frontier[k.path] {
-			st.Rounds = append(st.Rounds, *jr)
-		}
+	sort.Strings(names)
+	js := make([]*checkpoint.Journal, len(names))
+	for i, name := range names {
+		js[i] = &r.paths[name].journal
 	}
-	sort.Slice(st.Rounds, func(i, j int) bool {
-		if st.Rounds[i].Path != st.Rounds[j].Path {
-			return st.Rounds[i].Path < st.Rounds[j].Path
-		}
-		return st.Rounds[i].Seq < st.Rounds[j].Seq
-	})
 	for _, kv := range t.exposed.Entries() {
 		st.Exposed = append(st.Exposed, checkpoint.Entry{Scope: kv.Scope, Name: kv.Name, V: kv.V})
 	}
 	r.due = false
 	r.roundsSince = 0
-	return st
+	if r.journalErr != nil {
+		return nil, r.journalErr
+	}
+	data, err := checkpoint.EncodeJournal(st, js)
+	if err == nil && r.shadow != nil {
+		r.shadow.captured(r, data)
+	}
+	return data, err
 }
 
 // CheckpointState quiesces the job at its next round boundary and returns
-// its serializable state. It fails with ErrNotRecording unless the job was
+// its serializable state: the decoded bytes a checkpoint written at that
+// boundary would hold. It fails with ErrNotRecording unless the job was
 // created with a CheckpointPolicy or a resume state.
 func (t *Tuner) CheckpointState() (*checkpoint.State, error) {
+	data, err := t.checkpointBytes()
+	if err != nil {
+		return nil, err
+	}
+	return checkpoint.DecodeBytes(data)
+}
+
+// checkpointBytes quiesces the job at its next round boundary and encodes
+// its state.
+func (t *Tuner) checkpointBytes() ([]byte, error) {
 	if t.rec == nil {
 		return nil, ErrNotRecording
 	}
-	var st *checkpoint.State
-	t.rec.gate.Run(func() { st = t.rec.captureLocked(false) })
-	return st, nil
+	var data []byte
+	var err error
+	t.rec.gate.Run(func() { data, err = t.rec.captureLocked(false) })
+	return data, err
 }
 
 // Checkpoint writes the job's round-boundary checkpoint to w — the
 // migration entry point: checkpoint, Close (end-job frame), resume the
 // bytes on another Runtime with ResumeJob.
 func (t *Tuner) Checkpoint(w io.Writer) error {
-	st, err := t.CheckpointState()
-	if err != nil {
-		return err
-	}
 	t0 := time.Now()
-	data, err := checkpoint.EncodeBytes(st)
+	data, err := t.checkpointBytes()
 	if err != nil {
 		return err
 	}

@@ -200,6 +200,10 @@ type regionState struct {
 	body          func(sp *SP) error
 	fullyLaunched context.CancelFunc // withdraws the launch loop's queued request
 	wg            sync.WaitGroup
+	// watched: the round's context can end and no per-sample deadline needs a
+	// monitor, so bodies run inline on their workers under one watcher
+	// (watch) instead of a goroutine and a monitor per attempt.
+	watched bool
 
 	mu         sync.Mutex
 	scoreSum   []float64
@@ -213,6 +217,7 @@ type regionState struct {
 	done       int
 	total      int // launched target; reduced if the budget cuts the round
 	barrier    *barrier
+	slots      []*spSlot // a watched round's workers' slots, for its watcher
 }
 
 // span locates one group's parameter snapshot inside the round arena.
@@ -373,6 +378,15 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		}
 	}
 
+	// A context that can end — the caller's, or the region budget's — ends
+	// the round's running attempts through one watcher, unless a per-sample
+	// deadline gives each attempt a monitor that watches it anyway (DESIGN §7).
+	stopWatch := func() bool { return false }
+	if ctx.Done() != nil && t.opts.Fault.SampleTimeout == 0 {
+		rs.watched = true
+		stopWatch = context.AfterFunc(ctx, rs.watch)
+	}
+
 	// Launch (DESIGN §8): every slot the round is admitted becomes one worker,
 	// which runs sample after sample on it for as long as Algorithm 1 lets it
 	// renew the admission. This loop keeps asking for one slot more while
@@ -406,6 +420,9 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		go rs.worker(g, f)
 	}
 	rs.wg.Wait()
+	// Every worker finished or was counted out by the watcher, which does
+	// that last; a watcher that started since finds no attempt running.
+	stopWatch()
 
 	res, ferr := rs.finish()
 	if rec != nil {

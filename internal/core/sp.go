@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,14 +35,32 @@ type noSyncPanic struct{}
 
 // spSlot tracks ownership of one Algorithm 1 pool slot across the samples
 // and attempts of one worker. Sync hands the slot back around the barrier,
-// and the timeout monitor releases it when abandoning a wedged attempt — the
-// CAS makes the hand-off race-free, so a slot is never released twice.
-type spSlot struct{ held atomic.Bool }
+// and the timeout monitor or the round's watcher releases it when abandoning
+// a wedged attempt — the CAS makes the hand-off race-free, so a slot is never
+// released twice.
+//
+// In a watched round (regionState.watched) the slot also carries the
+// worker's attempt word, seq<<2 | state, and the SP of the attempt it names:
+// the worker and the watcher each settle an attempt with one CAS on the word,
+// so exactly one of them commits its outcome.
+type spSlot struct {
+	held atomic.Bool
+	word atomic.Uint64
+	sp   *SP // written before the word names it running; read after a CAS on it
+}
+
+// Attempt states in an spSlot's word.
+const (
+	attemptIdle      = 0 // between attempts, or finished by its worker
+	attemptRunning   = 1 // published by the worker before its body runs
+	attemptAbandoned = 2 // taken by the watcher, which commits the timeout
+)
 
 // slotPool recycles pool-slot trackers across workers. A slot is only
 // returned to the pool by a worker whose sampling process was not abandoned:
 // an abandoned body goroutine may still hold a reference and race a stray
-// (harmless on its own slot, fatal on a recycled one) release CAS.
+// (harmless on its own slot, fatal on a recycled one) release CAS. Slots of
+// watched rounds are never returned: the watcher may still be reading them.
 var slotPool = sync.Pool{New: func() any { return &spSlot{} }}
 
 func newHeldSlot() *spSlot {
@@ -83,7 +102,7 @@ type pkv struct {
 // one is reset before reuse, except for the memo: a shape's IDs never change.
 type SP struct {
 	rs      *regionState
-	memo    [1 << memoBits]memoEntry
+	memo    [memoSets]memoSet
 	group   int
 	fold    int
 	attempt int
@@ -163,37 +182,75 @@ func (sp *SP) Context() context.Context {
 // fold count k. Without cross-validation it returns (0, 1).
 func (sp *SP) Fold() (fold, k int) { return sp.fold, sp.rs.k }
 
-// memoBits sizes an SP's name memo: 32 slots for the handful of names a body uses.
-const memoBits = 5
+// The name memo is set-associative: memoSets sets of memoWays ways, a set
+// chosen from the name's data pointer. Any memoWays names a body uses stay
+// resident together once each has been resolved, wherever the linker or the
+// allocator placed them.
+const (
+	memoSetBits = 3
+	memoSets    = 1 << memoSetBits
+	memoWays    = 4
+)
 
-// memoEntry is one slot of an SP's direct-mapped name -> symbol id memo.
+// memoSet is one set of the memo. Misses fill its ways in order and then
+// replace the oldest: a set never evicts one of the last memoWays names it
+// took in.
+type memoSet struct {
+	ways [memoWays]memoEntry
+	next uint32 // the way the next miss fills
+}
+
+// memoEntry is one way of a memo set.
 type memoEntry struct {
 	name string
 	id   uint32
-	ok   bool // a filled slot, as opposed to the zero entry ("" -> 0)
+	ok   bool // a filled way, as opposed to the zero entry ("" -> 0)
 }
 
-// noSym is sym's answer for a name the table has not seen: past every slice,
-// so the callers' bounds checks send it down their slow paths, which intern it.
-const noSym = 1<<31 - 1
+// noSym is the memo's answer for a name the table has not seen: past every
+// slice, so the callers' bounds checks send it down their slow paths, which
+// intern it. memoMiss is sym's answer for a name its set does not hold; the
+// callers resolve it with symMiss.
+const (
+	noSym    = 1<<31 - 1
+	memoMiss = noSym - 1
+)
 
-// sym resolves a variable name to its id in the shape's symbol table, hashing
-// only a name the process has not resolved before and never growing the table:
-// reading a name nobody wrote leaves no trace. The slot comes from the name's
-// data pointer, an index hint that is never dereferenced (DESIGN §8): equality
-// with the remembered name decides a hit, so a wrong slot only costs a miss,
-// which asks the table. The memo outlives recycling: a shape's ids never change.
+// sym resolves a variable name to its id in the shape's symbol table when its
+// memo set holds it: four compares, no write, no hashing, and small enough to
+// inline into every primitive. The set comes from the name's data pointer,
+// never dereferenced (DESIGN §8), and a way holds a name if it remembers the
+// same string: same data pointer, same length. The way keeps its string
+// alive, and strings are immutable, so that string has the name's bytes; an
+// equal name at another address only costs a miss.
 func (sp *SP) sym(name string) uint32 {
+	s := sp.setFor(name)
+	for i := range s.ways {
+		if e := &s.ways[i]; e.ok && len(e.name) == len(name) && unsafe.StringData(e.name) == unsafe.StringData(name) {
+			return e.id
+		}
+	}
+	return memoMiss
+}
+
+// setFor picks the memo set of a name from its data pointer.
+func (sp *SP) setFor(name string) *memoSet {
 	p := uint64(uintptr(unsafe.Pointer(unsafe.StringData(name))))
-	e := &sp.memo[p*0x9E3779B97F4A7C15>>(64-memoBits)] // Fibonacci hashing
-	if e.ok && e.name == name {
-		return e.id
+	return &sp.memo[p*0x9E3779B97F4A7C15>>(64-memoSetBits)] // Fibonacci hashing
+}
+
+// symMiss resolves a name sym missed through the table, which it only reads:
+// a name nobody wrote leaves no trace (noSym). A name the table knows takes
+// its set's next way.
+func (sp *SP) symMiss(name string) uint32 {
+	id, ok := sp.rs.syms.Lookup(name)
+	if !ok {
+		return noSym
 	}
-	if id, ok := sp.rs.syms.Lookup(name); ok {
-		*e = memoEntry{name, id, true}
-		return id
-	}
-	return noSym
+	s := sp.setFor(name)
+	s.ways[s.next] = memoEntry{name, id, true}
+	s.next = (s.next + 1) % memoWays
+	return id
 }
 
 // Float draws the tunable variable name from d (rule [SAMPLE]). Drawing
@@ -204,6 +261,9 @@ func (sp *SP) Float(name string, d dist.Dist) float64 {
 		panic(abandonPanic{})
 	}
 	id := sp.sym(name)
+	if id == memoMiss {
+		id = sp.symMiss(name)
+	}
 	if int(id) < len(sp.pset) && sp.pset[id] {
 		return sp.pvals[id]
 	}
@@ -275,6 +335,9 @@ func (sp *SP) appendParams(dst []pkv) []pkv {
 // aggregation strategies; any type may be committed for custom aggregation.
 func (sp *SP) Commit(x string, v any) {
 	id := sp.sym(x)
+	if id == memoMiss {
+		id = sp.symMiss(x)
+	}
 	if int(id) < len(sp.cset) && sp.cset[id] {
 		sp.cvals[id] = v
 		return
@@ -298,7 +361,11 @@ func (sp *SP) commitSlow(x string, id uint32, v any) {
 
 // Get reads back a value this process has committed; Score callbacks use it.
 func (sp *SP) Get(x string) (any, bool) {
-	if id := sp.sym(x); int(id) < len(sp.cset) && sp.cset[id] {
+	id := sp.sym(x)
+	if id == memoMiss {
+		id = sp.symMiss(x)
+	}
+	if int(id) < len(sp.cset) && sp.cset[id] {
 		return sp.cvals[id], true
 	}
 	return nil, false
@@ -353,6 +420,9 @@ func (sp *SP) Load(name string) any {
 		sp.lver = ver
 	}
 	id := sp.sym(name)
+	if id == memoMiss {
+		id = sp.symMiss(name)
+	}
 	if int(id) < len(sp.lset) && sp.lset[id] {
 		return sp.lvals[id]
 	}
@@ -479,6 +549,23 @@ func (s *svgShared) draw(name string, sampler strategy.Sampler, d dist.Dist) flo
 	return v
 }
 
+// attemptEnd is how an attempt ended, for the worker that started it.
+type attemptEnd uint8
+
+const (
+	// attemptFinished: the attempt's outcome is committed (or, for a failed
+	// attempt inside runSP, about to be retried); the worker goes on.
+	attemptFinished attemptEnd = iota
+	// attemptTimedOut: the monitor abandoned the attempt at a deadline or a
+	// cancellation. The body may still run on the worker's slot, so the
+	// worker releases it and ends; the launch loop replaces it.
+	attemptTimedOut
+	// attemptLost: the round's watcher abandoned the attempt, committed its
+	// timeout, released the slot and counted the worker out of the round.
+	// The worker touches nothing of the round again.
+	attemptLost
+)
+
 // worker runs sampling processes on one pool slot: the (group, fold) pair it
 // was started with, then — as long as Algorithm 1 renews the admission — the
 // pairs it claims itself, so a saturated round costs a goroutine and a queued
@@ -486,19 +573,51 @@ func (s *svgShared) draw(name string, sampler strategy.Sampler, d dist.Dist) flo
 // its result: a sampler is a pure function of (seed, g, n, fb). It runs as a
 // plain goroutine method so starting one allocates no closure.
 func (rs *regionState) worker(g, f int) {
-	defer rs.wg.Done()
 	slot := newHeldSlot()
+	if rs.watched {
+		rs.mu.Lock()
+		rs.slots = append(rs.slots, slot)
+		rs.mu.Unlock()
+	}
 	for ok := true; ok; g, f, ok = rs.claim(true) {
-		if rs.runSP(g, f, slot) {
-			// The abandoned body goroutine may still reference the slot, which
-			// is therefore not safe to hand to another sample: the worker ends
-			// here and the launch loop replaces it.
+		switch rs.runSP(g, f, slot) {
+		case attemptTimedOut:
 			slot.release(rs.t)
+			rs.wg.Done()
+			return
+		case attemptLost:
 			return
 		}
 	}
 	slot.release(rs.t)
-	slotPool.Put(slot)
+	if !rs.watched {
+		slotPool.Put(slot)
+	}
+	rs.wg.Done()
+}
+
+// watch is a watched round's one watcher, run once when the round's context
+// ends (caller cancellation or the region budget). It abandons every attempt
+// still running, exactly as a per-attempt monitor would: it marks the SP
+// abandoned, releases its slot, commits the timeout outcome and counts the
+// worker out, so a body that never yields cannot hold up the round. An
+// attempt published after this scan sees the ended context itself (runInline).
+func (rs *regionState) watch() {
+	cause := fmt.Errorf("%w: %v", ErrSampleTimeout, rs.ctx.Err())
+	rs.mu.Lock()
+	slots := slices.Clone(rs.slots)
+	rs.mu.Unlock()
+	for _, s := range slots {
+		w := s.word.Load()
+		if w&3 != attemptRunning || !s.word.CompareAndSwap(w, w&^3|attemptAbandoned) {
+			continue // idle, or finished by its worker since the load
+		}
+		sp := s.sp
+		sp.abandoned.Store(true)
+		s.release(rs.t)
+		rs.spDoneTimeout(sp.group, cause)
+		rs.wg.Done()
+	}
 }
 
 // runSP runs one sampling process to its one commit: draw, compute, commit,
@@ -510,9 +629,11 @@ func (rs *regionState) worker(g, f int) {
 // sample poisons the region — the rest of this round and every future round of
 // the name run in-process — and the sample starts over in-process at attempt 1.
 // Exactly one spDone or spDoneTimeout is reported per (group, fold) slot
-// regardless of attempts. It reports whether an in-process attempt was
-// abandoned: its body goroutine may still be running, on the worker's slot.
-func (rs *regionState) runSP(g, f int, slot *spSlot) (abandoned bool) {
+// regardless of attempts. It reports how the last attempt ended for the
+// worker (attemptEnd): only an abandoned in-process attempt can leave a body
+// running, so a dispatched attempt, or a backoff cut short, reports
+// attemptFinished.
+func (rs *regionState) runSP(g, f int, slot *spSlot) attemptEnd {
 	t := rs.t
 	fp := t.opts.Fault
 	ctx := rs.ctx
@@ -525,6 +646,7 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) (abandoned bool) {
 	var sp *SP
 	var err error
 	timedOut := false
+	end := attemptFinished
 	for attempt := 1; ; attempt++ {
 		if remote {
 			var declined bool
@@ -542,7 +664,11 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) (abandoned bool) {
 			} else {
 				sampler = rs.spec.Strategy.Sampler(rs.seed, g, rs.n, rs.fb)
 			}
-			sp, err, timedOut = rs.runAttempt(ctx, g, f, attempt, slot, sampler, rs.body)
+			sp, err, end = rs.runAttempt(ctx, g, f, attempt, slot, sampler, rs.body)
+			if end == attemptLost {
+				return end
+			}
+			timedOut = end == attemptTimedOut
 			// The finished body was the sampler's sole user, unless it is one
 			// fold of a cross-validation group, which share theirs; an abandoned
 			// body may still draw.
@@ -576,17 +702,18 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) (abandoned bool) {
 		// An abandoned process contributes nothing but its outcome: its body
 		// goroutine may still be running, so its SP is neither read nor recycled.
 		rs.spDoneTimeout(g, err)
-		return !remote
+		return end
 	}
 	rs.spDone(sp, err)
-	return false
+	return attemptFinished
 }
 
 // invokeBody runs the sampling body (and the Score callback) with the
 // runtime's panic containment: Check unwinds as a prune, any other panic is
-// contained and reported as the attempt's error, and abandonPanic is
-// re-thrown for the goroutine wrapper to swallow.
-func (rs *regionState) invokeBody(sp *SP, body func(sp *SP) error) (bodyErr error) {
+// contained and reported as the attempt's error, and abandonPanic — the
+// runtime gave up on the attempt — ends it with abandoned set: its outcome is
+// already committed, and nobody reads bodyErr.
+func (rs *regionState) invokeBody(sp *SP, body func(sp *SP) error) (bodyErr error, abandoned bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			switch r.(type) {
@@ -594,7 +721,7 @@ func (rs *regionState) invokeBody(sp *SP, body func(sp *SP) error) (bodyErr erro
 				sp.pruned = true
 				rs.countPruned()
 			case abandonPanic:
-				panic(r)
+				abandoned = true
 			case noSyncPanic:
 				rs.det.noSync = true
 			default:
@@ -609,20 +736,20 @@ func (rs *regionState) invokeBody(sp *SP, body func(sp *SP) error) (bodyErr erro
 		sp.score = rs.spec.Score(sp)
 		sp.scored = true
 	}
-	return bodyErr
+	return bodyErr, false
 }
 
 // runAttempt executes one attempt of a sampling process under its deadline.
-// Without a deadline, budget, or caller cancellation the body runs inline on
-// the worker goroutine — the pre-fault-layer semantics with no extra
-// goroutine or channel per attempt. Otherwise the body runs in its own
-// goroutine; the calling worker acts as the monitor and, on deadline expiry,
-// abandons the attempt — releasing the pool slot and reporting a timeout —
-// while the body goroutine unwinds on its own once it observes the cancelled
-// context (abandonPanic at the runtime re-entry points, or the body
-// returning).
+// Without a per-sample deadline the body runs inline on the worker goroutine:
+// bare when the round's context cannot end, under the round's watcher
+// (runInline) when it can. With one, the body runs in its own goroutine; the
+// calling worker acts as the monitor and, on deadline expiry (suspended while
+// the body waits at a Sync barrier) or cancellation, abandons the attempt —
+// releasing the pool slot and reporting a timeout — while the body goroutine
+// unwinds on its own once it observes the cancelled context (abandonPanic at
+// the runtime re-entry points, or the body returning).
 func (rs *regionState) runAttempt(ctx context.Context, g, f, attempt int, slot *spSlot,
-	sampler strategy.Sampler, body func(sp *SP) error) (*SP, error, bool) {
+	sampler strategy.Sampler, body func(sp *SP) error) (*SP, error, attemptEnd) {
 	t := rs.t
 	t.ctr.samples.Add(1)
 
@@ -648,10 +775,14 @@ func (rs *regionState) runAttempt(ctx context.Context, g, f, attempt int, slot *
 		defer rs.ro.sampleDur.ObserveSince(t0)
 	}
 
-	if sctx.Done() == nil {
+	switch {
+	case rs.watched:
+		return rs.runInline(sp, slot, body)
+	case fp.SampleTimeout == 0:
 		// No deadline, budget, or caller cancellation anywhere: run the body
 		// inline — exactly the pre-fault-layer semantics.
-		return sp, rs.invokeBody(sp, body), false
+		err, _ := rs.invokeBody(sp, body)
+		return sp, err, attemptFinished
 	}
 
 	done := sp.done
@@ -660,44 +791,32 @@ func (rs *regionState) runAttempt(ctx context.Context, g, f, attempt int, slot *
 		sp.done = done
 	}
 	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abandonPanic); ok {
-					// The monitor already reported this attempt as timed
-					// out; nobody is listening for its outcome.
-					return
-				}
-				panic(r)
-			}
-		}()
-		done <- rs.invokeBody(sp, body)
+		if err, abandoned := rs.invokeBody(sp, body); !abandoned {
+			// An abandoned attempt was already reported as timed out by the
+			// monitor; nobody is listening for its outcome.
+			done <- err
+		}
 	}()
 
-	abandon := func(cause error) (*SP, error, bool) {
+	abandon := func(cause error) (*SP, error, attemptEnd) {
 		// Abandon the attempt: commit the timeout outcome and release the
 		// wedged slot so Algorithm 1 admission keeps flowing. The body
 		// goroutine is not killed — it unwinds when it next touches the
 		// runtime or observes SP.Context; a body that ignores both keeps its
 		// goroutine until it returns on its own.
 		sp.abandoned.Store(true)
-		if cancel != nil {
-			cancel()
-		}
+		cancel()
 		slot.release(t)
-		return sp, fmt.Errorf("%w: %v", ErrSampleTimeout, cause), true
+		return sp, fmt.Errorf("%w: %v", ErrSampleTimeout, cause), attemptTimedOut
 	}
 
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	if fp.SampleTimeout > 0 {
-		timer = time.NewTimer(fp.SampleTimeout)
-		defer timer.Stop()
-		timerC = timer.C
-	}
+	timer := time.NewTimer(fp.SampleTimeout)
+	defer timer.Stop()
+	timerC := timer.C
 	for {
 		select {
 		case err := <-done:
-			return sp, err, false
+			return sp, err, attemptFinished
 		case <-ctx.Done():
 			// Region budget exhausted or the caller cancelled the run: hard
 			// abandonment, barrier or not.
@@ -711,33 +830,55 @@ func (rs *regionState) runAttempt(ctx context.Context, g, f, attempt int, slot *
 				timerC = nil
 				continue
 			}
-			if sp.resumed != nil {
-				select {
-				case <-sp.resumed:
-					// The process left a barrier concurrently with the
-					// deadline firing: the elapsed time was spent waiting,
-					// not computing, so restart the deadline.
-					timer.Reset(fp.SampleTimeout)
-					timerC = timer.C
-					continue
-				default:
-				}
+			select {
+			case <-sp.resumed:
+				// The process left a barrier concurrently with the deadline
+				// firing: the elapsed time was spent waiting, not computing,
+				// so restart the deadline.
+				timer.Reset(fp.SampleTimeout)
+				timerC = timer.C
+				continue
+			default:
 			}
 			return abandon(fmt.Errorf("sample deadline %v exceeded", fp.SampleTimeout))
 		case <-sp.resumed:
 			// The body left a barrier: restart the compute-phase deadline.
-			if timer != nil {
-				if timerC != nil && !timer.Stop() {
-					select { // drain a concurrently fired timer
-					case <-timer.C:
-					default:
-					}
+			if timerC != nil && !timer.Stop() {
+				select { // drain a concurrently fired timer
+				case <-timer.C:
+				default:
 				}
-				timer.Reset(fp.SampleTimeout)
-				timerC = timer.C
 			}
+			timer.Reset(fp.SampleTimeout)
+			timerC = timer.C
 		}
 	}
+}
+
+// runInline runs one attempt of a watched round on its worker. The worker
+// publishes the attempt as running in its slot's word and only then looks at
+// the round's context, so the watcher either sees the attempt or the attempt
+// sees the ended context: none starts unseen. Whoever moves the word off
+// running first owns the attempt's outcome. A worker that loses commits
+// nothing, retries nothing and recycles neither the SP nor the sampler: the
+// watcher committed the timeout and may still be reading the SP.
+func (rs *regionState) runInline(sp *SP, slot *spSlot, body func(sp *SP) error) (*SP, error, attemptEnd) {
+	seq := slot.word.Load()>>2 + 1
+	running, idle := seq<<2|attemptRunning, seq<<2|attemptIdle
+	slot.sp = sp
+	slot.word.Store(running)
+	if err := rs.ctx.Err(); err != nil {
+		if !slot.word.CompareAndSwap(running, idle) {
+			return nil, nil, attemptLost
+		}
+		// Cancelled before the body started, behind the watcher's scan.
+		return sp, fmt.Errorf("%w: %v", ErrSampleTimeout, err), attemptTimedOut
+	}
+	err, _ := rs.invokeBody(sp, body)
+	if !slot.word.CompareAndSwap(running, idle) {
+		return nil, nil, attemptLost
+	}
+	return sp, err, attemptFinished
 }
 
 // noteOutcome records the per-outcome counters and trace events of one

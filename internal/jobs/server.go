@@ -155,7 +155,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleRounds streams the job's rounds as Server-Sent Events: one "round"
 // event per Round (JSON data), then one "done" event carrying the final
-// Status when the job reaches rest.
+// Status when the job reaches rest. Events are flushed a batch at a time:
+// the headers with the rounds already run, then each live event with
+// whatever else is ready behind it, then the "done" event.
 func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
 	past, ch, status, stop, err := s.m.Subscribe(r.PathValue("name"))
 	if err != nil {
@@ -171,9 +173,6 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	// Ship the headers now: a job with no rounds yet would otherwise leave
-	// the client blocked waiting for them until the first event.
-	fl.Flush()
 	event := func(kind string, v any) bool {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -182,24 +181,43 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
 			return true
 		}
 		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", kind, data)
-		fl.Flush()
 		return err == nil
+	}
+	// send writes one channel receive, and the "done" event if it was the
+	// close; it reports whether the stream goes on.
+	send := func(rd Round, open bool) bool {
+		if !open {
+			event("done", status())
+			return false
+		}
+		return event("round", rd)
 	}
 	for _, rd := range past {
 		if !event("round", rd) {
 			return
 		}
 	}
+	// Ship the headers now, with the rounds already run: a job with no rounds
+	// yet would otherwise leave the client blocked waiting for them until the
+	// first event.
+	fl.Flush()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case rd, open := <-ch:
-			if !open {
-				event("done", status())
-				return
+			more := send(rd, open)
+		drain:
+			for more {
+				select {
+				case rd, open = <-ch:
+					more = send(rd, open)
+				default:
+					break drain
+				}
 			}
-			if !event("round", rd) {
+			fl.Flush()
+			if !more {
 				return
 			}
 		}

@@ -435,3 +435,44 @@ func TestRoundsStreamDoneSurvivesEviction(t *testing.T) {
 		t.Errorf("done event carries %+v, want watched completed with its result", st)
 	}
 }
+
+// flushCounter is a streaming ResponseWriter that counts its flushes.
+type flushCounter struct {
+	hdr     http.Header
+	buf     bytes.Buffer
+	flushes int
+}
+
+func (w *flushCounter) Header() http.Header         { return w.hdr }
+func (w *flushCounter) WriteHeader(int)             {}
+func (w *flushCounter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+func (w *flushCounter) Flush()                      { w.flushes++ }
+
+// TestRoundsStreamFlushesPerBatch: a subscriber that joins a finished
+// 8-round job gets its whole history in at most two flushes — the past
+// rounds with the headers, then the "done" event — not one per event.
+func TestRoundsStreamFlushesPerBatch(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	reg := NewRegistry()
+	reg.Register("tune8", func(spec core.JobSpec) (RunFunc, error) {
+		return tuneProgram(8, 0, nil), nil
+	})
+	m := NewManager(Options{Runtime: core.NewRuntime(core.RuntimeOptions{MaxPool: 4}), Programs: reg})
+	defer m.Close()
+	mustSubmit(t, m, core.JobSpec{Name: "eight", Program: "tune8", Seed: 3})
+	if st, err := m.Wait(context.Background(), "eight"); err != nil || st.State != StateCompleted {
+		t.Fatalf("Wait: %+v, %v", st, err)
+	}
+	w := &flushCounter{hdr: make(http.Header)}
+	NewServer(m, nil).ServeHTTP(w, httptest.NewRequest("GET", "/v1/jobs/eight/rounds", nil))
+	out := w.buf.String()
+	if n := strings.Count(out, "event: round\n"); n != 8 {
+		t.Fatalf("stream carried %d round events, want 8:\n%s", n, out)
+	}
+	if !strings.Contains(out, "event: done\n") {
+		t.Fatalf("stream ended without a done event:\n%s", out)
+	}
+	if w.flushes > 2 {
+		t.Fatalf("%d flushes for 9 ready events, want at most 2", w.flushes)
+	}
+}
