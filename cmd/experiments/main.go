@@ -22,9 +22,9 @@
 // Performance is measured by the one harness BENCHMARK.json declares:
 // go run ./benchmark --workload <name>.
 //
-// Flags: -seed N (default 1); -checkpoint-dir DIR with optional
-// -checkpoint-every N and -resume to checkpoint tuning runs and pick up
-// interrupted ones where they left off.
+// Flags: -seed N (default 1). A run to checkpoint, resume or spread over a
+// fleet is a wbtuned job: every Table I program is a wbtuned program (see
+// cmd/wbtuned).
 package main
 
 import (
@@ -37,21 +37,7 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
-	ckptDir := flag.String("checkpoint-dir", "", "write periodic job checkpoints to this directory")
-	ckptEvery := flag.Int("checkpoint-every", 8, "rounds between auto-checkpoints (with -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "resume interrupted runs from -checkpoint-dir")
 	flag.Parse()
-	if *ckptDir != "" {
-		restore, err := bench.EnableCheckpointing(*ckptDir, *ckptEvery, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: -checkpoint-dir:", err)
-			os.Exit(1)
-		}
-		defer restore()
-	} else if *resume {
-		fmt.Fprintln(os.Stderr, "experiments: -resume requires -checkpoint-dir")
-		os.Exit(2)
-	}
 	if flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
@@ -73,7 +59,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: experiments [-seed N] [-checkpoint-dir DIR [-checkpoint-every N] [-resume]] <table1|fig6|fig7|fig10|fig11|fig12|fig15|fig16|fig17|fig18|fig19|fig20|fig21|fig22|ablations|all>")
+	fmt.Fprintln(os.Stderr, "usage: experiments [-seed N] <table1|fig6|fig7|fig10|fig11|fig12|fig15|fig16|fig17|fig18|fig19|fig20|fig21|fig22|ablations|all>")
 }
 
 // curveBudgets is the budget sweep used by every score-vs-budget figure.

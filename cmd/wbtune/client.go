@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
 
@@ -15,9 +16,9 @@ import (
 )
 
 // runServerMode is wbtune's client mode: submit a JobSpec to a wbtuned
-// server, stream its rounds, and print the final result. Returns the exit
-// code.
-func runServerMode(server string, spec core.JobSpec) int {
+// server, stream its rounds, and print them and the final result to w.
+// Returns the exit code.
+func runServerMode(w io.Writer, server string, spec core.JobSpec) int {
 	base := strings.TrimRight(server, "/")
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -37,10 +38,10 @@ func runServerMode(server string, spec core.JobSpec) int {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	fmt.Printf("submitted %q (program %s, seed %d) to %s\n",
+	fmt.Fprintf(w, "submitted %q (program %s, seed %d) to %s\n",
 		spec.Name, spec.Program, spec.Seed, base)
 
-	resp, err = http.Get(base + "/v1/jobs/" + spec.Name + "/rounds")
+	resp, err = http.Get(base + "/v1/jobs/" + url.PathEscape(spec.Name) + "/rounds")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wbtune: streaming rounds: %v\n", err)
 		return 1
@@ -66,7 +67,7 @@ func runServerMode(server string, spec core.JobSpec) int {
 			case "round":
 				var rd jobs.Round
 				if json.Unmarshal([]byte(data), &rd) == nil {
-					fmt.Printf("round %-3d %-12s best=%.6f %s\n", rd.Seq, rd.Region, rd.Score, rd.Note)
+					fmt.Fprintf(w, "round %-3d %-12s best=%.6f %s\n", rd.Seq, rd.Region, rd.Score, rd.Note)
 				}
 			case "done":
 				var st jobs.Status
@@ -86,12 +87,12 @@ func runServerMode(server string, spec core.JobSpec) int {
 		fmt.Fprintln(os.Stderr, "wbtune: stream ended before the job finished")
 		return 1
 	}
-	fmt.Printf("state:      %s\n", final.State)
+	fmt.Fprintf(w, "state:      %s\n", final.State)
 	if final.Error != "" {
-		fmt.Printf("error:      %s\n", final.Error)
+		fmt.Fprintf(w, "error:      %s\n", final.Error)
 	}
 	if final.Result != "" {
-		fmt.Printf("result:\n%s", final.Result)
+		fmt.Fprintf(w, "result:\n%s", final.Result)
 	}
 	if final.State != jobs.StateCompleted {
 		return 1

@@ -7,15 +7,18 @@
 //	wbtune -bench Canny -mode wb -metrics /dev/stdout
 //	wbtune -bench Canny -mode wb -trace trace.jsonl
 //	wbtune -bench Canny -mode wb -http :8080
-//	wbtune -bench Canny -mode wb -fleet-max 8
 //	wbtune -list
 //	wbtune -server http://localhost:8437 -program canny -arg stage1=8
+//	wbtune -server http://localhost:8437 -program fasta -checkpoint-every 1
 //
 // -server switches wbtune into client mode: instead of running locally, it
 // submits a JobSpec to a wbtuned control plane, streams the job's rounds,
-// and prints the final result (see cmd/wbtuned). In client mode -program,
-// -job-name, -tenant, -class and repeatable -arg key=value flags shape the
-// spec; -seed and -budget carry over.
+// and prints the final result (see cmd/wbtuned). Every benchmark is a
+// wbtuned program under the service name -list prints. In client mode
+// -program, -job-name, -tenant, -class, -checkpoint-every and repeatable
+// -arg key=value flags shape the spec (a local run refuses them); -seed and
+// -budget carry over. Checkpoints, resume after a restart and sampling
+// fleets are the daemon's: wbtuned -store and -fleet-max.
 //
 // -metrics writes the run's metrics in Prometheus text format after the
 // run ("-" for stdout); -trace writes the runtime trace as JSONL; -http
@@ -26,7 +29,7 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -37,81 +40,47 @@ import (
 	"syscall"
 
 	"repro/internal/bench"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/remote"
 )
 
-// config is what main's flags decide about a local tuning run — kept
-// separate so tests can check it without going through the flag parser.
+// config is what main's flags decide about a run — kept separate so tests
+// can check it without going through the flag parser.
 type config struct {
-	seed      int64
-	budget    float64
-	ckptDir   string
-	ckptEvery int
-	resume    bool
-	fleetMin  int
-	fleetMax  int
+	seed   int64
+	budget float64
+	server string
+	// client lists the client-mode flags given on the command line.
+	client []string
+}
+
+// clientFlags are the flags that only shape a job submitted with -server.
+var clientFlags = map[string]bool{
+	"program": true, "arg": true, "tenant": true, "class": true,
+	"job-name": true, "checkpoint-every": true,
 }
 
 // check refuses the flags main cannot honour: a negative, NaN or infinite
-// -budget, -fleet-min without -fleet-max (fleetMin is 1 unless the flag is
-// given) or above it, and -resume without -checkpoint-dir.
+// -budget, and a client-mode flag without -server (a local run would
+// silently ignore it).
 func (c config) check() error {
 	if c.budget < 0 || math.IsNaN(c.budget) || math.IsInf(c.budget, 0) {
 		return fmt.Errorf("-budget %v: want a finite non-negative number", c.budget)
 	}
-	if c.fleetMax == 0 && c.fleetMin != 1 {
-		return errors.New("-fleet-min requires -fleet-max")
-	}
-	if c.fleetMax > 0 && c.fleetMin > c.fleetMax {
-		return errors.New("-fleet-min exceeds -fleet-max")
-	}
-	if c.resume && c.ckptDir == "" {
-		return errors.New("-resume requires -checkpoint-dir")
+	if c.server == "" && len(c.client) > 0 {
+		return fmt.Errorf("-%s requires -server", c.client[0])
 	}
 	return nil
 }
 
-// wb runs b's white-box program under budget on the tuner the flags
-// describe: one job (metric label job=<benchmark>) on a pool of 8,
-// in-process or on an elastic loopback fleet (-fleet-max), reporting to reg
-// and trace, and with -checkpoint-dir recording under the label run001 or,
-// with -resume, continuing a partial checkpoint found there. A resume that
-// diverged from its journal exits 1; any other run error already excluded
-// its samples from the outcome.
+// wb runs b's white-box program under budget as one in-process job (metric
+// label job=<benchmark>) on a pool of 8, reporting to reg and trace. A run
+// error already excluded its samples from the outcome.
 func (c config) wb(b bench.Benchmark, budget float64, reg *obs.Registry, trace *core.Trace) bench.Outcome {
-	ropts := core.RuntimeOptions{MaxPool: 8, Obs: reg}
-	var rt *core.Runtime
-	if c.fleetMax == 0 {
-		rt = core.NewRuntime(ropts)
-	} else {
-		frt, stop, err := remote.StartLoopbackFleet(c.fleetMin, c.fleetMax, ropts)
-		exitOn("-fleet-max", err)
-		defer stop()
-		rt = frt
-	}
-	jo := core.JobOptions{Name: b.Name(), Seed: c.seed, Budget: budget, Trace: trace}
-	if c.ckptDir != "" {
-		store, err := checkpoint.NewDirStore(c.ckptDir)
-		exitOn("-checkpoint-dir", err)
-		defer store.Close()
-		jo.Checkpoint = &core.CheckpointPolicy{Store: store, Every: c.ckptEvery, Label: "run001"}
-		if c.resume {
-			st, err := checkpoint.LoadFrom(store, "run001")
-			exitOn("-resume", err)
-			if st != nil && !st.Complete { // a finished run starts fresh
-				jo.Resume = st
-			}
-		}
-	}
-	t := rt.NewJob(jo)
+	rt := core.NewRuntime(core.RuntimeOptions{MaxPool: 8, Obs: reg})
+	t := rt.NewJob(core.JobOptions{Name: b.Name(), Seed: c.seed, Budget: budget, Trace: trace})
 	defer t.Close()
-	out, err := b.Tune(t, c.seed)
-	if errors.Is(err, core.ErrCheckpointDiverged) {
-		exitOn("-resume", err)
-	}
+	out, _ := b.Tune(context.Background(), t, c.seed)
 	return out
 }
 
@@ -133,25 +102,26 @@ func main() {
 	metricsPath := flag.String("metrics", "", `write Prometheus text-format metrics to this file after the run ("-" = stdout)`)
 	tracePath := flag.String("trace", "", `write the runtime trace as JSONL to this file ("-" = stdout)`)
 	httpAddr := flag.String("http", "", "serve /metrics, /metrics.json and /debug/trace on this address (e.g. :8080) and block after the run")
-	flag.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "write periodic job checkpoints to this directory (wb mode only)")
-	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 8, "rounds between auto-checkpoints (with -checkpoint-dir)")
-	flag.BoolVar(&cfg.resume, "resume", false, "resume from the checkpoint in -checkpoint-dir if one exists")
-	flag.IntVar(&cfg.fleetMax, "fleet-max", 0, "autoscale an elastic loopback sampling fleet up to this many workers (wb mode only; 0 = in-process sampling)")
-	flag.IntVar(&cfg.fleetMin, "fleet-min", 1, "minimum elastic fleet size (with -fleet-max)")
-	server := flag.String("server", "", "submit to this wbtuned control plane instead of running locally (e.g. http://localhost:8437)")
+	flag.StringVar(&cfg.server, "server", "", "submit to this wbtuned control plane instead of running locally (e.g. http://localhost:8437)")
 	program := flag.String("program", "synthetic", "service program name (with -server)")
 	jobName := flag.String("job-name", "", "job name on the server (with -server; default cli-<program>-<seed>)")
 	tenant := flag.String("tenant", "", "tenant the job is accounted to (with -server)")
 	class := flag.String("class", "", "priority class: low, normal or high (with -server)")
+	ckptEvery := flag.Int("checkpoint-every", 0, "ask the server to checkpoint the job every N rounds (with -server; 0 = no checkpoints)")
 	args := argsFlag{}
 	flag.Var(args, "arg", "program argument key=value, repeatable (with -server)")
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) {
+		if clientFlags[f.Name] {
+			cfg.client = append(cfg.client, f.Name)
+		}
+	})
 	if err := cfg.check(); err != nil {
 		fmt.Fprintf(os.Stderr, "wbtune: %v\n", err)
 		os.Exit(2)
 	}
 
-	if *server != "" {
+	if cfg.server != "" {
 		cls, err := core.ParsePriorityClass(*class)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wbtune: -class: %v\n", err)
@@ -161,7 +131,7 @@ func main() {
 		if name == "" {
 			name = fmt.Sprintf("cli-%s-%d", *program, cfg.seed)
 		}
-		os.Exit(runServerMode(*server, core.JobSpec{
+		spec := core.JobSpec{
 			Name:    name,
 			Tenant:  *tenant,
 			Class:   cls,
@@ -169,7 +139,11 @@ func main() {
 			Args:    args,
 			Seed:    cfg.seed,
 			Budget:  cfg.budget,
-		}))
+		}
+		if *ckptEvery > 0 {
+			spec.Checkpoint = &core.CheckpointSpec{Every: *ckptEvery}
+		}
+		os.Exit(runServerMode(os.Stdout, cfg.server, spec))
 	}
 
 	if *list {
@@ -178,8 +152,8 @@ func main() {
 			if !b.HigherIsBetter() {
 				dir = "lower"
 			}
-			fmt.Printf("%-12s %2d params, %s sampling, %s aggregation (%s is better)\n",
-				b.Name(), b.ParamCount(), b.SamplingName(), b.AggName(), dir)
+			fmt.Printf("%-12s %-10s %2d params, %s sampling, %s aggregation (%s is better)\n",
+				b.Name(), bench.ServiceName(b), b.ParamCount(), b.SamplingName(), b.AggName(), dir)
 		}
 		return
 	}

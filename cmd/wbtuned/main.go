@@ -15,6 +15,12 @@
 //	GET    /v1/jobs/{name}        inspect           DELETE /v1/jobs/{name}  cancel
 //	GET    /v1/jobs/{name}/rounds SSE round stream  GET /metrics  GET /healthz
 //
+// Programs are every Table I benchmark under its service name (canny, which
+// takes args scene, stage1 and stage2; watershed, kmeans, ..., ardupilot,
+// which take none; wbtune -list prints them) and synthetic. This is the one
+// place a run is checkpointed (-store, and a checkpoint policy in the spec),
+// resumed after a restart, or spread over a sampling fleet (-fleet-max).
+//
 // Submit with the wbtune client: wbtune -server http://host:8437 -program canny.
 package main
 

@@ -150,6 +150,126 @@ func TestSmokeWbtuned(t *testing.T) {
 	ds.Close()
 }
 
+// TestTable1ProgramsOverHTTP serves every Table I program from wbtuned and
+// checks that each one's result submitted over HTTP equals jobs.RunDirect of
+// the same spec byte for byte, on a plain daemon, on one with -store and a
+// per-round checkpoint in the spec, and on one with an elastic loopback
+// fleet (-fleet-max 2). Resume after a restart is TestRestartRecovery's and
+// TestCheckpointResumeTable1Parity's.
+func TestTable1ProgramsOverHTTP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("13 programs over three daemons; skipped in -short")
+	}
+	t.Cleanup(leakcheck.Check(t))
+	reg := jobs.NewRegistry()
+	bench.RegisterPrograms(reg)
+	if names := reg.Names(); len(names) != len(bench.All())+1 {
+		t.Fatalf("registered programs %v, want the %d Table I programs and synthetic", names, len(bench.All()))
+	}
+	rt := core.NewRuntime(core.RuntimeOptions{MaxPool: 4})
+	want := make(map[string]string)
+	for _, b := range bench.All() {
+		spec := core.JobSpec{Name: "direct", Program: bench.ServiceName(b), Seed: 1}
+		res, _, err := jobs.RunDirect(context.Background(), rt, reg, spec)
+		if err != nil {
+			t.Fatalf("%s: RunDirect: %v", spec.Program, err)
+		}
+		want[spec.Program] = res
+		if spec.Program == "canny" {
+			continue
+		}
+		// Only Canny takes args; the others refuse any rather than ignore it.
+		spec.Args = map[string]string{"stage1": "4"}
+		if _, _, err := jobs.RunDirect(context.Background(), rt, reg, spec); !errors.Is(err, core.ErrSpecInvalid) {
+			t.Errorf("%s with an arg: %v, want ErrSpecInvalid", spec.Program, err)
+		}
+	}
+
+	for _, setup := range []struct {
+		name string
+		cfg  config
+		ckpt *core.CheckpointSpec
+	}{
+		{"plain", config{}, nil},
+		{"store", config{storeDir: t.TempDir()}, &core.CheckpointSpec{Every: 1}},
+		{"fleet", config{fleetMin: 1, fleetMax: 2}, nil},
+	} {
+		t.Run(setup.name, func(t *testing.T) {
+			cfg := setup.cfg
+			cfg.httpAddr, cfg.pool = "127.0.0.1:0", 4
+			d, err := newDaemon(cfg)
+			if err != nil {
+				t.Fatalf("newDaemon: %v", err)
+			}
+			serveErr := make(chan error, 1)
+			go func() { serveErr <- d.serve() }()
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				d.shutdown(ctx)
+				if err := <-serveErr; err != nil {
+					t.Errorf("serve: %v", err)
+				}
+			}()
+			base := "http://" + d.addr()
+			waitUp(t, base+"/healthz")
+			for _, b := range bench.All() {
+				prog := bench.ServiceName(b)
+				st := submitAndFollow(t, base, core.JobSpec{
+					Name: setup.name + "-" + prog, Program: prog, Seed: 1, Checkpoint: setup.ckpt,
+				})
+				if st.State != jobs.StateCompleted {
+					t.Errorf("%s: state %q (error %q)", prog, st.State, st.Error)
+					continue
+				}
+				if st.Result != want[prog] {
+					t.Errorf("%s: HTTP result %q, RunDirect %q", prog, st.Result, want[prog])
+				}
+				if setup.ckpt != nil && st.Checkpoints == 0 {
+					t.Errorf("%s: no checkpoint written", prog)
+				}
+			}
+		})
+	}
+}
+
+// submitAndFollow submits spec to the daemon at base and follows its SSE
+// round stream to the done event, returning the job's final status.
+func submitAndFollow(t *testing.T, base string, spec core.JobSpec) jobs.Status {
+	t.Helper()
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit %s: status %d: %s", spec.Name, resp.StatusCode, msg)
+	}
+	resp, err = http.Get(base + "/v1/jobs/" + spec.Name + "/rounds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	done := false
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "event: done" {
+			done = true
+		} else if data, ok := strings.CutPrefix(line, "data: "); ok && done {
+			var st jobs.Status
+			if err := json.Unmarshal([]byte(data), &st); err != nil {
+				t.Fatalf("%s: done event: %v", spec.Name, err)
+			}
+			return st
+		}
+	}
+	t.Fatalf("%s: stream ended without a done event: %v", spec.Name, sc.Err())
+	return jobs.Status{}
+}
+
 // TestQuotaFlagParsing covers the -quota grammar.
 func TestQuotaFlagParsing(t *testing.T) {
 	quotas := make(map[string]jobs.TenantQuota)

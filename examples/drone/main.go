@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bench"
@@ -17,7 +18,7 @@ import (
 func main() {
 	fmt.Println("tuning Ardu to mimic Veloci on the training missions...")
 	tuner := core.New(core.Options{Seed: 1, MaxPool: 8})
-	tuned, _ := bench.TuneArdu(tuner)
+	tuned, _ := bench.TuneArdu(context.Background(), tuner)
 	m := tuner.Metrics()
 	fmt.Printf("  %d sample flights, %d pruned (crashed/stuck), %.0f sim-seconds\n",
 		m.Samples, m.Pruned, tuner.WorkUsed())

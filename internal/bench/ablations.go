@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -140,7 +141,7 @@ func PoolAblation(seed int64) []PoolAblationRow {
 	for _, pool := range []int{1, 2, 4, 8, 16} {
 		t := core.New(core.Options{Seed: seed, MaxPool: pool})
 		start := time.Now()
-		CannyBench{}.Tune(t, seed) // the row measures time and occupancy
+		CannyBench{}.Tune(context.Background(), t, seed) // the row measures time and occupancy
 		rows = append(rows, PoolAblationRow{
 			Pool:          pool,
 			ElapsedMS:     float64(time.Since(start).Microseconds()) / 1000,

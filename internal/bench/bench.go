@@ -12,7 +12,7 @@
 package bench
 
 import (
-	"errors"
+	"context"
 	"math"
 
 	"repro/internal/core"
@@ -60,11 +60,12 @@ type Benchmark interface {
 	// Native runs the program untuned.
 	Native(seed int64) Outcome
 	// Tune runs the white-box program on t, a tuner its caller built, over
-	// the seed's workload, and returns the outcome with t's run error.
-	Tune(t *core.Tuner, seed int64) (Outcome, error)
+	// the seed's workload under ctx, and returns the outcome with t's run
+	// error.
+	Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error)
 	// WBTune is Tune on the standard Table I tuner (pool 8, the seed, the
 	// work budget with 0 = the program's own convergence budget, and what
-	// Observe and EnableCheckpointing set).
+	// Observe sets).
 	WBTune(seed int64, budget float64) Outcome
 	// OTTune tunes with the black-box baseline under the work budget.
 	// Benchmarks where black-box tuning is inapplicable (Ardupilot)
@@ -137,41 +138,24 @@ type workCounter struct {
 func (w *workCounter) add(units float64) { w.used += units }
 func (w *workCounter) exceeded() bool    { return w.budget > 0 && w.used >= w.budget }
 
-// tuning is the run configuration of every standard Table I tuner beyond
-// pool, seed and budget: the registry and trace Observe sets and the
-// checkpoint policy EnableCheckpointing sets. It is read without
-// synchronization, so set it only between runs.
+// tuning is the registry and trace Observe sets for every standard Table I
+// tuner. It is read without synchronization, so set it only between runs.
 var tuning struct {
 	obs   *obs.Registry
 	trace *core.Trace
-	ckpt  *ckptRuns // nil: no checkpointing
 }
 
 // standardTuner builds the one Table I tuner every WBTune runs on: a pool of
-// 8, the seed and budget, and the configuration in tuning.
+// 8, the seed and budget, and the registry and trace in tuning.
 func standardTuner(seed int64, budget float64) *core.Tuner {
-	o := core.Options{Seed: seed, Budget: budget, MaxPool: 8, Obs: tuning.obs, Trace: tuning.trace}
-	if tuning.ckpt != nil {
-		tuning.ckpt.apply(&o)
-	}
-	return core.New(o)
+	return core.New(core.Options{Seed: seed, Budget: budget, MaxPool: 8, Obs: tuning.obs, Trace: tuning.trace})
 }
 
-// wbTune is every program's WBTune: Tune on the standard tuner.
+// wbTune is every program's WBTune: Tune on the standard tuner. A run error
+// already excluded its samples from the outcome.
 func wbTune(b Benchmark, seed int64, budget float64) Outcome {
-	out, err := b.Tune(standardTuner(seed, budget), seed)
-	panicOnDivergence(err)
+	out, _ := b.Tune(context.Background(), standardTuner(seed, budget), seed)
 	return out
-}
-
-// panicOnDivergence panics with a standard tuner's run error when the run
-// resumed from a checkpoint and diverged from its journal, as
-// EnableCheckpointing panics on an undecodable checkpoint. Any other run
-// error already excluded its samples from the result.
-func panicOnDivergence(err error) {
-	if errors.Is(err, core.ErrCheckpointDiverged) {
-		panic(err)
-	}
 }
 
 // tunedOutcome returns an Outcome carrying t's work and sample counts and a

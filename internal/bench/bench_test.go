@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestAllBenchmarksListed(t *testing.T) {
@@ -19,6 +22,23 @@ func TestAllBenchmarksListed(t *testing.T) {
 	}
 	if ByName("Canny") == nil || ByName("nope") != nil {
 		t.Fatal("ByName broken")
+	}
+}
+
+// TestTuneHonoursContext pins that a Table I program is interruptible, as a
+// wbtuned cancel or shutdown needs: given a context that is already
+// cancelled, every program's Tune returns an error instead of a finished run.
+func TestTuneHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rt := core.NewRuntime(core.RuntimeOptions{MaxPool: 8})
+	for _, b := range All() {
+		tu := rt.NewJob(core.JobOptions{Seed: 1})
+		out, err := b.Tune(ctx, tu, 1)
+		tu.Close()
+		if err == nil {
+			t.Errorf("%s: Tune under a cancelled context returned %+v and no error", b.Name(), out)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync"
@@ -231,11 +232,11 @@ func (c *cannyRun) body(p *core.P) error {
 func (b CannyBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
 
 // Tune implements Benchmark: the Fig. 4 program.
-func (b CannyBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (b CannyBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	ds := b.dataset(seed)
 	nStage1, nStage2 := b.stages()
 	run := &cannyRun{bench: b, t: t, ds: ds, nStage1: nStage1, nStage2: nStage2}
-	err := t.Run(run.body)
+	err := t.RunContext(ctx, run.body)
 
 	out := tunedOutcome(t)
 	if final := consensusSelect(run.votes()); final != nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
@@ -56,10 +57,10 @@ func (KmeansBench) Native(seed int64) Outcome {
 func (b KmeansBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
 
 // Tune implements Benchmark.
-func (KmeansBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (KmeansBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	ds := kmDataset(seed)
 	var bestState *kmeans.State
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(kmLoad)
 		res, err := p.Region(core.RegionSpec{
 			Name: "kmeans", Samples: 20,
@@ -169,10 +170,10 @@ func (DBScanBench) Native(seed int64) Outcome {
 func (b DBScanBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
 
 // Tune implements Benchmark.
-func (DBScanBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (DBScanBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	ds := dbDataset(seed)
 	var bestLabels []int
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(dbLoad)
 		res, err := p.Region(core.RegionSpec{
 			Name: "dbscan", Samples: 20,

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
@@ -63,11 +64,11 @@ func droneModeMissions() []struct {
 
 // TuneArdu runs the three per-mode tuning regions on t and returns the
 // tuned parameter set with t's run error.
-func TuneArdu(t *core.Tuner) (map[string]float64, error) {
+func TuneArdu(ctx context.Context, t *core.Tuner) (map[string]float64, error) {
 	// Incumbent configuration, refined mode by mode.
 	incumbent := drone.NewArdu().Params()
 
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		for _, mm := range droneModeMissions() {
 			// Reference flight for this mission, flown once per region.
 			ref := drone.Simulate(drone.NewVeloci(), mm.mission, droneSim)
@@ -106,6 +107,9 @@ func TuneArdu(t *core.Tuner) (map[string]float64, error) {
 				return nil
 			})
 			if err != nil {
+				if ctx.Err() != nil {
+					return err // cancelled: every later region would fail too
+				}
 				continue // a failed mode region keeps the incumbent values
 			}
 			if i := res.BestIndex(); i >= 0 && res.Score(i) < incScore {
@@ -124,8 +128,8 @@ func (b DroneBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b
 
 // Tune implements Benchmark: tune on the training missions, evaluate
 // mimicry on the held-out test mission (Fig. 22).
-func (DroneBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
-	tuned, err := TuneArdu(t)
+func (DroneBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
+	tuned, err := TuneArdu(ctx, t)
 	m := drone.TestMission()
 	ref := drone.Simulate(drone.NewVeloci(), m, droneSim)
 	a := drone.NewArdu()

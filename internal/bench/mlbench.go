@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/c45"
@@ -57,10 +58,10 @@ func (MetisBench) Native(seed int64) Outcome {
 func (b MetisBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
 
 // Tune implements Benchmark.
-func (MetisBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (MetisBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	g := meGraph(seed)
 	best := math.NaN()
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(metisLoad) // graph loading, once
 		res, err := p.Region(core.RegionSpec{
 			Name: "metis", Samples: 20, Minimize: true,
@@ -180,12 +181,12 @@ func (b C45Bench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, 
 
 // Tune implements Benchmark: one region with built-in k-fold CV; each SVG
 // member trains on k-1 folds and validates on its own.
-func (C45Bench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (C45Bench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	train, test := c45Data(seed)
 	folds := c45Folds(len(train.X), c45CVFolds)
 	var best c45.Params
 	found := false
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(c45.WorkLoad)
 		res, err := p.Region(core.RegionSpec{
 			Name: "c45", Samples: 12, CV: c45CVFolds, Minimize: true,
@@ -335,8 +336,8 @@ func (SVMBench) Native(seed int64) Outcome {
 // selected configuration — the Fig. 17 bars.
 func (b SVMBench) TrainTestErrors(seed int64, budget float64) (trainErr, testErr float64) {
 	train, test := svmData(seed)
-	prm, ok, err := b.tune(standardTuner(seed, budget), seed, train)
-	panicOnDivergence(err)
+	// A run error already excluded its samples from the selection.
+	prm, ok, _ := b.tune(context.Background(), standardTuner(seed, budget), seed, train)
 	if !ok {
 		return math.NaN(), math.NaN()
 	}
@@ -346,11 +347,11 @@ func (b SVMBench) TrainTestErrors(seed int64, budget float64) (trainErr, testErr
 
 // tune runs the white-box region on t and returns the selected params,
 // whether any were selected, and the run error.
-func (b SVMBench) tune(t *core.Tuner, seed int64, train svm.Dataset) (svm.Params, bool, error) {
+func (b SVMBench) tune(ctx context.Context, t *core.Tuner, seed int64, train svm.Dataset) (svm.Params, bool, error) {
 	folds := svm.Folds(len(train.X), svmCVFolds)
 	var best svm.Params
 	found := false
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(svm.WorkLoad)
 		spec := core.RegionSpec{
 			Name: "svm", Samples: 12, Minimize: true,
@@ -395,9 +396,9 @@ func (b SVMBench) tune(t *core.Tuner, seed int64, train svm.Dataset) (svm.Params
 func (b SVMBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
 
 // Tune implements Benchmark.
-func (b SVMBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (b SVMBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	train, test := svmData(seed)
-	best, found, err := b.tune(t, seed, train)
+	best, found, err := b.tune(ctx, t, seed, train)
 	out := tunedOutcome(t)
 	if found {
 		model := svm.Train(train, best, seed)

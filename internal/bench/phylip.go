@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync"
@@ -64,14 +65,14 @@ func (b PhylipBench) WBTune(seed int64, budget float64) Outcome { return wbTune(
 // Tune implements Benchmark: three nested tuning regions with loading done
 // once; stage-1 DEDUP prunes sample runs that produced the same transition
 // matrix, so tuning processes split only for unique models.
-func (b PhylipBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (b PhylipBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	ds := b.dataset(seed)
 	var mu sync.Mutex
 	bestSS := math.Inf(1) // internal: fit to the computed distance matrix
 	var bestTree phylip.Tree
 	haveTree := false
 
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(phylip.WorkLoad) // stage 2: load + preprocess, once
 
 		// Stage 1: sample ease; DEDUP the quantized transition matrices.

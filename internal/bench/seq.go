@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fasta"
@@ -55,10 +56,10 @@ func (b FastaBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b
 // Tune implements Benchmark: database loading/indexing happens once; each
 // sample scans with its gap penalties; the custom aggregation keeps the
 // best-separated hit list.
-func (FastaBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (FastaBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	ds := faDataset(seed)
 	var bestHits []fasta.Hit
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(fasta.WorkLoad)
 		res, err := p.Region(core.RegionSpec{
 			Name: "align", Samples: 16,
@@ -162,10 +163,10 @@ func (TopNBench) Native(seed int64) Outcome {
 func (b TopNBench) WBTune(seed int64, budget float64) Outcome { return wbTune(b, seed, budget) }
 
 // Tune implements Benchmark.
-func (TopNBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (TopNBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	ds := tnDataset(seed)
 	var best *topn.Model
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(topn.WorkModel) // co-occurrence counting, once
 		counts := topn.CountCooccur(ds)
 		res, err := p.Region(core.RegionSpec{

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
+	"unicode"
 
 	"repro/internal/canny"
 	"repro/internal/core"
@@ -14,10 +16,12 @@ import (
 )
 
 // RegisterPrograms installs the benchmark-backed service programs a wbtuned
-// server offers:
+// server offers, each Table I program under its ServiceName:
 //
 //	canny      the paper's Fig. 4 pipeline over a generated scene
-//	           (args: scene, stage1, stage2)
+//	           (args: scene, stage1, stage2), one round per region
+//	watershed  ... through ardupilot: the other 12 Table I programs as
+//	           Table I runs them (no args), one final round
 //	synthetic  a cheap one-region tuning loop for smoke tests and demos
 //	           (args: rounds, samples)
 //
@@ -25,8 +29,56 @@ import (
 // seed, which is what lets the control plane byte-compare an HTTP-submitted
 // run against jobs.RunDirect.
 func RegisterPrograms(reg *jobs.Registry) {
-	reg.Register("canny", cannyProgram)
+	for _, b := range All() {
+		if _, ok := b.(CannyBench); ok {
+			reg.Register(ServiceName(b), cannyProgram)
+		} else {
+			reg.Register(ServiceName(b), tableProgram(b))
+		}
+	}
 	reg.Register("synthetic", syntheticProgram)
+}
+
+// ServiceName is the program name b is registered under: its Table I name
+// lower-cased, with everything but letters and digits dropped ("Face Rec"
+// is facerec, "C4.5" is c45).
+func ServiceName(b Benchmark) string {
+	return strings.Map(func(r rune) rune {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			return unicode.ToLower(r)
+		}
+		return -1
+	}, b.Name())
+}
+
+// jsonScore maps a best score that is not a JSON number (NaN from a region
+// without a score function, -Inf from an empty traversal) to 0 for a Round.
+func jsonScore(s float64) float64 {
+	if math.IsNaN(s) || math.IsInf(s, 0) {
+		return 0
+	}
+	return s
+}
+
+// tableProgram serves b.Tune as a job: the manager owns the Tuner (built
+// from the spec), one round reports the tuned score, and the result string
+// summarizes the outcome.
+func tableProgram(b Benchmark) jobs.Factory {
+	name := ServiceName(b)
+	return func(spec core.JobSpec) (jobs.RunFunc, error) {
+		if len(spec.Args) > 0 {
+			return nil, fmt.Errorf("%w: program %q takes no args", core.ErrSpecInvalid, name)
+		}
+		return func(ctx context.Context, t *core.Tuner, emit func(jobs.Round)) (string, error) {
+			out, err := b.Tune(ctx, t, spec.Seed)
+			if err != nil {
+				return "", err
+			}
+			emit(jobs.Round{Region: name, Score: jsonScore(out.Score)})
+			return fmt.Sprintf("%s seed=%d score=%.6f work=%.4f samples=%d\n",
+				name, spec.Seed, out.Score, out.Work, out.Samples), nil
+		}, nil
+	}
 }
 
 // argInt parses an optional integer arg, refusing garbage rather than
@@ -63,12 +115,8 @@ func cannyProgram(spec core.JobSpec) (jobs.RunFunc, error) {
 			bench: b, t: t, ds: ds, nStage1: nStage1, nStage2: nStage2,
 			emit: func(region string, best float64) {
 				// The gaussian region has no score function (its samples are
-				// judged by the aggregation callback instead), so its best is
-				// NaN — not a JSON value; an empty traversal yields -Inf.
-				if math.IsNaN(best) || math.IsInf(best, 0) {
-					best = 0
-				}
-				emit(jobs.Round{Region: region, Score: best})
+				// judged by the aggregation callback instead).
+				emit(jobs.Round{Region: region, Score: jsonScore(best)})
 			},
 		}
 		if err := t.RunContext(ctx, run.body); err != nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/agg"
@@ -134,13 +135,13 @@ func (b SpeechBench) WBTune(seed int64, budget float64) Outcome { return wbTune(
 // Tune implements Benchmark: the audio loading and spectrogram stage is
 // shared; every sample run re-extracts features and decodes, committing its
 // predicted words, which are majority-voted per audio.
-func (b SpeechBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (b SpeechBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	audios := b.data(seed)
 	votes := make([]map[int]int, len(audios))
 	for i := range votes {
 		votes[i] = map[int]int{}
 	}
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(speech.WorkLoad * speechAudios) // load + spectrograms, once
 
 		// The incumbent (default) configuration votes first: tuning must

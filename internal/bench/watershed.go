@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
@@ -60,10 +61,10 @@ func (b WatershedBench) WBTune(seed int64, budget float64) Outcome { return wbTu
 
 // Tune implements Benchmark: loading happens once, one sampling region
 // covers all three parameters, boundaries are majority-voted.
-func (b WatershedBench) Tune(t *core.Tuner, seed int64) (Outcome, error) {
+func (b WatershedBench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, error) {
 	ds := b.dataset(seed)
 	var voted []float64
-	err := t.Run(func(p *core.P) error {
+	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(wsLoad)
 		res, err := p.Region(core.RegionSpec{
 			Name: "watershed", Samples: 24,
