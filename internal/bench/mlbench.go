@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"math"
+	"sync"
 
 	"repro/internal/c45"
 	"repro/internal/core"
@@ -188,6 +189,25 @@ func (C45Bench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, e
 	found := false
 	err := t.RunContext(ctx, func(p *core.P) error {
 		p.Work(c45.WorkLoad)
+		// A fold's tree does not depend on the sampled parameters, only
+		// where it is cut and pruned does: the first sample of each fold
+		// grows it, and every sample fits its own copy.
+		type cvFold struct {
+			grown *c45.Node
+			val   c45.Dataset
+		}
+		grown := make([]func() cvFold, len(folds))
+		for fold := range folds {
+			grown[fold] = sync.OnceValue(func() cvFold {
+				var trIdx []int
+				for f, idx := range folds {
+					if f != fold {
+						trIdx = append(trIdx, idx...)
+					}
+				}
+				return cvFold{c45.Grow(train.Subset(trIdx)), train.Subset(folds[fold])}
+			})
+		}
 		res, err := p.Region(core.RegionSpec{
 			Name: "c45", Samples: 12, CV: c45CVFolds, Minimize: true,
 			Score: func(sp *core.SP) float64 {
@@ -200,15 +220,9 @@ func (C45Bench) Tune(ctx context.Context, t *core.Tuner, seed int64) (Outcome, e
 				MinSplit:   sp.Int("minSplit", c45Split),
 			}
 			fold, _ := sp.Fold()
-			var trIdx []int
-			for f, idx := range folds {
-				if f != fold {
-					trIdx = append(trIdx, idx...)
-				}
-			}
+			cv := grown[fold]()
 			sp.Work(c45.WorkPerTrain)
-			tree := c45.Train(train.Subset(trIdx), prm)
-			sp.Commit("valErr", c45.ErrorRate(tree, train.Subset(folds[fold])))
+			sp.Commit("valErr", c45.ErrorRate(cv.grown.Fit(prm), cv.val))
 			return nil
 		})
 		if err != nil {

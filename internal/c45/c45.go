@@ -104,39 +104,8 @@ func (n *Node) Size() int {
 }
 
 // Train grows a tree with gain-ratio splits and then applies pessimistic
-// pruning with the configured confidence factor.
-func Train(ds Dataset, p Params) *Node {
-	if p.MinSplit < 2 {
-		p.MinSplit = 2
-	}
-	if p.Confidence <= 0 {
-		p.Confidence = 0.01
-	}
-	if p.Confidence > 1 {
-		p.Confidence = 1
-	}
-	idx := make([]int, len(ds.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	root := grow(ds, idx, p)
-	prune(root, p.Confidence)
-	return root
-}
-
-func majority(ds Dataset, idx []int) (class int, errs float64) {
-	counts := make([]int, ds.Classes)
-	for _, i := range idx {
-		counts[ds.Y[i]]++
-	}
-	best := 0
-	for c, n := range counts {
-		if n > counts[best] {
-			best = c
-		}
-	}
-	return best, float64(len(idx) - counts[best])
-}
+// pruning with the configured confidence factor. It is Grow(ds).Fit(p).
+func Train(ds Dataset, p Params) *Node { return Grow(ds).Fit(p) }
 
 // tableN bounds the node sizes whose entropy terms come from plogpTab.
 const tableN = 64
@@ -186,30 +155,74 @@ func countEntropy(counts []int, n int) float64 {
 	return h
 }
 
-func grow(ds Dataset, idx []int, p Params) *Node {
-	class, errs := majority(ds, idx)
-	node := &Node{Feature: -1, Class: class, ErrCount: errs, N: len(idx)}
-	if len(idx) < p.MinSplit || errs == 0 {
-		return node
+// Grow grows the unpruned tree at MinSplit 2: every node splits unless it
+// is pure or no split gains. A node's split depends only on the examples
+// reaching it, never on MinSplit, so Fit can cut this one tree for any
+// MinSplit. Each feature is sorted once, here; a split stably partitions
+// every feature's order in place, so each node sees its examples in the
+// order (value, index) that sorting them afresh would give.
+func Grow(ds Dataset) *Node {
+	if len(ds.X) == 0 {
+		return &Node{Feature: -1}
 	}
-	total := make([]int, ds.Classes)
-	for _, i := range idx {
-		total[ds.Y[i]]++
+	g := grower{
+		ds:     ds,
+		orders: make([][]int, len(ds.X[0])),
+		goLeft: make([]bool, len(ds.X)),
+		buf:    make([]int, 0, len(ds.X)),
+		total:  make([]int, ds.Classes),
+		left:   make([]int, ds.Classes),
+		right:  make([]int, ds.Classes),
+	}
+	for f := range g.orders {
+		order := make([]int, len(ds.X))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ds.X[a][f], ds.X[b][f]) })
+		g.orders[f] = order
+	}
+	return g.grow(0, len(ds.X))
+}
+
+// grower holds the per-feature sorted orders and the scratch Grow reuses
+// at every node.
+type grower struct {
+	ds                 Dataset
+	orders             [][]int // orders[f][lo:hi]: a node's examples sorted by feature f
+	goLeft             []bool
+	buf                []int
+	total, left, right []int
+}
+
+// grow grows the subtree of the examples in orders[*][lo:hi].
+func (g *grower) grow(lo, hi int) *Node {
+	ds := g.ds
+	n := hi - lo
+	clear(g.total)
+	for _, i := range g.orders[0][lo:hi] {
+		g.total[ds.Y[i]]++
+	}
+	class := 0
+	for c, k := range g.total {
+		if k > g.total[class] {
+			class = c
+		}
+	}
+	errs := float64(n - g.total[class])
+	node := &Node{Feature: -1, Class: class, ErrCount: errs, N: n}
+	if errs == 0 { // pure, which every node of fewer than 2 examples is
+		return node
 	}
 	// Best gain-ratio split across features and thresholds: sweep each
 	// feature's distinct-value midpoints in sorted order, carrying the
 	// class counts of the examples at or below the threshold.
-	baseH := countEntropy(total, len(idx))
+	baseH := countEntropy(g.total, n)
 	bestGR := 0.0
 	bestF, bestThr := -1, 0.0
-	dim := len(ds.X[0])
-	order := make([]int, len(idx))
-	left := make([]int, ds.Classes)
-	right := make([]int, ds.Classes)
-	for f := 0; f < dim; f++ {
-		copy(order, idx)
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ds.X[a][f], ds.X[b][f]) })
-		clear(left)
+	for f, o := range g.orders {
+		order := o[lo:hi]
+		clear(g.left)
 		k := 0
 		for v := 0; v < len(order)-1; v++ {
 			a, b := ds.X[order[v]][f], ds.X[order[v+1]][f]
@@ -220,18 +233,18 @@ func grow(ds Dataset, idx []int, p Params) *Node {
 			// x <= thr, not by position.
 			thr := (a + b) / 2
 			for ; k < len(order) && ds.X[order[k]][f] <= thr; k++ {
-				left[ds.Y[order[k]]]++
+				g.left[ds.Y[order[k]]]++
 			}
 			nl, nr := k, len(order)-k
 			if nl == 0 || nr == 0 {
 				continue
 			}
-			for c := range right {
-				right[c] = total[c] - left[c]
+			for c := range g.right {
+				g.right[c] = g.total[c] - g.left[c]
 			}
-			pl := float64(nl) / float64(len(idx))
-			gain := baseH - pl*countEntropy(left, nl) - (1-pl)*countEntropy(right, nr)
-			si := splitInfo(nl, len(idx))
+			pl := float64(nl) / float64(n)
+			gain := baseH - pl*countEntropy(g.left, nl) - (1-pl)*countEntropy(g.right, nr)
+			si := splitInfo(nl, n)
 			if si < 1e-9 {
 				continue
 			}
@@ -243,50 +256,84 @@ func grow(ds Dataset, idx []int, p Params) *Node {
 	if bestF < 0 || bestGR < 1e-9 {
 		return node
 	}
-	var li, ri []int
-	for _, i := range idx {
-		if ds.X[i][bestF] <= bestThr {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
+	for _, i := range g.orders[0][lo:hi] {
+		g.goLeft[i] = ds.X[i][bestF] <= bestThr
+	}
+	nl := 0
+	for _, o := range g.orders {
+		order := o[lo:hi]
+		nl = 0
+		right := g.buf[:0]
+		for _, i := range order {
+			if g.goLeft[i] {
+				order[nl] = i
+				nl++
+			} else {
+				right = append(right, i)
+			}
 		}
+		copy(order[nl:], right)
 	}
 	node.Feature = bestF
 	node.Thr = bestThr
-	node.Left = grow(ds, li, p)
-	node.Right = grow(ds, ri, p)
+	node.Left = g.grow(lo, lo+nl)
+	node.Right = g.grow(lo+nl, hi)
 	return node
 }
 
-// prune applies C4.5's pessimistic error pruning: replace a subtree with a
-// leaf when the leaf's pessimistic error estimate does not exceed the
+// Fit returns the tree Train would give for p: the grown tree n cut
+// wherever fewer than p.MinSplit examples arrive, then pruned at
+// p.Confidence. n is only read, so any number of Fit calls may share one
+// grown tree.
+func (n *Node) Fit(p Params) *Node {
+	if p.MinSplit < 2 {
+		p.MinSplit = 2
+	}
+	if p.Confidence <= 0 {
+		p.Confidence = 0.01
+	}
+	if p.Confidence > 1 {
+		p.Confidence = 1
+	}
+	t, _ := fit(n, p.MinSplit, zFor(1-p.Confidence))
+	return t
+}
+
+// fit copies the subtree n, cut at minSplit, and applies C4.5's
+// pessimistic error pruning to the copy: replace a subtree with a leaf
+// when the leaf's pessimistic error estimate does not exceed the
 // subtree's. Smaller confidence inflates the estimates more aggressively
-// for small nodes, pruning harder.
-func prune(n *Node, confidence float64) float64 {
-	pess := func(errs float64, count int) float64 {
-		if count == 0 {
-			return 0
-		}
-		// Upper confidence bound on the error rate: the classic C4.5
-		// approximation via a z-score of the (1-confidence) quantile.
-		f := errs / float64(count)
-		z := zFor(1 - confidence)
-		nn := float64(count)
-		num := f + z*z/(2*nn) + z*math.Sqrt(f/nn-f*f/nn+z*z/(4*nn*nn))
-		den := 1 + z*z/nn
-		return num / den * nn
+// for small nodes, pruning harder. It returns the copy and its estimate.
+// A pruned node keeps its threshold; a cut node, like a grown leaf, has
+// none.
+func fit(n *Node, minSplit int, z float64) (*Node, float64) {
+	leaf := pessimistic(n.ErrCount, n.N, z)
+	if n.IsLeaf() || n.N < minSplit {
+		return &Node{Feature: -1, Class: n.Class, ErrCount: n.ErrCount, N: n.N}, leaf
 	}
-	if n.IsLeaf() {
-		return pess(n.ErrCount, n.N)
-	}
-	sub := prune(n.Left, confidence) + prune(n.Right, confidence)
-	leaf := pess(n.ErrCount, n.N)
+	l, le := fit(n.Left, minSplit, z)
+	r, re := fit(n.Right, minSplit, z)
+	out := &Node{Feature: -1, Thr: n.Thr, Class: n.Class, ErrCount: n.ErrCount, N: n.N}
+	sub := le + re
 	if leaf <= sub+1e-12 {
-		n.Left, n.Right = nil, nil
-		n.Feature = -1
-		return leaf
+		return out, leaf
 	}
-	return sub
+	out.Feature, out.Left, out.Right = n.Feature, l, r
+	return out, sub
+}
+
+// pessimistic is the upper confidence bound on a node's error count: the
+// classic C4.5 approximation via the z-score of the (1-confidence)
+// quantile.
+func pessimistic(errs float64, count int, z float64) float64 {
+	if count == 0 {
+		return 0
+	}
+	f := errs / float64(count)
+	nn := float64(count)
+	num := f + z*z/(2*nn) + z*math.Sqrt(f/nn-f*f/nn+z*z/(4*nn*nn))
+	den := 1 + z*z/nn
+	return num / den * nn
 }
 
 // zFor approximates the standard normal quantile for p in (0.5, 1).

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"repro/internal/dist"
+	"repro/internal/stats"
 )
 
 // Params are the recognizer's tunables.
@@ -158,25 +159,35 @@ func project(v []float64, dims []int) []float64 {
 // Identify classifies one probe: the nearest gallery subject, or -1 when
 // the distance exceeds the rejection threshold.
 func (m *Model) Identify(probe []float64) int {
-	pv := project(probe, m.dims)
-	best, bestD := -1, math.Inf(1)
-	for s, g := range m.gallery {
-		if d := minkowski(pv, g, m.p.Exponent); d < bestD {
-			best, bestD = s, d
-		}
-	}
+	best, bestD := m.nearest(probe)
 	if bestD > m.p.Threshold {
 		return -1
 	}
 	return best
 }
 
-func minkowski(a, b []float64, p float64) float64 {
+// nearest returns the gallery subject nearest to the probe and its
+// distance.
+func (m *Model) nearest(probe []float64) (best int, bestD float64) {
+	pv := project(probe, m.dims)
+	pow, root := stats.NewPowPlan(m.p.Exponent), stats.NewPowPlan(1/m.p.Exponent)
+	best, bestD = -1, math.Inf(1)
+	for s, g := range m.gallery {
+		if d := minkowski(pv, g, &pow, &root); d < bestD {
+			best, bestD = s, d
+		}
+	}
+	return best, bestD
+}
+
+// minkowski is the Minkowski distance of two vectors: pow and root are
+// the plans for the exponent and its reciprocal.
+func minkowski(a, b []float64, pow, root *stats.PowPlan) float64 {
 	s := 0.0
 	for i := range a {
-		s += math.Pow(math.Abs(a[i]-b[i]), p)
+		s += pow.Pow(math.Abs(a[i] - b[i]))
 	}
-	return math.Pow(s, 1/p)
+	return root.Pow(s)
 }
 
 // Error runs every probe and returns the identification error rate: a

@@ -70,10 +70,10 @@ func (m Image) Clamp01() Image {
 }
 
 // GaussianKernel returns a normalized 1-D Gaussian kernel for the given
-// sigma; the radius is ceil(3*sigma). Sigma must be positive.
+// sigma; the radius is ceil(3*sigma). Sigma must be positive and finite.
 func GaussianKernel(sigma float64) []float64 {
-	if sigma <= 0 {
-		panic("img: sigma must be positive")
+	if !(sigma > 0) || math.IsInf(sigma, 1) {
+		panic(fmt.Sprintf("img: sigma %v must be positive and finite", sigma))
 	}
 	r := int(math.Ceil(3 * sigma))
 	if r < 1 {
@@ -93,27 +93,45 @@ func GaussianKernel(sigma float64) []float64 {
 }
 
 // SeparableConvolve applies the 1-D kernel horizontally then vertically —
-// Gaussian smoothing when the kernel is Gaussian.
+// Gaussian smoothing when the kernel is Gaussian. Taps that fall off the
+// image read the nearest border pixel, as At does; only pixels within the
+// kernel's radius of the border have such taps, so the rest read Pix
+// directly, with the same taps in the same order.
 func SeparableConvolve(m Image, k []float64) Image {
 	r := len(k) / 2
-	tmp := New(m.W, m.H)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
+	w, h := m.W, m.H
+	tmp := New(w, h)
+	for y := 0; y < h; y++ {
+		row := m.Pix[y*w : (y+1)*w]
+		for x := 0; x < w; x++ {
 			s := 0.0
-			for i := -r; i <= r; i++ {
-				s += k[i+r] * m.At(x+i, y)
+			if x >= r && x+r < w {
+				for i, v := range row[x-r : x+r+1] {
+					s += k[i] * v
+				}
+			} else {
+				for i := -r; i <= r; i++ {
+					s += k[i+r] * m.At(x+i, y)
+				}
 			}
-			tmp.Pix[y*m.W+x] = s
+			tmp.Pix[y*w+x] = s
 		}
 	}
-	out := New(m.W, m.H)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
+	out := New(w, h)
+	for y := 0; y < h; y++ {
+		interior := y >= r && y+r < h
+		for x := 0; x < w; x++ {
 			s := 0.0
-			for i := -r; i <= r; i++ {
-				s += k[i+r] * tmp.At(x, y+i)
+			if interior {
+				for i, j := 0, (y-r)*w+x; i < len(k); i, j = i+1, j+w {
+					s += k[i] * tmp.Pix[j]
+				}
+			} else {
+				for i := -r; i <= r; i++ {
+					s += k[i+r] * tmp.At(x, y+i)
+				}
 			}
-			out.Pix[y*m.W+x] = s
+			out.Pix[y*w+x] = s
 		}
 	}
 	return out
@@ -135,22 +153,37 @@ func Sobel(m Image) (mag, dir Image) {
 func Gradient(m Image) Image { return sobel(m, nil) }
 
 // sobel returns the Sobel magnitude of m and, unless dir is nil, writes
-// the direction into dir.
+// the direction into dir. Border pixels read their clamped neighbors
+// through At; interior ones read Pix directly.
 func sobel(m Image, dir []float64) Image {
-	mag := New(m.W, m.H)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			gx := m.At(x+1, y-1) + 2*m.At(x+1, y) + m.At(x+1, y+1) -
-				m.At(x-1, y-1) - 2*m.At(x-1, y) - m.At(x-1, y+1)
-			gy := m.At(x-1, y+1) + 2*m.At(x, y+1) + m.At(x+1, y+1) -
-				m.At(x-1, y-1) - 2*m.At(x, y-1) - m.At(x+1, y-1)
-			mag.Pix[y*m.W+x] = math.Hypot(gx, gy)
+	w, h := m.W, m.H
+	mag := New(w, h)
+	p := m.Pix
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var gx, gy float64
+			if x > 0 && x < w-1 && y > 0 && y < h-1 {
+				i := y*w + x
+				gx, gy = sobelTaps(p[i-w-1], p[i-w], p[i-w+1], p[i-1], p[i+1], p[i+w-1], p[i+w], p[i+w+1])
+			} else {
+				gx, gy = sobelTaps(m.At(x-1, y-1), m.At(x, y-1), m.At(x+1, y-1), m.At(x-1, y),
+					m.At(x+1, y), m.At(x-1, y+1), m.At(x, y+1), m.At(x+1, y+1))
+			}
+			mag.Pix[y*w+x] = math.Hypot(gx, gy)
 			if dir != nil {
-				dir[y*m.W+x] = math.Atan2(gy, gx)
+				dir[y*w+x] = math.Atan2(gy, gx)
 			}
 		}
 	}
 	return mag
+}
+
+// sobelTaps is the 3x3 Sobel stencil over a pixel's eight neighbors,
+// named by compass direction.
+func sobelTaps(nw, n, ne, w, e, sw, s, se float64) (gx, gy float64) {
+	gx = ne + 2*e + se - nw - 2*w - sw
+	gy = sw + 2*s + se - nw - 2*n - ne
+	return gx, gy
 }
 
 // AddNoise returns a copy of m with Gaussian pixel noise of the given

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"repro/internal/dist"
+	"repro/internal/stats"
 )
 
 // Params are the recognizer's 16 tunables.
@@ -341,6 +342,7 @@ func dtw(a, b [][]float64, p Params, rows *dtwRows, ab abandon) float64 {
 	if exp <= 0 {
 		exp = 1
 	}
+	pow, root := stats.NewPowPlan(exp), stats.NewPowPlan(1/exp)
 	const inf = math.MaxFloat64 / 4
 	if cap(rows.prev) < m+1 {
 		rows.prev = make([]float64, m+1)
@@ -371,7 +373,7 @@ func dtw(a, b [][]float64, p Params, rows *dtwRows, ab abandon) float64 {
 			if p.BeamWidth > 0 && best > rowBest+p.BeamWidth {
 				continue // the cell is at least best: the beam would cut it
 			}
-			cur[j] = frameDist(a[i-1], b[j-1], exp) + best
+			cur[j] = frameDist(a[i-1], b[j-1], &pow, &root) + best
 			if cur[j] < rowBest {
 				rowBest = cur[j]
 			}
@@ -402,13 +404,15 @@ func dtw(a, b [][]float64, p Params, rows *dtwRows, ab abandon) float64 {
 	return prev[m] / float64(n+m)
 }
 
-func frameDist(a, b []float64, exp float64) float64 {
+// frameDist is the Minkowski distance of two frames: pow and root are the
+// plans for the exponent and its reciprocal.
+func frameDist(a, b []float64, pow, root *stats.PowPlan) float64 {
 	n := min(len(a), len(b))
 	s := 0.0
 	for i := 0; i < n; i++ {
-		s += math.Pow(math.Abs(a[i]-b[i]), exp)
+		s += pow.Pow(math.Abs(a[i] - b[i]))
 	}
-	return math.Pow(s/float64(n), 1/exp)
+	return root.Pow(s / float64(n))
 }
 
 // Recognize decodes one audio against the templates: the word minimizing

@@ -7,6 +7,7 @@
 package watershed
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -29,8 +30,17 @@ const WorkPerRun = 3.0
 
 // Segment floods the gradient topography of the image from the detected
 // markers and returns the label map plus the binary watershed-line image
-// (pixels where two basins meet).
+// (pixels where two basins meet). A NaN parameter or an infinite Sigma
+// panics.
 func Segment(in img.Image, p Params) (labels []int, boundary img.Image) {
+	switch {
+	case math.IsNaN(p.Sigma) || math.IsInf(p.Sigma, 0):
+		panic(fmt.Sprintf("watershed: non-finite Sigma %v", p.Sigma))
+	case math.IsNaN(p.MarkerThr):
+		panic("watershed: NaN MarkerThr")
+	case math.IsNaN(p.MinMarkerDx):
+		panic("watershed: NaN MinMarkerDx")
+	}
 	if p.Sigma <= 0 {
 		p.Sigma = 0.1
 	}
@@ -168,10 +178,8 @@ func (h *pixelHeap) pop() int {
 // then thins them so no two are closer than minDist.
 func markers(topo img.Image, quantile, minDist float64) []int {
 	w, h := topo.W, topo.H
-	vals := append([]float64(nil), topo.Pix...)
-	sort.Float64s(vals)
 	q := math.Min(1, math.Max(0, quantile))
-	thr := vals[int(q*float64(len(vals)-1))]
+	thr := kthSmallest(append([]float64(nil), topo.Pix...), int(q*float64(len(topo.Pix)-1)))
 
 	var cands []int
 	for y := 0; y < h; y++ {
@@ -215,6 +223,52 @@ func markers(topo img.Image, quantile, minDist float64) []int {
 		}
 	}
 	return out
+}
+
+// kthSmallest returns vals[k] of vals sorted as sort.Float64s sorts them,
+// reordering vals. Without NaNs it selects (Hoare's FIND with a
+// median-of-three pivot) instead of sorting; with a NaN it sorts. Equal
+// values may come back in any order, so of -0 and +0 either may be
+// returned, as sort.Float64s may leave either at k; markers only compares
+// against the result.
+func kthSmallest(vals []float64, k int) float64 {
+	for _, v := range vals {
+		if v != v {
+			sort.Float64s(vals)
+			return vals[k]
+		}
+	}
+	lo, hi := 0, len(vals)-1
+	for lo < hi {
+		a, b, c := vals[lo], vals[lo+(hi-lo)/2], vals[hi]
+		if a > b {
+			a, b = b, a
+		}
+		pivot := max(a, min(b, c)) // median of the three
+		i, j := lo, hi
+		for i <= j {
+			for vals[i] < pivot {
+				i++
+			}
+			for pivot < vals[j] {
+				j--
+			}
+			if i <= j {
+				vals[i], vals[j] = vals[j], vals[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default: // vals[j+1:i] all equal the pivot
+			return vals[k]
+		}
+	}
+	return vals[k]
 }
 
 // Score compares the watershed boundary against the ground-truth edges
