@@ -96,7 +96,7 @@ func (r *DetachedRunner) Run(ctx context.Context, spec RegionSpec, body func(sp 
 		ctx:     ctx,
 	}
 	sp := rs.newSP(task.Group, 0, task.Attempt, nil, sampler, ctx)
-	bodyErr, _ := rs.invokeBody(sp, body) // nothing abandons a detached attempt
+	bodyErr := rs.invokeBody(sp, body) // nothing abandons a detached attempt
 
 	res := ExecResult{
 		Pruned:      sp.pruned,

@@ -22,12 +22,15 @@ var ErrRegionBudget = errors.New("core: region budget exhausted before launch")
 // paper's finish-or-panic semantics. It is plain data, so a JobSpec carries it
 // as is (durations encode as nanoseconds in JSON).
 type FaultPolicy struct {
-	// SampleTimeout is the deadline for one sampling-process attempt. When
-	// it expires the runtime abandons the attempt: the pool slot is released,
-	// a timeout outcome is committed, and the region proceeds without the
-	// sample. The body goroutine itself cannot be killed — it is expected to
-	// observe SP.Context and return; a body that ignores its context keeps
-	// its goroutine alive until it returns on its own.
+	// SampleTimeout is the deadline for one sampling-process attempt. It
+	// counts compute only: it pauses while the process waits at a Sync
+	// barrier and starts afresh when the barrier releases. When it expires
+	// the round's watcher abandons the attempt: SP.Context is cancelled, the
+	// pool slot is released, a timeout outcome is committed, and the region
+	// proceeds without the sample. The body, which runs on its worker's
+	// goroutine, cannot be killed — it is expected to observe SP.Context and
+	// return; a body that ignores its context keeps that goroutine until it
+	// returns on its own.
 	SampleTimeout time.Duration `json:"sample_timeout,omitempty"`
 	// RegionBudget bounds a whole sampling round (all samples of one Region
 	// round share it). When it expires, in-flight samples are abandoned as

@@ -351,6 +351,61 @@ func TestSyncSurvivesHungSampler(t *testing.T) {
 	}
 }
 
+// TestSampleDeadlinePausesAtSync: the per-sample deadline counts compute
+// only. Sample 0 reaches the barrier at once and waits there for several
+// deadlines while its siblings compute one after another on a pool of one,
+// each well inside its own deadline: it is not abandoned. The last sample
+// computes for longer than the deadline after the barrier releases: it is.
+func TestSampleDeadlinePausesAtSync(t *testing.T) {
+	const (
+		timeout = 80 * time.Millisecond
+		step    = timeout / 4 // each sibling's compute before the barrier
+		n       = 13          // sample 0 waits for 12 steps: 3 deadlines
+		slow    = n - 1
+	)
+	tuner := New(Options{
+		MaxPool: 1, Seed: 21,
+		Fault: FaultPolicy{SampleTimeout: timeout, DegradeEmpty: true},
+	})
+	var waited time.Duration
+	var res *Result
+	run(t, tuner, func(p *P) error {
+		var err error
+		res, err = p.Region(RegionSpec{Name: "pause", Samples: n}, func(sp *SP) error {
+			if sp.Index() > 0 {
+				time.Sleep(step)
+			}
+			t0 := time.Now()
+			sp.Sync(func(v *SyncView) {})
+			if sp.Index() == 0 {
+				waited = time.Since(t0)
+			}
+			if sp.Index() == slow {
+				select { // past its deadline, unless abandoned
+				case <-time.After(10 * timeout):
+				case <-sp.Context().Done():
+					return sp.Context().Err()
+				}
+			}
+			sp.Commit("v", 1.0)
+			return nil
+		})
+		return err
+	})
+	if waited < 2*timeout {
+		t.Fatalf("sample 0 waited %v at the barrier, want several deadlines of %v", waited, timeout)
+	}
+	if _, ok := res.Value("v", 0); !ok || res.Err(0) != nil {
+		t.Fatalf("sample 0 only waited at the barrier, yet did not commit: %v", res.Err(0))
+	}
+	if !res.TimedOut(slow) {
+		t.Fatalf("sample %d computed past its deadline after the barrier, yet ended with %v", slow, res.Err(slow))
+	}
+	if got := tuner.sched.InUse(); got != 0 {
+		t.Fatalf("pool occupancy %d after Run, want 0", got)
+	}
+}
+
 // Chaos faults compose with the runtime: injected hangs, panics, and
 // transients across a region leave consistent outcome accounting.
 func TestInjectedChaosOutcomesPartition(t *testing.T) {

@@ -200,10 +200,13 @@ type regionState struct {
 	body          func(sp *SP) error
 	fullyLaunched context.CancelFunc // withdraws the launch loop's queued request
 	wg            sync.WaitGroup
-	// watched: the round's context can end and no per-sample deadline needs a
-	// monitor, so bodies run inline on their workers under one watcher
-	// (watch) instead of a goroutine and a monitor per attempt.
+	// watched: the round's context can end or it has a per-sample deadline,
+	// so its workers list their slots for the round's watcher, which abandons
+	// running attempts when the context ends (watch) or a deadline passes
+	// (expire, on the round's one timer).
 	watched bool
+	timeout time.Duration // FaultPolicy.SampleTimeout; 0 for none
+	timer   deadlineTimer
 
 	mu         sync.Mutex
 	scoreSum   []float64
@@ -244,8 +247,8 @@ func (rs *regionState) newSP(g, f, attempt int, slot *spSlot, sampler strategy.S
 }
 
 // recycleSP returns a finished sampling process to the shape pool. Never
-// call it for an abandoned SP: the abandoned body goroutine may still be
-// running and touching the struct.
+// call it for an abandoned SP: its body may still be running and the
+// watcher may still be reading it.
 func (rs *regionState) recycleSP(sp *SP) {
 	sp.reset()
 	rs.shape.pool.Put(sp)
@@ -343,6 +346,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 	rs.exposed = t.exposed
 	rs.ctx = ctx
 	rs.body = body
+	rs.timeout = t.opts.Fault.SampleTimeout
 	if k > 1 {
 		rs.shared = make([]*svgShared, n) // filled at each group's first claim
 	}
@@ -378,12 +382,13 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		}
 	}
 
-	// A context that can end — the caller's, or the region budget's — ends
-	// the round's running attempts through one watcher, unless a per-sample
-	// deadline gives each attempt a monitor that watches it anyway (DESIGN §7).
+	// A context that can end — the caller's, or the region budget's — and a
+	// per-sample deadline end the round's running attempts through one
+	// watcher (DESIGN §7): watch when the context ends, expire on the
+	// deadline timer.
+	rs.watched = ctx.Done() != nil || rs.timeout > 0
 	stopWatch := func() bool { return false }
-	if ctx.Done() != nil && t.opts.Fault.SampleTimeout == 0 {
-		rs.watched = true
+	if ctx.Done() != nil {
 		stopWatch = context.AfterFunc(ctx, rs.watch)
 	}
 
@@ -423,6 +428,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 	// Every worker finished or was counted out by the watcher, which does
 	// that last; a watcher that started since finds no attempt running.
 	stopWatch()
+	rs.stopTimer()
 
 	res, ferr := rs.finish()
 	if rec != nil {

@@ -35,18 +35,24 @@ type noSyncPanic struct{}
 
 // spSlot tracks ownership of one Algorithm 1 pool slot across the samples
 // and attempts of one worker. Sync hands the slot back around the barrier,
-// and the timeout monitor or the round's watcher releases it when abandoning
-// a wedged attempt — the CAS makes the hand-off race-free, so a slot is never
-// released twice.
+// and the round's watcher releases it when abandoning a wedged attempt — the
+// CAS makes the hand-off race-free, so a slot is never released twice.
 //
-// In a watched round (regionState.watched) the slot also carries the
-// worker's attempt word, seq<<2 | state, and the SP of the attempt it names:
-// the worker and the watcher each settle an attempt with one CAS on the word,
-// so exactly one of them commits its outcome.
+// The slot also carries the worker's attempt word, seq<<2 | state, the SP of
+// the attempt it names and that attempt's per-sample deadline: the worker and
+// the watcher each settle an attempt with one CAS on the word, so exactly one
+// of them commits its outcome.
 type spSlot struct {
 	held atomic.Bool
 	word atomic.Uint64
-	sp   *SP // written before the word names it running; read after a CAS on it
+	// deadline is the monoNow reading at which the running attempt expires;
+	// 0 while its deadline is not running: no SampleTimeout, a process
+	// waiting at a Sync barrier, or a body that has returned.
+	deadline atomic.Int64
+	sp       *SP // written before the word names it running; read after a CAS on it
+	// Its worker writes the word twice per attempt: the pad gives each slot
+	// a 64-byte size class, and so a cache line of its own.
+	_ [32]byte
 }
 
 // Attempt states in an spSlot's word.
@@ -56,11 +62,9 @@ const (
 	attemptAbandoned = 2 // taken by the watcher, which commits the timeout
 )
 
-// slotPool recycles pool-slot trackers across workers. A slot is only
-// returned to the pool by a worker whose sampling process was not abandoned:
-// an abandoned body goroutine may still hold a reference and race a stray
-// (harmless on its own slot, fatal on a recycled one) release CAS. Slots of
-// watched rounds are never returned: the watcher may still be reading them.
+// slotPool recycles the pool-slot trackers of bare rounds, where nothing
+// abandons an attempt. Slots of watched rounds are never returned: the
+// watcher may still be reading them.
 var slotPool = sync.Pool{New: func() any { return &spSlot{} }}
 
 func newHeldSlot() *spSlot {
@@ -110,25 +114,12 @@ type SP struct {
 	shared  *svgShared
 	slot    *spSlot
 	ctx     context.Context
+	cancel  context.CancelFunc // ends ctx when the watcher abandons the attempt; nil without a SampleTimeout
 
-	// abandoned flips when the runtime gives up on this attempt (deadline or
-	// region budget). The body goroutine checks it at the runtime's
+	// abandoned flips when the runtime gives up on this attempt (deadline,
+	// region budget or cancellation). The body checks it at the runtime's
 	// re-entry points and unwinds via abandonPanic.
 	abandoned atomic.Bool
-	// atBarrier marks the process as blocked in a Sync rendezvous. The
-	// per-sample deadline is suspended while it is set: a barrier waiter is
-	// never the process wedging the region (the pending count releases the
-	// barrier once only waiters remain), so abandoning it would punish the
-	// victims of a hung sibling instead of the sibling.
-	atBarrier atomic.Bool
-	// resumed signals the deadline monitor that the process left a barrier
-	// and its compute-phase deadline should restart.
-	resumed chan struct{}
-	// done carries the body goroutine's outcome to the monitor on the
-	// deadline path; it is reused across the attempts and pool reuses of
-	// this SP (an abandoned SP is never recycled, so a stale send can never
-	// reach a fresh attempt).
-	done chan error
 
 	// Drawn parameters, indexed by symbol ID; porder records which IDs are
 	// set, for cheap reset and ordered snapshots.
@@ -167,10 +158,11 @@ func (sp *SP) Index() int { return sp.group }
 // the region's retry policy (always 1 without retries).
 func (sp *SP) Attempt() int { return sp.attempt }
 
-// Context returns this attempt's context. It carries the per-sample deadline
-// and the region budget (FaultPolicy); long-running sampler bodies should
-// select on Context().Done() so an abandoned attempt unwinds promptly
-// instead of leaking its goroutine.
+// Context returns this attempt's context. It ends when the runtime abandons
+// the attempt: at its per-sample deadline, or when the region budget or the
+// run's context ends (FaultPolicy). Long-running sampler bodies should select
+// on Context().Done(), so that an abandoned attempt unwinds promptly instead
+// of keeping its worker's goroutine after the round has moved on.
 func (sp *SP) Context() context.Context {
 	if sp.ctx == nil {
 		return context.Background()
@@ -472,14 +464,8 @@ func (sp *SP) reset() {
 	sp.sampler = nil
 	sp.shared = nil
 	sp.slot = nil
-	sp.ctx = nil
+	sp.ctx, sp.cancel = nil, nil
 	sp.pruned, sp.score, sp.scored = false, 0, false
-	if sp.resumed != nil {
-		select { // drop a coalesced resume token left by the previous use
-		case <-sp.resumed:
-		default:
-		}
-	}
 }
 
 // Sync blocks until every live sampling process of the region has reached
@@ -492,9 +478,13 @@ func (sp *SP) reset() {
 // wait() adjusts poolSize the same way), so a region larger than the pool
 // cannot deadlock on its own barrier.
 //
-// An abandoned process (FaultPolicy deadline) unwinds here instead of
-// arriving: its timeout outcome was already committed, so it no longer
-// counts toward the rendezvous.
+// An abandoned process (FaultPolicy) unwinds here instead of arriving: its
+// timeout outcome was already committed, so it no longer counts toward the
+// rendezvous. The per-sample deadline pauses while the process waits and
+// starts afresh once it has its slot back: a waiter is never the process
+// wedging the region (the pending count releases the barrier once only
+// waiters remain), so abandoning it would punish the victims of a hung
+// sibling instead of the sibling.
 func (sp *SP) Sync(cb func(v *SyncView)) {
 	if sp.isAbandoned() {
 		panic(abandonPanic{})
@@ -505,24 +495,14 @@ func (sp *SP) Sync(cb func(v *SyncView)) {
 		panic(noSyncPanic{})
 	}
 	t := sp.rs.t
-	sp.atBarrier.Store(true)
+	sp.rs.stopDeadline(sp.slot)
 	sp.slot.release(t)
 	sp.rs.barrier.arrive(sp, cb)
 	if sp.isAbandoned() {
 		panic(abandonPanic{})
 	}
 	sp.slot.reacquire(t)
-	if sp.resumed != nil {
-		select { // coalescing signal: the monitor restarts the deadline
-		case sp.resumed <- struct{}{}:
-		default:
-		}
-	}
-	// Publish the resume token before clearing atBarrier: a monitor that
-	// observes atBarrier == false at its deadline is then guaranteed to find
-	// the token and restart the deadline instead of abandoning a process
-	// that spent the elapsed time blocked at the rendezvous.
-	sp.atBarrier.Store(false)
+	sp.rs.startDeadline(sp.slot)
 	if sp.isAbandoned() {
 		sp.slot.release(t)
 		panic(abandonPanic{})
@@ -556,13 +536,10 @@ const (
 	// attemptFinished: the attempt's outcome is committed (or, for a failed
 	// attempt inside runSP, about to be retried); the worker goes on.
 	attemptFinished attemptEnd = iota
-	// attemptTimedOut: the monitor abandoned the attempt at a deadline or a
-	// cancellation. The body may still run on the worker's slot, so the
-	// worker releases it and ends; the launch loop replaces it.
-	attemptTimedOut
-	// attemptLost: the round's watcher abandoned the attempt, committed its
-	// timeout, released the slot and counted the worker out of the round.
-	// The worker touches nothing of the round again.
+	// attemptLost: the round's watcher abandoned the attempt, at its deadline
+	// or when the round's context ended: it committed the timeout, released
+	// the slot and counted the worker out of the round. The worker touches
+	// nothing of the round again.
 	attemptLost
 )
 
@@ -580,12 +557,7 @@ func (rs *regionState) worker(g, f int) {
 		rs.mu.Unlock()
 	}
 	for ok := true; ok; g, f, ok = rs.claim(true) {
-		switch rs.runSP(g, f, slot) {
-		case attemptTimedOut:
-			slot.release(rs.t)
-			rs.wg.Done()
-			return
-		case attemptLost:
+		if rs.runSP(g, f, slot) == attemptLost {
 			return
 		}
 	}
@@ -596,29 +568,133 @@ func (rs *regionState) worker(g, f int) {
 	rs.wg.Done()
 }
 
-// watch is a watched round's one watcher, run once when the round's context
-// ends (caller cancellation or the region budget). It abandons every attempt
-// still running, exactly as a per-attempt monitor would: it marks the SP
-// abandoned, releases its slot, commits the timeout outcome and counts the
-// worker out, so a body that never yields cannot hold up the round. An
-// attempt published after this scan sees the ended context itself (runInline).
-func (rs *regionState) watch() {
-	cause := fmt.Errorf("%w: %v", ErrSampleTimeout, rs.ctx.Err())
+// watchedSlots returns the slots of the round's workers so far.
+func (rs *regionState) watchedSlots() []*spSlot {
 	rs.mu.Lock()
 	slots := slices.Clone(rs.slots)
 	rs.mu.Unlock()
-	for _, s := range slots {
-		w := s.word.Load()
-		if w&3 != attemptRunning || !s.word.CompareAndSwap(w, w&^3|attemptAbandoned) {
-			continue // idle, or finished by its worker since the load
+	return slots
+}
+
+// watch runs once when a watched round's context ends (caller cancellation or
+// the region budget) and abandons every attempt still running. An attempt
+// published after this scan sees the ended context itself (runInline).
+func (rs *regionState) watch() {
+	cause := fmt.Errorf("%w: %v", ErrSampleTimeout, rs.ctx.Err())
+	for _, s := range rs.watchedSlots() {
+		if w := s.word.Load(); w&3 == attemptRunning {
+			rs.abandon(s, w, cause)
 		}
-		sp := s.sp
-		sp.abandoned.Store(true)
-		s.release(rs.t)
-		rs.spDoneTimeout(sp.group, cause)
-		rs.wg.Done()
 	}
 }
+
+// expire runs when the round's deadline timer fires: it abandons every
+// running attempt whose deadline has passed and sets the timer for the
+// earliest deadline still running. A deadline started during the scan is
+// covered by its own arm call (startDeadline).
+func (rs *regionState) expire() {
+	rs.timer.mu.Lock()
+	rs.timer.at = 0
+	rs.timer.mu.Unlock()
+	cause := fmt.Errorf("%w: sample deadline %v exceeded", ErrSampleTimeout, rs.timeout)
+	now := monoNow()
+	var next int64
+	for _, s := range rs.watchedSlots() {
+		w, d := s.word.Load(), s.deadline.Load()
+		switch {
+		case w&3 != attemptRunning || d == 0:
+		case d <= now:
+			rs.abandon(s, w, cause)
+		case next == 0 || d < next:
+			next = d
+		}
+	}
+	if next != 0 {
+		rs.arm(next)
+	}
+}
+
+// abandon gives up on the attempt that word w names in slot s, unless its
+// worker settled it first, so that a body that never yields cannot hold up
+// the round. The body is not killed: it unwinds when it next touches the
+// runtime or observes SP.Context, and its worker then finds the attempt lost.
+func (rs *regionState) abandon(s *spSlot, w uint64, cause error) {
+	if !s.word.CompareAndSwap(w, w&^3|attemptAbandoned) {
+		return // idle, or finished by its worker since the load
+	}
+	sp := s.sp
+	sp.abandoned.Store(true)
+	if sp.cancel != nil {
+		sp.cancel()
+	}
+	rs.spDoneTimeout(sp.group, cause)
+	s.release(rs.t)
+	rs.wg.Done()
+}
+
+// startDeadline starts the per-sample deadline of the attempt running in s
+// and makes sure the round's timer fires by then. The word must already name
+// the attempt running, so that a timer scan either sees the deadline or
+// comes after this arm call. A round without a SampleTimeout has none.
+func (rs *regionState) startDeadline(s *spSlot) {
+	if rs.timeout == 0 {
+		return
+	}
+	d := monoNow() + int64(rs.timeout)
+	s.deadline.Store(d)
+	rs.arm(d)
+}
+
+// stopDeadline stops the per-sample deadline in s: the body returned, or is
+// about to wait at a Sync barrier.
+func (rs *regionState) stopDeadline(s *spSlot) {
+	if rs.timeout > 0 {
+		s.deadline.Store(0)
+	}
+}
+
+// deadlineTimer is a round's one timer for its per-sample deadlines, set for
+// the earliest running one (arm, expire) and stopped with the round.
+type deadlineTimer struct {
+	mu    sync.Mutex
+	t     *time.Timer
+	at    int64 // the monoNow reading it is set for; 0 when not set
+	ended bool  // the round is over: never set it again
+}
+
+// arm sets the round's deadline timer to fire at d, unless it is already set
+// to fire by then or the round has ended.
+func (rs *regionState) arm(d int64) {
+	tm := &rs.timer
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	if tm.ended || (tm.at != 0 && tm.at <= d) {
+		return
+	}
+	tm.at = d
+	if wait := time.Duration(d - monoNow()); tm.t == nil {
+		tm.t = time.AfterFunc(wait, rs.expire)
+	} else {
+		tm.t.Reset(wait)
+	}
+}
+
+// stopTimer stops the round's deadline timer for good.
+func (rs *regionState) stopTimer() {
+	tm := &rs.timer
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	tm.ended = true
+	if tm.t != nil {
+		tm.t.Stop()
+	}
+}
+
+// monoBase anchors monoNow, the monotonic clock of per-sample deadlines.
+var monoBase = time.Now()
+
+// monoNow returns the nanoseconds since monoBase on the monotonic clock.
+func monoNow() int64 { return int64(time.Since(monoBase)) }
 
 // runSP runs one sampling process to its one commit: draw, compute, commit,
 // score — with the region's fault policy applied around it. An attempt is
@@ -630,9 +706,8 @@ func (rs *regionState) watch() {
 // the name run in-process — and the sample starts over in-process at attempt 1.
 // Exactly one spDone or spDoneTimeout is reported per (group, fold) slot
 // regardless of attempts. It reports how the last attempt ended for the
-// worker (attemptEnd): only an abandoned in-process attempt can leave a body
-// running, so a dispatched attempt, or a backoff cut short, reports
-// attemptFinished.
+// worker (attemptEnd): only an in-process attempt can be lost to the watcher,
+// so a dispatched attempt, or a backoff cut short, reports attemptFinished.
 func (rs *regionState) runSP(g, f int, slot *spSlot) attemptEnd {
 	t := rs.t
 	fp := t.opts.Fault
@@ -646,7 +721,6 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) attemptEnd {
 	var sp *SP
 	var err error
 	timedOut := false
-	end := attemptFinished
 	for attempt := 1; ; attempt++ {
 		if remote {
 			var declined bool
@@ -664,15 +738,13 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) attemptEnd {
 			} else {
 				sampler = rs.spec.Strategy.Sampler(rs.seed, g, rs.n, rs.fb)
 			}
-			sp, err, end = rs.runAttempt(ctx, g, f, attempt, slot, sampler, rs.body)
-			if end == attemptLost {
+			var end attemptEnd
+			if sp, err, end = rs.runAttempt(g, f, attempt, slot, sampler); end == attemptLost {
 				return end
 			}
-			timedOut = end == attemptTimedOut
 			// The finished body was the sampler's sole user, unless it is one
-			// fold of a cross-validation group, which share theirs; an abandoned
-			// body may still draw.
-			if rec, ok := sampler.(strategy.Recycler); ok && rs.shared == nil && !timedOut {
+			// fold of a cross-validation group, which share theirs.
+			if rec, ok := sampler.(strategy.Recycler); ok && rs.shared == nil {
 				rec.Recycle()
 			}
 		}
@@ -699,21 +771,21 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) attemptEnd {
 		}
 	}
 	if timedOut {
-		// An abandoned process contributes nothing but its outcome: its body
-		// goroutine may still be running, so its SP is neither read nor recycled.
+		// A dispatched attempt the executor timed out, or a backoff cut short:
+		// there is no SP to read, only the outcome.
 		rs.spDoneTimeout(g, err)
-		return end
+	} else {
+		rs.spDone(sp, err)
 	}
-	rs.spDone(sp, err)
 	return attemptFinished
 }
 
 // invokeBody runs the sampling body (and the Score callback) with the
 // runtime's panic containment: Check unwinds as a prune, any other panic is
 // contained and reported as the attempt's error, and abandonPanic — the
-// runtime gave up on the attempt — ends it with abandoned set: its outcome is
-// already committed, and nobody reads bodyErr.
-func (rs *regionState) invokeBody(sp *SP, body func(sp *SP) error) (bodyErr error, abandoned bool) {
+// runtime gave up on the attempt — just ends it: its outcome is already
+// committed, and nobody reads the error.
+func (rs *regionState) invokeBody(sp *SP, body func(sp *SP) error) (bodyErr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			switch r.(type) {
@@ -721,7 +793,6 @@ func (rs *regionState) invokeBody(sp *SP, body func(sp *SP) error) (bodyErr erro
 				sp.pruned = true
 				rs.countPruned()
 			case abandonPanic:
-				abandoned = true
 			case noSyncPanic:
 				rs.det.noSync = true
 			default:
@@ -736,145 +807,55 @@ func (rs *regionState) invokeBody(sp *SP, body func(sp *SP) error) (bodyErr erro
 		sp.score = rs.spec.Score(sp)
 		sp.scored = true
 	}
-	return bodyErr, false
+	return bodyErr
 }
 
-// runAttempt executes one attempt of a sampling process under its deadline.
-// Without a per-sample deadline the body runs inline on the worker goroutine:
-// bare when the round's context cannot end, under the round's watcher
-// (runInline) when it can. With one, the body runs in its own goroutine; the
-// calling worker acts as the monitor and, on deadline expiry (suspended while
-// the body waits at a Sync barrier) or cancellation, abandons the attempt —
-// releasing the pool slot and reporting a timeout — while the body goroutine
-// unwinds on its own once it observes the cancelled context (abandonPanic at
-// the runtime re-entry points, or the body returning).
-func (rs *regionState) runAttempt(ctx context.Context, g, f, attempt int, slot *spSlot,
-	sampler strategy.Sampler, body func(sp *SP) error) (*SP, error, attemptEnd) {
-	t := rs.t
-	t.ctr.samples.Add(1)
-
-	fp := t.opts.Fault
-	sctx := ctx
-	var cancel context.CancelFunc
-	if fp.SampleTimeout > 0 {
-		// The deadline is enforced by a monitor-owned timer rather than
-		// context.WithTimeout so it can be suspended while the body waits at
-		// a Sync barrier; the cancelable context still propagates abandonment
-		// to the body via SP.Context.
-		sctx, cancel = context.WithCancel(ctx)
+// runAttempt executes one in-process attempt of a sampling process on its
+// worker (runInline). In a round with a SampleTimeout the attempt gets its own
+// context, which the watcher cancels when it abandons the attempt at its
+// deadline, so a body waiting on SP.Context unwinds.
+func (rs *regionState) runAttempt(g, f, attempt int, slot *spSlot, sampler strategy.Sampler) (*SP, error, attemptEnd) {
+	rs.t.ctr.samples.Add(1)
+	sctx, cancel := rs.ctx, context.CancelFunc(nil)
+	if rs.timeout > 0 {
+		sctx, cancel = context.WithCancel(rs.ctx)
 		defer cancel()
 	}
-
 	sp := rs.newSP(g, f, attempt, slot, sampler, sctx)
-	if fp.SampleTimeout > 0 && sp.resumed == nil {
-		sp.resumed = make(chan struct{}, 1)
-	}
-
+	sp.cancel = cancel
 	if rs.ro != nil {
 		t0 := time.Now()
 		defer rs.ro.sampleDur.ObserveSince(t0)
 	}
-
-	switch {
-	case rs.watched:
-		return rs.runInline(sp, slot, body)
-	case fp.SampleTimeout == 0:
-		// No deadline, budget, or caller cancellation anywhere: run the body
-		// inline — exactly the pre-fault-layer semantics.
-		err, _ := rs.invokeBody(sp, body)
-		return sp, err, attemptFinished
-	}
-
-	done := sp.done
-	if done == nil {
-		done = make(chan error, 1)
-		sp.done = done
-	}
-	go func() {
-		if err, abandoned := rs.invokeBody(sp, body); !abandoned {
-			// An abandoned attempt was already reported as timed out by the
-			// monitor; nobody is listening for its outcome.
-			done <- err
-		}
-	}()
-
-	abandon := func(cause error) (*SP, error, attemptEnd) {
-		// Abandon the attempt: commit the timeout outcome and release the
-		// wedged slot so Algorithm 1 admission keeps flowing. The body
-		// goroutine is not killed — it unwinds when it next touches the
-		// runtime or observes SP.Context; a body that ignores both keeps its
-		// goroutine until it returns on its own.
-		sp.abandoned.Store(true)
-		cancel()
-		slot.release(t)
-		return sp, fmt.Errorf("%w: %v", ErrSampleTimeout, cause), attemptTimedOut
-	}
-
-	timer := time.NewTimer(fp.SampleTimeout)
-	defer timer.Stop()
-	timerC := timer.C
-	for {
-		select {
-		case err := <-done:
-			return sp, err, attemptFinished
-		case <-ctx.Done():
-			// Region budget exhausted or the caller cancelled the run: hard
-			// abandonment, barrier or not.
-			return abandon(ctx.Err())
-		case <-timerC:
-			if sp.atBarrier.Load() {
-				// The deadline covers compute phases only. A process blocked
-				// at the Sync barrier is never the one wedging the region (the
-				// pending count releases the barrier once only waiters
-				// remain), so suspend the deadline until it resumes.
-				timerC = nil
-				continue
-			}
-			select {
-			case <-sp.resumed:
-				// The process left a barrier concurrently with the deadline
-				// firing: the elapsed time was spent waiting, not computing,
-				// so restart the deadline.
-				timer.Reset(fp.SampleTimeout)
-				timerC = timer.C
-				continue
-			default:
-			}
-			return abandon(fmt.Errorf("sample deadline %v exceeded", fp.SampleTimeout))
-		case <-sp.resumed:
-			// The body left a barrier: restart the compute-phase deadline.
-			if timerC != nil && !timer.Stop() {
-				select { // drain a concurrently fired timer
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(fp.SampleTimeout)
-			timerC = timer.C
-		}
-	}
+	return rs.runInline(sp, slot)
 }
 
-// runInline runs one attempt of a watched round on its worker. The worker
-// publishes the attempt as running in its slot's word and only then looks at
-// the round's context, so the watcher either sees the attempt or the attempt
-// sees the ended context: none starts unseen. Whoever moves the word off
-// running first owns the attempt's outcome. A worker that loses commits
+// runInline runs one attempt on its worker. The worker publishes the attempt
+// as running in its slot's word and only then looks at the round's context
+// and starts the deadline, so the watcher either sees the attempt or the
+// attempt sees the ended context: none starts unseen. Whoever moves the word
+// off running first owns the attempt's outcome, and an attempt the round's
+// context ended under is a timeout whoever moves it. A worker that loses commits
 // nothing, retries nothing and recycles neither the SP nor the sampler: the
 // watcher committed the timeout and may still be reading the SP.
-func (rs *regionState) runInline(sp *SP, slot *spSlot, body func(sp *SP) error) (*SP, error, attemptEnd) {
+func (rs *regionState) runInline(sp *SP, slot *spSlot) (*SP, error, attemptEnd) {
 	seq := slot.word.Load()>>2 + 1
 	running, idle := seq<<2|attemptRunning, seq<<2|attemptIdle
 	slot.sp = sp
 	slot.word.Store(running)
-	if err := rs.ctx.Err(); err != nil {
-		if !slot.word.CompareAndSwap(running, idle) {
-			return nil, nil, attemptLost
-		}
-		// Cancelled before the body started, behind the watcher's scan.
-		return sp, fmt.Errorf("%w: %v", ErrSampleTimeout, err), attemptTimedOut
+	var err error
+	if rs.ctx.Err() == nil {
+		rs.startDeadline(slot)
+		err = rs.invokeBody(sp, rs.body)
+		rs.stopDeadline(slot)
 	}
-	err, _ := rs.invokeBody(sp, body)
+	if cerr := rs.ctx.Err(); cerr != nil {
+		// The round's context ended before the body started or while it ran:
+		// the attempt is abandoned, by the watcher or, if it has not got
+		// there yet, by its worker, whatever the body returned.
+		rs.abandon(slot, running, fmt.Errorf("%w: %v", ErrSampleTimeout, cerr))
+		return nil, nil, attemptLost
+	}
 	if !slot.word.CompareAndSwap(running, idle) {
 		return nil, nil, attemptLost
 	}
@@ -1049,7 +1030,7 @@ func (b *barrier) maybeRelease() {
 	b.mu.Lock()
 	// Drop abandoned sampling processes from the rendezvous: their timeout
 	// outcome is already committed, so they no longer count toward pending.
-	// Closing their channel lets the body goroutine unwind via the
+	// Closing their channel lets each abandoned body unwind via the
 	// abandonment check in Sync.
 	if len(b.arrived) > 0 {
 		kw, ka := b.waiters[:0], b.arrived[:0]

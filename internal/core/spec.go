@@ -202,6 +202,14 @@ func (s *JobSpec) Validate() error {
 	if c := s.Checkpoint; c != nil && (c.Every < 0 || c.MinSlots < 0) {
 		return fmt.Errorf("%w: negative checkpoint bound", ErrSpecInvalid)
 	}
+	if f := s.Fault; f != nil {
+		if f.SampleTimeout < 0 || f.RegionBudget < 0 || f.Backoff < 0 || f.MaxBackoff < 0 || f.MaxAttempts < 0 {
+			return fmt.Errorf("%w: negative fault policy bound", ErrSpecInvalid)
+		}
+		if math.IsNaN(f.BackoffFactor) || math.IsInf(f.BackoffFactor, 0) {
+			return fmt.Errorf("%w: backoff_factor %v", ErrSpecInvalid, f.BackoffFactor)
+		}
+	}
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -172,6 +173,14 @@ func TestSpecValidate(t *testing.T) {
 		{"negative max_parallel", func(s *JobSpec) { s.MaxParallel = -2 }},
 		{"negative budget", func(s *JobSpec) { s.Budget = -1 }},
 		{"negative checkpoint every", func(s *JobSpec) { s.Checkpoint = &CheckpointSpec{Every: -1} }},
+		{"negative sample_timeout", func(s *JobSpec) { s.Fault.SampleTimeout = -5 }},
+		{"negative region_budget", func(s *JobSpec) { s.Fault.RegionBudget = -time.Second }},
+		{"negative backoff", func(s *JobSpec) { s.Fault.Backoff = -1 }},
+		{"negative max_backoff", func(s *JobSpec) { s.Fault.MaxBackoff = -1 }},
+		{"negative max_attempts", func(s *JobSpec) { s.Fault.MaxAttempts = -1 }},
+		{"NaN backoff_factor", func(s *JobSpec) { s.Fault.BackoffFactor = math.NaN() }},
+		{"+Inf backoff_factor", func(s *JobSpec) { s.Fault.BackoffFactor = math.Inf(1) }},
+		{"-Inf backoff_factor", func(s *JobSpec) { s.Fault.BackoffFactor = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

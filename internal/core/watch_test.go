@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"runtime"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,40 +12,65 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// goroutineID parses the running goroutine's id from its stack header.
-func goroutineID() uint64 {
-	var buf [64]byte
-	b := buf[:runtime.Stack(buf[:], false)]
-	b = bytes.TrimPrefix(b, []byte("goroutine "))
-	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
-	return id
+// onWorker reports whether its caller runs on a round's worker goroutine:
+// regionState.worker is at the root of its stack.
+func onWorker() bool {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*regionState).worker") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
 }
 
-// TestCancellableRoundRunsInline: a round whose context can end, with no
-// per-sample deadline, runs each body on the worker that claimed it — no
-// goroutine per sample. Each worker holds one pool-slot tracker, so the
-// distinct trackers count the workers launched.
+// TestCancellableRoundRunsInline: every round runs each body on the worker
+// that claimed it — no goroutine per sample — whatever can end its attempts:
+// a cancellable context, a per-sample deadline, a region budget, or nothing
+// at all.
 func TestCancellableRoundRunsInline(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var mu sync.Mutex
-	gids, workers := map[uint64]bool{}, map[*spSlot]bool{}
-	err := New(Options{MaxPool: 2, Seed: 1}).RunContext(ctx, func(p *P) error {
-		_, err := p.Region(RegionSpec{Name: "inline", Samples: 64}, func(sp *SP) error {
-			mu.Lock()
-			gids[goroutineID()] = true
-			workers[sp.slot] = true
-			mu.Unlock()
-			sp.Commit("v", 1.0)
-			return nil
+	for _, tc := range []struct {
+		name        string
+		cancellable bool
+		fault       FaultPolicy
+	}{
+		{"cancellable context", true, FaultPolicy{}},
+		{"sample timeout", false, FaultPolicy{SampleTimeout: time.Minute}},
+		{"region budget", false, FaultPolicy{RegionBudget: time.Minute}},
+		{"plain run", false, FaultPolicy{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var off atomic.Int64
+			prog := func(p *P) error {
+				_, err := p.Region(RegionSpec{Name: "inline", Samples: 64}, func(sp *SP) error {
+					if !onWorker() {
+						off.Add(1)
+					}
+					sp.Commit("v", 1.0)
+					return nil
+				})
+				return err
+			}
+			tuner := New(Options{MaxPool: 2, Seed: 1, Fault: tc.fault})
+			var err error
+			if tc.cancellable {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				err = tuner.RunContext(ctx, prog)
+			} else {
+				err = tuner.Run(prog)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := off.Load(); n > 0 {
+				t.Fatalf("%d of 64 samples ran off their worker's goroutine", n)
+			}
 		})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gids) > len(workers) {
-		t.Fatalf("64 samples ran on %d goroutines but only %d workers were launched", len(gids), len(workers))
 	}
 }
 

@@ -75,6 +75,7 @@ func TestServerStatusCodes(t *testing.T) {
 		{name: "duplicate", spec: core.JobSpec{Name: "running", Program: "wait", Tenant: "a"}, want: http.StatusConflict},
 		{name: "unknown program", spec: core.JobSpec{Name: "mystery", Program: "nope"}, want: http.StatusBadRequest},
 		{name: "invalid spec", spec: core.JobSpec{Name: "", Program: "wait"}, want: http.StatusBadRequest},
+		{name: "negative sample timeout", raw: `{"name": "neg", "program": "wait", "fault": {"sample_timeout": -5}}`, want: http.StatusBadRequest},
 		{name: "oversize body", raw: `{"name": "` + strings.Repeat("x", 1<<20) + `"}`, want: http.StatusRequestEntityTooLarge},
 		{name: "trailing data", raw: `{"name": "twice", "program": "wait"} {"name": "again", "program": "wait"}`, want: http.StatusBadRequest},
 	}
