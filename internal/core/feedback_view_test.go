@@ -147,19 +147,23 @@ func driveViews(t *testing.T, p *P, o *fbOracle, rng *rand.Rand, depth int, id *
 }
 
 // TestFeedbackViewsMatchFullHistory is the differential check of the bounded
-// views against the full-history oracle, over random split trees.
+// views against the full-history oracle, over random split trees: one
+// parallel subtest per seed, each with its own tuner and oracle.
 func TestFeedbackViewsMatchFullHistory(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		var id atomic.Int64
-		o := newFBOracle()
-		run(t, New(Options{MaxPool: 4, Seed: seed}), func(p *P) error {
-			driveViews(t, p, o, rand.New(rand.NewSource(seed)), 0, &id)
-			return nil
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			t.Parallel()
+			var id atomic.Int64
+			o := newFBOracle()
+			run(t, New(Options{MaxPool: 4, Seed: seed}), func(p *P) error {
+				driveViews(t, p, o, rand.New(rand.NewSource(seed)), 0, &id)
+				return nil
+			})
+			if len(o.seen["lo"]) <= maxFeedback || len(o.seen["hi"]) <= maxFeedback {
+				t.Fatalf("histories of %d and %d entries never fill a view",
+					len(o.seen["lo"]), len(o.seen["hi"]))
+			}
 		})
-		if len(o.seen["lo"]) <= maxFeedback || len(o.seen["hi"]) <= maxFeedback {
-			t.Fatalf("seed %d: histories of %d and %d entries never fill a view",
-				seed, len(o.seen["lo"]), len(o.seen["hi"]))
-		}
 	}
 }
 

@@ -165,7 +165,8 @@ func journalScenarios(t *testing.T, mk func(loaded *checkpoint.State) *journalOr
 
 	// A resume taken mid-run, checkpointed again while it replays and after
 	// it goes live.
-	mid, err := checkpoint.DecodeBytes(snaps[len(snaps)/2])
+	midCapture := len(snaps) / 2
+	mid, err := checkpoint.DecodeBytes(snaps[midCapture])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +214,23 @@ func journalScenarios(t *testing.T, mk func(loaded *checkpoint.State) *journalOr
 	job.Close()
 
 	// A divergence: the resumed program names another region where the
-	// journal has one, then captures anyway.
-	early, err := checkpoint.DecodeBytes(snaps[1])
-	if err != nil {
-		t.Fatal(err)
+	// journal has one, then captures anyway. It resumes from the first
+	// capture (bar the one resumed above) whose root path journals that
+	// region: which one that is depends on the split's scheduling.
+	var early *checkpoint.State
+	for i, data := range snaps {
+		s, err := checkpoint.DecodeBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i != midCapture && !s.Complete &&
+			slices.ContainsFunc(s.Rounds, func(r checkpoint.Round) bool { return r.Region == "root" }) {
+			early = s
+			break
+		}
+	}
+	if early == nil {
+		t.Fatal("no capture of the split run journals its root region")
 	}
 	job, err = NewRuntime(RuntimeOptions{MaxPool: 4}).ResumeJob(JobOptions{Name: "diverged", Checkpoint: every(nil)}, early)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/leakcheck"
@@ -369,86 +368,5 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	if err := m.Cancel("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cancel of unknown job = %v, want ErrNotFound", err)
-	}
-}
-
-// TestQuotaEnforcedOnResume: two checkpointed jobs of one tenant recovered
-// into a manager that caps the tenant at 1 running job must not both run —
-// a restart cannot launder a quota.
-func TestQuotaEnforcedOnResume(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	store := &checkpoint.MemStore{}
-	gate := make(chan struct{})
-
-	newReg := func(g <-chan struct{}) *Registry {
-		reg := NewRegistry()
-		reg.Register("ckpt", func(spec core.JobSpec) (RunFunc, error) {
-			return tuneProgram(3, 1, g), nil
-		})
-		return reg
-	}
-
-	rt1 := core.NewRuntime(core.RuntimeOptions{MaxPool: 4})
-	m1 := NewManager(Options{Runtime: rt1, Programs: newReg(gate), Store: store, MaxRunning: 4})
-	ck := &core.CheckpointSpec{Every: 1}
-	mustSubmit(t, m1, core.JobSpec{Name: "r1", Program: "ckpt", Tenant: "acme", Seed: 1, Checkpoint: ck})
-	mustSubmit(t, m1, core.JobSpec{Name: "r2", Program: "ckpt", Tenant: "acme", Seed: 2, Checkpoint: ck})
-	waitCond(t, "both jobs checkpointed", func() bool {
-		a, _ := m1.Get("r1")
-		b, _ := m1.Get("r2")
-		return a.Checkpoints > 0 && b.Checkpoints > 0
-	})
-	m1.Close() // interrupts both mid-gate; specs and checkpoints persist
-
-	gate2 := make(chan struct{})
-	rt2 := core.NewRuntime(core.RuntimeOptions{MaxPool: 4})
-	m2 := NewManager(Options{
-		Runtime: rt2, Programs: newReg(gate2), Store: store, MaxRunning: 4,
-		Quotas: map[string]TenantQuota{"acme": {MaxRunning: 1}},
-	})
-	defer m2.Close()
-	requeued, resuming, err := m2.Recover()
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if requeued != 0 || resuming != 2 {
-		t.Fatalf("Recover = (%d requeued, %d resuming), want (0, 2)", requeued, resuming)
-	}
-	waitCond(t, "one resumed job running", func() bool {
-		running := 0
-		for _, st := range m2.List() {
-			if st.State == StateRunning {
-				running++
-			}
-		}
-		return running == 1
-	})
-	// Stable: the second stays queued behind the cap.
-	time.Sleep(20 * time.Millisecond)
-	running, queued := 0, 0
-	for _, st := range m2.List() {
-		switch st.State {
-		case StateRunning:
-			running++
-		case StateQueued:
-			queued++
-		}
-	}
-	if running != 1 || queued != 1 {
-		t.Fatalf("resumed tenant footprint: %d running %d queued, want 1 and 1", running, queued)
-	}
-	close(gate2)
-	waitCond(t, "both resumed jobs complete", func() bool {
-		for _, st := range m2.List() {
-			if st.State != StateCompleted {
-				return false
-			}
-		}
-		return true
-	})
-	for _, st := range m2.List() {
-		if !st.Resumed {
-			t.Fatalf("job %s completed without resuming its checkpoint", st.Spec.Name)
-		}
 	}
 }

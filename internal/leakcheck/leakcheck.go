@@ -7,7 +7,6 @@
 package leakcheck
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -80,21 +79,4 @@ func moduleGoroutines() []string {
 		out = append(out, g)
 	}
 	return out
-}
-
-// Drained asserts right now (without waiting) that n goroutines at most are
-// running module code; it is a building block for occupancy assertions in
-// property tests.
-func Drained(tb testing.TB, n int) {
-	tb.Helper()
-	if got := moduleGoroutines(); len(got) > n {
-		tb.Fatalf("leakcheck: %d module goroutines, want <= %d:\n%s",
-			len(got), n, strings.Join(got, "\n\n"))
-	}
-}
-
-// String renders the current module goroutines, for debugging chaos tests.
-func String() string {
-	gs := moduleGoroutines()
-	return fmt.Sprintf("%d module goroutines\n%s", len(gs), strings.Join(gs, "\n\n"))
 }

@@ -253,57 +253,6 @@ func TestAffinityHitRateSteadyState(t *testing.T) {
 	}
 }
 
-// TestFleetControllerScalesUpAndDown drives a sustained admission backlog
-// through a Min=1 controller and checks the fleet grows past one worker,
-// then — once the load stops — drains back down to Min, leakcheck-clean.
-func TestFleetControllerScalesUpAndDown(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	oreg := obs.NewRegistry()
-	ex := NewExecutor(ExecutorOptions{Registry: Builtins(), Obs: oreg})
-	defer ex.Close()
-	rt := core.NewRuntime(core.RuntimeOptions{MaxPool: 2, Executor: ex})
-	fc := NewFleetController(ex, FleetOptions{
-		Load:       rt.Load,
-		Registry:   Builtins(),
-		Min:        1,
-		Max:        4,
-		Setpoint:   200 * time.Microsecond,
-		Interval:   2 * time.Millisecond,
-		Cooldown:   4 * time.Millisecond,
-		QuietTicks: 3,
-	})
-	if err := fc.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer fc.Stop()
-	if got := fc.Size(); got != 1 {
-		t.Fatalf("Size=%d after Start, want Min=1", got)
-	}
-
-	job := rt.NewJob(core.JobOptions{Name: "burst", Seed: 3})
-	spec, body := SyntheticSpec(16)
-	err := job.Run(func(p *core.P) error {
-		p.Expose(SyntheticServiceKey, 2000)
-		for round := 0; round < 3; round++ {
-			if _, err := p.Region(spec, body); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	job.Close()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if ups := oreg.Counter(MetricScaleEvents, "dir", "up").Value(); ups == 0 {
-		t.Fatal("no scale-up events under sustained admission waits")
-	}
-	waitFor(t, "fleet drained back to Min", func() bool { return fc.Size() == 1 })
-	if downs := oreg.Counter(MetricScaleEvents, "dir", "down").Value(); downs == 0 {
-		t.Fatal("no scale-down events after the load stopped")
-	}
-}
-
 // TestFleetControllerDialsAddressPoolFirst drives the controller tick by tick
 // over a pool of two listening workers: scale-ups dial the pool's addresses in
 // order before spawning a loopback worker, and scale-downs retire the loopback

@@ -2,84 +2,10 @@ package remote
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/leakcheck"
-	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/store"
 )
-
-// TestFleetScalesUpOnHighPriorityQueue drives the controller with a load
-// feed that is completely wait-free at the process level but reports
-// high-priority jobs parked in a control-plane admission queue. The fleet
-// must grow toward Max anyway: a queued high-priority job runs no samples
-// yet, so admission-wait counters alone would never ask for the capacity it
-// needs to enter the running set.
-func TestFleetScalesUpOnHighPriorityQueue(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	oreg := obs.NewRegistry()
-	ex := NewExecutor(ExecutorOptions{Registry: Builtins(), Obs: oreg})
-	defer ex.Close()
-	var high atomic.Int64
-	high.Store(2)
-	fc := NewFleetController(ex, FleetOptions{
-		Load: func() sched.LoadStats {
-			// Process-level picture: all capacity idle, zero waits. Only the
-			// control-plane queue depth varies.
-			return sched.LoadStats{Capacity: 8, HighJobsQueued: int(high.Load())}
-		},
-		Registry: Builtins(),
-		Min:      1,
-		Max:      4,
-		Setpoint: 200 * time.Microsecond,
-		Interval: 2 * time.Millisecond,
-	})
-	if err := fc.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer fc.Stop()
-
-	waitFor(t, "fleet to reach Max on high-priority queue depth", func() bool {
-		return fc.Size() == 4
-	})
-	if ups := oreg.Counter(MetricScaleEvents, "dir", "up").Value(); ups == 0 {
-		t.Fatal("no scale-up events recorded")
-	}
-	// Once the queue drains the pressure is gone; with zero waits the fleet
-	// must not keep growing and eventually retires toward Min.
-	high.Store(0)
-	waitFor(t, "fleet drained below Max after queue emptied", func() bool {
-		return fc.Size() < 4
-	})
-}
-
-// TestLowPriorityQueueDoesNotPressureFleet: lower classes queueing is
-// acceptable backlog — only the high-priority subset forces capacity.
-func TestLowPriorityQueueDoesNotPressureFleet(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
-	defer ex.Close()
-	fc := NewFleetController(ex, FleetOptions{
-		Load: func() sched.LoadStats {
-			return sched.LoadStats{JobsQueued: 5} // none of them high
-		},
-		Registry: Builtins(),
-		Min:      1,
-		Max:      4,
-		Interval: time.Millisecond,
-	})
-	if err := fc.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer fc.Stop()
-	time.Sleep(30 * time.Millisecond) // ~30 ticks
-	if got := fc.Size(); got != 1 {
-		t.Fatalf("fleet grew to %d on low-priority backlog alone, want Min=1", got)
-	}
-}
 
 // countTombstones reports how many deleted-key records the store still
 // retains (from the dawn of time — exactly what a worker resyncing from the

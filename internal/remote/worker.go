@@ -178,9 +178,8 @@ func (w *Worker) installSnapshot(job, hash uint64, s *cachedSnap) {
 // snapWaitTimeout bounds how long a task parks waiting for its snapshot,
 // which travels on the connection's bulk lane and may land after the task
 // that needs it. A lost snapshot (dropped frame, dead bulk lane) degrades to
-// the plain retryable "not cached" bounce when the timer fires. Variable so
-// tests can shorten it.
-var snapWaitTimeout = 5 * time.Second
+// the plain retryable "not cached" bounce when the timer fires.
+const snapWaitTimeout = 5 * time.Second
 
 // awaitSnapshot blocks until the (job, hash) snapshot is installed, the
 // connection dies, or the park times out, and reports whether the snapshot

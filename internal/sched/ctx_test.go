@@ -23,98 +23,6 @@ func TestAcquireCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-func TestAcquireCtxCancelWhileQueued(t *testing.T) {
-	s := New(1, false)
-	s.Acquire(SpawnS, 0) // fill the pool
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() { errc <- s.AcquireCtx(ctx, SpawnS, 0) }()
-
-	// Wait until the request is actually queued, then cancel it.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Waited == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("queued acquire returned %v, want Canceled", err)
-	}
-	if st := s.Stats(); st.Cancelled != 1 {
-		t.Fatalf("Cancelled = %d, want 1: %+v", st.Cancelled, st)
-	}
-
-	// The abandoned waiter must be gone from the queue: releasing the slot
-	// must leave the pool empty, not wake a ghost.
-	s.Release()
-	if got := s.InUse(); got != 0 {
-		t.Fatalf("InUse = %d after release, want 0", got)
-	}
-	// And the pool is still fully usable.
-	if err := s.AcquireCtx(context.Background(), SpawnS, 0); err != nil {
-		t.Fatalf("acquire after cancellation: %v", err)
-	}
-	s.Release()
-}
-
-// A cancelled waiter in the middle of the priority queue must not corrupt the
-// heap: the remaining waiters are still admitted in priority order.
-func TestAcquireCtxCancelMiddleOfQueue(t *testing.T) {
-	s := New(1, false)
-	s.Acquire(SpawnS, 0)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	type req struct {
-		todo int
-		errc chan error
-	}
-	// Three queued sampling requests with distinct todo priorities; the
-	// middle one (todo=5) gets cancelled.
-	reqs := []req{{3, make(chan error, 1)}, {5, make(chan error, 1)}, {9, make(chan error, 1)}}
-	for i, r := range reqs {
-		r := r
-		c := context.Background()
-		if i == 1 {
-			c = ctx
-		}
-		go func() { r.errc <- s.AcquireCtx(c, SpawnS, r.todo) }()
-		// Serialize queue entry so seq (FIFO tiebreak) is deterministic.
-		deadline := time.Now().Add(2 * time.Second)
-		for int(s.Stats().Waited) != i+1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("request %d never queued", i)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	cancel()
-	if err := <-reqs[1].errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("middle waiter returned %v, want Canceled", err)
-	}
-
-	// Release once: todo=3 must win; todo=9 keeps waiting.
-	s.Release()
-	if err := <-reqs[0].errc; err != nil {
-		t.Fatalf("todo=3 waiter: %v", err)
-	}
-	select {
-	case err := <-reqs[2].errc:
-		t.Fatalf("todo=9 admitted out of order (err=%v)", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	s.Release()
-	if err := <-reqs[2].errc; err != nil {
-		t.Fatalf("todo=9 waiter: %v", err)
-	}
-	s.Release()
-	if got := s.InUse(); got != 0 {
-		t.Fatalf("InUse = %d, want 0", got)
-	}
-}
-
 // Hammer the admission-wins-over-cancellation race: whatever the outcome of
 // each AcquireCtx, slots are conserved — exactly one Release per nil return
 // drains the pool to zero and the scheduler stays consistent.

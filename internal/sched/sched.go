@@ -175,15 +175,6 @@ type waiter struct {
 	index int           // position in the wait list; -1 once admitted or removed
 }
 
-// waiterPool recycles waiter entries. Admission is signalled by a buffered
-// send instead of a close, so the channel survives reuse; each queued stint
-// produces at most one token (wake sends exactly once when it dequeues the
-// entry, cancellation dequeues without sending) and every exit path drains
-// the token it was sent, so a pooled waiter's channel is always empty.
-var waiterPool = sync.Pool{
-	New: func() any { return &waiter{ready: make(chan struct{}, 1)} },
-}
-
 // better reports whether waiter a should be admitted before waiter b:
 // sampling processes before tuning processes (Algorithm 1), then the job
 // holding fewer slots per unit of share (weighted max-min fairness; equal
@@ -234,6 +225,15 @@ type Scheduler struct {
 	seq   int64
 	queue []*waiter // unordered bag; selection scans under mu
 
+	// waiters recycles wait-list entries. Admission is signalled by a
+	// buffered send instead of a close, so the channel survives reuse; each
+	// queued stint produces at most one token (wake sends exactly once when
+	// it dequeues the entry, cancellation dequeues without sending) and every
+	// exit path drains the token it was sent, so a pooled waiter's channel is
+	// always empty. The pool is the scheduler's own: a waiter's channel never
+	// outlives the scheduler that made it.
+	waiters sync.Pool
+
 	// Optional instruments (nil without Instrument); both are internally
 	// atomic, so hot-path updates do not take mu.
 	occupancy *obs.Gauge
@@ -249,6 +249,7 @@ func New(max int, disabled bool) *Scheduler {
 		panic("sched: pool size must be positive")
 	}
 	s := &Scheduler{max: max, disabled: disabled}
+	s.waiters.New = func() any { return &waiter{ready: make(chan struct{}, 1)} }
 	s.limS.Store(int64(max))
 	s.limT = int64(tpLimitFor(max))
 	if disabled {
@@ -504,7 +505,7 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 		j.put()
 	}
 	s.waited.Add(1)
-	w := waiterPool.Get().(*waiter)
+	w := s.waiters.Get().(*waiter)
 	w.ctx, w.event, w.todo, w.seq, w.job = ctx, event, todo, s.seq, j
 	s.seq++
 	w.index = len(s.queue)
@@ -522,7 +523,7 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 	select {
 	case <-w.ready: // admitted by a releasing (or re-checking) goroutine
 		w.ctx, w.job = nil, nil
-		waiterPool.Put(w)
+		s.waiters.Put(w)
 		s.waitNanos.Add(time.Since(t0).Nanoseconds())
 		if h != nil {
 			h.ObserveSince(t0)
@@ -536,7 +537,7 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 			s.mu.Unlock()
 			<-w.ready
 			w.ctx, w.job = nil, nil
-			waiterPool.Put(w)
+			s.waiters.Put(w)
 			s.waitNanos.Add(time.Since(t0).Nanoseconds())
 			if h != nil {
 				h.ObserveSince(t0)
@@ -548,7 +549,7 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 		s.cancelled.Add(1)
 		s.mu.Unlock()
 		w.ctx, w.job = nil, nil
-		waiterPool.Put(w)
+		s.waiters.Put(w)
 		s.waitNanos.Add(time.Since(t0).Nanoseconds())
 		return ctx.Err()
 	}

@@ -59,135 +59,6 @@ func TestPoolNeverExceedsMax(t *testing.T) {
 	}
 }
 
-func TestTuningProcessThreshold(t *testing.T) {
-	// Pool of 4: tuning processes may only be admitted while inUse < 3.
-	s := New(4, false)
-	s.Acquire(SpawnT, 0)
-	s.Acquire(SpawnT, 0)
-	s.Acquire(SpawnT, 0) // inUse now 3 = 75% of 4
-	admitted := make(chan struct{})
-	go func() {
-		s.Acquire(SpawnT, 0)
-		close(admitted)
-	}()
-	select {
-	case <-admitted:
-		t.Fatal("4th tuning process admitted past the 75% threshold")
-	case <-time.After(20 * time.Millisecond):
-	}
-	// A sampling process still fits (threshold 0 for sampling).
-	s.Acquire(SpawnS, 0)
-	if s.InUse() != 4 {
-		t.Fatalf("InUse = %d", s.InUse())
-	}
-	// Releasing two slots lets the queued tuning process in.
-	s.Release()
-	s.Release()
-	select {
-	case <-admitted:
-	case <-time.After(time.Second):
-		t.Fatal("queued tuning process never admitted after slots freed")
-	}
-	for s.InUse() > 0 {
-		s.Release()
-	}
-}
-
-func TestSamplingPreferredOverTuning(t *testing.T) {
-	s := New(1, false)
-	s.Acquire(SpawnS, 0) // fill the pool
-
-	var order []string
-	var mu sync.Mutex
-	record := func(tag string) {
-		mu.Lock()
-		order = append(order, tag)
-		mu.Unlock()
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // queue a tuning request first
-		defer wg.Done()
-		s.Acquire(SpawnT, 0)
-		record("T")
-		s.Release()
-	}()
-	time.Sleep(10 * time.Millisecond)
-	go func() { // then a sampling request
-		defer wg.Done()
-		s.Acquire(SpawnS, 0)
-		record("S")
-		s.Release()
-	}()
-	time.Sleep(10 * time.Millisecond)
-	s.Release()
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "S" {
-		t.Fatalf("sampling request should run first, got %v", order)
-	}
-}
-
-func TestSmallerTodoPreferred(t *testing.T) {
-	s := New(1, false)
-	s.Acquire(SpawnS, 0)
-
-	got := make(chan int, 2)
-	var wg sync.WaitGroup
-	for _, todo := range []int{90, 5} {
-		wg.Add(1)
-		go func(todo int) {
-			defer wg.Done()
-			s.Acquire(SpawnS, todo)
-			got <- todo
-			s.Release()
-		}(todo)
-		time.Sleep(10 * time.Millisecond) // ensure both are queued in order
-	}
-	s.Release()
-	wg.Wait()
-	close(got)
-	first := <-got
-	if first != 5 {
-		t.Fatalf("waiter with todo=5 should wake first, got todo=%d", first)
-	}
-}
-
-func TestSamplingBehindTuningHeadIsWoken(t *testing.T) {
-	// Pool 4 at occupancy 3: head of queue is a tuning process (blocked by
-	// the 75% rule) but a sampling process behind it fits and must not be
-	// blocked by the tuning head.
-	s := New(4, false)
-	for i := 0; i < 3; i++ {
-		s.Acquire(SpawnS, 0)
-	}
-	tAdmitted := make(chan struct{})
-	go func() {
-		s.Acquire(SpawnT, 0)
-		close(tAdmitted)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	sAdmitted := make(chan struct{})
-	go func() {
-		s.Acquire(SpawnS, 0)
-		close(sAdmitted)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	// Release + reacquire forces a wake pass with the T head still blocked.
-	s.Release()
-	select {
-	case <-sAdmitted:
-	case <-time.After(time.Second):
-		t.Fatal("sampling waiter starved behind blocked tuning head")
-	}
-	select {
-	case <-tAdmitted:
-		t.Fatal("tuning process admitted while occupancy at threshold")
-	case <-time.After(20 * time.Millisecond):
-	}
-}
-
 func TestDisabledSchedulerAdmitsEverything(t *testing.T) {
 	s := New(1, true)
 	for i := 0; i < 10; i++ {
@@ -217,21 +88,4 @@ func TestNewRejectsBadPool(t *testing.T) {
 		}
 	}()
 	New(0, false)
-}
-
-func TestTinyPoolTuningLimitAtLeastOne(t *testing.T) {
-	// With max=1 the 75% limit rounds to 0; the scheduler must still admit
-	// one tuning process or the whole system deadlocks at startup.
-	s := New(1, false)
-	done := make(chan struct{})
-	go func() {
-		s.Acquire(SpawnT, 0)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("single tuning process deadlocked on a pool of 1")
-	}
-	s.Release()
 }
