@@ -1,0 +1,51 @@
+package core
+
+import (
+	"testing"
+	"unsafe"
+)
+
+// field is one struct field's offset and size, for layout tests.
+type field struct {
+	name      string
+	off, size uintptr
+}
+
+// apart reports whether a and b can never share a 64-byte cache line,
+// whatever the 8-byte-aligned address of the struct holding them: at least
+// 56 bytes lie between them.
+func apart(a, b field) bool {
+	if a.off > b.off {
+		a, b = b, a
+	}
+	return b.off >= a.off+a.size+56
+}
+
+// TestRegionStateHotFieldsApart: every sample reads the round's fixed fields
+// and writes its lock, counters and deadline timer. A write must not evict
+// the line the other worker reads the fixed fields from.
+func TestRegionStateHotFieldsApart(t *testing.T) {
+	var rs regionState
+	read := []field{
+		{"ctx", unsafe.Offsetof(rs.ctx), unsafe.Sizeof(rs.ctx)},
+		{"body", unsafe.Offsetof(rs.body), unsafe.Sizeof(rs.body)},
+		{"timeout", unsafe.Offsetof(rs.timeout), unsafe.Sizeof(rs.timeout)},
+		{"exposed", unsafe.Offsetof(rs.exposed), unsafe.Sizeof(rs.exposed)},
+		{"spec", unsafe.Offsetof(rs.spec), unsafe.Sizeof(rs.spec)},
+		{"shared", unsafe.Offsetof(rs.shared), unsafe.Sizeof(rs.shared)},
+	}
+	written := []field{
+		{"mu", unsafe.Offsetof(rs.mu), unsafe.Sizeof(rs.mu)},
+		{"launched", unsafe.Offsetof(rs.launched), unsafe.Sizeof(rs.launched)},
+		{"done", unsafe.Offsetof(rs.done), unsafe.Sizeof(rs.done)},
+		{"timer", unsafe.Offsetof(rs.timer), unsafe.Sizeof(rs.timer)},
+	}
+	for _, r := range read {
+		for _, w := range written {
+			if !apart(r, w) {
+				t.Errorf("regionState.%s [%d, %d) and .%s [%d, %d) can share a cache line",
+					r.name, r.off, r.off+r.size, w.name, w.off, w.off+w.size)
+			}
+		}
+	}
+}

@@ -177,6 +177,9 @@ func improved(next, prev float64, minimize bool, eps float64) bool {
 // stripped-down regionState with t == nil and det set; every field the
 // sample hot path touches is present in both configurations.
 type regionState struct {
+	// Fixed before the first worker starts and only read after it: every
+	// sample reads them, and workers read them so launching a worker needs
+	// no closure allocation.
 	t       *Tuner
 	spec    RegionSpec
 	seed    int64
@@ -193,20 +196,24 @@ type regionState struct {
 	fb      []strategy.Feedback
 	owner   *P  // tuning process running the round; receives its feedback
 	execH   any // executor round handle; non-nil routes samples to the executor
-
-	// Per-round launch state, fixed before the first worker starts; workers
-	// read them so launching a worker needs no closure allocation.
-	ctx           context.Context
-	body          func(sp *SP) error
-	fullyLaunched context.CancelFunc // withdraws the launch loop's queued request
-	wg            sync.WaitGroup
+	barrier *barrier
+	ctx     context.Context
+	body    func(sp *SP) error
 	// watched: the round's context can end or it has a per-sample deadline,
 	// so its workers list their slots for the round's watcher, which abandons
 	// running attempts when the context ends (watch) or a deadline passes
 	// (expire, on the round's one timer).
 	watched bool
 	timeout time.Duration // FaultPolicy.SampleTimeout; 0 for none
-	timer   deadlineTimer
+
+	// Every sample writes the lines below, under mu or on the timer: the pad
+	// keeps those writes off the lines the fields above share, whatever the
+	// allocation's alignment.
+	_ [56]byte
+
+	fullyLaunched context.CancelFunc // withdraws the launch loop's queued request
+	wg            sync.WaitGroup
+	timer         deadlineTimer
 
 	mu         sync.Mutex
 	scoreSum   []float64
@@ -218,8 +225,7 @@ type regionState struct {
 	errs       []error
 	launched   int // pairs claimed so far == index of the next pair, group-major
 	done       int
-	total      int // launched target; reduced if the budget cuts the round
-	barrier    *barrier
+	total      int       // launched target; reduced if the budget cuts the round
 	slots      []*spSlot // a watched round's workers' slots, for its watcher
 }
 
@@ -228,8 +234,8 @@ type span struct{ off, n int }
 
 // newSP takes a sampling-process struct from the region's shape pool (or
 // allocates the first time) and binds it to one attempt. Pooled SPs were
-// fully reset by recycleSP, and their symbol-indexed slices are already
-// sized for this region's variables from previous rounds.
+// reset by recycleSP, and their symbol-indexed slices are already sized for
+// this region's variables from previous rounds.
 func (rs *regionState) newSP(g, f, attempt int, slot *spSlot, sampler strategy.Sampler, sctx context.Context) *SP {
 	sp, _ := rs.shape.pool.Get().(*SP)
 	if sp == nil {
@@ -448,22 +454,32 @@ func (rs *regionState) unlaunched() (todo int, more bool) {
 }
 
 // claim hands its caller the round's next un-launched (group, fold) pair to
-// run on the pool slot the caller holds. The launch loop claims with a slot
-// it just acquired; a worker claims with renew set, asking the scheduler to
-// let it keep the slot its finished sample ran on — the admission is renewed
-// under rs.mu so that it is counted exactly when a pair is there to use it.
-// ok is false when every pair is claimed, the round was cut, or the renewal
-// was declined; the caller then releases its slot.
+// run on the pool slot the caller holds (claimLocked), and releases the
+// barrier if the claim cut or pruned the round. The launch loop claims with a
+// slot it just acquired; a worker whose sample commits claims in spDone's
+// section, and here only after a sample that timed out without an SP.
+func (rs *regionState) claim(renew bool) (g, f int, ok bool) {
+	rs.mu.Lock()
+	defer rs.barrier.maybeRelease()
+	defer rs.mu.Unlock()
+	return rs.claimLocked(renew)
+}
+
+// claimLocked is claim under rs.mu, which the caller holds. A worker claims
+// with renew set, asking the scheduler to let it keep the slot its finished
+// sample ran on: the admission is renewed under rs.mu so that it is counted
+// exactly when a pair is there to use it. ok is false when every pair is
+// claimed, the round was cut, or the renewal was declined; the caller then
+// releases its slot. A claim that cuts or prunes the round lowers total; the
+// caller releases the barrier once it has unlocked rs.mu.
 //
 // Claiming the last fold of a group also decides whether the next group may
 // launch at all: once the work budget is spent the remaining groups are
 // pruned. Deciding it here, after the claim, keeps the rule that a region
 // always launches at least one group — a tight budget yields a cheap result
 // instead of none.
-func (rs *regionState) claim(renew bool) (g, f int, ok bool) {
-	rs.mu.Lock()
+func (rs *regionState) claimLocked(renew bool) (g, f int, ok bool) {
 	if rs.launched == rs.total {
-		rs.mu.Unlock()
 		return 0, 0, false
 	}
 	g, f = rs.launched/rs.k, rs.launched%rs.k
@@ -472,12 +488,9 @@ func (rs *regionState) claim(renew bool) (g, f int, ok bool) {
 			// What the launch loop's acquire reports for an expired region
 			// budget, seen first by a worker.
 			rs.cutLocked(err)
-			rs.mu.Unlock()
-			rs.barrier.maybeRelease()
 			return 0, 0, false
 		}
 		if !rs.t.renew(rs.n - g) {
-			rs.mu.Unlock()
 			return 0, 0, false
 		}
 	}
@@ -489,8 +502,7 @@ func (rs *regionState) claim(renew bool) (g, f int, ok bool) {
 			vals:    make(map[string]float64),
 		}
 	}
-	pruned := f == rs.k-1 && g+1 < rs.n && rs.t.BudgetExceeded()
-	if pruned {
+	if f == rs.k-1 && g+1 < rs.n && rs.t.BudgetExceeded() {
 		// Stop launching; un-launched groups count as pruned.
 		for gg := g + 1; gg < rs.n; gg++ {
 			rs.pruned[gg] = true
@@ -499,10 +511,6 @@ func (rs *regionState) claim(renew bool) (g, f int, ok bool) {
 	}
 	if rs.launched == rs.total {
 		rs.fullyLaunched()
-	}
-	rs.mu.Unlock()
-	if pruned {
-		rs.barrier.maybeRelease()
 	}
 	return g, f, true
 }

@@ -103,7 +103,8 @@ type pkv struct {
 // IDs, and a name resolves to its ID through the process's own memo (sym),
 // so a steady-state Float/Load/Commit/Get is a memo hit plus a slice access:
 // no hash, no lock, no allocation. SPs are pooled per region shape; a recycled
-// one is reset before reuse, except for the memo: a shape's IDs never change.
+// one is reset before reuse, except for the memo (a shape's IDs never change)
+// and the load cache (keyed on the store and its version; see Load).
 type SP struct {
 	rs      *regionState
 	memo    [memoSets]memoSet
@@ -133,11 +134,14 @@ type SP struct {
 	cset   []bool
 	corder []uint32
 
-	// Loaded exposed values, revalidated against the exposed store's
-	// version counter so repeated Loads never touch the store's locks.
+	// Loaded exposed values of store lstore at version lver. They outlive
+	// the attempt: a pooled SP keeps them for as long as its region reads the
+	// same store at the same version, so repeated Loads, in one sample or
+	// across a worker's samples, never touch the store's locks.
 	lvals  []any
 	lset   []bool
 	lorder []uint32
+	lstore *store.Exposed
 	lver   uint64
 
 	// flush scratch, reused across pool generations.
@@ -402,14 +406,18 @@ func (sp *SP) Work(units float64) {
 
 // Load reads an exposed global-scope variable from inside a sampling
 // process; the exposed store is shared with the tuning process. Loaded
-// values are cached in the process against the store's version counter, so
-// a kernel loop re-reading its inputs costs one atomic load, a name-memo hit
-// (sym) and a slice index per read: no store lock, no hashing of the name.
+// values are cached in the SP against the store and its version counter, and
+// the cache survives reset: a kernel loop re-reading its inputs costs one
+// atomic load, a name-memo hit (sym) and a slice index per read — no store
+// lock, no hashing of the name — and a worker's SP reaches the store once per
+// store version, not once per sample. The store is part of the key because
+// a detached round reads a shipped snapshot whose version can equal another
+// store's; the SP holds it, so its address cannot be reused meanwhile.
 func (sp *SP) Load(name string) any {
 	e := sp.rs.exposed
-	if ver := e.Version(); ver != sp.lver {
+	if ver := e.Version(); ver != sp.lver || e != sp.lstore {
 		sp.resetLoadCache()
-		sp.lver = ver
+		sp.lstore, sp.lver = e, ver
 	}
 	id := sp.sym(name)
 	if id == memoMiss {
@@ -445,8 +453,11 @@ func (sp *SP) resetLoadCache() {
 	sp.lorder = sp.lorder[:0]
 }
 
-// reset clears every per-attempt trace of a recycled SP so the pool hands
-// out indistinguishable-from-new processes.
+// reset clears every per-attempt trace of a recycled SP, so that what the
+// pool hands out behaves as a new process would. It keeps the name memo and
+// the load cache: both are keyed on what they were read from (the shape's
+// symbol table; the exposed store and its version), so a stale entry is
+// never served.
 func (sp *SP) reset() {
 	for _, id := range sp.porder {
 		sp.pset[id] = false
@@ -457,8 +468,6 @@ func (sp *SP) reset() {
 		sp.cset[id] = false
 	}
 	sp.corder = sp.corder[:0]
-	sp.resetLoadCache()
-	sp.lver = 0
 	sp.kvbuf = sp.kvbuf[:0]
 	sp.rs = nil
 	sp.sampler = nil
@@ -545,10 +554,11 @@ const (
 
 // worker runs sampling processes on one pool slot: the (group, fold) pair it
 // was started with, then — as long as Algorithm 1 renews the admission — the
-// pairs it claims itself, so a saturated round costs a goroutine and a queued
-// request per slot, not per sample. Which worker runs a sample cannot show in
-// its result: a sampler is a pure function of (seed, g, n, fb). It runs as a
-// plain goroutine method so starting one allocates no closure.
+// pairs it claims as each sample commits, so a saturated round costs a
+// goroutine and a queued request per slot, not per sample. Which worker runs
+// a sample cannot show in its result: a sampler is a pure function of (seed,
+// g, n, fb). It runs as a plain goroutine method so starting one allocates
+// no closure.
 func (rs *regionState) worker(g, f int) {
 	slot := newHeldSlot()
 	if rs.watched {
@@ -556,8 +566,9 @@ func (rs *regionState) worker(g, f int) {
 		rs.slots = append(rs.slots, slot)
 		rs.mu.Unlock()
 	}
-	for ok := true; ok; g, f, ok = rs.claim(true) {
-		if rs.runSP(g, f, slot) == attemptLost {
+	for more := true; more; {
+		var end attemptEnd
+		if g, f, more, end = rs.runSP(g, f, slot); end == attemptLost {
 			return
 		}
 	}
@@ -708,7 +719,9 @@ func monoNow() int64 { return int64(time.Since(monoBase)) }
 // regardless of attempts. It reports how the last attempt ended for the
 // worker (attemptEnd): only an in-process attempt can be lost to the watcher,
 // so a dispatched attempt, or a backoff cut short, reports attemptFinished.
-func (rs *regionState) runSP(g, f int, slot *spSlot) attemptEnd {
+// A finished sample also hands the worker the next pair it claimed (claim),
+// or more == false when it has none and must release its slot.
+func (rs *regionState) runSP(g, f int, slot *spSlot) (ng, nf int, more bool, end attemptEnd) {
 	t := rs.t
 	fp := t.opts.Fault
 	ctx := rs.ctx
@@ -738,9 +751,8 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) attemptEnd {
 			} else {
 				sampler = rs.spec.Strategy.Sampler(rs.seed, g, rs.n, rs.fb)
 			}
-			var end attemptEnd
 			if sp, err, end = rs.runAttempt(g, f, attempt, slot, sampler); end == attemptLost {
-				return end
+				return 0, 0, false, end
 			}
 			// The finished body was the sampler's sole user, unless it is one
 			// fold of a cross-validation group, which share theirs.
@@ -774,10 +786,11 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) attemptEnd {
 		// A dispatched attempt the executor timed out, or a backoff cut short:
 		// there is no SP to read, only the outcome.
 		rs.spDoneTimeout(g, err)
+		ng, nf, more = rs.claim(true)
 	} else {
-		rs.spDone(sp, err)
+		ng, nf, more = rs.spDone(sp, err)
 	}
-	return attemptFinished
+	return ng, nf, more, attemptFinished
 }
 
 // invokeBody runs the sampling body (and the Score callback) with the
@@ -911,7 +924,9 @@ func (rs *regionState) spDoneTimeout(g int, err error) {
 // spDone commits the finished sampling process's results into the region
 // (the parent side of rule [AGGR-S]) and advances the barrier bookkeeping,
 // wherever the process ran: it is the only way into the aggregators, the
-// store, the parameter arena and the score sums.
+// store, the parameter arena and the score sums. In the same rs.mu section it
+// claims the worker's next pair (claimLocked), renewing the worker's slot, so
+// a finished sample takes the round's lock once.
 //
 // A successful process folds each commit that has a built-in aggregator into
 // it under rs.mu, in completion order, and stores its commits in one batch,
@@ -919,7 +934,7 @@ func (rs *regionState) spDoneTimeout(g int, err error) {
 // hands values to its aggregators through a ring because its sampling
 // processes are forked; a goroutine reaches them here, so no value is ever in
 // flight.
-func (rs *regionState) spDone(sp *SP, err error) {
+func (rs *regionState) spDone(sp *SP, err error) (ng, nf int, more bool) {
 	g := sp.group
 	rs.noteOutcome(g, err, false, sp.pruned, sp.score)
 
@@ -964,12 +979,14 @@ func (rs *regionState) spDone(sp *SP, err error) {
 		}
 	}
 	rs.done++
+	ng, nf, more = rs.claimLocked(true)
 	rs.mu.Unlock()
 	if ok && sp.fold == 0 && len(sp.kvbuf) > 0 {
 		rs.store.PutBatch(g, sp.kvbuf)
 	}
 	rs.barrier.maybeRelease()
 	rs.recycleSP(sp)
+	return ng, nf, more
 }
 
 // SyncView is what a barrier callback sees: the sampling processes blocked

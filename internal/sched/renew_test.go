@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -180,4 +183,81 @@ func TestRenewUncontendedTakesNoLock(t *testing.T) {
 		t.Fatalf("stats after acquire + renew = %+v, want 2 admitted, 0 waited", st)
 	}
 	s.ReleaseJob(j)
+}
+
+// errCounter is a context that counts the calls of its Err.
+type errCounter struct {
+	context.Context
+	calls atomic.Int64
+}
+
+func (c *errCounter) Err() error {
+	c.calls.Add(1)
+	return c.Context.Err()
+}
+
+// TestRenewLeavesOwnLaunchRequestAlone: a saturated round's launch loop keeps
+// a request queued all round, with a todo at least that of every renewal
+// behind it. Renew must keep the slot from the wait-list counts alone: not
+// scan the list, so never ask the request's context.
+func TestRenewLeavesOwnLaunchRequestAlone(t *testing.T) {
+	s := New(1, false)
+	j := NewJob(1, 0)
+	s.AcquireJob(SpawnS, 7, j)
+	ctx := &errCounter{Context: context.Background()}
+	done := make(chan error, 1)
+	go func() {
+		err := s.AcquireCtxJob(ctx, SpawnS, 9, j)
+		if err == nil {
+			s.ReleaseJob(j)
+		}
+		done <- err
+	}()
+	// Wait under the mutex: the request's enqueuer asks its Err in the wake
+	// that follows the enqueue, before it lets go.
+	for queued := 0; queued != 1; {
+		time.Sleep(100 * time.Microsecond)
+		s.mu.Lock()
+		queued = len(s.queue)
+		s.mu.Unlock()
+	}
+	before := ctx.calls.Load()
+	if !s.Renew(SpawnS, 7, j) {
+		t.Error("Renew declined behind its own round's launch request")
+	}
+	if n := ctx.calls.Load() - before; n != 0 {
+		t.Errorf("Renew called the queued request's Err %d times, want 0", n)
+	}
+	s.ReleaseJob(j)
+	if err := <-done; err != nil {
+		t.Fatalf("launch request: %v", err)
+	}
+	if s.InUse() != 0 {
+		t.Errorf("InUse = %d after drain", s.InUse())
+	}
+}
+
+// TestSchedulerRenewalWritesApart: every renewal writes admitted, and reads
+// the occupancy bound, the occupancy and the wait-list counts. The write must
+// not evict the line another holder's renewal reads them from.
+func TestSchedulerRenewalWritesApart(t *testing.T) {
+	var s Scheduler
+	w := unsafe.Offsetof(s.admitted)
+	for _, r := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"disabled", unsafe.Offsetof(s.disabled), unsafe.Sizeof(s.disabled)},
+		{"limS", unsafe.Offsetof(s.limS), unsafe.Sizeof(s.limS)},
+		{"occ", unsafe.Offsetof(s.occ), unsafe.Sizeof(s.occ)},
+		{"nwait", unsafe.Offsetof(s.nwait), unsafe.Sizeof(s.nwait)},
+		{"nwaitS", unsafe.Offsetof(s.nwaitS), unsafe.Sizeof(s.nwaitS)},
+		{"waitS", unsafe.Offsetof(s.waitS), unsafe.Sizeof(s.waitS)},
+	} {
+		// 56 bytes between them keep two fields off one 64-byte line at any
+		// 8-byte-aligned address.
+		if w < r.off+r.size+56 {
+			t.Errorf("Scheduler.admitted at %d can share a cache line with .%s [%d, %d)", w, r.name, r.off, r.off+r.size)
+		}
+	}
 }

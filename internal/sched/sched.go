@@ -23,18 +23,17 @@
 // slots, which is every round of any size — stays off that list too: a
 // finishing sampling process calls Renew, which is EXIT followed by SPAWN of
 // the same kind without the slot changing hands, and runs the round's next
-// sample itself. Renew takes the mutex only while something is queued — in
-// a saturated round the launcher's standing request for one more slot is, so
-// that is an uncontended lock and a scan of about one entry per sample — to
-// ask whether a queued request is strictly ahead of the renewal in the
-// admission order; the holder yields (a plain Release, which wakes that
-// request) only then. The occupancy word and the waiter count form the usual
-// two-flag protocol: an acquirer publishes its waiter entry before
-// re-checking occupancy, a releaser decrements occupancy before checking for
-// waiters, so (with sequentially consistent atomics) at least one side
-// observes the other and no wakeup is lost. A renewal frees nothing, so it
-// has no wakeup to lose: a waiter it did not see is seen by the holder's
-// next Renew or Release.
+// sample itself. The holder yields (a plain Release) only to a queued
+// request strictly ahead of it in the admission order, and Renew scans the
+// wait list under the mutex only if one can be: not for the launcher's
+// standing request for one more slot, queued all round with a todo taken
+// when fewer pairs were launched (ownBehind). The occupancy word and the
+// waiter count form the usual two-flag protocol: an acquirer publishes its
+// waiter entry before re-checking occupancy, a releaser decrements occupancy
+// before checking for waiters, so (with sequentially consistent atomics) at
+// least one side observes the other and no wakeup is lost. A renewal frees
+// nothing, so it has no wakeup to lose: a waiter it did not see is seen by
+// the holder's next Renew or Release.
 //
 // What the counters mean follows from that. Admitted counts processes
 // admitted, whichever of the three ways (CAS, queue, Renew) let them in.
@@ -92,6 +91,11 @@ type Job struct {
 	share int64
 	cap   int64 // max concurrently held slots; 0 = no cap
 	inuse atomic.Int64
+
+	// The job's queued sampling requests and their least todo, kept under
+	// the scheduler's mu for Renew (ownBehind).
+	queuedS    atomic.Int64
+	leastTodoS atomic.Int64
 }
 
 // NewJob returns a job admission handle with the given weighted share
@@ -202,12 +206,25 @@ func better(a, b *waiter) bool {
 // Scheduler admits processes into a bounded pool. The zero value is not
 // usable; construct with New.
 type Scheduler struct {
+	// Read by every admission and renewal; written when a slot changes hands
+	// or the wait list changes, which a renewal does not do.
 	max      int
 	disabled bool
 	limS     atomic.Int64 // occupancy bound for sampling processes (local pool + added remote capacity)
 	limT     int64        // occupancy bound for tuning processes (75% rule)
 	occ      atomic.Int64
 	nwait    atomic.Int64 // number of queued waiters; releasers skip the mutex at 0
+	nwaitS   atomic.Int64 // the queued sampling requests among them
+
+	// Optional instruments (nil without Instrument); both are internally
+	// atomic, so hot-path updates do not take mu.
+	occupancy *obs.Gauge
+	waitS     *obs.Histogram
+	waitT     *obs.Histogram
+
+	// Every renewal counts itself in admitted: the pad keeps that write off
+	// the line the fields above share, whatever the allocation's alignment.
+	_ [56]byte
 
 	admitted  atomic.Int64
 	waited    atomic.Int64
@@ -233,12 +250,6 @@ type Scheduler struct {
 	// always empty. The pool is the scheduler's own: a waiter's channel never
 	// outlives the scheduler that made it.
 	waiters sync.Pool
-
-	// Optional instruments (nil without Instrument); both are internally
-	// atomic, so hot-path updates do not take mu.
-	occupancy *obs.Gauge
-	waitS     *obs.Histogram
-	waitT     *obs.Histogram
 }
 
 // New returns a scheduler with the given pool size. max must be positive.
@@ -510,7 +521,7 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 	s.seq++
 	w.index = len(s.queue)
 	s.queue = append(s.queue, w)
-	s.nwait.Store(int64(len(s.queue)))
+	s.noteQueued(w, 1)
 	// Re-check now that the waiter entry is published: a Release between our
 	// failed tryOcc and the publication saw nwait == 0 and skipped the wake;
 	// this wake admits the best waiter (not necessarily us) if a slot freed.
@@ -545,7 +556,6 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 			return nil
 		}
 		s.removeWaiter(w.index)
-		s.nwait.Store(int64(len(s.queue)))
 		s.cancelled.Add(1)
 		s.mu.Unlock()
 		w.ctx, w.job = nil, nil
@@ -560,13 +570,38 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 func (s *Scheduler) removeWaiter(i int) {
 	q := s.queue
 	last := len(q) - 1
-	q[i].index = -1
+	w := q[i]
+	w.index = -1
 	if i != last {
 		q[i] = q[last]
 		q[i].index = i
 	}
 	q[last] = nil
 	s.queue = q[:last]
+	s.noteQueued(w, -1)
+}
+
+// noteQueued publishes the wait-list counts after w joined (delta 1) or left
+// (delta -1) it: nwait for every request, and for a sampling request nwaitS
+// and its job's queuedS and leastTodoS. Callers must hold s.mu.
+func (s *Scheduler) noteQueued(w *waiter, delta int64) {
+	s.nwait.Store(int64(len(s.queue)))
+	if w.event != SpawnS {
+		return
+	}
+	s.nwaitS.Add(delta)
+	j := w.job
+	if j == nil {
+		return
+	}
+	least := int64(math.MaxInt64)
+	for _, q := range s.queue {
+		if q.job == j && q.event == SpawnS {
+			least = min(least, int64(q.todo))
+		}
+	}
+	j.leastTodoS.Store(least)
+	j.queuedS.Add(delta)
 }
 
 // Release returns an unattributed slot to the pool (Algorithm 1's EXIT
@@ -617,14 +652,15 @@ func (s *Scheduler) Renew(event Event, todo int, j *Job) bool {
 	if occ > s.limit(event) {
 		return false
 	}
-	if s.nwait.Load() != 0 {
+	if s.nwait.Load() != 0 && !s.ownBehind(event, todo, j) {
 		s.mu.Lock()
 		yield := false
 		for _, w := range s.queue {
-			// Would w be admitted into the freed slot? (j's own cap has room
-			// once the holder has exited.)
-			fits := (w.job == j || !w.job.atCap()) && occ-1 < s.limit(w.event) && w.ctx.Err() == nil
-			if fits && ahead(w, event, todo, j) {
+			// Is w ahead, and would it be admitted into the freed slot? (j's
+			// own cap has room once the holder has exited.) The context is
+			// asked last: in Go 1.24 its Err takes a lock.
+			if ahead(w, event, todo, j) && (w.job == j || !w.job.atCap()) &&
+				occ-1 < s.limit(w.event) && w.ctx.Err() == nil {
 				yield = true
 				break
 			}
@@ -639,6 +675,19 @@ func (s *Scheduler) Renew(event Event, todo int, j *Job) bool {
 		h.Observe(0)
 	}
 	return true
+}
+
+// ownBehind reports from the wait-list counts that nothing queued is ahead
+// of a sampling renewal (event, todo) by a holder of job j: no sampling
+// request is queued, or only j's, none with a smaller todo. The loads are not
+// one snapshot; like a waiter the nwait load missed, a change they race is
+// seen by the holder's next Renew or Release.
+func (s *Scheduler) ownBehind(event Event, todo int, j *Job) bool {
+	if event != SpawnS {
+		return false
+	}
+	n := s.nwaitS.Load()
+	return n == 0 || (j != nil && j.queuedS.Load() == n && j.leastTodoS.Load() >= int64(todo))
 }
 
 // ahead reports whether queued request w is strictly ahead of a renewal
@@ -712,7 +761,6 @@ func (s *Scheduler) wakeLocked() {
 			continue
 		}
 		s.removeWaiter(best)
-		s.nwait.Store(int64(len(s.queue)))
 		s.noteAdmit()
 		w.ready <- struct{}{}
 	}
