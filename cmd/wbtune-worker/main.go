@@ -27,15 +27,35 @@ import (
 	"repro/internal/remote/transport"
 )
 
+// config holds the flags main checks, kept separate so tests can check
+// them without going through the flag parser.
+type config struct {
+	slots int
+}
+
+// check refuses the flags main cannot honour: a negative -slots, which a
+// worker would otherwise take for the 2x GOMAXPROCS default.
+func (c config) check() error {
+	if c.slots < 0 {
+		return fmt.Errorf("-slots %d: want a non-negative integer", c.slots)
+	}
+	return nil
+}
+
 func main() {
+	var cfg config
 	listen := flag.String("listen", "127.0.0.1:7071", "address to listen on (host:port, or a socket path for -transport unix)")
 	trName := flag.String("transport", "tcp", "listener transport: tcp, unix, or tls")
 	tlsCert := flag.String("tls-cert", "", "PEM certificate for -transport tls")
 	tlsKey := flag.String("tls-key", "", "PEM private key for -transport tls")
-	slots := flag.Int("slots", 0, "concurrent sampling processes (0 = 2x GOMAXPROCS)")
+	flag.IntVar(&cfg.slots, "slots", 0, "concurrent sampling processes (0 = 2x GOMAXPROCS)")
 	name := flag.String("name", "", "worker name reported to dispatchers (default: listen address)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight samples on shutdown")
 	flag.Parse()
+	if err := cfg.check(); err != nil {
+		fmt.Fprintf(os.Stderr, "wbtune-worker: %v\n", err)
+		os.Exit(2)
+	}
 
 	tr, err := buildTransport(*trName, *tlsCert, *tlsKey)
 	if err != nil {
@@ -52,7 +72,7 @@ func main() {
 	}
 	w := remote.NewWorker(remote.WorkerOptions{
 		Name:     *name,
-		Slots:    *slots,
+		Slots:    cfg.slots,
 		Registry: remote.Builtins(),
 	})
 

@@ -47,9 +47,10 @@ import (
 // config is what main's flags decide about a run — kept separate so tests
 // can check it without going through the flag parser.
 type config struct {
-	seed   int64
-	budget float64
-	server string
+	seed      int64
+	budget    float64
+	ckptEvery int
+	server    string
 	// client lists the client-mode flags given on the command line.
 	client []string
 }
@@ -61,11 +62,14 @@ var clientFlags = map[string]bool{
 }
 
 // check refuses the flags main cannot honour: a negative, NaN or infinite
-// -budget, and a client-mode flag without -server (a local run would
-// silently ignore it).
+// -budget, a negative -checkpoint-every, and a client-mode flag without
+// -server (a local run would silently ignore it).
 func (c config) check() error {
 	if c.budget < 0 || math.IsNaN(c.budget) || math.IsInf(c.budget, 0) {
 		return fmt.Errorf("-budget %v: want a finite non-negative number", c.budget)
+	}
+	if c.ckptEvery < 0 {
+		return fmt.Errorf("-checkpoint-every %d: want a non-negative integer", c.ckptEvery)
 	}
 	if c.server == "" && len(c.client) > 0 {
 		return fmt.Errorf("-%s requires -server", c.client[0])
@@ -107,7 +111,7 @@ func main() {
 	jobName := flag.String("job-name", "", "job name on the server (with -server; default cli-<program>-<seed>)")
 	tenant := flag.String("tenant", "", "tenant the job is accounted to (with -server)")
 	class := flag.String("class", "", "priority class: low, normal or high (with -server)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "ask the server to checkpoint the job every N rounds (with -server; 0 = no checkpoints)")
+	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "ask the server to checkpoint the job every N rounds (with -server; 0 = no checkpoints)")
 	args := argsFlag{}
 	flag.Var(args, "arg", "program argument key=value, repeatable (with -server)")
 	flag.Parse()
@@ -140,8 +144,8 @@ func main() {
 			Seed:    cfg.seed,
 			Budget:  cfg.budget,
 		}
-		if *ckptEvery > 0 {
-			spec.Checkpoint = &core.CheckpointSpec{Every: *ckptEvery}
+		if cfg.ckptEvery > 0 {
+			spec.Checkpoint = &core.CheckpointSpec{Every: cfg.ckptEvery}
 		}
 		os.Exit(runServerMode(os.Stdout, cfg.server, spec))
 	}

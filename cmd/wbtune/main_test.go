@@ -34,6 +34,8 @@ func TestConfigCheck(t *testing.T) {
 		{"NaN budget", with(func(c *config) { c.budget = math.NaN() }), "-budget"},
 		{"+Inf budget", with(func(c *config) { c.budget = math.Inf(1) }), "-budget"},
 		{"-Inf budget", with(func(c *config) { c.budget = math.Inf(-1) }), "-budget"},
+		{"checkpoint every round", with(func(c *config) { c.server, c.ckptEvery = "http://h", 1 }), ""},
+		{"negative checkpoint-every", with(func(c *config) { c.server, c.ckptEvery = "http://h", -1 }), "-checkpoint-every -1"},
 		{"server", with(func(c *config) { c.server = "http://h" }), ""},
 		{"client flags with server", with(func(c *config) {
 			c.server = "http://h"

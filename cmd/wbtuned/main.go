@@ -60,10 +60,18 @@ type config struct {
 	fleetMax   int
 }
 
-// check refuses the fleet flags main cannot honour: -fleet-min without
-// -fleet-max (fleetMin is 1 unless the flag is given), and -fleet-min above
-// -fleet-max.
+// check refuses the flags main cannot honour: a negative count, -fleet-min
+// without -fleet-max (fleetMin is 1 unless the flag is given), and
+// -fleet-min above -fleet-max.
 func (c config) check() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"pool", c.pool}, {"max-running", c.maxRunning}, {"queue-limit", c.queueLimit}, {"fleet-min", c.fleetMin}, {"fleet-max", c.fleetMax}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d: want a non-negative integer", f.name, f.v)
+		}
+	}
 	if c.fleetMax == 0 && c.fleetMin != 1 {
 		return errors.New("-fleet-min requires -fleet-max")
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/jobs"
@@ -21,9 +20,9 @@ import (
 )
 
 // TestSmokeWbtuned boots a full wbtuned daemon on a loopback port, submits
-// a small Canny job over HTTP, streams its rounds over SSE to completion,
-// checks the result is byte-identical to a direct run of the same spec, and
-// shuts the daemon down cleanly.
+// a small Canny job over HTTP, streams its rounds over SSE to completion, and
+// shuts the daemon down cleanly. That the result equals a direct run's is the
+// determinism matrix's.
 func TestSmokeWbtuned(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	cfg := config{
@@ -43,8 +42,12 @@ func TestSmokeWbtuned(t *testing.T) {
 	go func() { serveErr <- d.serve() }()
 	base := "http://" + d.addr()
 
-	// Liveness first.
-	waitUp(t, base+"/healthz")
+	// Liveness first: the listener is bound before serve, so one probe does.
+	resp, err := http.Get(base + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz: %v, %v", resp, err)
+	}
+	resp.Body.Close()
 
 	// A small Canny: tiny sample counts keep the smoke fast while still
 	// exercising both pipeline stages and the split fan-out.
@@ -54,52 +57,8 @@ func TestSmokeWbtuned(t *testing.T) {
 		Seed:    3,
 		Args:    map[string]string{"stage1": "4", "stage2": "3"},
 	}
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("submit: status %d: %s", resp.StatusCode, b)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	// Stream rounds until done.
-	resp, err = http.Get(base + "/v1/jobs/smoke-canny/rounds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var final jobs.Status
-	rounds, done := 0, false
-	sc := bufio.NewScanner(resp.Body)
-	event := ""
-	for sc.Scan() && !done {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			switch event {
-			case "round":
-				rounds++
-			case "done":
-				if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &final); err != nil {
-					t.Fatalf("done event: %v", err)
-				}
-				done = true
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("SSE stream: %v", err)
-	}
-	if !done {
-		t.Fatal("stream ended without a done event")
-	}
-	if rounds == 0 {
+	final, rounds := followJob(t, base, postJob(t, base, spec))
+	if len(rounds) == 0 {
 		t.Fatal("no round events streamed")
 	}
 	if final.State != jobs.StateCompleted {
@@ -107,19 +66,6 @@ func TestSmokeWbtuned(t *testing.T) {
 	}
 	if !strings.Contains(final.Result, "tuned=true") {
 		t.Fatalf("result does not report a tuned detector: %q", final.Result)
-	}
-
-	// Determinism across the control plane: the HTTP-submitted run equals a
-	// direct run of the same spec, byte for byte.
-	reg := jobs.NewRegistry()
-	bench.RegisterPrograms(reg)
-	want, _, err := jobs.RunDirect(context.Background(),
-		core.NewRuntime(core.RuntimeOptions{MaxPool: 4}), reg, spec)
-	if err != nil {
-		t.Fatalf("RunDirect: %v", err)
-	}
-	if final.Result != want {
-		t.Fatalf("HTTP result diverges from direct run:\n got %q\nwant %q", final.Result, want)
 	}
 
 	// Metrics endpoint carries the jobs families.
@@ -150,124 +96,72 @@ func TestSmokeWbtuned(t *testing.T) {
 	ds.Close()
 }
 
-// TestTable1ProgramsOverHTTP serves every Table I program from wbtuned and
-// checks that each one's result submitted over HTTP equals jobs.RunDirect of
-// the same spec byte for byte, on a plain daemon, on one with -store and a
-// per-round checkpoint in the spec, and on one with an elastic loopback
-// fleet (-fleet-max 2). Resume after a restart is TestRestartRecovery's and
-// TestCheckpointResumeTable1Parity's.
-func TestTable1ProgramsOverHTTP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("13 programs over three daemons; skipped in -short")
-	}
-	t.Cleanup(leakcheck.Check(t))
-	reg := jobs.NewRegistry()
-	bench.RegisterPrograms(reg)
-	if names := reg.Names(); len(names) != len(bench.All())+1 {
-		t.Fatalf("registered programs %v, want the %d Table I programs and synthetic", names, len(bench.All()))
-	}
-	rt := core.NewRuntime(core.RuntimeOptions{MaxPool: 4})
-	want := make(map[string]string)
-	for _, b := range bench.All() {
-		spec := core.JobSpec{Name: "direct", Program: bench.ServiceName(b), Seed: 1}
-		res, _, err := jobs.RunDirect(context.Background(), rt, reg, spec)
-		if err != nil {
-			t.Fatalf("%s: RunDirect: %v", spec.Program, err)
-		}
-		want[spec.Program] = res
-		if spec.Program == "canny" {
-			continue
-		}
-		// Only Canny takes args; the others refuse any rather than ignore it.
-		spec.Args = map[string]string{"stage1": "4"}
-		if _, _, err := jobs.RunDirect(context.Background(), rt, reg, spec); !errors.Is(err, core.ErrSpecInvalid) {
-			t.Errorf("%s with an arg: %v, want ErrSpecInvalid", spec.Program, err)
-		}
-	}
-
-	for _, setup := range []struct {
-		name string
-		cfg  config
-		ckpt *core.CheckpointSpec
-	}{
-		{"plain", config{}, nil},
-		{"store", config{storeDir: t.TempDir()}, &core.CheckpointSpec{Every: 1}},
-		{"fleet", config{fleetMin: 1, fleetMax: 2}, nil},
-	} {
-		t.Run(setup.name, func(t *testing.T) {
-			cfg := setup.cfg
-			cfg.httpAddr, cfg.pool = "127.0.0.1:0", 4
-			d, err := newDaemon(cfg)
-			if err != nil {
-				t.Fatalf("newDaemon: %v", err)
-			}
-			serveErr := make(chan error, 1)
-			go func() { serveErr <- d.serve() }()
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				d.shutdown(ctx)
-				if err := <-serveErr; err != nil {
-					t.Errorf("serve: %v", err)
-				}
-			}()
-			base := "http://" + d.addr()
-			waitUp(t, base+"/healthz")
-			for _, b := range bench.All() {
-				prog := bench.ServiceName(b)
-				st := submitAndFollow(t, base, core.JobSpec{
-					Name: setup.name + "-" + prog, Program: prog, Seed: 1, Checkpoint: setup.ckpt,
-				})
-				if st.State != jobs.StateCompleted {
-					t.Errorf("%s: state %q (error %q)", prog, st.State, st.Error)
-					continue
-				}
-				if st.Result != want[prog] {
-					t.Errorf("%s: HTTP result %q, RunDirect %q", prog, st.Result, want[prog])
-				}
-				if setup.ckpt != nil && st.Checkpoints == 0 {
-					t.Errorf("%s: no checkpoint written", prog)
-				}
-			}
-		})
-	}
+// postJob submits spec to the service at base and returns its name.
+func postJob(t *testing.T, base string, spec core.JobSpec) string {
+	body, _ := json.Marshal(spec)
+	call(t, "POST", base+"/v1/jobs", body, http.StatusAccepted)
+	return spec.Name
 }
 
-// submitAndFollow submits spec to the daemon at base and follows its SSE
-// round stream to the done event, returning the job's final status.
-func submitAndFollow(t *testing.T, base string, spec core.JobSpec) jobs.Status {
+// call sends one API request and returns the job status it answers,
+// failing the test on any status code but want.
+func call(t *testing.T, method, url string, body []byte, want int) jobs.Status {
 	t.Helper()
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	var st jobs.Status
+	req, _ := http.NewRequest(method, url, bytes.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err == nil {
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if err = json.Unmarshal(b, &st); resp.StatusCode != want {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, b)
+		}
+	}
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s %s: %v", method, url, err)
 	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit %s: status %d: %s", spec.Name, resp.StatusCode, msg)
-	}
-	resp, err = http.Get(base + "/v1/jobs/" + spec.Name + "/rounds")
+	return st
+}
+
+// followJob follows a job's SSE round stream at the service at base to the
+// done event and returns the job's final status and the rounds streamed.
+func followJob(t *testing.T, base, name string) (jobs.Status, []jobs.Round) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + name + "/rounds")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	var rounds []jobs.Round
 	sc := bufio.NewScanner(resp.Body)
-	done := false
+	event := ""
 	for sc.Scan() {
 		line := sc.Text()
-		if line == "event: done" {
-			done = true
-		} else if data, ok := strings.CutPrefix(line, "data: "); ok && done {
+		if kind, ok := strings.CutPrefix(line, "event: "); ok {
+			event = kind
+			continue
+		}
+		data, ok := strings.CutPrefix(line, "data: ")
+		if !ok {
+			continue
+		}
+		var err error
+		switch event {
+		case "round":
+			rounds = append(rounds, jobs.Round{})
+			err = json.Unmarshal([]byte(data), &rounds[len(rounds)-1])
+		case "done":
 			var st jobs.Status
-			if err := json.Unmarshal([]byte(data), &st); err != nil {
-				t.Fatalf("%s: done event: %v", spec.Name, err)
+			if err = json.Unmarshal([]byte(data), &st); err == nil {
+				return st, rounds
 			}
-			return st
+		}
+		if err != nil {
+			t.Fatalf("%s: %s event: %v", name, event, err)
 		}
 	}
-	t.Fatalf("%s: stream ended without a done event: %v", spec.Name, sc.Err())
-	return jobs.Status{}
+	t.Fatalf("%s: stream ended without a done event: %v", name, sc.Err())
+	return jobs.Status{}, nil
 }
 
 // TestQuotaFlagParsing covers the -quota grammar.
@@ -293,43 +187,30 @@ func TestQuotaFlagParsing(t *testing.T) {
 	}
 }
 
-// TestConfigCheck covers the fleet flag checks main exits 2 on. fleetMin is 1
+// TestConfigCheck covers the flag checks main exits 2 on. fleetMin is 1
 // when -fleet-min is not given.
 func TestConfigCheck(t *testing.T) {
 	for _, c := range []struct {
-		min, max int
-		err      string
+		cfg config
+		err string
 	}{
-		{1, 0, ""},
-		{1, 4, ""},
-		{4, 4, ""},
-		{0, 4, ""},
-		{2, 0, "-fleet-min requires -fleet-max"},
-		{0, 0, "-fleet-min requires -fleet-max"},
-		{5, 4, "-fleet-min exceeds -fleet-max"},
+		{config{fleetMin: 1}, ""},
+		{config{fleetMin: 1, fleetMax: 4}, ""},
+		{config{fleetMin: 4, fleetMax: 4}, ""},
+		{config{fleetMin: 0, fleetMax: 4}, ""},
+		{config{fleetMin: 1, pool: 8, maxRunning: 2, queueLimit: 16}, ""},
+		{config{fleetMin: 2}, "-fleet-min requires -fleet-max"},
+		{config{fleetMin: 0}, "-fleet-min requires -fleet-max"},
+		{config{fleetMin: 5, fleetMax: 4}, "-fleet-min exceeds -fleet-max"},
+		{config{fleetMin: 1, pool: -1}, "-pool -1: want a non-negative integer"},
+		{config{fleetMin: 1, maxRunning: -1}, "-max-running -1: want a non-negative integer"},
+		{config{fleetMin: 1, queueLimit: -3}, "-queue-limit -3: want a non-negative integer"},
+		{config{fleetMin: -1, fleetMax: 2}, "-fleet-min -1: want a non-negative integer"},
+		{config{fleetMin: 1, fleetMax: -2}, "-fleet-max -2: want a non-negative integer"},
 	} {
-		err := config{fleetMin: c.min, fleetMax: c.max}.check()
+		err := c.cfg.check()
 		if got := fmt.Sprint(err); c.err == "" && err != nil || c.err != "" && got != c.err {
-			t.Errorf("-fleet-min %d -fleet-max %d: check() = %v, want %q", c.min, c.max, err, c.err)
+			t.Errorf("%+v: check() = %v, want %q", c.cfg, err, c.err)
 		}
-	}
-}
-
-func waitUp(t *testing.T, url string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(url)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server at %s never came up: %v", url, err)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

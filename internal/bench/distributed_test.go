@@ -11,21 +11,6 @@ import (
 	"repro/internal/remote"
 )
 
-// TestDistributedTable1Parity is the end-to-end determinism gate for the
-// distributed executor: every Table I program, tuned with its sampling
-// processes dispatched to a loopback worker fleet, ends bit-equal to the
-// in-process run at the same seed. Samplers are rebuilt worker-side from
-// (seed, group, n, feedback), results re-enter the same aggregation paths,
-// and regions the executor cannot take (CV, Sync bodies) fall back to the
-// deterministic local path — so any bit of divergence is a real
-// determinism bug.
-func TestDistributedTable1Parity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("13 programs three times over; skipped in -short")
-	}
-	tuneParity(t, false)
-}
-
 // loopbackFleet builds a NetExecutor fed by n single-slot in-process workers
 // over net.Pipe. Dispatcher and workers use separate Builtins registries and
 // no shared value table — the standalone wbtune-worker configuration, so the

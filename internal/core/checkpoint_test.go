@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -84,72 +85,53 @@ func metricsLine(m Metrics) string {
 		m.Regions, m.Rounds, m.Samples, m.Splits, m.WorkUnits, m.WorkSerial, m.WorkParallel)
 }
 
-// TestCheckpointResumeParity is the in-process half of the crash-recovery
-// story: a recorded run must be byte-identical to an unrecorded one, and a
-// run resumed from ANY intermediate auto-checkpoint must reproduce the
-// uninterrupted run's output and counters exactly.
-func TestCheckpointResumeParity(t *testing.T) {
+// TestCancelledRunKeepsItsLastWholeCheckpoint cancels a recorded run from
+// inside its third round, as a daemon shutdown does. The round the
+// cancellation cut must not reach the store: resuming the last checkpoint
+// written must reproduce the uninterrupted run.
+func TestCancelledRunKeepsItsLastWholeCheckpoint(t *testing.T) {
 	defer leakcheck.Check(t)()
-
-	ctl := New(Options{MaxPool: 4, Seed: 42})
-	want, err := ckptProgram(ctl)
-	if err != nil {
-		t.Fatalf("control run: %v", err)
+	program := func(ctx context.Context, job *Tuner, cancel func()) string {
+		var out strings.Builder
+		err := job.RunContext(ctx, func(p *P) error {
+			for r := 0; r < 4; r++ {
+				res, err := p.Region(RegionSpec{Name: "cut", Samples: 8}, func(sp *SP) error {
+					if r == 2 && sp.Index() == 0 && cancel != nil {
+						cancel()
+					}
+					sp.Commit("y", sp.Float("x", dist.Uniform(0, 1)))
+					return nil
+				})
+				if err != nil {
+					return err
+				}
+				fmt.Fprintln(&out, r, res.Values("y"))
+			}
+			return nil
+		})
+		return fmt.Sprintln(out.String(), metricsLine(job.Metrics()), err)
 	}
-	wantM := metricsLine(ctl.Metrics())
-
+	want := program(context.Background(), New(Options{MaxPool: 4, Seed: 5}), nil)
 	cs := &captureStore{}
-	rec := New(Options{MaxPool: 4, Seed: 42, Checkpoint: &CheckpointPolicy{Store: cs, Every: 1}})
-	got, err := ckptProgram(rec)
-	if err != nil {
-		t.Fatalf("recorded run: %v", err)
-	}
-	if got != want {
-		t.Fatalf("recording perturbed the run:\nrecorded:\n%s\nplain:\n%s", got, want)
-	}
-	if gm := metricsLine(rec.Metrics()); gm != wantM {
-		t.Fatalf("recording perturbed counters: %s != %s", gm, wantM)
-	}
-	if err := rec.SaveErr(); err != nil {
-		t.Fatalf("auto-checkpoint write failed: %v", err)
-	}
-
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := New(Options{MaxPool: 4, Seed: 5, Checkpoint: &CheckpointPolicy{Store: cs, Every: 1}})
+	program(ctx, src, cancel)
 	snaps := cs.snapshots()
-	if len(snaps) < 3 {
-		t.Fatalf("expected several auto-checkpoints, got %d", len(snaps))
+	if len(snaps) == 0 {
+		t.Fatal("no checkpoint written before the cancellation")
 	}
-	resumed := 0
-	for i, data := range snaps {
-		st, err := checkpoint.DecodeBytes(data)
-		if err != nil {
-			t.Fatalf("decode checkpoint %d: %v", i, err)
-		}
-		if st.Complete {
-			continue
-		}
-		resumed++
-		rt := NewRuntime(RuntimeOptions{MaxPool: 4})
-		job, err := rt.ResumeJob(JobOptions{Name: "resumed"}, st)
-		if err != nil {
-			t.Fatalf("ResumeJob from checkpoint %d: %v", i, err)
-		}
-		out, err := ckptProgram(job)
-		if err != nil {
-			t.Fatalf("resumed run from checkpoint %d: %v", i, err)
-		}
-		if out != want {
-			t.Fatalf("resume from checkpoint %d diverged:\nresumed:\n%s\nuninterrupted:\n%s", i, out, want)
-		}
-		if gm := metricsLine(job.Metrics()); gm != wantM {
-			t.Fatalf("resume from checkpoint %d: counters %s != %s", i, gm, wantM)
-		}
+	st, err := checkpoint.DecodeBytes(snaps[len(snaps)-1])
+	if err != nil || st.Complete {
+		t.Fatalf("last checkpoint: %v (complete %v), want a resumable one", err, st != nil && st.Complete)
 	}
-	if resumed == 0 {
-		t.Fatal("no resumable (non-complete) checkpoint was written")
+	job, err := NewRuntime(RuntimeOptions{MaxPool: 4}).ResumeJob(JobOptions{}, st)
+	if err != nil {
+		t.Fatalf("ResumeJob: %v", err)
 	}
-	// The run finished, so the last checkpoint written must be final.
-	if st, err := checkpoint.DecodeBytes(snaps[len(snaps)-1]); err != nil || !st.Complete {
-		t.Fatalf("last checkpoint: complete=%v err=%v, want final", st != nil && st.Complete, err)
+	defer job.Close()
+	if got := program(context.Background(), job, nil); got != want {
+		t.Fatalf("resumed run diverged\n--- resumed ---\n%s--- uninterrupted ---\n%s", got, want)
 	}
 }
 

@@ -271,6 +271,7 @@ func (t *Tuner) RunContext(ctx context.Context, fn func(p *P) error) error {
 	p := t.newP(ctx)
 	if t.rec != nil {
 		p.path = "0"
+		t.rec.runCtx = ctx
 	}
 	err := errors.Join(fn(p), p.Wait())
 	if t.rec != nil {

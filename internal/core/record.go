@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -101,6 +102,9 @@ type recorder struct {
 
 	runOnce atomic.Bool // a recorded job supports a single Run
 	writing atomic.Bool // one auto-checkpoint writer at a time
+	// runCtx is the Run's context. Once it ends, a round it cut short is
+	// journaled like any other, so no further auto-checkpoint is written.
+	runCtx context.Context
 
 	// Gate-serialized state.
 	paths map[string]*pathLog
@@ -552,13 +556,21 @@ func (t *Tuner) SaveErr() error {
 }
 
 // writeCheckpoint quiesces the job, captures its state, and saves it to
-// the policy store.
+// the policy store. Once the Run's context has ended it writes no
+// auto-checkpoint: the store keeps the last one whose rounds all ran whole,
+// and a resume re-runs the cut round live.
 func (r *recorder) writeCheckpoint(complete bool) error {
 	t0 := time.Now()
 	var data []byte
 	var err error
-	r.gate.Run(func() { data, err = r.captureLocked(complete) })
-	if err != nil {
+	r.gate.Run(func() {
+		// Under the gate: every round the context cut exits after it ended.
+		if !complete && r.runCtx.Err() != nil {
+			return
+		}
+		data, err = r.captureLocked(complete)
+	})
+	if err != nil || data == nil {
 		return err
 	}
 	if err := r.policy.Store.Save(r.policy.Label, data); err != nil {

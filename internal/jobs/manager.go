@@ -338,6 +338,9 @@ func (m *Manager) enqueueLocked(spec core.JobSpec, run RunFunc, resume *checkpoi
 // priority-inversion: an arriving high-priority job is admitted no later
 // than the next job-completion boundary.
 func (m *Manager) pumpLocked() {
+	if m.closed {
+		return // a queued job stays queued on disk for the next process
+	}
 	for m.running < m.opts.MaxRunning {
 		var best *job
 		for _, j := range m.queue {

@@ -69,6 +69,10 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatalf("mid state %q before shutdown, want queued", s.State)
 	}
 	m1.Close()
+	// Shutdown admits nothing: the slot "front" freed leaves "mid" queued.
+	if s, _ := m1.Get("mid"); s.State != StateQueued {
+		t.Fatalf("mid state %q after shutdown, want queued", s.State)
+	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,99 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/remote/transport"
 	"repro/internal/sched"
-	"repro/internal/strategy"
 )
-
-// addLoopback spawns one named loopback worker and joins it to ex.
-func addLoopback(t *testing.T, ex *NetExecutor, reg *Registry, name string, slots int) (*Worker, net.Conn) {
-	t.Helper()
-	w := NewWorker(WorkerOptions{Name: name, Slots: slots, Registry: reg})
-	a, b := net.Pipe()
-	go w.ServeConn(a)
-	if err := ex.AddConn(b); err != nil {
-		t.Fatalf("AddConn(%s): %v", name, err)
-	}
-	return w, b
-}
-
-// elasticParityProgram is a three-round feedback-driven program with a hook
-// between rounds, so a test can inject fleet elasticity events at
-// deterministic points in the run.
-func elasticParityProgram(t *testing.T, opts core.Options, between func(round int)) string {
-	t.Helper()
-	tuner := core.New(opts)
-	var dump string
-	err := tuner.Run(func(p *core.P) error {
-		p.Expose("bias", 0.25)
-		spec := core.RegionSpec{
-			Name:     "elastic-parity",
-			Samples:  8,
-			Strategy: strategy.MCMC(strategy.MCMCOptions{}),
-			Score:    func(sp *core.SP) float64 { return sp.MustGet("y").(float64) },
-		}
-		body := func(sp *core.SP) error {
-			x := sp.Float("x", dist.Uniform(0, 1))
-			sp.Work(0.125)
-			sp.Commit("y", x+sp.Load("bias").(float64))
-			return nil
-		}
-		for round := 0; round < 3; round++ {
-			res, err := p.Region(spec, body)
-			if err != nil {
-				return err
-			}
-			dump += fmt.Sprintf("round %d:\n%s", round, dumpRegion(res))
-			if between != nil {
-				between(round)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return dump
-}
-
-// TestElasticParityMidScale injects a scale-up (one worker to three) and a
-// graceful retirement in the middle of a fixed-seed run and checks the
-// result stream is byte-identical to the in-process run: elasticity moves
-// placement only, never sampling.
-func TestElasticParityMidScale(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	local := elasticParityProgram(t, core.Options{MaxPool: 4, Seed: 42}, nil)
-
-	reg := NewRegistry()
-	ex := NewExecutor(ExecutorOptions{Registry: reg, Dynamic: true})
-	var workers []*Worker
-	t.Cleanup(func() {
-		ex.Close()
-		for _, w := range workers {
-			w.Close()
-		}
-	})
-	w0, _ := addLoopback(t, ex, reg, "ew0", 2)
-	workers = append(workers, w0)
-
-	elastic := elasticParityProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: ex},
-		func(round int) {
-			switch round {
-			case 0: // scale up before round 1
-				w1, _ := addLoopback(t, ex, reg, "ew1", 2)
-				w2, _ := addLoopback(t, ex, reg, "ew2", 2)
-				workers = append(workers, w1, w2)
-			case 1: // retire the original worker before round 2
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				if err := ex.RemoveConn(ctx, "ew0"); err != nil {
-					t.Errorf("RemoveConn(ew0): %v", err)
-				}
-			}
-		})
-	if elastic != local {
-		t.Fatalf("elastic run diverged from local run:\nlocal:\n%s\nelastic:\n%s", local, elastic)
-	}
-}
 
 // TestRemoveConnDrainsInFlight retires a worker while its samples are in
 // flight: every sample must land exactly once, the retired worker must leave

@@ -3,7 +3,6 @@ package remote
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -53,42 +52,6 @@ func snapCount(w *Worker) (snaps, jobs int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.snaps), len(w.snapOrder)
-}
-
-// TestMultiJobLoopbackParity runs two jobs concurrently over one shared
-// Runtime and one loopback worker fleet, and checks each reproduces its solo
-// in-process run exactly — per-job snapshot namespacing keeps each job's
-// @load state intact while both multiplex over the same connections.
-func TestMultiJobLoopbackParity(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	seeds := []int64{42, 99}
-	solo := make([]string, len(seeds))
-	for i, seed := range seeds {
-		solo[i] = multiJobProgram(t, core.New(core.Options{MaxPool: 4, Seed: seed}),
-			fmt.Sprintf("mj%d", i))
-	}
-
-	reg := NewRegistry()
-	f := newFleet(t, 2, 2, ExecutorOptions{Registry: reg, Dynamic: true}, WorkerOptions{Registry: reg})
-	rt := core.NewRuntime(core.RuntimeOptions{MaxPool: 4, Executor: f.ex})
-	got := make([]string, len(seeds))
-	var wg sync.WaitGroup
-	for i, seed := range seeds {
-		job := rt.NewJob(core.JobOptions{Name: fmt.Sprintf("mj%d", i), Seed: seed})
-		wg.Add(1)
-		go func(i int, job *core.Tuner) {
-			defer wg.Done()
-			defer job.Close()
-			got[i] = multiJobProgram(t, job, fmt.Sprintf("mj%d", i))
-		}(i, job)
-	}
-	wg.Wait()
-	for i := range seeds {
-		if got[i] != solo[i] {
-			t.Errorf("job %d diverged from its solo run:\nloopback:\n%s\nsolo:\n%s",
-				i, got[i], solo[i])
-		}
-	}
 }
 
 // TestJobCloseReleasesRemoteSnapshots checks the job-shutdown path: closing

@@ -73,61 +73,6 @@ func dumpRegion(res *core.Result) string {
 	return s
 }
 
-// parityProgram is the reference tuning program for loopback parity tests:
-// exposed state, two drawn parameters, a score, a feedback-driven second
-// round, and commits of several wire types.
-func parityProgram(t *testing.T, opts core.Options) string {
-	t.Helper()
-	tuner := core.New(opts)
-	var dump string
-	err := tuner.Run(func(p *core.P) error {
-		p.Expose("bias", 0.25)
-		p.Expose("tag", "blue")
-		spec := core.RegionSpec{
-			Name:     "parity",
-			Samples:  8,
-			Strategy: strategy.MCMC(strategy.MCMCOptions{}),
-			Score:    func(sp *core.SP) float64 { return sp.MustGet("y").(float64) },
-		}
-		body := func(sp *core.SP) error {
-			x := sp.Float("x", dist.Uniform(0, 1))
-			k := sp.Int("k", dist.IntRange(1, 4))
-			sp.Work(0.125)
-			sp.Commit("y", x*float64(k)+sp.Load("bias").(float64))
-			sp.Commit("trace", []float64{x, float64(k)})
-			sp.Commit("tag", sp.Load("tag").(string))
-			return nil
-		}
-		for round := 0; round < 2; round++ {
-			res, err := p.Region(spec, body)
-			if err != nil {
-				return err
-			}
-			dump += fmt.Sprintf("round %d:\n%s", round, dumpRegion(res))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return dump
-}
-
-func TestLoopbackParity(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	local := parityProgram(t, core.Options{MaxPool: 4, Seed: 42})
-
-	reg := NewRegistry()
-	f := newFleet(t, 2, 2, ExecutorOptions{Registry: reg, Dynamic: true}, WorkerOptions{Registry: reg})
-	remote := parityProgram(t, core.Options{MaxPool: 4, Seed: 42, Executor: f.ex})
-	if remote != local {
-		t.Fatalf("distributed run diverged from local run:\nlocal:\n%s\nremote:\n%s", local, remote)
-	}
-	if n := len(reg.dyn); n != 0 {
-		t.Fatalf("%d dynamic registrations leaked", n)
-	}
-}
-
 // countingExec counts the samples core hands an executor.
 type countingExec struct {
 	core.Executor

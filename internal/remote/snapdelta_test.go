@@ -289,6 +289,9 @@ func TestSnapDeltaShipParity(t *testing.T) {
 		t.Fatalf("shipped %d full + %d delta bytes, not 5x under the %d of a full re-ship per version", fullB, deltaB, reship)
 	}
 	noFallbacks(t, fm)
+	if n := len(reg.dyn); n != 0 {
+		t.Fatalf("%d dynamic registrations leaked", n)
+	}
 }
 
 // TestSnapDeltaNackBaseMissing wipes a worker's snapshot cache mid-run: the
