@@ -66,15 +66,26 @@ func scalingRate(t *testing.T, mode string, ex core.Executor, samples, serviceMi
 // the aggregate samples/sec of one, and a single worker must stay within 15%
 // of in-process throughput (the wire protocol's overhead budget). The
 // service time is set well above per-sample RPC cost so the bound holds on
-// slow or contended hosts too.
+// slow or contended hosts too. Each mode is timed three times, interleaved,
+// and its fastest run taken (timeit's rule: slower runs measure other
+// processes): one 40 ms workers-4 window on a 2-core box shared with another
+// test binary read a 2.92x speedup in 1 of 10 tries.
 func TestWorkerScalingThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based; skipped in -short")
 	}
 	t.Cleanup(leakcheck.Check(t))
-	inproc := scalingRate(t, "in-process", nil, 32, 5000)
-	w1 := scalingRate(t, "workers-1", loopbackFleet(t, 1), 32, 5000)
-	w4 := scalingRate(t, "workers-4", loopbackFleet(t, 4), 32, 5000)
+	fleetRate := func(mode string, n int) float64 {
+		fleet := loopbackFleet(t, n) // cold, like the first job on a new fleet
+		defer fleet.Close()
+		return scalingRate(t, mode, fleet, 32, 5000)
+	}
+	var inproc, w1, w4 float64
+	for range 3 {
+		inproc = max(inproc, scalingRate(t, "in-process", nil, 32, 5000))
+		w1 = max(w1, fleetRate("workers-1", 1))
+		w4 = max(w4, fleetRate("workers-4", 4))
+	}
 	if speedup := w4 / w1; speedup < 3 {
 		t.Errorf("4-worker speedup %.2fx over 1 worker, want >= 3x", speedup)
 	}
