@@ -161,8 +161,9 @@ type counters struct {
 // the right size). Feedback lives on the tuning processes, not here — see
 // P.fbSeen.
 type regionShape struct {
-	syms *store.Symbols
-	pool sync.Pool // *SP
+	syms     *store.Symbols
+	pool     sync.Pool    // *SP
+	arenaPer atomic.Int64 // the longest parameter snapshot of the last round
 }
 
 // Tuner is one tuning job: the per-job handle carrying program structure
@@ -219,17 +220,6 @@ func New(opts Options) *Tuner {
 // acquire blocks until the scheduler admits one of this job's processes.
 func (t *Tuner) acquire(event sched.Event, todo int) {
 	t.sched.AcquireJob(event, todo, t.job)
-}
-
-// acquireCtx is acquire with cancellation while queued.
-func (t *Tuner) acquireCtx(ctx context.Context, event sched.Event, todo int) error {
-	return t.sched.AcquireCtxJob(ctx, event, todo, t.job)
-}
-
-// renew keeps the slot of a finishing sampling process of this job for its
-// next one (sched.Renew); false means the caller must release it.
-func (t *Tuner) renew(todo int) bool {
-	return t.sched.Renew(sched.SpawnS, todo, t.job)
 }
 
 // release returns one of this job's pool slots.

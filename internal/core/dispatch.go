@@ -15,8 +15,8 @@ import (
 // finished in-process attempt. declined reports that the executor cannot run
 // the sample at all (the body reached a Sync barrier, every worker is gone):
 // nothing was counted, and runSP re-runs the sample in-process, where the
-// seeded sampler draws exactly what a healthy remote run would have drawn.
-// A timed-out attempt has no outcome to load and returns no SP.
+// seeded sampler draws exactly what a healthy remote run would have drawn;
+// err says why. A timed-out attempt has no outcome to load and returns no SP.
 func (rs *regionState) remoteAttempt(g, attempt int) (sp *SP, err error, timedOut, declined bool) {
 	t := rs.t
 	var t0 time.Time
@@ -31,7 +31,7 @@ func (rs *regionState) remoteAttempt(g, attempt int) (sp *SP, err error, timedOu
 	}
 	res, err := t.opts.Executor.Execute(actx, rs.execH, g, attempt)
 	if (err == nil && res.Unsupported) || errors.Is(err, ErrExecUnsupported) {
-		return nil, nil, false, true
+		return nil, err, false, true
 	}
 	t.ctr.samples.Add(1)
 	if rs.ro != nil {

@@ -12,7 +12,8 @@ import (
 // (no live workers, an unregistered body, a Sync barrier inside a detached
 // body, an unserializable snapshot). The runtime reacts by running the work
 // on the in-process path instead — an executor can always decline, never
-// wedge a region.
+// wedge a region — and the region's later rounds too, unless the decline is
+// Transient (no live worker at that instant).
 var ErrExecUnsupported = errors.New("core: executor cannot run this work")
 
 // RoundTask describes one sampling round an Executor is asked to run: the

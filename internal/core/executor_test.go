@@ -25,6 +25,9 @@ type fakeExec struct {
 	unsupported  bool // every Execute reports Unsupported
 	flakyGroup   int  // this group's first attempt fails retryably (-1 off)
 
+	// BeginRound and Execute decline this many calls with errNoLiveWorker.
+	noLiveBegins, noLiveExecs atomic.Int64
+
 	begun    atomic.Int64
 	executed atomic.Int64
 	ended    atomic.Int64
@@ -42,11 +45,17 @@ func (f *fakeExec) BeginRound(r RoundTask) (any, error) {
 	if f.declineBegin {
 		return nil, ErrExecUnsupported
 	}
+	if f.noLiveBegins.Add(-1) >= 0 {
+		return nil, errNoLiveWorker
+	}
 	return &r, nil
 }
 
 func (f *fakeExec) Execute(ctx context.Context, handle any, group, attempt int) (ExecResult, error) {
 	f.executed.Add(1)
+	if f.noLiveExecs.Add(-1) >= 0 {
+		return ExecResult{}, errNoLiveWorker
+	}
 	r := handle.(*RoundTask)
 	if f.unsupported {
 		return ExecResult{Unsupported: true}, nil
@@ -279,6 +288,65 @@ func TestExecutorUnsupportedPoisonsRegion(t *testing.T) {
 	// A declined dispatch is not a started sample: only the in-process runs count.
 	if got := tuner.Metrics().Samples; got != 2*samples {
 		t.Fatalf("Samples=%d after two declined rounds of %d, want %d", got, samples, 2*samples)
+	}
+}
+
+// errNoLiveWorker is a fleet's decline while it has no live worker: Transient,
+// so it does not poison the region.
+var errNoLiveWorker = Transient(fmt.Errorf("%w: no live worker", ErrExecUnsupported))
+
+// TestExecutorTransientDeclineKeepsDispatching: an executor that declines
+// because no worker is live at that instant — an elastic fleet briefly at
+// zero — runs that round or that sample in-process, and still gets every
+// later sample once it accepts again.
+func TestExecutorTransientDeclineKeepsDispatching(t *testing.T) {
+	const samples = 32
+	for _, tc := range []struct {
+		name          string
+		begins, execs int64 // transient declines of BeginRound and Execute
+		wantExecuted  int64 // Execute calls over two rounds
+	}{
+		// The declined call is one of the round's Execute calls; its sample
+		// runs in-process, and every other sample of both rounds dispatches.
+		{name: "one sample declined", execs: 1, wantExecuted: 2 * samples},
+		{name: "one round declined", begins: 1, wantExecuted: samples},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ex := newFakeExec()
+			ex.noLiveBegins.Store(tc.begins)
+			ex.noLiveExecs.Store(tc.execs)
+			tuner := New(Options{MaxPool: 2, Seed: 9, Executor: ex})
+			err := tuner.Run(func(p *P) error {
+				for round := 0; round < 2; round++ {
+					res, err := p.Region(RegionSpec{Name: "elastic", Samples: samples}, func(sp *SP) error {
+						sp.Commit("v", sp.Float("x", dist.Uniform(0, 1)))
+						return nil
+					})
+					if err != nil {
+						return err
+					}
+					if res.Len("v") != samples {
+						return fmt.Errorf("round %d: Len=%d", round, res.Len("v"))
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if got := ex.begun.Load(); got != 2 {
+				t.Errorf("BeginRound called %d times over two rounds, want 2: the region was poisoned", got)
+			}
+			if got := ex.executed.Load(); got != tc.wantExecuted {
+				t.Errorf("Execute called %d times, want %d", got, tc.wantExecuted)
+			}
+			if _, poisoned := tuner.execSkip.Load("elastic"); poisoned {
+				t.Error("a transient decline poisoned the region")
+			}
+			if got := tuner.Metrics().Samples; got != 2*samples {
+				t.Errorf("Samples=%d, want %d", got, 2*samples)
+			}
+		})
 	}
 }
 

@@ -22,8 +22,9 @@ func apart(a, b field) bool {
 }
 
 // TestRegionStateHotFieldsApart: every sample reads the round's fixed fields
-// and writes its lock, counters and deadline timer. A write must not evict
-// the line the other worker reads the fixed fields from.
+// and writes its lock, counters and deadline timer, and the round's share of
+// the tuner's and the scheduler's counters (folded by finish). A write must
+// not evict the line the other worker reads the fixed fields from.
 func TestRegionStateHotFieldsApart(t *testing.T) {
 	var rs regionState
 	read := []field{
@@ -33,12 +34,19 @@ func TestRegionStateHotFieldsApart(t *testing.T) {
 		{"exposed", unsafe.Offsetof(rs.exposed), unsafe.Sizeof(rs.exposed)},
 		{"spec", unsafe.Offsetof(rs.spec), unsafe.Sizeof(rs.spec)},
 		{"shared", unsafe.Offsetof(rs.shared), unsafe.Sizeof(rs.shared)},
+		{"incs", unsafe.Offsetof(rs.incs), unsafe.Sizeof(rs.incs)},
+		{"ro", unsafe.Offsetof(rs.ro), unsafe.Sizeof(rs.ro)},
 	}
 	written := []field{
 		{"mu", unsafe.Offsetof(rs.mu), unsafe.Sizeof(rs.mu)},
 		{"launched", unsafe.Offsetof(rs.launched), unsafe.Sizeof(rs.launched)},
 		{"done", unsafe.Offsetof(rs.done), unsafe.Sizeof(rs.done)},
 		{"timer", unsafe.Offsetof(rs.timer), unsafe.Sizeof(rs.timer)},
+		{"arena", unsafe.Offsetof(rs.arena), unsafe.Sizeof(rs.arena)},
+		{"attempts", unsafe.Offsetof(rs.attempts), unsafe.Sizeof(rs.attempts)},
+		{"renewed", unsafe.Offsetof(rs.renewed), unsafe.Sizeof(rs.renewed)},
+		{"outcomes", unsafe.Offsetof(rs.outcomes), unsafe.Sizeof(rs.outcomes)},
+		{"durs", unsafe.Offsetof(rs.durs), unsafe.Sizeof(rs.durs)},
 	}
 	for _, r := range read {
 		for _, w := range written {

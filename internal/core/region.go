@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/agg"
 	"repro/internal/checkpoint"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/strategy"
@@ -189,10 +191,10 @@ type regionState struct {
 	syms    *store.Symbols // == shape.syms; the region's interned names
 	exposed *store.Exposed // the store SP.Load reads (the tuner's, or a shipped snapshot)
 	store   *store.Agg
-	incs    map[string]agg.Incremental
-	shared  []*svgShared   // per-group sampler and shared draws under CV
-	ro      *regionObs     // nil when observability is off
-	det     *detachedState // non-nil only for detached (worker-side) runs
+	incs    []agg.Incremental // by symbol ID; nil where no built-in aggregator folds the name
+	shared  []*svgShared      // per-group sampler and shared draws under CV
+	ro      *regionObs        // nil when observability is off
+	det     *detachedState    // non-nil only for detached (worker-side) runs
 	fb      []strategy.Feedback
 	owner   *P  // tuning process running the round; receives its feedback
 	execH   any // executor round handle; non-nil routes samples to the executor
@@ -206,27 +208,34 @@ type regionState struct {
 	watched bool
 	timeout time.Duration // FaultPolicy.SampleTimeout; 0 for none
 
-	// Every sample writes the lines below, under mu or on the timer: the pad
-	// keeps those writes off the lines the fields above share, whatever the
-	// allocation's alignment.
+	// Every sample writes the lines below, under mu or on the timer, and no
+	// line of the tuner or the scheduler (DESIGN §8): the pad keeps those
+	// writes off the lines the fields above share, whatever the alignment.
 	_ [56]byte
+
+	mu sync.Mutex
+	// What every sample writes under mu, together: the claim cursor, the
+	// arena's length, and the counts finish folds into the tuner's and the
+	// scheduler's.
+	launched          int // pairs claimed so far == index of the next pair, group-major
+	done              int
+	attempts, renewed int64
+	outcomes          [3]int64
+	narena            int    // the arena's header changes only when it grows
+	total             int    // launched target; reduced if the budget cuts the round
+	arena             []pkv  // all parameter snapshots of the round, back to back
+	spans             []span // per-group [offset, length) into arena
+	haveParams        []bool
+	scoreSum          []float64
+	scoreCnt          []int
+	pruned            []bool
+	errs              []error
+	slots             []*spSlot // a watched round's workers' slots, for its watcher
+	durs              obs.Tally
 
 	fullyLaunched context.CancelFunc // withdraws the launch loop's queued request
 	wg            sync.WaitGroup
 	timer         deadlineTimer
-
-	mu         sync.Mutex
-	scoreSum   []float64
-	scoreCnt   []int
-	arena      []pkv  // all parameter snapshots of the round, back to back
-	spans      []span // per-group [offset, length) into arena
-	haveParams []bool
-	pruned     []bool
-	errs       []error
-	launched   int // pairs claimed so far == index of the next pair, group-major
-	done       int
-	total      int       // launched target; reduced if the budget cuts the round
-	slots      []*spSlot // a watched round's workers' slots, for its watcher
 }
 
 // span locates one group's parameter snapshot inside the round arena.
@@ -272,8 +281,10 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 	// The incremental aggregators are built before anything else: agg.New is
 	// the only fallible step of round setup, and on the recorded path it
 	// must precede round admission so a spec error can never leak an
-	// in-flight registration in the quiesce gate.
-	incs := make(map[string]agg.Incremental)
+	// in-flight registration in the quiesce gate. A commit finds its
+	// aggregator by symbol ID, without hashing its name.
+	shape := t.shape(spec.Name)
+	var incs []agg.Incremental
 	for x, kind := range spec.Aggregate {
 		if kind == agg.Custom {
 			continue
@@ -282,7 +293,11 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		if err != nil {
 			return nil, err
 		}
-		incs[x] = a
+		id := int(shape.syms.Intern(x))
+		if id >= len(incs) {
+			incs = slices.Grow(incs, id+1-len(incs))[:id+1]
+		}
+		incs[id] = a
 	}
 	if rec == nil {
 		t.ctr.rounds.Add(1)
@@ -329,7 +344,6 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		defer cancel()
 	}
 
-	shape := t.shape(spec.Name)
 	rs := &regionState{
 		t:          t,
 		spec:       spec,
@@ -341,6 +355,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		ro:         ro,
 		store:      store.NewAgg(),
 		incs:       incs,
+		arena:      make([]pkv, 0, int(shape.arenaPer.Load())*n), // what last round's samples drew
 		scoreSum:   make([]float64, n),
 		scoreCnt:   make([]int, n),
 		spans:      make([]span, n),
@@ -353,6 +368,9 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 	rs.ctx = ctx
 	rs.body = body
 	rs.timeout = t.opts.Fault.SampleTimeout
+	if ro != nil {
+		rs.durs = ro.sampleDur.Tally()
+	}
 	if k > 1 {
 		rs.shared = make([]*svgShared, n) // filled at each group's first claim
 	}
@@ -364,8 +382,9 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 
 	// Route the round through the configured executor when possible.
 	// Cross-validation groups share draws fold-to-fold, so they stay local;
-	// a region the executor declined once (BeginRound error, or a body that
-	// turned out to use Sync) is skipped for the rest of the run.
+	// a region the executor declined for good (BeginRound error, or a body
+	// that used Sync) is skipped for the rest of the run; a Transient decline
+	// (no live worker now) keeps only this round local.
 	if ex := t.opts.Executor; ex != nil && k == 1 {
 		if _, skip := t.execSkip.Load(spec.Name); !skip {
 			h, err := ex.BeginRound(RoundTask{
@@ -379,9 +398,9 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 				Body:     body,
 				Exposed:  t.exposed,
 			})
-			if err != nil {
+			if err != nil && !IsRetryable(err) {
 				t.execSkip.Store(spec.Name, struct{}{})
-			} else {
+			} else if err == nil {
 				rs.execH = h
 				defer ex.EndRound(h)
 			}
@@ -417,7 +436,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		if !more {
 			break
 		}
-		if err := t.acquireCtx(lctx, sched.SpawnS, todo); err != nil {
+		if err := t.sched.AcquireCtxJob(lctx, sched.SpawnS, todo, t.job); err != nil {
 			rs.cut(err)
 			break
 		}
@@ -490,9 +509,10 @@ func (rs *regionState) claimLocked(renew bool) (g, f int, ok bool) {
 			rs.cutLocked(err)
 			return 0, 0, false
 		}
-		if !rs.t.renew(rs.n - g) {
+		if !rs.t.sched.Renew(sched.SpawnS, rs.n-g, rs.t.job) {
 			return 0, 0, false
 		}
+		rs.renewed++
 	}
 	rs.launched++
 	if f == 0 && rs.shared != nil {
@@ -540,11 +560,21 @@ func (rs *regionState) cutLocked(err error) {
 }
 
 // finish assembles the Result after all sampling processes of a round are
-// done, updates the memory metric, and folds the round's scored samples into
-// the owner's feedback views.
+// done, folds the round's counts, updates the memory metric, and folds the
+// round's scored samples into the owner's feedback views.
 func (rs *regionState) finish() (*Result, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	// Every worker is done: the round's counts are exact, and folded in now.
+	rs.t.ctr.samples.Add(rs.attempts)
+	rs.t.sched.CountRenewals(sched.SpawnS, rs.renewed)
+	if ro := rs.ro; ro != nil {
+		ro.done.Add(rs.outcomes[0])
+		ro.pruned.Add(rs.outcomes[1])
+		ro.failed.Add(rs.outcomes[2])
+		rs.durs.Flush()
+	}
+	rs.arena = rs.arena[:rs.narena]
 
 	scores := make([]float64, rs.n)
 	for g := 0; g < rs.n; g++ {
@@ -557,15 +587,14 @@ func (rs *regionState) finish() (*Result, error) {
 
 	// Memory metric: values retained in the store and aggregator state.
 	retained := int64(rs.store.Total())
-	for _, a := range rs.incs {
-		retained += int64(a.Retained())
+	aggregated := make(map[string]any, len(rs.spec.Aggregate))
+	for id, a := range rs.incs {
+		if a != nil {
+			retained += int64(a.Retained())
+			aggregated[rs.syms.Name(uint32(id))] = a.Result()
+		}
 	}
 	rs.t.notePeakRetained(retained)
-
-	aggregated := make(map[string]any, len(rs.incs))
-	for x, a := range rs.incs {
-		aggregated[x] = a.Result()
-	}
 
 	// Graceful degradation: a round with timed-out or failed samples still
 	// aggregates over whatever committed; the shortfall is recorded in the
@@ -587,6 +616,10 @@ func (rs *regionState) finish() (*Result, error) {
 		rs.t.opts.Trace.add(Event{Kind: EvRegionDegraded, Region: rs.spec.Name,
 			Sample: -1, N: failed})
 	}
+
+	// The next round of the shape sizes its arena for the longest snapshot.
+	longest := slices.MaxFunc(rs.spans, func(a, b span) int { return a.n - b.n })
+	rs.shape.arenaPer.Store(int64(longest.n))
 
 	res := &Result{
 		n:          rs.n,

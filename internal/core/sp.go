@@ -67,24 +67,12 @@ const (
 // watcher may still be reading them.
 var slotPool = sync.Pool{New: func() any { return &spSlot{} }}
 
-func newHeldSlot() *spSlot {
-	s := slotPool.Get().(*spSlot)
-	s.held.Store(true)
-	return s
-}
-
 // release returns the slot to the pool if this call transitions it out of
 // held state; otherwise it is a no-op.
 func (s *spSlot) release(t *Tuner) {
 	if s.held.CompareAndSwap(true, false) {
 		t.release()
 	}
-}
-
-// reacquire blocks for a fresh slot and marks it held.
-func (s *spSlot) reacquire(t *Tuner) {
-	t.acquire(sched.SpawnS, 0)
-	s.held.Store(true)
 }
 
 // pkv is one drawn parameter in an SP's compact snapshot: the interned
@@ -150,6 +138,7 @@ type SP struct {
 	pruned bool
 	score  float64
 	scored bool
+	dur    float64 // the attempt's seconds, with a registry (runAttempt)
 }
 
 func (sp *SP) isAbandoned() bool { return sp.abandoned.Load() }
@@ -474,7 +463,7 @@ func (sp *SP) reset() {
 	sp.shared = nil
 	sp.slot = nil
 	sp.ctx, sp.cancel = nil, nil
-	sp.pruned, sp.score, sp.scored = false, 0, false
+	sp.pruned, sp.score, sp.scored, sp.dur = false, 0, false, 0
 }
 
 // Sync blocks until every live sampling process of the region has reached
@@ -510,7 +499,8 @@ func (sp *SP) Sync(cb func(v *SyncView)) {
 	if sp.isAbandoned() {
 		panic(abandonPanic{})
 	}
-	sp.slot.reacquire(t)
+	t.acquire(sched.SpawnS, 0)
+	sp.slot.held.Store(true)
 	sp.rs.startDeadline(sp.slot)
 	if sp.isAbandoned() {
 		sp.slot.release(t)
@@ -560,7 +550,8 @@ const (
 // g, n, fb). It runs as a plain goroutine method so starting one allocates
 // no closure.
 func (rs *regionState) worker(g, f int) {
-	slot := newHeldSlot()
+	slot := slotPool.Get().(*spSlot)
+	slot.held.Store(true)
 	if rs.watched {
 		rs.mu.Lock()
 		rs.slots = append(rs.slots, slot)
@@ -638,7 +629,7 @@ func (rs *regionState) abandon(s *spSlot, w uint64, cause error) {
 	if sp.cancel != nil {
 		sp.cancel()
 	}
-	rs.spDoneTimeout(sp.group, cause)
+	rs.spDoneTimeout(sp.group, cause, 1)
 	s.release(rs.t)
 	rs.wg.Done()
 }
@@ -713,12 +704,13 @@ func monoNow() int64 { return int64(time.Since(monoBase)) }
 // (runAttempt) otherwise; either way it ends as an SP. Retryable failures
 // re-attempt with deterministic backoff; a deadline or budget expiry ends the
 // sample with the distinguished timeout outcome. An executor that declines the
-// sample poisons the region — the rest of this round and every future round of
-// the name run in-process — and the sample starts over in-process at attempt 1.
-// Exactly one spDone or spDoneTimeout is reported per (group, fold) slot
-// regardless of attempts. It reports how the last attempt ended for the
-// worker (attemptEnd): only an in-process attempt can be lost to the watcher,
-// so a dispatched attempt, or a backoff cut short, reports attemptFinished.
+// sample, unless Transiently, poisons the region — the rest of this round and
+// every future round of the name run in-process — and the sample starts over
+// in-process at attempt 1. Exactly one spDone or spDoneTimeout is reported per
+// (group, fold) slot regardless of attempts; a retried in-process attempt is
+// counted here. It reports how the last attempt ended for the worker
+// (attemptEnd): only an in-process attempt can be lost to the watcher, so a
+// dispatched attempt, or a backoff cut short, reports attemptFinished.
 // A finished sample also hands the worker the next pair it claimed (claim),
 // or more == false when it has none and must release its slot.
 func (rs *regionState) runSP(g, f int, slot *spSlot) (ng, nf int, more bool, end attemptEnd) {
@@ -738,7 +730,9 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) (ng, nf int, more bool, end
 		if remote {
 			var declined bool
 			if sp, err, timedOut, declined = rs.remoteAttempt(g, attempt); declined {
-				t.execSkip.Store(rs.spec.Name, struct{}{})
+				if !IsRetryable(err) {
+					t.execSkip.Store(rs.spec.Name, struct{}{})
+				}
 				remote, attempt = false, 0
 				continue
 			}
@@ -764,8 +758,14 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) (ng, nf int, more bool, end
 			break
 		}
 		t.ctr.retried.Add(1)
+		if !remote {
+			t.ctr.samples.Add(1)
+		}
 		if rs.ro != nil {
 			rs.ro.retried.Inc()
+			if !remote {
+				rs.ro.sampleDur.Observe(sp.dur)
+			}
 		}
 		t.opts.Trace.add(Event{Kind: EvSampleRetry, Region: rs.spec.Name,
 			Sample: g, Round: attempt, Err: traceErr(err)})
@@ -785,7 +785,7 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) (ng, nf int, more bool, end
 	if timedOut {
 		// A dispatched attempt the executor timed out, or a backoff cut short:
 		// there is no SP to read, only the outcome.
-		rs.spDoneTimeout(g, err)
+		rs.spDoneTimeout(g, err, 0)
 		ng, nf, more = rs.claim(true)
 	} else {
 		ng, nf, more = rs.spDone(sp, err)
@@ -826,9 +826,9 @@ func (rs *regionState) invokeBody(sp *SP, body func(sp *SP) error) (bodyErr erro
 // runAttempt executes one in-process attempt of a sampling process on its
 // worker (runInline). In a round with a SampleTimeout the attempt gets its own
 // context, which the watcher cancels when it abandons the attempt at its
-// deadline, so a body waiting on SP.Context unwinds.
+// deadline, so a body waiting on SP.Context unwinds. Where it settles counts
+// the attempt and observes its duration (sp.dur), except a lost one's.
 func (rs *regionState) runAttempt(g, f, attempt int, slot *spSlot, sampler strategy.Sampler) (*SP, error, attemptEnd) {
-	rs.t.ctr.samples.Add(1)
 	sctx, cancel := rs.ctx, context.CancelFunc(nil)
 	if rs.timeout > 0 {
 		sctx, cancel = context.WithCancel(rs.ctx)
@@ -836,11 +836,17 @@ func (rs *regionState) runAttempt(g, f, attempt int, slot *spSlot, sampler strat
 	}
 	sp := rs.newSP(g, f, attempt, slot, sampler, sctx)
 	sp.cancel = cancel
-	if rs.ro != nil {
-		t0 := time.Now()
-		defer rs.ro.sampleDur.ObserveSince(t0)
+	if rs.ro == nil {
+		return rs.runInline(sp, slot)
 	}
-	return rs.runInline(sp, slot)
+	t0 := time.Now()
+	sp, err, end := rs.runInline(sp, slot)
+	if end == attemptLost {
+		rs.ro.sampleDur.ObserveSince(t0)
+	} else {
+		sp.dur = time.Since(t0).Seconds()
+	}
+	return sp, err, end
 }
 
 // runInline runs one attempt on its worker. The worker publishes the attempt
@@ -875,8 +881,8 @@ func (rs *regionState) runInline(sp *SP, slot *spSlot) (*SP, error, attemptEnd) 
 	return sp, err, attemptFinished
 }
 
-// noteOutcome records the per-outcome counters and trace events of one
-// finished (group, fold) slot.
+// noteOutcome records the trace event of one finished (group, fold) slot, and
+// a timeout's counters; spDone counts the other outcomes in the round.
 func (rs *regionState) noteOutcome(g int, err error, timedOut, pruned bool, score float64) {
 	switch {
 	case timedOut:
@@ -887,20 +893,11 @@ func (rs *regionState) noteOutcome(g int, err error, timedOut, pruned bool, scor
 		rs.t.opts.Trace.add(Event{Kind: EvSampleTimeout, Region: rs.spec.Name,
 			Sample: g, Err: traceErr(err)})
 	case err != nil:
-		if rs.ro != nil {
-			rs.ro.failed.Inc()
-		}
 		rs.t.opts.Trace.add(Event{Kind: EvSampleFailed, Region: rs.spec.Name,
 			Sample: g, Err: traceErr(err)})
 	case pruned:
-		if rs.ro != nil {
-			rs.ro.pruned.Inc()
-		}
 		rs.t.opts.Trace.add(Event{Kind: EvSamplePruned, Region: rs.spec.Name, Sample: g})
 	default:
-		if rs.ro != nil {
-			rs.ro.done.Inc()
-		}
 		rs.t.opts.Trace.add(Event{Kind: EvSampleDone, Region: rs.spec.Name,
 			Sample: g, Score: score})
 	}
@@ -909,13 +906,14 @@ func (rs *regionState) noteOutcome(g int, err error, timedOut, pruned bool, scor
 // spDoneTimeout finishes a (group, fold) slot that timed out — an abandoned
 // in-process attempt, a dispatched one whose deadline the executor honoured, a
 // retry backoff cut short by cancellation: there is no SP to read, only the
-// outcome.
-func (rs *regionState) spDoneTimeout(g int, err error) {
+// outcome. attempts is 1 for an abandoned attempt, which is counted here.
+func (rs *regionState) spDoneTimeout(g int, err error, attempts int64) {
 	rs.noteOutcome(g, err, true, false, 0)
 	rs.mu.Lock()
 	if rs.errs[g] == nil {
 		rs.errs[g] = err
 	}
+	rs.attempts += attempts
 	rs.done++
 	rs.mu.Unlock()
 	rs.barrier.maybeRelease()
@@ -936,42 +934,55 @@ func (rs *regionState) spDoneTimeout(g int, err error) {
 // flight.
 func (rs *regionState) spDone(sp *SP, err error) (ng, nf int, more bool) {
 	g := sp.group
-	rs.noteOutcome(g, err, false, sp.pruned, sp.score)
+	if rs.t.opts.Trace != nil {
+		rs.noteOutcome(g, err, false, sp.pruned, sp.score)
+	}
 
 	ok := err == nil && !sp.pruned
 	if ok && sp.fold == 0 {
 		for _, id := range sp.corder {
+			if rs.t.opts.Incremental && int(id) < len(rs.incs) && rs.incs[id] != nil {
+				continue // folded into its aggregator instead
+			}
 			sp.kvbuf = append(sp.kvbuf, store.KV{X: rs.syms.Name(id), V: sp.cvals[id]})
 		}
 	}
 
 	rs.mu.Lock()
+	if sp.slot != nil { // in-process; a dispatched attempt counted itself
+		rs.attempts++
+		if rs.ro != nil {
+			rs.durs.Observe(sp.dur)
+		}
+	}
 	switch {
 	case err != nil:
+		rs.outcomes[2]++
 		if rs.errs[g] == nil {
 			rs.errs[g] = err
 		}
 	case sp.pruned:
+		rs.outcomes[1]++
 		rs.pruned[g] = true
 	default:
-		if !rs.haveParams[g] {
+		rs.outcomes[0]++
+		// Only CV folds share a group: no flag to miss on under the lock.
+		if rs.k == 1 || !rs.haveParams[g] {
 			rs.haveParams[g] = true
-			off := len(rs.arena)
-			rs.arena = sp.appendParams(rs.arena)
-			rs.spans[g] = span{off, len(rs.arena) - off}
+			off := rs.narena
+			if a := sp.appendParams(rs.arena[:off]); cap(a) == cap(rs.arena) {
+				rs.narena = len(a)
+			} else {
+				rs.arena, rs.narena = a, len(a)
+			}
+			rs.spans[g] = span{off, rs.narena - off}
 		}
 		if sp.fold == 0 {
-			kept := sp.kvbuf[:0]
-			for _, kv := range sp.kvbuf {
-				if a, inc := rs.incs[kv.X]; inc {
-					a.Add(kv.V)
-					if rs.t.opts.Incremental {
-						continue
-					}
+			for _, id := range sp.corder {
+				if int(id) < len(rs.incs) && rs.incs[id] != nil {
+					rs.incs[id].Add(sp.cvals[id])
 				}
-				kept = append(kept, kv)
 			}
-			sp.kvbuf = kept
 		}
 		if sp.scored {
 			rs.scoreSum[g] += sp.score

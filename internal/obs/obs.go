@@ -103,21 +103,56 @@ type Histogram struct {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.upper, v) // first bound >= v: inclusive le
-	h.counts[i].Add(1)
-	h.count.Add(1)
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveSince records the seconds elapsed since t0.
+func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
+
+// ObserveN records n observations of v at once.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	h.add(sort.SearchFloat64s(h.upper, v), n, v*float64(n)) // first bound >= v: inclusive le
+}
+
+// add puts n observations into bucket i and sum into the running sum.
+func (h *Histogram) add(i int, n uint64, sum float64) {
+	h.counts[i].Add(n)
+	h.count.Add(n)
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + sum)
 		if h.sumBits.CompareAndSwap(old, next) {
 			return
 		}
 	}
 }
 
-// ObserveSince records the seconds elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
+// Tally batches observations of one Histogram for an owner that serialises
+// them itself, and Flush folds them in: buckets and count as if observed one
+// by one, the sum added per batch (so it may round differently).
+type Tally struct {
+	h      *Histogram
+	counts []uint64
+	sum    float64
+}
+
+// Tally returns an empty batch for h.
+func (h *Histogram) Tally() Tally { return Tally{h: h, counts: make([]uint64, len(h.counts))} }
+
+// Observe records one value in the batch.
+func (t *Tally) Observe(v float64) {
+	t.counts[sort.SearchFloat64s(t.h.upper, v)]++
+	t.sum += v
+}
+
+// Flush folds the batch into its histogram and empties it.
+func (t *Tally) Flush() {
+	for i, c := range t.counts {
+		if c > 0 {
+			t.h.add(i, c, t.sum)
+			t.counts[i], t.sum = 0, 0
+		}
+	}
+}
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }

@@ -398,3 +398,38 @@ func TestRemoveSeriesMatchesOracle(t *testing.T) {
 		t.Fatalf("after one re-creation the snapshot holds %+v", snap)
 	}
 }
+
+// TestBatchesMatchSingleObservations: a Tally flushed into a histogram, and
+// ObserveN, leave the buckets and count that observing each value on its own
+// leaves, and a sum equal up to rounding.
+func TestBatchesMatchSingleObservations(t *testing.T) {
+	reg := NewRegistry()
+	one := reg.Histogram("one", DurationBuckets())
+	batched := reg.Histogram("batched", DurationBuckets())
+	rng := rand.New(rand.NewSource(1))
+	tally := batched.Tally()
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 500; i++ {
+			v := math.Exp(rng.NormFloat64()*3 - 9) // seconds, across every bucket
+			one.Observe(v)
+			tally.Observe(v)
+		}
+		one.Observe(0)
+		one.Observe(0)
+		batched.ObserveN(0, 2)
+		tally.Flush()
+		_, want := one.Buckets()
+		_, got := batched.Buckets()
+		if !slices.Equal(got, want) || batched.Count() != one.Count() {
+			t.Fatalf("round %d: batched buckets %v (count %d), one by one %v (count %d)",
+				round, got, batched.Count(), want, one.Count())
+		}
+		if d := math.Abs(batched.Sum() - one.Sum()); d > 1e-9*one.Sum() {
+			t.Fatalf("round %d: batched sum %g, one by one %g", round, batched.Sum(), one.Sum())
+		}
+	}
+	tally.Flush() // an empty batch changes nothing
+	if batched.Count() != one.Count() {
+		t.Fatalf("an empty Flush moved the count: %d, want %d", batched.Count(), one.Count())
+	}
+}

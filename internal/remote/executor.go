@@ -57,8 +57,9 @@ type ExecutorOptions struct {
 // violation) fails its in-flight samples with a retryable error; core's
 // FaultPolicy retry machinery re-executes them, the re-dispatch lands on a
 // surviving worker, and the seeded sampler makes the replay draw exactly
-// what the lost attempt drew. When no workers remain, Execute reports
-// ErrExecUnsupported and the tuner finishes the run in-process.
+// what the lost attempt drew. While no worker is live, BeginRound and Execute
+// decline with a Transient ErrExecUnsupported: the tuner runs that round or
+// sample in-process and dispatches again once a worker joins.
 type NetExecutor struct {
 	opts ExecutorOptions
 	fm   *fleetMetrics
@@ -754,6 +755,10 @@ func (ex *NetExecutor) advanceSnapLocked(job uint64, e *store.Exposed, s *jobSna
 // job uvarint, base and new identities); snapBound covers the rest.
 const snapshotOverhead = 1 + binary.MaxVarintLen64 + 2*8
 
+// errNoLiveWorker declines work while no worker is live, Transient so that an
+// elastic fleet briefly at zero does not lose the region for the job.
+var errNoLiveWorker = core.Transient(fmt.Errorf("%w: no live worker", core.ErrExecUnsupported))
+
 // BeginRound prepares one sampling round for dispatch: resolve or publish
 // the region's registration, encode the exposed-store snapshot, and encode
 // the round recipe every participating worker will receive once.
@@ -763,7 +768,7 @@ func (ex *NetExecutor) BeginRound(r core.RoundTask) (any, error) {
 	closed := ex.closed
 	ex.mu.Unlock()
 	if closed || live == 0 {
-		return nil, core.ErrExecUnsupported
+		return nil, errNoLiveWorker
 	}
 	dyn := uint64(0)
 	if _, ok := ex.opts.Registry.Named(r.Region); !ok {
@@ -872,7 +877,7 @@ func (ex *NetExecutor) Execute(ctx context.Context, handle any, group, attempt i
 	ex.mu.Lock()
 	if ex.closed || ex.liveLocked() == 0 {
 		ex.mu.Unlock()
-		return core.ExecResult{}, core.ErrExecUnsupported
+		return core.ExecResult{}, errNoLiveWorker
 	}
 	ex.nextCall++
 	c.id = ex.nextCall

@@ -610,3 +610,21 @@ func TestFrameLimitsAndTruncation(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestNoLiveWorkerDeclineIsTransient: a fleet with no live worker, before any
+// joins and after Close, declines a round Transient, so the tuner keeps the
+// region free to dispatch once a worker joins.
+func TestNoLiveWorkerDeclineIsTransient(t *testing.T) {
+	ex := NewExecutor(ExecutorOptions{Registry: Builtins()})
+	spec, body := SyntheticSpec(1)
+	task := core.RoundTask{Region: spec.Name, N: 1, Spec: spec, Body: body, Exposed: store.NewExposed()}
+	_, err := ex.BeginRound(task)
+	if !errors.Is(err, core.ErrExecUnsupported) || !core.IsRetryable(err) {
+		t.Errorf("BeginRound with no worker: %v, want a Transient ErrExecUnsupported", err)
+	}
+	ex.Close()
+	_, err = ex.BeginRound(task)
+	if !errors.Is(err, core.ErrExecUnsupported) || !core.IsRetryable(err) {
+		t.Errorf("BeginRound on a closed executor: %v, want a Transient ErrExecUnsupported", err)
+	}
+}

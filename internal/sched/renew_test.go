@@ -132,15 +132,22 @@ func TestRenew(t *testing.T) {
 			if got != tc.want {
 				t.Errorf("Renew = %v, want %v", got, tc.want)
 			}
-			// A renewal is one admission with zero wait; a declined one is nothing.
+			// Renew counts nothing itself. Its caller counts a granted renewal
+			// and folds it in, as one admission with zero wait; a declined one
+			// is nothing.
+			if st := s.Stats(); st.Admitted != before.Admitted || hist.Count() != obsBefore {
+				t.Errorf("Renew = %v counted itself: Admitted %d→%d, wait histogram %d→%d observations",
+					got, before.Admitted, st.Admitted, obsBefore, hist.Count())
+			}
 			grew := int64(0)
 			if got {
 				grew = 1
 			}
+			s.CountRenewals(holder.event, grew)
 			after := s.Stats()
-			if after.Admitted-before.Admitted != grew || hist.Count()-obsBefore != uint64(grew) {
-				t.Errorf("Renew = %v moved Admitted by %d and the wait histogram by %d observations, want %d",
-					got, after.Admitted-before.Admitted, hist.Count()-obsBefore, grew)
+			if after.Admitted-before.Admitted != grew || hist.Count()-obsBefore != uint64(grew) || hist.Sum() != 0 {
+				t.Errorf("Renew = %v and its fold moved Admitted by %d and the wait histogram by %d observations (sum %g), want %d (sum 0)",
+					got, after.Admitted-before.Admitted, hist.Count()-obsBefore, hist.Sum(), grew)
 			}
 			if after.Waited != before.Waited || s.InUse() != inUse || s.Load().Queued != len(tc.queue) {
 				t.Errorf("Renew changed the pool: waited %d→%d, in use %d→%d, queued %d→%d",
@@ -168,7 +175,13 @@ func TestRenewUncontendedTakesNoLock(t *testing.T) {
 	s.AcquireJob(SpawnS, 3, j)
 	s.mu.Lock()
 	done := make(chan bool, 1)
-	go func() { done <- s.Renew(SpawnS, 2, j) }()
+	go func() {
+		ok := s.Renew(SpawnS, 2, j)
+		if ok {
+			s.CountRenewals(SpawnS, 1)
+		}
+		done <- ok
+	}()
 	select {
 	case ok := <-done:
 		s.mu.Unlock()
@@ -180,7 +193,7 @@ func TestRenewUncontendedTakesNoLock(t *testing.T) {
 		t.Fatal("Renew blocked on the wait-list mutex with nothing queued")
 	}
 	if st := s.Stats(); st.Admitted != 2 || st.Waited != 0 {
-		t.Fatalf("stats after acquire + renew = %+v, want 2 admitted, 0 waited", st)
+		t.Fatalf("stats after acquire + renew and its fold = %+v, want 2 admitted, 0 waited", st)
 	}
 	s.ReleaseJob(j)
 }
@@ -237,27 +250,47 @@ func TestRenewLeavesOwnLaunchRequestAlone(t *testing.T) {
 	}
 }
 
-// TestSchedulerRenewalWritesApart: every renewal writes admitted, and reads
-// the occupancy bound, the occupancy and the wait-list counts. The write must
-// not evict the line another holder's renewal reads them from.
-func TestSchedulerRenewalWritesApart(t *testing.T) {
-	var s Scheduler
-	w := unsafe.Offsetof(s.admitted)
-	for _, r := range []struct {
-		name      string
-		off, size uintptr
-	}{
-		{"disabled", unsafe.Offsetof(s.disabled), unsafe.Sizeof(s.disabled)},
-		{"limS", unsafe.Offsetof(s.limS), unsafe.Sizeof(s.limS)},
-		{"occ", unsafe.Offsetof(s.occ), unsafe.Sizeof(s.occ)},
-		{"nwait", unsafe.Offsetof(s.nwait), unsafe.Sizeof(s.nwait)},
-		{"nwaitS", unsafe.Offsetof(s.nwaitS), unsafe.Sizeof(s.nwaitS)},
-		{"waitS", unsafe.Offsetof(s.waitS), unsafe.Sizeof(s.waitS)},
-	} {
-		// 56 bytes between them keep two fields off one 64-byte line at any
-		// 8-byte-aligned address.
-		if w < r.off+r.size+56 {
-			t.Errorf("Scheduler.admitted at %d can share a cache line with .%s [%d, %d)", w, r.name, r.off, r.off+r.size)
+// TestRenewWritesNothing: Renew is called once per sample by every slot
+// holder of a round, so a granted renewal must leave the scheduler, the job
+// and the wait histogram exactly as it found them: uncontended, and behind
+// the round's own launch request. Its caller counts it (CountRenewals).
+func TestRenewWritesNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(1, false)
+	s.Instrument(reg)
+	j := NewJob(1, 0)
+	hist := reg.Histogram(MetricWaitSeconds, obs.DurationBuckets(), "kind", "sampling")
+	s.AcquireJob(SpawnS, 7, j)
+	renew := func(when string) {
+		t.Helper()
+		sb, jb := *(*[unsafe.Sizeof(*s)]byte)(unsafe.Pointer(s)), *(*[unsafe.Sizeof(*j)]byte)(unsafe.Pointer(j))
+		n := hist.Count()
+		if !s.Renew(SpawnS, 7, j) {
+			t.Fatalf("%s: Renew declined", when)
 		}
+		if sb != *(*[unsafe.Sizeof(*s)]byte)(unsafe.Pointer(s)) || jb != *(*[unsafe.Sizeof(*j)]byte)(unsafe.Pointer(j)) || hist.Count() != n {
+			t.Errorf("%s: Renew wrote to the scheduler, the job or the wait histogram", when)
+		}
+	}
+	renew("uncontended")
+
+	done := make(chan error, 1)
+	go func() {
+		err := s.AcquireCtxJob(context.Background(), SpawnS, 9, j)
+		if err == nil {
+			s.ReleaseJob(j)
+		}
+		done <- err
+	}()
+	for queued := 0; queued != 1; {
+		time.Sleep(100 * time.Microsecond)
+		s.mu.Lock()
+		queued = len(s.queue)
+		s.mu.Unlock()
+	}
+	renew("behind its own launch request")
+	s.ReleaseJob(j)
+	if err := <-done; err != nil {
+		t.Fatalf("launch request: %v", err)
 	}
 }

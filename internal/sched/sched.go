@@ -36,7 +36,9 @@
 // the holder's next Renew or Release.
 //
 // What the counters mean follows from that. Admitted counts processes
-// admitted, whichever of the three ways (CAS, queue, Renew) let them in.
+// admitted, whichever of the three ways (CAS, queue, Renew) let them in; a
+// sampling round counts its renewals and hands them to CountRenewals when it
+// ends, so Admitted is exact whenever no round is in flight.
 // Waited counts requests that were queued — about one per saturated round
 // (the round's launcher asking for one more slot than the pool has), not one
 // per sample. WaitNanos accrues for as long as such a request stays queued,
@@ -207,7 +209,7 @@ func better(a, b *waiter) bool {
 // usable; construct with New.
 type Scheduler struct {
 	// Read by every admission and renewal; written when a slot changes hands
-	// or the wait list changes, which a renewal does not do.
+	// or the wait list changes. A renewal writes nothing (CountRenewals).
 	max      int
 	disabled bool
 	limS     atomic.Int64 // occupancy bound for sampling processes (local pool + added remote capacity)
@@ -221,10 +223,6 @@ type Scheduler struct {
 	occupancy *obs.Gauge
 	waitS     *obs.Histogram
 	waitT     *obs.Histogram
-
-	// Every renewal counts itself in admitted: the pad keeps that write off
-	// the line the fields above share, whatever the allocation's alignment.
-	_ [56]byte
 
 	admitted  atomic.Int64
 	waited    atomic.Int64
@@ -311,7 +309,8 @@ func (s *Scheduler) RemoveCapacity(n int) {
 // cumulative; a controller polls periodically and differences consecutive
 // snapshots to get the admission-wait accrued per interval.
 type LoadStats struct {
-	// Admitted counts admissions since construction.
+	// Admitted counts admissions since construction. Renewals arrive once
+	// per sampling round (CountRenewals), so it lags by a running round's.
 	Admitted int64
 	// Waited counts requests that had to queue first. A saturated sampling
 	// round queues about one (its launcher's), not one per sample: the
@@ -637,13 +636,14 @@ func (s *Scheduler) ReleaseJob(j *Job) {
 // Renew is ReleaseJob(j) immediately followed by a successful
 // AcquireJob(event, todo, j) in which the slot never changes hands: a
 // finishing process of job j keeps its slot for the next process of the same
-// kind. It reports true, and counts one admission with zero wait, unless
-// giving the slot up would admit somebody with a better claim — a queued
-// request that fits the freed slot and is strictly ahead of the renewal in
-// the admission order (see ahead). It also declines when occupancy exceeds
-// the kind's current bound (RemoveCapacity shrank the pool under the holder)
-// and always on a disabled scheduler, which never holds a process back. On
-// false nothing changed: the caller still owns the slot and releases it.
+// kind. It reports true unless giving the slot up would admit somebody with
+// a better claim — a queued request that fits the freed slot and is strictly
+// ahead of the renewal in the admission order (see ahead). It also declines
+// when occupancy exceeds the kind's current bound (RemoveCapacity shrank the
+// pool under the holder) and always on a disabled scheduler, which never
+// holds a process back. On false nothing changed: the caller still owns the
+// slot and releases it. Renew writes nothing, not even a count: the caller
+// reports the renewals it was granted with CountRenewals.
 func (s *Scheduler) Renew(event Event, todo int, j *Job) bool {
 	if s.disabled {
 		return false
@@ -670,11 +670,16 @@ func (s *Scheduler) Renew(event Event, todo int, j *Job) bool {
 			return false
 		}
 	}
-	s.admitted.Add(1)
-	if h := s.waitHist(event); h != nil {
-		h.Observe(0)
-	}
 	return true
+}
+
+// CountRenewals counts n renewals of event that Renew granted: n admissions
+// and, when instrumented, n zero-wait observations.
+func (s *Scheduler) CountRenewals(event Event, n int64) {
+	s.admitted.Add(n)
+	if h := s.waitHist(event); h != nil {
+		h.ObserveN(0, uint64(n))
+	}
 }
 
 // ownBehind reports from the wait-list counts that nothing queued is ahead
