@@ -509,13 +509,6 @@ func decodeEndRound(b []byte) (uint64, error) {
 	return id, codecErr(r.Done())
 }
 
-func encodeEndJob(job uint64) []byte {
-	w := &wire.Writer{}
-	w.U8(mEndJob)
-	w.Uv(job)
-	return w.B
-}
-
 func decodeEndJob(b []byte) (uint64, error) {
 	r := wire.NewReader(b)
 	job := r.Uv()

@@ -21,9 +21,6 @@ import (
 // helloTimeout bounds how long AddConn waits for a worker's hello frame.
 const helloTimeout = 10 * time.Second
 
-// bulkCap is how many snapshot ships may queue on one worker's bulk lane.
-const bulkCap = 8
-
 // ExecutorOptions configure a NetExecutor.
 type ExecutorOptions struct {
 	// Registry names the regions workers can run. A region whose name is
@@ -49,7 +46,7 @@ type ExecutorOptions struct {
 // Placement: Execute hands the sample to a worker with a free slot — one that
 // can start it without a full snapshot ship if there is one, any other
 // otherwise — and only when no live worker has a free slot does it join one
-// shared FIFO queue, whose head every worker connection's pump goroutine
+// shared FIFO queue, whose head every worker connection's writer goroutine
 // claims the moment its worker frees a slot. Snapshot affinity is a
 // preference among free workers, never a reason to wait for a busy one, so a
 // fast or idle worker naturally takes work a slow one has not claimed, with
@@ -196,35 +193,29 @@ func (ex *NetExecutor) uncountLocked(w *dworker) {
 type dworker struct {
 	ex    *NetExecutor
 	c     net.Conn
-	wire  *muxWriter
 	name  string
 	slots int
 	m     *workerMetrics
+	wake  chan struct{} // buffered 1: ops queued, a slot freed, or the worker failed
 
-	// shipMu orders one worker's control frames: under it, a round frame
-	// always hits the connection before the tasks that reference it, even
-	// when the pump and a fast-path Execute ship concurrently. Snapshots are
-	// exempt — they ride the bulk lane and tasks park worker-side until
-	// theirs lands.
-	shipMu     sync.Mutex
+	// The connection's send state, owned by writeLoop, the one goroutine that
+	// writes to c: the rounds the worker holds, and the snapshot ships still
+	// streaming, oldest first.
+	wire       *muxWriter
 	sentRounds map[uint64]bool
+	bulk       []outMsg
 
 	// sent mirrors, per job, the worker's FIFO snapshot cache: the versions
 	// queued to it, oldest first, at most snapCacheCap of them. It answers
 	// both "what must this ship carry" and "can this worker start the sample
-	// without a full ship", so it is written under shipMu and ex.mu together
-	// (ex.mu innermost) and read under either: the ship path holds shipMu,
-	// placement holds ex.mu. A job's key outlives its versions until EndJob —
-	// a worker whose every known version is gone is stale, not cold.
+	// without a full ship". Only writeLoop writes it, under ex.mu; writeLoop
+	// reads it without, placement under ex.mu. A job's key outlives its
+	// versions until EndJob — a worker whose every known version is gone is
+	// stale, not cold.
 	sent map[uint64][]sentVer
 
-	// bulkq feeds the bulk-lane goroutine, which streams snapshot ships as
-	// interleavable chunk frames so a multi-megabyte @load state never
-	// head-of-line blocks other jobs' rounds and tasks on this connection.
-	bulkq chan bulkItem
-	stop  chan struct{} // closed by fail; releases the bulk lane
-
 	// Guarded by ex.mu.
+	ops      []sendOp // requests for writeLoop, in order
 	inflight map[uint64]*call
 	dead     bool
 	draining bool
@@ -235,13 +226,22 @@ type dworker struct {
 // job's version order and its identity.
 type sentVer struct{ seq, hash uint64 }
 
-// bulkItem is one snapshot ship queued on the bulk lane: a complete encoded
-// mSnapDelta frame taking a base the worker holds, or the empty snapshot, to
-// version ver.
-type bulkItem struct {
+// snapItem is one snapshot ship: a complete encoded mSnapDelta frame taking
+// a base the worker holds, or the empty snapshot, to version ver of job.
+type snapItem struct {
 	job   uint64
 	ver   sentVer
 	frame []byte
+}
+
+// sendOp is one request to a connection's writer: a claimed call to ship as
+// its task, or a control request the writer decides from its own send state.
+type sendOp struct {
+	c    *call
+	kind byte         // without c: mEndRound, mEndJob, mSnapDelta (prime v), mSnapNack (re-ship v)
+	id   uint64       // round id for mEndRound, else job id
+	hash uint64       // mSnapNack: the identity the worker refused
+	v    *snapVersion // mSnapDelta, mSnapNack: the version to ship; nil ships nothing
 }
 
 // call is one Execute invocation in flight.
@@ -297,7 +297,7 @@ func (ex *NetExecutor) DialTransport(t transport.Transport, addr string) error {
 
 // AddConn adds one worker connection to the fleet. It performs the hello
 // handshake synchronously (bounded by helloTimeout) and then starts the
-// connection's pump and reader. Connections established out-of-band label
+// connection's writer and reader. Connections established out-of-band label
 // their metrics transport="pipe" (the loopback case); use DialTransport to
 // carry a real transport name.
 func (ex *NetExecutor) AddConn(conn net.Conn) error {
@@ -330,6 +330,21 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string) (string, err
 	}
 	conn.SetDeadline(time.Time{})
 
+	// The new worker is cold for every job, so each cached job snapshot is a
+	// full ship, queued before it joins: placement prefers it from its first
+	// claim, and its first samples park briefly on an in-flight ship instead
+	// of paying a full snapshot round-trip at dispatch time.
+	ex.snapMu.Lock()
+	curs := make([]*snapVersion, 0, len(ex.snaps))
+	for _, s := range ex.snaps {
+		curs = append(curs, s.cur)
+	}
+	ex.snapMu.Unlock()
+	warm := make([]snapItem, len(curs))
+	for i, v := range curs {
+		warm[i] = ex.fullItem(v)
+	}
+
 	ex.mu.Lock()
 	if ex.closed {
 		ex.mu.Unlock()
@@ -350,61 +365,30 @@ func (ex *NetExecutor) addConn(conn net.Conn, transportName string) (string, err
 	w := &dworker{
 		ex:         ex,
 		c:          cc,
-		wire:       newMuxWriter(cc),
 		name:       name,
 		slots:      hello.Slots,
 		m:          m,
+		wake:       make(chan struct{}, 1),
+		wire:       newMuxWriter(cc),
 		sentRounds: make(map[uint64]bool),
 		sent:       make(map[uint64][]sentVer),
-		bulkq:      make(chan bulkItem, bulkCap),
-		stop:       make(chan struct{}),
 		inflight:   make(map[uint64]*call),
+	}
+	for _, it := range warm {
+		w.m.countSnapshot(false)
+		w.pushSnap(it) // w is not shared yet
 	}
 	ex.workers = append(ex.workers, w)
 	ex.countLocked(w)
-	ex.cond.Broadcast()
 	ex.mu.Unlock()
 
-	go w.pump()
-	go w.bulkLoop()
+	go w.writeLoop()
 	go w.readLoop()
-	ex.warmWorker(w)
 	return name, nil
 }
 
-// warmWorker pre-ships every cached job snapshot to a just-added worker over
-// the bulk lane, so a scale-up joins the fleet warm: placement already prefers
-// it, and its first samples park briefly on an in-flight ship instead of
-// paying a full snapshot round-trip at dispatch time.
-func (ex *NetExecutor) warmWorker(w *dworker) {
-	ex.snapMu.Lock()
-	curs := make(map[uint64]*snapVersion, len(ex.snaps))
-	for job, s := range ex.snaps {
-		curs[job] = s.cur
-	}
-	ex.snapMu.Unlock()
-	for job, v := range curs {
-		if ex.shipSnapshot(w, job, v) != nil {
-			return
-		}
-	}
-}
-
-// shipSnapshot makes sure version v of job's snapshot is queued to w — the
-// pre-shipping step PrimeSnapshot and warmWorker share.
-func (ex *NetExecutor) shipSnapshot(w *dworker, job uint64, v *snapVersion) error {
-	w.shipMu.Lock()
-	defer w.shipMu.Unlock()
-	if w.hasSent(job, v.hash) {
-		return nil
-	}
-	w.m.countSnapshot(false)
-	it, _ := ex.snapItem(w, job, v)
-	return w.queueLocked(it)
-}
-
 // hasSent reports whether the version with identity hash was queued to w and
-// is still in its cache. Callers hold w.shipMu or ex.mu.
+// is still in its cache. Callers are writeLoop or hold ex.mu.
 func (w *dworker) hasSent(job, hash uint64) bool {
 	for _, sv := range w.sent[job] {
 		if sv.hash == hash {
@@ -433,16 +417,11 @@ func (w *dworker) holds(rs *roundState) bool {
 	return false
 }
 
-// queueLocked feeds one snapshot ship to w's bulk lane and records its version
-// as sent, dropping the oldest once the list outgrows the worker's cache.
-// Callers hold w.shipMu and have checked hasSent.
-func (w *dworker) queueLocked(it bulkItem) error {
-	select {
-	case w.bulkq <- it:
-	case <-w.stop:
-		return errWorkerStopped
-	}
-	w.ex.mu.Lock()
+// pushSnap queues one snapshot ship behind w's others and records its version
+// as sent, dropping the oldest once the list outgrows the worker's cache. The
+// caller has checked hasSent and is writeLoop holding ex.mu, or owns w alone.
+func (w *dworker) pushSnap(it snapItem) {
+	w.bulk = append(w.bulk, outMsg{data: it.frame})
 	vs := w.sent[it.job]
 	if vs == nil {
 		vs = make([]sentVer, 0, snapCacheCap+1)
@@ -451,16 +430,21 @@ func (w *dworker) queueLocked(it bulkItem) error {
 		vs = slices.Delete(vs, 0, 1) // the worker's FIFO cache has dropped its oldest too
 	}
 	w.sent[it.job] = vs
-	w.ex.mu.Unlock()
-	return nil
 }
 
-// snapItem decides how version v of job's snapshot reaches w: the cached
+// queueSnap is pushSnap from writeLoop.
+func (w *dworker) queueSnap(it snapItem) {
+	w.ex.mu.Lock()
+	w.pushSnap(it)
+	w.ex.mu.Unlock()
+}
+
+// snapShip decides how version v of job's snapshot reaches w: the cached
 // delta from the newest retained base already queued to this worker when it
 // passed the ratio bound; a full ship — v's from-empty frame — otherwise,
-// counting why a base delta was unavailable. full reports the latter. Callers
-// hold w.shipMu; snapMu nests inside it.
-func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) (it bulkItem, full bool) {
+// counting why a base delta was unavailable. full reports the latter. Only
+// writeLoop calls it.
+func (ex *NetExecutor) snapShip(w *dworker, job uint64, v *snapVersion) (it snapItem, full bool) {
 	_, known := w.sent[job]
 	var delta []byte
 	hadRatio := false
@@ -488,7 +472,7 @@ func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) (it bulk
 		// Cold worker for this job: the first ship is necessarily full.
 	case delta != nil:
 		ex.countSnapBytes(true, len(delta))
-		return bulkItem{job: job, ver: sentVer{seq: v.seq, hash: v.hash}, frame: delta}, false
+		return snapItem{job: job, ver: sentVer{seq: v.seq, hash: v.hash}, frame: delta}, false
 	case hadRatio:
 		ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackRatio })
 	default:
@@ -500,10 +484,10 @@ func (ex *NetExecutor) snapItem(w *dworker, job uint64, v *snapVersion) (it bulk
 
 // fullItem is the full ship of version v: its from-empty frame, counted as
 // mode="full".
-func (ex *NetExecutor) fullItem(v *snapVersion) bulkItem {
+func (ex *NetExecutor) fullItem(v *snapVersion) snapItem {
 	frame := v.encoded()
 	ex.countSnapBytes(false, len(frame))
-	return bulkItem{job: v.job, ver: sentVer{seq: v.seq, hash: v.hash}, frame: frame}
+	return snapItem{job: v.job, ver: sentVer{seq: v.seq, hash: v.hash}, frame: frame}
 }
 
 func (ex *NetExecutor) countSnapBytes(delta bool, n int) {
@@ -587,9 +571,8 @@ func (ex *NetExecutor) RemoveConn(ctx context.Context, name string) error {
 		ex.mu.Unlock()
 		return fmt.Errorf("remote: no live worker %q", name)
 	}
-	w.draining = true
+	w.draining = true // its writer stops claiming
 	ex.uncountLocked(w)
-	ex.cond.Broadcast() // release the pump; it exits on the draining flag
 	stopWake := context.AfterFunc(ctx, func() {
 		ex.mu.Lock()
 		ex.cond.Broadcast()
@@ -814,23 +797,7 @@ func (ex *NetExecutor) EndRound(handle any) {
 	if !ok {
 		return
 	}
-	ex.mu.Lock()
-	workers := make([]*dworker, 0, len(ex.workers))
-	for _, w := range ex.workers {
-		if !w.dead {
-			workers = append(workers, w)
-		}
-	}
-	ex.mu.Unlock()
-	payload := encodeEndRound(rs.id)
-	for _, w := range workers {
-		w.shipMu.Lock()
-		if w.sentRounds[rs.id] {
-			delete(w.sentRounds, rs.id)
-			w.wire.writeMsg(payload)
-		}
-		w.shipMu.Unlock()
-	}
+	ex.enqueueAll(sendOp{kind: mEndRound, id: rs.id}, false)
 	if rs.dyn != 0 {
 		ex.opts.Registry.releaseDynamic(rs.dyn)
 	}
@@ -845,24 +812,37 @@ func (ex *NetExecutor) EndJob(job uint64) {
 	ex.snapMu.Lock()
 	delete(ex.snaps, job)
 	ex.snapMu.Unlock()
+	ex.enqueueAll(sendOp{kind: mEndJob, id: job}, false)
+}
+
+// enqueueAll hands op to the writer of every worker in the fleet, or only of
+// those accepting samples when live is set.
+func (ex *NetExecutor) enqueueAll(op sendOp, live bool) {
 	ex.mu.Lock()
-	workers := make([]*dworker, 0, len(ex.workers))
 	for _, w := range ex.workers {
-		if !w.dead {
-			workers = append(workers, w)
+		if !live || !w.draining {
+			w.enqueueLocked(op)
 		}
 	}
 	ex.mu.Unlock()
-	payload := encodeEndJob(job)
-	for _, w := range workers {
-		w.shipMu.Lock()
-		if _, sent := w.sent[job]; sent {
-			ex.mu.Lock()
-			delete(w.sent, job)
-			ex.mu.Unlock()
-			w.wire.writeMsg(payload)
-		}
-		w.shipMu.Unlock()
+}
+
+// enqueueLocked queues op for w's writer and wakes it; it never waits on the
+// connection. Callers hold ex.mu.
+func (w *dworker) enqueueLocked(op sendOp) {
+	if w.dead {
+		return
+	}
+	w.ops = append(w.ops, op)
+	w.signal()
+}
+
+// signal wakes w's writer without blocking; a wake already pending covers
+// this one.
+func (w *dworker) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -882,28 +862,22 @@ func (ex *NetExecutor) Execute(ctx context.Context, handle any, group, attempt i
 	ex.nextCall++
 	c.id = ex.nextCall
 	// Fast path: with an empty queue and a free slot somewhere, claim the call
-	// inline and ship it from this goroutine — skipping the pump wakeup and
-	// handoff, which dominate loopback dispatch latency at small fleet sizes.
-	// The queue-empty check keeps FIFO order: nothing ever overtakes a
-	// waiting call.
+	// here, where placement can prefer a worker holding the round's snapshot,
+	// and hand it straight to that worker's writer. The queue-empty check
+	// keeps FIFO order: nothing ever overtakes a waiting call.
 	var fast *dworker
 	if len(ex.queue) == 0 {
 		fast = ex.pickLocked(rs)
 	}
 	if fast != nil {
 		ex.claimLocked(fast, c)
+		fast.enqueueLocked(sendOp{c: c})
 	} else {
+		// No writer needs waking: every live worker was full when the queue
+		// last became non-empty, and deliver wakes each as a slot frees.
 		ex.queue = append(ex.queue, c)
-		ex.cond.Broadcast()
 	}
 	ex.mu.Unlock()
-	if fast != nil {
-		fast.m.observeDispatch(c.enq, c.sent)
-		if err := fast.ship(c); err != nil {
-			// fail bounces our in-flight call through c.done below.
-			ex.fail(fast, err)
-		}
-	}
 
 	select {
 	case out := <-c.done:
@@ -959,6 +933,7 @@ func (ex *NetExecutor) claimLocked(w *dworker, c *call) {
 	c.worker = w
 	c.sent = time.Now()
 	w.m.setInflight(len(w.inflight))
+	w.m.observeDispatch(c.enq, c.sent)
 }
 
 // dequeueLocked removes queue entry i, keeping order, and clears the slot it
@@ -971,93 +946,130 @@ func (ex *NetExecutor) dequeueLocked(i int) {
 	ex.queue = ex.queue[:last]
 }
 
-// pump is a worker connection's claiming loop: whenever the worker has a free
-// slot and a call is waiting, claim the queue head — strictly FIFO, whichever
-// worker frees a slot first — and ship it.
-func (w *dworker) pump() {
+// writeLoop is the one goroutine that writes to the worker's connection. It
+// claims the queue head whenever the worker has a free slot — strictly FIFO,
+// whichever worker frees a slot first — takes every request queued for it,
+// writes their frames, and then one frame of the oldest snapshot ship still
+// streaming, so a multi-megabyte @load state never head-of-line blocks rounds
+// and tasks. No other sender waits on its I/O.
+func (w *dworker) writeLoop() {
 	ex := w.ex
+	var ops []sendOp
 	for {
 		ex.mu.Lock()
 		for {
-			if w.dead || w.draining || ex.closed {
+			if w.dead {
 				ex.mu.Unlock()
 				return
 			}
-			if len(w.inflight) < w.slots && len(ex.queue) > 0 {
+			for !w.draining && !ex.closed && len(w.inflight) < w.slots && len(ex.queue) > 0 {
+				c := ex.queue[0]
+				ex.dequeueLocked(0)
+				ex.claimLocked(w, c)
+				w.ops = append(w.ops, sendOp{c: c})
+			}
+			if len(w.ops) > 0 || len(w.bulk) > 0 {
 				break
 			}
-			ex.cond.Wait()
+			ex.mu.Unlock()
+			<-w.wake
+			ex.mu.Lock()
 		}
-		c := ex.queue[0]
-		ex.dequeueLocked(0)
-		ex.claimLocked(w, c)
+		ops, w.ops = w.ops, ops[:0]
 		ex.mu.Unlock()
-		w.m.observeDispatch(c.enq, c.sent)
-		if err := w.ship(c); err != nil {
-			ex.fail(w, err)
-			return
+		for i := range ops {
+			if err := w.send(&ops[i]); err != nil {
+				ex.fail(w, err)
+				return
+			}
+			ops[i] = sendOp{}
+		}
+		if len(w.bulk) > 0 {
+			done, err := w.wire.writeNext(&w.bulk[0])
+			if err != nil {
+				ex.fail(w, err)
+				return
+			}
+			if done {
+				w.bulk[0] = outMsg{}
+				w.bulk = w.bulk[1:]
+			}
 		}
 	}
 }
 
-// ship sends one claimed call: the snapshot is queued on the bulk lane if
-// this worker has not seen this content hash, the round recipe is written if
-// it has not seen this round, and then the task itself — all encoded into
-// pooled frame buffers, allocation-free in the steady state. shipMu keeps
-// the round frame ahead of its tasks on the connection even when the pump
-// and a fast-path Execute ship concurrently; the snapshot intentionally
-// bypasses that ordering (tasks park worker-side until it lands) so a large
-// @load state never head-of-line blocks the fleet. This is also where the
-// claim's affinity outcome is known and counted: a miss is a claim that cost
-// a full snapshot ship, a hit one that cost a delta or nothing.
-func (w *dworker) ship(c *call) error {
-	w.shipMu.Lock()
-	defer w.shipMu.Unlock()
-	rs := c.r
-	if rs.snap != nil {
-		cached := w.hasSent(rs.job, rs.snap.hash)
-		hit := cached
-		if !cached {
-			it, full := w.ex.snapItem(w, rs.job, rs.snap)
-			if err := w.queueLocked(it); err != nil {
+// send carries out one request. A call ships as its task, preceded by the
+// round recipe if the worker has not seen this round; a snapshot the worker
+// lacks is queued behind the ship in flight (tasks park worker-side until it
+// lands). This is also where the claim's affinity outcome is known and
+// counted: a miss is a claim that cost a full snapshot ship, a hit one that
+// cost a delta or nothing.
+func (w *dworker) send(op *sendOp) error {
+	ex := w.ex
+	switch {
+	case op.c != nil:
+		rs := op.c.r
+		if rs.snap != nil {
+			cached := w.hasSent(rs.job, rs.snap.hash)
+			hit := cached
+			if !cached {
+				it, full := ex.snapShip(w, rs.job, rs.snap)
+				w.queueSnap(it)
+				hit = !full
+			}
+			w.m.countSnapshot(cached)
+			ex.fm.countAffinity(hit)
+		}
+		if !w.sentRounds[rs.id] {
+			if err := w.wire.writeMsg(rs.payload); err != nil {
 				return err
 			}
-			hit = !full
+			w.sentRounds[rs.id] = true
 		}
-		w.m.countSnapshot(cached)
-		w.ex.fm.countAffinity(hit)
-	}
-	if !w.sentRounds[rs.id] {
-		if err := w.wire.writeMsg(rs.payload); err != nil {
-			return err
+		wb := getFrameBuf()
+		appendTask(wb, taskMsg{ID: op.c.id, Round: rs.id, Group: op.c.group, Attempt: op.c.attempt})
+		err := w.wire.writeBuf(wb)
+		putFrameBuf(wb)
+		return err
+	case op.kind == mEndRound:
+		if !w.sentRounds[op.id] {
+			return nil
 		}
-		w.sentRounds[rs.id] = true
+		delete(w.sentRounds, op.id)
+	case op.kind == mEndJob:
+		if _, ok := w.sent[op.id]; !ok {
+			return nil
+		}
+		ex.mu.Lock()
+		delete(w.sent, op.id)
+		ex.mu.Unlock()
+	case op.kind == mSnapDelta:
+		if !w.hasSent(op.id, op.v.hash) {
+			w.m.countSnapshot(false)
+			it, _ := ex.snapShip(w, op.id, op.v)
+			w.queueSnap(it)
+		}
+		return nil
+	case op.kind == mSnapNack:
+		// Clear the sent mark first, so that if the refused version is no
+		// longer the job's current one a later round re-ships rather than
+		// wedging the worker's parked tasks until snapWaitTimeout bounces them.
+		if vs, ok := w.sent[op.id]; ok { // not a job EndJob has already forgotten
+			ex.mu.Lock()
+			w.sent[op.id] = slices.DeleteFunc(vs, func(sv sentVer) bool { return sv.hash == op.hash })
+			ex.mu.Unlock()
+		}
+		if op.v != nil {
+			w.queueSnap(ex.fullItem(op.v))
+		}
+		return nil
 	}
 	wb := getFrameBuf()
-	appendTask(wb, taskMsg{ID: c.id, Round: rs.id, Group: c.group, Attempt: c.attempt})
+	wb.U8(op.kind)
+	wb.Uv(op.id)
 	err := w.wire.writeBuf(wb)
 	putFrameBuf(wb)
 	return err
-}
-
-var errWorkerStopped = errors.New("remote: worker connection stopped")
-
-// bulkLoop is the connection's snapshot lane: it streams queued snapshot
-// ships as chunk frames, releasing the wire between chunks so rounds, tasks,
-// and results of other jobs interleave into the gaps instead of waiting out
-// the transfer.
-func (w *dworker) bulkLoop() {
-	for {
-		select {
-		case it := <-w.bulkq:
-			if err := w.wire.writeMsg(it.frame); err != nil {
-				w.ex.fail(w, err)
-				return
-			}
-		case <-w.stop:
-			return
-		}
-	}
 }
 
 // readLoop consumes worker frames: result batches, the drain announcement,
@@ -1113,9 +1125,8 @@ func (w *dworker) readLoop() {
 			ex.handleSnapNack(w, n)
 		case mDrain:
 			ex.mu.Lock()
-			w.draining = true
+			w.draining = true   // its writer stops claiming; in-flight results still arrive
 			ex.uncountLocked(w) // capacity watchers shrink the sampling bound
-			ex.cond.Broadcast() // release the pump; in-flight results still arrive
 			ex.mu.Unlock()
 		case mBye:
 			ex.fail(w, errWorkerBye)
@@ -1134,11 +1145,8 @@ var errWorkerBye = fmt.Errorf("remote: worker drained and disconnected")
 
 // handleSnapNack answers a worker's typed delta refusal (base missing from
 // its cache, or a spliced identity that did not match) with an immediate full
-// ship of the refused version, its from-empty frame — divergence heals in one
-// round trip; it is never silent. The sent mark is cleared first so that if
-// the refused version is no longer the job's current one, a later round
-// re-ships rather than wedging the worker's parked tasks until
-// snapWaitTimeout bounces them.
+// ship of the refused version, its from-empty frame, queued to the worker's
+// writer — divergence heals in one round trip; it is never silent.
 func (ex *NetExecutor) handleSnapNack(w *dworker, n snapNack) {
 	ex.countFallback(func(m *fleetMetrics) *obs.Counter { return m.fallbackNack })
 	ex.snapMu.Lock()
@@ -1147,16 +1155,9 @@ func (ex *NetExecutor) handleSnapNack(w *dworker, n snapNack) {
 		v = s.cur
 	}
 	ex.snapMu.Unlock()
-	w.shipMu.Lock()
-	defer w.shipMu.Unlock()
-	if vs, ok := w.sent[n.Job]; ok { // not a job EndJob has already forgotten
-		ex.mu.Lock()
-		w.sent[n.Job] = slices.DeleteFunc(vs, func(sv sentVer) bool { return sv.hash == n.NewHash })
-		ex.mu.Unlock()
-	}
-	if v != nil {
-		_ = w.queueLocked(ex.fullItem(v)) // a stopped worker needs no answer
-	}
+	ex.mu.Lock()
+	w.enqueueLocked(sendOp{kind: mSnapNack, id: n.Job, hash: n.NewHash, v: v})
+	ex.mu.Unlock()
 }
 
 // deliver hands one result to its waiting Execute call and frees the slot.
@@ -1172,7 +1173,12 @@ func (ex *NetExecutor) deliver(w *dworker, m resultMsg) {
 		c.delivered = true
 		send = true
 	}
-	ex.cond.Broadcast() // a slot freed; pumps re-check the queue
+	if len(ex.queue) > 0 {
+		w.signal() // a slot freed; its writer claims the queue head
+	}
+	if w.draining {
+		ex.cond.Broadcast() // RemoveConn waits for the last in-flight result
+	}
 	ex.mu.Unlock()
 	if send {
 		w.m.observeRPC(c.sent)
@@ -1198,7 +1204,8 @@ func (ex *NetExecutor) fail(w *dworker, cause error) {
 			break
 		}
 	}
-	close(w.stop) // releases the bulk lane and any ship blocked feeding it
+	w.ops = nil
+	w.signal() // its writer exits
 	orphans := make([]*call, 0, len(w.inflight))
 	for id, c := range w.inflight {
 		delete(w.inflight, id)
@@ -1238,7 +1245,6 @@ func (ex *NetExecutor) Close() {
 			c.delivered = true
 		}
 	}
-	ex.cond.Broadcast()
 	ex.mu.Unlock()
 	for _, c := range queued {
 		c.done <- callOutcome{err: core.ErrExecUnsupported}

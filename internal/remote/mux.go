@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/wire"
 )
@@ -16,8 +15,8 @@ import (
 //
 //	mChunk | uvarint streamID | flags | [uvarint total, first chunk only] | data
 //
-// and the writer releases the connection lock between chunks, so other
-// goroutines' frames interleave into the gaps. The receiver reassembles each
+// and the connection's writer sends other frames between a snapshot ship's
+// chunks, so they need not wait out the transfer. The receiver reassembles each
 // stream into a pooled buffer sized from the announced total and hands the
 // completed message to the normal dispatch switch. Chunks of distinct
 // streams may interleave freely; bytes within one stream arrive in order
@@ -64,14 +63,15 @@ func putFrameBuf(wb *wire.Writer) {
 // resetFrame rewinds a frame buffer to just the reserved header.
 func resetFrame(wb *wire.Writer) { wb.B = wb.B[:frameHeader] }
 
-// muxWriter is one connection's write half. Whole frames are serialized by mu;
-// messages beyond chunkThreshold go out as interleavable chunk frames. Every
-// frame is a single Write call, so a fault-injected dropped write still
-// loses exactly one frame and the stream stays parseable.
+// muxWriter is one connection end's write half. It holds no lock: after the
+// hello exactly one goroutine — the connection's writer — calls it, and every
+// other sender hands that goroutine its request instead. Messages beyond
+// chunkThreshold go out as chunk frames. Every frame is a single Write call,
+// so a fault-injected dropped write still loses exactly one frame and the
+// stream stays parseable.
 type muxWriter struct {
-	mu      sync.Mutex
 	w       io.Writer
-	streams atomic.Uint64
+	streams uint64 // the last chunk stream id opened
 }
 
 func newMuxWriter(w io.Writer) *muxWriter { return &muxWriter{w: w} }
@@ -80,72 +80,69 @@ func newMuxWriter(w io.Writer) *muxWriter { return &muxWriter{w: w} }
 // header). The caller keeps ownership of wb.
 func (wr *muxWriter) writeBuf(wb *wire.Writer) error {
 	payload := len(wb.B) - frameHeader
-	if payload > maxMessage {
-		return fmt.Errorf("%w (%d bytes)", ErrMessageTooBig, payload)
-	}
 	if payload > chunkThreshold {
-		return wr.writeChunks(wb.B[frameHeader:])
+		return wr.writeMsg(wb.B[frameHeader:])
 	}
 	binary.BigEndian.PutUint32(wb.B[:frameHeader], uint32(payload))
-	wr.mu.Lock()
 	_, err := wr.w.Write(wb.B)
-	wr.mu.Unlock()
 	return err
 }
 
-// writeMsg frames and writes payload as one message.
+// writeMsg frames and writes payload as one message, chunked if it is large.
 func (wr *muxWriter) writeMsg(payload []byte) error {
-	if len(payload) > maxMessage {
-		return fmt.Errorf("%w (%d bytes)", ErrMessageTooBig, len(payload))
-	}
-	if len(payload) > chunkThreshold {
-		return wr.writeChunks(payload)
-	}
-	wb := getFrameBuf()
-	wb.Raw(payload)
-	err := wr.writeBuf(wb)
-	putFrameBuf(wb)
-	return err
-}
-
-// writeChunks cuts the logical message into chunk frames on a fresh stream
-// id. The connection lock is released between chunks so concurrent small
-// frames interleave.
-func (wr *muxWriter) writeChunks(payload []byte) error {
-	sid := wr.streams.Add(1)
-	wb := getFrameBuf()
-	defer putFrameBuf(wb)
-	total := len(payload)
-	for sent, first := 0, true; sent < total; first = false {
-		n := total - sent
-		if n > chunkThreshold {
-			n = chunkThreshold
-		}
-		resetFrame(wb)
-		wb.U8(mChunk)
-		wb.Uv(sid)
-		var flags byte
-		if first {
-			flags |= chunkFirst
-		}
-		if sent+n == total {
-			flags |= chunkLast
-		}
-		wb.U8(flags)
-		if first {
-			wb.Uv(uint64(total))
-		}
-		wb.Raw(payload[sent : sent+n])
-		sent += n
-		binary.BigEndian.PutUint32(wb.B[:frameHeader], uint32(len(wb.B)-frameHeader))
-		wr.mu.Lock()
-		_, err := wr.w.Write(wb.B)
-		wr.mu.Unlock()
-		if err != nil {
+	m := outMsg{data: payload}
+	for {
+		if done, err := wr.writeNext(&m); done || err != nil {
 			return err
 		}
 	}
-	return nil
+}
+
+// outMsg is a message its writer sends a frame at a time, so that other
+// frames can go out between its chunks.
+type outMsg struct {
+	data []byte
+	sid  uint64 // chunk stream id; 0 until the first chunk opens it
+	off  int    // bytes already written
+}
+
+// writeNext writes m's next frame — all of m when it fits chunkThreshold, else
+// its next chunk on a fresh stream id — and reports whether m is complete.
+func (wr *muxWriter) writeNext(m *outMsg) (done bool, err error) {
+	total := len(m.data)
+	if total > maxMessage {
+		return true, fmt.Errorf("%w (%d bytes)", ErrMessageTooBig, total)
+	}
+	wb := getFrameBuf()
+	defer putFrameBuf(wb)
+	if total <= chunkThreshold {
+		wb.Raw(m.data)
+		return true, wr.writeBuf(wb)
+	}
+	first := m.sid == 0
+	if first {
+		wr.streams++
+		m.sid = wr.streams
+	}
+	n := min(total-m.off, chunkThreshold)
+	wb.U8(mChunk)
+	wb.Uv(m.sid)
+	var flags byte
+	if first {
+		flags |= chunkFirst
+	}
+	if m.off+n == total {
+		flags |= chunkLast
+	}
+	wb.U8(flags)
+	if first {
+		wb.Uv(uint64(total))
+	}
+	wb.Raw(m.data[m.off : m.off+n])
+	m.off += n
+	binary.BigEndian.PutUint32(wb.B[:frameHeader], uint32(len(wb.B)-frameHeader))
+	_, err = wr.w.Write(wb.B)
+	return flags&chunkLast != 0, err
 }
 
 // muxStream is one message mid-reassembly.

@@ -2,13 +2,23 @@ package remote
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/leakcheck"
+	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -182,17 +192,56 @@ func TestDemuxInterleavedStreams(t *testing.T) {
 	}
 }
 
-// TestWireConcurrentWriters hammers one wire from many goroutines, mixing
-// chunked and small messages, and checks every message survives reassembly.
+// TestWireConcurrentWriters hammers one connection from many goroutines,
+// mixing chunked and small messages: each only queues its message for the
+// connection's one writer, and every message survives reassembly.
 func TestWireConcurrentWriters(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
 	withChunkThreshold(t, 256)
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	w := newMuxWriter(writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	}))
+	w := NewWorker(WorkerOptions{Registry: NewRegistry()})
+	a, b := net.Pipe()
+	served := make(chan struct{})
+	go func() { w.ServeConn(a); close(served) }()
+	got := make(chan map[string]int, 1)
+	go func() { // the dispatcher end, read up to the goodbye
+		counts := make(map[string]int)
+		defer func() { got <- counts }()
+		dmx := newDemux()
+		defer dmx.close()
+		var fb []byte
+		for {
+			payload, err := readFrame(b, fb)
+			fb = payload
+			if err != nil {
+				t.Errorf("read: %v", err)
+				return
+			}
+			m, pooled, err := dmx.feed(payload)
+			if err != nil {
+				t.Errorf("feed: %v", err)
+				return
+			}
+			if m == nil || m[0] == mHello {
+				continue
+			}
+			if m[0] == mBye {
+				return
+			}
+			counts[string(m)]++
+			if pooled {
+				wire.Free(m)
+			}
+		}
+	}()
+	var c *wconn
+	for c == nil {
+		w.mu.Lock()
+		for cc := range w.conns {
+			c = cc
+		}
+		w.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
 	const writers = 8
 	var wg sync.WaitGroup
 	want := make(map[string]int)
@@ -206,54 +255,186 @@ func TestWireConcurrentWriters(t *testing.T) {
 				size := 1 + rng.Intn(2000)
 				msg := make([]byte, size)
 				rng.Read(msg)
-				// Tag byte keeps the first byte away from mChunk, which a
-				// passthrough frame must never start with.
+				// Tag byte keeps the first byte away from the message types
+				// the reader acts on.
 				msg = append([]byte{0xF0 | byte(g)}, msg...)
 				wantMu.Lock()
 				want[string(msg)]++
 				wantMu.Unlock()
-				if err := w.writeMsg(msg); err != nil {
-					t.Errorf("writeMsg: %v", err)
-					return
-				}
+				c.queue(msg, nil)
 			}
 		}(g)
 	}
 	wg.Wait()
-	dmx := newDemux()
-	r := bytes.NewReader(buf.Bytes())
-	var fb []byte
-	n := 0
+	c.finish() // the writer flushes, says goodbye and closes
+	counts := <-got
+	if len(counts) != len(want) {
+		t.Errorf("%d distinct messages arrived, %d were queued", len(counts), len(want))
+	}
+	for m, n := range want {
+		if counts[m] != n {
+			t.Fatalf("a message queued %d times arrived %d times", n, counts[m])
+		}
+	}
+	b.Close()
+	<-served
+	w.Close()
+}
+
+// TestWriterHeadOfLineFree queues a 4 MiB snapshot ship and then a task on
+// one worker connection: the task frame reaches the wire before the
+// snapshot's last chunk, whatever the timing, because the writer sends one
+// chunk of a ship between passes over its queue.
+func TestWriterHeadOfLineFree(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	reg := NewRegistry()
+	reg.Register("r", core.RegionSpec{Name: "r", Samples: 1}, func(sp *core.SP) error { return nil })
+	ex := NewExecutor(ExecutorOptions{Registry: reg})
+	defer ex.Close()
+	a, b := net.Pipe()
+	defer a.Close()
+	hello := make(chan error, 1)
+	go func() {
+		hello <- newMuxWriter(a).writeMsg(encodeHello(helloMsg{Version: protocolVersion, Name: "w", Slots: 1}))
+	}()
+	if err := ex.AddConn(b); err != nil {
+		t.Fatalf("AddConn: %v", err)
+	}
+	if err := <-hello; err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+
+	e := store.NewExposed()
+	e.Set("g", "blob", make([]float64, 512<<10)) // 4 MiB: 17 chunks
+	if err := ex.PrimeSnapshot(1, e); err != nil {
+		t.Fatalf("PrimeSnapshot: %v", err)
+	}
+	h, err := ex.BeginRound(core.RoundTask{Job: 1, Region: "r", N: 1, Exposed: e})
+	if err != nil {
+		t.Fatalf("BeginRound: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	executed := make(chan struct{})
+	go func() {
+		ex.Execute(ctx, h, 0, 0)
+		close(executed)
+	}()
+	// Read nothing until the task is queued: the writer is then at most one
+	// chunk into the ship, blocked on the pipe.
 	for {
-		payload, err := readFrame(r, fb)
-		if err != nil {
+		ex.mu.Lock()
+		queued := len(ex.workers[0].inflight)
+		ex.mu.Unlock()
+		if queued == 1 {
 			break
 		}
+		time.Sleep(time.Millisecond)
+	}
+	dmx := newDemux()
+	defer dmx.close()
+	var fb []byte
+	var order []string
+	var snap []byte
+	for snap == nil {
+		payload, err := readFrame(a, fb)
 		fb = payload
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if payload[0] == mChunk {
+			order = append(order, "chunk")
+		} else {
+			order = append(order, fmt.Sprint(payload[0]))
+		}
 		m, pooled, err := dmx.feed(payload)
 		if err != nil {
 			t.Fatalf("feed: %v", err)
 		}
-		if m == nil {
-			continue
+		if m != nil && m[0] == mSnapDelta {
+			snap = append([]byte(nil), m...)
 		}
-		wantMu.Lock()
-		if want[string(m)] == 0 {
-			t.Fatal("reassembled a message nobody wrote")
-		}
-		want[string(m)]--
-		if want[string(m)] == 0 {
-			delete(want, string(m))
-		}
-		wantMu.Unlock()
 		if pooled {
 			wire.Free(m)
 		}
-		n++
 	}
-	if len(want) != 0 {
-		t.Fatalf("%d messages lost in transit (%d arrived)", len(want), n)
+	task := slices.Index(order, fmt.Sprint(mTask))
+	if task < 0 || task > 2 || slices.Index(order, fmt.Sprint(mRound)) > task {
+		t.Fatalf("frames before the ship completed: %v; want the round and then the task within its first chunk", order)
 	}
+	if n, want := len(order)-2, (len(snap)+chunkThreshold-1)/chunkThreshold; n != want {
+		t.Fatalf("the ship took %d chunks, want %d", n, want)
+	}
+	if want := ex.snaps[1].cur.encoded(); !bytes.Equal(snap, want) {
+		t.Fatal("the interleaved ship reassembled to other bytes")
+	}
+	cancel()
+	<-executed
+	ex.EndRound(h)
+}
+
+// TestWriteErrorFailsOnce breaks one worker connection's Write: the writer
+// fails the connection exactly once, and every sender queued on it — claimed
+// calls, a round's end, a job's end, a prime — is released.
+func TestWriteErrorFailsOnce(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	reg := NewRegistry()
+	reg.Register("r", core.RegionSpec{Name: "r", Samples: 1}, func(sp *core.SP) error { return nil })
+	oreg := obs.NewRegistry()
+	ex := NewExecutor(ExecutorOptions{Registry: reg, Obs: oreg})
+	defer ex.Close()
+	a, b := net.Pipe()
+	defer a.Close()
+	go func() {
+		newMuxWriter(a).writeMsg(encodeHello(helloMsg{Version: protocolVersion, Name: "w", Slots: 4}))
+		io.Copy(io.Discard, a)
+	}()
+	broken := &writeErrConn{Conn: b}
+	if err := ex.AddConn(broken); err != nil {
+		t.Fatalf("AddConn: %v", err)
+	}
+	e := store.NewExposed()
+	e.Set("g", "k", 1.0)
+	h, err := ex.BeginRound(core.RoundTask{Job: 1, Region: "r", N: 4, Exposed: e})
+	if err != nil {
+		t.Fatalf("BeginRound: %v", err)
+	}
+	ex.PrimeSnapshot(1, e)
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			_, err := ex.Execute(context.Background(), h, g, 0)
+			errs <- err
+		}(g)
+	}
+	ex.EndRound(h)
+	ex.EndJob(1)
+	for g := 0; g < 4; g++ {
+		select {
+		case err := <-errs:
+			if !core.IsRetryable(err) && !errors.Is(err, core.ErrExecUnsupported) {
+				t.Errorf("a sample on a broken connection returned %v, want a retryable or declined error", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a sample queued on a broken connection was never released")
+		}
+	}
+	if n := oreg.Counter(MetricWorkerFailures, "worker", "w").Value(); n != 1 {
+		t.Errorf("worker failures = %d, want 1", n)
+	}
+	if n := broken.writes.Load(); n != 1 {
+		t.Errorf("%d writes reached the broken connection, want 1", n)
+	}
+}
+
+// writeErrConn fails every Write.
+type writeErrConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *writeErrConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return 0, errors.New("broken link")
 }
 
 type writerFunc func(p []byte) (int, error)

@@ -330,7 +330,7 @@ func queueBacking(ex *NetExecutor) []*call {
 }
 
 // TestNoOvertakeAndVacatedSlots checks the one case where a free slot does
-// not get the new sample: a call is already waiting (its pump has not woken
+// not get the new sample: a call is already waiting (its writer has not woken
 // yet), so the newcomer queues behind it. It then cancels the newcomer and
 // checks the slot it vacated no longer references the call.
 func TestNoOvertakeAndVacatedSlots(t *testing.T) {

@@ -8,26 +8,12 @@ import "repro/internal/store"
 // round that needs it on each worker; priming moves that transfer off the
 // first rounds' critical path. Workers already holding an older version of
 // the job's snapshot receive a key-level delta (see snapdelta.go) instead of
-// a full ship. It implements core.SnapshotPrimer.
+// a full ship. Each ship is queued to the worker's writer, ahead of any task
+// queued after it. It implements core.SnapshotPrimer.
 func (ex *NetExecutor) PrimeSnapshot(job uint64, e *store.Exposed) error {
 	v, err := ex.snapshotFor(job, e)
-	if err != nil || v == nil {
-		return err
+	if err == nil && v != nil {
+		ex.enqueueAll(sendOp{kind: mSnapDelta, id: job, v: v}, true) // primed workers count as affine
 	}
-	ex.mu.Lock()
-	workers := make([]*dworker, 0, len(ex.workers))
-	for _, w := range ex.workers {
-		if !w.dead && !w.draining {
-			workers = append(workers, w)
-		}
-	}
-	ex.mu.Unlock()
-	var firstErr error
-	for _, w := range workers {
-		// Primed workers count as affine.
-		if err := ex.shipSnapshot(w, job, v); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return err
 }

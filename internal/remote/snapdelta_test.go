@@ -546,16 +546,17 @@ func TestSnapEvictedBaseFallback(t *testing.T) {
 	if err := f.ex.PrimeSnapshot(job, e); err != nil {
 		t.Fatalf("PrimeSnapshot(stale): %v", err)
 	}
+	cur := f.ex.snaps[job].cur
+	got, ok := f.workers[0].awaitSnapshot(&wconn{closed: make(chan struct{})}, job, cur.hash)
+	if !ok {
+		t.Fatal("full re-ship never landed on the worker")
+	}
+	// The connection's writer decides a ship, and counts it, before it sends it.
 	if n := f.ex.fm.fallbackBase.Value(); n != 1 {
 		t.Fatalf("base fallbacks = %d, want 1", n)
 	}
 	if d := f.ex.fm.snapBytesDelta.Value(); d != 0 {
 		t.Fatalf("%d delta bytes shipped with no base to patch", d)
-	}
-	cur := f.ex.snaps[job].cur
-	got, ok := f.workers[0].awaitSnapshot(&wconn{closed: make(chan struct{})}, job, cur.hash)
-	if !ok {
-		t.Fatal("full re-ship never landed on the worker")
 	}
 	if want, have := e.Entries(), got.Entries(); !reflect.DeepEqual(want, have) {
 		t.Fatalf("healed worker holds %v, want %v", have, want)

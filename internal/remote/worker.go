@@ -41,8 +41,8 @@ type WorkerOptions struct {
 // Worker runs sampling processes on behalf of remote dispatchers. One
 // Worker serves any number of connections; samples from all of them share
 // the slot semaphore and the snapshot cache. Results stream back per
-// connection in whole-sample batches: the writer goroutine greedily
-// coalesces everything finished since its last flush into one frame.
+// connection in whole-sample batches: the connection's writer coalesces
+// everything finished since its last pass into one frame.
 type Worker struct {
 	opts   WorkerOptions
 	runner *core.DetachedRunner
@@ -56,7 +56,7 @@ type Worker struct {
 	lns         map[net.Listener]struct{}
 	draining    bool
 	ntasks      sync.WaitGroup // all in-flight samples, across conns
-	wg          sync.WaitGroup // per-conn reader+writer goroutines
+	wg          sync.WaitGroup // per-conn writer goroutines
 }
 
 // NewWorker returns a Worker ready to serve connections.
@@ -115,7 +115,7 @@ func (w *Worker) ServeConn(conn net.Conn) {
 		w:      w,
 		c:      conn,
 		wire:   newMuxWriter(conn),
-		out:    make(chan resultMsg, 64),
+		wake:   make(chan struct{}, 1),
 		closed: make(chan struct{}),
 	}
 	w.mu.Lock()
@@ -175,10 +175,10 @@ func (w *Worker) installSnapshot(job, hash uint64, s *cachedSnap) {
 	w.snapOrder[job] = order
 }
 
-// snapWaitTimeout bounds how long a task parks waiting for its snapshot,
-// which travels on the connection's bulk lane and may land after the task
-// that needs it. A lost snapshot (dropped frame, dead bulk lane) degrades to
-// the plain retryable "not cached" bounce when the timer fires.
+// snapWaitTimeout bounds how long a task parks waiting for its snapshot, which
+// the dispatcher's writer streams between other frames, so it may land after
+// the task that needs it. A lost snapshot (dropped frame) degrades to the
+// plain retryable "not cached" bounce when the timer fires.
 const snapWaitTimeout = 5 * time.Second
 
 // awaitSnapshot blocks until the (job, hash) snapshot is installed, the
@@ -258,7 +258,7 @@ func (w *Worker) Drain(ctx context.Context) error {
 		ln.Close()
 	}
 	for _, c := range conns {
-		c.write([]byte{mDrain}) // deregisters us at the dispatcher
+		c.queue([]byte{mDrain}, nil) // deregisters us at the dispatcher
 	}
 
 	// Wait for in-flight samples; ntasks.Add only happens under w.mu with
@@ -275,8 +275,8 @@ func (w *Worker) Drain(ctx context.Context) error {
 		err = ctx.Err()
 	}
 
-	// Flush and close every connection: closing out lets the writer drain
-	// the remaining batches, append the goodbye frame, and close the conn.
+	// Flush and close every connection: once its samples are in, the writer
+	// flushes the remaining batches, appends the goodbye frame, and closes.
 	for _, c := range conns {
 		c.finish()
 	}
@@ -316,36 +316,62 @@ func (w *Worker) Close() {
 type wconn struct {
 	w    *Worker
 	c    net.Conn
-	wire *muxWriter
+	wire *muxWriter // after the hello, only writeLoop writes
 
-	flushMu    sync.Mutex     // owner of the result-flush path (writer or a direct-flushing task)
-	direct     [1]resultMsg   // direct-flush scratch, guarded by flushMu
-	out        chan resultMsg // finished samples -> writer goroutine
+	mu      sync.Mutex // guards the send queue; never held across a Write
+	ctl     [][]byte   // control frames, in order
+	results []resultMsg
+	last    bool          // every result is queued: flush, say goodbye, close
+	stopped bool          // writeLoop has exited; nothing more is queued
+	wake    chan struct{} // buffered 1: something was queued
+
 	closed     chan struct{}  // closed when the read loop exits; unparks waiting tasks
 	taskWG     sync.WaitGroup // samples in flight on this conn
 	roundsMap  sync.Map       // round id -> roundMsg
 	finishOnce sync.Once
 }
 
-// write sends one message through the connection's wire.
-func (c *wconn) write(payload []byte) error {
-	return c.wire.writeMsg(payload)
+// queue hands a control frame or a finished sample to the writer and returns
+// without waiting on the connection.
+func (c *wconn) queue(ctl []byte, res *resultMsg) {
+	c.mu.Lock()
+	switch {
+	case c.stopped:
+	case res != nil:
+		c.results = append(c.results, *res)
+	default:
+		c.ctl = append(c.ctl, ctl)
+	}
+	c.mu.Unlock()
+	c.signal()
 }
 
-// finish closes the result channel once no more results can be produced,
-// releasing the writer to flush, say goodbye, and close the connection.
+func (c *wconn) send(m resultMsg) { c.queue(nil, &m) }
+
+func (c *wconn) signal() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// finish tells the writer, once no more results can be produced, to flush,
+// say goodbye, and close the connection.
 func (c *wconn) finish() {
 	c.finishOnce.Do(func() {
 		go func() {
 			c.taskWG.Wait()
-			close(c.out)
+			c.mu.Lock()
+			c.last = true
+			c.mu.Unlock()
+			c.signal()
 		}()
 	})
 }
 
 // readLoop processes dispatcher frames until the connection dies. Chunked
-// messages (snapshot ships on the bulk lane) reassemble through the demux,
-// interleaved with the small frames they must not block.
+// messages (snapshot ships) reassemble through the demux, interleaved with
+// the small frames they must not block.
 func (c *wconn) readLoop() {
 	w := c.w
 	dmx := newDemux()
@@ -385,9 +411,9 @@ func (c *wconn) readLoop() {
 			}
 			var cause byte
 			if cause, err = w.applyDelta(&d); err == nil && cause != 0 {
-				err = c.write(encodeSnapNack(snapNack{
+				c.queue(encodeSnapNack(snapNack{
 					Job: d.Job, BaseHash: d.BaseHash, NewHash: d.NewHash, Cause: cause,
-				}))
+				}), nil)
 			}
 		case mRound:
 			var rm roundMsg
@@ -395,14 +421,14 @@ func (c *wconn) readLoop() {
 			if err != nil {
 				break
 			}
-			c.rounds().Store(rm.ID, rm)
+			c.roundsMap.Store(rm.ID, rm)
 		case mEndRound:
 			var id uint64
 			id, err = decodeEndRound(payload[1:])
 			if err != nil {
 				break
 			}
-			c.rounds().Delete(id)
+			c.roundsMap.Delete(id)
 		case mEndJob:
 			var job uint64
 			job, err = decodeEndJob(payload[1:])
@@ -421,9 +447,9 @@ func (c *wconn) readLoop() {
 				w.mu.Unlock()
 				// Lost race between our drain announcement and a task in
 				// flight from the dispatcher: bounce it for reassignment.
-				c.write(mustEncodeResults([]resultMsg{{ID: tm.ID, Res: core.ExecResult{
+				c.send(resultMsg{ID: tm.ID, Res: core.ExecResult{
 					Err: "remote: worker draining", Retryable: true,
-				}}}))
+				}})
 				continue
 			}
 			w.ntasks.Add(1)
@@ -451,9 +477,6 @@ func (c *wconn) readLoop() {
 	c.c.Close()
 	c.finish()
 }
-
-// rounds returns the per-connection round table.
-func (c *wconn) rounds() *sync.Map { return &c.roundsMap }
 
 // applyDelta decodes a delta's changed values and splices them into its
 // base — the empty snapshot for BaseHash 0, else a cached one, whose other
@@ -513,14 +536,14 @@ func (c *wconn) inlineTask(tm taskMsg) bool {
 
 // runTask executes one sampling-process attempt and queues its result. The
 // round frame always precedes its tasks on the connection, but the snapshot
-// rides the bulk lane and may still be in flight — such tasks park (before
-// taking an execution slot) until it lands.
+// may still be streaming behind them — such tasks park (before taking an
+// execution slot) until it lands.
 func (c *wconn) runTask(tm taskMsg) {
 	w := c.w
 	defer w.ntasks.Done()
 	defer c.taskWG.Done()
 
-	rv, ok := c.rounds().Load(tm.Round)
+	rv, ok := c.roundsMap.Load(tm.Round)
 	if !ok {
 		c.send(resultMsg{ID: tm.ID, Res: core.ExecResult{
 			Err: "remote: task for unknown round", Retryable: true,
@@ -557,71 +580,58 @@ func (c *wconn) runTask(tm taskMsg) {
 	c.send(resultMsg{ID: tm.ID, Res: res})
 }
 
-// send routes one finished sample to the dispatcher. When the writer is
-// idle and nothing else is queued, the result is flushed directly from the
-// task goroutine — two channel handoffs cheaper, which is most of the
-// remaining single-worker loopback overhead. Otherwise it queues for the
-// writer's greedy batching.
-func (c *wconn) send(m resultMsg) {
-	if c.flushMu.TryLock() {
-		if len(c.out) == 0 {
-			c.direct[0] = m
-			err := c.flush(c.direct[:])
-			c.flushMu.Unlock()
-			if err != nil {
-				c.c.Close()
-			}
-			return
-		}
-		c.flushMu.Unlock()
-	}
-	c.out <- m
-}
-
 // resultBatchMax bounds how many finished samples ride in one result frame.
 const resultBatchMax = 64
 
-// writeLoop streams finished samples back, batching greedily: everything
-// queued at flush time joins one frame. After the channel closes (drain or
-// teardown) it flushes the tail, appends the goodbye frame, and closes the
-// connection.
+// writeLoop is the one goroutine that writes to the connection after the
+// hello. Each pass takes everything queued: control frames go out first, then
+// the finished samples, coalesced into as few result frames as
+// resultBatchMax allows. Once every result is queued (drain or teardown) it
+// appends the goodbye frame and closes the connection.
 func (c *wconn) writeLoop() {
 	defer c.w.wg.Done()
-	alive := true
-	batch := make([]resultMsg, 0, resultBatchMax)
-	for alive {
-		r, ok := <-c.out
-		if !ok {
-			break
+	var ctl [][]byte
+	var results []resultMsg
+	for {
+		<-c.wake
+		c.mu.Lock()
+		ctl, c.ctl = c.ctl, ctl[:0]
+		results, c.results = c.results, results[:0]
+		last := c.last
+		c.mu.Unlock()
+		err := c.writeAll(ctl, results)
+		clear(ctl)
+		clear(results)
+		if err == nil && last {
+			err = c.wire.writeMsg([]byte{mBye})
 		}
-		batch = append(batch[:0], r)
-	collect:
-		for len(batch) < resultBatchMax {
-			select {
-			case r2, ok2 := <-c.out:
-				if !ok2 {
-					alive = false
-					break collect
-				}
-				batch = append(batch, r2)
-			default:
-				break collect
-			}
-		}
-		c.flushMu.Lock()
-		err := c.flush(batch)
-		c.flushMu.Unlock()
-		if err != nil {
-			// The connection is gone; drain remaining results so task
-			// goroutines never block on the channel.
-			for range c.out {
-			}
+		if err != nil || last {
+			c.mu.Lock()
+			c.stopped = true
+			c.ctl, c.results = nil, nil
+			c.mu.Unlock()
 			c.c.Close()
 			return
 		}
 	}
-	c.write([]byte{mBye})
-	c.c.Close()
+}
+
+// writeAll writes one pass of the writer: the control frames, then the
+// results in batches.
+func (c *wconn) writeAll(ctl [][]byte, results []resultMsg) error {
+	for _, p := range ctl {
+		if err := c.wire.writeMsg(p); err != nil {
+			return err
+		}
+	}
+	for len(results) > 0 {
+		n := min(len(results), resultBatchMax)
+		if err := c.flush(results[:n]); err != nil {
+			return err
+		}
+		results = results[n:]
+	}
+	return nil
 }
 
 // flush encodes one result batch into a pooled frame buffer and writes it.
@@ -670,14 +680,4 @@ func (c *wconn) flush(batch []resultMsg) error {
 	err := c.wire.writeBuf(wb)
 	putFrameBuf(wb)
 	return err
-}
-
-// mustEncodeResults encodes a batch of plain error results (always
-// serializable).
-func mustEncodeResults(batch []resultMsg) []byte {
-	b, err := encodeResults(batch, nil)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
