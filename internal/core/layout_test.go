@@ -21,9 +21,10 @@ func apart(a, b field) bool {
 	return b.off >= a.off+a.size+56
 }
 
-// TestRegionStateHotFieldsApart: every sample reads the round's fixed fields
-// and writes its lock, counters and deadline timer, and the round's share of
-// the tuner's and the scheduler's counters (folded by finish). A write must
+// TestRegionStateHotFieldsApart: every sample reads the round's fixed fields;
+// every claim writes its lock, cursor, todo mirror and sync flag, every commit
+// its counters and the round's share of the tuner's and the scheduler's
+// counters (folded by finish), and deadlines its timer. A write must
 // not evict the line the other worker reads the fixed fields from.
 func TestRegionStateHotFieldsApart(t *testing.T) {
 	var rs regionState
@@ -39,7 +40,10 @@ func TestRegionStateHotFieldsApart(t *testing.T) {
 	}
 	written := []field{
 		{"mu", unsafe.Offsetof(rs.mu), unsafe.Sizeof(rs.mu)},
+		{"todo", unsafe.Offsetof(rs.todo), unsafe.Sizeof(rs.todo)},
+		{"synced", unsafe.Offsetof(rs.synced), unsafe.Sizeof(rs.synced)},
 		{"launched", unsafe.Offsetof(rs.launched), unsafe.Sizeof(rs.launched)},
+		{"total", unsafe.Offsetof(rs.total), unsafe.Sizeof(rs.total)},
 		{"done", unsafe.Offsetof(rs.done), unsafe.Sizeof(rs.done)},
 		{"timer", unsafe.Offsetof(rs.timer), unsafe.Sizeof(rs.timer)},
 		{"arena", unsafe.Offsetof(rs.arena), unsafe.Sizeof(rs.arena)},
@@ -55,5 +59,15 @@ func TestRegionStateHotFieldsApart(t *testing.T) {
 					r.name, r.off, r.off+r.size, w.name, w.off, w.off+w.size)
 			}
 		}
+	}
+}
+
+// TestSpSlotFillsLines: a worker writes its slot's attempt word twice per
+// sample and its chunk fields per claim. A slot whose size is a multiple of
+// 64 bytes sits in a size class whose objects start on cache-line
+// boundaries, so no two workers' slots share a line.
+func TestSpSlotFillsLines(t *testing.T) {
+	if n := unsafe.Sizeof(spSlot{}); n%64 != 0 {
+		t.Errorf("spSlot is %d bytes, want a multiple of 64", n)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agg"
@@ -208,13 +209,17 @@ type regionState struct {
 	watched bool
 	timeout time.Duration // FaultPolicy.SampleTimeout; 0 for none
 
-	// Every sample writes the lines below, under mu or on the timer, and no
+	// Every chunk writes the lines below, under mu or on the timer, and no
 	// line of the tuner or the scheduler (DESIGN §8): the pad keeps those
 	// writes off the lines the fields above share, whatever the alignment.
 	_ [56]byte
 
 	mu sync.Mutex
-	// What every sample writes under mu, together: the claim cursor, the
+	// todo mirrors Algorithm 1's todo for the next pair, n - launched/k: it is
+	// written at each claim and read without mu by every pair a chunk renews.
+	todo   atomic.Int64
+	synced bool // a body reached Sync: claims take one pair from now on
+	// What every chunk writes under mu, together: the claim cursor, the
 	// arena's length, and the counts finish folds into the tuner's and the
 	// scheduler's.
 	launched          int // pairs claimed so far == index of the next pair, group-major
@@ -440,14 +445,14 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 			rs.cut(err)
 			break
 		}
-		g, f, ok := rs.claim(false)
-		if !ok {
+		i, c := rs.claim(false)
+		if c == 0 {
 			t.release() // admitted in the instant the last pair was claimed
 			t.ctr.idleLaunches.Add(1)
 			break
 		}
 		rs.wg.Add(1)
-		go rs.worker(g, f)
+		go rs.worker(i, i+c, true)
 	}
 	rs.wg.Wait()
 	// Every worker finished or was counted out by the watcher, which does
@@ -472,22 +477,26 @@ func (rs *regionState) unlaunched() (todo int, more bool) {
 	return rs.n - rs.launched/rs.k, rs.launched < rs.total
 }
 
-// claim hands its caller the round's next un-launched (group, fold) pair to
-// run on the pool slot the caller holds (claimLocked), and releases the
-// barrier if the claim cut or pruned the round. The launch loop claims with a
-// slot it just acquired; a worker whose sample commits claims in spDone's
-// section, and here only after a sample that timed out without an SP.
-func (rs *regionState) claim(renew bool) (g, f int, ok bool) {
+// claim hands its caller the round's next chunk of un-launched (group, fold)
+// pairs to run on the pool slot the caller holds (claimLocked), and releases
+// the barrier if the claim cut or pruned the round. The launch loop claims
+// with a slot it just acquired; a worker whose chunk commits claims in
+// spDone's section, and here only after a sample that timed out without an SP.
+func (rs *regionState) claim(renew bool) (i, c int) {
 	rs.mu.Lock()
 	defer rs.barrier.maybeRelease()
 	defer rs.mu.Unlock()
 	return rs.claimLocked(renew)
 }
 
-// claimLocked is claim under rs.mu, which the caller holds. A worker claims
-// with renew set, asking the scheduler to let it keep the slot its finished
-// sample ran on: the admission is renewed under rs.mu so that it is counted
-// exactly when a pair is there to use it. ok is false when every pair is
+// chunkCap caps the pairs one claim takes.
+const chunkCap = 32
+
+// claimLocked is claim under rs.mu, which the caller holds: the c pairs from
+// index i on. A worker claims with renew set, asking the scheduler to let it
+// keep the slot its finished chunk ran on: the admission of the chunk's first
+// pair is renewed under rs.mu so that it is counted exactly when a pair is
+// there to use it (spDone renews the others). c is 0 when every pair is
 // claimed, the round was cut, or the renewal was declined; the caller then
 // releases its slot. A claim that cuts or prunes the round lowers total; the
 // caller releases the barrier once it has unlocked rs.mu.
@@ -497,24 +506,27 @@ func (rs *regionState) claim(renew bool) (g, f int, ok bool) {
 // pruned. Deciding it here, after the claim, keeps the rule that a region
 // always launches at least one group — a tight budget yields a cheap result
 // instead of none.
-func (rs *regionState) claimLocked(renew bool) (g, f int, ok bool) {
+func (rs *regionState) claimLocked(renew bool) (i, c int) {
 	if rs.launched == rs.total {
-		return 0, 0, false
+		return 0, 0
 	}
-	g, f = rs.launched/rs.k, rs.launched%rs.k
+	i = rs.launched
+	g, f := i/rs.k, i%rs.k
 	if renew {
 		if err := rs.ctx.Err(); err != nil {
 			// What the launch loop's acquire reports for an expired region
 			// budget, seen first by a worker.
 			rs.cutLocked(err)
-			return 0, 0, false
+			return 0, 0
 		}
 		if !rs.t.sched.Renew(sched.SpawnS, rs.n-g, rs.t.job) {
-			return 0, 0, false
+			return 0, 0
 		}
 		rs.renewed++
 	}
-	rs.launched++
+	c = rs.chunkSize()
+	rs.launched += c
+	rs.todo.Store(int64(rs.n - rs.launched/rs.k))
 	if f == 0 && rs.shared != nil {
 		// Cross-validation folds share one sampler and one set of draws.
 		rs.shared[g] = &svgShared{
@@ -532,7 +544,19 @@ func (rs *regionState) claimLocked(renew bool) (g, f int, ok bool) {
 	if rs.launched == rs.total {
 		rs.fullyLaunched()
 	}
-	return g, f, true
+	return i, c
+}
+
+// chunkSize is how many pairs the next claim takes: a guided chunk, a quarter
+// of each slot's share of the pairs left, at most chunkCap. It is one wherever
+// a claimed pair could be cut, abandoned or parked before it starts, or the
+// claim decides per pair: under CV (shared samplers), a work budget (pruning),
+// an executor (declines), a watched round, and after a Sync arrival.
+func (rs *regionState) chunkSize() int {
+	if rs.k > 1 || rs.t.opts.Budget > 0 || rs.execH != nil || rs.watched || rs.synced {
+		return 1
+	}
+	return min(chunkCap, max(1, (rs.total-rs.launched)/(4*rs.t.sched.Capacity())))
 }
 
 // cut ends launching because the region budget (or the caller's context)

@@ -42,17 +42,39 @@ type noSyncPanic struct{}
 // the attempt it names and that attempt's per-sample deadline: the worker and
 // the watcher each settle an attempt with one CAS on the word, so exactly one
 // of them commits its outcome.
+// It also holds the worker's chunk of pairs, [next, end), and its finished
+// samples awaiting the commit section. Its worker writes the word twice per
+// attempt: 128 bytes is a size class of whole cache lines (TestSpSlotFillsLines).
 type spSlot struct {
 	held atomic.Bool
 	word atomic.Uint64
 	// deadline is the monoNow reading at which the running attempt expires;
 	// 0 while its deadline is not running: no SampleTimeout, a process
 	// waiting at a Sync barrier, or a body that has returned.
-	deadline atomic.Int64
-	sp       *SP // written before the word names it running; read after a CAS on it
-	// Its worker writes the word twice per attempt: the pad gives each slot
-	// a 64-byte size class, and so a cache line of its own.
-	_ [32]byte
+	deadline  atomic.Int64
+	sp        *SP // written before the word names it running; read after a CAS on it
+	next, end int
+	renewed   int64 // per-pair renewals since the last commit
+	recs      []doneRec
+	params    []pkv
+	folds     []foldVal
+}
+
+// doneRec is a finished sample waiting in its worker's slot for the commit
+// section; its parameter snapshot and fold values are the next np and nf
+// entries of the slot's params and folds.
+type doneRec struct {
+	g                     int
+	err                   error
+	score, dur            float64
+	np, nf                int32
+	pruned, scored, local bool
+}
+
+// foldVal is a committed value waiting to be folded into aggregator id.
+type foldVal struct {
+	id uint32
+	v  any
 }
 
 // Attempt states in an spSlot's word.
@@ -63,8 +85,8 @@ const (
 )
 
 // slotPool recycles the pool-slot trackers of bare rounds, where nothing
-// abandons an attempt. Slots of watched rounds are never returned: the
-// watcher may still be reading them.
+// abandons an attempt. Slots of watched rounds are never returned, as the
+// watcher may still be reading them; a fresh slot takes their buffers.
 var slotPool = sync.Pool{New: func() any { return &spSlot{} }}
 
 // release returns the slot to the pool if this call transitions it out of
@@ -474,7 +496,9 @@ func (sp *SP) reset() {
 //
 // While blocked the process gives its scheduler slot back (Algorithm 1's
 // wait() adjusts poolSize the same way), so a region larger than the pool
-// cannot deadlock on its own barrier.
+// cannot deadlock on its own barrier. First it commits its worker's finished
+// samples and hands the unstarted rest of the worker's chunk to a fresh worker
+// (handBack): nobody waits at the barrier for a pair parked behind it.
 //
 // An abandoned process (FaultPolicy) unwinds here instead of arriving: its
 // timeout outcome was already committed, so it no longer counts toward the
@@ -494,6 +518,7 @@ func (sp *SP) Sync(cb func(v *SyncView)) {
 	}
 	t := sp.rs.t
 	sp.rs.stopDeadline(sp.slot)
+	sp.rs.handBack(sp.slot)
 	sp.slot.release(t)
 	sp.rs.barrier.arrive(sp, cb)
 	if sp.isAbandoned() {
@@ -542,31 +567,37 @@ const (
 	attemptLost
 )
 
-// worker runs sampling processes on one pool slot: the (group, fold) pair it
-// was started with, then — as long as Algorithm 1 renews the admission — the
-// pairs it claims as each sample commits, so a saturated round costs a
-// goroutine and a queued request per slot, not per sample. Which worker runs
-// a sample cannot show in its result: a sampler is a pure function of (seed,
-// g, n, fb). It runs as a plain goroutine method so starting one allocates
-// no closure.
-func (rs *regionState) worker(g, f int) {
+// worker runs sampling processes on one pool slot: the chunk of pairs [i, end)
+// it was started with, then — as long as Algorithm 1 renews the admission,
+// pair by pair (spDone) — the chunks it claims as each chunk commits, so a
+// saturated round costs a goroutine and a queued request per slot, not per
+// sample. Unless admitted, it takes a slot first: it runs a chunk handed back
+// at Sync. A sampler is a pure function of (seed, g, n, fb), so which worker
+// runs a sample cannot show. A goroutine method: starting one allocates no closure.
+func (rs *regionState) worker(i, end int, admitted bool) {
 	slot := slotPool.Get().(*spSlot)
+	if !admitted {
+		rs.t.acquire(sched.SpawnS, int(rs.todo.Load()))
+	}
 	slot.held.Store(true)
+	slot.next, slot.end = i, end
 	if rs.watched {
 		rs.mu.Lock()
 		rs.slots = append(rs.slots, slot)
 		rs.mu.Unlock()
 	}
-	for more := true; more; {
-		var end attemptEnd
-		if g, f, more, end = rs.runSP(g, f, slot); end == attemptLost {
+	for slot.next < slot.end {
+		i := slot.next
+		slot.next++
+		if rs.runSP(i/rs.k, i%rs.k, slot) == attemptLost {
 			return
 		}
 	}
 	slot.release(rs.t)
-	if !rs.watched {
-		slotPool.Put(slot)
+	if rs.watched { // the watcher may still read the slot, never its buffers
+		slot = &spSlot{recs: slot.recs[:0], params: slot.params[:0], folds: slot.folds[:0]}
 	}
+	slotPool.Put(slot)
 	rs.wg.Done()
 }
 
@@ -711,9 +742,9 @@ func monoNow() int64 { return int64(time.Since(monoBase)) }
 // counted here. It reports how the last attempt ended for the worker
 // (attemptEnd): only an in-process attempt can be lost to the watcher, so a
 // dispatched attempt, or a backoff cut short, reports attemptFinished.
-// A finished sample also hands the worker the next pair it claimed (claim),
-// or more == false when it has none and must release its slot.
-func (rs *regionState) runSP(g, f int, slot *spSlot) (ng, nf int, more bool, end attemptEnd) {
+// A finished sample also readies the worker's next pair in slot (spDone, or
+// claim), or leaves the slot's chunk empty when there is none.
+func (rs *regionState) runSP(g, f int, slot *spSlot) (end attemptEnd) {
 	t := rs.t
 	fp := t.opts.Fault
 	ctx := rs.ctx
@@ -746,7 +777,7 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) (ng, nf int, more bool, end
 				sampler = rs.spec.Strategy.Sampler(rs.seed, g, rs.n, rs.fb)
 			}
 			if sp, err, end = rs.runAttempt(g, f, attempt, slot, sampler); end == attemptLost {
-				return 0, 0, false, end
+				return end
 			}
 			// The finished body was the sampler's sole user, unless it is one
 			// fold of a cross-validation group, which share theirs.
@@ -786,11 +817,12 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) (ng, nf int, more bool, end
 		// A dispatched attempt the executor timed out, or a backoff cut short:
 		// there is no SP to read, only the outcome.
 		rs.spDoneTimeout(g, err, 0)
-		ng, nf, more = rs.claim(true)
+		i, c := rs.claim(true)
+		slot.next, slot.end = i, i+c
 	} else {
-		ng, nf, more = rs.spDone(sp, err)
+		rs.spDone(sp, err, slot)
 	}
-	return ng, nf, more, attemptFinished
+	return attemptFinished
 }
 
 // invokeBody runs the sampling body (and the Score callback) with the
@@ -919,85 +951,128 @@ func (rs *regionState) spDoneTimeout(g int, err error, attempts int64) {
 	rs.barrier.maybeRelease()
 }
 
-// spDone commits the finished sampling process's results into the region
-// (the parent side of rule [AGGR-S]) and advances the barrier bookkeeping,
-// wherever the process ran: it is the only way into the aggregators, the
-// store, the parameter arena and the score sums. In the same rs.mu section it
-// claims the worker's next pair (claimLocked), renewing the worker's slot, so
-// a finished sample takes the round's lock once.
-//
-// A successful process folds each commit that has a built-in aggregator into
-// it under rs.mu, in completion order, and stores its commits in one batch,
-// except, with incremental aggregation (Sec. IV-B), the folded ones. The paper
-// hands values to its aggregators through a ring because its sampling
-// processes are forked; a goroutine reaches them here, so no value is ever in
-// flight.
-func (rs *regionState) spDone(sp *SP, err error) (ng, nf int, more bool) {
+// spDone finishes a sampling process wherever it ran and readies its worker's
+// next pair. It records the process in its worker's slot as a doneRec, storing
+// its commits in one batch first, except, with incremental aggregation (Sec.
+// IV-B), the ones a built-in aggregator folds; the SP goes back to the pool at
+// once. While the chunk has pairs left, Algorithm 1 is asked for the next one
+// outside rs.mu, with the round's current todo, so the launch loop's own
+// request is never ahead; declined, the worker re-queues (a chunked round
+// cannot end). After the chunk's last pair, one rs.mu section commits the
+// chunk (commitLocked) and claims the next (claimLocked), renewing the slot:
+// a finished chunk takes the round's lock once.
+func (rs *regionState) spDone(sp *SP, err error, slot *spSlot) {
 	g := sp.group
 	if rs.t.opts.Trace != nil {
 		rs.noteOutcome(g, err, false, sp.pruned, sp.score)
 	}
-
-	ok := err == nil && !sp.pruned
-	if ok && sp.fold == 0 {
-		for _, id := range sp.corder {
-			if rs.t.opts.Incremental && int(id) < len(rs.incs) && rs.incs[id] != nil {
-				continue // folded into its aggregator instead
-			}
-			sp.kvbuf = append(sp.kvbuf, store.KV{X: rs.syms.Name(id), V: sp.cvals[id]})
-		}
-	}
-
-	rs.mu.Lock()
-	if sp.slot != nil { // in-process; a dispatched attempt counted itself
-		rs.attempts++
-		if rs.ro != nil {
-			rs.durs.Observe(sp.dur)
-		}
-	}
-	switch {
-	case err != nil:
-		rs.outcomes[2]++
-		if rs.errs[g] == nil {
-			rs.errs[g] = err
-		}
-	case sp.pruned:
-		rs.outcomes[1]++
-		rs.pruned[g] = true
-	default:
-		rs.outcomes[0]++
-		// Only CV folds share a group: no flag to miss on under the lock.
-		if rs.k == 1 || !rs.haveParams[g] {
-			rs.haveParams[g] = true
-			off := rs.narena
-			if a := sp.appendParams(rs.arena[:off]); cap(a) == cap(rs.arena) {
-				rs.narena = len(a)
-			} else {
-				rs.arena, rs.narena = a, len(a)
-			}
-			rs.spans[g] = span{off, rs.narena - off}
-		}
+	r := doneRec{g: g, err: err, score: sp.score, dur: sp.dur,
+		pruned: sp.pruned, scored: sp.scored, local: sp.slot != nil} // a dispatched attempt counted itself
+	if err == nil && !sp.pruned {
+		np := len(slot.params)
+		slot.params = sp.appendParams(slot.params)
+		r.np = int32(len(slot.params) - np)
 		if sp.fold == 0 {
 			for _, id := range sp.corder {
 				if int(id) < len(rs.incs) && rs.incs[id] != nil {
-					rs.incs[id].Add(sp.cvals[id])
+					slot.folds = append(slot.folds, foldVal{id, sp.cvals[id]})
+					r.nf++
+					if rs.t.opts.Incremental {
+						continue // folded into its aggregator instead
+					}
 				}
+				sp.kvbuf = append(sp.kvbuf, store.KV{X: rs.syms.Name(id), V: sp.cvals[id]})
+			}
+			rs.store.PutBatch(g, sp.kvbuf)
+		}
+	}
+	slot.recs = append(slot.recs, r)
+	rs.recycleSP(sp)
+	if slot.next < slot.end {
+		todo := int(rs.todo.Load())
+		if rs.t.sched.Renew(sched.SpawnS, todo, rs.t.job) {
+			slot.renewed++
+		} else {
+			slot.release(rs.t)
+			rs.t.acquire(sched.SpawnS, todo)
+			slot.held.Store(true)
+		}
+		return
+	}
+	rs.mu.Lock()
+	rs.commitLocked(slot)
+	i, c := rs.claimLocked(true)
+	rs.mu.Unlock()
+	slot.next, slot.end = i, i+c
+	rs.barrier.maybeRelease()
+}
+
+// commitLocked commits the samples waiting in s, under rs.mu, in index order:
+// the only way into the aggregators, the arena, the score sums and the counts.
+func (rs *regionState) commitLocked(s *spSlot) {
+	params, folds := s.params, s.folds
+	for i := range s.recs {
+		r := &s.recs[i]
+		g := r.g
+		if r.local {
+			rs.attempts++
+			if rs.ro != nil {
+				rs.durs.Observe(r.dur)
 			}
 		}
-		if sp.scored {
-			rs.scoreSum[g] += sp.score
-			rs.scoreCnt[g]++
+		switch {
+		case r.err != nil:
+			rs.outcomes[2]++
+			if rs.errs[g] == nil {
+				rs.errs[g] = r.err
+			}
+		case r.pruned:
+			rs.outcomes[1]++
+			rs.pruned[g] = true
+		default:
+			rs.outcomes[0]++
+			// Only CV folds share a group: no flag to miss on under the lock.
+			if rs.k == 1 || !rs.haveParams[g] {
+				rs.haveParams[g] = true
+				off := rs.narena
+				if a := append(rs.arena[:off], params[:r.np]...); cap(a) == cap(rs.arena) {
+					rs.narena = len(a)
+				} else {
+					rs.arena, rs.narena = a, len(a)
+				}
+				rs.spans[g] = span{off, rs.narena - off}
+			}
+			for _, fv := range folds[:r.nf] {
+				rs.incs[fv.id].Add(fv.v)
+			}
+			if r.scored {
+				rs.scoreSum[g] += r.score
+				rs.scoreCnt[g]++
+			}
 		}
+		params, folds = params[r.np:], folds[r.nf:]
 	}
-	rs.done++
-	ng, nf, more = rs.claimLocked(true)
+	rs.done += len(s.recs)
+	rs.renewed += s.renewed
+	s.renewed = 0
+	clear(s.recs)
+	clear(s.folds)
+	s.recs, s.params, s.folds = s.recs[:0], s.params[:0], s.folds[:0]
+}
+
+// handBack readies a worker whose body is about to wait at Sync: it commits
+// the worker's finished samples and starts a fresh worker on the rest of its
+// chunk, which the barrier would otherwise wait for. Later claims take one pair.
+func (rs *regionState) handBack(s *spSlot) {
+	rs.mu.Lock()
+	rs.synced = true
+	rs.commitLocked(s)
 	rs.mu.Unlock()
-	if ok && sp.fold == 0 && len(sp.kvbuf) > 0 {
-		rs.store.PutBatch(g, sp.kvbuf)
+	if s.next < s.end {
+		rs.wg.Add(1)
+		go rs.worker(s.next, s.end, false)
+		s.end = s.next
 	}
-	rs.barrier.maybeRelease()
-	rs.recycleSP(sp)
-	return ng, nf, more
 }
 
 // SyncView is what a barrier callback sees: the sampling processes blocked
