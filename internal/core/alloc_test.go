@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/dist"
+	"repro/internal/strategy"
 )
 
 // The steady-state allocation contract of the sample inner loop: once a
@@ -132,5 +133,45 @@ func TestRecordedRoundAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per job unrecorded, %.0f recorded: %+.1f per round", plain, recorded, perRound)
 	if perRound > 24 {
 		t.Errorf("recording adds %.1f allocations per round, want <= 24", perRound)
+	}
+}
+
+// TestScoredRoundAllocs gates the fixed cost of a scored round of the
+// BenchmarkScoredRounds shape: one steady-state 8-sample MCMC round on a pool
+// of 2. Its commits join the round's arena, its feedback folds into views the
+// process owns, its chain samplers are pooled, and its launch request is
+// withdrawn through the scheduler, not a per-round context.
+func TestScoredRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate; the race detector drops sync.Pool entries")
+	}
+	spec := RegionSpec{
+		Name:     "rounds",
+		Samples:  8,
+		Strategy: strategy.MCMC(strategy.MCMCOptions{}),
+		Score:    func(sp *SP) float64 { return sp.MustGet("y").(float64) },
+	}
+	d := dist.Uniform(0, 1)
+	body := func(sp *SP) error {
+		x := sp.Float("x", d)
+		sp.Commit("y", x*(2-x))
+		return nil
+	}
+	var allocs float64
+	run(t, New(Options{MaxPool: 2, Seed: 1}), func(p *P) error {
+		round := func() {
+			if _, err := p.Region(spec, body); err != nil {
+				t.Error(err)
+			}
+		}
+		for r := 0; r < 16; r++ { // views full, pools warm
+			round()
+		}
+		allocs = testing.AllocsPerRun(100, round)
+		return nil
+	})
+	t.Logf("%.0f allocations per scored round", allocs)
+	if allocs > 24 {
+		t.Errorf("a steady-state 8-sample scored round allocates %.0f objects, want <= 24", allocs)
 	}
 }

@@ -81,15 +81,14 @@ func claimState(t *testing.T, opts Options, n, k int, ctx context.Context) *regi
 	tuner := New(opts)
 	t.Cleanup(tuner.Close)
 	rs := &regionState{
-		t:             tuner,
-		spec:          RegionSpec{Strategy: strategy.Rand()},
-		n:             n,
-		k:             k,
-		total:         n * k,
-		pruned:        make([]bool, n),
-		ctx:           ctx,
-		timeout:       opts.Fault.SampleTimeout,
-		fullyLaunched: func() {},
+		t:       tuner,
+		spec:    RegionSpec{Strategy: strategy.Rand()},
+		n:       n,
+		k:       k,
+		total:   n * k,
+		groups:  make([]group, n),
+		ctx:     ctx,
+		timeout: opts.Fault.SampleTimeout,
 	}
 	if k > 1 {
 		rs.shared = make([]*svgShared, n)

@@ -161,9 +161,10 @@ type counters struct {
 // the right size). Feedback lives on the tuning processes, not here — see
 // P.fbSeen.
 type regionShape struct {
-	syms     *store.Symbols
-	pool     sync.Pool    // *SP
-	arenaPer atomic.Int64 // the longest parameter snapshot of the last round
+	syms       *store.Symbols
+	pool       sync.Pool    // *SP
+	arenaPer   atomic.Int64 // the longest parameter snapshot of the last round
+	commitsPer atomic.Int64 // the most commits a group of the last round stored
 }
 
 // Tuner is one tuning job: the per-job handle carrying program structure
@@ -404,23 +405,32 @@ type P struct {
 // fbView is the part of a feedback history a strategy can ever be handed:
 // its best maxFeedback entries, best first, ties in arrival order — equal to
 // strategy.SortBestFirst(history)[:maxFeedback], and kept so by insert without
-// the history (DESIGN.md §9 has the argument). fb is never mutated once a
-// view is stored: a split child, a sampler and an executor's round task all
-// alias it.
+// the history (DESIGN.md §9 has the argument). A fold writes fb's array in
+// place only while the view owns it; a split child, an executor's round task
+// and an abandoned body may alias it, so wherever fb escapes the round's own
+// samplers, owned is cleared and the next fold copies.
 type fbView struct {
 	fb       []strategy.Feedback
 	minimize bool // the direction fb is ordered under
+	owned    bool // fb's array is the view's alone, with room for maxFeedback entries
 }
 
 // toward returns v ordered for the given direction. A region name reused
-// with the opposite Minimize re-sorts what is retained; the entries the old
-// direction had already dropped are gone.
+// with the opposite Minimize re-sorts what is retained, in a copy; the entries
+// the old direction had already dropped are gone.
 func (v fbView) toward(minimize bool) fbView {
 	if v.minimize != minimize {
-		v.fb, v.minimize = append([]strategy.Feedback(nil), v.fb...), minimize
+		v.fb, v.minimize, v.owned = append(make([]strategy.Feedback, 0, maxFeedback), v.fb...), minimize, true
 		strategy.SortBestFirst(v.fb, minimize)
 	}
 	return v
+}
+
+// own makes v's array its own before a fold writes it.
+func (v *fbView) own() {
+	if !v.owned {
+		v.fb, v.owned = append(make([]strategy.Feedback, 0, maxFeedback), v.fb...), true
+	}
 }
 
 // slot returns the index an entry with this score would take — behind
@@ -435,7 +445,7 @@ func (v fbView) slot(score float64) int {
 }
 
 // insert puts e at index i, its slot, dropping the worst entry of a full
-// view. v.fb must be private to the caller, with room for maxFeedback entries.
+// view. v must own its array (own).
 func (v *fbView) insert(i int, e strategy.Feedback) {
 	if i == maxFeedback {
 		return
@@ -449,9 +459,19 @@ func (v *fbView) insert(i int, e strategy.Feedback) {
 
 // feedbackFor returns the feedback visible to this tuning process for a
 // region name, best first, at most maxFeedback entries. The slice is shared:
-// callers must not modify it.
+// callers must not modify it, and the process's next fold may write it in
+// place unless a caller that keeps it calls shareFeedback.
 func (p *P) feedbackFor(name string, minimize bool) []strategy.Feedback {
 	return p.fbSeen[name].toward(minimize).fb
+}
+
+// shareFeedback marks p's view of a region name as escaped beyond the round's
+// own samplers: the next fold copies it instead of writing it in place.
+func (p *P) shareFeedback(name string) {
+	if v, ok := p.fbSeen[name]; ok && v.owned {
+		v.owned = false
+		p.fbSeen[name] = v
+	}
 }
 
 // addFeedback folds n candidate entries, in arrival order, into both of p's
@@ -461,23 +481,23 @@ func (p *P) feedbackFor(name string, minimize bool) []strategy.Feedback {
 // for a candidate that enters a view.
 func (p *P) addFeedback(name string, minimize bool, n int, score func(i int) float64, params func(i int) map[string]float64) {
 	seen, created := p.fbSeen[name].toward(minimize), p.fbNew[name].toward(minimize)
-	private := false
+	changed := false
 	for i := 0; i < n; i++ {
 		s := score(i)
 		si, ci := seen.slot(s), created.slot(s)
 		if math.IsNaN(s) || si == maxFeedback && ci == maxFeedback {
 			continue
 		}
-		if !private {
-			seen.fb = append(make([]strategy.Feedback, 0, maxFeedback), seen.fb...)
-			created.fb = append(make([]strategy.Feedback, 0, maxFeedback), created.fb...)
-			private = true
+		if !changed {
+			seen.own()
+			created.own()
+			changed = true
 		}
 		e := strategy.Feedback{Params: params(i), Score: s}
 		seen.insert(si, e)
 		created.insert(ci, e)
 	}
-	if private {
+	if changed {
 		p.fbSeen[name], p.fbNew[name] = seen, created
 	}
 }
@@ -549,6 +569,12 @@ func (p *P) Split(fn func(child *P) error) {
 	if p.t.rec != nil {
 		child.path = p.path + "." + strconv.Itoa(p.nsplit)
 		p.nsplit++
+	}
+	// The child starts from the parent's views and shares their arrays: from
+	// here on, neither folds into them in place.
+	for name, v := range p.fbSeen {
+		v.owned = false
+		p.fbSeen[name] = v
 	}
 	child.fbSeen = maps.Clone(p.fbSeen)
 	p.children = append(p.children, child)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -9,7 +10,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/dist"
 	"repro/internal/strategy"
 )
@@ -302,4 +305,171 @@ func TestScoredRoundCostFlat(t *testing.T) {
 	if b1 > 1.1*b0 {
 		t.Errorf("a round allocates %.0f B on a fresh job and %.0f B after 4096 samples", b0, b1)
 	}
+}
+
+// fbProbe is a strategy whose samplers remember the view they were built
+// from. Armed, the sampler of sample 0 blocks in its first Draw until
+// released and then reports whether that view changed under it.
+type fbProbe struct {
+	armed   atomic.Bool
+	release chan struct{}
+	verdict chan error
+}
+
+type fbProbeSampler struct {
+	p        *fbProbe
+	idx      int
+	fb, copy []strategy.Feedback
+}
+
+func (p *fbProbe) Name() string { return "probe" }
+
+func (p *fbProbe) Sampler(_ int64, idx, _ int, fb []strategy.Feedback) strategy.Sampler {
+	return &fbProbeSampler{p: p, idx: idx, fb: fb, copy: append([]strategy.Feedback(nil), fb...)}
+}
+
+func (s *fbProbeSampler) Draw(string, dist.Dist) float64 {
+	if s.idx == 0 && s.p.armed.CompareAndSwap(true, false) {
+		<-s.p.release
+		s.p.verdict <- sameFeedback(s.fb, s.copy)
+	}
+	return 0.5
+}
+
+// TestFeedbackInPlaceNeverLeaks: a process folds a round's scores into its
+// feedback view in place while it owns the view's array. Wherever the view
+// escapes the round's own samplers, the next fold must copy instead: a split
+// child (in both directions), an executor's round task, and the sampler of an
+// abandoned attempt, which may still be running. A journaled round must hash
+// the view it launched with, not the one its fold left. Scores rise with
+// every sample, so each fold shifts every entry a reader could hold.
+func TestFeedbackInPlaceNeverLeaks(t *testing.T) {
+	scoredSpec := func(name string, strat strategy.Strategy) RegionSpec {
+		var next atomic.Int64
+		return RegionSpec{Name: name, Samples: 4, Strategy: strat,
+			Score: func(*SP) float64 { return float64(next.Add(1)) }}
+	}
+	body := func(sp *SP) error {
+		sp.Float("x", dist.Uniform(0, 1))
+		return nil
+	}
+	rounds := func(p *P, spec RegionSpec, n int) error {
+		for r := 0; r < n; r++ {
+			if _, err := p.Region(spec, body); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	clone := func(fb []strategy.Feedback) []strategy.Feedback { return append([]strategy.Feedback(nil), fb...) }
+
+	t.Run("SplitChild", func(t *testing.T) {
+		spec := scoredSpec("split", strategy.MCMC(strategy.MCMCOptions{}))
+		run(t, New(Options{MaxPool: 4, Seed: 3}), func(p *P) error {
+			if err := rounds(p, spec, 3); err != nil {
+				return err
+			}
+			atSplit := clone(p.feedbackFor("split", false))
+			parentRan, childRan := make(chan struct{}), make(chan struct{})
+			p.Split(func(c *P) error {
+				defer close(childRan)
+				<-parentRan
+				if err := sameFeedback(c.feedbackFor("split", false), atSplit); err != nil {
+					return fmt.Errorf("the parent's fold wrote the child's view: %v", err)
+				}
+				return rounds(c, spec, 1)
+			})
+			if err := rounds(p, spec, 1); err != nil {
+				return err
+			}
+			before := clone(p.feedbackFor("split", false))
+			close(parentRan)
+			<-childRan
+			if err := sameFeedback(p.feedbackFor("split", false), before); err != nil {
+				return fmt.Errorf("the child's fold wrote the parent's view: %v", err)
+			}
+			return p.Wait()
+		})
+	})
+
+	t.Run("ExecutorRoundTask", func(t *testing.T) {
+		rec := &recordingExec{fakeExec: newFakeExec()}
+		spec := scoredSpec("exec", strategy.MCMC(strategy.MCMCOptions{}))
+		run(t, New(Options{MaxPool: 4, Seed: 3, Executor: rec}), func(p *P) error {
+			return rounds(p, spec, 4)
+		})
+		if len(rec.tasks) != 4 {
+			t.Fatalf("%d rounds reached the executor, want 4", len(rec.tasks))
+		}
+		for r, fb := range rec.tasks {
+			if err := sameFeedback(fb, rec.copies[r]); err != nil {
+				t.Errorf("round %d's task feedback changed after BeginRound: %v", r, err)
+			}
+		}
+	})
+
+	t.Run("AbandonedAttempt", func(t *testing.T) {
+		probe := &fbProbe{release: make(chan struct{}), verdict: make(chan error, 1)}
+		spec := scoredSpec("lost", probe)
+		tuner := New(Options{MaxPool: 4, Seed: 3, Fault: FaultPolicy{SampleTimeout: 20 * time.Millisecond}})
+		run(t, tuner, func(p *P) error {
+			if err := rounds(p, spec, 3); err != nil {
+				return err
+			}
+			probe.armed.Store(true)
+			res, err := p.Region(spec, body)
+			if err != nil {
+				return err
+			}
+			if !res.TimedOut(0) {
+				return errors.New("the hung sampler's attempt was not abandoned")
+			}
+			return nil
+		})
+		close(probe.release)
+		if err := <-probe.verdict; err != nil {
+			t.Fatalf("the round's fold wrote the view an abandoned sampler still reads: %v", err)
+		}
+	})
+
+	t.Run("JournaledHash", func(t *testing.T) {
+		const n = 6
+		spec := scoredSpec("journal", strategy.MCMC(strategy.MCMCOptions{}))
+		cs := &captureStore{}
+		var want []uint64
+		run(t, New(Options{MaxPool: 4, Seed: 3, Checkpoint: &CheckpointPolicy{Store: cs, Every: n}}), func(p *P) error {
+			for r := 0; r < n; r++ {
+				want = append(want, feedbackHash(p.feedbackFor("journal", false)))
+				if err := rounds(p, spec, 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		st, err := checkpoint.DecodeBytes(cs.snapshots()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Rounds) != n {
+			t.Fatalf("%d journaled rounds, want %d", len(st.Rounds), n)
+		}
+		for r, jr := range st.Rounds {
+			if jr.FBHash != want[r] {
+				t.Errorf("round %d journaled feedback hash %016x, launch-time view %016x", r, jr.FBHash, want[r])
+			}
+		}
+	})
+}
+
+// recordingExec is fakeExec keeping each round task's feedback, and a copy
+// of it taken at BeginRound.
+type recordingExec struct {
+	*fakeExec
+	tasks, copies [][]strategy.Feedback
+}
+
+func (e *recordingExec) BeginRound(r RoundTask) (any, error) {
+	e.tasks = append(e.tasks, r.Feedback)
+	e.copies = append(e.copies, append([]strategy.Feedback(nil), r.Feedback...))
+	return e.fakeExec.BeginRound(r)
 }

@@ -222,13 +222,20 @@ func TestFig8Rules(t *testing.T) {
 		}},
 		// [LOADSAMPLE]: @loadS(x, i) reads what sampling process i committed,
 		// whatever order the processes finish in. Here they finish in reverse:
-		// each waits until every higher-indexed one has committed.
+		// each waits until every higher-indexed one is committed to the round
+		// (its commit section has run), so the commit arena holds them in
+		// reverse index order.
 		{"LOADSAMPLE", func(t *testing.T) {
 			const n = 4
+			committed := func(rs *regionState) int {
+				rs.mu.Lock()
+				defer rs.mu.Unlock()
+				return rs.done
+			}
 			run(t, New(Options{MaxPool: n, Seed: 1}), func(p *P) error {
 				res, err := p.Region(RegionSpec{Name: "r", Samples: n}, func(sp *SP) error {
 					deadline := time.Now().Add(5 * time.Second)
-					for sp.rs.store.Len("v") < n-1-sp.Index() {
+					for committed(sp.rs) < n-1-sp.Index() {
 						if time.Now().After(deadline) {
 							return errors.New("higher-indexed samples never committed")
 						}
@@ -243,6 +250,9 @@ func TestFig8Rules(t *testing.T) {
 				for i := 0; i < n; i++ {
 					if v, ok := res.Value("v", i); !ok || v != i {
 						return fmt.Errorf("loadS(v, %d) = %v, %v; want %d", i, v, ok, i)
+					}
+					if off := res.groups[i].commits.off; off != int32(n-1-i) {
+						return fmt.Errorf("sample %d's commit is entry %d of the arena, want %d: not in reverse", i, off, n-1-i)
 					}
 				}
 				return nil

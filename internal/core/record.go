@@ -302,9 +302,9 @@ func (r *recorder) enterRound(p *P, region string, round, n, k int) (rep *checkp
 // under (path, seq) and advances the auto-checkpoint clock. The entry is
 // built in a pooled scratch round before the gate is taken; the journal
 // keeps only its encoding.
-func (r *recorder) exitRound(p *P, seq uint64, round int, rs *regionState, res *Result) {
+func (r *recorder) exitRound(p *P, seq uint64, round int, fbHash uint64, rs *regionState, res *Result) {
 	jr := journalRounds.Get().(*checkpoint.Round)
-	buildJournalRound(jr, p.path, seq, round, rs, res)
+	buildJournalRound(jr, p.path, seq, round, fbHash, rs, res)
 	r.gate.ExitRound(func() {
 		r.addRound(r.path(p.path), jr)
 		if r.shadow != nil {
@@ -323,12 +323,14 @@ func (r *recorder) exitRound(p *P, seq uint64, round int, rs *regionState, res *
 var journalRounds = sync.Pool{New: func() any { return new(checkpoint.Round) }}
 
 // buildJournalRound fills jr, reusing its slices, with one finished round's
-// journal entry. Aggregates are recorded as final folded values, never
-// refolded at replay: AVG float sums and DEDUP order fold in completion
-// order, so re-aggregation would not be deterministic.
-func buildJournalRound(jr *checkpoint.Round, path string, seq uint64, round int, rs *regionState, res *Result) {
+// journal entry; fbHash is the feedbackHash of the view the round launched
+// with. Aggregates are recorded as final folded values, never refolded at
+// replay: AVG float sums and DEDUP order fold in completion order, so
+// re-aggregation would not be deterministic. Each group's commits are written
+// in name order.
+func buildJournalRound(jr *checkpoint.Round, path string, seq uint64, round int, fbHash uint64, rs *regionState, res *Result) {
 	jr.Path, jr.Seq, jr.Region, jr.Round = path, seq, rs.spec.Name, round
-	jr.N, jr.K, jr.FBHash = rs.n, rs.k, feedbackHash(rs.fb)
+	jr.N, jr.K, jr.FBHash = rs.n, rs.k, fbHash
 	names := make([]string, 0, 8)
 	for x := range res.aggregated {
 		names = append(names, x)
@@ -337,25 +339,24 @@ func buildJournalRound(jr *checkpoint.Round, path string, seq uint64, round int,
 	for _, x := range names {
 		jr.Aggregated = append(jr.Aggregated, checkpoint.KV{Name: x, V: res.aggregated[x]})
 	}
-	vars := rs.store.Vars()
-	sort.Strings(vars)
+	vars := res.varIDs()
 	jr.Groups = slices.Grow(jr.Groups[:0], rs.n)[:rs.n]
-	for g := 0; g < rs.n; g++ {
-		jg := &jr.Groups[g]
-		if rs.haveParams[g] {
+	for g := range res.groups {
+		gr, jg := &res.groups[g], &jr.Groups[g]
+		if gr.haveParams {
 			jg.HaveParams = true
-			s := rs.spans[g]
-			for _, kv := range rs.arena[s.off : s.off+s.n] {
+			s := gr.params
+			for _, kv := range res.arena[s.off : s.off+s.n] {
 				jg.Params = append(jg.Params, checkpoint.Param{Name: rs.syms.Name(kv.id), V: kv.v})
 			}
 		}
-		jg.ScoreSum = rs.scoreSum[g]
-		jg.ScoreCnt = rs.scoreCnt[g]
-		jg.Pruned = rs.pruned[g]
-		jg.ErrKind, jg.ErrMsg = encodeGroupErr(rs.errs[g])
-		for _, x := range vars {
-			if v, ok := rs.store.Get(x, g); ok {
-				jg.Commits = append(jg.Commits, checkpoint.KV{Name: x, V: v})
+		jg.ScoreSum = gr.scoreSum
+		jg.ScoreCnt = int(gr.scoreCnt)
+		jg.Pruned = gr.pruned
+		jg.ErrKind, jg.ErrMsg = encodeGroupErr(gr.err)
+		for _, id := range vars {
+			if v, ok := res.get(id, g); ok {
+				jg.Commits = append(jg.Commits, checkpoint.KV{Name: rs.syms.Name(id), V: v})
 			}
 		}
 	}
@@ -459,54 +460,42 @@ func (r *recorder) replayRound(p *P, spec *RegionSpec, jr *checkpoint.Round) (*R
 	}
 	shape := t.shape(spec.Name)
 	n := jr.N
-	st := store.NewAgg()
 	res := &Result{
-		n:          n,
-		store:      st,
-		syms:       shape.syms,
-		aggregated: make(map[string]any, len(jr.Aggregated)),
-		spans:      make([]span, n),
-		haveParams: make([]bool, n),
-		scores:     make([]float64, n),
-		pruned:     make([]bool, n),
-		errs:       make([]error, n),
-		minimize:   spec.Minimize,
+		syms:     shape.syms,
+		groups:   make([]group, n),
+		minimize: spec.Minimize,
+	}
+	if len(jr.Aggregated) > 0 {
+		res.aggregated = make(map[string]any, len(jr.Aggregated))
 	}
 	for _, kv := range jr.Aggregated {
 		res.aggregated[kv.Name] = kv.V
 	}
-	var kvbuf []store.KV
 	failed, timeouts := 0, 0
 	for g := 0; g < n && g < len(jr.Groups); g++ {
-		jg := &jr.Groups[g]
+		jg, gr := &jr.Groups[g], &res.groups[g]
 		if jg.HaveParams {
-			res.haveParams[g] = true
+			gr.haveParams = true
 			off := len(res.arena)
 			for _, pp := range jg.Params {
 				res.arena = append(res.arena, pkv{id: shape.syms.Intern(pp.Name), v: pp.V})
 			}
-			res.spans[g] = span{off, len(res.arena) - off}
+			gr.params = span{int32(off), int32(len(res.arena) - off)}
 		}
-		if jg.ScoreCnt > 0 {
-			res.scores[g] = jg.ScoreSum / float64(jg.ScoreCnt)
-		} else {
-			res.scores[g] = math.NaN()
-		}
-		res.pruned[g] = jg.Pruned
-		res.errs[g] = decodeGroupErr(jg.ErrKind, jg.ErrMsg)
-		if res.errs[g] != nil {
+		gr.scoreSum, gr.scoreCnt = jg.ScoreSum, int32(jg.ScoreCnt)
+		gr.pruned = jg.Pruned
+		gr.err = decodeGroupErr(jg.ErrKind, jg.ErrMsg)
+		if gr.err != nil {
 			failed++
 			if jg.ErrKind == checkpoint.ErrTimeout || jg.ErrKind == checkpoint.ErrBudget {
 				timeouts++
 			}
 		}
-		if len(jg.Commits) > 0 {
-			kvbuf = kvbuf[:0]
-			for _, kv := range jg.Commits {
-				kvbuf = append(kvbuf, store.KV{X: kv.Name, V: kv.V})
-			}
-			st.PutBatch(g, kvbuf)
+		off := len(res.commits)
+		for _, kv := range jg.Commits {
+			res.commits = append(res.commits, commitVal{id: shape.syms.Intern(kv.Name), store: true, v: kv.V})
 		}
+		gr.commits = span{int32(off), int32(len(res.commits) - off)}
 	}
 	res.degraded = failed > 0
 	res.timeouts = timeouts
@@ -518,8 +507,7 @@ func (r *recorder) replayRound(p *P, spec *RegionSpec, jr *checkpoint.Round) (*R
 	t.obsv.noteReplayedRound()
 
 	if failed == n && n > 0 && !t.opts.Fault.DegradeEmpty {
-		return res, fmt.Errorf("core: region %q: every sampling process failed: %w",
-			spec.Name, errors.Join(res.errs...))
+		return res, res.allFailed(spec.Name)
 	}
 	return res, nil
 }

@@ -186,12 +186,11 @@ type regionState struct {
 	t       *Tuner
 	spec    RegionSpec
 	seed    int64
-	n       int            // sample groups
-	k       int            // folds per group (1 without CV)
-	shape   *regionShape   // per-region-name symbols + SP pool
-	syms    *store.Symbols // == shape.syms; the region's interned names
-	exposed *store.Exposed // the store SP.Load reads (the tuner's, or a shipped snapshot)
-	store   *store.Agg
+	n       int               // sample groups
+	k       int               // folds per group (1 without CV)
+	shape   *regionShape      // per-region-name symbols + SP pool
+	syms    *store.Symbols    // == shape.syms; the region's interned names
+	exposed *store.Exposed    // the store SP.Load reads (the tuner's, or a shipped snapshot)
 	incs    []agg.Incremental // by symbol ID; nil where no built-in aggregator folds the name
 	shared  []*svgShared      // per-group sampler and shared draws under CV
 	ro      *regionObs        // nil when observability is off
@@ -220,31 +219,47 @@ type regionState struct {
 	todo   atomic.Int64
 	synced bool // a body reached Sync: claims take one pair from now on
 	// What every chunk writes under mu, together: the claim cursor, the
-	// arena's length, and the counts finish folds into the tuner's and the
+	// arenas, and the counts finish folds into the tuner's and the
 	// scheduler's.
 	launched          int // pairs claimed so far == index of the next pair, group-major
 	done              int
 	attempts, renewed int64
 	outcomes          [3]int64
-	narena            int    // the arena's header changes only when it grows
-	total             int    // launched target; reduced if the budget cuts the round
-	arena             []pkv  // all parameter snapshots of the round, back to back
-	spans             []span // per-group [offset, length) into arena
-	haveParams        []bool
-	scoreSum          []float64
-	scoreCnt          []int
-	pruned            []bool
-	errs              []error
+	narena            int         // the arena's header changes only when it grows
+	total             int         // launched target; reduced if the budget cuts the round
+	lost              bool        // an attempt was abandoned: its body may still read fb
+	arena             []pkv       // all parameter snapshots of the round, back to back
+	commits           []commitVal // all stored commits of the round, back to back
+	groups            []group
 	slots             []*spSlot // a watched round's workers' slots, for its watcher
 	durs              obs.Tally
 
-	fullyLaunched context.CancelFunc // withdraws the launch loop's queued request
-	wg            sync.WaitGroup
-	timer         deadlineTimer
+	launch sched.Request // the launch loop's; withdrawn by the last claim
+	wg     sync.WaitGroup
+	timer  deadlineTimer
 }
 
-// span locates one group's parameter snapshot inside the round arena.
-type span struct{ off, n int }
+// group is one sample group's outcome in a round, and in its Result.
+type group struct {
+	scoreSum   float64
+	scoreCnt   int32
+	params     span // its parameter snapshot in the round's arena
+	commits    span // its stored commits in the round's commit arena
+	haveParams bool
+	pruned     bool
+	err        error
+}
+
+// score is the group's score, averaged over its scored folds, or NaN.
+func (g *group) score() float64 {
+	if g.scoreCnt == 0 {
+		return math.NaN()
+	}
+	return g.scoreSum / float64(g.scoreCnt)
+}
+
+// span locates one group's entries inside an arena.
+type span struct{ off, n int32 }
 
 // newSP takes a sampling-process struct from the region's shape pool (or
 // allocates the first time) and binds it to one attempt. Pooled SPs were
@@ -349,25 +364,22 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		defer cancel()
 	}
 
+	// The arenas are sized for what last round's samples drew and stored: a
+	// round that stores nothing allocates no commit arena.
 	rs := &regionState{
-		t:          t,
-		spec:       spec,
-		seed:       t.regionSeed(spec.Name, round),
-		n:          n,
-		k:          k,
-		shape:      shape,
-		syms:       shape.syms,
-		ro:         ro,
-		store:      store.NewAgg(),
-		incs:       incs,
-		arena:      make([]pkv, 0, int(shape.arenaPer.Load())*n), // what last round's samples drew
-		scoreSum:   make([]float64, n),
-		scoreCnt:   make([]int, n),
-		spans:      make([]span, n),
-		haveParams: make([]bool, n),
-		pruned:     make([]bool, n),
-		errs:       make([]error, n),
-		total:      n * k,
+		t:       t,
+		spec:    spec,
+		seed:    t.regionSeed(spec.Name, round),
+		n:       n,
+		k:       k,
+		shape:   shape,
+		syms:    shape.syms,
+		ro:      ro,
+		incs:    incs,
+		arena:   make([]pkv, 0, int(shape.arenaPer.Load())*n),
+		commits: make([]commitVal, 0, int(shape.commitsPer.Load())*n),
+		groups:  make([]group, n),
+		total:   n * k,
 	}
 	rs.exposed = t.exposed
 	rs.ctx = ctx
@@ -384,6 +396,10 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 	fb := p.feedbackFor(spec.Name, spec.Minimize)
 	rs.fb = fb
 	rs.owner = p
+	var fbHash uint64
+	if rec != nil {
+		fbHash = feedbackHash(fb) // finish may fold into fb's array in place
+	}
 
 	// Route the round through the configured executor when possible.
 	// Cross-validation groups share draws fold-to-fold, so they stay local;
@@ -392,6 +408,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 	// (no live worker now) keeps only this round local.
 	if ex := t.opts.Executor; ex != nil && k == 1 {
 		if _, skip := t.execSkip.Load(spec.Name); !skip {
+			p.shareFeedback(spec.Name) // the executor may keep the view
 			h, err := ex.BeginRound(RoundTask{
 				Job:      t.jobID,
 				Region:   spec.Name,
@@ -430,19 +447,18 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 	// released its own, or when another job's share shrinks.
 	//
 	// Whoever claims the round's last pair withdraws the request this loop has
-	// queued (fullyLaunched), before any worker can find the round exhausted
-	// and release: the slots a finished round frees go to requests that have
-	// a process to run.
-	lctx, fullyLaunched := context.WithCancel(ctx)
-	defer fullyLaunched()
-	rs.fullyLaunched = fullyLaunched
+	// queued (rs.launch), before any worker can find the round exhausted and
+	// release: the slots a finished round frees go to requests that have a
+	// process to run. The round's context still ends the wait.
 	for {
 		todo, more := rs.unlaunched()
 		if !more {
 			break
 		}
-		if err := t.sched.AcquireCtxJob(lctx, sched.SpawnS, todo, t.job); err != nil {
-			rs.cut(err)
+		if err := t.sched.AcquireCtxJob(ctx, sched.SpawnS, todo, t.job, &rs.launch); err != nil {
+			if !errors.Is(err, sched.ErrWithdrawn) {
+				rs.cut(err)
+			}
 			break
 		}
 		i, c := rs.claim(false)
@@ -462,7 +478,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 
 	res, ferr := rs.finish()
 	if rec != nil {
-		rec.exitRound(p, recSeq, round, rs, res)
+		rec.exitRound(p, recSeq, round, fbHash, rs, res)
 		rec.maybeAuto()
 	}
 	return res, ferr
@@ -537,12 +553,12 @@ func (rs *regionState) claimLocked(renew bool) (i, c int) {
 	if f == rs.k-1 && g+1 < rs.n && rs.t.BudgetExceeded() {
 		// Stop launching; un-launched groups count as pruned.
 		for gg := g + 1; gg < rs.n; gg++ {
-			rs.pruned[gg] = true
+			rs.groups[gg].pruned = true
 		}
 		rs.total = rs.launched
 	}
 	if rs.launched == rs.total {
-		rs.fullyLaunched()
+		rs.t.sched.Withdraw(&rs.launch)
 	}
 	return i, c
 }
@@ -576,8 +592,8 @@ func (rs *regionState) cutLocked(err error) {
 	}
 	g, f := rs.launched/rs.k, rs.launched%rs.k
 	for gg := g; gg < rs.n; gg++ {
-		if rs.errs[gg] == nil && (gg > g || f == 0) {
-			rs.errs[gg] = fmt.Errorf("%w: %v", ErrRegionBudget, err)
+		if rs.groups[gg].err == nil && (gg > g || f == 0) {
+			rs.groups[gg].err = fmt.Errorf("%w: %v", ErrRegionBudget, err)
 		}
 	}
 	rs.total = rs.launched
@@ -600,18 +616,12 @@ func (rs *regionState) finish() (*Result, error) {
 	}
 	rs.arena = rs.arena[:rs.narena]
 
-	scores := make([]float64, rs.n)
-	for g := 0; g < rs.n; g++ {
-		if rs.scoreCnt[g] == 0 {
-			scores[g] = math.NaN()
-			continue
-		}
-		scores[g] = rs.scoreSum[g] / float64(rs.scoreCnt[g])
-	}
-
 	// Memory metric: values retained in the store and aggregator state.
-	retained := int64(rs.store.Total())
-	aggregated := make(map[string]any, len(rs.spec.Aggregate))
+	retained := int64(len(rs.commits))
+	var aggregated map[string]any
+	if rs.incs != nil {
+		aggregated = make(map[string]any, len(rs.spec.Aggregate))
+	}
 	for id, a := range rs.incs {
 		if a != nil {
 			retained += int64(a.Retained())
@@ -622,16 +632,22 @@ func (rs *regionState) finish() (*Result, error) {
 
 	// Graceful degradation: a round with timed-out or failed samples still
 	// aggregates over whatever committed; the shortfall is recorded in the
-	// degradation counter and a trace event.
+	// degradation counter and a trace event. The next round of the shape sizes
+	// its arenas for the longest snapshot and the most stored commits.
 	failed, timeouts := 0, 0
-	for g := 0; g < rs.n; g++ {
-		if rs.errs[g] != nil {
+	var longest, most int32
+	for g := range rs.groups {
+		gr := &rs.groups[g]
+		longest, most = max(longest, gr.params.n), max(most, gr.commits.n)
+		if gr.err != nil {
 			failed++
-			if errors.Is(rs.errs[g], ErrSampleTimeout) || errors.Is(rs.errs[g], ErrRegionBudget) {
+			if errors.Is(gr.err, ErrSampleTimeout) || errors.Is(gr.err, ErrRegionBudget) {
 				timeouts++
 			}
 		}
 	}
+	rs.shape.arenaPer.Store(int64(longest))
+	rs.shape.commitsPer.Store(int64(most))
 	if failed > 0 {
 		rs.t.ctr.degraded.Add(1)
 		if rs.ro != nil {
@@ -641,32 +657,26 @@ func (rs *regionState) finish() (*Result, error) {
 			Sample: -1, N: failed})
 	}
 
-	// The next round of the shape sizes its arena for the longest snapshot.
-	longest := slices.MaxFunc(rs.spans, func(a, b span) int { return a.n - b.n })
-	rs.shape.arenaPer.Store(int64(longest.n))
-
 	res := &Result{
-		n:          rs.n,
-		store:      rs.store,
 		syms:       rs.syms,
 		aggregated: aggregated,
+		groups:     rs.groups,
 		arena:      rs.arena,
-		spans:      rs.spans,
-		haveParams: rs.haveParams,
-		scores:     scores,
-		pruned:     rs.pruned,
-		errs:       rs.errs,
+		commits:    rs.commits,
 		minimize:   rs.spec.Minimize,
 		degraded:   failed > 0,
 		timeouts:   timeouts,
+	}
+	if rs.lost {
+		// An abandoned body may still be reading the view it sampled from.
+		rs.owner.shareFeedback(rs.spec.Name)
 	}
 	// Feedback for future rounds of this region: every scored sample (one
 	// that is scored also has its parameter snapshot).
 	rs.owner.addFeedback(rs.spec.Name, rs.spec.Minimize, rs.n, res.Score, res.Params)
 
 	if failed == rs.n && rs.n > 0 && !rs.t.opts.Fault.DegradeEmpty {
-		return res, fmt.Errorf("core: region %q: every sampling process failed: %w",
-			rs.spec.Name, errors.Join(rs.errs...))
+		return res, res.allFailed(rs.spec.Name)
 	}
 	return res, nil
 }

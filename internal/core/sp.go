@@ -57,24 +57,27 @@ type spSlot struct {
 	renewed   int64 // per-pair renewals since the last commit
 	recs      []doneRec
 	params    []pkv
-	folds     []foldVal
+	vals      []commitVal
 }
 
 // doneRec is a finished sample waiting in its worker's slot for the commit
-// section; its parameter snapshot and fold values are the next np and nf
-// entries of the slot's params and folds.
+// section; its parameter snapshot and committed values are the next np and nv
+// entries of the slot's params and vals.
 type doneRec struct {
 	g                     int
 	err                   error
 	score, dur            float64
-	np, nf                int32
+	np, nv                int32
 	pruned, scored, local bool
 }
 
-// foldVal is a committed value waiting to be folded into aggregator id.
-type foldVal struct {
-	id uint32
-	v  any
+// commitVal is a committed value and its variable's symbol ID. In a slot it
+// waits for the commit section to fold it into aggregator id, store it in the
+// round's commit arena, or both; in the arena it is stored.
+type commitVal struct {
+	id          uint32
+	fold, store bool
+	v           any
 }
 
 // Attempt states in an spSlot's word.
@@ -153,9 +156,6 @@ type SP struct {
 	lorder []uint32
 	lstore *store.Exposed
 	lver   uint64
-
-	// flush scratch, reused across pool generations.
-	kvbuf []store.KV
 
 	pruned bool
 	score  float64
@@ -479,7 +479,6 @@ func (sp *SP) reset() {
 		sp.cset[id] = false
 	}
 	sp.corder = sp.corder[:0]
-	sp.kvbuf = sp.kvbuf[:0]
 	sp.rs = nil
 	sp.sampler = nil
 	sp.shared = nil
@@ -595,7 +594,7 @@ func (rs *regionState) worker(i, end int, admitted bool) {
 	}
 	slot.release(rs.t)
 	if rs.watched { // the watcher may still read the slot, never its buffers
-		slot = &spSlot{recs: slot.recs[:0], params: slot.params[:0], folds: slot.folds[:0]}
+		slot = &spSlot{recs: slot.recs[:0], params: slot.params[:0], vals: slot.vals[:0]}
 	}
 	slotPool.Put(slot)
 	rs.wg.Done()
@@ -660,7 +659,7 @@ func (rs *regionState) abandon(s *spSlot, w uint64, cause error) {
 	if sp.cancel != nil {
 		sp.cancel()
 	}
-	rs.spDoneTimeout(sp.group, cause, 1)
+	rs.spDoneTimeout(sp.group, cause, true)
 	s.release(rs.t)
 	rs.wg.Done()
 }
@@ -816,7 +815,7 @@ func (rs *regionState) runSP(g, f int, slot *spSlot) (end attemptEnd) {
 	if timedOut {
 		// A dispatched attempt the executor timed out, or a backoff cut short:
 		// there is no SP to read, only the outcome.
-		rs.spDoneTimeout(g, err, 0)
+		rs.spDoneTimeout(g, err, false)
 		i, c := rs.claim(true)
 		slot.next, slot.end = i, i+c
 	} else {
@@ -938,29 +937,33 @@ func (rs *regionState) noteOutcome(g int, err error, timedOut, pruned bool, scor
 // spDoneTimeout finishes a (group, fold) slot that timed out — an abandoned
 // in-process attempt, a dispatched one whose deadline the executor honoured, a
 // retry backoff cut short by cancellation: there is no SP to read, only the
-// outcome. attempts is 1 for an abandoned attempt, which is counted here.
-func (rs *regionState) spDoneTimeout(g int, err error, attempts int64) {
+// outcome. An abandoned attempt is counted here, and its body may still run.
+func (rs *regionState) spDoneTimeout(g int, err error, abandoned bool) {
 	rs.noteOutcome(g, err, true, false, 0)
 	rs.mu.Lock()
-	if rs.errs[g] == nil {
-		rs.errs[g] = err
+	if gr := &rs.groups[g]; gr.err == nil {
+		gr.err = err
 	}
-	rs.attempts += attempts
+	if abandoned {
+		rs.attempts++
+		rs.lost = true
+	}
 	rs.done++
 	rs.mu.Unlock()
 	rs.barrier.maybeRelease()
 }
 
 // spDone finishes a sampling process wherever it ran and readies its worker's
-// next pair. It records the process in its worker's slot as a doneRec, storing
-// its commits in one batch first, except, with incremental aggregation (Sec.
-// IV-B), the ones a built-in aggregator folds; the SP goes back to the pool at
-// once. While the chunk has pairs left, Algorithm 1 is asked for the next one
-// outside rs.mu, with the round's current todo, so the launch loop's own
-// request is never ahead; declined, the worker re-queues (a chunked round
-// cannot end). After the chunk's last pair, one rs.mu section commits the
-// chunk (commitLocked) and claims the next (claimLocked), renewing the slot:
-// a finished chunk takes the round's lock once.
+// next pair. It records the process in its worker's slot as a doneRec, with
+// its parameter snapshot and committed values: each to be folded if a built-in
+// aggregator takes it, and stored unless incremental aggregation (Sec. IV-B)
+// folds it instead. The SP goes back to the pool at once. While the chunk has
+// pairs left, Algorithm 1 is asked for the next one outside rs.mu, with the
+// round's current todo, so the launch loop's own request is never ahead;
+// declined, the worker re-queues (a chunked round cannot end). After the
+// chunk's last pair, one rs.mu section commits the chunk (commitLocked) and
+// claims the next (claimLocked), renewing the slot: a finished chunk takes the
+// round's lock once.
 func (rs *regionState) spDone(sp *SP, err error, slot *spSlot) {
 	g := sp.group
 	if rs.t.opts.Trace != nil {
@@ -972,18 +975,12 @@ func (rs *regionState) spDone(sp *SP, err error, slot *spSlot) {
 		np := len(slot.params)
 		slot.params = sp.appendParams(slot.params)
 		r.np = int32(len(slot.params) - np)
-		if sp.fold == 0 {
+		if sp.fold == 0 { // CV folds share one group: fold 0's commits stand for it
 			for _, id := range sp.corder {
-				if int(id) < len(rs.incs) && rs.incs[id] != nil {
-					slot.folds = append(slot.folds, foldVal{id, sp.cvals[id]})
-					r.nf++
-					if rs.t.opts.Incremental {
-						continue // folded into its aggregator instead
-					}
-				}
-				sp.kvbuf = append(sp.kvbuf, store.KV{X: rs.syms.Name(id), V: sp.cvals[id]})
+				fold := int(id) < len(rs.incs) && rs.incs[id] != nil
+				slot.vals = append(slot.vals, commitVal{id, fold, !fold || !rs.t.opts.Incremental, sp.cvals[id]})
 			}
-			rs.store.PutBatch(g, sp.kvbuf)
+			r.nv = int32(len(sp.corder))
 		}
 	}
 	slot.recs = append(slot.recs, r)
@@ -1008,12 +1005,12 @@ func (rs *regionState) spDone(sp *SP, err error, slot *spSlot) {
 }
 
 // commitLocked commits the samples waiting in s, under rs.mu, in index order:
-// the only way into the aggregators, the arena, the score sums and the counts.
+// the only way into the aggregators, the arenas, the score sums and the counts.
 func (rs *regionState) commitLocked(s *spSlot) {
-	params, folds := s.params, s.folds
+	params, vals := s.params, s.vals
 	for i := range s.recs {
 		r := &s.recs[i]
-		g := r.g
+		g := &rs.groups[r.g]
 		if r.local {
 			rs.attempts++
 			if rs.ro != nil {
@@ -1023,41 +1020,50 @@ func (rs *regionState) commitLocked(s *spSlot) {
 		switch {
 		case r.err != nil:
 			rs.outcomes[2]++
-			if rs.errs[g] == nil {
-				rs.errs[g] = r.err
+			if g.err == nil {
+				g.err = r.err
 			}
 		case r.pruned:
 			rs.outcomes[1]++
-			rs.pruned[g] = true
+			g.pruned = true
 		default:
 			rs.outcomes[0]++
 			// Only CV folds share a group: no flag to miss on under the lock.
-			if rs.k == 1 || !rs.haveParams[g] {
-				rs.haveParams[g] = true
+			if rs.k == 1 || !g.haveParams {
+				g.haveParams = true
 				off := rs.narena
 				if a := append(rs.arena[:off], params[:r.np]...); cap(a) == cap(rs.arena) {
 					rs.narena = len(a)
 				} else {
 					rs.arena, rs.narena = a, len(a)
 				}
-				rs.spans[g] = span{off, rs.narena - off}
+				g.params = span{int32(off), int32(rs.narena - off)}
 			}
-			for _, fv := range folds[:r.nf] {
-				rs.incs[fv.id].Add(fv.v)
+			off := len(rs.commits)
+			for _, cv := range vals[:r.nv] {
+				if cv.fold {
+					rs.incs[cv.id].Add(cv.v)
+				}
+				if cv.store {
+					rs.commits = append(rs.commits, cv)
+				}
+			}
+			if n := len(rs.commits) - off; n > 0 { // CV folds past fold 0 store nothing
+				g.commits = span{int32(off), int32(n)}
 			}
 			if r.scored {
-				rs.scoreSum[g] += r.score
-				rs.scoreCnt[g]++
+				g.scoreSum += r.score
+				g.scoreCnt++
 			}
 		}
-		params, folds = params[r.np:], folds[r.nf:]
+		params, vals = params[r.np:], vals[r.nv:]
 	}
 	rs.done += len(s.recs)
 	rs.renewed += s.renewed
 	s.renewed = 0
 	clear(s.recs)
-	clear(s.folds)
-	s.recs, s.params, s.folds = s.recs[:0], s.params[:0], s.folds[:0]
+	clear(s.vals)
+	s.recs, s.params, s.vals = s.recs[:0], s.params[:0], s.vals[:0]
 }
 
 // handBack readies a worker whose body is about to wait at Sync: it commits

@@ -220,7 +220,7 @@ func TestRenewLeavesOwnLaunchRequestAlone(t *testing.T) {
 	ctx := &errCounter{Context: context.Background()}
 	done := make(chan error, 1)
 	go func() {
-		err := s.AcquireCtxJob(ctx, SpawnS, 9, j)
+		err := s.AcquireCtxJob(ctx, SpawnS, 9, j, nil)
 		if err == nil {
 			s.ReleaseJob(j)
 		}
@@ -276,7 +276,7 @@ func TestRenewWritesNothing(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		err := s.AcquireCtxJob(context.Background(), SpawnS, 9, j)
+		err := s.AcquireCtxJob(context.Background(), SpawnS, 9, j, nil)
 		if err == nil {
 			s.ReleaseJob(j)
 		}

@@ -48,6 +48,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -78,7 +79,7 @@ const tpFraction = 0.75
 type Stats struct {
 	Admitted  int64
 	Waited    int64
-	Cancelled int64 // queued requests abandoned via AcquireCtx cancellation
+	Cancelled int64 // queued requests whose context ended or that were withdrawn
 	PeakInUse int
 }
 
@@ -172,13 +173,43 @@ func (j *Job) load() (inuse, share int64) {
 }
 
 type waiter struct {
-	ctx   context.Context // the request's; a cancelled request is passed over
-	event Event
-	todo  int
-	seq   int64
-	job   *Job
-	ready chan struct{} // 1-buffered; one token per queued stint
-	index int           // position in the wait list; -1 once admitted or removed
+	ctx       context.Context // the request's; a cancelled request is passed over
+	event     Event
+	todo      int
+	seq       int64
+	job       *Job
+	req       *Request      // the caller's handle, if it may be withdrawn
+	ready     chan struct{} // 1-buffered; one token per queued stint
+	index     int           // position in the wait list; -1 once admitted or removed
+	withdrawn bool          // the token on ready is a withdrawal, not an admission
+}
+
+// ErrWithdrawn is what an acquire returns when its Request was withdrawn
+// before it was admitted: no slot was taken.
+var ErrWithdrawn = errors.New("sched: request withdrawn")
+
+// Request is a handle on an acquire that another goroutine may withdraw
+// (Withdraw): a sampling round's launch loop keeps asking for one slot more
+// until a worker claims the round's last pair. The zero value is a request
+// nobody has withdrawn; one Request serves one acquirer at a time.
+type Request struct {
+	withdrawn atomic.Bool
+	w         *waiter // the queued entry, under the scheduler's mu; nil when not queued
+}
+
+// Withdraw withdraws r: a queued acquire on it returns ErrWithdrawn at once,
+// and a later one before admission. It takes no slot from anybody, and once
+// it returns, no slot goes to r's queued acquire.
+func (s *Scheduler) Withdraw(r *Request) {
+	s.mu.Lock()
+	r.withdrawn.Store(true)
+	if w := r.w; w != nil {
+		s.removeWaiter(w.index)
+		s.cancelled.Add(1)
+		w.withdrawn = true
+		w.ready <- struct{}{}
+	}
+	s.mu.Unlock()
 }
 
 // better reports whether waiter a should be admitted before waiter b:
@@ -456,26 +487,26 @@ func (s *Scheduler) Acquire(event Event, todo int) {
 // in-use count, j's hard cap is enforced, and under contention the request
 // waits in the weighted-fair order. Pair with ReleaseJob(j).
 func (s *Scheduler) AcquireJob(event Event, todo int, j *Job) {
-	_ = s.AcquireCtxJob(context.Background(), event, todo, j) // never fails: ctx cannot be cancelled
+	_ = s.AcquireCtxJob(context.Background(), event, todo, j, nil) // never fails: nothing can end it
 }
 
-// AcquireCtx is AcquireCtxJob for an unattributed request.
-func (s *Scheduler) AcquireCtx(ctx context.Context, event Event, todo int) error {
-	return s.AcquireCtxJob(ctx, event, todo, nil)
-}
-
-// AcquireCtxJob is AcquireJob with cancellation: it returns ctx.Err() if
-// the context is cancelled while the request is still queued, in which case
-// no slot was taken and the caller must NOT release. If cancellation races
-// with admission the admission wins (AcquireCtxJob returns nil and the
-// caller owns a slot), so a cancelled sampling region can never strand pool
-// capacity — Algorithm 1's admission queue stays live even when every
-// outstanding request belongs to a wedged region. A request whose context is
-// already cancelled when a slot frees is passed over, so cancelling a request
-// before releasing a slot guarantees the slot goes to somebody else.
-func (s *Scheduler) AcquireCtxJob(ctx context.Context, event Event, todo int, j *Job) error {
+// AcquireCtxJob is AcquireJob with cancellation and withdrawal: it returns
+// ctx.Err() if the context is cancelled, or ErrWithdrawn if r (nil for a
+// request nobody withdraws) is withdrawn, while the request is still queued,
+// in which case no slot was taken and the caller must NOT release. If
+// cancellation races with admission the admission wins (AcquireCtxJob returns
+// nil and the caller owns a slot), so a cancelled sampling region can never
+// strand pool capacity — Algorithm 1's admission queue stays live even when
+// every outstanding request belongs to a wedged region. A request whose
+// context is already cancelled when a slot frees is passed over, so
+// cancelling a request before releasing a slot guarantees the slot goes to
+// somebody else; a withdrawn one leaves the queue at once.
+func (s *Scheduler) AcquireCtxJob(ctx context.Context, event Event, todo int, j *Job, r *Request) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if r != nil && r.withdrawn.Load() {
+		return ErrWithdrawn
 	}
 	// Fast path: nothing queued, the job is under its cap, and the pool has
 	// headroom — two CASes, no lock. Declined the moment anything waits, so
@@ -491,16 +522,20 @@ func (s *Scheduler) AcquireCtxJob(ctx context.Context, event Event, todo int, j 
 		}
 		j.put()
 	}
-	return s.acquireSlow(ctx, event, todo, j)
+	return s.acquireSlow(ctx, event, todo, j, r)
 }
 
 // acquireSlow is the contended path: admission under the mutex, or a queued
 // wait served in the weighted-fair Algorithm 1 order.
-func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *Job) error {
+func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *Job, r *Request) error {
 	s.mu.Lock()
 	if err := ctx.Err(); err != nil {
 		s.mu.Unlock()
 		return err
+	}
+	if r != nil && r.withdrawn.Load() {
+		s.mu.Unlock()
+		return ErrWithdrawn
 	}
 	h := s.waitHist(event)
 	if j.tryTake() {
@@ -516,7 +551,10 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 	}
 	s.waited.Add(1)
 	w := s.waiters.Get().(*waiter)
-	w.ctx, w.event, w.todo, w.seq, w.job = ctx, event, todo, s.seq, j
+	w.ctx, w.event, w.todo, w.seq, w.job, w.req = ctx, event, todo, s.seq, j, r
+	if r != nil {
+		r.w = w
+	}
 	s.seq++
 	w.index = len(s.queue)
 	s.queue = append(s.queue, w)
@@ -530,38 +568,34 @@ func (s *Scheduler) acquireSlow(ctx context.Context, event Event, todo int, j *J
 	// accumulated wait-nanos are the load feed an elastic fleet controller
 	// scales by (LoadStats.WaitNanos).
 	t0 := time.Now()
+	var err error
 	select {
-	case <-w.ready: // admitted by a releasing (or re-checking) goroutine
-		w.ctx, w.job = nil, nil
-		s.waiters.Put(w)
-		s.waitNanos.Add(time.Since(t0).Nanoseconds())
-		if h != nil {
-			h.ObserveSince(t0)
-		}
-		return nil
+	case <-w.ready: // admitted by a releasing (or re-checking) goroutine, or withdrawn
 	case <-ctx.Done():
 		s.mu.Lock()
-		if w.index < 0 {
-			// A releasing goroutine admitted us concurrently with the
-			// cancellation; the slot is ours and the acquire succeeds.
-			s.mu.Unlock()
-			<-w.ready
-			w.ctx, w.job = nil, nil
-			s.waiters.Put(w)
-			s.waitNanos.Add(time.Since(t0).Nanoseconds())
-			if h != nil {
-				h.ObserveSince(t0)
-			}
-			return nil
+		queued := w.index >= 0
+		if queued {
+			s.removeWaiter(w.index)
+			s.cancelled.Add(1)
+			err = ctx.Err()
 		}
-		s.removeWaiter(w.index)
-		s.cancelled.Add(1)
 		s.mu.Unlock()
-		w.ctx, w.job = nil, nil
-		s.waiters.Put(w)
-		s.waitNanos.Add(time.Since(t0).Nanoseconds())
-		return ctx.Err()
+		if !queued {
+			// Admitted (the slot is ours and the acquire succeeds) or
+			// withdrawn concurrently with the cancellation.
+			<-w.ready
+		}
 	}
+	if w.withdrawn {
+		err = ErrWithdrawn
+	}
+	w.ctx, w.job, w.withdrawn = nil, nil, false
+	s.waiters.Put(w)
+	s.waitNanos.Add(time.Since(t0).Nanoseconds())
+	if err == nil && h != nil {
+		h.ObserveSince(t0)
+	}
+	return err
 }
 
 // removeWaiter deletes the wait-list entry at position i (swap with the
@@ -571,6 +605,9 @@ func (s *Scheduler) removeWaiter(i int) {
 	last := len(q) - 1
 	w := q[i]
 	w.index = -1
+	if w.req != nil {
+		w.req.w, w.req = nil, nil
+	}
 	if i != last {
 		q[i] = q[last]
 		q[i].index = i

@@ -24,7 +24,7 @@ import (
 // admitted or waiting; the channel receives its result at admission.
 func queue(ctx context.Context, s *Scheduler, ev Event, todo int) <-chan error {
 	done := make(chan error, 1)
-	go func() { done <- s.AcquireCtx(ctx, ev, todo) }()
+	go func() { done <- s.AcquireCtxJob(ctx, ev, todo, nil, nil) }()
 	synctest.Wait()
 	return done
 }
@@ -127,7 +127,7 @@ func TestVirtualAcquireCtxCancelWhileQueued(t *testing.T) {
 		if got := s.InUse(); got != 0 {
 			t.Fatalf("InUse = %d after release, want 0", got)
 		}
-		if err := s.AcquireCtx(context.Background(), SpawnS, 0); err != nil {
+		if err := s.AcquireCtxJob(context.Background(), SpawnS, 0, nil, nil); err != nil {
 			t.Fatalf("acquire after cancellation: %v", err)
 		}
 	})
@@ -211,5 +211,69 @@ func TestVirtualTinyPoolTuningLimitAtLeastOne(t *testing.T) {
 		s := New(1, false)
 		s.Acquire(SpawnT, 0)
 		s.Release()
+	})
+}
+
+// A sampling round's launch loop keeps one request queued for a slot more
+// until a worker claims the round's last pair and withdraws it (Withdraw).
+// A withdrawn request leaves the queue at once and never takes a slot, a
+// later acquire on it fails without queueing, a withdrawal that comes after
+// the admission changes nothing, and ending the request's context still ends
+// its wait.
+func TestVirtualLaunchWithdrawal(t *testing.T) {
+	synctest.Run(func() {
+		s := New(1, false)
+		s.Acquire(SpawnS, 0) // the pool is full
+		acquire := func(ctx context.Context, r *Request) <-chan error {
+			done := make(chan error, 1)
+			go func() { done <- s.AcquireCtxJob(ctx, SpawnS, 4, nil, r) }()
+			synctest.Wait()
+			return done
+		}
+
+		var launch Request
+		req := acquire(context.Background(), &launch)
+		if q := s.Load().Queued; q != 1 {
+			t.Fatalf("launch request not queued: %d queued", q)
+		}
+		behind := queue(context.Background(), s, SpawnS, 9)
+		s.Withdraw(&launch)
+		if err := <-req; err != ErrWithdrawn {
+			t.Fatalf("withdrawn request returned %v, want ErrWithdrawn", err)
+		}
+		// The slot the round frees goes to the request behind it, not to the
+		// withdrawn one.
+		s.Release()
+		expect(t, "release after the withdrawal", []bool{true}, behind)
+		if err := <-acquire(context.Background(), &launch); err != ErrWithdrawn {
+			t.Fatalf("acquire on a withdrawn request returned %v, want ErrWithdrawn", err)
+		}
+		if st := s.Stats(); s.InUse() != 1 || st.Waited != 2 || st.Cancelled != 1 {
+			t.Fatalf("InUse %d, %+v: want the one slot held by the request behind, 2 queued, 1 withdrawn", s.InUse(), st)
+		}
+
+		// Admitted first, withdrawn after: the admission stands.
+		var late Request
+		admitted := acquire(context.Background(), &late)
+		s.Release()
+		synctest.Wait()
+		s.Withdraw(&late)
+		if err := <-admitted; err != nil {
+			t.Fatalf("admitted request returned %v after a late withdrawal", err)
+		}
+
+		// The round's context ends the wait; withdrawing afterwards is harmless.
+		ctx, cancel := context.WithCancel(context.Background())
+		var cut Request
+		ended := acquire(ctx, &cut)
+		cancel()
+		if err := <-ended; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled request returned %v, want Canceled", err)
+		}
+		s.Withdraw(&cut)
+		s.Release()
+		if got, q := s.InUse(), s.Load().Queued; got != 0 || q != 0 {
+			t.Fatalf("InUse %d, %d queued after the last release, want 0 and 0", got, q)
+		}
 	})
 }

@@ -1,18 +1,17 @@
 package store
 
 import (
-	"fmt"
 	"testing"
 )
 
-// FuzzStoreScopes drives the exposed and aggregation stores with an
-// op-stream decoded from fuzz input and checks them against naive model maps:
-// scoped exposure must isolate same-named variables across scopes, aggregate
-// commits must overwrite per (variable, index), and the derived views (Len,
-// Indices, Vec, Total, Snapshot) must stay consistent with the model. It also
-// interns every (scope, name) pair it touches into a Symbols table and checks
-// the interning invariants the hot path depends on: an ID never changes once
-// assigned, IDs are dense, and Lookup/Name round-trip.
+// FuzzStoreScopes drives the exposed store with an op-stream decoded from
+// fuzz input and checks it against a naive model map: scoped exposure must
+// isolate same-named variables across scopes, Delete must report presence,
+// the version counter must move on every write and only then, and the
+// derived views (Len, Snapshot, ChangedSince(0)) must stay consistent with
+// the model. It also interns every name it touches into a Symbols table and
+// checks the interning invariants the hot path depends on: an ID never
+// changes once assigned, IDs are dense, and Lookup/Name round-trip.
 func FuzzStoreScopes(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -24,7 +23,6 @@ func FuzzStoreScopes(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		exposed := NewExposed()
-		aggStore := NewAgg()
 		syms := NewSymbols()
 		symModel := map[string]uint32{}
 		intern := func(name string) {
@@ -42,12 +40,6 @@ func FuzzStoreScopes(f *testing.F) {
 		}
 		type skey struct{ scope, name string }
 		expModel := map[skey]float64{}
-		type akey struct {
-			x string
-			i int
-		}
-		aggModel := map[akey]float64{}
-
 		val := 0.0
 		for pc := 0; pc+2 < len(data); pc += 3 {
 			op, a, b := data[pc], data[pc+1], data[pc+2]
@@ -59,22 +51,34 @@ func FuzzStoreScopes(f *testing.F) {
 			case 0: // expose
 				exposed.Set(scope, name, val)
 				expModel[skey{scope, name}] = val
-			case 1: // aggregate commit (index from b, variable from a)
-				x := names[int(a)%len(names)]
-				intern(x)
-				i := int(b) % 8
-				aggStore.Put(x, i, val)
-				aggModel[akey{x, i}] = val
-			case 2: // clear the aggregation store
-				aggStore.Clear()
-				aggModel = map[akey]float64{}
-			case 3: // point read of the aggregation store
-				x := names[int(a)%len(names)]
-				i := int(b) % 8
-				got, ok := aggStore.Get(x, i)
-				want, wantOK := aggModel[akey{x, i}]
-				if ok != wantOK || (ok && got.(float64) != want) {
-					t.Fatalf("Agg.Get(%q, %d) = (%v, %v), model (%v, %v)", x, i, got, ok, want, wantOK)
+			case 1: // delete
+				_, had := expModel[skey{scope, name}]
+				before := exposed.Version()
+				if got := exposed.Delete(scope, name); got != had {
+					t.Fatalf("Delete(%q, %q) = %v, model has it: %v", scope, name, got, had)
+				}
+				if moved := exposed.Version() != before; moved != had {
+					t.Fatalf("Delete(%q, %q) moved the version: %v, want %v", scope, name, moved, had)
+				}
+				delete(expModel, skey{scope, name})
+			case 2: // every entry is a change since version 0, sorted
+				ch, _ := exposed.ChangedSince(0)
+				if len(ch) != len(expModel) {
+					t.Fatalf("ChangedSince(0) has %d entries, model %d", len(ch), len(expModel))
+				}
+				for j, c := range ch {
+					if want, ok := expModel[skey{c.Scope, c.Name}]; !ok || c.V.(float64) != want {
+						t.Fatalf("ChangedSince(0)[%d] = %s/%s=%v, model (%v, %v)", j, c.Scope, c.Name, c.V, want, ok)
+					}
+					if j > 0 && (ch[j-1].Scope > c.Scope || ch[j-1].Scope == c.Scope && ch[j-1].Name >= c.Name) {
+						t.Fatalf("ChangedSince(0) not sorted at %d", j)
+					}
+				}
+			case 3: // a read moves nothing
+				before := exposed.Version()
+				exposed.Get(scope, name)
+				if exposed.Version() != before {
+					t.Fatalf("Get(%q, %q) moved the version", scope, name)
 				}
 			case 4: // point read of the exposed store
 				got, ok := exposed.Get(scope, name)
@@ -121,38 +125,5 @@ func FuzzStoreScopes(f *testing.F) {
 			t.Fatalf("Snapshot has %d entries, model %d", got, len(expModel))
 		}
 
-		// Aggregation store: totals, per-variable vectors, and index sets.
-		if aggStore.Total() != len(aggModel) {
-			t.Fatalf("Agg.Total() = %d, model has %d", aggStore.Total(), len(aggModel))
-		}
-		perVar := map[string]int{}
-		for k, want := range aggModel {
-			perVar[k.x]++
-			got, ok := aggStore.Get(k.x, k.i)
-			if !ok || got.(float64) != want {
-				t.Fatalf("Agg[%s][%d] = (%v, %v), model %v", k.x, k.i, got, ok, want)
-			}
-		}
-		for x, n := range perVar {
-			if aggStore.Len(x) != n {
-				t.Fatalf("Agg.Len(%q) = %d, model %d", x, aggStore.Len(x), n)
-			}
-			idx := aggStore.Indices(x)
-			if len(idx) != n || len(aggStore.Vec(x)) != n {
-				t.Fatalf("Indices/Vec length mismatch for %q: %d/%d, want %d",
-					x, len(idx), len(aggStore.Vec(x)), n)
-			}
-			for j := 1; j < len(idx); j++ {
-				if idx[j-1] >= idx[j] {
-					t.Fatalf("Indices(%q) not strictly sorted: %v", x, idx)
-				}
-			}
-			// Vec is ordered by index: entry j must be the model value at idx[j].
-			for j, v := range aggStore.Vec(x) {
-				if want := aggModel[akey{x, idx[j]}]; v.(float64) != want {
-					t.Fatal(fmt.Sprintf("Vec(%q)[%d] = %v, model %v at index %d", x, j, v, want, idx[j]))
-				}
-			}
-		}
 	})
 }

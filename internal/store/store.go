@@ -1,23 +1,16 @@
-// Package store implements the two stores of the WBTuner semantics (Fig. 8):
+// Package store implements the exposed store of the WBTuner semantics
+// (Fig. 8): a mapping from scope-qualified variable names to values, written
+// by @expose and read by @load from inside callbacks. The paper's C runtime
+// keys it by variable name plus scope (function name); here it is in-memory
+// and safe for concurrent use. The aggregation store (@loadS) is a sampling
+// round's commit arena in package core.
 //
-//   - the exposed store: a mapping from scope-qualified variable names to
-//     values, written by @expose and read by @load from inside callbacks;
-//   - the aggregation store: a mapping from variable names to vectors of
-//     sampled values, written by sampling processes at @aggregate and read by
-//     @loadS(x, i) in the tuning process.
-//
-// The paper's C runtime keys the exposed store by variable name plus scope
-// (function name) and backs the aggregation store with per-process files;
-// here both are in-memory and safe for concurrent use, which preserves the
-// observable semantics without a filesystem dependency.
-//
-// Both stores sit on the sample hot path, so they are built for contention:
-// the exposed store is sharded (per-shard RWMutex, struct keys so a Get
-// allocates nothing), carries a version counter that lets sampling processes
-// keep lock-free local read caches, and the aggregation store accepts one
-// batched put per sampling process instead of a lock round-trip per value.
-// The Symbols table interns variable names into dense IDs so per-process
-// state can live in slices instead of string-keyed maps.
+// The exposed store sits on the sample hot path, so it is built for
+// contention: it is sharded (per-shard RWMutex, struct keys so a Get
+// allocates nothing) and carries a version counter that lets sampling
+// processes keep lock-free local read caches. The Symbols table interns
+// variable names into dense IDs so per-process state can live in slices
+// instead of string-keyed maps.
 package store
 
 import (
@@ -346,134 +339,3 @@ func (s *Symbols) Name(id uint32) string { return s.p.Load().names[id] }
 
 // Len reports how many names have been interned.
 func (s *Symbols) Len() int { return len(s.p.Load().names) }
-
-// Agg is the aggregation store of one tuning process. It maps each sample
-// result variable x to a vector δ(x) whose i-th entry holds the value of x
-// committed by the i-th sampling process (semantics rule [AGGR-S]).
-type Agg struct {
-	mu sync.RWMutex
-	m  map[string]map[int]any
-}
-
-// NewAgg returns an empty aggregation store.
-func NewAgg() *Agg {
-	return &Agg{m: make(map[string]map[int]any)}
-}
-
-// KV is one committed (variable, value) pair, the unit of a batched put.
-type KV struct {
-	X string
-	V any
-}
-
-// Put commits the value of x from sampling process index i. A second commit
-// for the same (x, i) overwrites: a sampling process that commits the same
-// variable twice keeps its latest value, matching δ[x[pid] ↦ σ(x)].
-func (a *Agg) Put(x string, i int, v any) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.put(x, i, v)
-}
-
-// PutBatch commits every (variable, value) pair from sampling process index
-// i under one lock acquisition — the batch flush a finishing sampling
-// process performs instead of a lock round-trip per committed variable.
-func (a *Agg) PutBatch(i int, kvs []KV) {
-	if len(kvs) == 0 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, kv := range kvs {
-		a.put(kv.X, i, kv.V)
-	}
-}
-
-// put is the locked single-entry commit. Callers must hold a.mu.
-func (a *Agg) put(x string, i int, v any) {
-	vec, ok := a.m[x]
-	if !ok {
-		vec = make(map[int]any)
-		a.m[x] = vec
-	}
-	vec[i] = v
-}
-
-// Get loads the i-th sample outcome of x (rule [LOADSAMPLE]). The boolean
-// reports whether sampling process i committed x at all — a pruned process
-// (@check returned false) never commits.
-func (a *Agg) Get(x string, i int) (any, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	vec, ok := a.m[x]
-	if !ok {
-		return nil, false
-	}
-	v, ok := vec[i]
-	return v, ok
-}
-
-// Len reports how many sampling processes committed x.
-func (a *Agg) Len(x string) int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.m[x])
-}
-
-// Indices returns the sorted sampling-process indices that committed x.
-func (a *Agg) Indices(x string) []int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	vec := a.m[x]
-	out := make([]int, 0, len(vec))
-	for i := range vec {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Vec returns the committed values of x ordered by sampling-process index.
-// Gaps left by pruned processes are skipped, so the slice is dense.
-func (a *Agg) Vec(x string) []any {
-	idx := a.Indices(x)
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]any, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, a.m[x][i])
-	}
-	return out
-}
-
-// Vars returns the sorted names of all committed sample result variables.
-func (a *Agg) Vars() []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]string, 0, len(a.m))
-	for x := range a.m {
-		out = append(out, x)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Total reports the total number of committed entries across all variables,
-// the memory-footprint proxy used by the Fig. 10 experiment.
-func (a *Agg) Total() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	n := 0
-	for _, vec := range a.m {
-		n += len(vec)
-	}
-	return n
-}
-
-// Clear removes all entries, readying the store for the next sampling round
-// (auto-tuned sampling re-runs a region with a doubled sample count).
-func (a *Agg) Clear() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.m = make(map[string]map[int]any)
-}

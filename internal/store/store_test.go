@@ -3,7 +3,6 @@ package store
 import (
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestExposedScopesAreDistinct(t *testing.T) {
@@ -87,126 +86,6 @@ func TestExposedConcurrent(t *testing.T) {
 	}
 }
 
-func TestAggPutGetVec(t *testing.T) {
-	a := NewAgg()
-	a.Put("y", 2, 20)
-	a.Put("y", 0, 0)
-	a.Put("y", 1, 10)
-	if a.Len("y") != 3 {
-		t.Fatalf("Len = %d", a.Len("y"))
-	}
-	if v, ok := a.Get("y", 1); !ok || v != 10 {
-		t.Fatalf("Get(y,1) = %v, %v", v, ok)
-	}
-	vec := a.Vec("y")
-	if len(vec) != 3 || vec[0] != 0 || vec[1] != 10 || vec[2] != 20 {
-		t.Fatalf("Vec ordering wrong: %v", vec)
-	}
-}
-
-func TestAggGapsFromPrunedProcesses(t *testing.T) {
-	a := NewAgg()
-	a.Put("y", 0, "a")
-	a.Put("y", 5, "b") // processes 1..4 were pruned and never committed
-	if _, ok := a.Get("y", 3); ok {
-		t.Fatal("pruned index should be absent")
-	}
-	if got := a.Indices("y"); len(got) != 2 || got[0] != 0 || got[1] != 5 {
-		t.Fatalf("Indices = %v", got)
-	}
-	if vec := a.Vec("y"); len(vec) != 2 {
-		t.Fatalf("Vec should be dense, got %v", vec)
-	}
-}
-
-func TestAggOverwriteSameIndex(t *testing.T) {
-	a := NewAgg()
-	a.Put("y", 0, 1)
-	a.Put("y", 0, 2)
-	if a.Len("y") != 1 {
-		t.Fatalf("Len after overwrite = %d", a.Len("y"))
-	}
-	if v, _ := a.Get("y", 0); v != 2 {
-		t.Fatalf("overwrite kept %v", v)
-	}
-}
-
-func TestAggVarsAndClear(t *testing.T) {
-	a := NewAgg()
-	a.Put("b", 0, 1)
-	a.Put("a", 0, 1)
-	if vars := a.Vars(); len(vars) != 2 || vars[0] != "a" || vars[1] != "b" {
-		t.Fatalf("Vars = %v", vars)
-	}
-	a.Clear()
-	if len(a.Vars()) != 0 || a.Len("a") != 0 {
-		t.Fatal("Clear did not empty the store")
-	}
-}
-
-func TestAggMissingVariable(t *testing.T) {
-	a := NewAgg()
-	if a.Len("nope") != 0 {
-		t.Fatal("Len of missing var should be 0")
-	}
-	if got := a.Vec("nope"); len(got) != 0 {
-		t.Fatal("Vec of missing var should be empty")
-	}
-	if _, ok := a.Get("nope", 0); ok {
-		t.Fatal("Get of missing var reported ok")
-	}
-}
-
-func TestAggConcurrentCommits(t *testing.T) {
-	a := NewAgg()
-	var wg sync.WaitGroup
-	const n = 64
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			a.Put("y", i, i*i)
-		}(i)
-	}
-	wg.Wait()
-	if a.Len("y") != n {
-		t.Fatalf("lost commits: Len = %d, want %d", a.Len("y"), n)
-	}
-	for i := 0; i < n; i++ {
-		if v, ok := a.Get("y", i); !ok || v != i*i {
-			t.Fatalf("entry %d = %v, %v", i, v, ok)
-		}
-	}
-}
-
-// Property: after putting values at arbitrary indices, Vec returns them in
-// ascending index order and Len equals the number of distinct indices.
-func TestPropertyAggVecSorted(t *testing.T) {
-	f := func(idxs []uint8) bool {
-		a := NewAgg()
-		distinct := map[int]bool{}
-		for _, u := range idxs {
-			i := int(u)
-			a.Put("x", i, i)
-			distinct[i] = true
-		}
-		if a.Len("x") != len(distinct) {
-			return false
-		}
-		prev := -1
-		for _, i := range a.Indices("x") {
-			if i <= prev {
-				return false
-			}
-			prev = i
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestExposedSnapshot(t *testing.T) {
 	e := NewExposed()
 	e.Set("a", "x", 1)
@@ -221,19 +100,6 @@ func TestExposedSnapshot(t *testing.T) {
 	}
 	if v, _ := e.Get("a", "x"); v != 1 {
 		t.Fatal("snapshot aliased the store")
-	}
-}
-
-func TestAggTotal(t *testing.T) {
-	a := NewAgg()
-	if a.Total() != 0 {
-		t.Fatal("empty Total != 0")
-	}
-	a.Put("x", 0, 1)
-	a.Put("x", 1, 1)
-	a.Put("y", 0, 1)
-	if a.Total() != 3 {
-		t.Fatalf("Total = %d", a.Total())
 	}
 }
 

@@ -136,7 +136,9 @@ func (m mcmcStrategy) Sampler(seed int64, idx, n int, fb []Feedback) Sampler {
 	for pick < elite-1 && r.Float64() < 0.5 {
 		pick++
 	}
-	return &mcmcSampler{r: r, start: fb[pick].Params, scale: m.opts.Scale}
+	s := mcmcPool.Get().(*mcmcSampler)
+	s.r, s.start, s.scale = r, fb[pick].Params, m.opts.Scale
+	return s
 }
 
 type mcmcSampler struct {
@@ -145,7 +147,14 @@ type mcmcSampler struct {
 	scale float64
 }
 
-func (s *mcmcSampler) Recycle() { rngPool.Put(s.r) }
+// mcmcPool recycles chain samplers; Recycle returns one and its generator.
+var mcmcPool = sync.Pool{New: func() any { return new(mcmcSampler) }}
+
+func (s *mcmcSampler) Recycle() {
+	rngPool.Put(s.r)
+	*s = mcmcSampler{}
+	mcmcPool.Put(s)
+}
 
 func (s *mcmcSampler) Draw(name string, d dist.Dist) float64 {
 	cur, ok := s.start[name]
