@@ -33,7 +33,7 @@ import (
 	"repro/internal/strategy"
 )
 
-// The determinism contract (DESIGN §12): a run's results are a function of
+// The determinism contract (DESIGN §10): a run's results are a function of
 // its program and seed alone. Every cell of the matrix runs one program and
 // must produce the digest of the program's reference cell: the local
 // executor, the direct lifecycle, unrecorded, at GOMAXPROCS N. A cell that

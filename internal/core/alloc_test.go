@@ -12,7 +12,7 @@ import (
 // tunable has been drawn, an exposed variable loaded, and a result variable
 // committed, repeating that operation inside the same sampling process must
 // not allocate. This is what keeps a thousands-of-samples tuning run off the
-// GC (DESIGN.md §8).
+// GC (DESIGN.md §3).
 
 // allocsInSP reports testing.AllocsPerRun of fn inside a single sampling
 // process of a minimal region.

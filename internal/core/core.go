@@ -405,7 +405,7 @@ type P struct {
 // fbView is the part of a feedback history a strategy can ever be handed:
 // its best maxFeedback entries, best first, ties in arrival order — equal to
 // strategy.SortBestFirst(history)[:maxFeedback], and kept so by insert without
-// the history (DESIGN.md §9 has the argument). A fold writes fb's array in
+// the history (DESIGN.md §5 has the argument). A fold writes fb's array in
 // place only while the view owns it; a split child, an executor's round task
 // and an abandoned body may alias it, so wherever fb escapes the round's own
 // samplers, owned is cleared and the next fold copies.

@@ -14,7 +14,7 @@ import (
 
 // TestFig8Rules checks, one row each, the rules of the paper's semantics
 // (Fig. 8) that no other test of this package pins on the runtime. DESIGN.md
-// §6 maps every rule to the test or the Go mechanism that enforces it.
+// §2 maps every rule to the test or the Go mechanism that enforces it.
 func TestFig8Rules(t *testing.T) {
 	for _, row := range []struct {
 		rule string

@@ -12,7 +12,7 @@ import (
 // Property: for any sample count and pruning mask, the aggregation store
 // holds exactly the unpruned samples' commits, at the right indices, and
 // Result's pruned flags match the mask — rule [AGGR-S] of Fig. 8 (DESIGN.md
-// §6).
+// §2).
 func TestPropertyRegionCommitsMatchMask(t *testing.T) {
 	f := func(nRaw uint8, mask uint16, seed int64) bool {
 		n := int(nRaw%12) + 1

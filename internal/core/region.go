@@ -209,7 +209,7 @@ type regionState struct {
 	timeout time.Duration // FaultPolicy.SampleTimeout; 0 for none
 
 	// Every chunk writes the lines below, under mu or on the timer, and no
-	// line of the tuner or the scheduler (DESIGN §8): the pad keeps those
+	// line of the tuner or the scheduler (DESIGN §3): the pad keeps those
 	// writes off the lines the fields above share, whatever the alignment.
 	_ [56]byte
 
@@ -431,7 +431,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 
 	// A context that can end — the caller's, or the region budget's — and a
 	// per-sample deadline end the round's running attempts through one
-	// watcher (DESIGN §7): watch when the context ends, expire on the
+	// watcher (DESIGN §6): watch when the context ends, expire on the
 	// deadline timer.
 	rs.watched = ctx.Done() != nil || rs.timeout > 0
 	stopWatch := func() bool { return false }
@@ -439,7 +439,7 @@ func (p *P) runRound(spec RegionSpec, n, round int, body func(sp *SP) error) (*R
 		stopWatch = context.AfterFunc(ctx, rs.watch)
 	}
 
-	// Launch (DESIGN §8): every slot the round is admitted becomes one worker,
+	// Launch (DESIGN §3): every slot the round is admitted becomes one worker,
 	// which runs sample after sample on it for as long as Algorithm 1 lets it
 	// renew the admission. This loop keeps asking for one slot more while
 	// pairs remain, so the round widens whenever the pool has room — after a

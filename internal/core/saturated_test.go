@@ -58,7 +58,7 @@ func saturatedRounds(t *testing.T, tuner *Tuner, rounds int, each func(round int
 }
 
 // TestSaturatedRoundDoesNotQueuePerSample is the regression gate of the
-// slot-holding launch loop (DESIGN §8): in a round with more samples than
+// slot-holding launch loop (DESIGN §3): in a round with more samples than
 // slots the finishing sampling processes renew their admission and run the
 // next sample themselves, so the scheduler's wait list sees the round's
 // launcher and the tuning process's re-entry — not one request per sample —

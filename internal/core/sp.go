@@ -226,7 +226,7 @@ const (
 // sym resolves a variable name to its id in the shape's symbol table when its
 // memo set holds it: four compares, no write, no hashing, and small enough to
 // inline into every primitive. The set comes from the name's data pointer,
-// never dereferenced (DESIGN §8), and a way holds a name if it remembers the
+// never dereferenced (DESIGN §3), and a way holds a name if it remembers the
 // same string: same data pointer, same length. The way keeps its string
 // alive, and strings are immutable, so that string has the name's bytes; an
 // equal name at another address only costs a miss.

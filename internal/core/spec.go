@@ -170,8 +170,8 @@ type JobSpec struct {
 	Checkpoint *CheckpointSpec `json:"checkpoint,omitempty"`
 }
 
-// Validate reports whether the spec can describe a job. All failures wrap
-// ErrSpecInvalid.
+// Validate reports whether the spec can describe a job. A version mismatch
+// wraps ErrSpecVersion; every other failure wraps ErrSpecInvalid.
 func (s *JobSpec) Validate() error {
 	if s.SpecVersion != 0 && s.SpecVersion != SpecVersion {
 		return fmt.Errorf("%w: spec version %d (this binary speaks %d)",

@@ -55,6 +55,10 @@ func TestServerStatusCodes(t *testing.T) {
 	defer m.Close()
 	srv := httptest.NewServer(NewServer(m, nil))
 	defer srv.Close()
+	closed := NewManager(Options{Runtime: core.NewRuntime(core.RuntimeOptions{MaxPool: 1}), Programs: testRegistry(nil)})
+	closed.Close()
+	closedSrv := httptest.NewServer(NewServer(closed, nil))
+	defer closedSrv.Close()
 
 	// Fill the running slot and the one queue slot.
 	for _, name := range []string{"running", "queued"} {
@@ -69,6 +73,7 @@ func TestServerStatusCodes(t *testing.T) {
 		name string
 		spec core.JobSpec
 		raw  string // posted as the body instead of spec when set
+		url  string // the server posted to; srv when empty
 		want int
 	}{
 		{name: "queue full", spec: core.JobSpec{Name: "overflow", Program: "wait", Tenant: "a"}, want: http.StatusServiceUnavailable},
@@ -78,14 +83,20 @@ func TestServerStatusCodes(t *testing.T) {
 		{name: "negative sample timeout", raw: `{"name": "neg", "program": "wait", "fault": {"sample_timeout": -5}}`, want: http.StatusBadRequest},
 		{name: "oversize body", raw: `{"name": "` + strings.Repeat("x", 1<<20) + `"}`, want: http.StatusRequestEntityTooLarge},
 		{name: "trailing data", raw: `{"name": "twice", "program": "wait"} {"name": "again", "program": "wait"}`, want: http.StatusBadRequest},
+		{name: "unknown spec version", raw: `{"spec_version": 99, "name": "future", "program": "wait"}`, want: http.StatusBadRequest},
+		{name: "manager closed", spec: core.JobSpec{Name: "late", Program: "wait"}, url: closedSrv.URL, want: http.StatusServiceUnavailable},
 	}
 	for _, tc := range tests {
+		url := srv.URL
+		if tc.url != "" {
+			url = tc.url
+		}
 		var resp *http.Response
 		if tc.raw == "" {
-			resp = postSpec(t, srv.URL, tc.spec)
+			resp = postSpec(t, url, tc.spec)
 		} else {
 			var err error
-			if resp, err = http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.raw)); err != nil {
+			if resp, err = http.Post(url+"/v1/jobs", "application/json", strings.NewReader(tc.raw)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -154,12 +154,17 @@ type chaosRun struct {
 	outcomes [][]chaosOutcome // by round, then group
 	failures int64            // wbtuner_worker_failures_total over the fleet
 	injected int64            // links cut plus workers killed
+	watched  int64            // the sum of a capacity watcher's deltas
+	capacity int              // the executor's Capacity() at the end
+	live     int              // slots of the workers still connected
 }
 
 // chaosVerdict checks one run against the fault-free run's committed values:
 // every group settled exactly once, no committed value differs from the
-// fault-free one (a fault only turns a sample into a failure), and the
-// fleet's failure counter equals the cuts and deaths injected.
+// fault-free one (a fault only turns a sample into a failure), the
+// fleet's failure counter equals the cuts and deaths injected, and a
+// capacity watcher's deltas sum to the executor's capacity, which is the
+// slots of the workers still connected.
 func chaosVerdict(run chaosRun, ref [][]chaosOutcome) error {
 	if run.err != nil {
 		return fmt.Errorf("seed %d: run: %w", run.seed, run.err)
@@ -188,6 +193,9 @@ func chaosVerdict(run chaosRun, ref [][]chaosOutcome) error {
 	}
 	if run.failures != run.injected {
 		return fmt.Errorf("seed %d: %d worker failures counted, %d cuts and deaths injected", run.seed, run.failures, run.injected)
+	}
+	if run.watched != int64(run.capacity) || run.capacity != run.live {
+		return fmt.Errorf("seed %d: capacity watcher sums to %d, executor reports %d, connected workers hold %d slots", run.seed, run.watched, run.capacity, run.live)
 	}
 	return nil
 }
@@ -257,6 +265,8 @@ func chaosSeed(seed int64) chaosRun {
 	reg := NewRegistry()
 	oreg := obs.NewRegistry()
 	ex := NewExecutor(ExecutorOptions{Registry: reg, Dynamic: true, Obs: oreg})
+	var watched atomic.Int64
+	ex.WatchCapacity(func(delta int) { watched.Add(int64(delta)) })
 	var mu sync.Mutex // guards workers: the elastic step joins from a sample body
 	var workers []*Worker
 	var cuttable []net.Conn
@@ -324,12 +334,22 @@ func chaosSeed(seed int64) chaosRun {
 		run.failures += oreg.Counter(MetricWorkerFailures, "worker", w).Value()
 	}
 	run.injected = 1 // worker 1's death
+	cut := false
 	for _, c := range cuttable {
 		if c.(interface{ WasCut() bool }).WasCut() {
 			run.injected++ // one per link: either direction's cut fails it
+			cut = true
 			break
 		}
 	}
+	// Still connected, two slots each: w0 unless a cut failed it, w2 unless
+	// the elastic step retired it, and w3 if that step joined it.
+	for _, connected := range []bool{!cut, !elasticSeed, elasticSeed} {
+		if connected {
+			run.live += 2
+		}
+	}
+	run.watched, run.capacity = watched.Load(), ex.Capacity()
 	ex.Close()
 	mu.Lock()
 	defer mu.Unlock()
@@ -383,8 +403,8 @@ func TestVirtualFleetChaos(t *testing.T) {
 }
 
 // TestVirtualFleetChaosOracleCatches: the verdict rejects a run that
-// committed a value the fault-free run did not, settled a group twice, or
-// counted a worker failure no fault explains.
+// committed a value the fault-free run did not, settled a group twice,
+// counted a worker failure no fault explains, or lost a capacity delta.
 func TestVirtualFleetChaosOracleCatches(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	synctest.Run(func() { chaosOracleCatches(t) })
@@ -413,6 +433,7 @@ func chaosOracleCatches(t *testing.T) {
 		"unexplained failure": func(run *chaosRun) { run.failures++ },
 		"lost round":          func(run *chaosRun) { run.outcomes = run.outcomes[1:] },
 		"run error":           func(run *chaosRun) { run.err = errors.New("mutated") },
+		"lost capacity delta": func(run *chaosRun) { run.watched -= 2 },
 	} {
 		mutated := run
 		mutated.outcomes = make([][]chaosOutcome, len(run.outcomes))
