@@ -177,6 +177,7 @@ func TestDeterminismMatrixCoverage(t *testing.T) {
 // matrix holds the programs and the reference digests.
 type matrix struct {
 	progs   *jobs.Registry
+	names   []string                                                      // every program registered in progs
 	runs    map[string]func(context.Context, *core.Tuner) (string, error) // nil for synthetic
 	want    map[string]string                                             // Tuner digest (synthetic: Result)
 	wantRes map[string]string                                             // jobs.RunDirect result
@@ -186,7 +187,8 @@ type matrix struct {
 func newMatrix() *matrix {
 	m := &matrix{progs: jobs.NewRegistry(), want: map[string]string{}, wantRes: map[string]string{},
 		runs: map[string]func(context.Context, *core.Tuner) (string, error){}, table: map[string]bench.Benchmark{}}
-	bench.RegisterPrograms(m.progs)
+	reg := &namedRegistry{Registry: m.progs}
+	bench.RegisterPrograms(reg)
 	for _, b := range bench.All() {
 		m.table[bench.ServiceName(b)] = b
 		m.runs[bench.ServiceName(b)] = func(ctx context.Context, tu *core.Tuner) (string, error) {
@@ -195,10 +197,22 @@ func newMatrix() *matrix {
 		}
 	}
 	for name, run := range map[string]jobs.RunFunc{"churn": churnProgram, "split": splitProgram} {
-		m.progs.Register(name, func(core.JobSpec) (jobs.RunFunc, error) { return run, nil })
+		reg.Register(name, func(core.JobSpec) (jobs.RunFunc, error) { return run, nil })
 		m.runs[name] = func(ctx context.Context, tu *core.Tuner) (string, error) { return run(ctx, tu, func(jobs.Round) {}) }
 	}
+	m.names = reg.names
 	return m
+}
+
+// namedRegistry records the names registered through it.
+type namedRegistry struct {
+	*jobs.Registry
+	names []string
+}
+
+func (r *namedRegistry) Register(name string, f jobs.Factory) {
+	r.names = append(r.names, name)
+	r.Registry.Register(name, f)
 }
 
 // outcomeBits renders an Outcome so that two renderings are equal exactly
@@ -494,8 +508,10 @@ func TestDeterminismMatrix(t *testing.T) {
 		t.Skip("every program across executors, lifecycles and GOMAXPROCS; skipped in -short")
 	}
 	m, progs := newMatrix(), matrixPrograms()
-	if slices.Sort(progs); !slices.Equal(m.progs.Names(), progs) {
-		t.Fatalf("registered programs %v, matrix programs %v", m.progs.Names(), progs)
+	names := slices.Clone(m.names)
+	slices.Sort(names)
+	if slices.Sort(progs); !slices.Equal(names, progs) {
+		t.Fatalf("registered programs %v, matrix programs %v", names, progs)
 	}
 	// References run outside any subtest, so a -run filter still has them.
 	t.Cleanup(leakcheck.Check(t))

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/drone"
 	"repro/internal/img"
+	"repro/internal/stats"
 )
 
 // CurvePoint is one checkpoint of a score-vs-budget curve (Figs. 12, 16,
@@ -276,25 +277,14 @@ func WriteScenes(w io.Writer, title string, rows []ScenesResult, higher bool) {
 		ot = append(ot, r.OT)
 	}
 	fmt.Fprintf(w, "%-14s %10s %10s %10s\n", "mean",
-		fmtScore(mean(nat)), fmtScore(mean(wb)), fmtScore(mean(ot)))
+		fmtScore(stats.Mean(nat)), fmtScore(stats.Mean(wb)), fmtScore(stats.Mean(ot)))
 	if higher {
 		fmt.Fprintf(w, "improvement over native: WB %.0f%%, OT %.0f%%\n",
-			(mean(wb)/mean(nat)-1)*100, (mean(ot)/mean(nat)-1)*100)
+			(stats.Mean(wb)/stats.Mean(nat)-1)*100, (stats.Mean(ot)/stats.Mean(nat)-1)*100)
 	} else {
 		fmt.Fprintf(w, "error reduction factor: WB %.2fx, OT %.2fx\n",
-			mean(nat)/math.Max(mean(wb), 1e-12), mean(nat)/math.Max(mean(ot), 1e-12))
+			stats.Mean(nat)/math.Max(stats.Mean(wb), 1e-12), stats.Mean(nat)/math.Max(stats.Mean(ot), 1e-12))
 	}
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // Fig22Result is the drone behaviour-learning outcome.

@@ -27,8 +27,9 @@ import (
 //
 // Every program's result string is a deterministic function of the spec and
 // seed, which is what lets the control plane byte-compare an HTTP-submitted
-// run against jobs.RunDirect.
-func RegisterPrograms(reg *jobs.Registry) {
+// run against jobs.RunDirect. reg is a *jobs.Registry, or a wrapper that
+// also records the names.
+func RegisterPrograms(reg interface{ Register(string, jobs.Factory) }) {
 	for _, b := range All() {
 		if _, ok := b.(CannyBench); ok {
 			reg.Register(ServiceName(b), cannyProgram)

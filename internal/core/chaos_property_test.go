@@ -140,7 +140,7 @@ func TestContextIgnoringSamplerEventuallyDrains(t *testing.T) {
 	if got := res.Len("v"); got != 2 {
 		t.Fatalf("survivors committed %d, want 2", got)
 	}
-	if !res.TimedOut(1) {
+	if !timedOut(res, 1) {
 		t.Fatal("wedged sampler not reported as timeout")
 	}
 	if got := tuner.sched.InUse(); got != 0 {

@@ -218,8 +218,8 @@ func TestCheckpointSingleRunAndNotRecording(t *testing.T) {
 	if err := plain.Checkpoint(&buf); !errors.Is(err, ErrNotRecording) {
 		t.Fatalf("Checkpoint on unrecorded job: %v, want ErrNotRecording", err)
 	}
-	if _, err := plain.CheckpointState(); !errors.Is(err, ErrNotRecording) {
-		t.Fatalf("CheckpointState on unrecorded job: %v, want ErrNotRecording", err)
+	if _, err := plain.checkpointState(); !errors.Is(err, ErrNotRecording) {
+		t.Fatalf("checkpointState on unrecorded job: %v, want ErrNotRecording", err)
 	}
 
 	job := New(Options{MaxPool: 4, Checkpoint: &CheckpointPolicy{Store: &checkpoint.MemStore{}}})
@@ -277,4 +277,16 @@ func TestCheckpointDivergence(t *testing.T) {
 	if err := prog(job, "b"); !errors.Is(err, ErrCheckpointDiverged) {
 		t.Fatalf("divergent resume: %v, want ErrCheckpointDiverged", err)
 	}
+}
+
+// checkpointState quiesces the job at its next round boundary and returns
+// its serializable state: the decoded bytes a checkpoint written at that
+// boundary would hold. It fails with ErrNotRecording unless the job was
+// created with a CheckpointPolicy or a resume state.
+func (t *Tuner) checkpointState() (*checkpoint.State, error) {
+	data, err := t.checkpointBytes()
+	if err != nil {
+		return nil, err
+	}
+	return checkpoint.DecodeBytes(data)
 }

@@ -554,8 +554,8 @@ func TestScoringAndBest(t *testing.T) {
 				return fmt.Errorf("BestScore %g not minimal (sample %d scored %g)", best, i, s)
 			}
 		}
-		if bp := res.BestParams(); bp == nil || math.Abs(bp["x"]-0.5) > 0.5 {
-			return fmt.Errorf("BestParams = %v", bp)
+		if bp := res.bestParams(); bp == nil || math.Abs(bp["x"]-0.5) > 0.5 {
+			return fmt.Errorf("bestParams = %v", bp)
 		}
 		return nil
 	})

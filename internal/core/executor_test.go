@@ -130,7 +130,7 @@ var parityKinds = []parityKind{
 func runParityKind(t *testing.T, pk parityKind, opts Options) (dump, lifecycle string) {
 	t.Helper()
 	tr := NewTrace()
-	tr.SetClock(counterClock())
+	tr.setClock(counterClock())
 	opts.Trace, opts.Incremental = tr, pk.incremental
 	if pk.fault != (FaultPolicy{}) {
 		opts.Fault = pk.fault
@@ -162,7 +162,7 @@ func runParityKind(t *testing.T, pk parityKind, opts Options) (dump, lifecycle s
 		}
 		for g := 0; g < res.N(); g++ {
 			dump += fmt.Sprintf("g%d params=%v score=%v pruned=%v failed=%v timedOut=%v", g,
-				res.Params(g), res.Score(g), res.Pruned(g), res.Err(g) != nil, res.TimedOut(g))
+				res.Params(g), res.Score(g), res.Pruned(g), res.Err(g) != nil, timedOut(res, g))
 			for _, x := range []string{"y", "z"} {
 				if v, ok := res.Value(x, g); ok {
 					dump += fmt.Sprintf(" %s=%v", x, v)

@@ -10,7 +10,7 @@ import (
 // ErrSampleTimeout marks a sampling process abandoned by the runtime because
 // it exceeded its per-sample deadline or the region's budget. It is a
 // distinguished outcome, not a tuning-program bug: the region aggregates over
-// whatever committed and Result.TimedOut reports the shortfall per sample.
+// whatever committed and Result.Err reports the shortfall per sample.
 var ErrSampleTimeout = errors.New("core: sampling process timed out")
 
 // ErrRegionBudget marks a sample group that was never launched because the
@@ -53,11 +53,6 @@ type FaultPolicy struct {
 	// pipeline can continue past a fully-faulted stage and inspect the
 	// shortfall itself.
 	DegradeEmpty bool `json:"degrade_empty,omitempty"`
-}
-
-// active reports whether any part of the policy is enabled.
-func (f FaultPolicy) active() bool {
-	return f.SampleTimeout > 0 || f.RegionBudget > 0 || f.MaxAttempts > 1 || f.DegradeEmpty
 }
 
 // attempts returns the effective attempt count (>= 1).

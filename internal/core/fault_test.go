@@ -106,3 +106,10 @@ func TestFaultEventKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// timedOut reports whether sample i was abandoned at a deadline or cut by
+// the region budget — the distinguished timeout outcome of the fault layer.
+func timedOut(r *Result, i int) bool {
+	err := r.Err(i)
+	return errors.Is(err, ErrSampleTimeout) || errors.Is(err, ErrRegionBudget)
+}

@@ -421,7 +421,7 @@ func TestFeedbackInPlaceNeverLeaks(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if !res.TimedOut(0) {
+			if !timedOut(res, 0) {
 				return errors.New("the hung sampler's attempt was not abandoned")
 			}
 			return nil

@@ -21,7 +21,7 @@ func goldenTraceRun(t *testing.T) []byte {
 		HangRate: 0.10, PanicRate: 0.15, TransientRate: 0.25, CorruptRate: 0.15,
 	})
 	tr := NewTrace()
-	tr.SetClock(counterClock())
+	tr.setClock(counterClock())
 	tuner := New(Options{
 		MaxPool: 1, Seed: 1234, Trace: tr,
 		Fault: FaultPolicy{

@@ -179,7 +179,7 @@ func journalScenarios(t *testing.T, mk func(loaded *checkpoint.State) *journalOr
 	}
 	job.Close()
 
-	// A migration: CheckpointState between two rounds, resumed elsewhere.
+	// A migration: checkpointState between two rounds, resumed elsewhere.
 	var moved *checkpoint.State
 	migrate := func(job *Tuner, capture bool) error {
 		return job.Run(func(p *P) error {
@@ -193,7 +193,7 @@ func journalScenarios(t *testing.T, mk func(loaded *checkpoint.State) *journalOr
 				}
 				if capture && r == 1 {
 					var err error
-					if moved, err = job.CheckpointState(); err != nil {
+					if moved, err = job.checkpointState(); err != nil {
 						return err
 					}
 				}
@@ -245,7 +245,7 @@ func journalScenarios(t *testing.T, mk func(loaded *checkpoint.State) *journalOr
 		if !errors.Is(rerr, ErrCheckpointDiverged) {
 			return fmt.Errorf("region after a divergence: %v", rerr)
 		}
-		_, err := job.CheckpointState()
+		_, err := job.checkpointState()
 		if err := p.Wait(); err != nil {
 			return err
 		}

@@ -193,10 +193,10 @@ func TestResultEdgeCases(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// Unscored region: BestIndex is -1, BestScore NaN, BestParams nil.
-		if res.BestIndex() != -1 || !math.IsNaN(res.BestScore()) || res.BestParams() != nil {
+		// Unscored region: BestIndex is -1, BestScore NaN, bestParams nil.
+		if res.BestIndex() != -1 || !math.IsNaN(res.BestScore()) || res.bestParams() != nil {
 			return fmt.Errorf("unscored region Best* wrong: %d %v %v",
-				res.BestIndex(), res.BestScore(), res.BestParams())
+				res.BestIndex(), res.BestScore(), res.bestParams())
 		}
 		if got := res.Vars(); len(got) != 1 || got[0] != "v" {
 			return fmt.Errorf("Vars = %v", got)

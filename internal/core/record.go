@@ -376,7 +376,8 @@ func resetJournalRound(jr *checkpoint.Round) {
 }
 
 // encodeGroupErr flattens a group error for the journal, keeping the
-// distinguished timeout/budget classification Result.TimedOut depends on.
+// distinguished timeout/budget classification (ErrSampleTimeout,
+// ErrRegionBudget) of Result.Err.
 func encodeGroupErr(err error) (uint8, string) {
 	switch {
 	case err == nil:
@@ -627,18 +628,6 @@ func (r *recorder) captureLocked(complete bool) ([]byte, error) {
 		r.shadow.captured(r, data)
 	}
 	return data, err
-}
-
-// CheckpointState quiesces the job at its next round boundary and returns
-// its serializable state: the decoded bytes a checkpoint written at that
-// boundary would hold. It fails with ErrNotRecording unless the job was
-// created with a CheckpointPolicy or a resume state.
-func (t *Tuner) CheckpointState() (*checkpoint.State, error) {
-	data, err := t.checkpointBytes()
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.DecodeBytes(data)
 }
 
 // checkpointBytes quiesces the job at its next round boundary and encodes

@@ -143,13 +143,6 @@ func (r *Result) Pruned(i int) bool { return r.groups[i].pruned }
 // Err returns the contained failure of sample i, if any.
 func (r *Result) Err(i int) error { return r.groups[i].err }
 
-// TimedOut reports whether sample i was abandoned at a deadline or cut by
-// the region budget — the distinguished timeout outcome of the fault layer.
-func (r *Result) TimedOut(i int) bool {
-	err := r.groups[i].err
-	return errors.Is(err, ErrSampleTimeout) || errors.Is(err, ErrRegionBudget)
-}
-
 // allFailed is the error of a region whose every sampling process failed.
 func (r *Result) allFailed(region string) error {
 	errs := make([]error, len(r.groups))
@@ -189,14 +182,4 @@ func (r *Result) BestScore() float64 {
 		return math.NaN()
 	}
 	return r.Score(i)
-}
-
-// BestParams returns the parameter configuration of the best-scoring
-// sample, or nil when nothing was scored.
-func (r *Result) BestParams() map[string]float64 {
-	i := r.BestIndex()
-	if i < 0 {
-		return nil
-	}
-	return r.Params(i)
 }

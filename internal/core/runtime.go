@@ -262,10 +262,6 @@ type JobEnder interface {
 // Runtime returns the runtime this job belongs to.
 func (t *Tuner) Runtime() *Runtime { return t.rt }
 
-// JobName returns the job's metric label ("" for a single-job Tuner made
-// with New).
-func (t *Tuner) JobName() string { return t.jobName }
-
 // SlotsInUse reports how many scheduler pool slots the job's processes hold
 // right now.
 func (t *Tuner) SlotsInUse() int { return t.job.InUse() }

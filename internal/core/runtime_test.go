@@ -131,8 +131,8 @@ func TestRuntimeDefaultJobNamesAndShares(t *testing.T) {
 	rt := NewRuntime(RuntimeOptions{MaxPool: 2})
 	a := rt.NewJob(JobOptions{})
 	b := rt.NewJob(JobOptions{})
-	if a.JobName() != "job1" || b.JobName() != "job2" {
-		t.Fatalf("job names = %q, %q", a.JobName(), b.JobName())
+	if a.jobName != "job1" || b.jobName != "job2" {
+		t.Fatalf("job names = %q, %q", a.jobName, b.jobName)
 	}
 	if a.SlotsInUse() != 0 {
 		t.Fatalf("fresh job holds %d slots", a.SlotsInUse())

@@ -29,7 +29,7 @@ const (
 )
 
 // scoredRoundsProgram runs the long job on t and returns one line per round
-// — (round, BestIndex, BestScore bits, BestParams) — parent first, then the
+// — (round, BestIndex, BestScore bits, bestParams) — parent first, then the
 // children in split order.
 func scoredRoundsProgram(job *Tuner) ([]byte, error) {
 	spec := RegionSpec{
@@ -60,7 +60,7 @@ func scoredRoundsProgram(job *Tuner) ([]byte, error) {
 				return err
 			}
 			fmt.Fprintf(buf, "%s r%d best=%d score=%016x", key, r, res.BestIndex(), math.Float64bits(res.BestScore()))
-			params := res.BestParams()
+			params := res.bestParams()
 			names := make([]string, 0, len(params))
 			for name := range params {
 				names = append(names, name)
@@ -157,4 +157,14 @@ func TestScoredRoundsResume(t *testing.T) {
 	if gm, wm := metricsLine(job.Metrics()), metricsLine(rec.Metrics()); gm != wm {
 		t.Fatalf("resumed counters %s != %s", gm, wm)
 	}
+}
+
+// bestParams returns the parameter configuration of the best-scoring
+// sample, or nil when nothing was scored.
+func (r *Result) bestParams() map[string]float64 {
+	i := r.BestIndex()
+	if i < 0 {
+		return nil
+	}
+	return r.Params(i)
 }

@@ -113,16 +113,6 @@ type Trace struct {
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// SetClock installs a deterministic clock used to stamp events (e.g. a
-// logical counter for byte-identical replay exports); nil restores the wall
-// clock. The clock is called under the trace lock, so a plain closure over a
-// counter is race-free and stamps events in collection order.
-func (tr *Trace) SetClock(fn func() int64) {
-	tr.mu.Lock()
-	tr.clock = fn
-	tr.mu.Unlock()
-}
-
 func (tr *Trace) add(e Event) {
 	if tr == nil {
 		return

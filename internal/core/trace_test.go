@@ -95,3 +95,13 @@ func TestEventKindStrings(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+// setClock installs a deterministic clock used to stamp events (e.g. a
+// logical counter for byte-identical replay exports); nil restores the wall
+// clock. The clock is called under the trace lock, so a plain closure over a
+// counter is race-free and stamps events in collection order.
+func (tr *Trace) setClock(fn func() int64) {
+	tr.mu.Lock()
+	tr.clock = fn
+	tr.mu.Unlock()
+}

@@ -77,7 +77,7 @@ func TestVirtualHungSamplerDegradesWithinDeadline(t *testing.T) {
 			var live, peakLive atomic.Int64 // bodies running, the hung one aside
 			reg := obs.NewRegistry()
 			tr := NewTrace()
-			tr.SetClock(counterClock())
+			tr.setClock(counterClock())
 			tuner := New(Options{MaxPool: 1, Seed: 42, Trace: tr, Obs: reg, Fault: FaultPolicy{SampleTimeout: timeout}})
 			hungFor := make(chan time.Duration, 1)
 			res, took := timedRound(t, context.Background(), tuner, RegionSpec{Name: "hung", Samples: 6}, func(sp *SP) error {
@@ -100,7 +100,7 @@ func TestVirtualHungSamplerDegradesWithinDeadline(t *testing.T) {
 				t.Fatalf("hung sampler given up after %v, region after %v; want exactly %v and %v",
 					d, took, timeout, 5*time.Millisecond+timeout)
 			}
-			if !res.TimedOut(hungSample) || !errors.Is(res.Err(hungSample), ErrSampleTimeout) ||
+			if !timedOut(res, hungSample) || !errors.Is(res.Err(hungSample), ErrSampleTimeout) ||
 				res.Len("v") != 5 || !res.Degraded() || res.Timeouts() != 1 {
 				t.Fatalf("result: sample %d ended with %v; %d committed, degraded %v, %d timeouts",
 					hungSample, res.Err(hungSample), res.Len("v"), res.Degraded(), res.Timeouts())
@@ -236,8 +236,8 @@ func TestVirtualRegionBudgetCutsRound(t *testing.T) {
 			if i < 3 {
 				want = []error{nil, nil, ErrSampleTimeout}[i]
 			}
-			if err := res.Err(i); !errors.Is(err, want) || res.TimedOut(i) != (i >= 2) {
-				t.Fatalf("sample %d ended with %v (timed out %v), want %v", i, err, res.TimedOut(i), want)
+			if err := res.Err(i); !errors.Is(err, want) || timedOut(res, i) != (i >= 2) {
+				t.Fatalf("sample %d ended with %v (timed out %v), want %v", i, err, timedOut(res, i), want)
 			}
 		}
 	})
@@ -273,9 +273,9 @@ func TestVirtualSyncSurvivesHungSampler(t *testing.T) {
 			sp.Commit("v", float64(sp.Index()))
 			return nil
 		})
-		if released != timeout || res.Len("v") != 2 || !res.TimedOut(0) {
+		if released != timeout || res.Len("v") != 2 || !timedOut(res, 0) {
 			t.Fatalf("barrier released after %v, %d survivors committed, sample 0 timed out %v; want exactly %v, 2, true",
-				released, res.Len("v"), res.TimedOut(0), timeout)
+				released, res.Len("v"), timedOut(res, 0), timeout)
 		}
 	})
 }
@@ -346,7 +346,7 @@ func TestVirtualSampleDeadlinePausesAtSync(t *testing.T) {
 			sp.Commit("v", 1.0)
 			return nil
 		})
-		if released != (n-1)*step || res.Err(0) != nil || !res.TimedOut(slow) {
+		if released != (n-1)*step || res.Err(0) != nil || !timedOut(res, slow) {
 			t.Fatalf("barrier released after %v, want exactly %v; sample 0 ended with %v, sample %d with %v",
 				released, (n-1)*step, res.Err(0), slow, res.Err(slow))
 		}
@@ -386,17 +386,17 @@ func TestVirtualInjectedChaosOutcomesPartition(t *testing.T) {
 				t.Fatalf("an injected hang was given up after %v, want exactly %v", d, timeout)
 			}
 		}
-		failed, timedOut := 0, 0
+		failed, nTimedOut := 0, 0
 		for i := 0; i < n; i++ {
 			if res.Err(i) != nil {
 				failed++
 			}
-			if res.TimedOut(i) {
-				timedOut++
+			if timedOut(res, i) {
+				nTimedOut++
 			}
 		}
-		if committed := res.Len("v"); committed+failed != n || committed == 0 || nhang == 0 || timedOut != nhang {
-			t.Fatalf("%d committed + %d failed of %d; %d injected hangs, %d timed out", committed, failed, n, nhang, timedOut)
+		if committed := res.Len("v"); committed+failed != n || committed == 0 || nhang == 0 || nTimedOut != nhang {
+			t.Fatalf("%d committed + %d failed of %d; %d injected hangs, %d timed out", committed, failed, n, nhang, nTimedOut)
 		}
 	})
 }
@@ -421,7 +421,7 @@ func checkDrained(t *testing.T, res *Result, late time.Duration) {
 		t.Fatalf("the round returned %v after its context ended, want at that instant", late)
 	}
 	for i := 0; i < res.N(); i++ {
-		if !res.TimedOut(i) {
+		if !timedOut(res, i) {
 			t.Fatalf("sample %d: %v, want a timeout", i, res.Err(i))
 		}
 	}

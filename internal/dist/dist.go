@@ -29,8 +29,6 @@ type Dist interface {
 	Perturb(r *rand.Rand, cur, scale float64) float64
 	// Clamp projects v into the support.
 	Clamp(v float64) float64
-	// Bounds reports the support [lo, hi].
-	Bounds() (lo, hi float64)
 	// String describes the distribution for logs and error messages.
 	String() string
 }
@@ -54,9 +52,8 @@ func (u uniform) Perturb(r *rand.Rand, cur, scale float64) float64 {
 	return u.Clamp(cur + (r.Float64()*2-1)*w)
 }
 
-func (u uniform) Clamp(v float64) float64    { return math.Min(u.hi, math.Max(u.lo, v)) }
-func (u uniform) Bounds() (float64, float64) { return u.lo, u.hi }
-func (u uniform) String() string             { return fmt.Sprintf("Uniform[%g, %g]", u.lo, u.hi) }
+func (u uniform) Clamp(v float64) float64 { return math.Min(u.hi, math.Max(u.lo, v)) }
+func (u uniform) String() string          { return fmt.Sprintf("Uniform[%g, %g]", u.lo, u.hi) }
 
 // logUniform draws values whose logarithm is uniform on [log lo, log hi].
 // Useful for scale parameters such as SVM regularization constants.
@@ -84,9 +81,8 @@ func (u logUniform) Perturb(r *rand.Rand, cur, scale float64) float64 {
 	return u.Clamp(math.Exp(math.Log(cur) + (r.Float64()*2-1)*w))
 }
 
-func (u logUniform) Clamp(v float64) float64    { return math.Min(u.hi, math.Max(u.lo, v)) }
-func (u logUniform) Bounds() (float64, float64) { return u.lo, u.hi }
-func (u logUniform) String() string             { return fmt.Sprintf("LogUniform[%g, %g]", u.lo, u.hi) }
+func (u logUniform) Clamp(v float64) float64 { return math.Min(u.hi, math.Max(u.lo, v)) }
+func (u logUniform) String() string          { return fmt.Sprintf("LogUniform[%g, %g]", u.lo, u.hi) }
 
 // intRange draws integers in [lo, hi] (inclusive), represented as float64.
 type intRange struct{ lo, hi int }
@@ -113,8 +109,7 @@ func (u intRange) Perturb(r *rand.Rand, cur, scale float64) float64 {
 func (u intRange) Clamp(v float64) float64 {
 	return math.Min(float64(u.hi), math.Max(float64(u.lo), math.Round(v)))
 }
-func (u intRange) Bounds() (float64, float64) { return float64(u.lo), float64(u.hi) }
-func (u intRange) String() string             { return fmt.Sprintf("IntRange[%d, %d]", u.lo, u.hi) }
+func (u intRange) String() string { return fmt.Sprintf("IntRange[%d, %d]", u.lo, u.hi) }
 
 // choice draws an index into a fixed set of options.
 type choice struct{ n int }
@@ -142,5 +137,4 @@ func (c choice) Perturb(r *rand.Rand, cur, scale float64) float64 {
 func (c choice) Clamp(v float64) float64 {
 	return math.Min(float64(c.n-1), math.Max(0, math.Round(v)))
 }
-func (c choice) Bounds() (float64, float64) { return 0, float64(c.n - 1) }
-func (c choice) String() string             { return fmt.Sprintf("Choice[%d]", c.n) }
+func (c choice) String() string { return fmt.Sprintf("Choice[%d]", c.n) }

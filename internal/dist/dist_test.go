@@ -188,7 +188,10 @@ func TestChoiceZeroPanics(t *testing.T) {
 // Property: for every distribution, Clamp is idempotent and Perturb results
 // are always inside Bounds.
 func TestPropertyPerturbWithinBounds(t *testing.T) {
-	dists := []Dist{Uniform(-1, 1), LogUniform(0.01, 100), IntRange(-5, 5), Choice(7)}
+	dists := []struct {
+		d      Dist
+		lo, hi float64
+	}{{Uniform(-1, 1), -1, 1}, {LogUniform(0.01, 100), 0.01, 100}, {IntRange(-5, 5), -5, 5}, {Choice(7), 0, 6}}
 	f := func(seed int64, cur, scale float64) bool {
 		if math.IsNaN(cur) || math.IsInf(cur, 0) {
 			return true
@@ -198,8 +201,8 @@ func TestPropertyPerturbWithinBounds(t *testing.T) {
 			scale = 0.5
 		}
 		r := rng(seed)
-		for _, d := range dists {
-			lo, hi := d.Bounds()
+		for _, b := range dists {
+			d, lo, hi := b.d, b.lo, b.hi
 			v := d.Perturb(r, d.Clamp(cur), scale)
 			if v < lo || v > hi {
 				return false

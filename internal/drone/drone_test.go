@@ -207,13 +207,6 @@ func TestMotorRMSEIdentityAndEmpty(t *testing.T) {
 	}
 }
 
-func TestPathLengthPositive(t *testing.T) {
-	tr := Simulate(NewVeloci(), TestMission(), SimOptions{MaxTime: 300})
-	if l := PathLength(tr); l < 100 {
-		t.Fatalf("zigzag path only %g m", l)
-	}
-}
-
 func TestEnergyAccumulates(t *testing.T) {
 	tr := Simulate(NewVeloci(), TrainingMission1(), SimOptions{})
 	if tr.Energy <= 0 {

@@ -244,12 +244,3 @@ func ModeRMSE(a, b Trace, mode Mode) float64 {
 	timing := math.Abs(float64(len(sa)-len(sb))) / denom
 	return shape + timingWeight*timing
 }
-
-// PathLength integrates the distance flown.
-func PathLength(tr Trace) float64 {
-	total := 0.0
-	for i := 1; i < len(tr.Pos); i++ {
-		total += tr.Pos[i].Sub(tr.Pos[i-1]).Norm()
-	}
-	return total
-}

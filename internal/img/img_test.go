@@ -1,9 +1,7 @@
 package img
 
 import (
-	"bytes"
 	"math"
-	"os"
 	"testing"
 	"testing/quick"
 )
@@ -252,42 +250,5 @@ func TestPropertySmoothStaysInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	m := New(3, 2)
-	m.Set(0, 0, 1)
-	m.Set(2, 1, 0.5)
-	var buf bytes.Buffer
-	if err := m.WritePGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.Bytes()
-	wantHeader := "P5\n3 2\n255\n"
-	if !bytes.HasPrefix(got, []byte(wantHeader)) {
-		t.Fatalf("header = %q", got[:len(wantHeader)])
-	}
-	pix := got[len(wantHeader):]
-	if len(pix) != 6 {
-		t.Fatalf("payload %d bytes", len(pix))
-	}
-	if pix[0] != 255 || pix[5] != 128 {
-		t.Fatalf("pixels = %v", pix)
-	}
-}
-
-func TestSavePGM(t *testing.T) {
-	m := Scene("mug", 16, 16)
-	path := t.TempDir() + "/mug.pgm"
-	if err := m.SavePGM(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != len("P5\n16 16\n255\n")+256 {
-		t.Fatalf("file size %d", len(data))
 	}
 }

@@ -112,6 +112,7 @@ type job struct {
 	interrupted bool // shutdown took it down mid-run; spec stays persisted
 	result      string
 	errText     string
+	ckptErr     string // the last failed auto-checkpoint write, if any
 	rounds      []Round
 	subs        []*subscriber
 	done        chan struct{} // closed when the job reaches rest (or shutdown)
@@ -430,9 +431,13 @@ func (m *Manager) runJob(j *job, t *core.Tuner, ctx context.Context) {
 	m.mu.Unlock()
 
 	result, err := j.run(ctx, t, func(r Round) { m.emit(j, r) })
+	saveErr := t.SaveErr()
 	t.Close()
 
 	m.mu.Lock()
+	if saveErr != nil {
+		j.ckptErr = saveErr.Error()
+	}
 	m.running--
 	m.byTenant[j.spec.Tenant]--
 	// A job torn down by manager shutdown (not by its own cancel) is
@@ -598,20 +603,24 @@ type Status struct {
 	State       State        `json:"state"`
 	Resumed     bool         `json:"resumed,omitempty"`
 	Checkpoints int64        `json:"checkpoints,omitempty"`
-	Rounds      int          `json:"rounds"`
-	Result      string       `json:"result,omitempty"`
-	Error       string       `json:"error,omitempty"`
+	// CheckpointError is the last failed auto-checkpoint write; the job
+	// runs on without that checkpoint.
+	CheckpointError string `json:"checkpoint_error,omitempty"`
+	Rounds          int    `json:"rounds"`
+	Result          string `json:"result,omitempty"`
+	Error           string `json:"error,omitempty"`
 }
 
 func (m *Manager) statusLocked(j *job) Status {
 	return Status{
-		Spec:        j.spec,
-		State:       j.state,
-		Resumed:     j.resumed,
-		Checkpoints: j.ckpts,
-		Rounds:      len(j.rounds),
-		Result:      j.result,
-		Error:       j.errText,
+		Spec:            j.spec,
+		State:           j.state,
+		Resumed:         j.resumed,
+		Checkpoints:     j.ckpts,
+		CheckpointError: j.ckptErr,
+		Rounds:          len(j.rounds),
+		Result:          j.result,
+		Error:           j.errText,
 	}
 }
 

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/leakcheck"
@@ -368,5 +370,42 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	if err := m.Cancel("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cancel of unknown job = %v, want ErrNotFound", err)
+	}
+}
+
+// failCkptStore persists job specs but fails every checkpoint write.
+type failCkptStore struct{ checkpoint.MemStore }
+
+func (s *failCkptStore) Save(label string, data []byte) error {
+	if strings.HasPrefix(label, ckptLabel("")) {
+		return errors.New("checkpoint device full")
+	}
+	return s.MemStore.Save(label, data)
+}
+
+// TestCheckpointErrorInStatus checks that a job whose every checkpoint write
+// fails still completes, and that its status, in Go and in JSON, names the
+// failure.
+func TestCheckpointErrorInStatus(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	m := NewManager(Options{
+		Runtime:  core.NewRuntime(core.RuntimeOptions{MaxPool: 4}),
+		Programs: testRegistry(nil), Store: &failCkptStore{},
+	})
+	defer m.Close()
+	mustSubmit(t, m, core.JobSpec{Name: "j", Program: "tune", Seed: 1, Checkpoint: &core.CheckpointSpec{Every: 1}})
+	st, err := m.Wait(context.Background(), "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateCompleted || st.Checkpoints != 0 || !strings.Contains(st.CheckpointError, "checkpoint device full") {
+		t.Fatalf("state %q, %d checkpoints, checkpoint error %q; want completed, 0, the store's error", st.State, st.Checkpoints, st.CheckpointError)
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"checkpoint_error":"`) {
+		t.Fatalf("status JSON has no checkpoint_error: %s", data)
 	}
 }

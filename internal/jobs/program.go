@@ -3,7 +3,6 @@ package jobs
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -55,21 +54,6 @@ func (r *Registry) Register(name string, f Factory) {
 		r.m = make(map[string]Factory)
 	}
 	r.m[name] = f
-}
-
-// Names lists the registered program names, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.m))
-	for n := range r.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // resolve builds the RunFunc for spec.Program.

@@ -206,19 +206,3 @@ func Cut(g Graph, part []int) int {
 	}
 	return cut
 }
-
-// Balance returns the maximum part size divided by the ideal size; 1.0 is
-// perfectly balanced.
-func Balance(g Graph, part []int, nparts int) float64 {
-	sizes := make([]int, nparts)
-	for _, k := range part {
-		sizes[k]++
-	}
-	max := 0
-	for _, s := range sizes {
-		if s > max {
-			max = s
-		}
-	}
-	return float64(max) / (float64(g.N) / float64(nparts))
-}

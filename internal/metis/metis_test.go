@@ -47,7 +47,7 @@ func TestImbalanceRespected(t *testing.T) {
 	g, _ := genGraph()
 	p := Params{Imbalance: 1.10, Refine: 8, Greed: 0.8}
 	part := Partition(g, 4, p, 3)
-	if b := Balance(g, part, 4); b > 1.30 {
+	if b := balance(g, part, 4); b > 1.30 {
 		t.Fatalf("balance %g way over tolerance", b)
 	}
 }
@@ -90,4 +90,20 @@ func TestPartitionValidation(t *testing.T) {
 		}
 	}()
 	Partition(g, 1, DefaultParams(), 1)
+}
+
+// balance returns the maximum part size divided by the ideal size; 1.0 is
+// perfectly balanced.
+func balance(g Graph, part []int, nparts int) float64 {
+	sizes := make([]int, nparts)
+	for _, k := range part {
+		sizes[k]++
+	}
+	max := 0
+	for _, s := range sizes {
+		if s > max {
+			max = s
+		}
+	}
+	return float64(max) / (float64(g.N) / float64(nparts))
 }

@@ -58,8 +58,6 @@ type Options struct {
 	// Stop, if set, is polled before each evaluation; tuning ends when it
 	// returns true (the work-unit budget hook).
 	Stop func() bool
-	// Techniques overrides the default ensemble.
-	Techniques []Technique
 	// Checkpoint, if set, is called after every evaluation with the
 	// evaluation count and the incumbent best; the experiment harness uses
 	// it to record score-vs-budget curves.
@@ -99,16 +97,12 @@ func New(space Space, obj Objective, opts Options) *Tuner {
 	if opts.MaxEvals <= 0 && opts.Stop == nil {
 		panic("opentuner: need MaxEvals or Stop")
 	}
-	techniques := opts.Techniques
-	if techniques == nil {
-		techniques = DefaultTechniques()
-	}
 	return &Tuner{
 		space:  space,
 		obj:    obj,
 		opts:   opts,
 		r:      dist.NewRand(opts.Seed, 0),
-		bandit: newBandit(techniques, dist.NewRand(opts.Seed, 1)),
+		bandit: newBandit(DefaultTechniques(), dist.NewRand(opts.Seed, 1)),
 	}
 }
 

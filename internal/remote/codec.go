@@ -496,13 +496,6 @@ func decodeResults(b []byte, vt *ValueTable, d *decoder) ([]resultMsg, error) {
 	return out, nil
 }
 
-func encodeEndRound(id uint64) []byte {
-	w := &wire.Writer{}
-	w.U8(mEndRound)
-	w.Uv(id)
-	return w.B
-}
-
 func decodeEndRound(b []byte) (uint64, error) {
 	r := wire.NewReader(b)
 	id := r.Uv()

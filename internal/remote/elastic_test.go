@@ -62,7 +62,7 @@ func TestRemoveConnDrainsInFlight(t *testing.T) {
 	if got := f.ex.Capacity(); got != 2 {
 		t.Fatalf("Capacity=%d after retiring one of two workers, want 2", got)
 	}
-	if got := f.ex.Workers(); len(got) != 1 || got[0] != "w1" {
+	if got := f.ex.liveWorkers(); len(got) != 1 || got[0] != "w1" {
 		t.Fatalf("Workers=%v after retiring w0, want [w1]", got)
 	}
 	if n := oreg.Counter(MetricWorkerFailures, "worker", "w0").Value(); n != 0 {
@@ -203,7 +203,7 @@ func TestFleetControllerDialsAddressPoolFirst(t *testing.T) {
 		fc.mu.Lock()
 		pending := append([]string{}, fc.undialed...)
 		fc.mu.Unlock()
-		if got := ex.Workers(); !reflect.DeepEqual(got, workers) || !reflect.DeepEqual(pending, undialed) {
+		if got := ex.liveWorkers(); !reflect.DeepEqual(got, workers) || !reflect.DeepEqual(pending, undialed) {
 			t.Fatalf("%s: workers %v, un-dialed %v; want %v and %v", step, got, pending, workers, undialed)
 		}
 	}
@@ -287,4 +287,17 @@ func TestFleetMetricsExposition(t *testing.T) {
 			t.Errorf("exposition is missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// liveWorkers lists the names of live (accepting) workers, in join order.
+func (ex *NetExecutor) liveWorkers() []string {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	names := make([]string, 0, len(ex.workers))
+	for _, w := range ex.workers {
+		if !w.dead && !w.draining {
+			names = append(names, w.name)
+		}
+	}
+	return names
 }

@@ -533,19 +533,6 @@ func (ex *NetExecutor) Capacity() int {
 	return n
 }
 
-// Workers lists the names of live (accepting) workers, in join order.
-func (ex *NetExecutor) Workers() []string {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	names := make([]string, 0, len(ex.workers))
-	for _, w := range ex.workers {
-		if !w.dead && !w.draining {
-			names = append(names, w.name)
-		}
-	}
-	return names
-}
-
 // errWorkerRetired is the graceful-retirement cause handed to fail once a
 // drained worker's last in-flight sample lands; like a worker's own goodbye,
 // it does not count as a failure in the metrics.

@@ -58,22 +58,6 @@ var ErrMessageTooBig = errors.New("remote: message exceeds 64MiB wire limit")
 // hostile peer, never a legitimate frame.
 var errFrameTooBig = errors.New("remote: frame exceeds size limit")
 
-// writeFrame writes one frame: a 4-byte big-endian payload length, then the
-// payload, in a single Write call so a fault-injected dropped write loses a
-// whole frame and the stream stays parseable. It is the handshake and test
-// path; steady-state writers encode into pooled buffers via wire instead.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return errFrameTooBig
-	}
-	buf := wire.Alloc(frameHeader + len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[frameHeader:], payload)
-	_, err := w.Write(buf)
-	wire.Free(buf)
-	return err
-}
-
 // readFrame reads one frame payload into a pooled buffer, reusing buf when
 // it is large enough (recycling it otherwise). It returns io.EOF only on a
 // clean frame boundary. The returned slice is valid payload only when err is

@@ -47,7 +47,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}}}, nil); err == nil {
 		f.Add(frame(b))
 	}
-	f.Add(frame(encodeEndRound(17)))
+	f.Add(opFrame(mEndRound, 17))
 	{
 		e := store.NewExposed()
 		e.Set("global", "k", 1.25)
@@ -89,8 +89,8 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 			case mEndRound:
 				if id, err := decodeEndRound(body); err == nil {
-					b := encodeEndRound(id)
-					if id2, err := decodeEndRound(b[1:]); err != nil || id2 != id {
+					b := opFrame(mEndRound, id)
+					if id2, err := decodeEndRound(b[frameHeader+1:]); err != nil || id2 != id {
 						t.Fatalf("endround round trip: %d -> %d, %v", id, id2, err)
 					}
 				}
@@ -130,7 +130,7 @@ func FuzzMuxDecode(f *testing.F) {
 	// Two-chunk split plus a small passthrough frame in the gap.
 	f.Add(bytes.Join([][]byte{
 		frame(chunkFrame(2, chunkFirst, 6, []byte("abc"))),
-		frame(encodeEndRound(9)),
+		opFrame(mEndRound, 9),
 		frame(chunkFrame(2, chunkLast, 0, []byte("def"))),
 	}, nil))
 	// Interleaved streams completing out of order.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/store"
 	"repro/internal/strategy"
+	"repro/internal/wire"
 )
 
 // TestGoldenFormats pins the exact bytes of one message per binary format —
@@ -22,11 +23,10 @@ import (
 // primitives that moves a single byte on the wire or on disk fails here.
 func TestGoldenFormats(t *testing.T) {
 	framed := func(payload []byte) []byte {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
-			t.Fatalf("writeFrame: %v", err)
-		}
-		return buf.Bytes()
+		wb := getFrameBuf()
+		defer putFrameBuf(wb)
+		wb.Raw(payload)
+		return written(wb)
 	}
 	results, err := encodeResults([]resultMsg{{ID: 300, Res: core.ExecResult{
 		Scored: true, Retryable: true, Score: -0.5, WorkMilli: -1024, Err: "e",
@@ -129,3 +129,24 @@ const (
 	goldenFullShipFrame  = "0000003c0b0700000000000000004c7aeb9c59e54b240406676c6f62616c046269617301730374616702000109033fd00000000000000203060404626c756500"
 	goldenBaseDeltaFrame = "0000002e0b074c7aeb9c59e54b24c3d5290a6d49dca00406676c6f62616c0462696173017303746167010001020201010203"
 )
+
+// written is the frame a connection's writer sends for the message encoded
+// in wb: through muxWriter.writeBuf, the path every message after the hello
+// takes.
+func written(wb *wire.Writer) []byte {
+	var buf bytes.Buffer
+	if err := newMuxWriter(&buf).writeBuf(wb); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// opFrame is the frame the dispatcher's writer sends for a bare op
+// (mEndRound, mEndJob): the kind byte and the id in a pooled frame buffer.
+func opFrame(kind byte, id uint64) []byte {
+	wb := getFrameBuf()
+	defer putFrameBuf(wb)
+	wb.U8(kind)
+	wb.Uv(id)
+	return written(wb)
+}

@@ -591,10 +591,8 @@ func TestSnapshotRoundTripAndHash(t *testing.T) {
 }
 
 func TestFrameLimitsAndTruncation(t *testing.T) {
-	if err := writeFrame(discard{}, make([]byte, maxFrame+1)); !errors.Is(err, errFrameTooBig) {
-		t.Fatalf("oversized write: %v", err)
-	}
-	// Hostile length prefix.
+	// An oversized write fails before any byte leaves the process:
+	// TestWireRejectsOversizeMessages. Hostile length prefix.
 	var hdr [4]byte
 	hdr[0] = 0xff
 	if _, err := readFrame(bytes.NewReader(append(hdr[:], 1, 2, 3)), nil); !errors.Is(err, errFrameTooBig) {
@@ -606,10 +604,6 @@ func TestFrameLimitsAndTruncation(t *testing.T) {
 		t.Fatal("truncated frame decoded")
 	}
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestNoLiveWorkerDeclineIsTransient: a fleet with no live worker, before any
 // joins and after Close, declines a round Transient, so the tuner keeps the

@@ -266,7 +266,7 @@ func TestStalledConnBlocksNoOne(t *testing.T) {
 		defer cancel()
 		drained <- ws[0].Drain(ctx)
 	}()
-	for deadline := time.Now().Add(stallBound); len(ex2.Workers()) != 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(stallBound); len(ex2.liveWorkers()) != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("worker 0's drain never reached the second dispatcher")
 		}

@@ -234,8 +234,8 @@ func TestDecodeMatchesFullBandOracle(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDTWMatchesFullBandOracle holds DTW to refDTW bit for bit on the
-// distance itself, template by template: the cells DTW skips under the
+// TestDTWMatchesFullBandOracle holds fullDTW to refDTW bit for bit on the
+// distance itself, template by template: the cells dtw skips under the
 // beam must be exactly the ones the beam would have cut. Each edge beam (a
 // near-zero one, ones narrower and wider than a frame distance, +Inf and
 // disabled) runs on the defaults and on two random configurations.
@@ -257,7 +257,7 @@ func TestDTWMatchesFullBandOracle(t *testing.T) {
 		_, audios := GenSpeakerSet(int64(i)+1, i%10, 1)
 		feats := Features(audios[0].Spec, p)
 		for w, tm := range tmpl {
-			got, want := DTW(feats, tm, p), refDTW(feats, tm, p)
+			got, want := fullDTW(feats, tm, p), refDTW(feats, tm, p)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("config %d template %d: DTW %v, oracle %v (%+v)", i, w, got, want, p)
 			}
@@ -340,3 +340,10 @@ var (
 	benchWord   int
 	benchMargin float64
 )
+
+// fullDTW is dtw with no running bests, so it never abandons: the whole
+// band-constrained distance.
+func fullDTW(a, b [][]float64, p Params) float64 {
+	inf := math.Inf(1)
+	return dtw(a, b, p, &dtwRows{}, abandon{second: inf, bestScore: inf})
+}

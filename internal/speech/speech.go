@@ -274,16 +274,6 @@ var canonical = sync.OnceValue(func() []Audio {
 	return out
 })
 
-// DTW computes the band-constrained dynamic-time-warping distance between
-// two feature sequences, normalized by path length. Every feature value
-// must be finite, as Features' are (the log of a value at least the energy
-// floor): a cell whose predecessors are all unreachable is then skipped
-// without computing its frame distance.
-func DTW(a, b [][]float64, p Params) float64 {
-	inf := math.Inf(1)
-	return dtw(a, b, p, &dtwRows{}, abandon{second: inf, bestScore: inf})
-}
-
 // dtwRows are the two DP rows, reused across the templates of one Decode
 // or SelfTest.
 type dtwRows struct{ prev, cur []float64 }
@@ -317,7 +307,13 @@ func (ab abandon) score(d float64, p Params) float64 {
 	return d + p.LangWeight*ab.prior + p.InsertPenalty*ab.mismatch
 }
 
-// dtw is DTW with early abandoning. Frame distances are non-negative, so
+// dtw computes the band-constrained dynamic-time-warping distance between
+// two feature sequences, normalized by path length, with early abandoning.
+// Every feature value must be finite, as Features' are (the log of a value
+// at least the energy floor): a cell whose predecessors are all unreachable
+// is then skipped without computing its frame distance.
+//
+// Frame distances are non-negative, so
 // a row's cheapest cell bounds the final distance from below (rounding is
 // monotone). Once that bound reaches the second-best distance and its
 // score reaches the best score, the template can change neither the word

@@ -88,14 +88,14 @@ func TestFeaturesDegenerateParamsClamped(t *testing.T) {
 func TestDTWIdentityZero(t *testing.T) {
 	a := Synthesize(4, Speaker{Rate: 1, Noise: 0}, 5)
 	f := Features(a.Spec, DefaultParams())
-	if d := DTW(f, f, DefaultParams()); d > 1e-9 {
-		t.Fatalf("DTW(x,x) = %g", d)
+	if d := fullDTW(f, f, DefaultParams()); d > 1e-9 {
+		t.Fatalf("fullDTW(x,x) = %g", d)
 	}
 }
 
 func TestDTWEmptyInfinite(t *testing.T) {
 	f := [][]float64{{1, 2}}
-	if !math.IsInf(DTW(nil, f, DefaultParams()), 1) {
+	if !math.IsInf(fullDTW(nil, f, DefaultParams()), 1) {
 		t.Fatal("empty input should be infinitely far")
 	}
 }
@@ -107,8 +107,8 @@ func TestDTWHandlesDifferentLengths(t *testing.T) {
 	w0slow := Features(Synthesize(5, Speaker{Rate: 1.3, Noise: 0}, 0).Spec, p)
 	w0fast := Features(Synthesize(5, Speaker{Rate: 0.8, Noise: 0}, 0).Spec, p)
 	w7fast := Features(Synthesize(5, Speaker{Rate: 0.8, Noise: 0}, 7).Spec, p)
-	same := DTW(w0slow, w0fast, p)
-	diff := DTW(w0slow, w7fast, p)
+	same := fullDTW(w0slow, w0fast, p)
+	diff := fullDTW(w0slow, w7fast, p)
 	if same >= diff {
 		t.Fatalf("DTW cannot tell words apart: same=%g diff=%g", same, diff)
 	}
@@ -278,7 +278,7 @@ func TestDTWUnreachableBandIsInfinite(t *testing.T) {
 	p.BeamWidth = 1e-9 // prune everything but one cell per row
 	a := Features(Synthesize(4, Speaker{Rate: 1.4, Noise: 0.2}, 1).Spec, p)
 	b := Features(Synthesize(4, Speaker{Rate: 0.7, Noise: 0.2}, 8).Spec, p)
-	d := DTW(a, b, p)
+	d := fullDTW(a, b, p)
 	// Either a finite path survives the beam or the result is a true +Inf;
 	// the MaxFloat sentinel must never leak.
 	if !math.IsInf(d, 1) && d > 1e100 {
@@ -292,7 +292,7 @@ func TestVocabularyDistinctContours(t *testing.T) {
 	tmpl := Templates(p)
 	for a := 0; a < len(Vocabulary); a++ {
 		for b := a + 1; b < len(Vocabulary); b++ {
-			if d := DTW(tmpl[a], tmpl[b], p); d < 1e-6 {
+			if d := fullDTW(tmpl[a], tmpl[b], p); d < 1e-6 {
 				t.Fatalf("words %q and %q have identical templates", Vocabulary[a], Vocabulary[b])
 			}
 		}

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // SSIM computes the mean structural similarity index between two grayscale
 // images given as flat row-major float64 slices with the given width. Pixel
 // values are expected in [0, 1]. It uses the standard 8x8 sliding window
@@ -77,34 +75,3 @@ func ssimWindow(a, b []float64, width, x0, y0, w, h int) float64 {
 	}
 	return num / den
 }
-
-// F1 computes the F1 score of a binary prediction against a binary ground
-// truth (both as 0/1-valued float slices). Used as an auxiliary edge-quality
-// metric alongside SSIM.
-func F1(pred, truth []float64) float64 {
-	if len(pred) != len(truth) {
-		panic("stats: F1 length mismatch")
-	}
-	var tp, fp, fn float64
-	for i := range pred {
-		p := pred[i] >= 0.5
-		t := truth[i] >= 0.5
-		switch {
-		case p && t:
-			tp++
-		case p && !t:
-			fp++
-		case !p && t:
-			fn++
-		}
-	}
-	if tp == 0 {
-		return 0
-	}
-	prec := tp / (tp + fp)
-	rec := tp / (tp + fn)
-	return 2 * prec * rec / (prec + rec)
-}
-
-// Clamp01 clamps v into [0, 1].
-func Clamp01(v float64) float64 { return math.Min(1, math.Max(0, v)) }

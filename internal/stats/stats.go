@@ -1,13 +1,10 @@
 // Package stats implements the scoring and descriptive statistics the
 // experiments use: SSIM for image comparison (the paper scores Canny with
 // SSIM against expert ground truth), RMSE for the drone behaviour-learning
-// study, and the usual mean/std/min/max helpers.
+// study, and the mean.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -19,97 +16,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	return math.Sqrt(Var(xs))
-}
-
-// Var returns the population variance of xs.
-func Var(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// Min returns the minimum of xs. It panics on an empty slice: callers always
-// score at least one sample, so an empty argument is a harness bug.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs. Panics on an empty slice like Min.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs (average of the two middle elements for
-// even lengths). Panics on an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Median of empty slice")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// ArgMin returns the index of the smallest element. Panics on empty input.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		panic("stats: ArgMin of empty slice")
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element. Panics on empty input.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		panic("stats: ArgMax of empty slice")
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // MSE returns the mean squared error between a and b.

@@ -7,10 +7,13 @@ import (
 	"testing"
 )
 
-func keysOf(ch []ChangedKV) []Key {
-	out := make([]Key, len(ch))
+// key names one exposed-store entry without its value.
+type key struct{ Scope, Name string }
+
+func keysOf(ch []ChangedKV) []key {
+	out := make([]key, len(ch))
 	for i, c := range ch {
-		out[i] = Key{Scope: c.Scope, Name: c.Name}
+		out[i] = key{Scope: c.Scope, Name: c.Name}
 	}
 	return out
 }
@@ -22,7 +25,7 @@ func TestChangedSinceBasics(t *testing.T) {
 	v1 := e.Version()
 
 	ch, del := e.ChangedSince(0)
-	if want := []Key{{"g", "a"}, {"g", "b"}}; !reflect.DeepEqual(keysOf(ch), want) {
+	if want := []key{{"g", "a"}, {"g", "b"}}; !reflect.DeepEqual(keysOf(ch), want) {
 		t.Fatalf("ChangedSince(0) keys = %v, want %v", keysOf(ch), want)
 	}
 	if len(del) != 0 {
@@ -37,7 +40,7 @@ func TestChangedSinceBasics(t *testing.T) {
 	e.Set("g", "b", 20)
 	e.Set("g", "c", 3)
 	ch, del = e.ChangedSince(v1)
-	if want := []Key{{"g", "b"}, {"g", "c"}}; !reflect.DeepEqual(keysOf(ch), want) {
+	if want := []key{{"g", "b"}, {"g", "c"}}; !reflect.DeepEqual(keysOf(ch), want) {
 		t.Fatalf("ChangedSince(v1) keys = %v, want %v", keysOf(ch), want)
 	}
 	if ch[0].V != 20 || ch[1].V != 3 {
@@ -83,7 +86,7 @@ func TestDeleteTracking(t *testing.T) {
 	// Delete then re-Set: appears only as a change.
 	e.Set("g", "a", 10)
 	ch, del = e.ChangedSince(v1)
-	if want := []Key{{"g", "a"}}; !reflect.DeepEqual(keysOf(ch), want) {
+	if want := []key{{"g", "a"}}; !reflect.DeepEqual(keysOf(ch), want) {
 		t.Fatalf("changed after re-set = %v, want %v", keysOf(ch), want)
 	}
 	if len(del) != 0 {

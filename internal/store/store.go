@@ -205,9 +205,6 @@ func (e *Exposed) SetEntries(kvs []ExposedKV) {
 	}
 }
 
-// Key names one exposed-store entry without its value.
-type Key struct{ Scope, Name string }
-
 // ChangedKV is one entry written after some reference version, carrying the
 // version counter value of its latest Set so a consumer tracking several
 // reference points (the dispatcher's per-base delta cache) can slice one

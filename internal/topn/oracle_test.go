@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// mapRecommend is Recommend as it was before the dense scratch: the basket
+// mapRecommend is recommend as it was before the dense scratch: the basket
 // and the scores live in maps. It is the oracle
-// TestRecommendMatchesMapOracle holds Recommend and HitRate to.
+// TestRecommendMatchesMapOracle holds recommend and HitRate to.
 func mapRecommend(m *Model, basket []int, n int) []int {
 	inBasket := map[int]bool{}
 	for _, it := range basket {
@@ -47,8 +47,8 @@ func mapRecommend(m *Model, basket []int, n int) []int {
 	return out
 }
 
-// TestRecommendMatchesMapOracle compares Recommend, and recommend on one
-// scratch reused across users as HitRate reuses it, with the map oracle on
+// TestRecommendMatchesMapOracle compares recommend on a fresh scratch, and on
+// one scratch reused across users as HitRate reuses it, with the map oracle on
 // the TOPN Rec datasets of seeds 1-4. Alpha 0 and Shrink 0 make every
 // similarity an integer count, so equal scores are common and the item
 // tie-break is exercised.
@@ -67,8 +67,8 @@ func TestRecommendMatchesMapOracle(t *testing.T) {
 			for u, basket := range ds.Train {
 				for _, n := range []int{0, 3, TopN, 100} {
 					want := mapRecommend(m, basket, n)
-					if got := m.Recommend(basket, n); !slices.Equal(got, want) {
-						t.Fatalf("seed %d %+v user %d n %d: Recommend %v, map oracle %v", seed, p, u, n, got, want)
+					if got := m.recommend(basket, n, &recScratch{}); !slices.Equal(got, want) {
+						t.Fatalf("seed %d %+v user %d n %d: fresh scratch %v, map oracle %v", seed, p, u, n, got, want)
 					}
 					if got := m.recommend(basket, n, &sc); !slices.Equal(got, want) {
 						t.Fatalf("seed %d %+v user %d n %d: reused scratch %v, map oracle %v", seed, p, u, n, got, want)

@@ -163,12 +163,6 @@ func BuildModel(c *Cooccur, ds Dataset, p Params) *Model {
 	return m
 }
 
-// Recommend returns the top-n items for a user (excluding items already in
-// the basket), scored by summed similarity to the basket.
-func (m *Model) Recommend(basket []int, n int) []int {
-	return m.recommend(basket, n, &recScratch{})
-}
-
 // recScratch is recommend's dense per-item scratch. HitRate reuses one
 // across users: recommend leaves it cleared, and its result is a prefix
 // of touched, valid until the next call.
@@ -178,7 +172,9 @@ type recScratch struct {
 	touched          []int // the scored items
 }
 
-// recommend is Recommend over sc. Each score is summed in the same order
+// recommend returns the top-n items for a user (excluding items already in
+// the basket), scored by summed similarity to the basket, using sc as
+// scratch. Each score is summed in the same order
 // from 0 as a map would sum it, and (score desc, item asc) is a total
 // order, so the result does not depend on the order of touched.
 func (m *Model) recommend(basket []int, n int, sc *recScratch) []int {

@@ -44,7 +44,7 @@ func TestRecommendExcludesBasket(t *testing.T) {
 	ds := gen()
 	m := Train(ds, Params{K: 20, Shrink: 5, Alpha: 0.5})
 	for u, basket := range ds.Train[:10] {
-		recs := m.Recommend(basket, TopN)
+		recs := m.recommend(basket, TopN, &recScratch{})
 		inBasket := map[int]bool{}
 		for _, it := range basket {
 			inBasket[it] = true

@@ -277,14 +277,3 @@ func kthSmallest(vals []float64, k int) float64 {
 func Score(boundary, truth img.Image) float64 {
 	return stats.SSIM(boundary.Pix, truth.Pix, truth.W)
 }
-
-// NumBasins reports the number of distinct basins in a label map.
-func NumBasins(labels []int) int {
-	seen := map[int]bool{}
-	for _, l := range labels {
-		if l > 0 {
-			seen[l] = true
-		}
-	}
-	return len(seen)
-}
